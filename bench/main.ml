@@ -2,15 +2,13 @@
 
     Usage: [main.exe [experiment ...]] where experiment is one of
     [table1 table2 table3 table4 table5 figure1 pairing levels window
-    transitive schedulers parallel shard fleet micro].  With no
+    transitive schedulers parallel fleet micro].  With no
     arguments, everything runs in order.  [parallel] compares 1-domain
     and N-domain batch scheduling and writes BENCH_parallel.json (domain
     count overridable with DAGSCHED_BENCH_DOMAINS; DAGSCHED_BENCH_RUNS=1
-    for a smoke run); [shard] runs the whole nine-benchmark corpus
-    through the sharding driver and writes BENCH_shard.json (shard count
-    overridable with DAGSCHED_BENCH_SHARDS); [fleet] pushes the same
-    corpus through worker OS processes (schedtool worker), checks the
-    aggregate against the in-process shard run, and writes
+    for a smoke run); [fleet] pushes the whole nine-benchmark corpus
+    through worker OS processes (schedtool worker), checks the
+    aggregate against one in-process batch run, and writes
     BENCH_fleet.json (worker count overridable with
     DAGSCHED_BENCH_WORKERS; schedtool path with DAGSCHED_SCHEDTOOL);
     [obs] measures the batch pipeline with tracing+metrics disabled vs
@@ -584,114 +582,8 @@ let parallel () =
       \ the large-block workloads)\n"
 
 (* ------------------------------------------------------------------ *)
-(* sharded corpus scheduling: the paper's nine benchmark programs across
-   a driver fleet (one batch per shard on a shared pool), with a
-   machine-readable BENCH_shard.json next to BENCH_parallel.json *)
-
-let shard_bench () =
-  heading "Sharded corpus scheduling: nine benchmarks across a driver fleet";
-  let recommended = Pool.recommended () in
-  let n_domains =
-    match Sys.getenv_opt "DAGSCHED_BENCH_DOMAINS" with
-    | Some s -> (try max 1 (int_of_string s) with _ -> recommended)
-    | None -> recommended
-  in
-  let n_shards =
-    match Sys.getenv_opt "DAGSCHED_BENCH_SHARDS" with
-    | Some s -> (try max 1 (int_of_string s) with _ -> 4)
-    | None -> 4
-  in
-  let corpus = Profiles.corpus Profiles.benchmarks in
-  Printf.printf
-    "(the whole Table-3 corpus — %d programs — partitioned into shards,\n\
-    \ one batch pipeline per shard over one shared pool; mean of %d runs;\n\
-    \ %d domains, %d shards; DAGSCHED_BENCH_SHARDS overrides)\n"
-    (List.length corpus) runs n_domains n_shards;
-  let time_shard ~policy ~shards =
-    let total_s, (_, merged) =
-      Stats.time_runs ~runs (fun () ->
-          Shard.run ~domains:n_domains ~policy ~shards Batch.section6 corpus)
-    in
-    (total_s, merged)
-  in
-  let baseline_s, baseline = time_shard ~policy:Shard.Balanced ~shards:1 in
-  let sharded =
-    List.map
-      (fun policy ->
-        let total_s, merged = time_shard ~policy ~shards:n_shards in
-        (* inline differential check: sharding must not change the
-           aggregate statistics, only the accounting *)
-        let ints (r : Batch.report) =
-          ( r.Batch.blocks, r.Batch.insns, r.Batch.arcs,
-            r.Batch.original_cycles, r.Batch.scheduled_cycles, r.Batch.stalls )
-        in
-        assert (ints merged.Shard.aggregate = ints baseline.Shard.aggregate);
-        (policy, total_s, merged))
-      Shard.all_policies
-  in
-  let t =
-    Table.create ~title:""
-      [ "policy"; "shards"; "blocks"; "insns"; "shard insns min-max";
-        "total ms" ]
-  in
-  let spread merged =
-    match merged.Shard.per_shard with
-    | [] -> "-"
-    | rs ->
-        let insns = List.map (fun (r : Batch.report) -> r.Batch.insns) rs in
-        Printf.sprintf "%d-%d"
-          (List.fold_left min max_int insns)
-          (List.fold_left max 0 insns)
-  in
-  let row name total_s merged =
-    Table.add_row t
-      [ name; string_of_int merged.Shard.shards;
-        string_of_int merged.Shard.aggregate.Batch.blocks;
-        string_of_int merged.Shard.aggregate.Batch.insns; spread merged;
-        Table.fmt_float (1000.0 *. total_s) ]
-  in
-  row "(1 shard)" baseline_s baseline;
-  List.iter
-    (fun (policy, total_s, merged) ->
-      row (Shard.policy_to_string policy) total_s merged)
-    sharded;
-  Table.print t;
-  let json =
-    Stats.Json.Obj
-      [ ("experiment", Stats.Json.String "shard");
-        ("runs", Stats.Json.Int runs);
-        ("domains", Stats.Json.Int n_domains);
-        ("shards", Stats.Json.Int n_shards);
-        ( "baseline",
-          Stats.Json.Obj
-            [ ("total_s", Stats.Json.Float baseline_s);
-              ("merged", Shard.merged_to_json baseline) ] );
-        ( "policies",
-          Stats.Json.List
-            (List.map
-               (fun (policy, total_s, merged) ->
-                 Stats.Json.Obj
-                   [ ("policy",
-                      Stats.Json.String (Shard.policy_to_string policy));
-                     ("total_s", Stats.Json.Float total_s);
-                     ("merged", Shard.merged_to_json merged) ])
-               sharded) ) ]
-  in
-  let text = Stats.Json.to_string json in
-  (* non-finite-float-free by construction: the writer would emit null
-     for nan/inf, and the report is all counters and elapsed times *)
-  (match Stats.Json.of_string text with
-  | Ok _ -> ()
-  | Error msg -> failwith ("BENCH_shard.json does not parse back: " ^ msg));
-  let path = "BENCH_shard.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* multi-process fleet: the same nine-benchmark corpus through worker OS
-   processes, differentially checked against the in-process shard run,
+(* multi-process fleet: the nine-benchmark corpus through worker OS
+   processes, differentially checked against one in-process batch run,
    with a machine-readable BENCH_fleet.json *)
 
 let fleet_bench () =
@@ -718,8 +610,8 @@ let fleet_bench () =
     Printf.printf
       "(the whole Table-3 corpus — %d programs, one file each — partitioned\n\
       \ across %d worker processes (schedtool worker), single-domain workers;\n\
-      \ DAGSCHED_BENCH_WORKERS overrides; aggregate checked against the\n\
-      \ in-process shard driver)\n"
+      \ DAGSCHED_BENCH_WORKERS overrides; aggregate checked against one\n\
+      \ in-process batch run)\n"
       (List.length corpus) n_workers;
     (* workers re-read the corpus from disk, so write each program out
        with the block labels `schedtool gen` uses — without them the
@@ -747,17 +639,14 @@ let fleet_bench () =
     @@ fun () ->
     (* in-process reference over the same bytes the workers will read *)
     let reread =
-      List.map
+      List.concat_map
         (fun path ->
-          ( path,
-            Cfg_builder.partition
-              (Parser.parse_program
-                 (In_channel.with_open_text path In_channel.input_all)) ))
+          Cfg_builder.partition
+            (Parser.parse_program
+               (In_channel.with_open_text path In_channel.input_all)))
         files
     in
-    let _, reference =
-      Shard.run ~domains:1 ~shards:n_workers Batch.section6 reread
-    in
+    let _, reference = Batch.run_with_report ~domains:1 Batch.section6 reread in
     let manifests =
       Fleet.plan ~workers:n_workers ~algorithm:Builder.Table_forward
         ~strategy:Disambiguate.Symbolic ~model:Latency.simple_risc.Latency.name
@@ -774,7 +663,7 @@ let fleet_bench () =
     (* inline differential check: process isolation must not change the
        aggregate statistics, only the accounting *)
     assert (Fleet.failed_shards t = []);
-    assert (ints t.Fleet.aggregate = ints reference.Shard.aggregate);
+    assert (ints t.Fleet.aggregate = ints reference);
     let tbl =
       Table.create ~title:""
         [ "worker"; "files"; "blocks"; "insns"; "attempts"; "wall ms" ]
@@ -794,7 +683,7 @@ let fleet_bench () =
       t.Fleet.logs;
     Table.print tbl;
     Printf.printf
-      "fleet aggregate == in-process shard aggregate (%d blocks, %d -> %d \
+      "fleet aggregate == in-process batch aggregate (%d blocks, %d -> %d \
        cycles); %.1f ms wall\n"
       t.Fleet.aggregate.Batch.blocks t.Fleet.aggregate.Batch.original_cycles
       t.Fleet.aggregate.Batch.scheduled_cycles (1000.0 *. fleet_s);
@@ -804,7 +693,7 @@ let fleet_bench () =
           ("workers", Stats.Json.Int n_workers);
           ("total_s", Stats.Json.Float fleet_s);
           ("fleet", Fleet.to_json t);
-          ("reference", Shard.merged_to_json reference) ]
+          ("reference", Batch.report_to_json reference) ]
     in
     let text = Stats.Json.to_string json in
     (match Stats.Json.of_string text with
@@ -2147,7 +2036,7 @@ let experiments =
     ("superscalar", superscalar_bench); ("delayslots", delayslots);
     ("attributes", attributes); ("reservation", reservation_bench);
     ("structure", structure); ("pressure", pressure);
-    ("parallel", parallel); ("shard", shard_bench); ("fleet", fleet_bench);
+    ("parallel", parallel); ("fleet", fleet_bench);
     ("obs", obs_bench); ("explain", explain_bench); ("pool", pool_bench);
     ("dag", dag_bench); ("serve", serve_bench); ("micro", micro) ]
 

@@ -10,16 +10,23 @@
 
 open Dagsched
 
-let read_input = function
-  | "-" -> In_channel.input_all In_channel.stdin
-  | path -> In_channel.with_open_text path In_channel.input_all
+(* exit 2 is bad input: an unreadable file or a parse error, each
+   naming the file *)
+let read_input path =
+  try
+    match path with
+    | "-" -> In_channel.input_all In_channel.stdin
+    | path -> In_channel.with_open_text path In_channel.input_all
+  with Sys_error msg ->
+    Printf.eprintf "input error: %s\n" msg;
+    exit 2
 
 let load_blocks path =
   let text = read_input path in
   match Parser.parse_program_result text with
   | Ok insns -> Cfg_builder.partition insns
   | Error msg ->
-      Printf.eprintf "parse error: %s\n" msg;
+      Printf.eprintf "parse error: %s: %s\n" path msg;
       exit 2
 
 (* ------------------------------------------------------------------ *)
@@ -115,8 +122,8 @@ let builder_arg =
 let opts_of model strategy = { Opts.default with Opts.model; strategy }
 
 (* ------------------------------------------------------------------ *)
-(* observability: --trace / --metrics / --resource / --log /
-   --log-level / --progress on batch, shard and fleet *)
+(* observability: --trace / --metrics / --resource / --explain / --log /
+   --log-level / --progress on batch, fleet and serve *)
 
 let trace_conv =
   let parse s =
@@ -213,19 +220,40 @@ let progress_arg =
               state with stall detection (a worker that stops \
               heartbeating is flagged before its timeout kill).")
 
+(* the obs flags, declared once; serve has no --explain *)
+type obs = {
+  trace : string option;
+  metrics : bool;
+  resource : bool;
+  explain : bool;
+  log : string option;
+  log_level : Log.level option;
+  progress : bool;
+}
+
+let obs_term ~explain =
+  let make trace metrics resource explain log log_level progress =
+    { trace; metrics; resource; explain; log; log_level; progress }
+  in
+  Term.(
+    const make $ trace_arg $ metrics_arg $ resource_arg
+    $ (if explain then explain_arg else const false)
+    $ log_arg $ log_level_arg $ progress_arg)
+
 (* --trace also turns the metrics registry on, so a traced fleet ships a
    uniform obs payload home from every worker; only --metrics prints the
-   registry *)
-let obs_enable ~trace ~metrics ?(resource = false) ?(explain = false) ?log
-    ?log_level () =
-  if trace <> None then Trace.enable ();
-  if metrics || trace <> None then Metrics.enable ();
-  if resource then Obs_resource.enable ();
-  if explain then Explain.enable ();
-  (match (log_level, log) with
+   registry.  --progress echoes this process's heartbeats; a fleet
+   orchestrator has none of its own and renders its workers' instead. *)
+let obs_enable o =
+  if o.trace <> None then Trace.enable ();
+  if o.metrics || o.trace <> None then Metrics.enable ();
+  if o.resource then Obs_resource.enable ();
+  if o.explain then Explain.enable ();
+  if o.progress then Log.set_heartbeat ~echo:true ~interval_s:0.5 ();
+  (match (o.log_level, o.log) with
   | None, None -> ()
   | lvl, _ -> Log.set_level (Some (Option.value lvl ~default:Log.Info)));
-  match log with
+  match o.log with
   | None -> ()
   | Some path -> (
       match Log.set_sink ~append:false path with
@@ -308,8 +336,8 @@ let explain_tables () =
 (* After the run: write the Chrome trace (with the same round-trip
    self-check discipline as the report writers) and print the per-phase,
    metrics, resource and decisiveness summaries on stderr. *)
-let obs_finish ~trace ~metrics ?(resource = false) ?(explain = false) () =
-  (match trace with
+let obs_finish o =
+  (match o.trace with
   | None -> ()
   | Some path ->
       let spans = Trace.snapshot () in
@@ -352,7 +380,7 @@ let obs_finish ~trace ~metrics ?(resource = false) ?(explain = false) () =
               Printf.sprintf "%.3f" (p.Trace.max_us /. 1000.0) ])
         (Trace.summary spans);
       prerr_string (Table.render t));
-  if metrics then begin
+  if o.metrics then begin
     let snap = Metrics.snapshot () in
     if snap.Metrics.counters <> [] then begin
       let ct = Table.create ~title:"counters" [ "counter"; "value" ] in
@@ -378,7 +406,7 @@ let obs_finish ~trace ~metrics ?(resource = false) ?(explain = false) () =
       prerr_string (Table.render ht)
     end
   end;
-  if resource then begin
+  if o.resource then begin
     let rows = Obs_resource.snapshot () in
     if rows <> [] then begin
       let rt =
@@ -402,7 +430,32 @@ let obs_finish ~trace ~metrics ?(resource = false) ?(explain = false) () =
       prerr_string (Table.render rt)
     end
   end;
-  if explain then explain_tables ()
+  if o.explain then explain_tables ()
+
+(* Encode a report (plus the resource/explain sections when those are
+   on), check that it reads back to an equal report — exit 3 otherwise;
+   [equal] is NaN-tolerant, since under structural [=] a valid report
+   with a NaN field would fail its own check — and write it to [path]
+   ('-' for stdout). *)
+let write_report ~what ~to_json ~of_json ~equal report path =
+  let text =
+    span_encode (fun () ->
+        Stats.Json.to_string (with_explain (with_resource (to_json report)))
+        ^ "\n")
+  in
+  (match Stats.Json.of_string text with
+  | Ok json
+    when (match of_json json with
+         | Ok report' -> equal report report'
+         | Error _ -> false) -> ()
+  | Ok _ ->
+      Printf.eprintf "internal error: %s JSON round trip mismatch\n" what;
+      exit 3
+  | Error msg ->
+      Printf.eprintf "internal error: %s JSON does not parse: %s\n" what msg;
+      exit 3);
+  if path = "-" then print_string text
+  else Out_channel.with_open_text path (fun oc -> output_string oc text)
 
 (* ------------------------------------------------------------------ *)
 (* gen *)
@@ -643,19 +696,20 @@ let chain_cmd =
 (* batch: the parallel batch-scheduling driver *)
 
 let batch_cmd =
-  let run alg model strategy jobs chunk json_path quiet trace metrics resource
-      explain log log_level progress file =
-    obs_enable ~trace ~metrics ~resource ~explain ?log ?log_level ();
-    if progress then Log.set_heartbeat ~echo:true ~interval_s:0.5 ();
-    let blocks = span_parse file (fun () -> load_blocks file) in
+  let run alg model strategy jobs json_path quiet obs files =
+    obs_enable obs;
+    let blocks =
+      List.concat_map
+        (fun file -> span_parse file (fun () -> load_blocks file))
+        files
+    in
     let config =
       { Batch.section6 with
         Batch.algorithm = alg;
         opts = opts_of model strategy }
     in
     let domains = if jobs <= 0 then Pool.recommended () else jobs in
-    let chunk = if chunk <= 0 then Pool.default_chunk else chunk in
-    let results, report = Batch.run_with_report ~domains ~chunk config blocks in
+    let results, report = Batch.run_with_report ~domains config blocks in
     if not quiet then
       List.iter
         (fun (r : Batch.result) ->
@@ -663,53 +717,24 @@ let batch_cmd =
             r.Batch.block_id r.Batch.insns r.Batch.dag_arcs
             r.Batch.original_cycles r.Batch.cycles)
         results;
-    (match json_path with
-    | None -> ()
-    | Some path ->
-        let text =
-          span_encode (fun () ->
-              Stats.Json.to_string
-                (with_explain (with_resource (Batch.report_to_json report)))
-              ^ "\n")
-        in
-        (* the report must round-trip through the reader before we ship
-           it; compare with the NaN-tolerant field-wise equality — under
-           structural [=] a valid report with any NaN field would fail
-           its own self-check *)
-        (match Stats.Json.of_string text with
-        | Ok json
-          when (match Batch.report_of_json json with
-               | Ok report' -> Batch.report_equal report report'
-               | Error _ -> false) -> ()
-        | Ok _ ->
-            Printf.eprintf "internal error: report JSON round trip mismatch\n";
-            exit 3
-        | Error msg ->
-            Printf.eprintf "internal error: report JSON does not parse: %s\n" msg;
-            exit 3);
-        if path = "-" then print_string text
-        else Out_channel.with_open_text path (fun oc -> output_string oc text));
-    if progress then
-      Log.heartbeat ~force:true ~phase:"done" ~done_:report.Batch.blocks
-        ~total:report.Batch.blocks ();
+    Option.iter
+      (write_report ~what:"report" ~to_json:Batch.report_to_json
+         ~of_json:Batch.report_of_json ~equal:Batch.report_equal
+         report)
+      json_path;
+    Log.heartbeat ~force:true ~phase:"done" ~done_:report.Batch.blocks
+      ~total:report.Batch.blocks ();
     Printf.eprintf
       "batch: %d blocks, %d domains, %d -> %d cycles, %.1f ms wall\n"
       report.Batch.blocks report.Batch.domains report.Batch.original_cycles
       report.Batch.scheduled_cycles (1000.0 *. report.Batch.wall_s);
-    obs_finish ~trace ~metrics ~resource ~explain ()
+    obs_finish obs
   in
   let jobs =
     Arg.(
       value & opt int 0
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Worker domains (0 or absent: one per recommended core).")
-  in
-  let chunk =
-    Arg.(
-      value & opt int 0
-      & info [ "chunk" ] ~docv:"C"
-          ~doc:"Blocks per work-stealing pool task (0 or absent: the \
-                built-in default, 64).")
   in
   let json_path =
     Arg.(
@@ -721,156 +746,22 @@ let batch_cmd =
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress per-block lines.")
   in
+  let files =
+    Arg.(
+      value & pos_all string [ "-" ]
+      & info [] ~docv:"FILE"
+          ~doc:"Assembly inputs, scheduled in order as one corpus ('-' for \
+                stdin; default stdin).")
+  in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Run the full pipeline over every block in parallel across a \
-          work-stealing domain pool (deterministic: output is independent \
-          of $(b,--jobs) and $(b,--chunk)).")
+         "Run the full pipeline over every block of every input in \
+          parallel across a work-stealing domain pool (deterministic: \
+          output is independent of $(b,--jobs)).")
     Term.(
-      const run $ builder_arg $ model_arg $ strategy_arg $ jobs $ chunk
-      $ json_path $ quiet $ trace_arg $ metrics_arg $ resource_arg
-      $ explain_arg $ log_arg $ log_level_arg $ progress_arg $ file_arg)
-
-(* ------------------------------------------------------------------ *)
-(* shard: a whole corpus across a fleet of batch drivers *)
-
-let policy_conv =
-  let parse s =
-    match Shard.policy_of_string s with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown policy %S (available: %s)" s
-               (String.concat ", "
-                  (List.map Shard.policy_to_string Shard.all_policies))))
-  in
-  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Shard.policy_to_string p))
-
-let shard_cmd =
-  let run alg model strategy jobs chunk shards policy json_path quiet trace
-      metrics resource explain log log_level progress files =
-    obs_enable ~trace ~metrics ~resource ~explain ?log ?log_level ();
-    if progress then Log.set_heartbeat ~echo:true ~interval_s:0.5 ();
-    let files = if files = [] then [ "-" ] else files in
-    let corpus =
-      List.map
-        (fun path -> (path, span_parse path (fun () -> load_blocks path)))
-        files
-    in
-    let config =
-      { Batch.section6 with
-        Batch.algorithm = alg;
-        opts = opts_of model strategy }
-    in
-    let domains = if jobs <= 0 then Pool.recommended () else jobs in
-    let chunk = if chunk <= 0 then Pool.default_chunk else chunk in
-    let shards = if shards <= 0 then List.length corpus else shards in
-    let _, merged = Shard.run ~domains ~chunk ~policy ~shards config corpus in
-    if not quiet then
-      List.iteri
-        (fun i (r : Batch.report) ->
-          (* timing-free so stdout is byte-identical for any --jobs *)
-          Printf.printf "shard %d: %d blocks, %d insns, %d arcs, %d -> %d cycles\n"
-            i r.Batch.blocks r.Batch.insns r.Batch.arcs
-            r.Batch.original_cycles r.Batch.scheduled_cycles)
-        merged.Shard.per_shard;
-    (match json_path with
-    | None -> ()
-    | Some path ->
-        let text =
-          span_encode (fun () ->
-              Stats.Json.to_string
-                (with_explain (with_resource (Shard.merged_to_json merged)))
-              ^ "\n")
-        in
-        (* same self-check as batch: the merged report must round-trip
-           through the reader (NaN-tolerantly) before we ship it *)
-        (match Stats.Json.of_string text with
-        | Ok json
-          when (match Shard.merged_of_json json with
-               | Ok merged' -> Shard.merged_equal merged merged'
-               | Error _ -> false) -> ()
-        | Ok _ ->
-            Printf.eprintf "internal error: shard JSON round trip mismatch\n";
-            exit 3
-        | Error msg ->
-            Printf.eprintf "internal error: shard JSON does not parse: %s\n" msg;
-            exit 3);
-        if path = "-" then print_string text
-        else Out_channel.with_open_text path (fun oc -> output_string oc text));
-    let agg = merged.Shard.aggregate in
-    Printf.eprintf
-      "shard: %d files, %d blocks, %d shards (%s), %d domains, %d -> %d \
-       cycles, %.1f ms wall\n"
-      (List.length corpus) agg.Batch.blocks merged.Shard.shards
-      (Shard.policy_to_string merged.Shard.policy)
-      agg.Batch.domains agg.Batch.original_cycles agg.Batch.scheduled_cycles
-      (1000.0 *. agg.Batch.wall_s);
-    if progress then
-      Log.heartbeat ~force:true ~phase:"done" ~done_:agg.Batch.blocks
-        ~total:agg.Batch.blocks ();
-    obs_finish ~trace ~metrics ~resource ~explain ()
-  in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains shared by the fleet (0 or absent: one per \
-                recommended core).")
-  in
-  let chunk =
-    Arg.(
-      value & opt int 0
-      & info [ "chunk" ] ~docv:"C"
-          ~doc:"Blocks per work-stealing pool task (0 or absent: the \
-                built-in default, 64).")
-  in
-  let shards =
-    Arg.(
-      value & opt int 0
-      & info [ "k"; "shards" ] ~docv:"K"
-          ~doc:"Shard count (0 or absent: one per input file).")
-  in
-  let policy =
-    Arg.(
-      value
-      & opt policy_conv Shard.Balanced
-      & info [ "p"; "policy" ] ~docv:"POLICY"
-          ~doc:"Partition policy: balanced (greedy on block length) or \
-                round-robin.")
-  in
-  let json_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the merged report (aggregate + per-shard) as JSON \
-                ('-' for stdout).")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress per-shard lines.")
-  in
-  let files =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"FILE"
-          ~doc:"Assembly inputs forming the corpus ('-' for stdin; \
-                default stdin).")
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:
-         "Partition a multi-file corpus into shards and run one batch \
-          pipeline per shard over a shared work-stealing domain pool \
-          (aggregate statistics are independent of $(b,--shards), \
-          $(b,--policy), $(b,--jobs) and $(b,--chunk)).")
-    Term.(
-      const run $ builder_arg $ model_arg $ strategy_arg $ jobs $ chunk
-      $ shards $ policy $ json_path $ quiet $ trace_arg $ metrics_arg
-      $ resource_arg $ explain_arg $ log_arg $ log_level_arg $ progress_arg
-      $ files)
+      const run $ builder_arg $ model_arg $ strategy_arg $ jobs $ json_path
+      $ quiet $ obs_term ~explain:true $ files)
 
 (* ------------------------------------------------------------------ *)
 (* worker: one fleet shard, driven by a manifest file *)
@@ -891,14 +782,8 @@ let worker_cmd =
        worker looks like a worker that died early *)
     Fleet.maybe_sabotage ();
     Log.heartbeat ~force:true ~phase:"parse" ~done_:0 ~total:0 ();
-    let text =
-      try read_input manifest_path
-      with Sys_error msg ->
-        Printf.eprintf "manifest error: %s\n" msg;
-        exit 2
-    in
     let manifest =
-      match Stats.Json.of_string text with
+      match Stats.Json.of_string (read_input manifest_path) with
       | Error msg ->
           Printf.eprintf "manifest error: %s\n" msg;
           exit 2
@@ -918,19 +803,13 @@ let worker_cmd =
           exit 2
     in
     let blocks =
-      try
-        Trace.with_span ~cat:"cli"
-          ~args:
-            [ ( "files",
-                Json.List
-                  (List.map (fun f -> Json.String f) manifest.Fleet.files) ) ]
-          "parse"
-          (fun () -> List.concat_map load_blocks manifest.Fleet.files)
-      with Sys_error msg ->
-        (* an unreadable corpus file is this worker's failure, reported
-           cleanly so the orchestrator degrades instead of seeing a crash *)
-        Printf.eprintf "input error: %s\n" msg;
-        exit 2
+      Trace.with_span ~cat:"cli"
+        ~args:
+          [ ( "files",
+              Json.List
+                (List.map (fun f -> Json.String f) manifest.Fleet.files) ) ]
+        "parse"
+        (fun () -> List.concat_map load_blocks manifest.Fleet.files)
     in
     let _, report =
       Batch.run_with_report ~domains:manifest.Fleet.domains config blocks
@@ -1006,21 +885,20 @@ let retries_conv =
   Arg.conv (parse, fun fmt r -> Format.pp_print_int fmt r)
 
 let fleet_cmd =
-  let run alg model strategy jobs workers timeout retries backoff policy
-      json_path quiet trace metrics resource explain log log_level progress
-      files =
+  let run alg model strategy jobs workers timeout retries backoff json_path
+      quiet obs files =
     (* enabling before Fleet.run makes the orchestrator export
        DAGSCHED_OBS (and the log stream variables) to its workers *)
-    obs_enable ~trace ~metrics ~resource ~explain ?log ?log_level ();
+    obs_enable obs;
     let files = if files = [] then [ "-" ] else files in
     let domains = if jobs <= 0 then Pool.recommended () else jobs in
     let workers = if workers <= 0 then List.length files else workers in
     let manifests =
-      Fleet.plan ~policy ~workers ~algorithm:alg ~strategy
+      Fleet.plan ~workers ~algorithm:alg ~strategy
         ~model:model.Latency.name ~domains files
     in
     let on_progress =
-      if not progress then None
+      if not obs.progress then None
       else
         Some
           (fun ps ->
@@ -1063,30 +941,10 @@ let fleet_cmd =
                 ^ String.concat "; " (List.map Fleet.failure_to_string fs)
                 ^ ")"))
         t.Fleet.logs;
-    (match json_path with
-    | None -> ()
-    | Some path ->
-        let text =
-          span_encode (fun () ->
-              Stats.Json.to_string
-                (with_explain (with_resource (Fleet.to_json t)))
-              ^ "\n")
-        in
-        (* same self-check as batch/shard: the full report must
-           round-trip through the reader before we ship it *)
-        (match Stats.Json.of_string text with
-        | Ok json
-          when (match Fleet.of_json json with
-               | Ok t' -> Fleet.equal t t'
-               | Error _ -> false) -> ()
-        | Ok _ ->
-            Printf.eprintf "internal error: fleet JSON round trip mismatch\n";
-            exit 3
-        | Error msg ->
-            Printf.eprintf "internal error: fleet JSON does not parse: %s\n" msg;
-            exit 3);
-        if path = "-" then print_string text
-        else Out_channel.with_open_text path (fun oc -> output_string oc text));
+    Option.iter
+      (write_report ~what:"fleet" ~to_json:Fleet.to_json ~of_json:Fleet.of_json
+         ~equal:Fleet.equal t)
+      json_path;
     (* stdout: the timing-free summary — byte-stable across --workers /
        --retries on a fault-free corpus (the full timed report goes to
        --json) *)
@@ -1105,7 +963,7 @@ let fleet_cmd =
       | fs ->
           Printf.sprintf ", %d shard%s FAILED" (List.length fs)
             (if List.length fs = 1 then "" else "s"));
-    obs_finish ~trace ~metrics ~resource ~explain ();
+    obs_finish obs;
     if Fleet.failed_shards t <> [] then exit 4
   in
   let jobs =
@@ -1144,14 +1002,6 @@ let fleet_cmd =
       & info [ "backoff" ] ~docv:"S"
           ~doc:"Initial retry backoff in seconds (doubles per attempt).")
   in
-  let policy =
-    Arg.(
-      value
-      & opt policy_conv Shard.Balanced
-      & info [ "p"; "policy" ] ~docv:"POLICY"
-          ~doc:"File partition policy: balanced (greedy on file size) or \
-                round-robin.")
-  in
   let json_path =
     Arg.(
       value
@@ -1178,13 +1028,12 @@ let fleet_cmd =
           ($(b,schedtool worker)) with per-worker timeouts, retries with \
           exponential backoff, and graceful degradation (a permanently \
           failed shard is reported, not fatal to the rest; exit code 4).  \
-          Aggregate statistics match $(b,schedtool shard) for any \
-          $(b,--workers) and $(b,--retries).")
+          Aggregate statistics match $(b,schedtool batch) over the same \
+          files for any $(b,--workers) and $(b,--retries).")
     Term.(
       const run $ builder_arg $ model_arg $ strategy_arg $ jobs $ workers
-      $ timeout $ retries $ backoff $ policy $ json_path $ quiet $ trace_arg
-      $ metrics_arg $ resource_arg $ explain_arg $ log_arg $ log_level_arg
-      $ progress_arg $ files)
+      $ timeout $ retries $ backoff $ json_path $ quiet
+      $ obs_term ~explain:true $ files)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the scheduling daemon, and its client *)
@@ -1202,15 +1051,12 @@ let socket_arg =
     & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
 
 let serve_cmd =
-  let run socket jobs chunk cache_entries cache_bytes max_frame timeout
-      backlog access_log no_service_obs trace metrics resource log log_level
-      progress =
-    obs_enable ~trace ~metrics ~resource ?log ?log_level ();
-    if progress then Log.set_heartbeat ~echo:true ~interval_s:0.5 ();
+  let run socket jobs cache_entries cache_bytes max_frame timeout backlog
+      access_log no_service_obs obs =
+    obs_enable obs;
     let d = Serve.default_options in
     let options =
       { Serve.domains = (if jobs <= 0 then 1 else jobs);
-        chunk;
         max_entries = (if cache_entries <= 0 then d.Serve.max_entries else cache_entries);
         max_bytes = (if cache_bytes <= 0 then d.Serve.max_bytes else cache_bytes);
         max_frame = (if max_frame <= 0 then d.Serve.max_frame else max_frame);
@@ -1220,7 +1066,7 @@ let serve_cmd =
         access_log }
     in
     let code = Serve.run ~options ~socket () in
-    obs_finish ~trace ~metrics ~resource ();
+    obs_finish obs;
     exit code
   in
   let jobs =
@@ -1229,12 +1075,6 @@ let serve_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Worker domains in the resident pool (default 1; part of \
                 the report, so also part of the response bytes).")
-  in
-  let chunk =
-    Arg.(
-      value & opt int 0
-      & info [ "chunk" ] ~docv:"C"
-          ~doc:"Blocks per pool task (0 or absent: the built-in default).")
   in
   let cache_entries =
     Arg.(
@@ -1299,10 +1139,9 @@ let serve_cmd =
           populated it.  SIGINT drains (in-flight request finishes) and \
           exits 130.")
     Term.(
-      const run $ socket_arg $ jobs $ chunk $ cache_entries $ cache_bytes
+      const run $ socket_arg $ jobs $ cache_entries $ cache_bytes
       $ max_frame $ timeout $ backlog $ access_log $ no_service_obs
-      $ trace_arg $ metrics_arg $ resource_arg $ log_arg $ log_level_arg
-      $ progress_arg)
+      $ obs_term ~explain:false)
 
 (* one metrics-op exchange, decoded: shared by `client --metrics-text`
    and `top`.  Exit taxonomy: 125 unreachable, 1 typed error answer,
@@ -1984,6 +1823,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ gen_cmd; stats_cmd; build_cmd; schedule_cmd; compare_cmd;
-            optimal_cmd; chain_cmd; batch_cmd; shard_cmd; worker_cmd;
+            optimal_cmd; chain_cmd; batch_cmd; worker_cmd;
             fleet_cmd; serve_cmd; client_cmd; top_cmd; dot_cmd; gantt_cmd;
             explain_cmd ]))

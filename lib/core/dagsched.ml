@@ -117,10 +117,9 @@ module Reglimit = Ds_sched.Reglimit
 module Gantt = Ds_sched.Gantt
 module Emit = Ds_sched.Emit
 
-(* parallel batch driver + corpus sharding + multi-process fleet +
+(* parallel batch driver + multi-process fleet +
    scheduling-as-a-service daemon with its result cache *)
 module Batch = Ds_driver.Batch
-module Shard = Ds_driver.Shard
 module Fleet = Ds_driver.Fleet
 module Cache = Ds_driver.Cache
 module Serve = Ds_driver.Serve

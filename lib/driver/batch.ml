@@ -128,10 +128,6 @@ let resolve_domains = function
   | Some d -> max 1 d
   | None -> Ds_util.Pool.recommended ()
 
-let resolve_chunk = function
-  | Some c -> max 1 c
-  | None -> Ds_util.Pool.default_chunk
-
 let log_start config blocks =
   Ds_obs.Log.log Ds_obs.Log.Debug ~scope:"batch"
     ~fields:
@@ -144,15 +140,14 @@ let log_start config blocks =
    bookkeeping — deque traffic, queue_wait spans — by the chunk factor
    while leaving plenty of tasks to balance across domains via steals;
    results and reports are chunk-size-invariant (differential-tested) *)
-let run_on ~pool ?chunk config blocks =
-  let chunk = resolve_chunk chunk in
+let run_on ~pool config blocks =
   log_start config blocks;
   hb_start (List.length blocks);
-  Ds_util.Pool.map_on pool ~chunk (run_block config) blocks
+  Ds_util.Pool.map_on pool ~chunk:Ds_util.Pool.default_chunk
+    (run_block config) blocks
 
-let run ?domains ?chunk config blocks =
+let run ?domains ?(chunk = Ds_util.Pool.default_chunk) config blocks =
   let domains = resolve_domains domains in
-  let chunk = resolve_chunk chunk in
   log_start config blocks;
   hb_start (List.length blocks);
   Ds_util.Pool.map ~domains ~chunk (run_block config) blocks
@@ -189,12 +184,12 @@ let report ~domains ~wall_s results =
     block_s_mean = Ds_util.Stats.mean times;
     block_s_max = Ds_util.Stats.max_value times }
 
-(* Per-shard means weighted by block count reconstruct the corpus-level
-   mean exactly up to rounding (mean_i * n_i recovers each shard's sum). *)
-let report_merge ~domains ?wall_s reports =
+(* Per-report means weighted by block count reconstruct the corpus-level
+   mean exactly up to rounding (mean_i * n_i recovers each report's sum). *)
+let report_merge ~domains ~wall_s reports =
   let blocks = ref 0 and insns = ref 0 and arcs = ref 0 in
   let before = ref 0 and after = ref 0 and stalls = ref 0 in
-  let walls = ref 0.0 and time_sum = ref 0.0 and time_max = ref 0.0 in
+  let time_sum = ref 0.0 and time_max = ref 0.0 in
   List.iter
     (fun r ->
       blocks := !blocks + r.blocks;
@@ -203,11 +198,9 @@ let report_merge ~domains ?wall_s reports =
       before := !before + r.original_cycles;
       after := !after + r.scheduled_cycles;
       stalls := !stalls + r.stalls;
-      walls := !walls +. r.wall_s;
       time_sum := !time_sum +. (r.block_s_mean *. float_of_int r.blocks);
       if r.block_s_max > !time_max then time_max := r.block_s_max)
     reports;
-  let wall_s = match wall_s with Some w -> w | None -> !walls in
   { domains; blocks = !blocks; insns = !insns; arcs = !arcs;
     original_cycles = !before; scheduled_cycles = !after; stalls = !stalls;
     wall_s;
@@ -217,7 +210,7 @@ let report_merge ~domains ?wall_s reports =
 
 (* The pool lives outside the timed region: wall_s covers scheduling
    work only, not domain spawn/join, so --jobs comparisons are fair. *)
-let run_with_report ?domains ?chunk config blocks =
+let run_with_report ?domains config blocks =
   let domains = resolve_domains domains in
   let pool = Ds_util.Pool.create ~domains () in
   Fun.protect
@@ -225,11 +218,9 @@ let run_with_report ?domains ?chunk config blocks =
     (fun () ->
       let wall_s, results =
         Ds_util.Stats.time_runs ~runs:1 (fun () ->
-            run_on ~pool ?chunk config blocks)
+            run_on ~pool config blocks)
       in
       (results, report ~domains ~wall_s results))
-
-let float_eq a b = a = b || (Float.is_nan a && Float.is_nan b)
 
 let report_equal a b =
   a.domains = b.domains && a.blocks = b.blocks && a.insns = b.insns
@@ -237,9 +228,9 @@ let report_equal a b =
   && a.original_cycles = b.original_cycles
   && a.scheduled_cycles = b.scheduled_cycles
   && a.stalls = b.stalls
-  && float_eq a.wall_s b.wall_s
-  && float_eq a.block_s_mean b.block_s_mean
-  && float_eq a.block_s_max b.block_s_max
+  && Float.equal a.wall_s b.wall_s
+  && Float.equal a.block_s_mean b.block_s_mean
+  && Float.equal a.block_s_max b.block_s_max
 
 module Json = Ds_util.Stats.Json
 

@@ -65,11 +65,11 @@ val run :
   result list
 
 (** [run_on ~pool config blocks] is {!run} on an existing pool, which
-    stays usable afterwards — this is how a sharded corpus reuses one
-    set of worker domains across many batches ({!Shard}). *)
+    stays usable afterwards — this is how the daemon ({!Serve}) reuses
+    one set of worker domains across many requests. *)
 val run_on :
-  pool:Ds_util.Pool.t -> ?chunk:int -> pipeline_config ->
-  Ds_cfg.Block.t list -> result list
+  pool:Ds_util.Pool.t -> pipeline_config -> Ds_cfg.Block.t list ->
+  result list
 
 (** Batch aggregate: totals plus per-block timing statistics. *)
 type report = {
@@ -87,19 +87,18 @@ type report = {
 
 val report : domains:int -> wall_s:float -> result list -> report
 
-(** [report_merge ~domains reports] folds per-shard reports into one
-    corpus-level aggregate: counters add, [block_s_mean] is the
-    block-count-weighted mean, [block_s_max] the max.  [wall_s] defaults
-    to the sum of the shard walls (right for a fleet run sequentially
-    over one shared pool); pass the measured corpus wall to override.
-    Merging [[]] yields the all-zero report. *)
-val report_merge : domains:int -> ?wall_s:float -> report list -> report
+(** [report_merge ~domains ~wall_s reports] folds per-worker reports
+    into one corpus-level aggregate with the measured corpus wall
+    [wall_s]: counters add, [block_s_mean] is the block-count-weighted
+    mean, [block_s_max] the max.  Merging [[]] yields the all-zero
+    report. *)
+val report_merge : domains:int -> wall_s:float -> report list -> report
 
 (** {!run} plus the aggregate, timing the whole batch.  The worker pool
     is created (and torn down) {e outside} the timed region, so
     [wall_s] measures scheduling work, not domain spawn cost. *)
 val run_with_report :
-  ?domains:int -> ?chunk:int -> pipeline_config -> Ds_cfg.Block.t list ->
+  ?domains:int -> pipeline_config -> Ds_cfg.Block.t list ->
   result list * report
 
 (** Field-wise report equality with NaN-tolerant float comparison (two
@@ -119,7 +118,7 @@ val report_to_json : report -> Ds_util.Stats.Json.t
     or wrong-schema input yields a typed {!Ds_util.Stats.Json.error}
     naming the offending field — no exception escapes.  [path] prefixes
     the error path when the report is embedded in a larger document
-    (e.g. a {!Shard} merged report's [aggregate] field). *)
+    (e.g. a {!Fleet} report's [aggregate] field). *)
 val report_of_json :
   ?path:string list ->
   Ds_util.Stats.Json.t ->

@@ -56,14 +56,33 @@ let config_of_manifest m =
             { Ds_dag.Opts.default with
               Ds_dag.Opts.model; strategy = m.strategy } }
 
-let plan ?(policy = Shard.Balanced) ~workers ~algorithm ~strategy ~model
-    ~domains files =
+let partition ~workers ~weight items =
+  let items = Array.of_list items in
+  let weights = Array.map weight items in
+  (* largest first; the stable sort breaks ties by input position *)
+  let order = Array.init (Array.length items) Fun.id in
+  Array.stable_sort (fun i j -> compare weights.(j) weights.(i)) order;
   let workers = max 1 workers in
+  let load = Array.make workers 0 and members = Array.make workers [] in
+  Array.iter
+    (fun i ->
+      let lightest = ref 0 in
+      for w = 1 to workers - 1 do
+        if load.(w) < load.(!lightest) then lightest := w
+      done;
+      load.(!lightest) <- load.(!lightest) + weights.(i);
+      members.(!lightest) <- i :: members.(!lightest))
+    order;
+  Array.map
+    (fun is -> List.map (Array.get items) (List.sort compare is))
+    members
+
+let plan ~workers ~algorithm ~strategy ~model ~domains files =
   (* weight = file byte size: the only balance signal available without
      parsing; an unreadable file weighs 0 and its worker reports the
      failure, which is the degradation path, not an orchestrator error *)
   let weight f = try (Unix.stat f).Unix.st_size with Unix.Unix_error _ -> 0 in
-  Shard.partition_weighted policy ~shards:workers ~weight files
+  partition ~workers ~weight files
   |> Array.map (fun files -> { files; algorithm; strategy; model; domains })
   |> Array.to_list
 
@@ -631,8 +650,6 @@ let run ?(options = default_options) ~worker ~corpus manifests =
 (* ------------------------------------------------------------------ *)
 (* equality (field-wise, NaN-tolerant on embedded reports) *)
 
-let float_eq a b = a = b || (Float.is_nan a && Float.is_nan b)
-
 let report_opt_equal a b =
   match (a, b) with
   | None, None -> true
@@ -640,8 +657,8 @@ let report_opt_equal a b =
   | _ -> false
 
 let attempt_equal a b =
-  float_eq a.duration_s b.duration_s
-  && float_eq a.backoff_s b.backoff_s
+  Float.equal a.duration_s b.duration_s
+  && Float.equal a.backoff_s b.backoff_s
   && a.outcome = b.outcome
 
 let log_equal (a : worker_log) (b : worker_log) =
@@ -649,20 +666,19 @@ let log_equal (a : worker_log) (b : worker_log) =
   && a.failures = b.failures
   && List.length a.attempt_log = List.length b.attempt_log
   && List.for_all2 attempt_equal a.attempt_log b.attempt_log
-  && float_eq a.wall_s b.wall_s
+  && Float.equal a.wall_s b.wall_s
   && report_opt_equal a.report b.report
 
 let equal a b =
   a.workers = b.workers
-  && float_eq a.timeout_s b.timeout_s
+  && Float.equal a.timeout_s b.timeout_s
   && a.retries = b.retries && a.corpus = b.corpus
   && Batch.report_equal a.aggregate b.aggregate
   && List.length a.logs = List.length b.logs
   && List.for_all2 log_equal a.logs b.logs
 
 (* ------------------------------------------------------------------ *)
-(* JSON: the shard merged-report shape (corpus/aggregate/per_shard) plus
-   a fleet section, so downstream aggregate consumers read both alike *)
+(* JSON: corpus/aggregate/per_shard plus a fleet supervision section *)
 
 let failure_to_json = function
   | Exited c -> Json.Obj [ ("kind", Json.String "exit"); ("code", Json.Int c) ]

@@ -1,7 +1,7 @@
 (** Multi-process fleet runner: fault-tolerant orchestration of shard
     workers as separate OS processes.
 
-    {!Shard} scales one process across domains; this layer scales across
+    {!Batch} scales one process across domains; this layer scales across
     {e processes}.  The corpus (a list of input files) is partitioned
     into per-worker {!manifest}s, each handed to a [schedtool worker]
     child via {!Unix.create_process_env}; every worker runs the ordinary
@@ -15,11 +15,11 @@
       is reported in [failed_shards] rather than aborting the fleet —
       the aggregate covers the surviving shards.
 
-    Process isolation is an accounting boundary exactly like sharding:
+    Process isolation is an accounting boundary, not a semantic one:
     every block still runs the identical per-block pipeline, so for a
     fault-free corpus the fleet aggregate's integer statistics equal the
-    in-process [schedtool shard] aggregate for any worker count, retry
-    budget or partition policy.  [test/test_fleet.ml] pins this down
+    in-process [schedtool batch] aggregate over the same files for any
+    worker count or retry budget.  [test/test_fleet.ml] pins this down
     differentially, and drives the crash-injection knob
     ([DAGSCHED_WORKER_FAIL], see {!maybe_sabotage}) to check that a
     faulty fleet converges to the no-fault aggregate once retries
@@ -52,13 +52,19 @@ val manifest_of_json :
     [Error] on an unknown latency-model name. *)
 val config_of_manifest : manifest -> (Batch.pipeline_config, string) result
 
+(** [partition ~workers ~weight items] deals [items] across [workers]
+    (clamped to >= 1) lists by greedy balancing: largest [weight] first,
+    each item onto the currently lightest worker.  Every item lands in
+    exactly one list, each list keeps input order, worker loads differ
+    by at most the largest single weight, and the result is
+    deterministic; workers beyond the item count get empty lists. *)
+val partition : workers:int -> weight:('a -> int) -> 'a list -> 'a list array
+
 (** [plan ~workers ... files] partitions the corpus files into [workers]
-    manifests using {!Shard.partition_weighted} with file byte size as
-    the weight ([policy] defaults to [Balanced]).  An unreadable file
-    weighs 0 and stays in the plan: its worker fails to parse it, which
-    flows into the ordinary failure/degradation path. *)
+    manifests with {!partition}, file byte size as the weight.  An
+    unreadable file weighs 0 and stays in the plan: its worker fails to
+    read it, which flows into the ordinary failure/degradation path. *)
 val plan :
-  ?policy:Shard.policy ->
   workers:int ->
   algorithm:Ds_dag.Builder.algorithm ->
   strategy:Ds_dag.Disambiguate.t ->
@@ -203,7 +209,7 @@ val failed_shards : t -> int list
 (** Field-wise equality, NaN-tolerant on embedded reports. *)
 val equal : t -> t -> bool
 
-(** The fleet report schema (docs/FORMAT.md): the shard-style
+(** The fleet report schema (docs/FORMAT.md): a
     [corpus]/[aggregate]/[per_shard] core plus [workers]/[timeout_s]/
     [retries]/[failed_shards] and a [fleet] list with one supervision
     entry per shard. *)

@@ -160,7 +160,6 @@ let result_to_json (r : Batch.result) =
 type t = {
   pool : Ds_util.Pool.t;
   domains : int;
-  chunk : int;
   cache : Cache.t;
   start_s : float;
   nonce : string;       (* per-daemon-start half of every request id *)
@@ -180,12 +179,11 @@ let parse_fail_budget () =
           match int_of_string_opt n with Some n -> max 0 n | None -> 0)
       | _ -> 0)
 
-let create ?(domains = 1) ?(chunk = 0) ?max_entries ?max_bytes ?access () =
+let create ?(domains = 1) ?max_entries ?max_bytes ?access () =
   let domains = max 1 domains in
   let start_s = Ds_obs.Clock.now () in
   { pool = Ds_util.Pool.create ~domains ();
     domains;
-    chunk = (if chunk <= 0 then Ds_util.Pool.default_chunk else chunk);
     cache = Cache.create ?max_entries ?max_bytes ();
     start_s;
     nonce =
@@ -389,7 +387,7 @@ let schedule_cold t ~text ~builder ~strategy ~model =
             { Ds_dag.Opts.default with
               Ds_dag.Opts.model; strategy } }
       in
-      let results = Batch.run_on ~pool:t.pool ~chunk:t.chunk config blocks in
+      let results = Batch.run_on ~pool:t.pool config blocks in
       let fingerprint =
         List.fold_left
           (fun h (r : Batch.result) ->
@@ -503,7 +501,6 @@ let handle_text t payload = handle_payload t ~id:(next_id t) payload
 
 type options = {
   domains : int;
-  chunk : int;
   max_entries : int;
   max_bytes : int;
   max_frame : int;
@@ -515,7 +512,6 @@ type options = {
 
 let default_options =
   { domains = 1;
-    chunk = 0;
     max_entries = 4096;
     max_bytes = 256 * 1024 * 1024;
     max_frame = Frame.default_max_bytes;
@@ -613,9 +609,8 @@ let run ?(options = default_options) ~socket () =
           125
       | lfd ->
       let state =
-        create ~domains:options.domains ~chunk:options.chunk
-          ~max_entries:options.max_entries ~max_bytes:options.max_bytes
-          ?access ()
+        create ~domains:options.domains ~max_entries:options.max_entries
+          ~max_bytes:options.max_bytes ?access ()
       in
       let old_sigint =
         match

@@ -88,16 +88,15 @@ val error_response : ?id:string -> error_kind -> string -> string
 
 type t
 
-(** [create ~domains ~chunk ~max_entries ~max_bytes ?access ()] builds
+(** [create ~domains ~max_entries ~max_bytes ?access ()] builds
     the resident state: the domain pool (shared by every request), the
     result cache, the windowed request metrics and the request-id
     source (a fresh per-start nonce crossed with a monotonic counter).
     [?access] attaches a JSONL access-log sink — one line per request
     through {!Ds_obs.Log.Sink} (caller closes it).  Defaults: 1
-    domain, default chunk, cache defaults, no access log. *)
+    domain, cache defaults, no access log. *)
 val create :
   ?domains:int ->
-  ?chunk:int ->
   ?max_entries:int ->
   ?max_bytes:int ->
   ?access:Ds_obs.Log.Sink.t ->
@@ -174,7 +173,6 @@ val prometheus_of_metrics : metrics -> string
 
 type options = {
   domains : int;          (** pool size (determinism: part of reports) *)
-  chunk : int;            (** blocks per pool task; 0 = default *)
   max_entries : int;      (** cache entry bound *)
   max_bytes : int;        (** cache byte bound *)
   max_frame : int;        (** request frame cap, bytes *)

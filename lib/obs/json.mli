@@ -1,5 +1,5 @@
 (** Hand-rolled JSON, used for the machine-readable perf reports
-    ([BENCH_parallel.json], [BENCH_shard.json], [schedtool batch/shard
+    ([BENCH_parallel.json], [BENCH_fleet.json], [schedtool batch/fleet
     --json]) and for the observability layer's trace/metrics
     serialization.  The writer emits floats with a representation that
     reads back exactly and always carries a [.]/[e] so a round trip
@@ -37,7 +37,7 @@ val type_name : t -> string
 (** Typed decode error: the path of object fields / list indices from
     the document root to the offending value, plus what went wrong.
     Produced by the schema readers ({!Ds_driver.Batch.report_of_json},
-    {!Ds_driver.Shard.merged_of_json}, {!Ds_driver.Fleet}, the
+    {!Ds_driver.Fleet.of_json}, the
     {!Trace}/{!Metrics} readers) so a malformed document names the exact
     field. *)
 type error = { path : string list; message : string }

@@ -156,13 +156,11 @@ let absorb rows =
     rows;
   Mutex.unlock registry_mutex
 
-let float_eq a b = a = b || (Float.is_nan a && Float.is_nan b)
-
 let stat_equal a b =
   a.phase = b.phase && a.calls = b.calls
-  && float_eq a.minor_words b.minor_words
-  && float_eq a.promoted_words b.promoted_words
-  && float_eq a.major_words b.major_words
+  && Float.equal a.minor_words b.minor_words
+  && Float.equal a.promoted_words b.promoted_words
+  && Float.equal a.major_words b.major_words
   && a.minor_collections = b.minor_collections
   && a.major_collections = b.major_collections
   && a.top_heap_words = b.top_heap_words

@@ -52,8 +52,8 @@ type t
 (** [Domain.recommended_domain_count], at least 1. *)
 val recommended : unit -> int
 
-(** The chunk size the batch/shard drivers submit with when the caller
-    does not choose one: 64 blocks per task keeps task-dispatch
+(** The chunk size the batch driver submits with (only [Batch.run
+    ~chunk] overrides it): 64 blocks per task keeps task-dispatch
     bookkeeping (deque traffic, queue_wait spans) two orders of
     magnitude below per-block submission while still splitting real
     corpora into enough tasks to balance across domains. *)
@@ -91,9 +91,9 @@ val shutdown : t -> unit
 (** [map_array_on pool f arr] computes [Array.map f arr] on an existing
     pool, [chunk] items (default 1) per queued task, preserving input
     order.  The pool stays usable afterwards, so a sequence of maps (one
-    batch per shard, say) reuses the same worker domains instead of
-    paying domain spawn/join per call.  The batch/shard drivers pass
-    [~chunk:default_chunk] unless told otherwise.
+    batch per daemon request, say) reuses the same worker domains
+    instead of paying domain spawn/join per call.  The batch driver
+    passes [~chunk:default_chunk] unless told otherwise.
 
     Not reentrant: one map at a time per pool — it uses {!wait}, which
     blocks until the pool's {e whole} queue drains.

@@ -19,11 +19,11 @@ val of_ints : int list -> t
 
 (** [merge a b] is the accumulator of the concatenated samples: counts
     and sums add, max/min combine.  Neither argument is mutated.  Used to
-    fold per-shard statistics into corpus-level ones. *)
+    fold per-part statistics into corpus-level ones. *)
 val merge : t -> t -> t
 
 (** Hand-rolled JSON, used for the machine-readable perf reports
-    ([BENCH_parallel.json], [BENCH_shard.json], [schedtool batch/shard
+    ([BENCH_parallel.json], [BENCH_fleet.json], [schedtool batch/fleet
     --json]).  The implementation lives in {!Ds_obs.Json} (the
     observability layer serializes traces and metrics through it and
     sits below [ds_util]); this transparent alias preserves every

@@ -218,5 +218,5 @@ let generate profile =
 (** Structural summary of the generated workload (our Table 3 row). *)
 let summarize profile = Ds_cfg.Summary.of_blocks (generate profile)
 
-(** Corpus view for the sharding driver: label x generated blocks. *)
+(** Corpus view for the bench experiments: label x generated blocks. *)
 let corpus profiles = List.map (fun p -> (p.name, generate p)) profiles

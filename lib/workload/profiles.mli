@@ -41,7 +41,7 @@ val benchmarks : t list
 val by_name : string -> t option
 
 (** [corpus profiles] generates every profile and pairs it with its name
-    — the corpus shape {!Ds_driver.Shard.run} consumes. *)
+    — the labelled corpus the bench experiments schedule. *)
 val corpus : t list -> (string * Ds_cfg.Block.t list) list
 
 (** Generator parameters the profile's flavor implies. *)

@@ -5,7 +5,7 @@
 # perf-report JSON files, but nothing in tier-1 executes it, so a
 # refactor can silently break an experiment.  This runner sweeps the
 # whole experiment roster with DAGSCHED_BENCH_RUNS=1 and a single
-# domain/shard/worker so the sweep stays minutes-not-hours; any
+# domain/worker so the sweep stays minutes-not-hours; any
 # experiment that exits non-zero fails the suite.
 #
 # Usage: bench_smoke.sh path/to/bench/main.exe path/to/schedtool.exe
@@ -19,7 +19,6 @@ case "$SCHEDTOOL" in /*) ;; *) SCHEDTOOL="$PWD/$SCHEDTOOL" ;; esac
 
 export DAGSCHED_BENCH_RUNS=1
 export DAGSCHED_BENCH_DOMAINS=1
-export DAGSCHED_BENCH_SHARDS=1
 export DAGSCHED_BENCH_WORKERS=1
 # the fleet and serve experiments spawn worker/daemon processes
 export DAGSCHED_SCHEDTOOL="$SCHEDTOOL"
@@ -50,7 +49,7 @@ for exp in $experiments; do
 done
 
 # the perf-report experiments must leave parseable JSON behind
-for f in BENCH_parallel.json BENCH_shard.json BENCH_fleet.json \
+for f in BENCH_parallel.json BENCH_fleet.json \
          BENCH_obs.json BENCH_explain.json BENCH_pool.json; do
   if [ ! -s "$f" ]; then
     echo "FAIL: $f missing or empty"

@@ -84,62 +84,72 @@ grep -q '"wall_s": ' "$TMP/b2.json" || fail "batch json: no wall clock"
 "$TOOL" batch -q --jobs 2 --json - "$TMP/grep.s" 2>/dev/null \
   | grep -q '"scheduled_cycles": ' || fail "batch json on stdout"
 
-# shard: fleet driver over a multi-file corpus.  The aggregate int
-# statistics must be invariant under shard count, policy, jobs and
-# file order; one shard must agree with an unsharded batch run.
+# batch over several files: one corpus, blocks in file order.  Its
+# aggregate int statistics are the in-process reference for the fleet
+# below; stdout is timing-free, hence byte-identical across --jobs.
 "$TOOL" gen -p linpack > "$TMP/linpack.s"
+# the six aggregate int fields, one per line, from a batch report or
+# from a fleet report's "aggregate" object
 aggregate() { sed 's/.*"aggregate": {\([^}]*\)}.*/\1/' "$1" \
-  | tr ',' '\n' | grep -v '_s\b\|_s"' | grep -E '"(blocks|insns|arcs|original_cycles|scheduled_cycles|stalls)"'; }
+  | tr ',' '\n' | grep -E '"(blocks|insns|arcs|original_cycles|scheduled_cycles|stalls)"'; }
 
-"$TOOL" shard -q --jobs 2 --shards 1 --json "$TMP/s1.json" \
-  "$TMP/grep.s" "$TMP/linpack.s" || fail "shard --shards 1 failed"
-"$TOOL" shard -q --jobs 2 --shards 3 --json "$TMP/s3.json" \
-  "$TMP/grep.s" "$TMP/linpack.s" || fail "shard --shards 3 failed"
-aggregate "$TMP/s1.json" > "$TMP/agg1"
-aggregate "$TMP/s3.json" > "$TMP/agg3"
-cmp -s "$TMP/agg1" "$TMP/agg3" || fail "shard aggregate depends on shard count"
+"$TOOL" batch -q --jobs 2 --json "$TMP/m.json" "$TMP/grep.s" "$TMP/linpack.s" \
+  || fail "batch over two files failed"
+aggregate "$TMP/m.json" > "$TMP/agg1"
+grep -q '"blocks": 1120' "$TMP/agg1" || fail "batch over two files: wrong block count"
 
-# 1 shard == plain batch over the concatenated corpus
+# two files == one batch over their concatenation
 cat "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/both.s"
 "$TOOL" batch -q --jobs 2 --json "$TMP/both.json" "$TMP/both.s" \
   || fail "batch on concatenated corpus failed"
-for field in blocks insns arcs original_cycles scheduled_cycles stalls; do
-  want=$(grep -o "\"$field\": [0-9]*" "$TMP/both.json" | head -1)
-  grep -qF "$want" "$TMP/agg1" || fail "shard vs batch mismatch on $field"
-done
+aggregate "$TMP/both.json" > "$TMP/aggboth"
+cmp -s "$TMP/agg1" "$TMP/aggboth" || fail "two-file batch != concatenated batch"
 
-# per-shard stdout is timing-free, hence identical across --jobs
-"$TOOL" shard --jobs 1 --shards 3 "$TMP/grep.s" "$TMP/linpack.s" \
-  > "$TMP/sj1.out" 2>/dev/null || fail "shard --jobs 1 failed"
-"$TOOL" shard --jobs 2 --shards 3 "$TMP/grep.s" "$TMP/linpack.s" \
-  > "$TMP/sj2.out" 2>/dev/null || fail "shard --jobs 2 failed"
-cmp -s "$TMP/sj1.out" "$TMP/sj2.out" || fail "shard output depends on --jobs"
+"$TOOL" batch --jobs 1 "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/mj1.out" \
+  2>/dev/null || fail "two-file batch --jobs 1 failed"
+"$TOOL" batch --jobs 2 "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/mj2.out" \
+  2>/dev/null || fail "two-file batch --jobs 2 failed"
+cmp -s "$TMP/mj1.out" "$TMP/mj2.out" || fail "two-file batch output depends on --jobs"
 
-# both policies accepted; round-robin reaches the same aggregate
-"$TOOL" shard -q --jobs 2 --shards 3 --policy round-robin \
-  --json "$TMP/srr.json" "$TMP/grep.s" "$TMP/linpack.s" \
-  || fail "shard --policy round-robin failed"
-aggregate "$TMP/srr.json" > "$TMP/aggrr"
-cmp -s "$TMP/agg1" "$TMP/aggrr" || fail "shard aggregate depends on policy"
+# no FILE: batch reads stdin
+"$TOOL" batch -q --json - < "$TMP/grep.s" 2>/dev/null \
+  | grep -q '"blocks": 730' || fail "batch on stdin"
 
-# merged JSON carries the corpus labels and per-shard breakdown
-grep -q '"corpus": \[' "$TMP/s3.json" || fail "shard json: no corpus list"
-grep -q '"per_shard": \[' "$TMP/s3.json" || fail "shard json: no per-shard list"
-grep -q '"policy": "balanced"' "$TMP/s3.json" || fail "shard json: no policy"
-grep -cq 'nan\|inf' "$TMP/s3.json" && fail "shard json: non-finite literal"
-
-# empty inputs are fine for both drivers: zero blocks, exit 0
+# empty input is fine: zero blocks, exit 0
 : > "$TMP/empty.s"
 "$TOOL" batch -q --jobs 2 --json - "$TMP/empty.s" 2>/dev/null \
   | grep -q '"blocks": 0' || fail "batch on empty input"
-"$TOOL" shard -q --jobs 2 --shards 3 --json - "$TMP/empty.s" 2>/dev/null \
-  | grep -q '"blocks": 0' || fail "shard on empty input"
 
-# parse errors are reported with a line number and a nonzero exit
-if printf 'frobnicate %%o1\n' | "$TOOL" stats - 2> "$TMP/err"; then
-  fail "parse error not detected"
-fi
+# removed surfaces are CLI errors (124) before any work runs
+for bad in "shard $TMP/grep.s" "batch --chunk 4 $TMP/grep.s" \
+           "serve --chunk 4 --socket $TMP/gone.sock" \
+           "fleet --policy balanced $TMP/grep.s"; do
+  # shellcheck disable=SC2086
+  "$TOOL" $bad 2>/dev/null && rc=0 || rc=$?
+  [ "$rc" -eq 124 ] || fail "$bad: exit $rc, want 124"
+done
+
+# parse errors are reported with the file, a line number and exit 2
+printf 'frobnicate %%o1\n' | "$TOOL" stats - 2> "$TMP/err" && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || fail "parse error: exit $rc, want 2"
 grep -q "line 1" "$TMP/err" || fail "parse error lacks line number"
+printf 'frobnicate %%o1\n' > "$TMP/bad.s"
+"$TOOL" batch "$TMP/grep.s" "$TMP/bad.s" 2> "$TMP/err" >/dev/null && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || fail "batch parse error: exit $rc, want 2"
+grep -qF "parse error: $TMP/bad.s: line 1" "$TMP/err" \
+  || fail "batch parse error does not name the file"
+
+# a missing input file is bad input (exit 2) on every subcommand that
+# reads one, with the path in the message and no uncaught exception
+for sub in stats build schedule compare optimal chain batch explain dot gantt \
+           "client --socket $TMP/no-daemon.sock"; do
+  # shellcheck disable=SC2086
+  "$TOOL" $sub "$TMP/missing.s" > /dev/null 2> "$TMP/err" && rc=0 || rc=$?
+  [ "$rc" -eq 2 ] || fail "$sub on a missing file: exit $rc, want 2"
+  grep -qF "input error: $TMP/missing.s" "$TMP/err" \
+    || fail "$sub on a missing file: no input error"
+  grep -q "uncaught" "$TMP/err" && fail "$sub on a missing file: uncaught exception"
+done
 
 # worker: manifest round trip — the report on stdout is a plain batch
 # report over the manifest's files
@@ -158,7 +168,7 @@ grep -q 'manifest error' "$TMP/err" || fail "worker bad manifest: no message"
 
 # fleet: multi-process orchestrator.  The summary on stdout is
 # timing-free, hence byte-identical across --workers, and the aggregate
-# int statistics must match the in-process shard driver's.
+# int statistics must match the in-process batch over the same files.
 "$TOOL" fleet -q --workers 1 --json "$TMP/f1.json" \
   "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/f1.out" \
   || fail "fleet --workers 1 failed"
@@ -167,7 +177,7 @@ grep -q 'manifest error' "$TMP/err" || fail "worker bad manifest: no message"
   || fail "fleet --workers 2 failed"
 cmp -s "$TMP/f1.out" "$TMP/f2.out" || fail "fleet summary depends on --workers"
 aggregate "$TMP/f2.json" > "$TMP/aggf"
-cmp -s "$TMP/agg1" "$TMP/aggf" || fail "fleet aggregate != shard aggregate"
+cmp -s "$TMP/agg1" "$TMP/aggf" || fail "fleet aggregate != batch aggregate"
 grep -q '"failed_shards": \[\]' "$TMP/f2.json" || fail "fleet json: spurious failures"
 grep -q '"fleet": \[' "$TMP/f2.json" || fail "fleet json: no supervision log"
 
@@ -223,29 +233,6 @@ grep -q "pool.chunks" "$TMP/bt.err" || fail "batch --metrics: no pool.chunks cou
 grep -q "pool.queue_wait_us" "$TMP/bt.err" \
   || fail "batch --metrics: no pool queue-wait histogram"
 
-# chunked submission: stdout byte-identical for any --chunk value
-"$TOOL" batch --jobs 2 --chunk 1 "$TMP/grep.s" > "$TMP/bc1.out" 2>/dev/null \
-  || fail "batch --chunk 1 failed"
-"$TOOL" batch --jobs 2 --chunk 1000 "$TMP/grep.s" > "$TMP/bc1000.out" 2>/dev/null \
-  || fail "batch --chunk 1000 failed"
-cmp -s "$TMP/b1.out" "$TMP/bc1.out" || fail "batch output depends on --chunk 1"
-cmp -s "$TMP/b1.out" "$TMP/bc1000.out" \
-  || fail "batch output depends on --chunk 1000"
-
-# shard: timing-free stdout identical to the untraced run; the shared
-# pool's counters land in the --metrics stderr dump
-"$TOOL" shard --jobs 2 --shards 3 --trace "$TMP/st.json" --metrics \
-  "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/st.out" 2> "$TMP/st.err" \
-  || fail "shard --trace failed"
-cmp -s "$TMP/sj2.out" "$TMP/st.out" || fail "shard stdout changed under --trace"
-grep -q '"traceEvents": \[' "$TMP/st.json" || fail "shard trace: no traceEvents"
-grep -q "pool.chunks" "$TMP/st.err" || fail "shard --metrics: no pool.chunks counter"
-
-# chunked submission: shard stdout byte-identical for any --chunk value
-"$TOOL" shard --jobs 2 --shards 3 --chunk 5 "$TMP/grep.s" "$TMP/linpack.s" \
-  > "$TMP/sc.out" 2>/dev/null || fail "shard --chunk 5 failed"
-cmp -s "$TMP/sj2.out" "$TMP/sc.out" || fail "shard output depends on --chunk"
-
 # fleet: the one timeline covers the orchestrator (pid 0) and both
 # worker processes (pid = shard + 1), with every pipeline phase
 "$TOOL" fleet -q --workers 2 --trace "$TMP/ft.json" --metrics \
@@ -265,7 +252,7 @@ grep -q '"name": "process_name"' "$TMP/ft.json" \
 grep -q "pool.chunks" "$TMP/ft.err" || fail "fleet --metrics: no pool.chunks counter"
 
 # an empty --trace path is a CLI error (124), before any work runs
-for sub in batch shard fleet; do
+for sub in batch fleet; do
   "$TOOL" "$sub" --trace "" "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
   [ "$rc" -eq 124 ] || fail "$sub --trace '': exit $rc, want 124"
 done
@@ -583,11 +570,6 @@ grep -q "program-order tie-breaks" "$TMP/be.err" \
   || fail "batch --explain: no summary line"
 grep -q '"explain": \[' "$TMP/be.json" || fail "batch json: no explain section"
 grep -q '"ranks": \[' "$TMP/be.json" || fail "batch json: no rank stats"
-"$TOOL" shard --jobs 2 --shards 3 --explain --json "$TMP/se.json" \
-  "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/se.out" 2>/dev/null \
-  || fail "shard --explain failed"
-cmp -s "$TMP/sj2.out" "$TMP/se.out" || fail "shard stdout changed under --explain"
-grep -q '"explain": \[' "$TMP/se.json" || fail "shard json: no explain section"
 "$TOOL" fleet -q --workers 2 --explain --json "$TMP/fe.json" \
   "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/fe.out" 2>/dev/null \
   || fail "fleet --explain failed"

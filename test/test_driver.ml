@@ -189,67 +189,54 @@ let test_batch_report_empty () =
     (Batch.report_equal r (Batch.report_merge ~domains:3 ~wall_s:0.0 []))
 
 (* ------------------------------------------------------------------ *)
-(* sharding: partition properties *)
+(* the fleet's balanced partition: properties over mixed-size blocks *)
 
-(* a corpus with unique block ids and mixed sizes, across two "files" *)
-let shard_corpus () =
-  let file label lo n =
-    ( label,
-      List.init n (fun i ->
-          { (random_block (lo + (31 * i))) with Block.id = lo + i }) )
-  in
-  [ file "a.s" 1000 9; file "b.s" 2000 7 ]
-
-let corpus_blocks corpus = List.concat_map snd corpus
+(* unique block ids and mixed sizes *)
+let partition_blocks () =
+  List.init 16 (fun i ->
+      { (random_block (1000 + (31 * i))) with Block.id = 1000 + i })
 
 let ids blocks = List.map (fun (b : Block.t) -> b.Block.id) blocks
 
-let test_partition_covers_exactly () =
-  let blocks = corpus_blocks (shard_corpus ()) in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun shards ->
-          let parts = Shard.partition policy ~shards blocks in
-          check_int "shard count" shards (Array.length parts);
-          let all = List.concat (Array.to_list (Array.map ids parts)) in
-          (* every block lands in exactly one shard *)
-          Alcotest.(check (list int))
-            (Printf.sprintf "%s/%d covers the corpus"
-               (Shard.policy_to_string policy) shards)
-            (List.sort compare (ids blocks))
-            (List.sort compare all);
-          (* and each shard keeps corpus order *)
-          Array.iter
-            (fun part ->
-              let is = ids part in
-              check_bool "shard preserves corpus order" true
-                (List.sort compare is = is))
-            parts)
-        [ 1; 2; 5; 100 ])
-    Shard.all_policies
+let partition ~workers blocks =
+  Fleet.partition ~workers ~weight:Block.length blocks
 
-let test_partition_round_robin_even () =
-  let blocks = corpus_blocks (shard_corpus ()) in
-  let parts = Shard.partition Shard.Round_robin ~shards:3 blocks in
-  let sizes = Array.to_list (Array.map List.length parts) in
-  let mn = List.fold_left min max_int sizes
-  and mx = List.fold_left max 0 sizes in
-  check_bool "round robin is even" true (mx - mn <= 1)
+let test_partition_covers_exactly () =
+  let blocks = partition_blocks () in
+  List.iter
+    (fun workers ->
+      let parts = partition ~workers blocks in
+      check_int "worker count" workers (Array.length parts);
+      let all = List.concat (Array.to_list (Array.map ids parts)) in
+      (* every block lands in exactly one worker *)
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d workers cover the corpus" workers)
+        (List.sort compare (ids blocks))
+        (List.sort compare all);
+      (* and each worker keeps input order *)
+      Array.iter
+        (fun part ->
+          let is = ids part in
+          check_bool "worker preserves input order" true
+            (List.sort compare is = is))
+        parts;
+      (* workers beyond the block count get empty lists *)
+      check_int "occupied workers" (min workers (List.length blocks))
+        (Array.fold_left (fun a p -> if p = [] then a else a + 1) 0 parts))
+    [ 1; 2; 5; 100 ]
 
 let test_partition_balanced_bound () =
   (* greedy bound: max load - min load <= the largest single weight *)
-  let blocks = corpus_blocks (shard_corpus ()) in
+  let blocks = partition_blocks () in
   let heaviest =
     List.fold_left (fun m b -> max m (Block.length b)) 0 blocks
   in
-  let parts = Shard.partition Shard.Balanced ~shards:4 blocks in
   let loads =
     Array.to_list
       (Array.map
          (fun part ->
            List.fold_left (fun a b -> a + Block.length b) 0 part)
-         parts)
+         (partition ~workers:4 blocks))
   in
   let mn = List.fold_left min max_int loads
   and mx = List.fold_left max 0 loads in
@@ -260,141 +247,10 @@ let test_partition_balanced_bound () =
     (mx - mn <= heaviest)
 
 let test_partition_deterministic () =
-  let blocks = corpus_blocks (shard_corpus ()) in
-  List.iter
-    (fun policy ->
-      let a = Shard.partition policy ~shards:3 blocks in
-      let b = Shard.partition policy ~shards:3 blocks in
-      check_bool "same partition twice" true
-        (Array.map ids a = Array.map ids b))
-    Shard.all_policies
-
-(* ------------------------------------------------------------------ *)
-(* sharding: the merge-determinism differential — for any corpus the
-   merged aggregate statistics are independent of shard count, policy
-   and domain count, and agree with an unsharded batch *)
-
-let aggregate_key (r : Batch.report) =
-  ( r.Batch.blocks, r.Batch.insns, r.Batch.arcs, r.Batch.original_cycles,
-    r.Batch.scheduled_cycles, r.Batch.stalls )
-
-let test_shard_merge_determinism () =
-  let corpus = shard_corpus () in
-  let blocks = corpus_blocks corpus in
-  let batch_results = Batch.run ~domains:1 Batch.section6 blocks in
-  let reference =
-    aggregate_key (Batch.report ~domains:1 ~wall_s:0.0 batch_results)
-  in
-  let batch_keys =
-    List.sort compare (List.map Batch.strip_timing batch_results)
-  in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun shards ->
-          List.iter
-            (fun domains ->
-              let results, merged =
-                Shard.run ~domains ~policy ~shards Batch.section6 corpus
-              in
-              check_bool
-                (Printf.sprintf "aggregate invariant (%s, %d shards, %d domains)"
-                   (Shard.policy_to_string policy) shards domains)
-                true
-                (aggregate_key merged.Shard.aggregate = reference);
-              (* per-shard reports decompose the aggregate *)
-              check_bool "per-shard blocks sum" true
-                (List.fold_left
-                   (fun a (r : Batch.report) -> a + r.Batch.blocks)
-                   0 merged.Shard.per_shard
-                = merged.Shard.aggregate.Batch.blocks);
-              (* and the per-block results are the batch results, just
-                 redistributed: same multiset of deterministic keys *)
-              let shard_keys =
-                Array.to_list results |> List.concat
-                |> List.map Batch.strip_timing |> List.sort compare
-              in
-              check_bool "per-block results match unsharded batch" true
-                (shard_keys = batch_keys))
-            [ 1; test_domains ])
-        [ 1; 2; 5 ])
-    Shard.all_policies
-
-(* the shard layer threads ?chunk down to the shared pool: aggregates
-   and per-block results must not move with it *)
-let test_shard_chunk_invariance () =
-  let corpus = shard_corpus () in
-  let keys results =
-    Array.to_list results |> List.concat |> List.map Batch.strip_timing
-  in
-  let ref_results, ref_merged =
-    Shard.run ~domains:1 ~chunk:1 ~shards:2 Batch.section6 corpus
-  in
-  List.iter
-    (fun chunk ->
-      let results, merged =
-        Shard.run ~domains:test_domains ~chunk ~shards:2 Batch.section6 corpus
-      in
-      check_bool
-        (Printf.sprintf "aggregate invariant under chunk %d" chunk)
-        true
-        (aggregate_key merged.Shard.aggregate
-        = aggregate_key ref_merged.Shard.aggregate);
-      check_bool
-        (Printf.sprintf "per-block results invariant under chunk %d" chunk)
-        true
-        (keys results = keys ref_results))
-    [ 7; 64; 1000 ]
-
-let test_shard_merged_json_round_trip () =
-  let _, merged =
-    Shard.run ~domains:test_domains ~shards:3 Batch.section6 (shard_corpus ())
-  in
-  let text = Stats.Json.to_string (Shard.merged_to_json merged) in
-  match Stats.Json.of_string text with
-  | Error msg -> Alcotest.failf "merged report does not parse back: %s" msg
-  | Ok json -> (
-      match Shard.merged_of_json json with
-      | Error e ->
-          Alcotest.failf "merged report does not rebuild: %s"
-            (Stats.Json.error_to_string e)
-      | Ok merged' ->
-          check_bool "round trip preserves the merged report" true
-            (Shard.merged_equal merged merged'))
-
-let test_shard_empty_corpus () =
-  List.iter
-    (fun corpus ->
-      let results, merged =
-        Shard.run ~domains:test_domains ~shards:3 Batch.section6 corpus
-      in
-      check_int "three shards" 3 (Array.length results);
-      Array.iter (fun rs -> check_int "no results" 0 (List.length rs)) results;
-      check_int "zero blocks" 0 merged.Shard.aggregate.Batch.blocks;
-      check_int "zero cycles" 0 merged.Shard.aggregate.Batch.scheduled_cycles;
-      Alcotest.(check (float 1e-9)) "zero mean" 0.0
-        merged.Shard.aggregate.Batch.block_s_mean;
-      (* and the degenerate report still round-trips *)
-      match Stats.Json.of_string (Stats.Json.to_string (Shard.merged_to_json merged)) with
-      | Error msg -> Alcotest.failf "empty merged report unparseable: %s" msg
-      | Ok json ->
-          check_bool "empty corpus round trip" true
-            (match Shard.merged_of_json json with
-            | Ok merged' -> Shard.merged_equal merged merged'
-            | Error _ -> false))
-    [ []; [ ("empty.s", []) ] ]
-
-let test_shard_more_shards_than_blocks () =
-  let corpus = [ ("tiny", [ { (random_block 31) with Block.id = 0 } ]) ] in
-  let results, merged =
-    Shard.run ~domains:2 ~shards:5 Batch.section6 corpus
-  in
-  check_int "five shards" 5 (Array.length results);
-  check_int "one block scheduled" 1 merged.Shard.aggregate.Batch.blocks;
-  let occupied =
-    Array.to_list results |> List.filter (fun rs -> rs <> [])
-  in
-  check_int "exactly one occupied shard" 1 (List.length occupied)
+  let blocks = partition_blocks () in
+  check_bool "same partition twice" true
+    (Array.map ids (partition ~workers:3 blocks)
+    = Array.map ids (partition ~workers:3 blocks))
 
 (* ------------------------------------------------------------------ *)
 (* adversarial inputs: the JSON readers accept externally produced
@@ -416,9 +272,16 @@ let sample_report =
     Batch.blocks = 3; insns = 17; arcs = 21; original_cycles = 40;
     scheduled_cycles = 31; stalls = 2 }
 
-let sample_merged =
-  { Shard.shards = 2; policy = Shard.Balanced; corpus = [ "a.s"; "b.s" ];
-    aggregate = sample_report; per_shard = [ sample_report; sample_report ] }
+let sample_log shard files : Fleet.worker_log =
+  { shard; files; attempts = 1; failures = [];
+    attempt_log =
+      [ { Fleet.duration_s = 0.05; backoff_s = 0.0; outcome = None } ];
+    wall_s = 0.05; report = Some sample_report }
+
+let sample_fleet =
+  { Fleet.workers = 2; timeout_s = 60.0; retries = 2; corpus = [ "a.s"; "b.s" ];
+    aggregate = sample_report;
+    logs = [ sample_log 0 [ "a.s" ]; sample_log 1 [ "b.s" ] ] }
 
 let expect_report_error name mutated expected_path =
   match Batch.report_of_json mutated with
@@ -445,20 +308,22 @@ let test_report_of_json_adversarial () =
   expect_report_error "null document" Stats.Json.Null "object"
 
 let test_merged_of_json_adversarial () =
-  let json = Shard.merged_to_json sample_merged in
-  (match Shard.merged_of_json json with
-  | Ok m -> check_bool "unmutated merged parses" true (Shard.merged_equal m sample_merged)
+  let json = Fleet.to_json sample_fleet in
+  (match Fleet.of_json json with
+  | Ok t ->
+      check_bool "unmutated fleet report parses" true
+        (Fleet.equal t sample_fleet)
   | Error e -> Alcotest.failf "unmutated: %s" (Stats.Json.error_to_string e));
   let expect name mutated expected_path =
-    match Shard.merged_of_json mutated with
+    match Fleet.of_json mutated with
     | Ok _ -> Alcotest.failf "%s: mutation not detected" name
     | Error e ->
         let msg = Stats.Json.error_to_string e in
         if not (Helpers.contains msg expected_path) then
           Alcotest.failf "%s: error %S does not name %S" name msg expected_path
   in
-  expect "unknown policy"
-    (set_field "policy" (Stats.Json.String "bogus") json) "policy";
+  expect "workers holds a string"
+    (set_field "workers" (Stats.Json.String "two") json) "workers";
   expect "corpus holds an int"
     (set_field "corpus" (Stats.Json.List [ Stats.Json.Int 3 ]) json)
     "corpus[0]";
@@ -499,12 +364,12 @@ let test_json_unicode_escape_total () =
    document must flow out as Ok or Error — no exception may escape the
    of_string + of_json pipeline *)
 let test_json_no_exception_escapes () =
-  let text = Stats.Json.to_string (Shard.merged_to_json sample_merged) in
+  let text = Stats.Json.to_string (Fleet.to_json sample_fleet) in
   let feed s =
     match Stats.Json.of_string s with
     | Error _ -> ()
     | Ok json -> (
-        match Shard.merged_of_json json with Ok _ | Error _ -> ())
+        match Fleet.of_json json with Ok _ | Error _ -> ())
   in
   for len = 0 to String.length text - 1 do
     feed (String.sub text 0 len)
@@ -615,14 +480,8 @@ let suite =
     quick "report JSON round trip with NaN" test_report_round_trip_nan;
     quick "report on empty batch" test_batch_report_empty;
     quick "partition covers corpus exactly" test_partition_covers_exactly;
-    quick "partition round robin even" test_partition_round_robin_even;
     quick "partition balanced within bound" test_partition_balanced_bound;
     quick "partition deterministic" test_partition_deterministic;
-    quick "shard merge determinism" test_shard_merge_determinism;
-    quick "shard chunk invariance" test_shard_chunk_invariance;
-    quick "shard merged JSON round trip" test_shard_merged_json_round_trip;
-    quick "shard empty corpus" test_shard_empty_corpus;
-    quick "more shards than blocks" test_shard_more_shards_than_blocks;
     quick "adversarial report JSON" test_report_of_json_adversarial;
     quick "adversarial merged JSON" test_merged_of_json_adversarial;
     quick "unicode escapes are total" test_json_unicode_escape_total;

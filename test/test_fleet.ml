@@ -3,7 +3,7 @@
     Two layers:
 
     - {e differential}: the fleet orchestrator must produce the same
-      aggregate integer statistics as the in-process shard driver on the
+      aggregate integer statistics as one in-process batch run on the
       nine-benchmark Table-3 corpus, for any worker count and retry
       budget, and its stdout summary JSON must be byte-identical across
       worker counts;
@@ -66,19 +66,18 @@ let with_corpus profiles f =
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () -> f files)
 
-(* in-process reference over the same bytes the workers read *)
-let reference_aggregate ~shards files =
-  let corpus =
-    List.map
+(* in-process reference over the same bytes the workers read: one batch
+   over every file's blocks in file order, as `schedtool batch` runs *)
+let reference_aggregate files =
+  let blocks =
+    List.concat_map
       (fun path ->
-        ( path,
-          Cfg_builder.partition
-            (Parser.parse_program
-               (In_channel.with_open_text path In_channel.input_all)) ))
+        Cfg_builder.partition
+          (Parser.parse_program
+             (In_channel.with_open_text path In_channel.input_all)))
       files
   in
-  let _, merged = Shard.run ~domains:1 ~shards Batch.section6 corpus in
-  merged.Shard.aggregate
+  snd (Batch.run_with_report ~domains:1 Batch.section6 blocks)
 
 let plan ~workers files =
   Fleet.plan ~workers ~algorithm:Builder.Table_forward
@@ -97,12 +96,12 @@ let with_fault spec f =
     f
 
 (* ------------------------------------------------------------------ *)
-(* differential: fleet == in-process shard on the Table-3 corpus,
+(* differential: fleet == in-process batch on the Table-3 corpus,
    invariant under worker count x retry budget *)
 
 let test_differential () =
   with_corpus Profiles.benchmarks @@ fun files ->
-  let expected = ints (reference_aggregate ~shards:3 files) in
+  let expected = ints (reference_aggregate files) in
   let summaries = ref [] in
   List.iter
     (fun workers ->
@@ -118,7 +117,7 @@ let test_differential () =
             true
             (Fleet.failed_shards t = []);
           check_bool
-            (Printf.sprintf "aggregate == shard (workers=%d retries=%d)"
+            (Printf.sprintf "aggregate == batch (workers=%d retries=%d)"
                workers retries)
             true
             (ints t.Fleet.aggregate = expected);
