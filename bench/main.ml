@@ -1633,92 +1633,6 @@ let pressure () =
     \ the premise of integrated allocation/scheduling the paper cites)\n"
 
 (* ------------------------------------------------------------------ *)
-(* DAG arena allocation: the pre-arena list-based structure vs the flat
-   arena over the Table-3 corpus, schedules differentially checked, with
-   a machine-readable BENCH_dag.json *)
-
-let dag_bench () =
-  heading "DAG arena: legacy list-based vs flat arena allocation";
-  let corpus = Profiles.corpus Profiles.benchmarks in
-  let blocks = List.concat_map snd corpus in
-  let opts = Opts.default in
-  Printf.printf
-    "(table-forward construction over the Table-3 corpus — %d blocks;\n\
-    \ minor words via the exact Gc.minor_words primitive; target: the\n\
-    \ arena allocates >= 10x less than the legacy builder, and warren\n\
-    \ schedules off both structures are identical)\n"
-    (List.length blocks);
-  let measure build =
-    let m0 = Gc.minor_words () in
-    List.iter (fun b -> ignore (build b)) blocks;
-    Gc.minor_words () -. m0
-  in
-  (* untimed warmup so neither side pays first-run cache costs *)
-  ignore (Dag_legacy.build_table_fwd opts (List.hd blocks));
-  ignore (Builder.build Builder.Table_forward opts (List.hd blocks));
-  let legacy_words = measure (Dag_legacy.build_table_fwd opts) in
-  let arena_words =
-    measure (fun b -> Builder.build Builder.Table_forward opts b)
-  in
-  (* differential: replay each legacy-built DAG into an arena (the
-     scheduler consumes [Dag.t]) and demand the published warren pass
-     produces the identical schedule off both structures *)
-  let mismatches = ref 0 in
-  List.iter
-    (fun b ->
-      let arena = Builder.build Builder.Table_forward opts b in
-      let legacy = Dag_legacy.build_table_fwd opts b in
-      let replay = Dag.create ~model:opts.Opts.model b.Block.insns in
-      List.iter
-        (fun (a : Dag_legacy.arc) ->
-          ignore
-            (Dag.add_arc replay ~src:a.Dag_legacy.src ~dst:a.Dag_legacy.dst
-               ~kind:a.Dag_legacy.kind ~latency:a.Dag_legacy.latency))
-        (Dag_legacy.arcs legacy);
-      let s1 = Published.run_on_dag Published.warren arena in
-      let s2 = Published.run_on_dag Published.warren replay in
-      if
-        Schedule.cycles s1 <> Schedule.cycles s2
-        || Schedule.insns s1 <> Schedule.insns s2
-      then incr mismatches)
-    blocks;
-  if !mismatches > 0 then
-    failwith
-      (Printf.sprintf "dag bench: %d blocks scheduled differently" !mismatches);
-  let n_blocks = float_of_int (List.length blocks) in
-  let ratio = legacy_words /. Float.max 1.0 arena_words in
-  let t = Table.create ~title:"" [ "structure"; "minor words"; "words/block" ] in
-  Table.add_row t
-    [ "legacy list-based"; Printf.sprintf "%.0f" legacy_words;
-      Table.fmt_float (legacy_words /. n_blocks) ];
-  Table.add_row t
-    [ "flat arena"; Printf.sprintf "%.0f" arena_words;
-      Table.fmt_float (arena_words /. n_blocks) ];
-  Table.print t;
-  Printf.printf "allocation ratio: %.1fx less; schedules identical on all %d blocks\n"
-    ratio (List.length blocks);
-  let json =
-    Stats.Json.Obj
-      [ ("experiment", Stats.Json.String "dag");
-        ("blocks", Stats.Json.Int (List.length blocks));
-        ("legacy_minor_words", Stats.Json.Float legacy_words);
-        ("arena_minor_words", Stats.Json.Float arena_words);
-        ("legacy_words_per_block", Stats.Json.Float (legacy_words /. n_blocks));
-        ("arena_words_per_block", Stats.Json.Float (arena_words /. n_blocks));
-        ("allocation_ratio", Stats.Json.Float ratio);
-        ("schedules_identical", Stats.Json.Bool true) ]
-  in
-  let text = Stats.Json.to_string json in
-  (match Stats.Json.of_string text with
-  | Ok _ -> ()
-  | Error msg -> failwith ("BENCH_dag.json does not parse back: " ^ msg));
-  let path = "BENCH_dag.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
 (* serve: daemon round-trip latency, cold (pipeline) vs warm (cache hit),
    under N concurrent clients mixing Table-3 corpus and random traffic,
    with a machine-readable BENCH_serve.json.  Target: warm p50 at least
@@ -2038,7 +1952,7 @@ let experiments =
     ("structure", structure); ("pressure", pressure);
     ("parallel", parallel); ("fleet", fleet_bench);
     ("obs", obs_bench); ("explain", explain_bench); ("pool", pool_bench);
-    ("dag", dag_bench); ("serve", serve_bench); ("micro", micro) ]
+    ("serve", serve_bench); ("micro", micro) ]
 
 let () =
   let requested =

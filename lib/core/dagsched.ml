@@ -84,7 +84,6 @@ module Summary = Ds_cfg.Summary
 
 (* DAG construction *)
 module Dag = Ds_dag.Dag
-module Dag_legacy = Ds_dag.Dag_legacy
 module Opts = Ds_dag.Opts
 module Builder = Ds_dag.Builder
 module Disambiguate = Ds_dag.Disambiguate

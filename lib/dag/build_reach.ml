@@ -54,7 +54,7 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
     (* anchoring adds leaf->branch arcs after the fact; refresh the maps so
        ancestors of the anchored leaves also see the branch *)
     for i = n - 1 downto 0 do
-      Dag.iter_succ_dsts dag i (fun dst ->
+      Dag.iter_succ dag i (fun dst _ _ ->
           Ds_util.Bitset.Matrix.union_rows reach ~into:i ~from:dst)
     done
   end;

@@ -15,10 +15,8 @@ let descendants dag =
       b)
   in
   for i = n - 1 downto 0 do
-    List.iter
-      (fun (a : Dag.arc) ->
-        Ds_util.Bitset.union_into ~into:maps.(i) maps.(a.dst))
-      (Dag.succs dag i)
+    Dag.iter_succ dag i (fun dst _ _ ->
+        Ds_util.Bitset.union_into ~into:maps.(i) maps.(dst))
   done;
   maps
 
@@ -31,10 +29,8 @@ let ancestors dag =
       b)
   in
   for i = 0 to n - 1 do
-    List.iter
-      (fun (a : Dag.arc) ->
-        Ds_util.Bitset.union_into ~into:maps.(i) maps.(a.src))
-      (Dag.preds dag i)
+    Dag.iter_pred dag i (fun src _ _ ->
+        Ds_util.Bitset.union_into ~into:maps.(i) maps.(src))
   done;
   maps
 
@@ -54,10 +50,10 @@ let transitive_arcs dag =
   Dag.iter_arcs
     (fun (arc : Dag.arc) ->
       let through_other =
-        List.exists
-          (fun (mid : Dag.arc) ->
-            mid.dst <> arc.dst && Ds_util.Bitset.mem maps.(mid.dst) arc.dst)
-          (Dag.succs dag arc.src)
+        Dag.fold_succ dag arc.src
+          (fun found mid _ _ ->
+            found || (mid <> arc.dst && Ds_util.Bitset.mem maps.(mid) arc.dst))
+          false
       in
       if through_other then result := arc :: !result)
     dag;

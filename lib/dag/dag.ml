@@ -25,7 +25,7 @@
     - adjacency is a pair of intrusive singly-linked chains threaded
       through the arc arena ([arc_nsucc]/[arc_npred]), with per-node
       heads in the field array; chains are in most-recently-added-first
-      order, which is exactly the historical [succs]/[preds] view order;
+      order;
     - per-node counters pack into a stride-6 int row ([nf]):
       children/parents/interlock, the two delay sums, the two delay
       maxima, and the two chain heads;
@@ -39,9 +39,13 @@
     - reachability maps, when a builder maintains them, are one
       contiguous {!Ds_util.Bitset.Matrix} (row per node).
 
-    The historical accessor API ([succs]/[preds] as [arc list]) is a thin
-    view: rows are materialized lazily on first read and memoized, and
-    invalidated when a coalesce upgrades an arc in place. *)
+    Every pass walks arcs the same way: {!iter_succ}/{!iter_pred} (and
+    their folds) follow a node's chain head-first and hand over
+    [(peer, latency, kind)] straight from the packed int, so reading
+    adjacency allocates no arc records and a coalesce that upgrades an
+    arc in place is seen from both ends at once.  Boxed {!arc} records
+    exist only for the whole-graph [arcs]/[iter_arcs]/[find_arc]
+    queries. *)
 
 open Ds_isa
 open Ds_machine
@@ -91,8 +95,6 @@ type t = {
   mutable arc_nsucc : int array;        (* next arc id in src's chain, -1 end *)
   mutable arc_npred : int array;        (* next arc id in dst's chain, -1 end *)
   mutable n_arcs : int;
-  mutable succ_view : arc list option array;  (* lazy memoized views *)
-  mutable pred_view : arc list option array;
   mutable idx : int array;
       (* open-addressed arc index: slot holds arc id + 1 (0 = empty),
          keyed by the low 40 (src, dst) bits of the slot's [arc_pk].
@@ -114,8 +116,6 @@ let create ~model insns =
     arc_nsucc = [||];
     arc_npred = [||];
     n_arcs = 0;
-    succ_view = [||];
-    pred_view = [||];
     idx = [||];
     idx_mask = 0;
     reach = None;
@@ -227,39 +227,40 @@ let find_arc t ~src ~dst =
 let has_arc t ~src ~dst =
   in_range t src && in_range t dst && find_id t ~src ~dst >= 0
 
-(* Lazy view memoization.  Rows are dropped when an arc they contain is
-   upgraded in place. *)
-let invalidate_views t ~src ~dst =
-  if Array.length t.succ_view > 0 then t.succ_view.(src) <- None;
-  if Array.length t.pred_view > 0 then t.pred_view.(dst) <- None
+(* Chain walks, head-first: most recently added arc first. *)
+let iter_succ t i f =
+  let id = ref (succ_head t i) in
+  while !id >= 0 do
+    let pk = t.arc_pk.(!id) in
+    f (pk_dst pk) (pk_latency pk) (pk_kind pk);
+    id := t.arc_nsucc.(!id)
+  done
 
-(* Chain walks happen head-first, so the resulting lists are in the
-   historical most-recently-added-first order. *)
-let rec succ_chain_list t id =
-  if id < 0 then [] else arc_of_pk t.arc_pk.(id) :: succ_chain_list t t.arc_nsucc.(id)
+let iter_pred t i f =
+  let id = ref (pred_head t i) in
+  while !id >= 0 do
+    let pk = t.arc_pk.(!id) in
+    f (pk_src pk) (pk_latency pk) (pk_kind pk);
+    id := t.arc_npred.(!id)
+  done
 
-let rec pred_chain_list t id =
-  if id < 0 then [] else arc_of_pk t.arc_pk.(id) :: pred_chain_list t t.arc_npred.(id)
+let fold_succ t i f acc =
+  let acc = ref acc and id = ref (succ_head t i) in
+  while !id >= 0 do
+    let pk = t.arc_pk.(!id) in
+    acc := f !acc (pk_dst pk) (pk_latency pk) (pk_kind pk);
+    id := t.arc_nsucc.(!id)
+  done;
+  !acc
 
-let succs t i =
-  if Array.length t.succ_view = 0 && length t > 0 then
-    t.succ_view <- Array.make (length t) None;
-  match if length t = 0 then None else t.succ_view.(i) with
-  | Some l -> l
-  | None ->
-      let l = succ_chain_list t (succ_head t i) in
-      t.succ_view.(i) <- Some l;
-      l
-
-let preds t i =
-  if Array.length t.pred_view = 0 && length t > 0 then
-    t.pred_view <- Array.make (length t) None;
-  match if length t = 0 then None else t.pred_view.(i) with
-  | Some l -> l
-  | None ->
-      let l = pred_chain_list t (pred_head t i) in
-      t.pred_view.(i) <- Some l;
-      l
+let fold_pred t i f acc =
+  let acc = ref acc and id = ref (pred_head t i) in
+  while !id >= 0 do
+    let pk = t.arc_pk.(!id) in
+    acc := f !acc (pk_src pk) (pk_latency pk) (pk_kind pk);
+    id := t.arc_npred.(!id)
+  done;
+  !acc
 
 let ensure_arc_capacity t =
   let cap = Array.length t.arc_pk in
@@ -302,14 +303,12 @@ let add_arc t ~src ~dst ~kind ~latency =
         if latency > max_delay_from_parent t dst then
           t.nf.(bd + 3) <-
             (t.nf.(bd + 3) land field_mask) lor (latency lsl 20);
-        if latency > 1 then t.nf.(bs) <- t.nf.(bs) lor interlock_bit;
-        invalidate_views t ~src ~dst
+        if latency > 1 then t.nf.(bs) <- t.nf.(bs) lor interlock_bit
       end
       else if latency = old_latency && kind_rank kind > code_rank.(pk_code pk)
       then begin
         (* deterministic kind tie-break: keep the stronger dependence *)
-        t.arc_pk.(id) <- (pk land lnot (3 lsl 60)) lor (kind_code kind lsl 60);
-        invalidate_views t ~src ~dst
+        t.arc_pk.(id) <- (pk land lnot (3 lsl 60)) lor (kind_code kind lsl 60)
       end;
       false
     end
@@ -336,7 +335,6 @@ let add_arc t ~src ~dst ~kind ~latency =
         t.nf.(bd + 3) <- (t.nf.(bd + 3) land field_mask) lor (latency lsl 20);
       if latency > 1 then t.nf.(bs) <- t.nf.(bs) lor interlock_bit;
       t.n_arcs <- t.n_arcs + 1;
-      invalidate_views t ~src ~dst;
       true
     end
   end
@@ -358,23 +356,6 @@ let leaves t =
   done;
   !acc
 
-(** Iterate the destination node of every outgoing arc of [i] (chain
-    order, most recently added first) without materializing the arc-list
-    view. *)
-let iter_succ_dsts t i f =
-  let id = ref (succ_head t i) in
-  while !id >= 0 do
-    f (pk_dst t.arc_pk.(!id));
-    id := t.arc_nsucc.(!id)
-  done
-
-let iter_pred_srcs t i f =
-  let id = ref (pred_head t i) in
-  while !id >= 0 do
-    f (pk_src t.arc_pk.(!id));
-    id := t.arc_npred.(!id)
-  done
-
 (** Number of connected DAGs in the forest (undirected components). *)
 let forest_size t =
   let n = length t in
@@ -384,8 +365,8 @@ let forest_size t =
     let rec assign i c =
       if comp.(i) < 0 then begin
         comp.(i) <- c;
-        iter_succ_dsts t i (fun d -> assign d c);
-        iter_pred_srcs t i (fun s -> assign s c)
+        iter_succ t i (fun d _ _ -> assign d c);
+        iter_pred t i (fun s _ _ -> assign s c)
       end
     in
     let count = ref 0 in
@@ -428,8 +409,8 @@ let reach t =
       Some (Array.init (length t) (fun i -> Ds_util.Bitset.Matrix.row_bitset m i))
 
 let iter_arcs f t =
-  for i = 0 to length t - 1 do
-    List.iter f (succs t i)
+  for src = 0 to length t - 1 do
+    iter_succ t src (fun dst latency kind -> f { src; dst; kind; latency })
   done
 
 let arcs t =

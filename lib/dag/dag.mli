@@ -12,9 +12,10 @@
 
     Internally the graph is flat int arrays: packed arcs, intrusive
     succ/pred chains, packed per-node counters, and an optional
-    contiguous reachability bit matrix.  The [arc list] accessors are
-    lazily memoized views over the arena; structural identity is exposed
-    as an insertion-order-independent {!fingerprint}. *)
+    contiguous reachability bit matrix.  Passes read adjacency through
+    {!iter_succ}/{!iter_pred} and their folds, which walk the chains and
+    allocate nothing per arc; structural identity is exposed as an
+    insertion-order-independent {!fingerprint}. *)
 
 type arc = {
   src : int;
@@ -33,9 +34,21 @@ val length : t -> int
 val insn : t -> int -> Ds_isa.Insn.t
 val model : t -> Ds_machine.Latency.t
 
-(** Children arcs (most recently added first) / parent arcs of a node. *)
-val succs : t -> int -> arc list
-val preds : t -> int -> arc list
+(** [iter_succ t i f] calls [f dst latency kind] for every outgoing arc
+    of [i], most recently added first; [iter_pred t i f] calls
+    [f src latency kind] for every incoming arc, in the same order.  A
+    coalesce upgrade is visible from both ends as soon as [add_arc]
+    returns. *)
+val iter_succ : t -> int -> (int -> int -> Ds_machine.Dep.kind -> unit) -> unit
+
+val iter_pred : t -> int -> (int -> int -> Ds_machine.Dep.kind -> unit) -> unit
+
+(** Folds over the same walks: [f acc peer latency kind]. *)
+val fold_succ :
+  t -> int -> ('a -> int -> int -> Ds_machine.Dep.kind -> 'a) -> 'a -> 'a
+
+val fold_pred :
+  t -> int -> ('a -> int -> int -> Ds_machine.Dep.kind -> 'a) -> 'a -> 'a
 
 (* the column-`a` heuristic counters, maintained by add_arc *)
 val n_children : t -> int -> int
@@ -68,12 +81,6 @@ val add_arc :
 val roots : t -> int list
 val leaves : t -> int list
 
-(** Iterate the destination of every outgoing arc of a node (most
-    recently added first) without materializing the arc-list view. *)
-val iter_succ_dsts : t -> int -> (int -> unit) -> unit
-
-val iter_pred_srcs : t -> int -> (int -> unit) -> unit
-
 (** Number of weakly connected components. *)
 val forest_size : t -> int
 
@@ -93,6 +100,9 @@ val reach_matrix : t -> Ds_util.Bitset.Matrix.m option
 val set_reach : t -> Ds_util.Bitset.t array -> unit
 val reach : t -> Ds_util.Bitset.t array option
 
+(** Every arc as a record: [iter_arcs] visits nodes in ascending order
+    and each node's outgoing arcs in {!iter_succ} order; [arcs] lists
+    them in the reverse of that visit order. *)
 val iter_arcs : (arc -> unit) -> t -> unit
 val arcs : t -> arc list
 

@@ -58,9 +58,8 @@ let shape_of dag =
   let level = Array.make n 0 in
   let depth = ref 0 in
   for i = 0 to n - 1 do
-    List.iter
-      (fun (a : Dag.arc) -> level.(i) <- max level.(i) (level.(a.src) + 1))
-      (Dag.preds dag i);
+    Dag.iter_pred dag i (fun src _ _ ->
+        level.(i) <- max level.(i) (level.(src) + 1));
     if level.(i) > !depth then depth := level.(i)
   done;
   let per_level = Array.make (!depth + 1) 0 in

@@ -113,6 +113,8 @@ let run_block config block =
         (dag, annot, sched))
   in
   hb_tick ();
+  (* one simulation of the scheduled order scores both columns *)
+  let sim = Schedule.simulate sched in
   { block_id = block.Ds_cfg.Block.id;
     insns = Ds_cfg.Block.length block;
     dag_arcs = Ds_dag.Dag.n_arcs dag;
@@ -120,8 +122,8 @@ let run_block config block =
     order = sched.Schedule.order;
     annot;
     original_cycles = Schedule.original_cycles sched;
-    cycles = Schedule.cycles sched;
-    stalls = Schedule.stalls sched;
+    cycles = sim.Ds_machine.Pipeline.completion;
+    stalls = sim.Ds_machine.Pipeline.stall_cycles;
     time_s }
 
 let resolve_domains = function

@@ -82,6 +82,14 @@ let ready t i = available t i && t.earliest_exec.(i) <= t.time
 
 let complete t = t.n_scheduled = Ds_dag.Dag.length t.dag
 
+(** Fold [f acc peer latency kind] over the arcs leaving [i] in the
+    scheduling direction: [peer] is a child when scheduling forward and a
+    parent when scheduling backward. *)
+let fold_successors t i f acc =
+  match t.direction with
+  | Forward -> Ds_dag.Dag.fold_succ t.dag i f acc
+  | Backward -> Ds_dag.Dag.fold_pred t.dag i f acc
+
 (** Record that [i] issues at cycle [at]: update the uncovering counters
     and propagate earliest execution times along the arcs the paper
     describes ("each child has its earliest execution time updated by
@@ -93,19 +101,16 @@ let schedule t i ~at =
   t.sched_time.(i) <- at;
   t.n_scheduled <- t.n_scheduled + 1;
   t.last <- Some i;
-  (match t.direction with
-  | Forward ->
-      List.iter
-        (fun (a : Ds_dag.Dag.arc) ->
-          t.unscheduled_parents.(a.dst) <- t.unscheduled_parents.(a.dst) - 1;
-          t.earliest_exec.(a.dst) <- max t.earliest_exec.(a.dst) (at + a.latency))
-        (Ds_dag.Dag.succs t.dag i)
-  | Backward ->
-      List.iter
-        (fun (a : Ds_dag.Dag.arc) ->
-          t.unscheduled_children.(a.src) <- t.unscheduled_children.(a.src) - 1;
-          t.earliest_exec.(a.src) <- max t.earliest_exec.(a.src) (at + a.latency))
-        (Ds_dag.Dag.preds t.dag i));
+  let unscheduled =
+    match t.direction with
+    | Forward -> t.unscheduled_parents
+    | Backward -> t.unscheduled_children
+  in
+  fold_successors t i
+    (fun () peer latency _ ->
+      unscheduled.(peer) <- unscheduled.(peer) - 1;
+      t.earliest_exec.(peer) <- max t.earliest_exec.(peer) (at + latency))
+    ();
   let insn = Ds_dag.Dag.insn t.dag i in
   let model = Ds_dag.Dag.model t.dag in
   let busy = model.Latency.fp_busy insn in
@@ -113,16 +118,6 @@ let schedule t i ~at =
     let u = Funit.index (Funit.of_insn insn) in
     t.unit_free.(u) <- max t.unit_free.(u) (at + busy)
   end
-
-(** Successor arcs of [i] in the scheduling direction: children when
-    scheduling forward, parents when scheduling backward. *)
-let forward_arcs t i =
-  match t.direction with
-  | Forward -> Ds_dag.Dag.succs t.dag i
-  | Backward -> Ds_dag.Dag.preds t.dag i
-
-let arc_peer t (a : Ds_dag.Dag.arc) =
-  match t.direction with Forward -> a.dst | Backward -> a.src
 
 let unscheduled_preds_of_peer t peer =
   match t.direction with

@@ -42,11 +42,12 @@ val complete : t -> bool
     propagates earliest execution times along the arcs. *)
 val schedule : t -> int -> at:int -> unit
 
-(** Successor arcs in the scheduling direction. *)
-val forward_arcs : t -> int -> Ds_dag.Dag.arc list
-
-(** The far node of an arc in the scheduling direction. *)
-val arc_peer : t -> Ds_dag.Dag.arc -> int
+(** [fold_successors t i f acc] folds [f acc peer latency kind] over the
+    arcs leaving [i] in the scheduling direction: [peer] is a child when
+    scheduling forward, a parent when scheduling backward.  Arcs come in
+    {!Ds_dag.Dag.iter_succ}/{!Ds_dag.Dag.iter_pred} chain order. *)
+val fold_successors :
+  t -> int -> ('a -> int -> int -> Ds_machine.Dep.kind -> 'a) -> 'a -> 'a
 
 (** Unscheduled predecessors of a peer node. *)
 val unscheduled_preds_of_peer : t -> int -> int

@@ -14,10 +14,9 @@ let interlock_with_previous (st : Dyn_state.t) i =
   | None -> 0
   | Some last ->
       let interlocks =
-        List.exists
-          (fun (a : Ds_dag.Dag.arc) ->
-            Dyn_state.arc_peer st a = i && a.latency > 1)
-          (Dyn_state.forward_arcs st last)
+        Dyn_state.fold_successors st last
+          (fun found peer latency _ -> found || (peer = i && latency > 1))
+          false
       in
       if interlocks then 1 else 0
 
@@ -47,18 +46,17 @@ let alternate_type (st : Dyn_state.t) i =
 (* Children (scheduling-direction successors) of [i] whose only remaining
    unscheduled predecessor is [i] itself. *)
 let fold_single_parent_children (st : Dyn_state.t) i f acc =
-  List.fold_left
-    (fun acc (a : Ds_dag.Dag.arc) ->
-      let peer = Dyn_state.arc_peer st a in
-      if Dyn_state.unscheduled_preds_of_peer st peer = 1 then f acc a else acc)
+  Dyn_state.fold_successors st i
+    (fun acc peer latency _ ->
+      if Dyn_state.unscheduled_preds_of_peer st peer = 1 then f acc peer latency
+      else acc)
     acc
-    (Dyn_state.forward_arcs st i)
 
 let num_single_parent_children st i =
-  fold_single_parent_children st i (fun acc _ -> acc + 1) 0
+  fold_single_parent_children st i (fun acc _ _ -> acc + 1) 0
 
 let sum_delays_to_single_parent_children st i =
-  fold_single_parent_children st i (fun acc a -> acc + a.Ds_dag.Dag.latency) 0
+  fold_single_parent_children st i (fun acc _ latency -> acc + latency) 0
 
 (** Exactly how many nodes join the candidate list if [i] issues now: the
     single-parent condition "extended to also require that the delay to
@@ -66,9 +64,8 @@ let sum_delays_to_single_parent_children st i =
     not pushing it past the next cycle. *)
 let num_uncovered_children (st : Dyn_state.t) i =
   fold_single_parent_children st i
-    (fun acc (a : Ds_dag.Dag.arc) ->
-      let peer = Dyn_state.arc_peer st a in
-      if a.latency <= 1 && st.earliest_exec.(peer) <= st.time + 1 then acc + 1
+    (fun acc peer latency ->
+      if latency <= 1 && st.earliest_exec.(peer) <= st.time + 1 then acc + 1
       else acc)
     0
 
@@ -80,15 +77,8 @@ let birthing_instruction (st : Dyn_state.t) i =
   | None -> 0
   | Some last ->
       let is_raw_parent =
-        List.exists
-          (fun (a : Ds_dag.Dag.arc) ->
-            a.kind = Dep.Raw
-            &&
-            match st.direction with
-            | Dyn_state.Backward -> a.src = i
-            | Dyn_state.Forward -> a.dst = i)
-          (match st.direction with
-          | Dyn_state.Backward -> Ds_dag.Dag.preds st.dag last
-          | Dyn_state.Forward -> Ds_dag.Dag.succs st.dag last)
+        Dyn_state.fold_successors st last
+          (fun found peer _ kind -> found || (peer = i && kind = Dep.Raw))
+          false
       in
       if is_raw_parent then 1 else 0

@@ -25,10 +25,7 @@ let compute dag =
   let max_level = ref 0 in
   for i = 0 to n - 1 do
     let lvl =
-      List.fold_left
-        (fun acc (a : Ds_dag.Dag.arc) -> max acc (level_of.(a.src) + 1))
-        0
-        (Ds_dag.Dag.preds dag i)
+      Ds_dag.Dag.fold_pred dag i (fun acc src _ _ -> max acc (level_of.(src) + 1)) 0
     in
     level_of.(i) <- lvl;
     if lvl > !max_level then max_level := lvl

@@ -18,15 +18,13 @@ type traversal = Reverse_walk | Level_lists
 let forward_pass dag (annot : Annot.t) =
   let n = Ds_dag.Dag.length dag in
   for j = 0 to n - 1 do
-    List.iter
-      (fun (a : Ds_dag.Dag.arc) ->
+    Ds_dag.Dag.iter_pred dag j (fun src latency _ ->
         annot.max_path_from_root.(j) <-
-          max annot.max_path_from_root.(j) (annot.max_path_from_root.(a.src) + 1);
+          max annot.max_path_from_root.(j) (annot.max_path_from_root.(src) + 1);
         annot.max_delay_from_root.(j) <-
           max annot.max_delay_from_root.(j)
-            (annot.max_delay_from_root.(a.src) + a.latency);
-        annot.est.(j) <- max annot.est.(j) (annot.est.(a.src) + a.latency))
-      (Ds_dag.Dag.preds dag j)
+            (annot.max_delay_from_root.(src) + latency);
+        annot.est.(j) <- max annot.est.(j) (annot.est.(src) + latency))
   done
 
 (* Backward-pass annotations for one node, assuming all its children are
@@ -35,14 +33,12 @@ let backward_visit dag (annot : Annot.t) ~critical_path i =
   let exec = annot.exec_time.(i) in
   annot.max_delay_to_leaf.(i) <- exec;
   annot.lst.(i) <- critical_path - exec;
-  List.iter
-    (fun (a : Ds_dag.Dag.arc) ->
+  Ds_dag.Dag.iter_succ dag i (fun dst latency _ ->
       annot.max_path_to_leaf.(i) <-
-        max annot.max_path_to_leaf.(i) (annot.max_path_to_leaf.(a.dst) + 1);
+        max annot.max_path_to_leaf.(i) (annot.max_path_to_leaf.(dst) + 1);
       annot.max_delay_to_leaf.(i) <-
-        max annot.max_delay_to_leaf.(i) (annot.max_delay_to_leaf.(a.dst) + a.latency);
-      annot.lst.(i) <- min annot.lst.(i) (annot.lst.(a.dst) - a.latency))
-    (Ds_dag.Dag.succs dag i);
+        max annot.max_delay_to_leaf.(i) (annot.max_delay_to_leaf.(dst) + latency);
+      annot.lst.(i) <- min annot.lst.(i) (annot.lst.(dst) - latency));
   annot.slack.(i) <- annot.lst.(i) - annot.est.(i)
 
 (* Descendant measures: population counts over reachability bit maps, as

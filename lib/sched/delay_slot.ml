@@ -25,7 +25,7 @@ type fill = {
   filler : int;           (* node id now in the delay slot *)
 }
 
-let data_arc (a : Ds_dag.Dag.arc) = a.kind <> Dep.Ctl
+let data_arc kind = kind <> Dep.Ctl
 
 (* node [i] has a data path to [branch]?  All arcs point forward, so a
    reverse scan with a reachability set suffices. *)
@@ -36,13 +36,11 @@ let reaches_via_data dag ~src ~branch =
   let found = ref false in
   for i = src to n - 1 do
     if reach.(i) then
-      List.iter
-        (fun (a : Ds_dag.Dag.arc) ->
-          if data_arc a then begin
-            reach.(a.dst) <- true;
-            if a.dst = branch then found := true
+      Ds_dag.Dag.iter_succ dag i (fun dst _ kind ->
+          if data_arc kind then begin
+            reach.(dst) <- true;
+            if dst = branch then found := true
           end)
-        (Ds_dag.Dag.succs dag i)
   done;
   !found
 
@@ -59,7 +57,9 @@ let fill (s : Schedule.t) =
     else begin
       let movable i =
         i <> last
-        && List.for_all (fun a -> not (data_arc a)) (Ds_dag.Dag.succs dag i)
+        && Ds_dag.Dag.fold_succ dag i
+             (fun ok _ _ kind -> ok && not (data_arc kind))
+             true
         && not (reaches_via_data dag ~src:i ~branch:last)
       in
       (* scan schedule positions from just before the branch backwards *)

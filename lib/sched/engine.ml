@@ -373,13 +373,14 @@ let run_impl ?seed ?recorder config ~annot dag =
           st.time <- st.time + 1;
           order := chosen :: !order;
           available := List.filter (fun i -> i <> chosen) !available;
-          List.iter
-            (fun (a : Ds_dag.Dag.arc) ->
-              let peer = Dyn_state.arc_peer st a in
-              if Dyn_state.available st peer
-                 && not (List.mem peer !available)
-              then available := peer :: !available)
-            (Dyn_state.forward_arcs st chosen)
+          (* arcs are coalesced, so a peer's counter reaches zero exactly
+             when its last predecessor, [chosen], issues: it cannot
+             already be in the list *)
+          Dyn_state.fold_successors st chosen
+            (fun () peer _ _ ->
+              if Dyn_state.available st peer then
+                available := peer :: !available)
+            ()
     done;
     (* one aggregate span per block: total dynamic-heuristic time spent
        inside the enclosing "schedule" span (the picks themselves are

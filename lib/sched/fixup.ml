@@ -12,13 +12,12 @@
    instruction in positions [target_pos, from_pos) to [mover]. *)
 let can_hoist (s : Schedule.t) position ~from_pos ~target_pos =
   let mover = s.order.(from_pos) in
-  let blocked = ref false in
-  List.iter
-    (fun (a : Ds_dag.Dag.arc) ->
-      let p = position.(a.src) in
-      if p >= target_pos && p < from_pos then blocked := true)
-    (Ds_dag.Dag.preds s.dag mover);
-  not !blocked
+  not
+    (Ds_dag.Dag.fold_pred s.dag mover
+       (fun blocked src _ _ ->
+         let p = position.(src) in
+         blocked || (p >= target_pos && p < from_pos))
+       false)
 
 let hoist order ~from_pos ~target_pos =
   let v = order.(from_pos) in

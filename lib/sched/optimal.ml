@@ -58,10 +58,8 @@ let evaluate dag order =
         if busy > 0 then max at unit_free.(Funit.index (Funit.of_insn insn))
         else at
       in
-      List.iter
-        (fun (a : Ds_dag.Dag.arc) ->
-          earliest.(a.dst) <- max earliest.(a.dst) (at + a.latency))
-        (Ds_dag.Dag.succs dag i);
+      Ds_dag.Dag.iter_succ dag i (fun dst latency _ ->
+          earliest.(dst) <- max earliest.(dst) (at + latency));
       if busy > 0 then unit_free.(Funit.index (Funit.of_insn insn)) <- at + busy;
       time := at + 1;
       completion := max !completion (at + model.Latency.exec_time insn))
@@ -130,21 +128,17 @@ let run ?(budget = default_budget) dag =
               scheduled.(i) <- true;
               order.(depth) <- i;
               let saved_earliest = ref [] in
-              List.iter
-                (fun (a : Ds_dag.Dag.arc) ->
-                  unscheduled_parents.(a.dst) <- unscheduled_parents.(a.dst) - 1;
-                  saved_earliest := (a.dst, earliest.(a.dst)) :: !saved_earliest;
-                  earliest.(a.dst) <- max earliest.(a.dst) (at + a.latency))
-                (Ds_dag.Dag.succs dag i);
+              Ds_dag.Dag.iter_succ dag i (fun dst latency _ ->
+                  unscheduled_parents.(dst) <- unscheduled_parents.(dst) - 1;
+                  saved_earliest := (dst, earliest.(dst)) :: !saved_earliest;
+                  earliest.(dst) <- max earliest.(dst) (at + latency));
               let saved_unit = unit_free.(unit.(i)) in
               if busy.(i) > 0 then unit_free.(unit.(i)) <- at + busy.(i);
               search (depth + 1) (at + 1) (max completion (at + exec.(i)));
               (* undo *)
               if busy.(i) > 0 then unit_free.(unit.(i)) <- saved_unit;
-              List.iter
-                (fun (a : Ds_dag.Dag.arc) ->
-                  unscheduled_parents.(a.dst) <- unscheduled_parents.(a.dst) + 1)
-                (Ds_dag.Dag.succs dag i);
+              Ds_dag.Dag.iter_succ dag i (fun dst _ _ ->
+                  unscheduled_parents.(dst) <- unscheduled_parents.(dst) + 1);
               List.iter (fun (j, e) -> earliest.(j) <- e) !saved_earliest;
               scheduled.(i) <- false
             end

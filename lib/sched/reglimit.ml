@@ -78,11 +78,10 @@ let run ?(limit = 8) ~keys dag =
         live := !live - live_info.Liveness.killed.(chosen);
         order := chosen :: !order;
         available := List.filter (fun i -> i <> chosen) !available;
-        List.iter
-          (fun (a : Ds_dag.Dag.arc) ->
-            if Dyn_state.available st a.dst && not (List.mem a.dst !available)
-            then available := a.dst :: !available)
-          (Ds_dag.Dag.succs dag chosen)
+        (* coalesced arcs: a child becomes available only as its last
+           parent, [chosen], issues, so it is never already listed *)
+        Ds_dag.Dag.iter_succ dag chosen (fun dst _ _ ->
+            if Dyn_state.available st dst then available := dst :: !available)
   done;
   let order = Array.of_list (List.rev !order) in
   { schedule = Schedule.make dag order; max_live = !peak }

@@ -55,11 +55,9 @@ let run ?(priority = Heuristic.Max_delay_to_leaf) dag =
     assert (i >= 0);
     let insn = Ds_dag.Dag.insn dag i in
     let ready =
-      List.fold_left
-        (fun acc (a : Ds_dag.Dag.arc) ->
-          max acc (start_cycle.(a.src) + a.latency))
+      Ds_dag.Dag.fold_pred dag i
+        (fun acc src latency _ -> max acc (start_cycle.(src) + latency))
         0
-        (Ds_dag.Dag.preds dag i)
     in
     let usage = Reservation.usage_of model insn in
     (* earliest cycle where both the unit pattern and the issue slot fit *)
@@ -74,10 +72,8 @@ let run ?(priority = Heuristic.Max_delay_to_leaf) dag =
     placed.(i) <- true;
     start_cycle.(i) <- at;
     makespan := max !makespan (at + model.Latency.exec_time insn);
-    List.iter
-      (fun (a : Ds_dag.Dag.arc) ->
-        unplaced_parents.(a.dst) <- unplaced_parents.(a.dst) - 1)
-      (Ds_dag.Dag.succs dag i)
+    Ds_dag.Dag.iter_succ dag i (fun dst _ _ ->
+        unplaced_parents.(dst) <- unplaced_parents.(dst) - 1)
   done;
   let order = Array.init n (fun i -> i) in
   Array.sort

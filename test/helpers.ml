@@ -30,8 +30,20 @@ let figure1_block () = block_of_asm figure1_asm
 let figure1_opts = { Opts.default with Opts.model = Latency.deep_fp }
 
 (* Arc lookup in a DAG. *)
-let arc dag ~src ~dst =
-  List.find_opt (fun (a : Dag.arc) -> a.dst = dst) (Dag.succs dag src)
+let arc dag ~src ~dst = Dag.find_arc dag ~src ~dst
+
+(* Per-node outgoing / incoming arc lists rebuilt from the whole-graph
+   [Dag.arcs] query, so reference specs never read adjacency through the
+   [iter_succ]/[iter_pred] walks they are checked against. *)
+let adjacency dag =
+  let n = Dag.length dag in
+  let succs = Array.make n [] and preds = Array.make n [] in
+  List.iter
+    (fun (a : Dag.arc) ->
+      succs.(a.src) <- a :: succs.(a.src);
+      preds.(a.dst) <- a :: preds.(a.dst))
+    (Dag.arcs dag);
+  (succs, preds)
 
 let has_arc dag ~src ~dst = arc dag ~src ~dst <> None
 

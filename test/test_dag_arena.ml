@@ -3,7 +3,8 @@
     deterministic equal-latency kind tie-break, replay equivalence of the
     per-node bookkeeping across every builder and strategy, exact
     cross-direction arc agreement for the n² builders, the open-addressed
-    arc index under growth, and fingerprint canonicity. *)
+    arc index under growth, the adjacency walks against the whole-graph
+    queries and a coalescing model, and fingerprint canonicity. *)
 
 open Dagsched
 open Helpers
@@ -45,6 +46,9 @@ let test_find_arc_alias_regression () =
 
 let all_kinds = [ Dep.Raw; Dep.Waw; Dep.War; Dep.Ctl ]
 
+(* dependence strength, the coalescing tie-break order *)
+let rank = function Dep.Raw -> 3 | Dep.Waw -> 2 | Dep.War -> 1 | Dep.Ctl -> 0
+
 let arena_kind order =
   let dag = Dag.create ~model (nop_block 2) in
   List.iter
@@ -54,7 +58,6 @@ let arena_kind order =
 
 let test_kind_tie_break_deterministic () =
   (* every 2-permutation coalesces to the stronger kind, both orders *)
-  let rank = function Dep.Raw -> 3 | Dep.Waw -> 2 | Dep.War -> 1 | Dep.Ctl -> 0 in
   List.iter
     (fun a ->
       List.iter
@@ -184,7 +187,6 @@ let test_replay_differential () =
    may differ only where the deterministic tie-break upgraded an
    equal-latency coalesce the legacy code left at first-arrival. *)
 let test_table_fwd_end_to_end () =
-  let rank = function Dep.Raw -> 3 | Dep.Waw -> 2 | Dep.War -> 1 | Dep.Ctl -> 0 in
   List.iter
     (fun b ->
       List.iter
@@ -298,6 +300,152 @@ let test_arc_index_random_differential () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* adjacency walks *)
+
+let walk_succ dag i =
+  let acc = ref [] in
+  Dag.iter_succ dag i (fun dst l k -> acc := (i, dst, l, k) :: !acc);
+  List.rev !acc
+
+let walk_pred dag i =
+  let acc = ref [] in
+  Dag.iter_pred dag i (fun src l k -> acc := (src, i, l, k) :: !acc);
+  List.rev !acc
+
+(* The walks against the whole-graph queries: the succ walks, node by
+   node, replay [iter_arcs] exactly (same arcs, same order) and [arcs]
+   in reverse; the pred walks see the same arc set, each arc once from
+   each end; [find_arc] agrees on every arc; the folds visit what the
+   iterators visit, in the same order; visit counts match the column-`a`
+   counters.  Returns the per-node walks for order checks. *)
+let check_walks name dag =
+  let n = Dag.length dag in
+  let as_tuple (a : Dag.arc) = (a.Dag.src, a.Dag.dst, a.Dag.latency, a.Dag.kind) in
+  let succs = Array.init n (walk_succ dag) and preds = Array.init n (walk_pred dag) in
+  let visited = ref [] in
+  Dag.iter_arcs (fun a -> visited := as_tuple a :: !visited) dag;
+  let in_iter_order = List.rev !visited in
+  if List.concat (Array.to_list succs) <> in_iter_order then
+    Alcotest.failf "%s: succ walks differ from iter_arcs" name;
+  if List.map as_tuple (Dag.arcs dag) <> List.rev in_iter_order then
+    Alcotest.failf "%s: arcs is not iter_arcs reversed" name;
+  let sorted l = List.sort compare l in
+  if sorted (List.concat (Array.to_list preds)) <> sorted in_iter_order then
+    Alcotest.failf "%s: pred walks differ from the arc set" name;
+  check_int (name ^ ": n_arcs") (List.length in_iter_order) (Dag.n_arcs dag);
+  List.iter
+    (fun (src, dst, latency, kind) ->
+      match Dag.find_arc dag ~src ~dst with
+      | Some a when a.Dag.latency = latency && a.Dag.kind = kind -> ()
+      | _ -> Alcotest.failf "%s: find_arc disagrees on %d -> %d" name src dst)
+    in_iter_order;
+  for i = 0 to n - 1 do
+    let fs =
+      List.rev (Dag.fold_succ dag i (fun acc d l k -> (i, d, l, k) :: acc) [])
+    and fp =
+      List.rev (Dag.fold_pred dag i (fun acc s l k -> (s, i, l, k) :: acc) [])
+    in
+    if fs <> succs.(i) || fp <> preds.(i) then
+      Alcotest.failf "%s: node %d folds differ from iterators" name i;
+    if List.length succs.(i) <> Dag.n_children dag i
+       || List.length preds.(i) <> Dag.n_parents dag i
+    then Alcotest.failf "%s: node %d walk lengths differ from counters" name i
+  done;
+  (succs, preds)
+
+(* Insert [ops] into a fresh DAG over [n] nops alongside a model of the
+   coalescing rule: a pair's first insertion fixes its chain position
+   (most recent first, at both ends); a later insertion raises the
+   latency, or keeps it and strengthens the kind.  Both walks must
+   report every pair once, in chain order, with its upgraded value. *)
+let check_against_model name n ops =
+  let dag = Dag.create ~model (nop_block n) in
+  let value = Hashtbl.create 64 and first = ref [] in
+  List.iter
+    (fun (src, dst, kind, latency) ->
+      let fresh = Dag.add_arc dag ~src ~dst ~kind ~latency in
+      match Hashtbl.find_opt value (src, dst) with
+      | None ->
+          if not fresh then Alcotest.failf "%s: %d -> %d not fresh" name src dst;
+          Hashtbl.replace value (src, dst) (latency, kind);
+          first := (src, dst) :: !first
+      | Some (l, k) ->
+          if fresh then Alcotest.failf "%s: %d -> %d not coalesced" name src dst;
+          if latency > l || (latency = l && rank kind > rank k)
+          then Hashtbl.replace value (src, dst) (latency, kind))
+    ops;
+  let succs, preds = check_walks name dag in
+  (* !first is most recent first — the chain order at both ends *)
+  let expect keep =
+    List.filter_map
+      (fun (src, dst) ->
+        if keep src dst then
+          let l, k = Hashtbl.find value (src, dst) in
+          Some (src, dst, l, k)
+        else None)
+      !first
+  in
+  for i = 0 to n - 1 do
+    if succs.(i) <> expect (fun src _ -> src = i) then
+      Alcotest.failf "%s: node %d succ walk order or values" name i;
+    if preds.(i) <> expect (fun _ dst -> dst = i) then
+      Alcotest.failf "%s: node %d pred walk order or values" name i
+  done
+
+(* Replay a built DAG's arcs in a shuffled order, each first inserted
+   weaker — a lower latency, or the same latency as a CTL arc — and
+   upgraded to its real value only after every pair exists, so the
+   upgrades land on arcs deep inside both chains. *)
+let upgrade_ops rng dag =
+  let arcs = Array.of_list (Dag.arcs dag) in
+  for i = Array.length arcs - 1 downto 1 do
+    let j = Prng.int rng (i + 1) in
+    let t = arcs.(i) in
+    arcs.(i) <- arcs.(j);
+    arcs.(j) <- t
+  done;
+  let firsts = ref [] and upgrades = ref [] in
+  Array.iter
+    (fun (a : Dag.arc) ->
+      let real = (a.Dag.src, a.Dag.dst, a.Dag.kind, a.Dag.latency) in
+      (match Prng.int rng 3 with
+      | 0 when a.Dag.latency > 0 ->
+          firsts := (a.Dag.src, a.Dag.dst, a.Dag.kind, a.Dag.latency - 1) :: !firsts;
+          upgrades := real :: !upgrades
+      | 1 when a.Dag.kind <> Dep.Ctl ->
+          firsts := (a.Dag.src, a.Dag.dst, Dep.Ctl, a.Dag.latency) :: !firsts;
+          upgrades := real :: !upgrades
+      | _ -> firsts := real :: !firsts))
+    arcs;
+  List.rev_append !firsts (List.rev !upgrades)
+
+let test_walks_complete_and_current () =
+  let rng = Prng.create 2718 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun alg ->
+          let dag = Builder.build alg Opts.default b in
+          let name =
+            Printf.sprintf "block %d %s" b.Block.id (Builder.to_string alg)
+          in
+          ignore (check_walks name dag);
+          check_against_model (name ^ " upgraded replay") (Dag.length dag)
+            (upgrade_ops rng dag))
+        Builder.all)
+    (Lazy.force differential_blocks);
+  (* dense random insertion far past the 64-arc index threshold, with
+     every kind of coalesce mixed in *)
+  let n = 300 and kinds = [| Dep.Raw; Dep.War; Dep.Waw; Dep.Ctl |] in
+  let ops =
+    List.init 2000 (fun _ ->
+        let src = Prng.int rng (n - 1) in
+        let dst = src + 1 + Prng.int rng (min 8 (n - src - 1)) in
+        (src, dst, kinds.(Prng.int rng 4), 1 + Prng.int rng 4))
+  in
+  check_against_model "dense random" n ops
+
+(* ------------------------------------------------------------------ *)
 (* fingerprint *)
 
 let test_fingerprint_canonical () =
@@ -363,5 +511,6 @@ let suite =
     quick "n2 directions agree" test_n2_directions_agree;
     quick "arc index threshold crossing" test_arc_index_threshold_crossing;
     quick "arc index random differential" test_arc_index_random_differential;
+    quick "adjacency walks complete and current" test_walks_complete_and_current;
     quick "fingerprint canonical" test_fingerprint_canonical;
     Alcotest.test_case "corpus allocation budget" `Slow test_allocation_budget ]

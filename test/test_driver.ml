@@ -468,6 +468,42 @@ let test_explain_differential () =
         s.Explain.ranks)
     stats
 
+(* Whole-pipeline allocation guard: the section-6 stages of a batch
+   block (table-forward build, static pass, engine, verify, and the two
+   simulations that score the original and the scheduled order) over
+   the Table-3 corpus, counted with [Gc.minor_words] on the calling
+   domain — a pool would charge its worker domains instead.  Measured:
+   36.63M minor words with every pass walking the arena's adjacency
+   chains, against 50.10M when the passes read memoized boxed arc-list
+   views and each block was simulated three times.  The budget is the
+   measured value x 1.15, the benchmark's minor-words bound.  The count
+   is deterministic: fixed corpus, fixed pipeline, one domain. *)
+let test_pipeline_allocation_budget () =
+  let budget_words = 42_100_000.0 in
+  let config = Batch.section6 in
+  let heuristics =
+    List.map (fun k -> k.Engine.heuristic) config.Batch.engine.Engine.keys
+  in
+  let blocks = List.concat_map snd (Profiles.corpus Profiles.benchmarks) in
+  let run b =
+    let dag = Builder.build config.Batch.algorithm config.Batch.opts b in
+    let annot = Static_pass.compute_for heuristics dag in
+    let sched = Schedule.make dag (Engine.run config.Batch.engine ~annot dag) in
+    (match Verify.check sched with
+    | Ok () -> ()
+    | Error v -> Alcotest.fail (Verify.violation_to_string v));
+    ignore (Schedule.original_cycles sched);
+    ignore (Schedule.simulate sched)
+  in
+  (* warm up the per-domain scratch so growth costs are not charged *)
+  run (List.hd blocks);
+  let m0 = Gc.minor_words () in
+  List.iter run blocks;
+  let words = Gc.minor_words () -. m0 in
+  if words > budget_words then
+    Alcotest.failf "section-6 pipeline allocated %.0f minor words (budget %.0f)"
+      words budget_words
+
 let suite =
   [ quick "differential: builders x strategies" test_differential_cross_product;
     qcheck ~count:120 "differential: random batches (>= 100 seeds)"
@@ -489,4 +525,6 @@ let suite =
     quick "random_block equal across domains" test_generation_cross_domain;
     quick "profile generation equal across domains"
       test_profile_generation_cross_domain;
-    quick "differential: explain off vs on" test_explain_differential ]
+    quick "differential: explain off vs on" test_explain_differential;
+    Alcotest.test_case "pipeline allocation budget" `Slow
+      test_pipeline_allocation_budget ]

@@ -289,19 +289,22 @@ module Slow = struct
     lst : int -> int;
     descendants : int -> int list;
     regs : Liveness.result;
+    succs : Dag.arc list array;
+    preds : Dag.arc list array;
   }
 
   let make dag =
     let n = Dag.length dag in
     let model = Dag.model dag in
     let exec i = model.Latency.exec_time (Dag.insn dag i) in
+    let succs, preds = adjacency dag in
     let over_succs f base self i =
       List.fold_left (fun m (a : Dag.arc) -> f m a (self a.Dag.dst)) (base i)
-        (Dag.succs dag i)
+        succs.(i)
     in
     let over_preds f base self i =
       List.fold_left (fun m (a : Dag.arc) -> f m a (self a.Dag.src)) (base i)
-        (Dag.preds dag i)
+        preds.(i)
     in
     let path_to_leaf =
       memo n (over_succs (fun m _ v -> max m (v + 1)) (fun _ -> 0))
@@ -338,7 +341,7 @@ module Slow = struct
               seen.(a.Dag.dst) <- true;
               visit a.Dag.dst
             end)
-          (Dag.succs dag j)
+          succs.(j)
       in
       visit i;
       seen.(i) <- false;
@@ -350,25 +353,25 @@ module Slow = struct
     in
     let regs = Liveness.compute (Array.init n (Dag.insn dag)) in
     { exec; path_to_leaf; delay_to_leaf; path_from_root; delay_from_root;
-      est; lst; descendants; regs }
+      est; lst; descendants; regs; succs; preds }
 
   (* scheduling-direction helpers, recomputed from the raw arc lists *)
-  let dir_succs (st : Dyn_state.t) i =
+  let dir_succs slow (st : Dyn_state.t) i =
     match st.Dyn_state.direction with
-    | Dyn_state.Forward -> Dag.succs st.Dyn_state.dag i
-    | Dyn_state.Backward -> Dag.preds st.Dyn_state.dag i
+    | Dyn_state.Forward -> slow.succs.(i)
+    | Dyn_state.Backward -> slow.preds.(i)
 
   let dir_peer (st : Dyn_state.t) (a : Dag.arc) =
     match st.Dyn_state.direction with
     | Dyn_state.Forward -> a.Dag.dst
     | Dyn_state.Backward -> a.Dag.src
 
-  let dir_preds (st : Dyn_state.t) i =
+  let dir_preds slow (st : Dyn_state.t) i =
     match st.Dyn_state.direction with
-    | Dyn_state.Forward -> Dag.preds st.Dyn_state.dag i
-    | Dyn_state.Backward -> Dag.succs st.Dyn_state.dag i
+    | Dyn_state.Forward -> slow.preds.(i)
+    | Dyn_state.Backward -> slow.succs.(i)
 
-  let unscheduled_dir_preds st p =
+  let unscheduled_dir_preds slow st p =
     List.length
       (List.filter
          (fun (a : Dag.arc) ->
@@ -378,11 +381,11 @@ module Slow = struct
              | Dyn_state.Backward -> a.Dag.dst
            in
            not st.Dyn_state.scheduled.(parent))
-         (dir_preds st p))
+         (dir_preds slow st p))
 
   (* earliest execution time from first principles: the latest
      (issue time + arc delay) over scheduled direction-predecessors *)
-  let eet st i =
+  let eet slow st i =
     List.fold_left
       (fun m (a : Dag.arc) ->
         let p =
@@ -393,16 +396,16 @@ module Slow = struct
         if st.Dyn_state.scheduled.(p) then
           max m (st.Dyn_state.sched_time.(p) + a.Dag.latency)
         else m)
-      0 (dir_preds st i)
+      0 (dir_preds slow st i)
 
-  let single_parent_arcs st i =
-    List.filter (fun a -> unscheduled_dir_preds st (dir_peer st a) = 1)
-      (dir_succs st i)
+  let single_parent_arcs slow st i =
+    List.filter (fun a -> unscheduled_dir_preds slow st (dir_peer st a) = 1)
+      (dir_succs slow st i)
 
   let value (h : Heuristic.t) slow (st : Dyn_state.t) i =
     let dag = st.Dyn_state.dag in
     let model = Dag.model dag in
-    let succs = Dag.succs dag i and preds = Dag.preds dag i in
+    let succs = slow.succs.(i) and preds = slow.preds.(i) in
     let lats arcs = List.map (fun (a : Dag.arc) -> a.Dag.latency) arcs in
     let sum = List.fold_left ( + ) 0 in
     let maxl = List.fold_left max 0 in
@@ -415,10 +418,10 @@ module Slow = struct
               List.exists
                 (fun (a : Dag.arc) ->
                   dir_peer st a = i && a.Dag.latency > 1)
-                (dir_succs st last)
+                (dir_succs slow st last)
             then 1
             else 0)
-    | Heuristic.Earliest_execution_time -> eet st i
+    | Heuristic.Earliest_execution_time -> eet slow st i
     | Heuristic.Interlock_with_child ->
         if List.exists (fun (a : Dag.arc) -> a.Dag.latency > 1) succs then 1
         else 0
@@ -458,16 +461,16 @@ module Slow = struct
     | Heuristic.Delays_to_children Heuristic.Sum -> sum (lats succs)
     | Heuristic.Delays_to_children Heuristic.Max -> maxl (lats succs)
     | Heuristic.Num_single_parent_children ->
-        List.length (single_parent_arcs st i)
+        List.length (single_parent_arcs slow st i)
     | Heuristic.Sum_delays_to_single_parent_children ->
-        sum (lats (single_parent_arcs st i))
+        sum (lats (single_parent_arcs slow st i))
     | Heuristic.Num_uncovered_children ->
         List.length
           (List.filter
              (fun (a : Dag.arc) ->
                a.Dag.latency <= 1
-               && eet st (dir_peer st a) <= st.Dyn_state.time + 1)
-             (single_parent_arcs st i))
+               && eet slow st (dir_peer st a) <= st.Dyn_state.time + 1)
+             (single_parent_arcs slow st i))
     | Heuristic.Num_parents -> List.length preds
     | Heuristic.Delays_from_parents Heuristic.Sum -> sum (lats preds)
     | Heuristic.Delays_from_parents Heuristic.Max -> maxl (lats preds)
@@ -488,7 +491,7 @@ module Slow = struct
               List.exists
                 (fun (a : Dag.arc) ->
                   a.Dag.kind = Dep.Raw && dir_peer st a = i)
-                (dir_succs st last)
+                (dir_succs slow st last)
             then 1
             else 0)
     | Heuristic.Original_order -> i

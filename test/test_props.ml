@@ -266,7 +266,7 @@ let prop_delay_slot_safe seed =
       let branch = s.Schedule.order.(Array.length s.Schedule.order - 1) in
       List.for_all
         (fun (a : Dag.arc) -> a.kind = Dep.Ctl || a.dst <> branch)
-        (Dag.succs dag f.Delay_slot.filler)
+        (fst (adjacency dag)).(f.Delay_slot.filler)
 
 (* workload generation is deterministic *)
 let prop_generation_deterministic seed =
