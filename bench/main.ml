@@ -1,25 +1,16 @@
 (** Benchmark harness: regenerates every table and figure of the paper.
 
     Usage: [main.exe [experiment ...]] where experiment is one of
-    [table1 table2 table3 table4 table5 figure1 pairing levels window
-    transitive schedulers parallel fleet micro].  With no
-    arguments, everything runs in order.  [parallel] compares 1-domain
-    and N-domain batch scheduling and writes BENCH_parallel.json (domain
-    count overridable with DAGSCHED_BENCH_DOMAINS; DAGSCHED_BENCH_RUNS=1
-    for a smoke run); [fleet] pushes the whole nine-benchmark corpus
-    through worker OS processes (schedtool worker), checks the
-    aggregate against one in-process batch run, and writes
-    BENCH_fleet.json (worker count overridable with
-    DAGSCHED_BENCH_WORKERS; schedtool path with DAGSCHED_SCHEDTOOL);
-    [obs] measures the batch pipeline with tracing+metrics disabled vs
-    enabled over the same corpus and writes BENCH_obs.json (target:
-    under 5% overhead enabled); [explain] does the same for the
-    decision-provenance recorder and writes BENCH_explain.json (same
-    5% target); [pool] compares the old central-queue
-    dispatcher against the work-stealing deque pool (per-block and
-    chunked, chunk size overridable with DAGSCHED_BENCH_CHUNK) over the
-    same corpus and writes BENCH_pool.json (target: >= 10x lower total
-    pool.queue_wait_us per corpus run with chunking).
+    [table1 table2 table3 table4 table5 figure1 asymmetry pairing levels
+    window transitive schedulers optimal global superscalar delayslots
+    attributes reservation structure pressure obs].  With no arguments,
+    everything runs in order.  [obs] measures the overhead of the
+    in-library observability layer: the batch pipeline over the Table-3
+    corpus with every recorder off, with trace+metrics, with all
+    pillars, and with the explain decision recorder, interleaved, and
+    writes BENCH_obs.json (target: under 5% overhead enabled).  The
+    throughput of the whole pipeline and of the serve daemon is measured
+    by perfbench/, not here.
 
     Timing methodology mirrors the paper's: each benchmark's full
     instruction-scheduling pipeline (DAG construction, intermediate
@@ -39,24 +30,14 @@ let heading title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 (* ------------------------------------------------------------------ *)
-(* the pipeline under test: §6's configuration — "a simple forward
-   scheduling pass" driven by the backward static heuristics max path to
-   leaf, max delay to leaf and max delay to child *)
+(* the pipeline under test: §6's configuration, {!Batch.section6} — "a
+   simple forward scheduling pass" driven by the backward static
+   heuristics max path to leaf, max delay to leaf and max delay to child,
+   with memory resolved at the granularity the paper's tables reflect:
+   one independent resource per unique symbolic memory address
+   expression *)
 
-let section6_config =
-  {
-    Engine.direction = Dyn_state.Forward;
-    mode = Engine.Winnowing;
-    keys =
-      [ Engine.key Heuristic.Max_path_to_leaf;
-        Engine.key Heuristic.Max_delay_to_leaf;
-        Engine.key (Heuristic.Delays_to_children Heuristic.Max) ];
-  }
-
-(* The measured pipelines resolve memory at the granularity the paper's
-   tables reflect: one independent resource per unique symbolic memory
-   address expression. *)
-let paper_opts = { Opts.default with Opts.strategy = Disambiguate.Symbolic }
+let { Batch.engine = section6_config; opts = paper_opts; _ } = Batch.section6
 
 let section6_heuristics =
   List.map (fun k -> k.Engine.heuristic) section6_config.Engine.keys
@@ -499,243 +480,38 @@ let schedulers () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* parallel batch driver: 1 domain vs N domains over the Table 4/5
-   workloads, with a machine-readable BENCH_parallel.json so the perf
-   trajectory is tracked across PRs *)
-
-let parallel () =
-  heading "Parallel batch scheduling: 1 domain vs N domains";
-  let recommended = Pool.recommended () in
-  let n_domains, domains_src =
-    match Sys.getenv_opt "DAGSCHED_BENCH_DOMAINS" with
-    | Some s -> (
-        try (max 1 (int_of_string s), "from DAGSCHED_BENCH_DOMAINS")
-        with _ -> (recommended, "recommended on this host"))
-    | None -> (recommended, "recommended on this host")
-  in
-  Printf.printf
-    "(full pipeline per block — table-forward construction, §6 heuristics,\n\
-    \ forward scheduling, verification — fanned out on a domain pool;\n\
-    \ mean of %d runs; %d domains %s)\n" runs n_domains domains_src;
-  let t =
-    Table.create ~title:""
-      [ "benchmark"; "blocks"; "insns"; "1-domain ms";
-        Printf.sprintf "%d-domain ms" n_domains; "speedup" ]
-  in
-  let workloads =
-    [ Profiles.linpack; Profiles.tomcatv; Profiles.fpppp_1000; Profiles.fpppp ]
-  in
-  let rows =
-    List.map
-      (fun profile ->
-        let blocks = Profiles.generate profile in
-        let seq_s, seq_results =
-          Stats.time_runs ~runs (fun () ->
-              Batch.run ~domains:1 Batch.section6 blocks)
-        in
-        let par_s, par_results =
-          Stats.time_runs ~runs (fun () ->
-              Batch.run ~domains:n_domains Batch.section6 blocks)
-        in
-        (* inline differential check: parallelism must not change results *)
-        List.iter2
-          (fun (a : Batch.result) (b : Batch.result) ->
-            assert (Batch.strip_timing a = Batch.strip_timing b))
-          seq_results par_results;
-        let report = Batch.report ~domains:n_domains ~wall_s:par_s par_results in
-        let speedup = seq_s /. Float.max 1e-9 par_s in
-        Table.add_row t
-          [ profile.Profiles.name; string_of_int report.Batch.blocks;
-            string_of_int report.Batch.insns;
-            Table.fmt_float (1000.0 *. seq_s); Table.fmt_float (1000.0 *. par_s);
-            Table.fmt_float speedup ];
-        (profile.Profiles.name, seq_s, par_s, speedup, report))
-      workloads
-  in
-  Table.print t;
-  let json =
-    Stats.Json.Obj
-      [ ("experiment", Stats.Json.String "parallel");
-        ("runs", Stats.Json.Int runs);
-        ("domains", Stats.Json.Int n_domains);
-        ( "workloads",
-          Stats.Json.List
-            (List.map
-               (fun (name, seq_s, par_s, speedup, report) ->
-                 Stats.Json.Obj
-                   [ ("workload", Stats.Json.String name);
-                     ("seq_s", Stats.Json.Float seq_s);
-                     ("par_s", Stats.Json.Float par_s);
-                     ("speedup", Stats.Json.Float speedup);
-                     ("report", Batch.report_to_json report) ])
-               rows) ) ]
-  in
-  let path = "BENCH_parallel.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Stats.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" path;
-  if recommended = 1 then
-    Printf.printf
-      "(single-core host: the fan-out path is exercised but no speedup is\n\
-      \ physically available; on an N-core host expect ~min(N, blocks) on\n\
-      \ the large-block workloads)\n"
-
-(* ------------------------------------------------------------------ *)
-(* multi-process fleet: the nine-benchmark corpus through worker OS
-   processes, differentially checked against one in-process batch run,
-   with a machine-readable BENCH_fleet.json *)
-
-let fleet_bench () =
-  heading "Multi-process fleet: nine benchmarks across worker processes";
-  let schedtool =
-    match Sys.getenv_opt "DAGSCHED_SCHEDTOOL" with
-    | Some p -> p
-    | None ->
-        Filename.concat
-          (Filename.dirname Sys.executable_name)
-          (Filename.concat ".." (Filename.concat "bin" "schedtool.exe"))
-  in
-  if not (Sys.file_exists schedtool) then
-    Printf.printf
-      "schedtool binary not found at %s (set DAGSCHED_SCHEDTOOL); skipping\n"
-      schedtool
-  else begin
-    let n_workers =
-      match Sys.getenv_opt "DAGSCHED_BENCH_WORKERS" with
-      | Some s -> (try max 1 (int_of_string s) with _ -> 3)
-      | None -> 3
-    in
-    let corpus = Profiles.corpus Profiles.benchmarks in
-    Printf.printf
-      "(the whole Table-3 corpus — %d programs, one file each — partitioned\n\
-      \ across %d worker processes (schedtool worker), single-domain workers;\n\
-      \ DAGSCHED_BENCH_WORKERS overrides; aggregate checked against one\n\
-      \ in-process batch run)\n"
-      (List.length corpus) n_workers;
-    (* workers re-read the corpus from disk, so write each program out
-       with the block labels `schedtool gen` uses — without them the
-       blocks would merge on re-parse *)
-    let dir = Filename.temp_file "dagsched_bench_fleet" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o700;
-    let files =
-      List.map
-        (fun (name, blocks) ->
-          let path = Filename.concat dir (name ^ ".s") in
-          Out_channel.with_open_text path (fun oc ->
-              List.iter
-                (fun b ->
-                  Printf.fprintf oc "B%d:\n%s" b.Block.id
-                    (Parser.print_program (Block.to_list b)))
-                blocks);
-          path)
-        corpus
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) files;
-        try Sys.rmdir dir with Sys_error _ -> ())
-    @@ fun () ->
-    (* in-process reference over the same bytes the workers will read *)
-    let reread =
-      List.concat_map
-        (fun path ->
-          Cfg_builder.partition
-            (Parser.parse_program
-               (In_channel.with_open_text path In_channel.input_all)))
-        files
-    in
-    let _, reference = Batch.run_with_report ~domains:1 Batch.section6 reread in
-    let manifests =
-      Fleet.plan ~workers:n_workers ~algorithm:Builder.Table_forward
-        ~strategy:Disambiguate.Symbolic ~model:Latency.simple_risc.Latency.name
-        ~domains:1 files
-    in
-    let fleet_s, t =
-      Stats.time_runs ~runs:1 (fun () ->
-          Fleet.run ~worker:[| schedtool; "worker" |] ~corpus:files manifests)
-    in
-    let ints (r : Batch.report) =
-      ( r.Batch.blocks, r.Batch.insns, r.Batch.arcs, r.Batch.original_cycles,
-        r.Batch.scheduled_cycles, r.Batch.stalls )
-    in
-    (* inline differential check: process isolation must not change the
-       aggregate statistics, only the accounting *)
-    assert (Fleet.failed_shards t = []);
-    assert (ints t.Fleet.aggregate = ints reference);
-    let tbl =
-      Table.create ~title:""
-        [ "worker"; "files"; "blocks"; "insns"; "attempts"; "wall ms" ]
-    in
-    List.iter
-      (fun (l : Fleet.worker_log) ->
-        let blocks, insns =
-          match l.Fleet.report with
-          | Some r -> (string_of_int r.Batch.blocks, string_of_int r.Batch.insns)
-          | None -> ("-", "-")
-        in
-        Table.add_row tbl
-          [ string_of_int l.Fleet.shard;
-            string_of_int (List.length l.Fleet.files); blocks; insns;
-            string_of_int l.Fleet.attempts;
-            Table.fmt_float (1000.0 *. l.Fleet.wall_s) ])
-      t.Fleet.logs;
-    Table.print tbl;
-    Printf.printf
-      "fleet aggregate == in-process batch aggregate (%d blocks, %d -> %d \
-       cycles); %.1f ms wall\n"
-      t.Fleet.aggregate.Batch.blocks t.Fleet.aggregate.Batch.original_cycles
-      t.Fleet.aggregate.Batch.scheduled_cycles (1000.0 *. fleet_s);
-    let json =
-      Stats.Json.Obj
-        [ ("experiment", Stats.Json.String "fleet");
-          ("workers", Stats.Json.Int n_workers);
-          ("total_s", Stats.Json.Float fleet_s);
-          ("fleet", Fleet.to_json t);
-          ("reference", Batch.report_to_json reference) ]
-    in
-    let text = Stats.Json.to_string json in
-    (match Stats.Json.of_string text with
-    | Ok _ -> ()
-    | Error msg -> failwith ("BENCH_fleet.json does not parse back: " ^ msg));
-    let path = "BENCH_fleet.json" in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc text;
-        output_char oc '\n');
-    Printf.printf "wrote %s\n" path
-  end
-
-(* ------------------------------------------------------------------ *)
-(* observability overhead: the batch pipeline with tracing+metrics off
-   vs on over the Table-3 corpus, with a machine-readable BENCH_obs.json *)
+(* observability overhead: the batch pipeline with every recorder off,
+   trace+metrics, all pillars, and the explain decision recorder over the
+   Table-3 corpus, with a machine-readable BENCH_obs.json *)
 
 let obs_bench () =
-  heading "Observability overhead: off vs trace+metrics vs all pillars";
+  heading "Observability overhead: off vs trace+metrics vs all pillars vs explain";
   let corpus = Profiles.corpus Profiles.benchmarks in
   let blocks = List.concat_map snd corpus in
   Printf.printf
     "(full batch pipeline over the Table-3 corpus — %d programs, %d blocks —\n\
     \ single domain, mean of %d runs; target: enabled overhead under 5%%;\n\
-    \ results differentially checked against the untraced run)\n"
+    \ results differentially checked against the unrecorded run)\n"
     (List.length corpus) (List.length blocks) runs;
   let log_path = Filename.temp_file "dagsched_bench_log" ".jsonl" in
   let all_off () =
     Trace.disable ();
     Metrics.disable ();
     Obs_resource.disable ();
+    Explain.disable ();
     Log.set_level None;
     Log.close_sink ();
     Log.disable_heartbeat ();
     Trace.reset ();
     Metrics.reset ();
     Obs_resource.reset ();
+    Explain.reset ();
     Log.reset ()
   in
   (* Each timed run resets the recorders first: a real traced run holds
      one run's spans, so letting them accumulate across the benchmark's
      repetitions would charge the later runs GC pressure no real run
-     pays.  The three configurations are interleaved within each
+     pays.  The four configurations are interleaved within each
      iteration — on a shared host the baseline itself drifts by more
      than the overhead being measured, and pairing cancels the drift. *)
   let timed_run ~mode =
@@ -756,35 +532,34 @@ let obs_bench () =
         (match Log.set_sink ~append:false log_path with
         | Ok () -> ()
         | Error msg -> failwith ("bench log sink: " ^ msg));
-        Log.set_heartbeat ~interval_s:0.05 ());
+        Log.set_heartbeat ~interval_s:0.05 ()
+    | `Explain -> Explain.enable ());
     let t0 = Clock.now () in
     let r = Batch.run ~domains:1 Batch.section6 blocks in
     (Clock.since t0, r)
   in
   (* untimed warmup so no configuration pays first-run cache/GC costs *)
   ignore (timed_run ~mode:`Off);
-  let off_total = ref 0.0 and on_total = ref 0.0 and all_total = ref 0.0 in
-  let off_results = ref [] and on_results = ref [] and all_results = ref [] in
+  (* all-pillars runs last, so after the loop the recorders hold one
+     such run's spans, metrics and GC deltas (and the sink one run's
+     heartbeats); the explain registry is read right after its run *)
+  let modes = [| `Off; `Two; `Explain; `All |] in
+  let totals = Array.make (Array.length modes) 0.0 in
+  let results = Array.make (Array.length modes) [] in
+  let stats = ref [] in
   for _ = 1 to runs do
-    let d, r = timed_run ~mode:`Off in
-    off_total := !off_total +. d;
-    off_results := r;
-    let d, r = timed_run ~mode:`Two in
-    on_total := !on_total +. d;
-    on_results := r;
-    let d, r = timed_run ~mode:`All in
-    all_total := !all_total +. d;
-    all_results := r
+    Array.iteri
+      (fun i mode ->
+        let d, r = timed_run ~mode in
+        totals.(i) <- totals.(i) +. d;
+        results.(i) <- r;
+        if mode = `Explain then stats := Explain.snapshot ())
+      modes
   done;
-  let off_s = !off_total /. float_of_int runs
-  and on_s = !on_total /. float_of_int runs
-  and all_s = !all_total /. float_of_int runs
-  and off_results = !off_results
-  and on_results = !on_results
-  and all_results = !all_results in
-  (* the last timed run was all-pillars, so the recorders hold one such
-     run's spans, metrics and GC deltas (and the sink one run's
-     heartbeats) *)
+  let mean i = totals.(i) /. float_of_int runs in
+  let off_s = mean 0 and on_s = mean 1 and explain_s = mean 2
+  and all_s = mean 3 in
+  let stats = !stats in
   let spans = Trace.snapshot () in
   let snap = Metrics.snapshot () in
   let resource = Obs_resource.snapshot () in
@@ -797,18 +572,18 @@ let obs_bench () =
   in
   all_off ();
   (try Sys.remove log_path with Sys_error _ -> ());
-  (* inline differential check: observability must not change any
-     scheduling result, with every pillar on *)
-  List.iter2
-    (fun (a : Batch.result) (b : Batch.result) ->
-      assert (Batch.strip_timing a = Batch.strip_timing b))
-    off_results on_results;
-  List.iter2
-    (fun (a : Batch.result) (b : Batch.result) ->
-      assert (Batch.strip_timing a = Batch.strip_timing b))
-    off_results all_results;
+  (* inline differential check: no recorder may change any scheduling
+     result, with every pillar on or the decision recorder on *)
+  Array.iter
+    (fun rs ->
+      List.iter2
+        (fun (a : Batch.result) (b : Batch.result) ->
+          assert (Batch.strip_timing a = Batch.strip_timing b))
+        results.(0) rs)
+    results;
   let pct x = 100.0 *. ((x /. Float.max 1e-9 off_s) -. 1.0) in
-  let overhead_pct = pct on_s and all_overhead_pct = pct all_s in
+  let overhead_pct = pct on_s and all_overhead_pct = pct all_s
+  and explain_overhead_pct = pct explain_s in
   let t = Table.create ~title:"" [ "config"; "ms/run"; "overhead %" ] in
   Table.add_row t [ "disabled"; Table.fmt_float (1000.0 *. off_s); "-" ];
   Table.add_row t
@@ -817,14 +592,22 @@ let obs_bench () =
   Table.add_row t
     [ "all pillars"; Table.fmt_float (1000.0 *. all_s);
       Table.fmt_float all_overhead_pct ];
+  Table.add_row t
+    [ "explain"; Table.fmt_float (1000.0 *. explain_s);
+      Table.fmt_float explain_overhead_pct ];
   Table.print t;
+  let decisions =
+    List.fold_left (fun a (s : Explain.strategy_stat) -> a + s.Explain.decisions)
+      0 stats
+  in
   Printf.printf
     "%d spans, %d counters, %d histograms, %d resource phases, %d log\n\
-     events recorded per all-pillars run\n"
+     events recorded per all-pillars run; %d decisions across %d\n\
+     strategies recorded per explain run\n"
     (List.length spans)
     (List.length snap.Metrics.counters)
     (List.length snap.Metrics.histograms)
-    (List.length resource) heartbeats;
+    (List.length resource) heartbeats decisions (List.length stats);
   if overhead_pct > 5.0 then
     Printf.printf
       "(overhead above the 5%% target on this host — the run pays ~1M\n\
@@ -841,6 +624,8 @@ let obs_bench () =
         ("overhead_pct", Stats.Json.Float overhead_pct);
         ("all_pillars_s", Stats.Json.Float all_s);
         ("all_overhead_pct", Stats.Json.Float all_overhead_pct);
+        ("explain_s", Stats.Json.Float explain_s);
+        ("explain_overhead_pct", Stats.Json.Float explain_overhead_pct);
         ("heartbeats", Stats.Json.Int heartbeats);
         ("resource", Obs_resource.to_json resource);
         ("spans", Stats.Json.Int (List.length spans));
@@ -854,7 +639,9 @@ let obs_bench () =
                      ("total_us", Stats.Json.Float p.Trace.total_us);
                      ("max_us", Stats.Json.Float p.Trace.max_us) ])
                (Trace.summary spans)) );
-        ("metrics", Metrics.snapshot_to_json snap) ]
+        ("metrics", Metrics.snapshot_to_json snap);
+        ("decisions", Stats.Json.Int decisions);
+        ("decisiveness", Explain.to_json stats) ]
   in
   let text = Stats.Json.to_string json in
   (match Stats.Json.of_string text with
@@ -865,386 +652,6 @@ let obs_bench () =
       output_string oc text;
       output_char oc '\n');
   Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* explain overhead: the decision-provenance recorder off vs fully on
-   over the Table-3 corpus, with a machine-readable BENCH_explain.json *)
-
-let explain_bench () =
-  heading "Explain overhead: decision recorder off vs on";
-  let corpus = Profiles.corpus Profiles.benchmarks in
-  let blocks = List.concat_map snd corpus in
-  Printf.printf
-    "(full batch pipeline over the Table-3 corpus — %d programs, %d blocks —\n\
-    \ single domain, mean of %d runs; target: enabled overhead under 5%%;\n\
-    \ schedules differentially checked against the unrecorded run)\n"
-    (List.length corpus) (List.length blocks) runs;
-  let all_off () =
-    Explain.disable ();
-    Explain.reset ()
-  in
-  (* same pairing discipline as the obs benchmark: reset before each
-     timed run, interleave the two configurations within an iteration so
-     shared-host drift cancels *)
-  let timed_run ~mode =
-    all_off ();
-    (match mode with `Off -> () | `On -> Explain.enable ());
-    let t0 = Clock.now () in
-    let r = Batch.run ~domains:1 Batch.section6 blocks in
-    (Clock.since t0, r)
-  in
-  ignore (timed_run ~mode:`Off);
-  let off_total = ref 0.0 and on_total = ref 0.0 in
-  let off_results = ref [] and on_results = ref [] in
-  for _ = 1 to runs do
-    let d, r = timed_run ~mode:`Off in
-    off_total := !off_total +. d;
-    off_results := r;
-    let d, r = timed_run ~mode:`On in
-    on_total := !on_total +. d;
-    on_results := r
-  done;
-  let off_s = !off_total /. float_of_int runs
-  and on_s = !on_total /. float_of_int runs in
-  (* the last timed run was recorded, so the registry holds exactly one
-     corpus run's decisions *)
-  let stats = Explain.snapshot () in
-  all_off ();
-  List.iter2
-    (fun (a : Batch.result) (b : Batch.result) ->
-      assert (Batch.strip_timing a = Batch.strip_timing b))
-    !off_results !on_results;
-  let overhead_pct = 100.0 *. ((on_s /. Float.max 1e-9 off_s) -. 1.0) in
-  let t = Table.create ~title:"" [ "config"; "ms/run"; "overhead %" ] in
-  Table.add_row t [ "disabled"; Table.fmt_float (1000.0 *. off_s); "-" ];
-  Table.add_row t
-    [ "explain"; Table.fmt_float (1000.0 *. on_s);
-      Table.fmt_float overhead_pct ];
-  Table.print t;
-  let decisions =
-    List.fold_left (fun a (s : Explain.strategy_stat) -> a + s.Explain.decisions)
-      0 stats
-  in
-  Printf.printf "%d decisions across %d strategies recorded per run\n"
-    decisions (List.length stats);
-  if overhead_pct > 5.0 then
-    Printf.printf
-      "(overhead above the 5%% target on this host — one registry update\n\
-      \ per issued instruction; the target is judged on an unloaded host)\n";
-  let json =
-    Stats.Json.Obj
-      [ ("experiment", Stats.Json.String "explain");
-        ("runs", Stats.Json.Int runs);
-        ("blocks", Stats.Json.Int (List.length blocks));
-        ("disabled_s", Stats.Json.Float off_s);
-        ("enabled_s", Stats.Json.Float on_s);
-        ("overhead_pct", Stats.Json.Float overhead_pct);
-        ("decisions", Stats.Json.Int decisions);
-        ("decisiveness", Explain.to_json stats) ]
-  in
-  let text = Stats.Json.to_string json in
-  (match Stats.Json.of_string text with
-  | Ok _ -> ()
-  | Error msg -> failwith ("BENCH_explain.json does not parse back: " ^ msg));
-  let path = "BENCH_explain.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* pool dispatch overhead: the old central-queue pool vs the
-   work-stealing deque pool, per-block and chunked, over the Table-3
-   corpus, with a machine-readable BENCH_pool.json *)
-
-(* The baseline the deque pool replaced: one central queue, one lock,
-   every take contends on it, one task per item.  Kept here — not in
-   lib/ — purely as the bench yardstick.  It registers the same
-   pool.queue_wait_us / pool.task_run_us histogram names, so both pools
-   are measured by identical instruments.  Tasks are assumed not to
-   raise (the bench pipeline never does). *)
-module Central_pool = struct
-  let queue_wait_us = Metrics.histogram "pool.queue_wait_us"
-  let task_run_us = Metrics.histogram "pool.task_run_us"
-
-  type t = {
-    mutex : Mutex.t;
-    has_work : Condition.t;
-    all_done : Condition.t;
-    queue : (unit -> unit) Queue.t;
-    mutable pending : int;
-    mutable stop : bool;
-    mutable workers : unit Domain.t array;
-  }
-
-  let instrument task =
-    if not (Metrics.is_enabled ()) then task
-    else begin
-      let enqueued = Clock.now () in
-      fun () ->
-        let started = Clock.now () in
-        Metrics.observe_s queue_wait_us (started -. enqueued);
-        Fun.protect
-          ~finally:(fun () ->
-            Metrics.observe_s task_run_us (Clock.now () -. started))
-          task
-    end
-
-  let rec worker_loop pool =
-    Mutex.lock pool.mutex;
-    while Queue.is_empty pool.queue && not pool.stop do
-      Condition.wait pool.has_work pool.mutex
-    done;
-    match Queue.take_opt pool.queue with
-    | None -> Mutex.unlock pool.mutex (* stopping and drained *)
-    | Some task ->
-        Mutex.unlock pool.mutex;
-        (try task () with _ -> ());
-        Mutex.lock pool.mutex;
-        pool.pending <- pool.pending - 1;
-        if pool.pending = 0 then Condition.broadcast pool.all_done;
-        Mutex.unlock pool.mutex;
-        worker_loop pool
-
-  let create ~domains () =
-    let pool =
-      { mutex = Mutex.create (); has_work = Condition.create ();
-        all_done = Condition.create (); queue = Queue.create ();
-        pending = 0; stop = false; workers = [||] }
-    in
-    pool.workers <-
-      Array.init (max 1 domains) (fun _ ->
-          Domain.spawn (fun () -> worker_loop pool));
-    pool
-
-  let submit pool task =
-    let task = instrument task in
-    Mutex.lock pool.mutex;
-    pool.pending <- pool.pending + 1;
-    Queue.add task pool.queue;
-    Condition.signal pool.has_work;
-    Mutex.unlock pool.mutex
-
-  let wait pool =
-    Mutex.lock pool.mutex;
-    while pool.pending > 0 do
-      Condition.wait pool.all_done pool.mutex
-    done;
-    Mutex.unlock pool.mutex
-
-  let shutdown pool =
-    Mutex.lock pool.mutex;
-    pool.stop <- true;
-    Condition.broadcast pool.has_work;
-    Mutex.unlock pool.mutex;
-    Array.iter Domain.join pool.workers;
-    pool.workers <- [||]
-
-  let map_array ~domains f arr =
-    let pool = create ~domains () in
-    Fun.protect
-      ~finally:(fun () -> shutdown pool)
-      (fun () ->
-        let n = Array.length arr in
-        let out = Array.make n None in
-        for i = 0 to n - 1 do
-          submit pool (fun () -> out.(i) <- Some (f arr.(i)))
-        done;
-        wait pool;
-        Array.map (function Some v -> v | None -> assert false) out)
-end
-
-let pool_bench () =
-  heading "Pool dispatch: central queue vs work-stealing deques vs chunking";
-  let corpus = Profiles.corpus Profiles.benchmarks in
-  let blocks = Array.of_list (List.concat_map snd corpus) in
-  let domains =
-    match Sys.getenv_opt "DAGSCHED_BENCH_DOMAINS" with
-    | Some s -> (try max 1 (int_of_string s) with _ -> Pool.recommended ())
-    | None -> Pool.recommended ()
-  in
-  let chunk =
-    match Sys.getenv_opt "DAGSCHED_BENCH_CHUNK" with
-    | Some s -> (try max 1 (int_of_string s) with _ -> Pool.default_chunk)
-    | None -> Pool.default_chunk
-  in
-  Printf.printf
-    "(full §6 pipeline over the Table-3 corpus — %d blocks — on %d domains;\n\
-    \ chunk %d, DAGSCHED_BENCH_CHUNK overrides; metrics on throughout, so\n\
-    \ pool.queue_wait_us charges the time tasks sit queued; schedules\n\
-    \ differentially checked across all three dispatchers)\n"
-    (Array.length blocks) domains chunk;
-  let f block =
-    let dag = Builder.build Builder.Table_forward paper_opts block in
-    let annot = Static_pass.compute_for section6_heuristics dag in
-    Engine.run section6_config ~annot dag
-  in
-  let configs =
-    [ ("central-queue", fun () -> Central_pool.map_array ~domains f blocks);
-      ("deques chunk=1", fun () -> Pool.map_array ~domains ~chunk:1 f blocks);
-      ( Printf.sprintf "deques chunk=%d" chunk,
-        fun () -> Pool.map_array ~domains ~chunk f blocks ) ]
-  in
-  let k = List.length configs in
-  let wall = Array.make k 0.0 in
-  let qw_count = Array.make k 0 and qw_sum = Array.make k 0 in
-  let steals = Array.make k 0 and steal_fails = Array.make k 0 in
-  let chunk_tasks = Array.make k 0 in
-  let results = Array.make k None in
-  let hist name (snap : Metrics.snapshot) =
-    match
-      List.find_opt
-        (fun (h : Metrics.hist_snapshot) -> h.Metrics.name = name)
-        snap.Metrics.histograms
-    with
-    | Some h -> (h.Metrics.count, h.Metrics.sum)
-    | None -> (0, 0)
-  in
-  let counter name (snap : Metrics.snapshot) =
-    Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters)
-  in
-  (* one timed corpus run with a clean registry; the snapshot is exact
-     because map_array joins its pool before returning *)
-  let timed run_f =
-    Trace.disable ();
-    Metrics.reset ();
-    Metrics.enable ();
-    let t0 = Clock.now () in
-    let r = run_f () in
-    let d = Clock.since t0 in
-    let snap = Metrics.snapshot () in
-    Metrics.disable ();
-    Metrics.reset ();
-    (d, snap, r)
-  in
-  (* untimed warmup so no dispatcher pays first-run cache/GC costs; the
-     three configurations are interleaved within each iteration so host
-     drift cancels (same pairing argument as the obs bench) *)
-  ignore (timed (fun () -> Pool.map_array ~domains ~chunk f blocks));
-  for _ = 1 to runs do
-    List.iteri
-      (fun i (_, run_f) ->
-        let d, snap, r = timed run_f in
-        wall.(i) <- wall.(i) +. d;
-        let c, s = hist "pool.queue_wait_us" snap in
-        qw_count.(i) <- qw_count.(i) + c;
-        qw_sum.(i) <- qw_sum.(i) + s;
-        steals.(i) <- steals.(i) + counter "pool.steals" snap;
-        steal_fails.(i) <- steal_fails.(i) + counter "pool.steal_fails" snap;
-        chunk_tasks.(i) <- chunk_tasks.(i) + counter "pool.chunks" snap;
-        results.(i) <- Some r)
-      configs
-  done;
-  (* differential: all three dispatchers must produce identical
-     schedules for every block *)
-  let reference = Option.get results.(0) in
-  List.iteri
-    (fun i (name, _) ->
-      if Option.get results.(i) <> reference then
-        failwith (name ^ ": schedules differ from the central-queue run"))
-    configs;
-  let fruns = float_of_int runs in
-  let per_run a i = float_of_int a.(i) /. fruns in
-  let t =
-    Table.create ~title:""
-      [ "dispatcher"; "ms/run"; "qwait ms/run"; "qwait spans/run";
-        "us/span"; "steals/run"; "chunks/run" ]
-  in
-  List.iteri
-    (fun i (name, _) ->
-      Table.add_row t
-        [ name;
-          Table.fmt_float (1000.0 *. wall.(i) /. fruns);
-          Table.fmt_float (per_run qw_sum i /. 1000.0);
-          Table.fmt_float (per_run qw_count i);
-          Table.fmt_float (per_run qw_sum i /. Float.max 1.0 (per_run qw_count i));
-          Table.fmt_float (per_run steals i);
-          Table.fmt_float (per_run chunk_tasks i) ])
-    configs;
-  Table.print t;
-  (* the headline number: total time tasks spent queued, per identical
-     unit of work (one corpus run), old dispatcher vs new-with-chunking *)
-  let reduction =
-    per_run qw_sum 0 /. Float.max 1.0 (per_run qw_sum (k - 1))
-  in
-  Printf.printf
-    "queue-wait reduction (central-queue / deques chunk=%d): %.1fx\n\
-     (target: >= 10x per corpus run; chunking alone cuts span count ~%dx)\n"
-    chunk reduction chunk;
-  let json =
-    Stats.Json.Obj
-      [ ("experiment", Stats.Json.String "pool");
-        ("runs", Stats.Json.Int runs);
-        ("blocks", Stats.Json.Int (Array.length blocks));
-        ("domains", Stats.Json.Int domains);
-        ("chunk", Stats.Json.Int chunk);
-        ( "configs",
-          Stats.Json.List
-            (List.mapi
-               (fun i (name, _) ->
-                 Stats.Json.Obj
-                   [ ("name", Stats.Json.String name);
-                     ("wall_s", Stats.Json.Float (wall.(i) /. fruns));
-                     ("queue_wait_us_total", Stats.Json.Float (per_run qw_sum i));
-                     ("queue_wait_spans", Stats.Json.Float (per_run qw_count i));
-                     ("steals", Stats.Json.Float (per_run steals i));
-                     ("steal_fails", Stats.Json.Float (per_run steal_fails i));
-                     ("chunks", Stats.Json.Float (per_run chunk_tasks i)) ])
-               configs) );
-        ("queue_wait_reduction_x", Stats.Json.Float reduction) ]
-  in
-  let text = Stats.Json.to_string json in
-  (match Stats.Json.of_string text with
-  | Ok _ -> ()
-  | Error msg -> failwith ("BENCH_pool.json does not parse back: " ^ msg));
-  let path = "BENCH_pool.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc text;
-      output_char oc '\n');
-  Printf.printf "wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* bechamel micro-benchmarks: per-block construction cost *)
-
-let micro () =
-  heading "Bechamel micro-benchmarks: DAG construction per block";
-  let open Bechamel in
-  let blocks = Sweep.blocks ~sizes:[ 16; 64; 256; 1024 ] () in
-  let tests =
-    List.concat_map
-      (fun (size, block) ->
-        List.map
-          (fun alg ->
-            Test.make
-              ~name:(Printf.sprintf "%s/%d" (Builder.to_string alg) size)
-              (Staged.stage (fun () ->
-                   ignore (Builder.build alg paper_opts block))))
-          [ Builder.N2_forward; Builder.Table_forward; Builder.Table_backward;
-            Builder.Landskov; Builder.Reach_backward ])
-      blocks
-  in
-  let test = Test.make_grouped ~name:"construction" tests in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let t = Table.create ~title:"" [ "test"; "ns/run" ] in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      let estimate =
-        match Analyze.OLS.estimates o with
-        | Some (x :: _) -> Printf.sprintf "%.0f" x
-        | Some [] | None -> "n/a"
-      in
-      Table.add_row t [ name; estimate ])
-    (List.sort compare rows);
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
 (* extension (paper section 7 future work): branch-and-bound optimum *)
@@ -1632,314 +1039,6 @@ let pressure () =
     "(tighter limits trade cycles for fewer simultaneously live values,\n\
     \ the premise of integrated allocation/scheduling the paper cites)\n"
 
-(* ------------------------------------------------------------------ *)
-(* serve: daemon round-trip latency, cold (pipeline) vs warm (cache hit),
-   under N concurrent clients mixing Table-3 corpus and random traffic,
-   with a machine-readable BENCH_serve.json.  Target: warm p50 at least
-   10x below cold p50, with every warm response byte-identical to the
-   cold response that populated the cache. *)
-
-let serve_bench () =
-  heading "Scheduling as a service: daemon round trips, cold vs warm";
-  let schedtool =
-    match Sys.getenv_opt "DAGSCHED_SCHEDTOOL" with
-    | Some p -> p
-    | None ->
-        Filename.concat
-          (Filename.dirname Sys.executable_name)
-          (Filename.concat ".." (Filename.concat "bin" "schedtool.exe"))
-  in
-  if not (Sys.file_exists schedtool) then
-    Printf.printf
-      "schedtool binary not found at %s (set DAGSCHED_SCHEDTOOL); skipping\n"
-      schedtool
-  else begin
-    (* default concurrency scales with the host: extra clients on a
-       single-core box cannot overlap with the daemon, they only queue
-       behind each other and inflate round-trip tails (the daemon
-       services connections sequentially) *)
-    let clients =
-      match Sys.getenv_opt "DAGSCHED_BENCH_CLIENTS" with
-      | Some s -> (try max 1 (int_of_string s) with _ -> 4)
-      | None -> max 1 (min 4 (Pool.recommended () - 1))
-    in
-    let rounds = runs in
-    (* the request mix: a few Table-3 programs plus random generator
-       traffic, each rendered with the block labels `schedtool gen`
-       uses so the daemon re-parses the same block structure *)
-    let program_text blocks =
-      let buf = Buffer.create 4096 in
-      List.iter
-        (fun b ->
-          Buffer.add_string buf
-            (Printf.sprintf "B%d:\n%s" b.Block.id
-               (Parser.print_program (Block.to_list b))))
-        blocks;
-      Buffer.contents buf
-    in
-    let corpus_texts =
-      List.map
-        (fun (name, blocks) -> (name, program_text blocks))
-        (Profiles.corpus
-           [ Profiles.grep; Profiles.cccp; Profiles.linpack;
-             Profiles.tomcatv ])
-    in
-    let rng = Prng.create 0xbe5e7 in
-    let random_texts =
-      List.init 8 (fun i ->
-          let blocks =
-            List.init 32 (fun j ->
-                let size = Gen.sample_size rng ~avg:30.0 ~mx:120 ~tail_prob:0.1 in
-                Gen.block rng ~params:Gen.fp_loops ~id:j ~size ())
-          in
-          (Printf.sprintf "random%d" i, program_text blocks))
-    in
-    let texts = Array.of_list (corpus_texts @ random_texts) in
-    let payload_of text =
-      Stats.Json.to_string
-        (Serve.request_to_json
-           (Serve.Schedule
-              { text;
-                builder = Builder.Table_forward;
-                strategy = Disambiguate.Base_offset;
-                model = Latency.simple_risc }))
-    in
-    let payloads = Array.map (fun (_, t) -> payload_of t) texts in
-    Printf.printf
-      "(%d distinct programs — %d Table-3, %d random — over one daemon,\n\
-      \ cold pass then %d warm rounds from %d concurrent clients;\n\
-      \ DAGSCHED_BENCH_CLIENTS / DAGSCHED_BENCH_RUNS override)\n"
-      (Array.length texts) (List.length corpus_texts)
-      (List.length random_texts) rounds clients;
-    let dir = Filename.temp_file "dagsched_bench_serve" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o700;
-    let socket = Filename.concat dir "d.sock" in
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-    let pid =
-      Unix.create_process schedtool
-        [| schedtool; "serve"; "--socket"; socket; "-j"; "1" |]
-        Unix.stdin devnull devnull
-    in
-    Unix.close devnull;
-    (* readiness: ping until the daemon answers *)
-    let deadline = Clock.now () +. 10.0 in
-    let ping = {|{"op": "ping"}|} in
-    let rec await () =
-      match Serve.request_once ~socket ping with
-      | Ok _ -> ()
-      | Error _ when Clock.now () < deadline ->
-          Unix.sleepf 0.05;
-          await ()
-      | Error msg -> failwith ("serve daemon never came up: " ^ msg)
-    in
-    await ();
-    let request payload =
-      match Serve.request_once ~socket payload with
-      | Ok r -> r
-      | Error msg -> failwith ("serve request failed: " ^ msg)
-    in
-    let timed payload =
-      let t0 = Clock.now () in
-      let r = request payload in
-      (1e6 *. (Clock.now () -. t0), r)
-    in
-    (* cold pass: every program once, sequentially — all misses *)
-    let cold_responses = Array.make (Array.length texts) "" in
-    let cold_us =
-      Array.to_list
-        (Array.mapi
-           (fun i p ->
-             let us, r = timed p in
-             cold_responses.(i) <- r;
-             us)
-           payloads)
-    in
-    (* warm rounds: N concurrent clients, each walking the programs in
-       its own shuffled order — all hits, and every response must be
-       byte-identical to the cold one *)
-    let worker c =
-      let rng = Prng.create (0x5eed + c) in
-      let lats = ref [] and mismatches = ref 0 in
-      for _ = 1 to rounds do
-        let order = Array.init (Array.length payloads) Fun.id in
-        for i = Array.length order - 1 downto 1 do
-          let j = Prng.int rng (i + 1) in
-          let t = order.(i) in
-          order.(i) <- order.(j);
-          order.(j) <- t
-        done;
-        Array.iter
-          (fun i ->
-            let us, r = timed payloads.(i) in
-            lats := us :: !lats;
-            if not (String.equal r cold_responses.(i)) then incr mismatches)
-          order
-      done;
-      (!lats, !mismatches)
-    in
-    (* one client runs inline: spawning a lone worker domain only adds
-       cross-domain GC synchronization to every round trip *)
-    let results =
-      if clients = 1 then [ worker 0 ]
-      else
-        List.map Domain.join
-          (List.init clients (fun c -> Domain.spawn (fun () -> worker c)))
-    in
-    let warm_us = List.concat_map fst results in
-    let mismatches = List.fold_left (fun a (_, m) -> a + m) 0 results in
-    (* daemon-side counters, then drain it and check the exit code *)
-    let stats_response = request {|{"op": "stats"}|} in
-    let hits, misses =
-      match Stats.Json.of_string stats_response with
-      | Ok json -> (
-          match Stats.Json.member "cache" json with
-          | Some cache ->
-              let get k =
-                match Stats.Json.member k cache with
-                | Some (Stats.Json.Int n) -> n
-                | _ -> -1
-              in
-              (get "hits", get "misses")
-          | None -> (-1, -1))
-      | Error _ -> (-1, -1)
-    in
-    Unix.kill pid Sys.sigint;
-    let _, status = Unix.waitpid [] pid in
-    (if status <> Unix.WEXITED 130 then
-       Printf.printf "WARNING: daemon exit was not 130 after SIGINT\n");
-    let summarize us =
-      let a = Array.of_list us in
-      Array.sort compare a;
-      let n = Array.length a in
-      let pct p = a.(min (n - 1) (int_of_float (p *. float_of_int n))) in
-      let mean = Array.fold_left ( +. ) 0.0 a /. float_of_int (max 1 n) in
-      (n, mean, pct 0.50, pct 0.95, pct 0.99)
-    in
-    let cn, cmean, cp50, cp95, cp99 = summarize cold_us in
-    let wn, wmean, wp50, wp95, wp99 = summarize warm_us in
-    let speedup = cp50 /. wp50 in
-    (* service-observability overhead: the same warm traffic against a
-       daemon with everything on (windowed metrics, registry counters,
-       JSONL access log) and against --no-service-obs; one sequential
-       client so the delta is the instrumentation, not queueing *)
-    let warm_p50_with extra =
-      let socket = Filename.concat dir "obs.sock" in
-      let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      let pid =
-        Unix.create_process schedtool
-          (Array.append
-             [| schedtool; "serve"; "--socket"; socket; "-j"; "1" |]
-             extra)
-          Unix.stdin devnull devnull
-      in
-      Unix.close devnull;
-      let deadline = Clock.now () +. 10.0 in
-      let rec await () =
-        match Serve.request_once ~socket ping with
-        | Ok _ -> ()
-        | Error _ when Clock.now () < deadline ->
-            Unix.sleepf 0.05;
-            await ()
-        | Error msg -> failwith ("obs bench daemon never came up: " ^ msg)
-      in
-      await ();
-      let request payload =
-        match Serve.request_once ~socket payload with
-        | Ok r -> r
-        | Error msg -> failwith ("obs bench request failed: " ^ msg)
-      in
-      Array.iter (fun p -> ignore (request p)) payloads;
-      let lats = ref [] in
-      for _ = 1 to rounds do
-        Array.iter
-          (fun p ->
-            let t0 = Clock.now () in
-            ignore (request p);
-            lats := (1e6 *. (Clock.now () -. t0)) :: !lats)
-          payloads
-      done;
-      Unix.kill pid Sys.sigint;
-      ignore (Unix.waitpid [] pid);
-      let _, _, p50, _, _ = summarize !lats in
-      p50
-    in
-    let obs_on_p50 =
-      warm_p50_with
-        [| "--metrics"; "--access-log"; Filename.concat dir "access.jsonl" |]
-    in
-    let obs_off_p50 = warm_p50_with [| "--no-service-obs" |] in
-    let obs_overhead = (obs_on_p50 /. obs_off_p50) -. 1.0 in
-    let hit_rate =
-      if hits + misses <= 0 then 0.0
-      else float_of_int hits /. float_of_int (hits + misses)
-    in
-    let t =
-      Table.create ~title:"serve round trips"
-        [ "phase"; "requests"; "mean us"; "p50 us"; "p95 us"; "p99 us" ]
-    in
-    let row name (n, mean, p50, p95, p99) =
-      Table.add_row t
-        [ name; string_of_int n; Printf.sprintf "%.0f" mean;
-          Printf.sprintf "%.0f" p50; Printf.sprintf "%.0f" p95;
-          Printf.sprintf "%.0f" p99 ]
-    in
-    row "cold (pipeline)" (cn, cmean, cp50, cp95, cp99);
-    row "warm (cache)" (wn, wmean, wp50, wp95, wp99);
-    Table.print t;
-    Printf.printf
-      "warm p50 %.1fx below cold p50 (target >= 10x); hit rate %.3f; %s\n"
-      speedup hit_rate
-      (if mismatches = 0 then "all warm responses byte-identical"
-       else Printf.sprintf "%d WARM RESPONSE MISMATCHES" mismatches);
-    Printf.printf
-      "service obs overhead: warm p50 %.0f us on vs %.0f us off \
-       (%+.1f%%, target <= 5%%)\n"
-      obs_on_p50 obs_off_p50 (100.0 *. obs_overhead);
-    let phase_json (n, mean, p50, p95, p99) =
-      Stats.Json.Obj
-        [ ("requests", Stats.Json.Int n);
-          ("mean_us", Stats.Json.Float mean);
-          ("p50_us", Stats.Json.Float p50);
-          ("p95_us", Stats.Json.Float p95);
-          ("p99_us", Stats.Json.Float p99) ]
-    in
-    let json =
-      Stats.Json.Obj
-        [ ("experiment", Stats.Json.String "serve");
-          ("programs", Stats.Json.Int (Array.length texts));
-          ("clients", Stats.Json.Int clients);
-          ("rounds", Stats.Json.Int rounds);
-          ("cold", phase_json (cn, cmean, cp50, cp95, cp99));
-          ("warm", phase_json (wn, wmean, wp50, wp95, wp99));
-          ("speedup_p50", Stats.Json.Float speedup);
-          ( "cache",
-            Stats.Json.Obj
-              [ ("hits", Stats.Json.Int hits);
-                ("misses", Stats.Json.Int misses);
-                ("hit_rate", Stats.Json.Float hit_rate) ] );
-          ("warm_identical", Stats.Json.Bool (mismatches = 0));
-          ( "obs",
-            Stats.Json.Obj
-              [ ("warm_p50_on_us", Stats.Json.Float obs_on_p50);
-                ("warm_p50_off_us", Stats.Json.Float obs_off_p50);
-                ("obs_overhead_p50", Stats.Json.Float obs_overhead) ] ) ]
-    in
-    let text = Stats.Json.to_string json in
-    (match Stats.Json.of_string text with
-    | Ok _ -> ()
-    | Error msg -> failwith ("BENCH_serve.json does not parse back: " ^ msg));
-    let path = "BENCH_serve.json" in
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc text;
-        output_char oc '\n');
-    Printf.printf "wrote %s\n" path;
-    (try
-       Sys.readdir dir |> Array.iter (fun f -> Sys.remove (Filename.concat dir f));
-       Sys.rmdir dir
-     with Sys_error _ -> ())
-  end
-
 let experiments =
   [ ("table1", table1); ("table2", table2); ("table3", table3);
     ("table4", table4); ("table5", table5); ("figure1", figure1);
@@ -1950,9 +1049,7 @@ let experiments =
     ("superscalar", superscalar_bench); ("delayslots", delayslots);
     ("attributes", attributes); ("reservation", reservation_bench);
     ("structure", structure); ("pressure", pressure);
-    ("parallel", parallel); ("fleet", fleet_bench);
-    ("obs", obs_bench); ("explain", explain_bench); ("pool", pool_bench);
-    ("serve", serve_bench); ("micro", micro) ]
+    ("obs", obs_bench) ]
 
 let () =
   let requested =

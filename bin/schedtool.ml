@@ -1125,8 +1125,7 @@ let serve_cmd =
       & info [ "no-service-obs" ]
           ~doc:"Disable windowed request metrics (the $(b,metrics) op \
                 then answers empty windows).  Response bytes are \
-                identical either way; this exists as the overhead \
-                baseline for $(b,bench serve).")
+                identical either way.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -50,10 +50,12 @@ let transitive_arcs dag =
   Dag.iter_arcs
     (fun (arc : Dag.arc) ->
       let through_other =
-        Dag.fold_succ dag arc.src
-          (fun found mid _ _ ->
-            found || (mid <> arc.dst && Ds_util.Bitset.mem maps.(mid) arc.dst))
+        try
+          Dag.iter_succ dag arc.src (fun mid _ _ ->
+              if mid <> arc.dst && Ds_util.Bitset.mem maps.(mid) arc.dst then
+                raise_notrace Exit);
           false
+        with Exit -> true
       in
       if through_other then result := arc :: !result)
     dag;

@@ -23,17 +23,19 @@ let render ?(name = "dag") ?(highlight = []) dag =
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
   Buffer.add_string buf "  node [shape=box, fontname=\"monospace\", fontsize=10];\n";
   Buffer.add_string buf "  rankdir=TB;\n";
-  let transitive =
-    Closure.transitive_arcs dag
-    |> List.map (fun (a : Dag.arc) -> (a.src, a.dst))
-  in
+  let transitive = Hashtbl.create 64 in
+  List.iter
+    (fun (a : Dag.arc) -> Hashtbl.replace transitive (a.src, a.dst) ())
+    (Closure.transitive_arcs dag);
+  let highlighted = Hashtbl.create 16 in
+  List.iter (fun i -> Hashtbl.replace highlighted i ()) highlight;
   for i = 0 to Dag.length dag - 1 do
     let insn = Dag.insn dag i in
     let label =
       escape (Printf.sprintf "%d: %s" i (String.trim (Ds_isa.Insn.to_string insn)))
     in
     let style =
-      if List.mem i highlight then ", style=filled, fillcolor=lightyellow"
+      if Hashtbl.mem highlighted i then ", style=filled, fillcolor=lightyellow"
       else ""
     in
     Buffer.add_string buf (Printf.sprintf "  n%d [label=\"%s\"%s];\n" i label style)
@@ -41,7 +43,7 @@ let render ?(name = "dag") ?(highlight = []) dag =
   Dag.iter_arcs
     (fun (a : Dag.arc) ->
       let dashed =
-        if List.mem (a.src, a.dst) transitive then ", style=dashed" else ""
+        if Hashtbl.mem transitive (a.src, a.dst) then ", style=dashed" else ""
       in
       Buffer.add_string buf
         (Printf.sprintf "  n%d -> n%d [label=\"%s %d\", color=%s%s];\n" a.src

@@ -107,8 +107,8 @@ val run_with_report :
     round trip. *)
 val report_equal : report -> report -> bool
 
-(** JSON round trip for the report (the [BENCH_parallel.json] /
-    [schedtool batch --json] schema, documented in docs/FORMAT.md).
+(** JSON round trip for the report (the [schedtool batch --json]
+    schema, documented in docs/FORMAT.md).
     The writer encodes non-finite float fields as [null]; the reader
     maps [null] float fields back to [nan], so the round trip is total
     up to {!report_equal}. *)

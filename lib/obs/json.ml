@@ -1,5 +1,5 @@
 (** Hand-rolled JSON, used for the machine-readable perf reports
-    (BENCH_parallel.json, schedtool batch --json) and the observability
+    (BENCH_obs.json, schedtool batch --json) and the observability
     layer's trace/metrics serialization.  No external deps.
 
     Historically this lived in [Ds_util.Stats.Json]; it moved here so the

@@ -1,8 +1,8 @@
 (** Hand-rolled JSON, used for the machine-readable perf reports
-    ([BENCH_parallel.json], [BENCH_fleet.json], [schedtool batch/fleet
-    --json]) and for the observability layer's trace/metrics
-    serialization.  The writer emits floats with a representation that
-    reads back exactly and always carries a [.]/[e] so a round trip
+    ([BENCH_obs.json], [schedtool batch/fleet --json]) and for the
+    observability layer's trace/metrics serialization.  The writer
+    emits floats with a representation that reads back exactly and
+    always carries a [.]/[e] so a round trip
     preserves the [Int]/[Float] distinction.  JSON has no nan/infinity:
     every non-finite [Float] is encoded as [null] (so the writer can
     never produce invalid JSON), and readers of specific schemas may map

@@ -46,7 +46,7 @@ let merge a b =
 
 (* ------------------------------------------------------------------ *)
 (* Hand-rolled JSON, used for the machine-readable perf reports
-   (BENCH_parallel.json, schedtool batch --json).  The implementation
+   (BENCH_obs.json, schedtool batch --json).  The implementation
    lives in lib/obs (the observability layer serializes through it and
    sits below ds_util); this alias keeps every historical
    Ds_util.Stats.Json reference and type equality intact. *)

@@ -23,11 +23,11 @@ val of_ints : int list -> t
 val merge : t -> t -> t
 
 (** Hand-rolled JSON, used for the machine-readable perf reports
-    ([BENCH_parallel.json], [BENCH_fleet.json], [schedtool batch/fleet
-    --json]).  The implementation lives in {!Ds_obs.Json} (the
-    observability layer serializes traces and metrics through it and
-    sits below [ds_util]); this transparent alias preserves every
-    historical [Ds_util.Stats.Json] reference and type equality.  See
+    ([BENCH_obs.json], [schedtool batch/fleet --json]).  The
+    implementation lives in {!Ds_obs.Json} (the observability layer
+    serializes traces and metrics through it and sits below
+    [ds_util]); this transparent alias preserves every historical
+    [Ds_util.Stats.Json] reference and type equality.  See
     [lib/obs/json.mli] for the full contract (exact float round trips,
     non-finite floats as [null], total [of_string], typed decode
     errors with path-threaded field accessors). *)

@@ -2,26 +2,19 @@
 # Bench bit-rot smoke: run every bench experiment once, in quick mode.
 #
 # The bench harness regenerates every table/figure of the paper and the
-# perf-report JSON files, but nothing in tier-1 executes it, so a
+# observability-overhead report, but nothing in tier-1 executes it, so a
 # refactor can silently break an experiment.  This runner sweeps the
-# whole experiment roster with DAGSCHED_BENCH_RUNS=1 and a single
-# domain/worker so the sweep stays minutes-not-hours; any
-# experiment that exits non-zero fails the suite.
+# whole experiment roster with DAGSCHED_BENCH_RUNS=1 so the sweep stays
+# minutes-not-hours; any experiment that exits non-zero fails the suite.
 #
-# Usage: bench_smoke.sh path/to/bench/main.exe path/to/schedtool.exe
+# Usage: bench_smoke.sh path/to/bench/main.exe
 set -u
 
-BENCH="${1:?usage: bench_smoke.sh BENCH_EXE SCHEDTOOL_EXE}"
-SCHEDTOOL="${2:?usage: bench_smoke.sh BENCH_EXE SCHEDTOOL_EXE}"
-# the runner cds into a scratch dir, so the paths must survive that
+BENCH="${1:?usage: bench_smoke.sh BENCH_EXE}"
+# the runner cds into a scratch dir, so the path must survive that
 case "$BENCH" in /*) ;; *) BENCH="$PWD/$BENCH" ;; esac
-case "$SCHEDTOOL" in /*) ;; *) SCHEDTOOL="$PWD/$SCHEDTOOL" ;; esac
 
 export DAGSCHED_BENCH_RUNS=1
-export DAGSCHED_BENCH_DOMAINS=1
-export DAGSCHED_BENCH_WORKERS=1
-# the fleet and serve experiments spawn worker/daemon processes
-export DAGSCHED_SCHEDTOOL="$SCHEDTOOL"
 
 # run inside a scratch dir so the BENCH_*.json artifacts land out of
 # the source tree
@@ -48,14 +41,15 @@ for exp in $experiments; do
   fi
 done
 
-# the perf-report experiments must leave parseable JSON behind
-for f in BENCH_parallel.json BENCH_fleet.json \
-         BENCH_obs.json BENCH_explain.json BENCH_pool.json; do
-  if [ ! -s "$f" ]; then
-    echo "FAIL: $f missing or empty"
-    fail=1
-  fi
-done
+# the obs experiment must leave its report behind, explain columns
+# included
+if [ ! -s BENCH_obs.json ]; then
+  echo "FAIL: BENCH_obs.json missing or empty"
+  fail=1
+elif ! grep -q '"explain_overhead_pct"' BENCH_obs.json; then
+  echo "FAIL: BENCH_obs.json lacks explain_overhead_pct"
+  fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
   echo "bench smoke: FAILED"

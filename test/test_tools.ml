@@ -27,7 +27,35 @@ let test_dot_transitive_dashed () =
       (block_of_asm "add %o1, 1, %o2\nadd %o2, 1, %o2\nadd %o2, 1, %o3")
   in
   let dot = Dot.render dag in
-  check_bool "dashed transitive arc" true (contains ~needle:"style=dashed" dot)
+  check_bool "dashed transitive arc" true (contains ~needle:"style=dashed" dot);
+  (* random blocks under every builder: exactly the transitive arcs are
+     dashed, exactly the highlighted nodes are filled *)
+  List.iter
+    (fun seed ->
+      let block = random_block seed in
+      List.iter
+        (fun alg ->
+          let dag = Builder.build alg Opts.default block in
+          let highlight =
+            List.filter
+              (fun i -> (i + seed) mod 3 = 0)
+              (List.init (Dag.length dag) Fun.id)
+          in
+          let lines = String.split_on_char '\n' (Dot.render ~highlight dag) in
+          let label = Printf.sprintf "seed %d, %s" seed (Builder.to_string alg) in
+          check_int (label ^ ": dashed arcs")
+            (Closure.count_transitive_arcs dag)
+            (List.length (List.filter (contains ~needle:"style=dashed") lines));
+          Alcotest.(check (list int))
+            (label ^ ": filled nodes") highlight
+            (List.filter_map
+               (fun l ->
+                 if contains ~needle:"fillcolor=lightyellow" l then
+                   Some (Scanf.sscanf l " n%d " Fun.id)
+                 else None)
+               lines))
+        Builder.all)
+    (List.init 20 (fun i -> (3 * i) + 1))
 
 let test_dot_highlight () =
   let dag = dag_of_asm "nop\nnop" in
