@@ -529,7 +529,7 @@ let obs_bench () =
         Metrics.enable ();
         Obs_resource.enable ();
         Log.set_level (Some Log.Info);
-        (match Log.set_sink ~append:false log_path with
+        (match Log.set_sink log_path with
         | Ok () -> ()
         | Error msg -> failwith ("bench log sink: " ^ msg));
         Log.set_heartbeat ~interval_s:0.05 ()

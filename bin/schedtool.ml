@@ -123,7 +123,7 @@ let opts_of model strategy = { Opts.default with Opts.model; strategy }
 
 (* ------------------------------------------------------------------ *)
 (* observability: --trace / --metrics / --resource / --explain / --log /
-   --log-level / --progress on batch, fleet and serve *)
+   --log-level / --progress on batch and serve *)
 
 let trace_conv =
   let parse s =
@@ -185,11 +185,10 @@ let log_arg =
     value
     & opt (some log_path_conv) None
     & info [ "log" ] ~docv:"FILE"
-        ~doc:"Append structured JSONL events (one object per line) to \
-              $(docv): supervision decisions, worker heartbeats, \
-              diagnostics.  The file is written through on every event \
-              (O_APPEND, no buffering), so it survives crashes and kills; \
-              a fleet's workers share the same stream.")
+        ~doc:"Write structured JSONL events (one object per line) to \
+              $(docv), truncating it first: heartbeats and diagnostics.  \
+              The file is written through on every event (O_APPEND, no \
+              buffering), so it survives crashes and kills.")
 
 let log_level_conv =
   let parse s =
@@ -216,9 +215,7 @@ let progress_arg =
     value & flag
     & info [ "progress" ]
         ~doc:"Render live progress on stderr: blocks done/total, current \
-              phase, resident-set size — and, for a fleet, per-worker \
-              state with stall detection (a worker that stops \
-              heartbeating is flagged before its timeout kill).")
+              phase, resident-set size.")
 
 (* the obs flags, declared once; serve has no --explain *)
 type obs = {
@@ -240,10 +237,9 @@ let obs_term ~explain =
     $ (if explain then explain_arg else const false)
     $ log_arg $ log_level_arg $ progress_arg)
 
-(* --trace also turns the metrics registry on, so a traced fleet ships a
-   uniform obs payload home from every worker; only --metrics prints the
-   registry.  --progress echoes this process's heartbeats; a fleet
-   orchestrator has none of its own and renders its workers' instead. *)
+(* --trace also turns the metrics registry on (a traced serve daemon's
+   metrics op reports it); only --metrics prints the registry on
+   stderr.  --progress echoes this process's heartbeats on stderr. *)
 let obs_enable o =
   if o.trace <> None then Trace.enable ();
   if o.metrics || o.trace <> None then Metrics.enable ();
@@ -256,7 +252,7 @@ let obs_enable o =
   match o.log with
   | None -> ()
   | Some path -> (
-      match Log.set_sink ~append:false path with
+      match Log.set_sink path with
       | Ok () -> ()
       | Error msg ->
           Printf.eprintf "log error: %s\n" msg;
@@ -266,9 +262,6 @@ let span_parse file f =
   Trace.with_span ~cat:"cli" ~args:[ ("file", Json.String file) ] "parse" f
 
 let span_encode f = Trace.with_span ~cat:"cli" "json_encode" f
-
-let pid_name pid =
-  if pid = 0 then "orchestrator" else Printf.sprintf "worker %d" (pid - 1)
 
 (* Attach the resource-profiling snapshot to a report object when
    profiling is on, with the same round-trip self-check discipline as
@@ -342,14 +335,8 @@ let obs_finish o =
   | Some path ->
       let spans = Trace.snapshot () in
       let counters = Trace.snapshot_counters () in
-      let pids =
-        List.sort_uniq compare
-          (List.map (fun (s : Trace.span) -> s.Trace.pid) spans
-          @ List.map (fun (c : Trace.counter) -> c.Trace.cpid) counters)
-      in
       let json =
-        Trace.to_json ~pid_names:(List.map (fun p -> (p, pid_name p)) pids)
-          ~counters spans
+        Trace.to_json ~pid_names:[ (0, "schedtool") ] ~counters spans
       in
       let text = Stats.Json.to_string json ^ "\n" in
       (match Stats.Json.of_string text with
@@ -431,31 +418,6 @@ let obs_finish o =
     end
   end;
   if o.explain then explain_tables ()
-
-(* Encode a report (plus the resource/explain sections when those are
-   on), check that it reads back to an equal report — exit 3 otherwise;
-   [equal] is NaN-tolerant, since under structural [=] a valid report
-   with a NaN field would fail its own check — and write it to [path]
-   ('-' for stdout). *)
-let write_report ~what ~to_json ~of_json ~equal report path =
-  let text =
-    span_encode (fun () ->
-        Stats.Json.to_string (with_explain (with_resource (to_json report)))
-        ^ "\n")
-  in
-  (match Stats.Json.of_string text with
-  | Ok json
-    when (match of_json json with
-         | Ok report' -> equal report report'
-         | Error _ -> false) -> ()
-  | Ok _ ->
-      Printf.eprintf "internal error: %s JSON round trip mismatch\n" what;
-      exit 3
-  | Error msg ->
-      Printf.eprintf "internal error: %s JSON does not parse: %s\n" what msg;
-      exit 3);
-  if path = "-" then print_string text
-  else Out_channel.with_open_text path (fun oc -> output_string oc text)
 
 (* ------------------------------------------------------------------ *)
 (* gen *)
@@ -695,6 +657,32 @@ let chain_cmd =
 (* ------------------------------------------------------------------ *)
 (* batch: the parallel batch-scheduling driver *)
 
+(* Encode the report (plus the resource/explain sections when those are
+   on), check that it reads back to an equal report — exit 3 otherwise;
+   [Batch.report_equal] is NaN-tolerant, since under structural [=] a
+   valid report with a NaN field would fail its own check — and write
+   it to [path] ('-' for stdout). *)
+let write_report report path =
+  let text =
+    span_encode (fun () ->
+        Stats.Json.to_string
+          (with_explain (with_resource (Batch.report_to_json report)))
+        ^ "\n")
+  in
+  (match Stats.Json.of_string text with
+  | Ok json
+    when (match Batch.report_of_json json with
+         | Ok report' -> Batch.report_equal report report'
+         | Error _ -> false) -> ()
+  | Ok _ ->
+      Printf.eprintf "internal error: report JSON round trip mismatch\n";
+      exit 3
+  | Error msg ->
+      Printf.eprintf "internal error: report JSON does not parse: %s\n" msg;
+      exit 3);
+  if path = "-" then print_string text
+  else Out_channel.with_open_text path (fun oc -> output_string oc text)
+
 let batch_cmd =
   let run alg model strategy jobs json_path quiet obs files =
     obs_enable obs;
@@ -710,18 +698,16 @@ let batch_cmd =
     in
     let domains = if jobs <= 0 then Pool.recommended () else jobs in
     let results, report = Batch.run_with_report ~domains config blocks in
-    if not quiet then
+    (* --json - claims stdout for the report alone, so it stays one
+       JSON document *)
+    if not (quiet || json_path = Some "-") then
       List.iter
         (fun (r : Batch.result) ->
           Printf.printf "B%d: %d insns, %d arcs, %d -> %d cycles\n"
             r.Batch.block_id r.Batch.insns r.Batch.dag_arcs
             r.Batch.original_cycles r.Batch.cycles)
         results;
-    Option.iter
-      (write_report ~what:"report" ~to_json:Batch.report_to_json
-         ~of_json:Batch.report_of_json ~equal:Batch.report_equal
-         report)
-      json_path;
+    Option.iter (write_report report) json_path;
     Log.heartbeat ~force:true ~phase:"done" ~done_:report.Batch.blocks
       ~total:report.Batch.blocks ();
     Printf.eprintf
@@ -741,7 +727,8 @@ let batch_cmd =
       value
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the aggregate report as JSON ('-' for stdout).")
+          ~doc:"Write the aggregate report as JSON ('-' for stdout, \
+                replacing the per-block lines).")
   in
   let quiet =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress per-block lines.")
@@ -762,278 +749,6 @@ let batch_cmd =
     Term.(
       const run $ builder_arg $ model_arg $ strategy_arg $ jobs $ json_path
       $ quiet $ obs_term ~explain:true $ files)
-
-(* ------------------------------------------------------------------ *)
-(* worker: one fleet shard, driven by a manifest file *)
-
-let worker_cmd =
-  let run manifest_path =
-    (* pick up the orchestrator's DAGSCHED_OBS / DAGSCHED_LOG /
-       DAGSCHED_HEARTBEAT_S first, so even a sabotaged worker leaves its
-       last words in the shared log stream *)
-    Obs.init_from_env ();
-    (match Sys.getenv_opt "DAGSCHED_WORKER_SHARD" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some shard -> Log.set_context [ ("shard", Json.Int shard) ]
-        | None -> ())
-    | None -> ());
-    (* the crash-injection knob fires before any work so a sabotaged
-       worker looks like a worker that died early *)
-    Fleet.maybe_sabotage ();
-    Log.heartbeat ~force:true ~phase:"parse" ~done_:0 ~total:0 ();
-    let manifest =
-      match Stats.Json.of_string (read_input manifest_path) with
-      | Error msg ->
-          Printf.eprintf "manifest error: %s\n" msg;
-          exit 2
-      | Ok json -> (
-          match Fleet.manifest_of_json json with
-          | Error e ->
-              Printf.eprintf "manifest error: %s\n"
-                (Stats.Json.error_to_string e);
-              exit 2
-          | Ok m -> m)
-    in
-    let config =
-      match Fleet.config_of_manifest manifest with
-      | Ok c -> c
-      | Error msg ->
-          Printf.eprintf "manifest error: %s\n" msg;
-          exit 2
-    in
-    let blocks =
-      Trace.with_span ~cat:"cli"
-        ~args:
-          [ ( "files",
-              Json.List
-                (List.map (fun f -> Json.String f) manifest.Fleet.files) ) ]
-        "parse"
-        (fun () -> List.concat_map load_blocks manifest.Fleet.files)
-    in
-    let _, report =
-      Batch.run_with_report ~domains:manifest.Fleet.domains config blocks
-    in
-    Log.heartbeat ~force:true ~phase:"done" ~done_:report.Batch.blocks
-      ~total:report.Batch.blocks ();
-    let json = span_encode (fun () -> Batch.report_to_json report) in
-    (* ship the recorded spans/counters/metrics/resource rows home
-       inside the report: the orchestrator re-homes the trace events to
-       this shard's fleet pid and absorbs the rest (Fleet.parse_output);
-       readers that don't know the field ignore it *)
-    let json =
-      if
-        not
-          (Trace.enabled () || Metrics.is_enabled ()
-          || Obs_resource.is_enabled () || Explain.enabled ())
-      then json
-      else
-        match json with
-        | Json.Obj fields ->
-            let obs_fields =
-              [ ( "trace",
-                  Trace.to_json ~counters:(Trace.snapshot_counters ())
-                    (Trace.snapshot ()) );
-                ("metrics", Metrics.snapshot_to_json (Metrics.snapshot ())) ]
-              @ (if Obs_resource.is_enabled () then
-                   [ ( "resource",
-                       Obs_resource.to_json (Obs_resource.snapshot ()) ) ]
-                 else [])
-              @
-              if Explain.enabled () then
-                [ ("explain", Explain.to_json (Explain.snapshot ())) ]
-              else []
-            in
-            Json.Obj (fields @ [ ("obs", Json.Obj obs_fields) ])
-        | other -> other
-    in
-    print_string (Stats.Json.to_string json);
-    print_newline ()
-  in
-  let manifest_arg =
-    Arg.(
-      value & pos 0 string "-"
-      & info [] ~docv:"MANIFEST"
-          ~doc:"Shard manifest JSON ('-' for stdin): files + pipeline \
-                options, as written by $(b,schedtool fleet).")
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Run one fleet shard: read a manifest, run the batch pipeline over \
-          its files, print the aggregate report as JSON on stdout.  Spawned \
-          by $(b,schedtool fleet); usable standalone for debugging.")
-    Term.(const run $ manifest_arg)
-
-(* ------------------------------------------------------------------ *)
-(* fleet: shards as separate OS processes with supervision *)
-
-let timeout_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some t when Float.is_finite t && t > 0.0 -> Ok t
-    | _ -> Error (`Msg (Printf.sprintf "timeout must be a positive number of seconds, got %S" s))
-  in
-  Arg.conv (parse, fun fmt t -> Format.fprintf fmt "%g" t)
-
-let retries_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some r when r >= 0 -> Ok r
-    | _ -> Error (`Msg (Printf.sprintf "retries must be a non-negative integer, got %S" s))
-  in
-  Arg.conv (parse, fun fmt r -> Format.pp_print_int fmt r)
-
-let fleet_cmd =
-  let run alg model strategy jobs workers timeout retries backoff json_path
-      quiet obs files =
-    (* enabling before Fleet.run makes the orchestrator export
-       DAGSCHED_OBS (and the log stream variables) to its workers *)
-    obs_enable obs;
-    let files = if files = [] then [ "-" ] else files in
-    let domains = if jobs <= 0 then Pool.recommended () else jobs in
-    let workers = if workers <= 0 then List.length files else workers in
-    let manifests =
-      Fleet.plan ~workers ~algorithm:alg ~strategy
-        ~model:model.Latency.name ~domains files
-    in
-    let on_progress =
-      if not obs.progress then None
-      else
-        Some
-          (fun ps ->
-            List.iter
-              (fun (p : Fleet.progress) ->
-                Printf.eprintf
-                  "progress: worker %d %s, %d/%d blocks, %s, rss %d MB%s\n%!"
-                  p.Fleet.shard p.Fleet.state p.Fleet.done_blocks
-                  p.Fleet.total_blocks
-                  (if p.Fleet.phase = "" then "-" else p.Fleet.phase)
-                  (p.Fleet.rss_kb / 1024)
-                  (if p.Fleet.stalled then
-                     Printf.sprintf " STALLED (no heartbeat for %.1f s)"
-                       p.Fleet.beat_age_s
-                   else ""))
-              ps)
-    in
-    let options =
-      { Fleet.default_options with
-        Fleet.timeout_s = timeout; retries; backoff_s = backoff; on_progress }
-    in
-    let t =
-      Fleet.run ~options
-        ~worker:[| Sys.executable_name; "worker" |]
-        ~corpus:files manifests
-    in
-    if not quiet then
-      List.iter
-        (fun (l : Fleet.worker_log) ->
-          Printf.eprintf "worker %d: %s, %d attempt%s, %.1f ms%s\n"
-            l.Fleet.shard
-            (match l.Fleet.report with Some _ -> "ok" | None -> "FAILED")
-            l.Fleet.attempts
-            (if l.Fleet.attempts = 1 then "" else "s")
-            (1000.0 *. l.Fleet.wall_s)
-            (match l.Fleet.failures with
-            | [] -> ""
-            | fs ->
-                " ("
-                ^ String.concat "; " (List.map Fleet.failure_to_string fs)
-                ^ ")"))
-        t.Fleet.logs;
-    Option.iter
-      (write_report ~what:"fleet" ~to_json:Fleet.to_json ~of_json:Fleet.of_json
-         ~equal:Fleet.equal t)
-      json_path;
-    (* stdout: the timing-free summary — byte-stable across --workers /
-       --retries on a fault-free corpus (the full timed report goes to
-       --json) *)
-    if json_path <> Some "-" then
-      print_string
-        (span_encode (fun () ->
-             Stats.Json.to_string (Fleet.summary_to_json t) ^ "\n"));
-    let agg = t.Fleet.aggregate in
-    Printf.eprintf
-      "fleet: %d files, %d workers, %d blocks, %d -> %d cycles, %.1f ms wall%s\n"
-      (List.length files) t.Fleet.workers agg.Batch.blocks
-      agg.Batch.original_cycles agg.Batch.scheduled_cycles
-      (1000.0 *. agg.Batch.wall_s)
-      (match Fleet.failed_shards t with
-      | [] -> ""
-      | fs ->
-          Printf.sprintf ", %d shard%s FAILED" (List.length fs)
-            (if List.length fs = 1 then "" else "s"));
-    obs_finish obs;
-    if Fleet.failed_shards t <> [] then exit 4
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains per worker process (default 1: fleet \
-                parallelism comes from processes).")
-  in
-  let workers =
-    Arg.(
-      value & opt int 0
-      & info [ "w"; "workers" ] ~docv:"K"
-          ~doc:"Worker process count (0 or absent: one per input file).")
-  in
-  let timeout =
-    Arg.(
-      value
-      & opt timeout_conv Fleet.default_options.Fleet.timeout_s
-      & info [ "timeout" ] ~docv:"S"
-          ~doc:"Per-attempt wall-clock timeout in seconds (positive; a \
-                worker past it is killed and the attempt counts as failed).")
-  in
-  let retries =
-    Arg.(
-      value
-      & opt retries_conv Fleet.default_options.Fleet.retries
-      & info [ "retries" ] ~docv:"R"
-          ~doc:"Extra attempts per shard after the first fails \
-                (non-negative; exponential backoff between attempts).")
-  in
-  let backoff =
-    Arg.(
-      value
-      & opt timeout_conv Fleet.default_options.Fleet.backoff_s
-      & info [ "backoff" ] ~docv:"S"
-          ~doc:"Initial retry backoff in seconds (doubles per attempt).")
-  in
-  let json_path =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the full fleet report (aggregate + per-shard + \
-                supervision log) as JSON ('-' for stdout, replacing the \
-                summary).")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress per-worker lines.")
-  in
-  let files =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"FILE"
-          ~doc:"Assembly inputs forming the corpus (must be real files — \
-                workers re-read them).")
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:
-         "Partition a multi-file corpus across worker OS processes \
-          ($(b,schedtool worker)) with per-worker timeouts, retries with \
-          exponential backoff, and graceful degradation (a permanently \
-          failed shard is reported, not fatal to the rest; exit code 4).  \
-          Aggregate statistics match $(b,schedtool batch) over the same \
-          files for any $(b,--workers) and $(b,--retries).")
-    Term.(
-      const run $ builder_arg $ model_arg $ strategy_arg $ jobs $ workers
-      $ timeout $ retries $ backoff $ json_path $ quiet
-      $ obs_term ~explain:true $ files)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the scheduling daemon, and its client *)
@@ -1239,6 +954,23 @@ let client_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* top: live terminal dashboard over the metrics op *)
+
+(* top's --interval and --count *)
+let timeout_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some t when Float.is_finite t && t > 0.0 -> Ok t
+    | _ -> Error (`Msg (Printf.sprintf "timeout must be a positive number of seconds, got %S" s))
+  in
+  Arg.conv (parse, fun fmt t -> Format.fprintf fmt "%g" t)
+
+let retries_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some r when r >= 0 -> Ok r
+    | _ -> Error (`Msg (Printf.sprintf "retries must be a non-negative integer, got %S" s))
+  in
+  Arg.conv (parse, fun fmt r -> Format.pp_print_int fmt r)
 
 let top_cmd =
   let render m =
@@ -1822,6 +1554,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ gen_cmd; stats_cmd; build_cmd; schedule_cmd; compare_cmd;
-            optimal_cmd; chain_cmd; batch_cmd; worker_cmd;
-            fleet_cmd; serve_cmd; client_cmd; top_cmd; dot_cmd; gantt_cmd;
-            explain_cmd ]))
+            optimal_cmd; chain_cmd; batch_cmd; serve_cmd; client_cmd;
+            top_cmd; dot_cmd; gantt_cmd; explain_cmd ]))

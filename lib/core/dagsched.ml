@@ -44,8 +44,8 @@ module Pool = Ds_util.Pool
 
 (* observability: monotonic-leaning clock, span tracing (Chrome
    trace-event export), metrics registry, structured event log,
-   per-phase GC/heap profiling, cross-process enablement.  The GC
-   profiler is [Obs_resource] here because [Resource] names the ISA's
+   per-phase GC/heap profiling.  The GC profiler is [Obs_resource]
+   here because [Resource] names the ISA's
    machine-resource module below. *)
 module Json = Ds_obs.Json
 module Clock = Ds_obs.Clock
@@ -57,7 +57,6 @@ module Prom = Ds_obs.Prom
 module Frame = Ds_obs.Frame
 module Obs_resource = Ds_obs.Resource
 module Explain = Ds_obs.Explain
-module Obs = Ds_obs.Obs
 
 (* ISA *)
 module Reg = Ds_isa.Reg
@@ -116,10 +115,9 @@ module Reglimit = Ds_sched.Reglimit
 module Gantt = Ds_sched.Gantt
 module Emit = Ds_sched.Emit
 
-(* parallel batch driver + multi-process fleet +
-   scheduling-as-a-service daemon with its result cache *)
+(* parallel batch driver + scheduling-as-a-service daemon with its
+   result cache *)
 module Batch = Ds_driver.Batch
-module Fleet = Ds_driver.Fleet
 module Cache = Ds_driver.Cache
 module Serve = Ds_driver.Serve
 

@@ -52,9 +52,9 @@ exception Invalid_schedule of int * string
 let heuristics_of config =
   List.map (fun k -> k.Engine.heuristic) config.engine.Engine.keys
 
-(* live progress: when heartbeats are armed (fleet workers, --progress)
-   each finished block ticks a process-wide counter that Log.heartbeat
-   rate-limits into the log stream *)
+(* live progress: when heartbeats are armed (--progress) each finished
+   block ticks a process-wide counter that Log.heartbeat rate-limits
+   into the log stream *)
 let hb_done = Atomic.make 0
 let hb_total = Atomic.make 0
 
@@ -186,30 +186,6 @@ let report ~domains ~wall_s results =
     block_s_mean = Ds_util.Stats.mean times;
     block_s_max = Ds_util.Stats.max_value times }
 
-(* Per-report means weighted by block count reconstruct the corpus-level
-   mean exactly up to rounding (mean_i * n_i recovers each report's sum). *)
-let report_merge ~domains ~wall_s reports =
-  let blocks = ref 0 and insns = ref 0 and arcs = ref 0 in
-  let before = ref 0 and after = ref 0 and stalls = ref 0 in
-  let time_sum = ref 0.0 and time_max = ref 0.0 in
-  List.iter
-    (fun r ->
-      blocks := !blocks + r.blocks;
-      insns := !insns + r.insns;
-      arcs := !arcs + r.arcs;
-      before := !before + r.original_cycles;
-      after := !after + r.scheduled_cycles;
-      stalls := !stalls + r.stalls;
-      time_sum := !time_sum +. (r.block_s_mean *. float_of_int r.blocks);
-      if r.block_s_max > !time_max then time_max := r.block_s_max)
-    reports;
-  { domains; blocks = !blocks; insns = !insns; arcs = !arcs;
-    original_cycles = !before; scheduled_cycles = !after; stalls = !stalls;
-    wall_s;
-    block_s_mean =
-      (if !blocks = 0 then 0.0 else !time_sum /. float_of_int !blocks);
-    block_s_max = !time_max }
-
 (* The pool lives outside the timed region: wall_s covers scheduling
    work only, not domain spawn/join, so --jobs comparisons are fair. *)
 let run_with_report ?domains config blocks =
@@ -246,12 +222,12 @@ let report_to_json r =
       ("block_s_mean", Json.Float r.block_s_mean);
       ("block_s_max", Json.Float r.block_s_max) ]
 
-let report_of_json ?(path = []) json =
+let report_of_json json =
   (* get_float maps null back to nan: the writer encodes non-finite
      floats as null, so the round trip stays total (compare with
      report_equal) *)
-  let int_field k = Json.get_int ~path k json in
-  let float_field k = Json.get_float ~path k json in
+  let int_field k = Json.get_int ~path:[] k json in
+  let float_field k = Json.get_float ~path:[] k json in
   let ( let* ) = Result.bind in
   let* domains = int_field "domains" in
   let* blocks = int_field "blocks" in

@@ -87,13 +87,6 @@ type report = {
 
 val report : domains:int -> wall_s:float -> result list -> report
 
-(** [report_merge ~domains ~wall_s reports] folds per-worker reports
-    into one corpus-level aggregate with the measured corpus wall
-    [wall_s]: counters add, [block_s_mean] is the block-count-weighted
-    mean, [block_s_max] the max.  Merging [[]] yields the all-zero
-    report. *)
-val report_merge : domains:int -> wall_s:float -> report list -> report
-
 (** {!run} plus the aggregate, timing the whole batch.  The worker pool
     is created (and torn down) {e outside} the timed region, so
     [wall_s] measures scheduling work, not domain spawn cost. *)
@@ -116,10 +109,7 @@ val report_to_json : report -> Ds_util.Stats.Json.t
 
 (** The reader is total over arbitrary JSON values: malformed, truncated
     or wrong-schema input yields a typed {!Ds_util.Stats.Json.error}
-    naming the offending field — no exception escapes.  [path] prefixes
-    the error path when the report is embedded in a larger document
-    (e.g. a {!Fleet} report's [aggregate] field). *)
+    naming the offending field — no exception escapes. *)
 val report_of_json :
-  ?path:string list ->
   Ds_util.Stats.Json.t ->
   (report, Ds_util.Stats.Json.error) Stdlib.result

@@ -27,9 +27,9 @@
     events also bump the {!Ds_obs.Metrics} registry
     ([cache.hits]/[cache.misses]/[cache.evictions], plus the occupancy
     gauges [cache.bytes]/[cache.entries] maintained by deltas) when
-    metrics are enabled, so [--metrics] tables, the serve daemon's
-    [metrics] op and shipped fleet snapshots see them; gated off, they
-    cost one atomic read like every other instrumentation site.
+    metrics are enabled, so [--metrics] tables and the serve daemon's
+    [metrics] op see them; gated off, they cost one atomic read like
+    every other instrumentation site.
 
     Not thread-safe: the serve daemon services requests sequentially
     (its concurrency lives inside the request, on the domain pool). *)

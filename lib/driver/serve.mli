@@ -26,15 +26,14 @@
 
     {b Drain.}  SIGINT sets a flag: the in-flight request finishes and
     its response is written, the listener closes, the socket file is
-    unlinked, and {!run} returns [130] for the CLI to [exit] with —
-    the same discipline as the fleet's Ctrl-C path. *)
+    unlinked, and {!run} returns [130] for the CLI to [exit] with. *)
 
 (** {1 Crash injection} *)
 
 (** [DAGSCHED_SERVE_FAIL=raise:n] makes the first [n] schedule-request
     pipelines raise — the daemon must answer a typed [internal] error
-    and keep serving (regression-tested like the fleet's
-    [DAGSCHED_WORKER_FAIL]). *)
+    and keep serving (regression-tested in [test/test_serve_proto.ml]
+    and [test/test_serve.ml]). *)
 val fail_env : string
 
 (** {1 Requests and responses (the codec is exposed for tests)} *)

@@ -1,5 +1,5 @@
 (** Monotonic-leaning wall clock shared by every timing site (span
-    recorder, [Stats.time_runs], fleet supervision).  See clock.mli. *)
+    recorder, [Stats.time_runs], the serve daemon).  See clock.mli. *)
 
 (* Highest timestamp handed out so far, across all domains.  CAS on the
    boxed float: [compare_and_set] compares the box we just read, so a

@@ -1,10 +1,9 @@
 (** Monotonic-leaning wall clock.
 
     [Unix.gettimeofday] can step backwards (NTP slew, VM migration), and
-    naive [t1 -. t0] differences then go negative — which used to yield
-    nonsense per-attempt times in the fleet supervision log.  Every
-    timing site in the tree ({!Trace}, [Stats.time_runs], the fleet
-    supervisor) reads this shim instead:
+    naive [t1 -. t0] differences then go negative.  Every timing site
+    in the tree ({!Trace}, [Stats.time_runs], the serve daemon) reads
+    this shim instead:
 
     - {!now} never decreases across calls, even across domains (the
       highest value handed out so far is remembered and returned again
@@ -12,8 +11,7 @@
     - {!duration} clamps negative differences to [0.0].
 
     Timestamps remain ordinary wall-clock epoch seconds, so timelines
-    recorded by different processes on the same host stay comparable —
-    which is what lets a fleet merge worker traces into one timeline. *)
+    recorded by different processes on the same host stay comparable. *)
 
 (** Current time in epoch seconds; non-decreasing across calls and
     domains. *)

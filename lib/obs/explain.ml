@@ -266,60 +266,6 @@ let snapshot () =
 let reset () =
   with_registry (fun () -> List.iter Hashtbl.reset !all_tables)
 
-let absorb (s : stats) =
-  List.iter
-    (fun st ->
-      let c = find_cell ~signature:st.signature ~keys:st.keys in
-      c.cdecisions <- c.cdecisions + st.decisions;
-      c.cforced <- c.cforced + st.forced;
-      c.cties <- c.cties + st.tie_breaks;
-      c.coverruled <- c.coverruled + st.overruled;
-      let n = Array.length c.ckeys in
-      List.iter
-        (fun r ->
-          let i = r.rank - 1 in
-          if i >= 0 && i < n then begin
-            c.cconsulted.(i) <- c.cconsulted.(i) + r.consulted;
-            c.cdecided.(i) <- c.cdecided.(i) + r.decided;
-            c.celiminated.(i) <- c.celiminated.(i) + r.eliminated
-          end)
-        st.ranks)
-    s
-
-let merge (a : stats) (b : stats) =
-  let tbl : (string, cell) Hashtbl.t = Hashtbl.create 8 in
-  let put st =
-    let c =
-      match Hashtbl.find_opt tbl st.signature with
-      | Some c -> c
-      | None ->
-          let c = fresh_cell (Array.of_list st.keys) in
-          Hashtbl.add tbl st.signature c;
-          c
-    in
-    c.cdecisions <- c.cdecisions + st.decisions;
-    c.cforced <- c.cforced + st.forced;
-    c.cties <- c.cties + st.tie_breaks;
-    c.coverruled <- c.coverruled + st.overruled;
-    let n = Array.length c.ckeys in
-    List.iter
-      (fun r ->
-        let i = r.rank - 1 in
-        if i >= 0 && i < n then begin
-          c.cconsulted.(i) <- c.cconsulted.(i) + r.consulted;
-          c.cdecided.(i) <- c.cdecided.(i) + r.decided;
-          c.celiminated.(i) <- c.celiminated.(i) + r.eliminated
-        end)
-      st.ranks
-  in
-  List.iter put a;
-  List.iter put b;
-  Hashtbl.fold
-    (fun signature c acc ->
-      if c.cdecisions = 0 then acc else stat_of_cell signature c :: acc)
-    tbl []
-  |> List.sort (fun x y -> compare x.signature y.signature)
-
 let equal (a : stats) (b : stats) = a = b
 
 let never_consulted (st : strategy_stat) =

@@ -22,9 +22,7 @@
     atomics-gated off by default — a disabled {!observe} is one atomic
     read, schedules and reports are byte-identical — and sharded into
     per-domain cells on the hot path (the {!Metrics} idiom), merged by
-    {!snapshot} once the pool has quiesced.  Fleet workers ship their
-    snapshot home inside the report JSON and the orchestrator {!absorb}s
-    it, so a multi-process corpus run still yields one statistics block.
+    {!snapshot} once the pool has quiesced.
 
     This module is generic over the heuristic kit: heuristics are
     identified by their display strings, so [ds_obs] stays at the bottom
@@ -140,16 +138,6 @@ val snapshot : unit -> stats
 
 (** Drop all recorded statistics (the enabled state is unchanged). *)
 val reset : unit -> unit
-
-(** Add a shipped snapshot into the calling domain's cells.  Not gated
-    on {!enabled} — absorbing a worker's statistics is aggregation, not
-    instrumentation. *)
-val absorb : stats -> unit
-
-(** Pure merge of two snapshots (signature-keyed; rank lists must agree
-    on keys where signatures collide, which holds by construction since
-    the signature embeds the key order). *)
-val merge : stats -> stats -> stats
 
 val equal : stats -> stats -> bool
 

@@ -1,5 +1,5 @@
 (** Hand-rolled JSON, used for the machine-readable perf reports
-    ([BENCH_obs.json], [schedtool batch/fleet --json]) and for the
+    ([BENCH_obs.json], [schedtool batch --json]) and for the
     observability layer's trace/metrics serialization.  The writer
     emits floats with a representation that reads back exactly and
     always carries a [.]/[e] so a round trip
@@ -37,17 +37,16 @@ val type_name : t -> string
 (** Typed decode error: the path of object fields / list indices from
     the document root to the offending value, plus what went wrong.
     Produced by the schema readers ({!Ds_driver.Batch.report_of_json},
-    {!Ds_driver.Fleet.of_json}, the
-    {!Trace}/{!Metrics} readers) so a malformed document names the exact
-    field. *)
+    the {!Trace}/{!Metrics} readers) so a malformed document names the
+    exact field. *)
 type error = { path : string list; message : string }
 
-(** ["$.aggregate.blocks: expected an int, found a string"]. *)
+(** ["$.blocks: expected an int, found a string"]. *)
 val error_to_string : error -> string
 
 val decode_error : path:string list -> string -> ('a, error) result
 
-(** [index_seg "per_shard" 3] is ["per_shard[3]"]. *)
+(** [index_seg "ranks" 3] is ["ranks[3]"]. *)
 val index_seg : string -> int -> string
 
 (** Field accessors rooted at [path]: [get_* ~path k json] reads field

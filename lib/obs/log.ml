@@ -50,10 +50,6 @@ type event = {
   tid : int;
 }
 
-(* per-process context, appended to every event (workers: shard id) *)
-let context : (string * Json.t) list Atomic.t = Atomic.make []
-let set_context fs = Atomic.set context fs
-
 (* ------------------------------------------------------------------ *)
 (* per-domain ring buffers: each domain hashes to one of [n_rings]
    slots, so concurrent domains almost never contend on a lock, and a
@@ -106,9 +102,9 @@ let snapshot () =
 (* ------------------------------------------------------------------ *)
 (* sink: O_APPEND + one write(2) per line = signal-safe write-through.
    POSIX guarantees O_APPEND writes land whole at the end of the file,
-   so orchestrator and workers can share one stream.  [Sink] is the
-   reusable untorn-line writer; the module-level sink (below) and the
-   serve daemon's access log both build on it. *)
+   so concurrent domains never tear a line.  [Sink] is the reusable
+   untorn-line writer; the module-level sink (below) and the serve
+   daemon's access log both build on it. *)
 
 module Sink = struct
   type t = { s_path : string; s_fd : Unix.file_descr }
@@ -142,15 +138,13 @@ end
 
 let sink : Sink.t option Atomic.t = Atomic.make None
 
-let sink_path () = Option.map Sink.path (Atomic.get sink)
-
 let close_sink () =
   match Atomic.exchange sink None with
   | None -> ()
   | Some s -> Sink.close s
 
-let set_sink ~append path =
-  match Sink.open_ ~append path with
+let set_sink path =
+  match Sink.open_ ~append:false path with
   | Stdlib.Error _ as e -> e
   | Ok s ->
       close_sink ();
@@ -251,8 +245,7 @@ let emit ev =
   sink_write (Json.to_string (event_to_json ev))
 
 let make_event ?(fields = []) level ~scope msg =
-  { ts_s = Clock.now (); level; scope; msg;
-    fields = fields @ Atomic.get context;
+  { ts_s = Clock.now (); level; scope; msg; fields;
     pid = Lazy.force os_pid;
     tid = (Domain.self () :> int) }
 
@@ -338,104 +331,3 @@ let reset () =
       Mutex.unlock r.lock)
     rings;
   Atomic.set hb_last Float.neg_infinity
-
-(* ------------------------------------------------------------------ *)
-(* tailing *)
-
-type tail = {
-  t_path : string;
-  mutable t_fd : Unix.file_descr option;
-  t_buf : Buffer.t;
-}
-
-let tail_create path = { t_path = path; t_fd = None; t_buf = Buffer.create 256 }
-
-let tail_close t =
-  (match t.t_fd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-  | None -> ());
-  t.t_fd <- None
-
-let tail_fd t =
-  match t.t_fd with
-  | Some fd -> Some fd
-  | None -> (
-      match Unix.openfile t.t_path [ Unix.O_RDONLY ] 0 with
-      | fd ->
-          t.t_fd <- Some fd;
-          Some fd
-      | exception Unix.Unix_error _ -> None)
-
-let tail_poll t =
-  match tail_fd t with
-  | None -> []
-  | Some fd ->
-      let chunk = Bytes.create 8192 in
-      let rec drain () =
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes t.t_buf chunk 0 n;
-            drain ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-        | exception Unix.Unix_error _ -> ()
-      in
-      drain ();
-      (* split off complete lines; keep the partial tail buffered *)
-      let data = Buffer.contents t.t_buf in
-      let rec split acc start =
-        match String.index_from_opt data start '\n' with
-        | None ->
-            Buffer.clear t.t_buf;
-            Buffer.add_substring t.t_buf data start (String.length data - start);
-            List.rev acc
-        | Some nl ->
-            split (String.sub data start (nl - start) :: acc) (nl + 1)
-      in
-      let lines = split [] 0 in
-      List.filter_map
-        (fun line ->
-          if String.trim line = "" then None
-          else
-            match Json.of_string line with
-            | Stdlib.Error _ -> None
-            | Ok json -> (
-                match event_of_json json with
-                | Ok ev -> Some ev
-                | Stdlib.Error _ -> None))
-        lines
-
-(* ------------------------------------------------------------------ *)
-(* cross-process enablement *)
-
-let env_path = "DAGSCHED_LOG"
-let env_level = "DAGSCHED_LOG_LEVEL"
-let env_heartbeat = "DAGSCHED_HEARTBEAT_S"
-
-let env_exports () =
-  (match sink_path () with Some p -> [ env_path ^ "=" ^ p ] | None -> [])
-  @ (match level () with
-    | Some l -> [ env_level ^ "=" ^ level_to_string l ]
-    | None -> [])
-  @
-  let i = Atomic.get hb_interval in
-  if Float.is_nan i then [] else [ Printf.sprintf "%s=%g" env_heartbeat i ]
-
-let init_from_env () =
-  (match Sys.getenv_opt env_level with
-  | Some s -> ( match level_of_string s with Some l -> set_level (Some l) | None -> ())
-  | None -> ());
-  (match Sys.getenv_opt env_path with
-  | None | Some "" -> ()
-  | Some path ->
-      (* the stream is shared with the orchestrator: append, never
-         truncate; a worker that cannot open it still runs *)
-      (match set_sink ~append:true path with Ok () -> () | Stdlib.Error _ -> ());
-      if level () = None then set_level (Some Info));
-  match Sys.getenv_opt env_heartbeat with
-  | None | Some "" -> ()
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some i when Float.is_finite i && i >= 0.0 ->
-          set_heartbeat ~interval_s:i ()
-      | _ -> ())

@@ -2,20 +2,19 @@
     pillar next to {!Trace} (spans) and {!Metrics} (counters).
 
     An {e event} is one structured record: timestamp, level, scope
-    (["fleet"], ["worker"], ["shard"], ["heartbeat"]), a short stable
-    message, and free-form JSON fields.  Events are kept in per-domain
+    (["batch"], ["serve"], ["heartbeat"]), a short stable message,
+    and free-form JSON fields.  Events are kept in per-domain
     ring buffers (bounded, lock per ring — never on a shared registry)
     and, when a {e sink} is attached, appended to a JSONL file as one
     line per event.
 
     {b Crash forensics.}  The sink is an [O_APPEND] file descriptor and
     every event is written with a single [write(2)] — there is no
-    userspace buffering to flush, so the log survives SIGKILL, a fleet
-    timeout kill, or a power-of-the-process event mid-run: whatever was
-    logged before the kill is on disk, whole lines stay whole (POSIX
-    atomic appends), and several processes (fleet orchestrator plus all
-    its workers) can share one stream.  A reader that hits a torn final
-    line uses {!events_of_jsonl_prefix}.
+    userspace buffering to flush, so the log survives SIGKILL or a
+    power-of-the-process event mid-run: whatever was logged before the
+    kill is on disk, and whole lines stay whole (POSIX atomic appends)
+    even with several domains logging at once.  A reader that hits a
+    torn final line uses {!events_of_jsonl_prefix}.
 
     {b Gating.}  Logging is disabled by default; {!log} costs one atomic
     read until {!set_level} arms it, so report bytes are identical with
@@ -24,10 +23,8 @@
     {b Heartbeats} are progress events (scope ["heartbeat"]): blocks
     done/total, current phase, resident-set size.  They are gated by
     their own interval ({!set_heartbeat}), not the level threshold, and
-    rate-limited at the emission site — a worker ticks once per block
-    and the limiter drops all but ~1/interval of them.  The fleet
-    orchestrator tails the shared stream ({!tail_create}/{!tail_poll})
-    to drive [--progress] and stall detection. *)
+    rate-limited at the emission site — the batch driver ticks once
+    per block and the limiter drops all but ~1/interval of them. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -52,9 +49,9 @@ val enabled : level -> bool
 type event = {
   ts_s : float;                    (** {!Clock.now}, epoch seconds *)
   level : level;
-  scope : string;                  (** subsystem, e.g. ["fleet"] *)
+  scope : string;                  (** subsystem, e.g. ["heartbeat"] *)
   msg : string;                    (** short, stable; details in fields *)
-  fields : (string * Json.t) list; (** free-form, context appended *)
+  fields : (string * Json.t) list; (** free-form *)
   pid : int;                       (** OS process id *)
   tid : int;                       (** OCaml domain id *)
 }
@@ -65,17 +62,13 @@ type event = {
     must not take down the pipeline). *)
 val log : ?fields:(string * Json.t) list -> level -> scope:string -> string -> unit
 
-(** Fields appended to every subsequent event from this process (a fleet
-    worker sets [("shard", Int n)]).  Replaces the previous context. *)
-val set_context : (string * Json.t) list -> unit
-
 (** Ring contents in deterministic order (timestamp, then pid/tid and
     content), oldest first; each ring keeps the most recent events
     (bounded), so this is the in-memory tail, not the full history. *)
 val snapshot : unit -> event list
 
-(** Drop ring contents and heartbeat rate-limiter state.  Level, sink
-    and context are untouched. *)
+(** Drop ring contents and heartbeat rate-limiter state.  Level and
+    sink are untouched. *)
 val reset : unit -> unit
 
 (** {1 Sink}
@@ -103,13 +96,11 @@ module Sink : sig
   val close : t -> unit
 end
 
-(** [set_sink ~append path] opens [path] ([O_APPEND]; truncated first
-    unless [append]) and routes every subsequent event to it as one
-    JSONL line.  Replaces (and closes) any previous sink.  [Error] with
-    the system message when the path cannot be opened. *)
-val set_sink : append:bool -> string -> (unit, string) result
-
-val sink_path : unit -> string option
+(** [set_sink path] truncates [path], opens it [O_APPEND] and routes
+    every subsequent event to it as one JSONL line.  Replaces (and
+    closes) any previous sink.  [Error] with the system message when
+    the path cannot be opened. *)
+val set_sink : string -> (unit, string) result
 
 (** Close and detach the sink (no-op without one). *)
 val close_sink : unit -> unit
@@ -119,7 +110,7 @@ val close_sink : unit -> unit
 (** Arm heartbeat emission: at most one heartbeat per [interval_s]
     (clamped to [>= 0]) is recorded.  [echo] additionally prints a
     human ["progress: ..."] line on stderr per recorded heartbeat (the
-    in-process [--progress] renderer; fleet workers leave it off). *)
+    [--progress] renderer). *)
 val set_heartbeat : ?echo:bool -> interval_s:float -> unit -> unit
 
 val disable_heartbeat : unit -> unit
@@ -127,9 +118,9 @@ val disable_heartbeat : unit -> unit
 val heartbeat_enabled : unit -> bool
 
 (** [heartbeat ~phase ~done_ ~total ()] records a progress event (scope
-    ["heartbeat"], fields [phase]/[done]/[total]/[rss_kb] plus context)
-    subject to the rate limit; [~force:true] bypasses the limit (final
-    "done" beats, a sabotaged worker's last gasp).  No-op unless
+    ["heartbeat"], fields [phase]/[done]/[total]/[rss_kb]) subject to
+    the rate limit; [~force:true] bypasses the limit (final "done"
+    beats).  No-op unless
     {!set_heartbeat} armed it.  Heartbeats bypass the level threshold —
     they are progress data, not diagnostics. *)
 val heartbeat : ?force:bool -> phase:string -> done_:int -> total:int -> unit -> unit
@@ -157,47 +148,3 @@ val events_of_jsonl : string -> (event list, Json.error) result
     whole input parsed).  Never errors — this is what reads a log whose
     writer was SIGKILLed mid-line. *)
 val events_of_jsonl_prefix : string -> event list * string option
-
-(** {1 Tailing}
-
-    Incremental reader over a growing JSONL file — the fleet
-    orchestrator polls the shared stream for worker heartbeats while
-    the workers are still writing it. *)
-
-type tail
-
-val tail_create : string -> tail
-
-(** Newly appended complete events since the last poll.  A partial
-    final line is buffered until its newline arrives; malformed
-    complete lines are skipped.  A file that does not exist yet yields
-    [[]] until it appears. *)
-val tail_poll : tail -> event list
-
-val tail_close : tail -> unit
-
-(** {1 Cross-process enablement}
-
-    The fleet orchestrator exports these to its workers; {!Obs.init_from_env}
-    applies them ([schedtool worker] calls it before any work). *)
-
-(** ["DAGSCHED_LOG"] — sink path (workers open it append-mode). *)
-val env_path : string
-
-(** ["DAGSCHED_LOG_LEVEL"] — level name. *)
-val env_level : string
-
-(** ["DAGSCHED_HEARTBEAT_S"] — heartbeat interval in seconds. *)
-val env_heartbeat : string
-
-(** [KEY=value] bindings describing this process's current sink path,
-    level and heartbeat interval — what an orchestrator exports so its
-    workers log into the same stream. *)
-val env_exports : unit -> string list
-
-(** Apply [DAGSCHED_LOG] / [DAGSCHED_LOG_LEVEL] / [DAGSCHED_HEARTBEAT_S]:
-    sink (append mode — the stream is shared), level (defaults to
-    [Info] when only a path is given), heartbeat interval.  Unset or
-    malformed variables are ignored; a sink that cannot be opened is
-    ignored too (a worker must still run). *)
-val init_from_env : unit -> unit

@@ -189,29 +189,6 @@ let snapshot () =
       in
       { counters; histograms })
 
-let absorb s =
-  (* raw adds into the calling domain's cells, not gated on [enabled]:
-     absorbing a worker's shipped snapshot is an explicit aggregation
-     step, not instrumentation *)
-  List.iter
-    (fun (name, v) ->
-      let c = counter name in
-      let cell = Domain.DLS.get c.ckey in
-      cell.cv <- cell.cv + v)
-    s.counters;
-  List.iter
-    (fun (hs : hist_snapshot) ->
-      let h = histogram hs.name in
-      let cell = Domain.DLS.get h.hkey in
-      cell.hcount <- cell.hcount + hs.count;
-      cell.hsum <- cell.hsum + hs.sum;
-      List.iter
-        (fun (le, n) ->
-          let i = bucket_index le in
-          cell.hbuckets.(i) <- cell.hbuckets.(i) + n)
-        hs.buckets)
-    s.histograms
-
 let snapshot_equal (a : snapshot) (b : snapshot) = a = b
 
 (* ------------------------------------------------------------------ *)

@@ -18,10 +18,7 @@
     every snapshot in this tree happens.
 
     Enabled state, like {!Trace}'s, is per process: [schedtool] enables
-    it when [--metrics] (or [--trace]) is given, and fleet workers
-    inherit it through the [DAGSCHED_OBS] environment variable, shipping
-    their {!snapshot} home inside the worker report for the orchestrator
-    to {!absorb}. *)
+    it when [--metrics] (or [--trace]) is given. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -97,12 +94,6 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-
-(** Add a snapshot's values into the live registry (creating handles as
-    needed).  Not gated on {!is_enabled}: this is the fleet
-    orchestrator's explicit merge of a worker's shipped metrics, not
-    instrumentation. *)
-val absorb : snapshot -> unit
 
 val snapshot_equal : snapshot -> snapshot -> bool
 

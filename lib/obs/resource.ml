@@ -141,21 +141,6 @@ let reset () =
   Mutex.unlock registry_mutex;
   Atomic.set last_counter neg_infinity
 
-let absorb rows =
-  Mutex.lock registry_mutex;
-  List.iter
-    (fun r ->
-      let a = find_acc r.phase in
-      a.a_calls <- a.a_calls + r.calls;
-      a.a_minor <- a.a_minor +. r.minor_words;
-      a.a_promoted <- a.a_promoted +. r.promoted_words;
-      a.a_major <- a.a_major +. r.major_words;
-      a.a_minor_c <- a.a_minor_c + r.minor_collections;
-      a.a_major_c <- a.a_major_c + r.major_collections;
-      if r.top_heap_words > a.a_top_heap then a.a_top_heap <- r.top_heap_words)
-    rows;
-  Mutex.unlock registry_mutex
-
 let stat_equal a b =
   a.phase = b.phase && a.calls = b.calls
   && Float.equal a.minor_words b.minor_words

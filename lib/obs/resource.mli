@@ -5,9 +5,9 @@
     with [Gc.quick_stat] and accumulates the deltas — minor/promoted/
     major words, minor/major collections, heap high-water — into a
     registry keyed by phase name ([dag_build], [heur_static],
-    [schedule], [verify], [merge]); an optional [detail] (the DAG
-    builder name) accumulates the same delta under
-    ["phase/detail"] too, giving per-builder attribution.
+    [schedule], [verify]); an optional [detail] (the DAG builder name)
+    accumulates the same delta under ["phase/detail"] too, giving
+    per-builder attribution.
 
     Word counts are as seen by the {e executing domain} (OCaml 5 keeps
     allocation counters per domain); collection counts and heap words
@@ -17,8 +17,7 @@
 
     Disabled by default: {!with_phase} is [f ()] plus one atomic read,
     so report bytes are untouched — same gating discipline as
-    {!Trace}/{!Metrics}.  Enabled by [schedtool --resource] (and in
-    fleet workers via the ["resource"] token in [DAGSCHED_OBS]); the
+    {!Trace}/{!Metrics}.  Enabled by [schedtool --resource]; the
     snapshot is exported in the report JSON (["resource"] field) and,
     when tracing is also on, each phase end emits {!Trace.record_counter}
     events so Perfetto renders heap/GC counter tracks alongside the
@@ -51,11 +50,6 @@ val snapshot : unit -> phase_stat list
 
 (** Zero the registry (enabled state unchanged). *)
 val reset : unit -> unit
-
-(** Add rows into the live registry (summing; [top_heap_words] by max).
-    Not gated on {!is_enabled} — this is the fleet orchestrator's
-    explicit merge of a worker's shipped snapshot. *)
-val absorb : phase_stat list -> unit
 
 (** Field-wise, NaN-tolerant on the float fields. *)
 val equal : phase_stat list -> phase_stat list -> bool

@@ -49,10 +49,6 @@ let reset () =
   Array.iter (fun c -> Atomic.set c []) span_slots;
   Array.iter (fun c -> Atomic.set c []) counter_slots
 
-let inject spans =
-  let cell = span_slots.(slot_index ()) in
-  List.iter (fun s -> slot_push cell s) spans
-
 let tid () = (Domain.self () :> int)
 
 let record ?(cat = "") ?(args = []) ~name ~start_s ~stop_s () =
@@ -99,17 +95,15 @@ let collect slots =
 
 let snapshot () = List.sort span_order (collect span_slots)
 
-let reassign_pid pid span = { span with pid }
-
 (* ------------------------------------------------------------------ *)
 (* counter events ("ph":"C"): cumulative gauges — heap words, GC
    collections — that Perfetto renders as counter tracks alongside the
    span timeline.  Recorded by Resource at phase boundaries. *)
 
-let record_counter ?(pid = 0) ~name ~values () =
+let record_counter ~name ~values () =
   slot_push
     counter_slots.(slot_index ())
-    { cname = name; cts_us = Clock.now () *. 1e6; cpid = pid; ctid = tid ();
+    { cname = name; cts_us = Clock.now () *. 1e6; cpid = 0; ctid = tid ();
       values }
 
 let counter_order (a : counter) (b : counter) =
@@ -121,17 +115,10 @@ let counter_order (a : counter) (b : counter) =
 
 let snapshot_counters () = List.sort counter_order (collect counter_slots)
 
-let inject_counters counters =
-  let cell = counter_slots.(slot_index ()) in
-  List.iter (fun c -> slot_push cell c) counters
-
-let reassign_counter_pid pid c = { c with cpid = pid }
-
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON (docs/FORMAT.md; load in Perfetto /
    chrome://tracing).  Timestamps are absolute epoch microseconds —
-   viewers normalize to the earliest event, and absolute stamps are what
-   let one fleet timeline merge spans from several processes. *)
+   viewers normalize to the earliest event. *)
 
 let span_to_json s =
   Json.Obj

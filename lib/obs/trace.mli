@@ -1,26 +1,21 @@
-(** Span recorder: phase-level wall-clock tracing for the whole
-    batch/shard/fleet pipeline, serialized as Chrome trace-event JSON
-    (loadable in Perfetto or [chrome://tracing]).
+(** Span recorder: phase-level wall-clock tracing for the batch
+    pipeline and the serve daemon, serialized as Chrome trace-event
+    JSON (loadable in Perfetto or [chrome://tracing]).
 
     A {e span} is one timed region — [parse], [dag_build],
     [heur_static], [heur_dynamic], [schedule], [verify], [json_encode],
-    the pool's [queue_wait]/[task_run], the fleet's
-    [spawn]/[attempt]/[merge] — with a category, Chrome [pid]/[tid]
-    lane coordinates and free-form [args].  In this tree [pid] is the
-    fleet coordinate (0 = the orchestrator / any single-process run,
-    [shard + 1] = that shard's worker process) and [tid] is the OCaml
-    domain id, so a fleet trace shows one process lane per worker and
-    one thread lane per domain.
+    the pool's [queue_wait]/[task_run] — with a category, Chrome
+    [pid]/[tid] lane coordinates and free-form [args].  In this tree
+    [pid] is a lane: 0 for the process's own spans, the block id for
+    [schedtool explain --timeline]'s per-block issue lanes; [tid] is
+    the OCaml domain id, so a trace shows one thread lane per domain.
 
     Recording is disabled by default and costs one atomic read per
     {!with_span} when disabled — reports stay byte-identical.  When
     enabled ([schedtool --trace]), spans accumulate in per-domain
     lock-free buffers (each domain CASes onto its own slot; no shared
     mutex on the record path) that {!snapshot} merges into one
-    deterministic order; fleet workers ship their buffer home inside
-    the worker report JSON, and the orchestrator {!inject}s them
-    (re-homed with {!reassign_pid}) into its own buffer to form the
-    single fleet-wide timeline.
+    deterministic order.
 
     Besides spans the recorder holds {e counter events} ("ph":"C") —
     cumulative gauges such as heap words and GC collection counts,
@@ -28,15 +23,14 @@
     renders as counter tracks alongside the spans.
 
     Timestamps come from {!Clock} and are {e absolute} epoch
-    microseconds: trace viewers normalize to the earliest event, and
-    absolute stamps are what make cross-process merging a no-op. *)
+    microseconds: trace viewers normalize to the earliest event. *)
 
 type span = {
   name : string;            (** phase label, e.g. ["dag_build"] *)
   cat : string;             (** category, e.g. ["pipeline"], ["pool"] *)
   ts_us : float;            (** start, absolute epoch microseconds *)
   dur_us : float;           (** duration in microseconds, [>= 0] *)
-  pid : int;                (** fleet coordinate: 0 = orchestrator *)
+  pid : int;                (** lane: 0 = this process *)
   tid : int;                (** OCaml domain id *)
   args : (string * Json.t) list;
 }
@@ -55,7 +49,7 @@ val with_span :
   ?cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 
 (** Low-level recording for sites that already hold both endpoints
-    (fleet attempt windows, pool queue waits).  [start_s]/[stop_s] are
+    (pool queue waits).  [start_s]/[stop_s] are
     {!Clock.now} values; the duration is clamped non-negative.  The span
     lands with [pid = 0] and the calling domain's [tid].  Not gated on
     {!enabled} — call sites guard. *)
@@ -67,11 +61,6 @@ val record :
   stop_s:float ->
   unit ->
   unit
-
-(** Append pre-built spans verbatim (the fleet merge path). *)
-val inject : span list -> unit
-
-val reassign_pid : int -> span -> span
 
 (** All recorded spans in a deterministic chronological order
     (timestamp, then pid/tid/duration/name, full content as the final
@@ -88,23 +77,17 @@ val snapshot : unit -> span list
 type counter = {
   cname : string;                  (** track name, e.g. ["heap"] *)
   cts_us : float;                  (** absolute epoch microseconds *)
-  cpid : int;                      (** fleet coordinate, like spans *)
+  cpid : int;                      (** lane, like spans *)
   ctid : int;                      (** OCaml domain id *)
   values : (string * float) list;  (** series sampled at this instant *)
 }
 
 (** Record a counter sample at [Clock.now] from the calling domain.
     Not gated on {!enabled} — call sites guard, like {!record}. *)
-val record_counter :
-  ?pid:int -> name:string -> values:(string * float) list -> unit -> unit
+val record_counter : name:string -> values:(string * float) list -> unit -> unit
 
 (** Deterministic order (timestamp, pid/tid/name, content). *)
 val snapshot_counters : unit -> counter list
-
-(** Append pre-built counters verbatim (the fleet merge path). *)
-val inject_counters : counter list -> unit
-
-val reassign_counter_pid : int -> counter -> counter
 
 (** {1 Chrome trace-event JSON}
 

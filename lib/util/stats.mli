@@ -23,7 +23,7 @@ val of_ints : int list -> t
 val merge : t -> t -> t
 
 (** Hand-rolled JSON, used for the machine-readable perf reports
-    ([BENCH_obs.json], [schedtool batch/fleet --json]).  The
+    ([BENCH_obs.json], [schedtool batch --json]).  The
     implementation lives in {!Ds_obs.Json} (the observability layer
     serializes traces and metrics through it and sits below
     [ds_util]); this transparent alias preserves every historical

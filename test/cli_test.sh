@@ -83,15 +83,20 @@ grep -q '"blocks": 730' "$TMP/b2.json" || fail "batch json: wrong block count"
 grep -q '"wall_s": ' "$TMP/b2.json" || fail "batch json: no wall clock"
 "$TOOL" batch -q --jobs 2 --json - "$TMP/grep.s" 2>/dev/null \
   | grep -q '"scheduled_cycles": ' || fail "batch json on stdout"
+# without -q, --json - still leaves stdout one JSON document: the
+# per-block lines give way to the report
+"$TOOL" batch --jobs 2 --json - "$TMP/grep.s" > "$TMP/bj.out" 2>/dev/null \
+  || fail "batch --json - without -q failed"
+[ "$(wc -l < "$TMP/bj.out")" -eq 1 ] || fail "batch --json -: stdout is not one line"
+head -c 1 "$TMP/bj.out" | grep -q '{' || fail "batch --json -: stdout does not start with {"
+grep -q '"blocks": 730' "$TMP/bj.out" || fail "batch --json -: wrong block count"
 
-# batch over several files: one corpus, blocks in file order.  Its
-# aggregate int statistics are the in-process reference for the fleet
-# below; stdout is timing-free, hence byte-identical across --jobs.
+# batch over several files: one corpus, blocks in file order; stdout
+# is timing-free, hence byte-identical across --jobs.
 "$TOOL" gen -p linpack > "$TMP/linpack.s"
-# the six aggregate int fields, one per line, from a batch report or
-# from a fleet report's "aggregate" object
-aggregate() { sed 's/.*"aggregate": {\([^}]*\)}.*/\1/' "$1" \
-  | tr ',' '\n' | grep -E '"(blocks|insns|arcs|original_cycles|scheduled_cycles|stalls)"'; }
+# the six aggregate int fields of a batch report, one per line
+aggregate() { tr ',' '\n' < "$1" \
+  | grep -E '"(blocks|insns|arcs|original_cycles|scheduled_cycles|stalls)"'; }
 
 "$TOOL" batch -q --jobs 2 --json "$TMP/m.json" "$TMP/grep.s" "$TMP/linpack.s" \
   || fail "batch over two files failed"
@@ -123,7 +128,7 @@ cmp -s "$TMP/mj1.out" "$TMP/mj2.out" || fail "two-file batch output depends on -
 # removed surfaces are CLI errors (124) before any work runs
 for bad in "shard $TMP/grep.s" "batch --chunk 4 $TMP/grep.s" \
            "serve --chunk 4 --socket $TMP/gone.sock" \
-           "fleet --policy balanced $TMP/grep.s"; do
+           "fleet $TMP/grep.s" "worker $TMP/m.json"; do
   # shellcheck disable=SC2086
   "$TOOL" $bad 2>/dev/null && rc=0 || rc=$?
   [ "$rc" -eq 124 ] || fail "$bad: exit $rc, want 124"
@@ -151,73 +156,6 @@ for sub in stats build schedule compare optimal chain batch explain dot gantt \
   grep -q "uncaught" "$TMP/err" && fail "$sub on a missing file: uncaught exception"
 done
 
-# worker: manifest round trip — the report on stdout is a plain batch
-# report over the manifest's files
-printf '{"files": ["%s"], "algorithm": "table-forward", "strategy": "base-offset", "model": "simple_risc", "domains": 1}\n' \
-  "$TMP/grep.s" > "$TMP/manifest.json"
-"$TOOL" worker "$TMP/manifest.json" > "$TMP/worker.json" 2>/dev/null \
-  || fail "worker failed"
-grep -q '"blocks": 730' "$TMP/worker.json" || fail "worker: wrong block count"
-grep -q '"wall_s": ' "$TMP/worker.json" || fail "worker: no wall clock"
-
-# a malformed manifest is a clean exit 2, not a crash
-printf '{"files": 3}\n' > "$TMP/badmanifest.json"
-"$TOOL" worker "$TMP/badmanifest.json" 2> "$TMP/err" && rc=0 || rc=$?
-[ "$rc" -eq 2 ] || fail "worker bad manifest: exit $rc, want 2"
-grep -q 'manifest error' "$TMP/err" || fail "worker bad manifest: no message"
-
-# fleet: multi-process orchestrator.  The summary on stdout is
-# timing-free, hence byte-identical across --workers, and the aggregate
-# int statistics must match the in-process batch over the same files.
-"$TOOL" fleet -q --workers 1 --json "$TMP/f1.json" \
-  "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/f1.out" \
-  || fail "fleet --workers 1 failed"
-"$TOOL" fleet -q --workers 2 --json "$TMP/f2.json" \
-  "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/f2.out" \
-  || fail "fleet --workers 2 failed"
-cmp -s "$TMP/f1.out" "$TMP/f2.out" || fail "fleet summary depends on --workers"
-aggregate "$TMP/f2.json" > "$TMP/aggf"
-cmp -s "$TMP/agg1" "$TMP/aggf" || fail "fleet aggregate != batch aggregate"
-grep -q '"failed_shards": \[\]' "$TMP/f2.json" || fail "fleet json: spurious failures"
-grep -q '"fleet": \[' "$TMP/f2.json" || fail "fleet json: no supervision log"
-
-# a worker that fails its first attempt is retried and the fleet
-# converges to the same summary, up to the deterministic supervision
-# aggregates: 2 shards each retried once after a 0.01 s scheduled
-# backoff -> retries_used 2, backoff_s 0.02 (the aggregates come from
-# the exponential schedule, not a wall clock, so they are exact)
-env DAGSCHED_WORKER_FAIL="exit:1" \
-  "$TOOL" fleet -q --workers 2 --retries 1 --backoff 0.01 \
-  "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/fr.out" 2> "$TMP/fr.err" \
-  || fail "fleet with retried fault failed"
-supervision() { sed 's/"retries_used": [0-9]*, "backoff_s": [0-9.eE+-]*/SUPERVISION/' "$1"; }
-supervision "$TMP/f1.out" > "$TMP/f1.norm"
-supervision "$TMP/fr.out" > "$TMP/fr.norm"
-cmp -s "$TMP/f1.norm" "$TMP/fr.norm" \
-  || fail "retried fleet summary differs beyond supervision aggregates"
-grep -q '"retries_used": 0, "backoff_s": 0.0}' "$TMP/f1.out" \
-  || fail "fault-free fleet: nonzero supervision aggregates"
-grep -q '"retries_used": 2, "backoff_s": 0.02}' "$TMP/fr.out" \
-  || fail "retried fleet: wrong supervision aggregates"
-
-# a permanently failing shard degrades the fleet (exit 4, distinct from
-# parse errors' 2 and self-check failures' 3) and is named in the report
-env DAGSCHED_WORKER_FAIL="exit:99" \
-  "$TOOL" fleet -q --workers 2 --retries 0 --json "$TMP/fdead.json" \
-  "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/fdead.out" 2>/dev/null && rc=0 || rc=$?
-[ "$rc" -eq 4 ] || fail "fleet permanent failure: exit $rc, want 4"
-grep -q '"failed_shards": \[0, 1\]' "$TMP/fdead.json" \
-  || fail "fleet json: failed shards not recorded"
-grep -q '"blocks": 0' "$TMP/fdead.out" || fail "fleet: dead shards still counted"
-
-# flag validation: cmdliner rejects bad --timeout/--retries with its
-# CLI-error exit code before any work runs
-for bad in "--timeout 0" "--timeout -1" "--timeout abc" "--retries -1" "--retries x"; do
-  # shellcheck disable=SC2086
-  "$TOOL" fleet $bad "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
-  [ "$rc" -eq 124 ] || fail "fleet $bad: exit $rc, want 124"
-done
-
 # observability: --trace writes a Chrome trace-event file and --metrics
 # a stderr registry dump; neither may change a single report byte
 
@@ -233,29 +171,9 @@ grep -q "pool.chunks" "$TMP/bt.err" || fail "batch --metrics: no pool.chunks cou
 grep -q "pool.queue_wait_us" "$TMP/bt.err" \
   || fail "batch --metrics: no pool queue-wait histogram"
 
-# fleet: the one timeline covers the orchestrator (pid 0) and both
-# worker processes (pid = shard + 1), with every pipeline phase
-"$TOOL" fleet -q --workers 2 --trace "$TMP/ft.json" --metrics \
-  "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/ft.out" 2> "$TMP/ft.err" \
-  || fail "fleet --trace failed"
-cmp -s "$TMP/f1.out" "$TMP/ft.out" || fail "fleet summary changed under --trace"
-grep -q '"pid": 1' "$TMP/ft.json" || fail "fleet trace: no worker 0 spans"
-grep -q '"pid": 2' "$TMP/ft.json" || fail "fleet trace: no worker 1 spans"
-for phase in parse dag_build heur_static heur_dynamic schedule verify \
-             json_encode queue_wait task_run spawn attempt merge; do
-  grep -q "\"name\": \"$phase\"" "$TMP/ft.json" \
-    || fail "fleet trace: no $phase span"
-done
-grep -q '"name": "process_name"' "$TMP/ft.json" \
-  || fail "fleet trace: no process_name metadata"
-# worker pool counters ship home and appear in the fleet-wide dump
-grep -q "pool.chunks" "$TMP/ft.err" || fail "fleet --metrics: no pool.chunks counter"
-
 # an empty --trace path is a CLI error (124), before any work runs
-for sub in batch fleet; do
-  "$TOOL" "$sub" --trace "" "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
-  [ "$rc" -eq 124 ] || fail "$sub --trace '': exit $rc, want 124"
-done
+"$TOOL" batch --trace "" "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
+[ "$rc" -eq 124 ] || fail "batch --trace '': exit $rc, want 124"
 
 # obs-smoke: the full three-pillar stack (--trace --metrics --resource
 # --log --log-level --progress) at once — still not one report byte
@@ -278,21 +196,6 @@ grep -q '"level": "debug"' "$TMP/bo.log.jsonl" \
 grep -q 'progress: ' "$TMP/bo.err" || fail "batch --progress: no progress lines"
 grep -q 'p95' "$TMP/bo.err" || fail "batch --metrics: no quantile columns"
 grep -q 'minor Mw' "$TMP/bo.err" || fail "batch --resource: no resource table"
-
-# fleet: supervision events and worker heartbeats land in the shared
-# stream; the timing-free summary is still byte-identical
-"$TOOL" fleet -q --workers 2 --log "$TMP/fo.log.jsonl" --log-level info \
-  --progress "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/fo.out" 2> "$TMP/fo.err" \
-  || fail "fleet with log stream failed"
-cmp -s "$TMP/f1.out" "$TMP/fo.out" \
-  || fail "fleet summary changed under --log/--progress"
-grep -q '"scope": "fleet"' "$TMP/fo.log.jsonl" \
-  || fail "fleet log: no supervision events"
-grep -q '"msg": "spawn"' "$TMP/fo.log.jsonl" || fail "fleet log: no spawn events"
-grep -q '"scope": "heartbeat"' "$TMP/fo.log.jsonl" \
-  || fail "fleet log: no worker heartbeats"
-grep -q 'progress: worker ' "$TMP/fo.err" \
-  || fail "fleet --progress: no per-worker progress lines"
 
 # flag validation: bad --log-level and an empty --log are CLI errors
 # (124); an unopenable --log path is an I/O error (125), like --json
@@ -570,16 +473,4 @@ grep -q "program-order tie-breaks" "$TMP/be.err" \
   || fail "batch --explain: no summary line"
 grep -q '"explain": \[' "$TMP/be.json" || fail "batch json: no explain section"
 grep -q '"ranks": \[' "$TMP/be.json" || fail "batch json: no rank stats"
-"$TOOL" fleet -q --workers 2 --explain --json "$TMP/fe.json" \
-  "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/fe.out" 2>/dev/null \
-  || fail "fleet --explain failed"
-cmp -s "$TMP/f1.out" "$TMP/fe.out" || fail "fleet summary changed under --explain"
-grep -q '"explain": \[' "$TMP/fe.json" \
-  || fail "fleet json: workers' explain stats not absorbed"
-# the fleet's absorbed decision count covers the whole corpus: equal to
-# the batch run's count over the same blocks scaled by corpus size is
-# not portable, but it must at least be nonzero and well-formed
-grep -q '"decisions": 0' "$TMP/fe.json" \
-  && fail "fleet json: zero decisions absorbed"
-
 echo "CLI TESTS OK"

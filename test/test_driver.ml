@@ -184,79 +184,12 @@ let test_batch_report_empty () =
   check_int "insns" 0 r.Batch.insns;
   check_int "cycles" 0 r.Batch.scheduled_cycles;
   Alcotest.(check (float 1e-9)) "mean" 0.0 r.Batch.block_s_mean;
-  Alcotest.(check (float 1e-9)) "max" 0.0 r.Batch.block_s_max;
-  check_bool "merge of nothing is the zero report" true
-    (Batch.report_equal r (Batch.report_merge ~domains:3 ~wall_s:0.0 []))
-
-(* ------------------------------------------------------------------ *)
-(* the fleet's balanced partition: properties over mixed-size blocks *)
-
-(* unique block ids and mixed sizes *)
-let partition_blocks () =
-  List.init 16 (fun i ->
-      { (random_block (1000 + (31 * i))) with Block.id = 1000 + i })
-
-let ids blocks = List.map (fun (b : Block.t) -> b.Block.id) blocks
-
-let partition ~workers blocks =
-  Fleet.partition ~workers ~weight:Block.length blocks
-
-let test_partition_covers_exactly () =
-  let blocks = partition_blocks () in
-  List.iter
-    (fun workers ->
-      let parts = partition ~workers blocks in
-      check_int "worker count" workers (Array.length parts);
-      let all = List.concat (Array.to_list (Array.map ids parts)) in
-      (* every block lands in exactly one worker *)
-      Alcotest.(check (list int))
-        (Printf.sprintf "%d workers cover the corpus" workers)
-        (List.sort compare (ids blocks))
-        (List.sort compare all);
-      (* and each worker keeps input order *)
-      Array.iter
-        (fun part ->
-          let is = ids part in
-          check_bool "worker preserves input order" true
-            (List.sort compare is = is))
-        parts;
-      (* workers beyond the block count get empty lists *)
-      check_int "occupied workers" (min workers (List.length blocks))
-        (Array.fold_left (fun a p -> if p = [] then a else a + 1) 0 parts))
-    [ 1; 2; 5; 100 ]
-
-let test_partition_balanced_bound () =
-  (* greedy bound: max load - min load <= the largest single weight *)
-  let blocks = partition_blocks () in
-  let heaviest =
-    List.fold_left (fun m b -> max m (Block.length b)) 0 blocks
-  in
-  let loads =
-    Array.to_list
-      (Array.map
-         (fun part ->
-           List.fold_left (fun a b -> a + Block.length b) 0 part)
-         (partition ~workers:4 blocks))
-  in
-  let mn = List.fold_left min max_int loads
-  and mx = List.fold_left max 0 loads in
-  check_bool
-    (Printf.sprintf "balanced spread %d within heaviest block %d" (mx - mn)
-       heaviest)
-    true
-    (mx - mn <= heaviest)
-
-let test_partition_deterministic () =
-  let blocks = partition_blocks () in
-  check_bool "same partition twice" true
-    (Array.map ids (partition ~workers:3 blocks)
-    = Array.map ids (partition ~workers:3 blocks))
+  Alcotest.(check (float 1e-9)) "max" 0.0 r.Batch.block_s_max
 
 (* ------------------------------------------------------------------ *)
 (* adversarial inputs: the JSON readers accept externally produced
-   reports (fleet workers, offline merges), so malformed, truncated or
-   wrong-schema input must yield a typed error naming the offending
-   field — never an exception *)
+   reports, so malformed, truncated or wrong-schema input must yield a
+   typed error naming the offending field — never an exception *)
 
 let set_field k v = function
   | Stats.Json.Obj fs ->
@@ -271,17 +204,6 @@ let sample_report =
   { (Batch.report ~domains:2 ~wall_s:0.125 []) with
     Batch.blocks = 3; insns = 17; arcs = 21; original_cycles = 40;
     scheduled_cycles = 31; stalls = 2 }
-
-let sample_log shard files : Fleet.worker_log =
-  { shard; files; attempts = 1; failures = [];
-    attempt_log =
-      [ { Fleet.duration_s = 0.05; backoff_s = 0.0; outcome = None } ];
-    wall_s = 0.05; report = Some sample_report }
-
-let sample_fleet =
-  { Fleet.workers = 2; timeout_s = 60.0; retries = 2; corpus = [ "a.s"; "b.s" ];
-    aggregate = sample_report;
-    logs = [ sample_log 0 [ "a.s" ]; sample_log 1 [ "b.s" ] ] }
 
 let expect_report_error name mutated expected_path =
   match Batch.report_of_json mutated with
@@ -307,41 +229,6 @@ let test_report_of_json_adversarial () =
   expect_report_error "not an object" (Stats.Json.List [ json ]) "object";
   expect_report_error "null document" Stats.Json.Null "object"
 
-let test_merged_of_json_adversarial () =
-  let json = Fleet.to_json sample_fleet in
-  (match Fleet.of_json json with
-  | Ok t ->
-      check_bool "unmutated fleet report parses" true
-        (Fleet.equal t sample_fleet)
-  | Error e -> Alcotest.failf "unmutated: %s" (Stats.Json.error_to_string e));
-  let expect name mutated expected_path =
-    match Fleet.of_json mutated with
-    | Ok _ -> Alcotest.failf "%s: mutation not detected" name
-    | Error e ->
-        let msg = Stats.Json.error_to_string e in
-        if not (Helpers.contains msg expected_path) then
-          Alcotest.failf "%s: error %S does not name %S" name msg expected_path
-  in
-  expect "workers holds a string"
-    (set_field "workers" (Stats.Json.String "two") json) "workers";
-  expect "corpus holds an int"
-    (set_field "corpus" (Stats.Json.List [ Stats.Json.Int 3 ]) json)
-    "corpus[0]";
-  expect "aggregate replaced by a string"
-    (set_field "aggregate" (Stats.Json.String "gone") json) "aggregate";
-  (* the error path indexes into the embedded per-shard report *)
-  let broken_shard =
-    set_field "blocks" (Stats.Json.String "three")
-      (Batch.report_to_json sample_report)
-  in
-  expect "per_shard[1] report broken"
-    (set_field "per_shard"
-       (Stats.Json.List [ Batch.report_to_json sample_report; broken_shard ])
-       json)
-    "per_shard[1].blocks";
-  expect "per_shard holds a scalar"
-    (set_field "per_shard" (Stats.Json.Int 9) json) "per_shard"
-
 (* \u escape hardening: a surrogate half used to blow up Uchar.of_int
    with an Invalid_argument that escaped of_string's Error channel *)
 let test_json_unicode_escape_total () =
@@ -360,16 +247,55 @@ let test_json_unicode_escape_total () =
       "\"\\uzzzz\"";       (* non-hex digits *)
       "\"\\u00" ]          (* truncated escape *)
 
+(* The document [schedtool batch --json --resource --explain] writes:
+   the report with its "resource" and "explain" sections, recorded over
+   a few blocks with both registries on. *)
+let sample_document () =
+  let blocks =
+    List.init 3 (fun i -> { (random_block (700 + i)) with Block.id = i })
+  in
+  let off () =
+    Obs_resource.disable ();
+    Obs_resource.reset ();
+    Explain.disable ();
+    Explain.reset ()
+  in
+  off ();
+  Fun.protect ~finally:off @@ fun () ->
+  Obs_resource.enable ();
+  Explain.enable ();
+  let _, report = Batch.run_with_report ~domains:1 Batch.section6 blocks in
+  let rows = Obs_resource.snapshot () and stats = Explain.snapshot () in
+  check_bool "resource rows recorded" true (rows <> []);
+  check_bool "decisiveness recorded" true (stats <> []);
+  match Batch.report_to_json report with
+  | Stats.Json.Obj fields ->
+      Stats.Json.Obj
+        (fields
+        @ [ ("resource", Obs_resource.to_json rows);
+            ("explain", Explain.to_json stats) ])
+  | _ -> Alcotest.fail "report is not a JSON object"
+
 (* every prefix and every single-byte corruption of a valid report
    document must flow out as Ok or Error — no exception may escape the
-   of_string + of_json pipeline *)
+   of_string + of_json pipeline, for the report or either section *)
 let test_json_no_exception_escapes () =
-  let text = Stats.Json.to_string (Fleet.to_json sample_fleet) in
+  let text = Stats.Json.to_string (sample_document ()) in
   let feed s =
     match Stats.Json.of_string s with
     | Error _ -> ()
     | Ok json -> (
-        match Fleet.of_json json with Ok _ | Error _ -> ())
+        (match Batch.report_of_json json with Ok _ | Error _ -> ());
+        (match Stats.Json.member "resource" json with
+        | Some r -> (
+            match Obs_resource.of_json ~path:[ "resource" ] r with
+            | Ok _ | Error _ -> ())
+        | None -> ());
+        match Stats.Json.member "explain" json with
+        | Some e -> (
+            match Explain.of_json ~path:[ "explain" ] e with
+            | Ok _ | Error _ -> ())
+        | None -> ())
   in
   for len = 0 to String.length text - 1 do
     feed (String.sub text 0 len)
@@ -515,11 +441,7 @@ let suite =
     quick "report JSON round trip" test_report_round_trip;
     quick "report JSON round trip with NaN" test_report_round_trip_nan;
     quick "report on empty batch" test_batch_report_empty;
-    quick "partition covers corpus exactly" test_partition_covers_exactly;
-    quick "partition balanced within bound" test_partition_balanced_bound;
-    quick "partition deterministic" test_partition_deterministic;
     quick "adversarial report JSON" test_report_of_json_adversarial;
-    quick "adversarial merged JSON" test_merged_of_json_adversarial;
     quick "unicode escapes are total" test_json_unicode_escape_total;
     quick "no exception escapes the readers" test_json_no_exception_escapes;
     quick "random_block equal across domains" test_generation_cross_domain;

@@ -216,7 +216,7 @@ let test_stats () =
   Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.min_value s);
   Alcotest.(check (float 1e-9)) "total" 10.0 (Stats.total s);
   (* zero samples: every summary is a defined, finite 0.0 — what the
-     batch/shard reports rely on for empty corpora *)
+     batch reports rely on for empty corpora *)
   let empty = Stats.create () in
   check_int "empty count" 0 (Stats.count empty);
   Alcotest.(check (float 1e-9)) "empty mean" 0.0 (Stats.mean empty);
@@ -304,7 +304,7 @@ let test_pool_submit_after_shutdown () =
 
 let test_pool_map_on_reuse () =
   (* several maps over one pool: same results as fresh-pool maps, and the
-     pool survives each round (what the shard fleet relies on) *)
+     pool survives each round (what the serve daemon relies on) *)
   let pool = Pool.create ~domains:3 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
       for round = 1 to 4 do
