@@ -488,8 +488,9 @@ let schedule_cmd =
         (fun block ->
           let s = Published.run ~opts spec block in
           assert (Verify.is_valid s);
-          before := !before + Schedule.original_cycles s;
-          after := !after + Schedule.cycles s;
+          let score = Schedule.score s in
+          before := !before + score.Schedule.original_cycles;
+          after := !after + score.Schedule.scheduled.Pipeline.completion;
           s)
         blocks
     in
@@ -547,8 +548,8 @@ let compare_cmd =
         let cycles, stalls =
           List.fold_left
             (fun (c, st) b ->
-              let s = Published.run ~opts spec b in
-              (c + Schedule.cycles s, st + Schedule.stalls s))
+              let sim = Schedule.simulate (Published.run ~opts spec b) in
+              (c + sim.Pipeline.completion, st + sim.Pipeline.stall_cycles))
             (0, 0) blocks
         in
         Table.add_row t

@@ -8,36 +8,20 @@
     variable-length growth the paper measured on fpppp.
 
     Flat arena layout (see res_table.mli for the contract): resources
-    intern to dense ids — fixed ids for the finitely many register/CC
-    resources, hash-interned ids for symbolic memory expressions — and
+    intern to dense ids through a per-domain {!Ds_isa.Resource.Ids} —
+    fixed ids for the finitely many register/CC resources, hash-interned
+    ids for symbolic memory expressions — and
     all per-entry state (packed definition, uselist chain head) lives in
     per-domain arrays.  A per-entry epoch stamp makes per-block reset
     lazy: starting a new block is a single epoch bump, and an entry's
     state is implicitly empty until first touched under the new epoch.
     Uselists are intrusive chains through a pooled [use_pk]/[use_next]
-    arena rewound per block.  The interning tables persist across blocks
+    arena rewound per block.  The interning table persists across blocks
     (and grow across a corpus run exactly as the paper's variable-length
     table does on fpppp); the per-block state costs no allocation at
     all. *)
 
 open Ds_isa
-
-(* Fixed entry ids: %g0..%g31 integer registers 0-31, %f0..%f31 at
-   32-63, then the scalar special resources.  Symbolic memory
-   expressions intern at [n_fixed] and up. *)
-let id_icc = 64
-let id_fcc = 65
-let id_y = 66
-let id_mem_all = 67
-let id_ctrl = 68
-let n_fixed = 69
-
-module Mtbl = Hashtbl.Make (struct
-  type t = Mem_expr.t
-
-  let equal = Mem_expr.equal
-  let hash = Mem_expr.hash
-end)
 
 type scratch = {
   mutable epoch : int;
@@ -46,9 +30,7 @@ type scratch = {
   mutable def : int array;       (* (node lsl 8) lor pos, or -1 *)
   mutable head : int array;      (* uselist chain head in the pool, or -1 *)
   (* interning (persists across blocks) *)
-  mem_tbl : int Mtbl.t;
-  mutable by_id : Resource.t array;
-  mutable n_ids : int;
+  ids : Resource.Ids.t;
   (* per-block bookkeeping *)
   mutable n_touched : int;
   mutable mem_ids : int array;   (* entries touched this block that are memory *)
@@ -64,23 +46,11 @@ type scratch = {
 }
 
 let fresh_scratch () =
-  let by_id = Array.make 128 Resource.Ctrl in
-  for n = 0 to 31 do
-    by_id.(n) <- Resource.of_reg (Reg.Int n);
-    by_id.(32 + n) <- Resource.of_reg (Reg.Float n)
-  done;
-  by_id.(id_icc) <- Resource.Icc;
-  by_id.(id_fcc) <- Resource.Fcc;
-  by_id.(id_y) <- Resource.Y;
-  by_id.(id_mem_all) <- Resource.Mem_all;
-  by_id.(id_ctrl) <- Resource.Ctrl;
   { epoch = 0;
     stamp = Array.make 128 (-1);
     def = Array.make 128 (-1);
     head = Array.make 128 (-1);
-    mem_tbl = Mtbl.create 64;
-    by_id;
-    n_ids = n_fixed;
+    ids = Resource.Ids.create ();
     n_touched = 0;
     mem_ids = Array.make 16 0;
     n_mem = 0;
@@ -122,29 +92,6 @@ let ensure_entry_capacity s id =
     s.head <- grow_int_array s.head len (-1)
   end
 
-let intern_mem s m res =
-  match Mtbl.find s.mem_tbl m with
-  | id -> id
-  | exception Not_found ->
-      let id = s.n_ids in
-      s.n_ids <- id + 1;
-      if id >= Array.length s.by_id then
-        s.by_id <- grow_int_array s.by_id (2 * Array.length s.by_id) Resource.Ctrl;
-      s.by_id.(id) <- res;
-      Mtbl.add s.mem_tbl m id;
-      id
-
-let id_of s res =
-  match res with
-  | Resource.R (Reg.Int n) -> n
-  | Resource.R (Reg.Float n) -> 32 + n
-  | Resource.Icc -> id_icc
-  | Resource.Fcc -> id_fcc
-  | Resource.Y -> id_y
-  | Resource.Mem_all -> id_mem_all
-  | Resource.Ctrl -> id_ctrl
-  | Resource.Mem m -> intern_mem s m res
-
 (* first touch under this epoch: reset the entry's state and, for
    memory resources, enlist it for alias scans — the legacy table did
    this when creating the hashtable entry *)
@@ -155,7 +102,7 @@ let touch s id =
     s.def.(id) <- -1;
     s.head.(id) <- -1;
     s.n_touched <- s.n_touched + 1;
-    if id = id_mem_all || id >= n_fixed then begin
+    if id = Resource.Ids.mem_all || id >= Resource.Ids.n_fixed then begin
       if s.n_mem >= Array.length s.mem_ids then
         s.mem_ids <- grow_int_array s.mem_ids (2 * Array.length s.mem_ids) 0;
       s.mem_ids.(s.n_mem) <- id;
@@ -165,11 +112,11 @@ let touch s id =
 
 let lookup t res =
   Ds_obs.Metrics.incr probe_counter;
-  let id = id_of t.s res in
+  let id = Resource.Ids.id t.s.ids res in
   touch t.s id;
   id
 
-let resource t id = t.s.by_id.(id)
+let resource t id = Resource.Ids.resource t.s.ids id
 let def_pk t id = t.s.def.(id)
 let set_def t id ~node ~pos = t.s.def.(id) <- (node lsl 8) lor pos
 let clear_uses t id = t.s.head.(id) <- -1
@@ -231,7 +178,8 @@ let cross_into t ~self res =
     (* newest first, like the legacy prepend-ordered entry list *)
     for k = s.n_mem - 1 downto 0 do
       let id = s.mem_ids.(k) in
-      if id <> self && Disambiguate.may_alias t.strategy res s.by_id.(id)
+      if id <> self && Disambiguate.may_alias t.strategy res
+           (Resource.Ids.resource s.ids id)
       then begin
         if !n >= Array.length s.cross_buf then
           s.cross_buf <-

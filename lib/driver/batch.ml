@@ -113,17 +113,17 @@ let run_block config block =
         (dag, annot, sched))
   in
   hb_tick ();
-  (* one simulation of the scheduled order scores both columns *)
-  let sim = Schedule.simulate sched in
+  (* one scan of the block scores the original and the scheduled order *)
+  let score = Schedule.score sched in
   { block_id = block.Ds_cfg.Block.id;
     insns = Ds_cfg.Block.length block;
     dag_arcs = Ds_dag.Dag.n_arcs dag;
     fingerprint = Ds_dag.Dag.fingerprint dag;
     order = sched.Schedule.order;
     annot;
-    original_cycles = Schedule.original_cycles sched;
-    cycles = sim.Ds_machine.Pipeline.completion;
-    stalls = sim.Ds_machine.Pipeline.stall_cycles;
+    original_cycles = score.Schedule.original_cycles;
+    cycles = score.Schedule.scheduled.Ds_machine.Pipeline.completion;
+    stalls = score.Schedule.scheduled.Ds_machine.Pipeline.stall_cycles;
     time_s }
 
 let resolve_domains = function

@@ -57,16 +57,20 @@ let seed t ~pending ~unit_busy =
     (fun u residual ->
       if residual > 0 then t.unit_free.(u) <- max t.unit_free.(u) residual)
     unit_busy;
-  if pending <> [] then
+  if pending <> [] then begin
+    let uses = Ds_isa.Insn.Scan.create () in
     for i = 0 to Ds_dag.Dag.length t.dag - 1 do
-      let insn = Ds_dag.Dag.insn t.dag i in
+      Ds_isa.Insn.scan_uses uses (Ds_dag.Dag.insn t.dag i);
       List.iter
         (fun (res, ready_at) ->
-          if ready_at > 0
-             && List.exists (Ds_isa.Resource.equal res) (Ds_isa.Insn.uses insn)
-          then t.earliest_exec.(i) <- max t.earliest_exec.(i) ready_at)
+          if ready_at > 0 then
+            for u = 0 to Ds_isa.Insn.Scan.len uses - 1 do
+              if Ds_isa.Resource.equal res (Ds_isa.Insn.Scan.res uses u) then
+                t.earliest_exec.(i) <- max t.earliest_exec.(i) ready_at
+            done)
         pending
     done
+  end
 
 (** A node joins the candidate list when all its predecessors (in the
     scheduling direction) are scheduled. *)

@@ -78,41 +78,67 @@ module Tbl = Hashtbl.Make (struct
   let hash = hash
 end)
 
-(** Dense id assignment for resources, in order of first encounter.  The
-    table length grows when a new symbolic memory expression appears,
-    reproducing the cost characteristic the paper observed on fpppp. *)
+(** Dense ids: registers, the condition codes, [%y], [Mem_all] and
+    [Ctrl] have fixed ids; symbolic memory expressions are interned on
+    first encounter, so the table grows when a new expression appears —
+    the variable-length table the paper observed on fpppp. *)
 module Ids = struct
   type resource = t
 
+  (* %g0..%g31 at 0-31, %f0..%f31 at 32-63, then the scalars *)
+  let icc = 64
+  let fcc = 65
+  let y = 66
+  let mem_all = 67
+  let ctrl = 68
+  let n_fixed = 69
+
+  module Mtbl = Hashtbl.Make (struct
+    type t = Mem_expr.t
+
+    let equal = Mem_expr.equal
+    let hash = Mem_expr.hash
+  end)
+
   type t = {
-    ids : int Tbl.t;
+    mem : int Mtbl.t;
     mutable by_id : resource array;
     mutable next : int;
   }
 
-  let create () = { ids = Tbl.create 64; by_id = Array.make 64 Ctrl; next = 0 }
+  let create () =
+    let by_id = Array.make 128 Ctrl in
+    Array.blit r_int 0 by_id 0 32;
+    Array.blit r_float 0 by_id 32 32;
+    by_id.(icc) <- Icc;
+    by_id.(fcc) <- Fcc;
+    by_id.(y) <- Y;
+    by_id.(mem_all) <- Mem_all;
+    by_id.(ctrl) <- Ctrl;
+    { mem = Mtbl.create 64; by_id; next = n_fixed }
 
-  let id t r =
-    match Tbl.find_opt t.ids r with
-    | Some i -> i
-    | None ->
-        let i = t.next in
-        t.next <- i + 1;
-        if i >= Array.length t.by_id then begin
-          let grown = Array.make (2 * Array.length t.by_id) Ctrl in
-          Array.blit t.by_id 0 grown 0 (Array.length t.by_id);
-          t.by_id <- grown
-        end;
-        t.by_id.(i) <- r;
-        Tbl.add t.ids r i;
-        i
+  let id t = function
+    | R (Reg.Int n) -> n
+    | R (Reg.Float n) -> 32 + n
+    | Icc -> icc
+    | Fcc -> fcc
+    | Y -> y
+    | Mem_all -> mem_all
+    | Ctrl -> ctrl
+    | Mem m as r -> (
+        match Mtbl.find t.mem m with
+        | i -> i
+        | exception Not_found ->
+            let i = t.next in
+            t.next <- i + 1;
+            if i >= Array.length t.by_id then begin
+              let grown = Array.make (2 * Array.length t.by_id) Ctrl in
+              Array.blit t.by_id 0 grown 0 (Array.length t.by_id);
+              t.by_id <- grown
+            end;
+            t.by_id.(i) <- r;
+            Mtbl.add t.mem m i;
+            i)
 
-  let find_opt t r = Tbl.find_opt t.ids r
   let resource t i = t.by_id.(i)
-  let count t = t.next
-
-  let iter f t =
-    for i = 0 to t.next - 1 do
-      f i t.by_id.(i)
-    done
 end

@@ -32,20 +32,26 @@ val pp : Format.formatter -> t -> unit
     construction. *)
 module Tbl : Hashtbl.S with type key = t
 
-(** Dense id assignment in order of first encounter; the table grows when
-    a new symbolic memory expression appears, reproducing the
-    variable-length-bitmap cost the paper observed on fpppp. *)
+(** Dense resource ids.  Registers, the condition codes, [%y], [Mem_all]
+    and [Ctrl] have fixed ids below {!Ids.n_fixed}; symbolic memory
+    expressions are interned from [n_fixed] up on first encounter and
+    keep their id for the table's life, so the table grows when a new
+    expression appears — the variable-length table the paper observed
+    on fpppp.  A table is mutable and unsynchronized: keep one per
+    domain. *)
 module Ids : sig
   type resource = t
   type t
 
   val create : unit -> t
 
-  (** Id of the resource, assigned on first encounter. *)
+  (** Id of the resource, interning a memory expression on first
+      encounter. *)
   val id : t -> resource -> int
 
-  val find_opt : t -> resource -> int option
+  (** The resource an id denotes (the first one interned under it). *)
   val resource : t -> int -> resource
-  val count : t -> int
-  val iter : (int -> resource -> unit) -> t -> unit
+
+  val mem_all : int
+  val n_fixed : int
 end

@@ -44,44 +44,63 @@ let order_tie direction candidates =
   | Dyn_state.Forward -> List.fold_left min max_int candidates
   | Dyn_state.Backward -> List.fold_left max min_int candidates
 
-(* Winnowing: narrow the candidate list one heuristic at a time, keeping
-   the nodes tied for the best value. *)
-let pick_winnowing direction keys ~annot ~st candidates =
-  let rec narrow candidates = function
-    | [] -> order_tie direction candidates
+(* [order_tie] of two nodes. *)
+let order_tie2 direction a b =
+  match (direction : Dyn_state.direction) with
+  | Dyn_state.Forward -> Int.min a b
+  | Dyn_state.Backward -> Int.max a b
+
+(* [order_tie] over the first [m] (>= 1) entries of [cand]. *)
+let order_tie_prefix direction cand m =
+  let best = ref cand.(0) in
+  for j = 1 to m - 1 do
+    best := order_tie2 direction !best cand.(j)
+  done;
+  !best
+
+(* Winnowing over the first [m] (>= 2) entries of [cand]: narrow one
+   heuristic at a time, compacting the nodes tied for the best value to
+   the front.  [vals] is scratch at least [m] long. *)
+let pick_winnowing direction keys ~annot ~st cand vals m =
+  let rec narrow m = function
+    | [] -> order_tie_prefix direction cand m
     | k :: rest ->
-        let best =
-          List.fold_left
-            (fun acc i -> max acc (signed_value k ~annot ~st i))
-            min_int candidates
-        in
-        let survivors =
-          List.filter (fun i -> signed_value k ~annot ~st i = best) candidates
-        in
-        (match survivors with
-        | [ only ] -> only
-        | several -> narrow several rest)
+        let best = ref min_int in
+        for j = 0 to m - 1 do
+          let v = signed_value k ~annot ~st cand.(j) in
+          vals.(j) <- v;
+          if v > !best then best := v
+        done;
+        let kept = ref 0 in
+        for j = 0 to m - 1 do
+          if vals.(j) = !best then begin
+            cand.(!kept) <- cand.(j);
+            incr kept
+          end
+        done;
+        if !kept = 1 then cand.(0) else narrow !kept rest
   in
-  narrow candidates keys
+  narrow m keys
 
 (* Priority function: rank-weighted sum of signed values; earlier ranks
-   dominate by an order of magnitude.  [priority_best] returns the full
-   top-priority tie set so the tracer can tell when the program-order
-   fallback fired. *)
-let priority_best keys ~annot ~st candidates =
+   dominate by an order of magnitude. *)
+let priority keys ~annot ~st i =
   let nkeys = List.length keys in
-  let weight rank = int_of_float (10.0 ** float_of_int (nkeys - rank)) in
-  let priority i =
-    List.fold_left
-      (fun (acc, rank) k ->
-        (acc + (weight rank * signed_value k ~annot ~st i), rank + 1))
-      (0, 1) keys
-    |> fst
+  let rec sum acc rank = function
+    | [] -> acc
+    | k :: rest ->
+        let weight = int_of_float (10.0 ** float_of_int (nkeys - rank)) in
+        sum (acc + (weight * signed_value k ~annot ~st i)) (rank + 1) rest
   in
+  sum 0 1 keys
+
+(* The full top-priority tie set, so the tracer can tell when the
+   program-order fallback fired. *)
+let priority_best keys ~annot ~st candidates =
   let best = ref [] and best_p = ref min_int in
   List.iter
     (fun i ->
-      let p = priority i in
+      let p = priority keys ~annot ~st i in
       if p > !best_p then begin
         best := [ i ];
         best_p := p
@@ -90,8 +109,21 @@ let priority_best keys ~annot ~st candidates =
     candidates;
   !best
 
-let pick_priority direction keys ~annot ~st candidates =
-  order_tie direction (priority_best keys ~annot ~st candidates)
+(* The program-order winner of the top-priority set over the first [m]
+   (>= 1) entries of [cand]. *)
+let pick_priority direction keys ~annot ~st cand m =
+  let best = ref cand.(0) in
+  let best_p = ref (priority keys ~annot ~st cand.(0)) in
+  for j = 1 to m - 1 do
+    let i = cand.(j) in
+    let p = priority keys ~annot ~st i in
+    if p > !best_p then begin
+      best := i;
+      best_p := p
+    end
+    else if p = !best_p then best := order_tie2 direction !best i
+  done;
+  !best
 
 (* ------------------------------------------------------------------ *)
 (* decision tracing: which heuristic actually decided each issue *)
@@ -248,12 +280,11 @@ let explain_record cell ~ncand ~trail ~forced ~tie_break ~overruled =
    the explain registry is live the trail is computed so the decision's
    shape can be recorded; otherwise this is one atomic read on top of
    the bare winnowing/priority pick. *)
-let bare_pick config ~annot ~st candidates =
+let bare_pick config ~annot ~st cand vals m =
   match config.mode with
   | Winnowing ->
-      pick_winnowing config.direction config.keys ~annot ~st candidates
-  | Priority_fn ->
-      pick_priority config.direction config.keys ~annot ~st candidates
+      pick_winnowing config.direction config.keys ~annot ~st cand vals m
+  | Priority_fn -> pick_priority config.direction config.keys ~annot ~st cand m
 
 let pick config ~annot ~st candidates =
   match candidates with
@@ -263,8 +294,11 @@ let pick config ~annot ~st candidates =
           ~tie_break:false ~overruled:false;
       only
   | _ ->
-      if not (Ds_obs.Explain.enabled ()) then
-        bare_pick config ~annot ~st candidates
+      if not (Ds_obs.Explain.enabled ()) then begin
+        let cand = Array.of_list candidates in
+        let m = Array.length cand in
+        bare_pick config ~annot ~st cand (Array.make m 0) m
+      end
       else begin
         let trail, chosen, tie_break, overruled =
           traced_pick config ~annot ~st candidates
@@ -281,6 +315,42 @@ let ready_len_hist = Ds_obs.Metrics.histogram "sched.ready_len"
 let pick_us_hist = Ds_obs.Metrics.histogram "sched.pick_us"
 let stall_counter = Ds_obs.Metrics.counter "sched.stall_cycles"
 
+(* Choose among the [m] ready candidates [ready.(0 .. m-1)] (list
+   order).  The candidates become a list only for a recorder or the
+   decisiveness registry; otherwise the pick runs over the array. *)
+let pick_ready ?recorder config ~annot ~st expl ready vals m =
+  match (recorder, expl) with
+  | None, None ->
+      if m = 1 then ready.(0) else bare_pick config ~annot ~st ready vals m
+  | None, Some cell ->
+      if m = 1 then begin
+        Ds_obs.Explain.record cell ~candidates:1 ~survivor_counts:[]
+          ~forced:true ~tie_break:false ~overruled:false;
+        ready.(0)
+      end
+      else begin
+        let trail, chosen, tie_break, overruled =
+          traced_pick config ~annot ~st (List.init m (Array.get ready))
+        in
+        explain_record cell ~ncand:m ~trail ~forced:false ~tie_break
+          ~overruled;
+        chosen
+      end
+  | Some record, _ ->
+      let candidates = List.init m (Array.get ready) in
+      let trail, chosen, tie_break, overruled =
+        traced_pick config ~annot ~st candidates
+      in
+      (* the recorder branch bypasses [pick], so feed the decisiveness
+         registry here (no double count) *)
+      (match expl with
+      | Some cell ->
+          explain_record cell ~ncand:m ~trail ~forced:(m = 1) ~tie_break
+            ~overruled
+      | None -> ());
+      record { time = st.Dyn_state.time; candidates; trail; chosen; tie_break };
+      chosen
+
 (* The scheduling loop, optionally recording decisions. *)
 let run_impl ?seed ?recorder config ~annot dag =
   let n = Ds_dag.Dag.length dag in
@@ -288,10 +358,23 @@ let run_impl ?seed ?recorder config ~annot dag =
   else begin
     let st = Dyn_state.create dag config.direction in
     (match seed with Some f -> f st | None -> ());
-    let available = ref [] in
+    (* The candidate list keeps one order that [explain] prints:
+       ascending at first, newly available nodes in front in
+       [fold_successors] order, removals keeping the rest in place.  It
+       lives in an array with the list's head last. *)
+    let avail = Array.make n 0 and n_avail = ref 0 in
+    let push i =
+      avail.(!n_avail) <- i;
+      incr n_avail
+    in
     for i = n - 1 downto 0 do
-      if Dyn_state.available st i then available := i :: !available
+      if Dyn_state.available st i then push i
     done;
+    let on_successor () peer _ _ =
+      if Dyn_state.available st peer then push peer
+    in
+    (* the ready candidates in list order, and pick scratch *)
+    let ready = Array.make n 0 and vals = Array.make n 0 in
     (* metrics/trace bookkeeping is resolved once per block; the common
        (disabled) path costs two atomic reads per run_impl call *)
     let metrics_on = Ds_obs.Metrics.is_enabled () in
@@ -300,87 +383,60 @@ let run_impl ?seed ?recorder config ~annot dag =
        explain registry is off, leaving the pick path untouched *)
     let expl = explain_cell config in
     let picks = ref 0 and pick_first = ref 0.0 and pick_total = ref 0.0 in
-    let order = ref [] in
+    let order = Array.make n 0 in
     while not (Dyn_state.complete st) do
-      let ready = List.filter (fun i -> st.earliest_exec.(i) <= st.time) !available in
-      if metrics_on then
-        Ds_obs.Metrics.observe ready_len_hist (List.length ready);
-      match ready with
-      | [] ->
-          (* no candidate can issue: advance to the nearest release time *)
-          let next =
-            List.fold_left
-              (fun acc i -> min acc st.earliest_exec.(i))
-              max_int !available
-          in
-          assert (next < max_int);
-          Ds_obs.Metrics.add stall_counter (next - st.time);
-          st.time <- next
-      | _ ->
-          let do_pick () =
-            match (recorder, expl) with
-            | None, None -> (
-                match ready with
-                | [ only ] -> only
-                | _ -> bare_pick config ~annot ~st ready)
-            | None, Some cell -> (
-                match ready with
-                | [ only ] ->
-                    Ds_obs.Explain.record cell ~candidates:1
-                      ~survivor_counts:[] ~forced:true ~tie_break:false
-                      ~overruled:false;
-                    only
-                | _ ->
-                    let trail, chosen, tie_break, overruled =
-                      traced_pick config ~annot ~st ready
-                    in
-                    explain_record cell ~ncand:(List.length ready) ~trail
-                      ~forced:false ~tie_break ~overruled;
-                    chosen)
-            | Some record, _ ->
-                let trail, chosen, tie_break, overruled =
-                  traced_pick config ~annot ~st ready
-                in
-                (* the recorder branch bypasses [pick], so feed the
-                   decisiveness registry here (no double count) *)
-                (match expl with
-                | Some cell ->
-                    let forced =
-                      match ready with [ _ ] -> true | _ -> false
-                    in
-                    explain_record cell ~ncand:(List.length ready) ~trail
-                      ~forced ~tie_break ~overruled
-                | None -> ());
-                record
-                  { time = st.time; candidates = ready; trail; chosen;
-                    tie_break };
-                chosen
-          in
-          let chosen =
-            if not (metrics_on || trace_on) then do_pick ()
-            else begin
-              let t0 = Ds_obs.Clock.now () in
-              if !picks = 0 then pick_first := t0;
-              let c = do_pick () in
-              let dt = Ds_obs.Clock.since t0 in
-              pick_total := !pick_total +. dt;
-              incr picks;
-              Ds_obs.Metrics.observe_s pick_us_hist dt;
-              c
-            end
-          in
-          Dyn_state.schedule st chosen ~at:st.time;
-          st.time <- st.time + 1;
-          order := chosen :: !order;
-          available := List.filter (fun i -> i <> chosen) !available;
-          (* arcs are coalesced, so a peer's counter reaches zero exactly
-             when its last predecessor, [chosen], issues: it cannot
-             already be in the list *)
-          Dyn_state.fold_successors st chosen
-            (fun () peer _ _ ->
-              if Dyn_state.available st peer then
-                available := peer :: !available)
-            ()
+      let m = ref 0 in
+      for j = !n_avail - 1 downto 0 do
+        let i = avail.(j) in
+        if st.earliest_exec.(i) <= st.time then begin
+          ready.(!m) <- i;
+          incr m
+        end
+      done;
+      let m = !m in
+      if metrics_on then Ds_obs.Metrics.observe ready_len_hist m;
+      if m = 0 then begin
+        (* no candidate can issue: advance to the nearest release time *)
+        let next = ref max_int in
+        for j = 0 to !n_avail - 1 do
+          next := Int.min !next st.earliest_exec.(avail.(j))
+        done;
+        assert (!next < max_int);
+        Ds_obs.Metrics.add stall_counter (!next - st.time);
+        st.time <- !next
+      end
+      else begin
+        let chosen =
+          if not (metrics_on || trace_on) then
+            pick_ready ?recorder config ~annot ~st expl ready vals m
+          else begin
+            let t0 = Ds_obs.Clock.now () in
+            if !picks = 0 then pick_first := t0;
+            let c = pick_ready ?recorder config ~annot ~st expl ready vals m in
+            let dt = Ds_obs.Clock.since t0 in
+            pick_total := !pick_total +. dt;
+            incr picks;
+            Ds_obs.Metrics.observe_s pick_us_hist dt;
+            c
+          end
+        in
+        (* a backward pass builds the schedule last-to-first *)
+        (match config.direction with
+        | Dyn_state.Forward -> order.(st.n_scheduled) <- chosen
+        | Dyn_state.Backward -> order.(n - 1 - st.n_scheduled) <- chosen);
+        Dyn_state.schedule st chosen ~at:st.time;
+        st.time <- st.time + 1;
+        let j = ref (!n_avail - 1) in
+        while avail.(!j) <> chosen do
+          decr j
+        done;
+        Array.blit avail (!j + 1) avail !j (!n_avail - !j - 1);
+        decr n_avail;
+        (* arcs are coalesced, so a peer's counter reaches zero exactly
+           when its last predecessor, [chosen], issues: it cannot
+           already be in the list *)
+        Dyn_state.fold_successors st chosen on_successor ()
+      end
     done;
     (* one aggregate span per block: total dynamic-heuristic time spent
        inside the enclosing "schedule" span (the picks themselves are
@@ -394,11 +450,7 @@ let run_impl ?seed ?recorder config ~annot dag =
         ~start_s:!pick_first
         ~stop_s:(!pick_first +. !pick_total)
         ();
-    let order = !order in
-    (* a backward pass built the schedule last-to-first *)
-    match config.direction with
-    | Dyn_state.Forward -> Array.of_list (List.rev order)
-    | Dyn_state.Backward -> Array.of_list order
+    order
   end
 
 (** Run the scheduling pass.  Returns node ids in program order of the new

@@ -19,8 +19,9 @@ type config = {
 }
 
 (** Choose the best candidate under the config (exposed for schedulers
-    built on top of the engine, e.g. register-limited scheduling).  A
-    single-candidate list returns it without consulting any heuristic.
+    built on top of the engine, e.g. register-limited scheduling) from a
+    non-empty list.  A single-candidate list returns it without
+    consulting any heuristic.
     When [Ds_obs.Explain] is enabled every call records the decision's
     shape (ranks consulted, eliminations, tie-breaks) into the
     decisiveness registry; disabled, that is one atomic read. *)

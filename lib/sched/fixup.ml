@@ -24,10 +24,19 @@ let hoist order ~from_pos ~target_pos =
   Array.blit order target_pos order (target_pos + 1) (from_pos - target_pos);
   order.(target_pos) <- v
 
-(** One sweep: returns true when a profitable move was applied. *)
+(* Undo [hoist]: move the node at [target_pos] back to [from_pos]. *)
+let unhoist order ~from_pos ~target_pos =
+  let v = order.(target_pos) in
+  Array.blit order (target_pos + 1) order target_pos (from_pos - target_pos);
+  order.(from_pos) <- v
+
+(** One sweep: returns true when a profitable move was applied.  The
+    block is scanned once; every trial order is scored against that
+    scan. *)
 let sweep (s : Schedule.t) =
   let n = Array.length s.order in
-  let result = Schedule.simulate s in
+  let scan = Schedule.scan s in
+  let result = Ds_machine.Pipeline.simulate scan s.order in
   let baseline = result.Ds_machine.Pipeline.completion in
   let position = Array.make n 0 in
   Array.iteri (fun pos node -> position.(node) <- pos) s.order;
@@ -45,10 +54,10 @@ let sweep (s : Schedule.t) =
           if from_pos >= n || !improved then ()
           else begin
             if can_hoist s position ~from_pos ~target_pos:pos then begin
-              let saved = Array.copy s.order in
               hoist s.order ~from_pos ~target_pos:pos;
-              if Schedule.cycles s < baseline then improved := true
-              else Array.blit saved 0 s.order 0 n
+              if Ds_machine.Pipeline.completion scan s.order < baseline then
+                improved := true
+              else unhoist s.order ~from_pos ~target_pos:pos
             end;
             if not !improved then try_from (from_pos + 1)
           end

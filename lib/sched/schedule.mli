@@ -25,5 +25,17 @@ val stalls : t -> int
 (** Cycles of the original order, for before/after reports. *)
 val original_cycles : t -> int
 
+(** The block read once for the pipeline simulator; any order of the
+    DAG's nodes can be scored against it. *)
+val scan : t -> Ds_machine.Pipeline.scan
+
+type score = {
+  original_cycles : int;             (* the original order's completion *)
+  scheduled : Ds_machine.Pipeline.result;  (* this schedule's simulation *)
+}
+
+(** {!original_cycles} and {!simulate} from one scan of the block. *)
+val score : t -> score
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -20,12 +20,18 @@ let check (s : Schedule.t) =
     if !dup || Array.exists (fun p -> p < 0) position then
       Error Not_a_permutation
     else begin
+      (* the first violated arc in [Dag.iter_arcs] order: ascending
+         sources, each source's arcs in [iter_succ] order *)
       let bad = ref None in
-      Ds_dag.Dag.iter_arcs
-        (fun arc ->
-          if !bad = None && position.(arc.src) >= position.(arc.dst) then
-            bad := Some arc)
-        s.dag;
+      let next = ref 0 in
+      while Option.is_none !bad && !next < n do
+        let src = !next in
+        let src_pos = position.(src) in
+        Ds_dag.Dag.iter_succ s.dag src (fun dst latency kind ->
+            if Option.is_none !bad && src_pos >= position.(dst) then
+              bad := Some { Ds_dag.Dag.src; dst; kind; latency });
+        incr next
+      done;
       match !bad with None -> Ok () | Some arc -> Error (Arc_violated arc)
     end
   end

@@ -7,6 +7,7 @@ let () =
       ("obs", Test_obs.suite);
       ("isa", Test_isa.suite);
       ("machine", Test_machine.suite);
+      ("pipeline", Test_pipeline.suite);
       ("cfg", Test_cfg.suite);
       ("dag", Test_dag.suite);
       ("dag-arena", Test_dag_arena.suite);

@@ -101,6 +101,24 @@ let test_verify_rejects_violation () =
   | _ -> Alcotest.fail "expected arc violation");
   check_bool "is_valid false" false (Verify.is_valid s)
 
+(* Swapped dependent pairs report the first violated arc in [iter_arcs]
+   order: ascending sources, each source's arcs newest first. *)
+let test_verify_reports_first_arc () =
+  let dag =
+    dag_of_asm
+      "mov 1, %o1\nadd %o1, 1, %o2\nadd %o2, %o1, %o3\n\
+       st %o3, [%fp - 8]\nld [%fp - 8], %o4"
+  in
+  List.iter
+    (fun (order, text) ->
+      match Verify.check (Schedule.make dag order) with
+      | Error v -> check_string "violation" text (Verify.violation_to_string v)
+      | Ok () -> Alcotest.fail "expected arc violation")
+    [ ([| 2; 1; 0; 3; 4 |], "arc 0 -> 2 (RAW, 1 cycles) violated");
+      ([| 0; 1; 2; 4; 3 |], "arc 3 -> 4 (RAW, 1 cycles) violated");
+      ([| 4; 3; 2; 1; 0 |], "arc 0 -> 2 (RAW, 1 cycles) violated");
+      ([| 1; 0; 2; 3; 4 |], "arc 0 -> 1 (RAW, 1 cycles) violated") ]
+
 let test_verify_rejects_non_permutation () =
   let dag = dag_of_asm "mov 1, %o1\nadd %o1, 1, %o2" in
   check_bool "duplicate" false (Verify.is_valid (Schedule.make dag [| 0; 0 |]));
@@ -385,4 +403,5 @@ let suite =
     quick "pick tie-break pinned" test_pick_tie_break_pinned;
     quick "run tie-break program order" test_run_tie_break_program_order;
     quick "traced matches untraced" test_traced_matches_untraced;
-    quick "signature pins" test_signature_pins ]
+    quick "signature pins" test_signature_pins;
+    quick "verify reports the first violated arc" test_verify_reports_first_arc ]
