@@ -497,14 +497,12 @@ let obs_bench () =
   let all_off () =
     Trace.disable ();
     Metrics.disable ();
-    Obs_resource.disable ();
     Explain.disable ();
     Log.set_level None;
     Log.close_sink ();
     Log.disable_heartbeat ();
     Trace.reset ();
     Metrics.reset ();
-    Obs_resource.reset ();
     Explain.reset ();
     Log.reset ()
   in
@@ -522,12 +520,11 @@ let obs_bench () =
         Trace.enable ();
         Metrics.enable ()
     | `All ->
-        (* everything a [--trace --metrics --resource --log --progress]
-           run pays: spans, counter bumps, GC deltas per phase, and
-           rate-limited heartbeats streamed through a real file sink *)
+        (* everything a [--trace --metrics --log --progress] run pays:
+           spans with their minor words, counter bumps, and rate-limited
+           heartbeats streamed through a real file sink *)
         Trace.enable ();
         Metrics.enable ();
-        Obs_resource.enable ();
         Log.set_level (Some Log.Info);
         (match Log.set_sink log_path with
         | Ok () -> ()
@@ -541,7 +538,7 @@ let obs_bench () =
   (* untimed warmup so no configuration pays first-run cache/GC costs *)
   ignore (timed_run ~mode:`Off);
   (* all-pillars runs last, so after the loop the recorders hold one
-     such run's spans, metrics and GC deltas (and the sink one run's
+     such run's spans and metrics (and the sink one run's
      heartbeats); the explain registry is read right after its run *)
   let modes = [| `Off; `Two; `Explain; `All |] in
   let totals = Array.make (Array.length modes) 0.0 in
@@ -562,7 +559,6 @@ let obs_bench () =
   let stats = !stats in
   let spans = Trace.snapshot () in
   let snap = Metrics.snapshot () in
-  let resource = Obs_resource.snapshot () in
   let heartbeats =
     let evs, _ =
       Log.events_of_jsonl_prefix
@@ -601,13 +597,13 @@ let obs_bench () =
       0 stats
   in
   Printf.printf
-    "%d spans, %d counters, %d histograms, %d resource phases, %d log\n\
-     events recorded per all-pillars run; %d decisions across %d\n\
-     strategies recorded per explain run\n"
+    "%d spans, %d counters, %d histograms, %d log events recorded per\n\
+     all-pillars run; %d decisions across %d strategies recorded per\n\
+     explain run\n"
     (List.length spans)
     (List.length snap.Metrics.counters)
     (List.length snap.Metrics.histograms)
-    (List.length resource) heartbeats decisions (List.length stats);
+    heartbeats decisions (List.length stats);
   if overhead_pct > 5.0 then
     Printf.printf
       "(overhead above the 5%% target on this host — the run pays ~1M\n\
@@ -627,7 +623,6 @@ let obs_bench () =
         ("explain_s", Stats.Json.Float explain_s);
         ("explain_overhead_pct", Stats.Json.Float explain_overhead_pct);
         ("heartbeats", Stats.Json.Int heartbeats);
-        ("resource", Obs_resource.to_json resource);
         ("spans", Stats.Json.Int (List.length spans));
         ( "phases",
           Stats.Json.List
@@ -637,7 +632,8 @@ let obs_bench () =
                    [ ("phase", Stats.Json.String p.Trace.phase);
                      ("spans", Stats.Json.Int p.Trace.spans);
                      ("total_us", Stats.Json.Float p.Trace.total_us);
-                     ("max_us", Stats.Json.Float p.Trace.max_us) ])
+                     ("max_us", Stats.Json.Float p.Trace.max_us);
+                     ("minor_words", Stats.Json.Int p.Trace.minor_words) ])
                (Trace.summary spans)) );
         ("metrics", Metrics.snapshot_to_json snap);
         ("decisions", Stats.Json.Int decisions);

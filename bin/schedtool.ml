@@ -122,8 +122,8 @@ let builder_arg =
 let opts_of model strategy = { Opts.default with Opts.model; strategy }
 
 (* ------------------------------------------------------------------ *)
-(* observability: --trace / --metrics / --resource / --explain / --log /
-   --log-level / --progress on batch and serve *)
+(* observability: --trace / --metrics / --explain / --log / --log-level /
+   --progress on batch and serve *)
 
 let trace_conv =
   let parse s =
@@ -139,8 +139,9 @@ let trace_arg =
         ~doc:"Record every pipeline phase as spans and write a Chrome \
               trace-event JSON timeline to $(docv) (loadable in Perfetto \
               at ui.perfetto.dev or chrome://tracing), plus a per-phase \
-              summary table on stderr.  Report outputs are byte-identical \
-              with and without tracing.")
+              summary table on stderr (spans, time and minor-heap words \
+              per phase, then the run's GC totals).  Report outputs are \
+              byte-identical with and without tracing.")
 
 let metrics_arg =
   Arg.(
@@ -148,18 +149,8 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:"Collect pipeline counters and histograms (arcs added, \
               transitive arcs pruned, table probes, ready-list lengths, \
-              stall cycles, pool latencies) and print them on stderr \
+              stall cycles, pool steals) and print them on stderr \
               after the run, with p50/p95/p99 columns per histogram.")
-
-let resource_arg =
-  Arg.(
-    value & flag
-    & info [ "resource" ]
-        ~doc:"Profile GC/heap resource usage per pipeline phase \
-              (allocation words, collections, heap high-water), export \
-              it as a $(b,resource) field in the report JSON, and — \
-              with $(b,--trace) — emit heap/GC counter tracks into the \
-              trace timeline.")
 
 let explain_arg =
   Arg.(
@@ -221,7 +212,6 @@ let progress_arg =
 type obs = {
   trace : string option;
   metrics : bool;
-  resource : bool;
   explain : bool;
   log : string option;
   log_level : Log.level option;
@@ -229,11 +219,11 @@ type obs = {
 }
 
 let obs_term ~explain =
-  let make trace metrics resource explain log log_level progress =
-    { trace; metrics; resource; explain; log; log_level; progress }
+  let make trace metrics explain log log_level progress =
+    { trace; metrics; explain; log; log_level; progress }
   in
   Term.(
-    const make $ trace_arg $ metrics_arg $ resource_arg
+    const make $ trace_arg $ metrics_arg
     $ (if explain then explain_arg else const false)
     $ log_arg $ log_level_arg $ progress_arg)
 
@@ -243,7 +233,6 @@ let obs_term ~explain =
 let obs_enable o =
   if o.trace <> None then Trace.enable ();
   if o.metrics || o.trace <> None then Metrics.enable ();
-  if o.resource then Obs_resource.enable ();
   if o.explain then Explain.enable ();
   if o.progress then Log.set_heartbeat ~echo:true ~interval_s:0.5 ();
   (match (o.log_level, o.log) with
@@ -263,27 +252,10 @@ let span_parse file f =
 
 let span_encode f = Trace.with_span ~cat:"cli" "json_encode" f
 
-(* Attach the resource-profiling snapshot to a report object when
-   profiling is on, with the same round-trip self-check discipline as
+(* Attach the decisiveness statistics to a report object when the
+   registry is live, with the same round-trip self-check discipline as
    every other writer; the identity otherwise, so report bytes are
-   untouched when --resource is absent. *)
-let with_resource json =
-  if not (Obs_resource.is_enabled ()) then json
-  else
-    match json with
-    | Json.Obj fields ->
-        let rows = Obs_resource.snapshot () in
-        let rj = Obs_resource.to_json rows in
-        (match Obs_resource.of_json rj with
-        | Ok rows' when Obs_resource.equal rows rows' -> ()
-        | _ ->
-            Printf.eprintf "internal error: resource JSON round trip mismatch\n";
-            exit 3);
-        Json.Obj (fields @ [ ("resource", rj) ])
-    | other -> other
-
-(* Same discipline for the decisiveness statistics: an "explain" field
-   appended only when the registry is live, round-trip checked. *)
+   untouched when --explain is absent. *)
 let with_explain json =
   if not (Explain.enabled ()) then json
   else
@@ -326,25 +298,33 @@ let explain_tables () =
           Printf.eprintf "  never consulted: %s\n" (String.concat ", " dead))
     (Explain.snapshot ())
 
+(* The run's process-wide GC totals, closing the phases table: the
+   figures no single span can own (promotion, major allocation,
+   collections, heap high-water). *)
+let gc_totals () =
+  let s = Gc.quick_stat () in
+  Printf.sprintf
+    "gc: %.2f promoted Mw, %.2f major Mw, %d minor / %d major collections, \
+     top heap %.2f Mw\n"
+    (s.Gc.promoted_words /. 1e6) (s.Gc.major_words /. 1e6)
+    s.Gc.minor_collections s.Gc.major_collections
+    (float_of_int s.Gc.top_heap_words /. 1e6)
+
 (* After the run: write the Chrome trace (with the same round-trip
    self-check discipline as the report writers) and print the per-phase,
-   metrics, resource and decisiveness summaries on stderr. *)
+   metrics and decisiveness summaries on stderr. *)
 let obs_finish o =
   (match o.trace with
   | None -> ()
   | Some path ->
       let spans = Trace.snapshot () in
-      let counters = Trace.snapshot_counters () in
-      let json =
-        Trace.to_json ~pid_names:[ (0, "schedtool") ] ~counters spans
-      in
+      let json = Trace.to_json ~pid_names:[ (0, "schedtool") ] spans in
       let text = Stats.Json.to_string json ^ "\n" in
       (match Stats.Json.of_string text with
       | Ok j
-        when (match (Trace.events_of_json j, Trace.counters_of_json j) with
-             | Ok spans', Ok counters' ->
-                 spans' = spans && counters' = counters
-             | _ -> false) -> ()
+        when (match Trace.events_of_json j with
+             | Ok spans' -> spans' = spans
+             | Error _ -> false) -> ()
       | Ok _ ->
           Printf.eprintf "internal error: trace JSON round trip mismatch\n";
           exit 3
@@ -357,16 +337,18 @@ let obs_finish o =
          exit 125);
       let t =
         Table.create ~title:"phases"
-          [ "phase"; "spans"; "total ms"; "max ms" ]
+          [ "phase"; "spans"; "total ms"; "max ms"; "minor Mw" ]
       in
       List.iter
         (fun (p : Trace.phase_stat) ->
           Table.add_row t
             [ p.Trace.phase; string_of_int p.Trace.spans;
               Printf.sprintf "%.3f" (p.Trace.total_us /. 1000.0);
-              Printf.sprintf "%.3f" (p.Trace.max_us /. 1000.0) ])
+              Printf.sprintf "%.3f" (p.Trace.max_us /. 1000.0);
+              Printf.sprintf "%.2f" (float_of_int p.Trace.minor_words /. 1e6) ])
         (Trace.summary spans);
-      prerr_string (Table.render t));
+      prerr_string (Table.render t);
+      prerr_string (gc_totals ()));
   if o.metrics then begin
     let snap = Metrics.snapshot () in
     if snap.Metrics.counters <> [] then begin
@@ -391,30 +373,6 @@ let obs_finish o =
               string_of_int h.Metrics.p99 ])
         (Metrics.summary snap);
       prerr_string (Table.render ht)
-    end
-  end;
-  if o.resource then begin
-    let rows = Obs_resource.snapshot () in
-    if rows <> [] then begin
-      let rt =
-        Table.create ~title:"resource"
-          [ "phase"; "calls"; "minor Mw"; "promoted Mw"; "major Mw";
-            "minor gc"; "major gc"; "top heap Mw" ]
-      in
-      List.iter
-        (fun (r : Obs_resource.phase_stat) ->
-          Table.add_row rt
-            [ r.Obs_resource.phase;
-              string_of_int r.Obs_resource.calls;
-              Printf.sprintf "%.2f" (r.Obs_resource.minor_words /. 1e6);
-              Printf.sprintf "%.2f" (r.Obs_resource.promoted_words /. 1e6);
-              Printf.sprintf "%.2f" (r.Obs_resource.major_words /. 1e6);
-              string_of_int r.Obs_resource.minor_collections;
-              string_of_int r.Obs_resource.major_collections;
-              Printf.sprintf "%.2f"
-                (float_of_int r.Obs_resource.top_heap_words /. 1e6) ])
-        rows;
-      prerr_string (Table.render rt)
     end
   end;
   if o.explain then explain_tables ()
@@ -658,8 +616,7 @@ let chain_cmd =
 (* ------------------------------------------------------------------ *)
 (* batch: the parallel batch-scheduling driver *)
 
-(* Encode the report (plus the resource/explain sections when those are
-   on), check that it reads back to an equal report — exit 3 otherwise;
+(* Encode the report (plus the explain section when that is on), check that it reads back to an equal report — exit 3 otherwise;
    [Batch.report_equal] is NaN-tolerant, since under structural [=] a
    valid report with a NaN field would fail its own check — and write
    it to [path] ('-' for stdout). *)
@@ -667,7 +624,7 @@ let write_report report path =
   let text =
     span_encode (fun () ->
         Stats.Json.to_string
-          (with_explain (with_resource (Batch.report_to_json report)))
+          (with_explain (Batch.report_to_json report))
         ^ "\n")
   in
   (match Stats.Json.of_string text with
@@ -1258,6 +1215,7 @@ let explain_cmd =
                        dur_us =
                          float_of_int
                            (max 1 (model.Latency.exec_time (Dag.insn dag node)));
+                       minor_words = 0;
                        pid = b.Block.id;
                        tid = 0;
                        args = [ ("node", Json.Int node) ] })

@@ -42,11 +42,9 @@ module Stats = Ds_util.Stats
 module Table = Ds_util.Table
 module Pool = Ds_util.Pool
 
-(* observability: monotonic-leaning clock, span tracing (Chrome
-   trace-event export), metrics registry, structured event log,
-   per-phase GC/heap profiling.  The GC profiler is [Obs_resource]
-   here because [Resource] names the ISA's
-   machine-resource module below. *)
+(* observability: monotonic-leaning clock, span tracing (time and
+   minor-heap words per phase, Chrome trace-event export), metrics
+   registry, structured event log *)
 module Json = Ds_obs.Json
 module Clock = Ds_obs.Clock
 module Trace = Ds_obs.Trace
@@ -55,7 +53,6 @@ module Log = Ds_obs.Log
 module Window = Ds_obs.Window
 module Prom = Ds_obs.Prom
 module Frame = Ds_obs.Frame
-module Obs_resource = Ds_obs.Resource
 module Explain = Ds_obs.Explain
 
 (* ISA *)

@@ -69,56 +69,54 @@ let hb_tick () =
     Ds_obs.Log.heartbeat ~phase:"block" ~done_:d ~total:(Atomic.get hb_total) ()
 
 let run_block config block =
-  (* phase spans (dag_build/heur_static/schedule/verify) are no-ops
-     unless --trace enabled the recorder; heur_dynamic is recorded
-     inside Engine.run as an aggregate.  Resource.with_phase charges the
-     same boundaries with GC/heap deltas when --resource is on. *)
-  let span name f =
-    Ds_obs.Trace.with_span ~cat:"pipeline"
-      ~args:[ ("block", Ds_obs.Json.Int block.Ds_cfg.Block.id) ]
-      name
-      (fun () -> Ds_obs.Resource.with_phase name f)
+  let id = block.Ds_cfg.Block.id in
+  (* one span per phase (heur_dynamic is recorded inside Engine.run as
+     an aggregate); each span charges its phase's time and minor words.
+     The args are built only when tracing is on, so the untraced path
+     allocates nothing here but the phase closures. *)
+  let span ?(builder = false) name f =
+    if not (Ds_obs.Trace.enabled ()) then f ()
+    else
+      let args =
+        ("block", Ds_obs.Json.Int id)
+        :: (if builder then
+              [ ( "builder",
+                  Ds_obs.Json.String (Ds_dag.Builder.to_string config.algorithm)
+                ) ]
+            else [])
+      in
+      Ds_obs.Trace.with_span ~cat:"pipeline" ~args name f
   in
   let time_s, (dag, annot, sched) =
     Ds_util.Stats.time_runs ~runs:1 (fun () ->
         let dag =
-          Ds_obs.Trace.with_span ~cat:"pipeline"
-            ~args:
-              [ ("block", Ds_obs.Json.Int block.Ds_cfg.Block.id);
-                ( "builder",
-                  Ds_obs.Json.String
-                    (Ds_dag.Builder.to_string config.algorithm) ) ]
-            "dag_build"
-            (fun () ->
-              Ds_obs.Resource.with_phase
-                ~detail:(Ds_dag.Builder.to_string config.algorithm)
-                "dag_build"
-                (fun () ->
-                  Ds_dag.Builder.build config.algorithm config.opts block))
+          span ~builder:true "dag_build" (fun () ->
+              Ds_dag.Builder.build config.algorithm config.opts block)
         in
         let annot =
           span "heur_static" (fun () ->
               Ds_heur.Static_pass.compute_for (heuristics_of config) dag)
         in
-        let order = span "schedule" (fun () -> Engine.run config.engine ~annot dag) in
-        let sched = Schedule.make dag order in
+        let sched =
+          span "schedule" (fun () ->
+              Schedule.make dag (Engine.run config.engine ~annot dag))
+        in
         if config.verify then
           span "verify" (fun () ->
               match Verify.check sched with
               | Ok () -> ()
               | Error v ->
-                  raise
-                    (Invalid_schedule
-                       (block.Ds_cfg.Block.id, Verify.violation_to_string v)));
+                  raise (Invalid_schedule (id, Verify.violation_to_string v)));
         (dag, annot, sched))
   in
   hb_tick ();
   (* one scan of the block scores the original and the scheduled order *)
-  let score = Schedule.score sched in
-  { block_id = block.Ds_cfg.Block.id;
+  let score = span "score" (fun () -> Schedule.score sched) in
+  let fingerprint = span "fingerprint" (fun () -> Ds_dag.Dag.fingerprint dag) in
+  { block_id = id;
     insns = Ds_cfg.Block.length block;
     dag_arcs = Ds_dag.Dag.n_arcs dag;
-    fingerprint = Ds_dag.Dag.fingerprint dag;
+    fingerprint;
     order = sched.Schedule.order;
     annot;
     original_cycles = score.Schedule.original_cycles;

@@ -57,9 +57,9 @@ exception Invalid_schedule of int * string
     {!Ds_util.Pool.default_chunk}; values < 1 are clamped to 1).
     Results are in input order, and identical for every domain count
     and chunk size — only dispatch bookkeeping changes (the
-    [pool.queue_wait_us] histogram and [queue_wait]/[task_run] spans
-    are per chunk).  The differential test layer in
-    [test/test_driver.ml] pins the chunk-size invariance. *)
+    [queue_wait]/[task_run] spans are per chunk).  The differential
+    test layer in [test/test_driver.ml] pins the chunk-size
+    invariance. *)
 val run :
   ?domains:int -> ?chunk:int -> pipeline_config -> Ds_cfg.Block.t list ->
   result list

@@ -51,55 +51,6 @@ type event = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* per-domain ring buffers: each domain hashes to one of [n_rings]
-   slots, so concurrent domains almost never contend on a lock, and a
-   ring bounds memory no matter how chatty a run gets *)
-
-let n_rings = 64
-let ring_capacity = 512
-
-type ring = {
-  lock : Mutex.t;
-  slots : event option array;
-  mutable next : int;
-  mutable count : int;
-}
-
-let rings =
-  Array.init n_rings (fun _ ->
-      { lock = Mutex.create ();
-        slots = Array.make ring_capacity None;
-        next = 0; count = 0 })
-
-let ring_push ev =
-  let r = rings.((Domain.self () :> int) land (n_rings - 1)) in
-  Mutex.lock r.lock;
-  r.slots.(r.next) <- Some ev;
-  r.next <- (r.next + 1) mod ring_capacity;
-  r.count <- min (r.count + 1) ring_capacity;
-  Mutex.unlock r.lock
-
-let event_order a b =
-  compare
-    (a.ts_s, a.pid, a.tid, severity a.level, a.scope, a.msg)
-    (b.ts_s, b.pid, b.tid, severity b.level, b.scope, b.msg)
-
-let snapshot () =
-  let out = ref [] in
-  Array.iter
-    (fun r ->
-      Mutex.lock r.lock;
-      (* oldest first: start at [next] (the overwrite point) *)
-      for i = 0 to ring_capacity - 1 do
-        match r.slots.((r.next + i) mod ring_capacity) with
-        | Some ev -> out := ev :: !out
-        | None -> ()
-      done;
-      Mutex.unlock r.lock)
-    rings;
-  List.stable_sort event_order (List.rev !out)
-
-(* ------------------------------------------------------------------ *)
 (* sink: O_APPEND + one write(2) per line = signal-safe write-through.
    POSIX guarantees O_APPEND writes land whole at the end of the file,
    so concurrent domains never tear a line.  [Sink] is the reusable
@@ -150,9 +101,6 @@ let set_sink path =
       close_sink ();
       Atomic.set sink (Some s);
       Ok ()
-
-let sink_write line =
-  match Atomic.get sink with None -> () | Some s -> Sink.write_line s line
 
 (* ------------------------------------------------------------------ *)
 (* JSON *)
@@ -241,8 +189,9 @@ let events_of_jsonl_prefix text =
 let os_pid = lazy (Unix.getpid ())
 
 let emit ev =
-  ring_push ev;
-  sink_write (Json.to_string (event_to_json ev))
+  match Atomic.get sink with
+  | None -> ()
+  | Some s -> Sink.write_line s (Json.to_string (event_to_json ev))
 
 let make_event ?(fields = []) level ~scope msg =
   { ts_s = Clock.now (); level; scope; msg; fields;
@@ -321,13 +270,4 @@ let heartbeat ?(force = false) ~phase ~done_ ~total () =
 (* ------------------------------------------------------------------ *)
 (* reset (tests / bench) *)
 
-let reset () =
-  Array.iter
-    (fun r ->
-      Mutex.lock r.lock;
-      Array.fill r.slots 0 ring_capacity None;
-      r.next <- 0;
-      r.count <- 0;
-      Mutex.unlock r.lock)
-    rings;
-  Atomic.set hb_last Float.neg_infinity
+let reset () = Atomic.set hb_last Float.neg_infinity

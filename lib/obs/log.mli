@@ -3,10 +3,9 @@
 
     An {e event} is one structured record: timestamp, level, scope
     (["batch"], ["serve"], ["heartbeat"]), a short stable message,
-    and free-form JSON fields.  Events are kept in per-domain
-    ring buffers (bounded, lock per ring — never on a shared registry)
-    and, when a {e sink} is attached, appended to a JSONL file as one
-    line per event.
+    and free-form JSON fields.  When a {e sink} is attached, each event
+    is appended to a JSONL file as one line; the sink is the log, and
+    no copy is kept in memory.
 
     {b Crash forensics.}  The sink is an [O_APPEND] file descriptor and
     every event is written with a single [write(2)] — there is no
@@ -56,19 +55,13 @@ type event = {
   tid : int;                       (** OCaml domain id *)
 }
 
-(** [log ?fields lvl ~scope msg] records an event when [enabled lvl]:
-    into the calling domain's ring, and through the sink if one is
-    attached.  Never raises — a failed sink write is dropped (logging
+(** [log ?fields lvl ~scope msg] writes an event through the sink when
+    [enabled lvl] and a sink is attached.  Never raises — a failed sink write is dropped (logging
     must not take down the pipeline). *)
 val log : ?fields:(string * Json.t) list -> level -> scope:string -> string -> unit
 
-(** Ring contents in deterministic order (timestamp, then pid/tid and
-    content), oldest first; each ring keeps the most recent events
-    (bounded), so this is the in-memory tail, not the full history. *)
-val snapshot : unit -> event list
-
-(** Drop ring contents and heartbeat rate-limiter state.  Level and
-    sink are untouched. *)
+(** Reset the heartbeat rate limiter, so the next heartbeat is due.
+    Level and sink are untouched. *)
 val reset : unit -> unit
 
 (** {1 Sink}

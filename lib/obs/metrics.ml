@@ -121,9 +121,6 @@ let observe h v =
     cell.hbuckets.(i) <- cell.hbuckets.(i) + 1
   end
 
-let observe_s h seconds =
-  observe h (int_of_float (Float.round (Clock.clamp seconds *. 1e6)))
-
 (* like snapshot, meaningful once recording domains have quiesced *)
 let reset () =
   with_registry (fun () ->

@@ -1,7 +1,8 @@
 (** Process-wide metrics registry: named counters and log-bucketed
     histograms for the scheduling pipeline's hot paths (arcs added,
     transitive arcs pruned, resource-table probes, ready-list lengths,
-    stall cycles, pool latencies).
+    stall cycles, pool steals).  Phase durations are {!Trace} spans,
+    not histograms.
 
     Instrumentation sites register a handle once at module
     initialization ([let arcs = Metrics.counter "dag.arcs_added"]) and
@@ -60,10 +61,6 @@ val histogram : string -> histogram
 
 (** Record one integer observation.  No-op when disabled. *)
 val observe : histogram -> int -> unit
-
-(** Record a duration in seconds as integer microseconds (clamped
-    non-negative, {!Clock.clamp}).  No-op when disabled. *)
-val observe_s : histogram -> float -> unit
 
 (** {1 Bucketing}
 

@@ -6,6 +6,7 @@ type span = {
   cat : string;
   ts_us : float;
   dur_us : float;
+  minor_words : int;
   pid : int;
   tid : int;
   args : (string * Json.t) list;
@@ -34,46 +35,42 @@ let rec slot_push cell x =
   let old = Atomic.get cell in
   if not (Atomic.compare_and_set cell old (x :: old)) then slot_push cell x
 
-type counter = {
-  cname : string;
-  cts_us : float;
-  cpid : int;
-  ctid : int;
-  values : (string * float) list;
-}
-
-let counter_slots : counter list Atomic.t array =
-  Array.init n_slots (fun _ -> Atomic.make [])
-
-let reset () =
-  Array.iter (fun c -> Atomic.set c []) span_slots;
-  Array.iter (fun c -> Atomic.set c []) counter_slots
+let reset () = Array.iter (fun c -> Atomic.set c []) span_slots
 
 let tid () = (Domain.self () :> int)
 
-let record ?(cat = "") ?(args = []) ~name ~start_s ~stop_s () =
+let push ~cat ~args ~minor_words ~name ~start_s ~stop_s =
   slot_push
     span_slots.(slot_index ())
     { name; cat;
       ts_us = start_s *. 1e6;
       dur_us = Clock.duration ~start:start_s ~stop:stop_s *. 1e6;
-      pid = 0; tid = tid (); args }
+      minor_words; pid = 0; tid = tid (); args }
 
-let with_span ?cat ?args name f =
+let record ?(cat = "") ?(args = []) ~name ~start_s ~stop_s () =
+  push ~cat ~args ~minor_words:0 ~name ~start_s ~stop_s
+
+let with_span ?(cat = "") ?(args = []) name f =
   if not (enabled ()) then f ()
   else begin
     let start_s = Clock.now () in
+    (* [Gc.minor_words] counts this domain's allocation and does not
+       allocate itself; both reads sit inside the clock reads, so the
+       span is charged exactly what [f] allocated *)
+    let w0 = Gc.minor_words () in
     (* record even when [f] raises, so aborted phases (verify failures,
        killed attempts) still appear on the timeline.  Hand-rolled
        rather than Fun.protect: this is the hot path, and the exception
        case needs no finally-raised wrapping *)
     match f () with
     | v ->
-        record ?cat ?args ~name ~start_s ~stop_s:(Clock.now ()) ();
+        let minor_words = int_of_float (Gc.minor_words () -. w0) in
+        push ~cat ~args ~minor_words ~name ~start_s ~stop_s:(Clock.now ());
         v
     | exception e ->
+        let minor_words = int_of_float (Gc.minor_words () -. w0) in
         let bt = Printexc.get_raw_backtrace () in
-        record ?cat ?args ~name ~start_s ~stop_s:(Clock.now ()) ();
+        push ~cat ~args ~minor_words ~name ~start_s ~stop_s:(Clock.now ());
         Printexc.raise_with_backtrace e bt
   end
 
@@ -96,31 +93,17 @@ let collect slots =
 let snapshot () = List.sort span_order (collect span_slots)
 
 (* ------------------------------------------------------------------ *)
-(* counter events ("ph":"C"): cumulative gauges — heap words, GC
-   collections — that Perfetto renders as counter tracks alongside the
-   span timeline.  Recorded by Resource at phase boundaries. *)
-
-let record_counter ~name ~values () =
-  slot_push
-    counter_slots.(slot_index ())
-    { cname = name; cts_us = Clock.now () *. 1e6; cpid = 0; ctid = tid ();
-      values }
-
-let counter_order (a : counter) (b : counter) =
-  match
-    compare (a.cts_us, a.cpid, a.ctid, a.cname) (b.cts_us, b.cpid, b.ctid, b.cname)
-  with
-  | 0 -> compare a b
-  | c -> c
-
-let snapshot_counters () = List.sort counter_order (collect counter_slots)
-
-(* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON (docs/FORMAT.md; load in Perfetto /
    chrome://tracing).  Timestamps are absolute epoch microseconds —
    viewers normalize to the earliest event. *)
 
+(* the minor-words charge travels as an arg, omitted when 0 (pool
+   waits, the aggregate pick span, explain's issue timelines) *)
 let span_to_json s =
+  let args =
+    if s.minor_words = 0 then s.args
+    else s.args @ [ ("minor_words", Json.Int s.minor_words) ]
+  in
   Json.Obj
     [ ("name", Json.String s.name);
       ("cat", Json.String s.cat);
@@ -129,7 +112,7 @@ let span_to_json s =
       ("dur", Json.Float s.dur_us);
       ("pid", Json.Int s.pid);
       ("tid", Json.Int s.tid);
-      ("args", Json.Obj s.args) ]
+      ("args", Json.Obj args) ]
 
 let process_name_event pid name =
   Json.Obj
@@ -139,31 +122,17 @@ let process_name_event pid name =
       ("tid", Json.Int 0);
       ("args", Json.Obj [ ("name", Json.String name) ]) ]
 
-let counter_to_json c =
-  Json.Obj
-    [ ("name", Json.String c.cname);
-      ("ph", Json.String "C");
-      ("ts", Json.Float c.cts_us);
-      ("pid", Json.Int c.cpid);
-      ("tid", Json.Int c.ctid);
-      ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) c.values)) ]
-
-let to_json ?(pid_names = []) ?(counters = []) spans =
+let to_json ?(pid_names = []) spans =
   let metadata =
     List.filter_map
       (fun (pid, name) ->
-        if
-          List.exists (fun s -> s.pid = pid) spans
-          || List.exists (fun c -> c.cpid = pid) counters
-        then Some (process_name_event pid name)
+        if List.exists (fun s -> s.pid = pid) spans then
+          Some (process_name_event pid name)
         else None)
       pid_names
   in
   Json.Obj
-    [ ( "traceEvents",
-        Json.List
-          (metadata @ List.map span_to_json spans
-          @ List.map counter_to_json counters) ) ]
+    [ ("traceEvents", Json.List (metadata @ List.map span_to_json spans)) ]
 
 let span_of_json ~path json =
   let ( let* ) = Result.bind in
@@ -190,7 +159,17 @@ let span_of_json ~path json =
         Json.decode_error ~path:(path @ [ "args" ])
           (Printf.sprintf "expected an object, found %s" (Json.type_name v))
   in
-  Ok { name; cat; ts_us; dur_us; pid; tid; args }
+  let* minor_words =
+    match List.assoc_opt "minor_words" args with
+    | None -> Ok 0
+    | Some (Json.Int w) -> Ok w
+    | Some v ->
+        Json.decode_error
+          ~path:(path @ [ "args"; "minor_words" ])
+          (Printf.sprintf "expected an integer, found %s" (Json.type_name v))
+  in
+  let args = List.filter (fun (k, _) -> k <> "minor_words") args in
+  Ok { name; cat; ts_us; dur_us; minor_words; pid; tid; args }
 
 let events_of_json ?(path = []) json =
   let ( let* ) = Result.bind in
@@ -208,46 +187,6 @@ let events_of_json ?(path = []) json =
   in
   Ok (List.filter_map Fun.id tagged)
 
-let counter_of_json ~path json =
-  let ( let* ) = Result.bind in
-  let* cname = Json.get_string ~path "name" json in
-  let* cts_us = Json.get_float ~path "ts" json in
-  let* cpid = Json.get_int ~path "pid" json in
-  let* ctid = Json.get_int ~path "tid" json in
-  let* args =
-    match Json.member "args" json with
-    | None -> Ok []
-    | Some (Json.Obj fields) -> Ok fields
-    | Some v ->
-        Json.decode_error ~path:(path @ [ "args" ])
-          (Printf.sprintf "expected an object, found %s" (Json.type_name v))
-  in
-  let rec values acc = function
-    | [] -> Ok (List.rev acc)
-    | (k, Json.Float v) :: rest -> values ((k, v) :: acc) rest
-    | (k, Json.Int v) :: rest -> values ((k, float_of_int v) :: acc) rest
-    | (k, v) :: _ ->
-        Json.decode_error
-          ~path:(path @ [ "args"; k ])
-          (Printf.sprintf "expected a number, found %s" (Json.type_name v))
-  in
-  let* values = values [] args in
-  Ok { cname; cts_us; cpid; ctid; values }
-
-let counters_of_json ?(path = []) json =
-  let ( let* ) = Result.bind in
-  let* tagged =
-    Json.get_list ~path "traceEvents"
-      (fun ~path ev ->
-        let* ph = Json.get_string ~path "ph" ev in
-        if ph = "C" then
-          let* c = counter_of_json ~path ev in
-          Ok (Some c)
-        else Ok None)
-      json
-  in
-  Ok (List.filter_map Fun.id tagged)
-
 (* ------------------------------------------------------------------ *)
 (* per-phase aggregation for the human-readable stderr table *)
 
@@ -256,6 +195,7 @@ type phase_stat = {
   spans : int;
   total_us : float;
   max_us : float;
+  minor_words : int;
 }
 
 let summary spans =
@@ -266,13 +206,15 @@ let summary spans =
         match Hashtbl.find_opt tbl s.name with
         | Some st -> st
         | None ->
-            { phase = s.name; spans = 0; total_us = 0.0; max_us = 0.0 }
+            { phase = s.name; spans = 0; total_us = 0.0; max_us = 0.0;
+              minor_words = 0 }
       in
       Hashtbl.replace tbl s.name
         { st with
           spans = st.spans + 1;
           total_us = st.total_us +. s.dur_us;
-          max_us = Float.max st.max_us s.dur_us })
+          max_us = Float.max st.max_us s.dur_us;
+          minor_words = st.minor_words + s.minor_words })
     spans;
   Hashtbl.fold (fun _ st acc -> st :: acc) tbl []
   |> List.sort (fun a b ->

@@ -308,11 +308,10 @@ let pick config ~annot ~st candidates =
         chosen
       end
 
-(* observability: per-issue ready-list lengths, stall-cycle totals and
-   the accumulated dynamic-heuristic (pick) time — all no-ops unless
-   schedtool --metrics/--trace enabled them *)
+(* observability: per-issue ready-list lengths and stall-cycle totals
+   (--metrics), and the accumulated dynamic-heuristic (pick) time
+   (--trace) — all no-ops unless enabled *)
 let ready_len_hist = Ds_obs.Metrics.histogram "sched.ready_len"
-let pick_us_hist = Ds_obs.Metrics.histogram "sched.pick_us"
 let stall_counter = Ds_obs.Metrics.counter "sched.stall_cycles"
 
 (* Choose among the [m] ready candidates [ready.(0 .. m-1)] (list
@@ -376,7 +375,8 @@ let run_impl ?seed ?recorder config ~annot dag =
     (* the ready candidates in list order, and pick scratch *)
     let ready = Array.make n 0 and vals = Array.make n 0 in
     (* metrics/trace bookkeeping is resolved once per block; the common
-       (disabled) path costs two atomic reads per run_impl call *)
+       (disabled) path costs two atomic reads per run_impl call; only
+       tracing reads the clock around each pick *)
     let metrics_on = Ds_obs.Metrics.is_enabled () in
     let trace_on = Ds_obs.Trace.enabled () in
     (* decisiveness accumulator resolved once per block; [None] when the
@@ -407,16 +407,14 @@ let run_impl ?seed ?recorder config ~annot dag =
       end
       else begin
         let chosen =
-          if not (metrics_on || trace_on) then
+          if not trace_on then
             pick_ready ?recorder config ~annot ~st expl ready vals m
           else begin
             let t0 = Ds_obs.Clock.now () in
             if !picks = 0 then pick_first := t0;
             let c = pick_ready ?recorder config ~annot ~st expl ready vals m in
-            let dt = Ds_obs.Clock.since t0 in
-            pick_total := !pick_total +. dt;
+            pick_total := !pick_total +. Ds_obs.Clock.since t0;
             incr picks;
-            Ds_obs.Metrics.observe_s pick_us_hist dt;
             c
           end
         in

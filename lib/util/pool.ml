@@ -114,38 +114,27 @@ let recommended () = max 1 (Domain.recommended_domain_count ())
 
 let default_chunk = 64
 
-(* Observability: when tracing/metrics are enabled, each submitted task
-   is wrapped so the timeline shows how long it sat queued in a deque
+(* Observability: when tracing is enabled, each submitted task is
+   wrapped so the timeline shows how long it sat queued in a deque
    (queue_wait) and how long a worker ran it (task_run).  The wrap
    happens at submit time, so the disabled path costs one atomic read
    per task and nothing per instruction.  With chunked submission one
    task covers a whole chunk, so these are per-chunk, not per-block. *)
-let queue_wait_us = Ds_obs.Metrics.histogram "pool.queue_wait_us"
-let task_run_us = Ds_obs.Metrics.histogram "pool.task_run_us"
 let steals_c = Ds_obs.Metrics.counter "pool.steals"
 let steal_fails_c = Ds_obs.Metrics.counter "pool.steal_fails"
 let chunks_c = Ds_obs.Metrics.counter "pool.chunks"
 
 let instrument task =
-  if not (Ds_obs.Trace.enabled () || Ds_obs.Metrics.is_enabled ()) then task
+  if not (Ds_obs.Trace.enabled ()) then task
   else
     let enqueued = Ds_obs.Clock.now () in
     fun () ->
-      let started = Ds_obs.Clock.now () in
-      if Ds_obs.Trace.enabled () then
-        Ds_obs.Trace.record ~cat:"pool" ~name:"queue_wait" ~start_s:enqueued
-          ~stop_s:started ();
-      Ds_obs.Metrics.observe_s queue_wait_us (started -. enqueued);
-      (* record even when the task raises: a failing task still shows on
-         the timeline (the pool re-raises from [wait] regardless) *)
-      Fun.protect
-        ~finally:(fun () ->
-          let stopped = Ds_obs.Clock.now () in
-          if Ds_obs.Trace.enabled () then
-            Ds_obs.Trace.record ~cat:"pool" ~name:"task_run" ~start_s:started
-              ~stop_s:stopped ();
-          Ds_obs.Metrics.observe_s task_run_us (stopped -. started))
-        task
+      Ds_obs.Trace.record ~cat:"pool" ~name:"queue_wait" ~start_s:enqueued
+        ~stop_s:(Ds_obs.Clock.now ()) ();
+      (* with_span records even when the task raises: a failing task
+         still shows on the timeline (the pool re-raises from [wait]
+         regardless) *)
+      Ds_obs.Trace.with_span ~cat:"pool" "task_run" task
 
 (* Take order: own deque first (LIFO), then one sweep over the other
    deques as a thief (FIFO), starting at a random victim so thieves

@@ -69,13 +69,12 @@ val size : t -> int
 
 (** Enqueue a task.  Raises [Invalid_argument] after {!shutdown}.
 
-    When {!Ds_obs.Trace}/{!Ds_obs.Metrics} are enabled at submit time,
-    the task is wrapped to record a [queue_wait] span (submit to start)
-    and a [task_run] span (start to finish, also on exception) plus the
-    matching [pool.queue_wait_us]/[pool.task_run_us] histograms; when
-    disabled the wrap is skipped entirely (one atomic read per task).
-    With chunked submission a task covers a whole chunk, so these are
-    per-chunk.  The registry also carries [pool.steals] (successful
+    When {!Ds_obs.Trace} is enabled at submit time, the task is wrapped
+    to record a [queue_wait] span (submit to start) and a [task_run]
+    span (start to finish, also on exception); when disabled the wrap
+    is skipped entirely (one atomic read per task).  With chunked
+    submission a task covers a whole chunk, so these are per-chunk.
+    The {!Ds_obs.Metrics} registry carries [pool.steals] (successful
     steals), [pool.steal_fails] (empty-handed steal probes) and
     [pool.chunks] (chunk tasks submitted by the map entry points). *)
 val submit : t -> (unit -> unit) -> unit

@@ -247,69 +247,72 @@ let test_json_unicode_escape_total () =
       "\"\\uzzzz\"";       (* non-hex digits *)
       "\"\\u00" ]          (* truncated escape *)
 
-(* The document [schedtool batch --json --resource --explain] writes:
-   the report with its "resource" and "explain" sections, recorded over
-   a few blocks with both registries on. *)
-let sample_document () =
+(* The documents [schedtool batch --json --explain --trace] writes: the
+   report with its "explain" section, recorded over a few blocks with
+   the registry on, and the Chrome trace of one traced block, whose
+   spans carry "minor_words" args. *)
+let sample_documents () =
   let blocks =
     List.init 3 (fun i -> { (random_block (700 + i)) with Block.id = i })
   in
   let off () =
-    Obs_resource.disable ();
-    Obs_resource.reset ();
+    Trace.disable ();
+    Trace.reset ();
     Explain.disable ();
     Explain.reset ()
   in
   off ();
   Fun.protect ~finally:off @@ fun () ->
-  Obs_resource.enable ();
   Explain.enable ();
   let _, report = Batch.run_with_report ~domains:1 Batch.section6 blocks in
-  let rows = Obs_resource.snapshot () and stats = Explain.snapshot () in
-  check_bool "resource rows recorded" true (rows <> []);
+  let stats = Explain.snapshot () in
   check_bool "decisiveness recorded" true (stats <> []);
+  Trace.enable ();
+  ignore (Batch.run ~domains:1 Batch.section6 [ List.hd blocks ]);
+  let spans = Trace.snapshot () in
+  check_bool "minor words recorded" true
+    (List.exists (fun (s : Trace.span) -> s.Trace.minor_words > 0) spans);
   match Batch.report_to_json report with
   | Stats.Json.Obj fields ->
-      Stats.Json.Obj
-        (fields
-        @ [ ("resource", Obs_resource.to_json rows);
-            ("explain", Explain.to_json stats) ])
+      ( Stats.Json.Obj (fields @ [ ("explain", Explain.to_json stats) ]),
+        Trace.to_json ~pid_names:[ (0, "schedtool") ] spans )
   | _ -> Alcotest.fail "report is not a JSON object"
 
-(* every prefix and every single-byte corruption of a valid report
-   document must flow out as Ok or Error — no exception may escape the
-   of_string + of_json pipeline, for the report or either section *)
+(* every prefix and every single-byte corruption of a valid report or
+   trace document must flow out as Ok or Error — no exception may
+   escape the of_string + of_json pipeline, for the report, its explain
+   section or the trace *)
 let test_json_no_exception_escapes () =
-  let text = Stats.Json.to_string (sample_document ()) in
+  let report, trace = sample_documents () in
   let feed s =
     match Stats.Json.of_string s with
     | Error _ -> ()
     | Ok json -> (
         (match Batch.report_of_json json with Ok _ | Error _ -> ());
-        (match Stats.Json.member "resource" json with
-        | Some r -> (
-            match Obs_resource.of_json ~path:[ "resource" ] r with
-            | Ok _ | Error _ -> ())
-        | None -> ());
+        (match Trace.events_of_json json with Ok _ | Error _ -> ());
         match Stats.Json.member "explain" json with
         | Some e -> (
             match Explain.of_json ~path:[ "explain" ] e with
             | Ok _ | Error _ -> ())
         | None -> ())
   in
-  for len = 0 to String.length text - 1 do
-    feed (String.sub text 0 len)
-  done;
   let corruptions = [ '\000'; '\255'; '{'; '}'; '"'; '\\'; '['; '9'; ' ' ] in
-  String.iteri
-    (fun i _ ->
-      List.iter
-        (fun c ->
-          let b = Bytes.of_string text in
-          Bytes.set b i c;
-          feed (Bytes.to_string b))
-        corruptions)
-    text
+  List.iter
+    (fun doc ->
+      let text = Stats.Json.to_string doc in
+      for len = 0 to String.length text - 1 do
+        feed (String.sub text 0 len)
+      done;
+      String.iteri
+        (fun i _ ->
+          List.iter
+            (fun c ->
+              let b = Bytes.of_string text in
+              Bytes.set b i c;
+              feed (Bytes.to_string b))
+            corruptions)
+        text)
+    [ report; trace ]
 
 (* ------------------------------------------------------------------ *)
 (* generation determinism across domains: two [random_block seed] calls
@@ -430,6 +433,63 @@ let test_pipeline_allocation_budget () =
     Alcotest.failf "section-6 pipeline allocated %.0f minor words (budget %.0f)"
       words budget_words
 
+(* Untraced driver overhead: what [Batch.run_on] allocates per block
+   beyond the bare pipeline calls it makes (build, static pass, engine,
+   verify, score, fingerprint) — the result record, the pool's chunk
+   bookkeeping, the phase-span wrappers.  With tracing off the wrappers
+   build no span args, so the overhead is the driver's own.  Counted
+   process-wide ([Gc.quick_stat] after [Gc.minor], which samples every
+   domain) because the pool runs the blocks on its worker domain; both
+   sides run once untimed first so per-domain scratch growth is not
+   charged.  Measured over the Table-3 corpus (8,889 blocks): 144.2
+   words/block when every span built its args and nested a GC bracket
+   even with tracing off, and 88.2 with args built only when tracing.
+   The bound, 139 words/block, sits below the former wrappers, so
+   putting per-block obs allocation back on the untraced path fails
+   it. *)
+let test_untraced_overhead () =
+  let bound_words_per_block = 139.0 in
+  let config = Batch.section6 in
+  let heuristics =
+    List.map (fun k -> k.Engine.heuristic) config.Batch.engine.Engine.keys
+  in
+  let blocks = List.concat_map snd (Profiles.corpus Profiles.benchmarks) in
+  let bare b =
+    let dag = Builder.build config.Batch.algorithm config.Batch.opts b in
+    let annot = Static_pass.compute_for heuristics dag in
+    let sched = Schedule.make dag (Engine.run config.Batch.engine ~annot dag) in
+    (match Verify.check sched with
+    | Ok () -> ()
+    | Error v -> Alcotest.fail (Verify.violation_to_string v));
+    ignore (Sys.opaque_identity (Schedule.score sched));
+    ignore (Sys.opaque_identity (Dag.fingerprint dag))
+  in
+  let words f =
+    Gc.minor ();
+    let w0 = (Gc.quick_stat ()).Gc.minor_words in
+    f ();
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.minor_words -. w0
+  in
+  check_bool "tracing off" false (Trace.enabled ());
+  let pool = Pool.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let driven () =
+    ignore (Sys.opaque_identity (Batch.run_on ~pool config blocks))
+  in
+  driven ();
+  List.iter bare blocks;
+  let bare_words = words (fun () -> List.iter bare blocks) in
+  let driven_words = words driven in
+  let per_block =
+    (driven_words -. bare_words) /. float_of_int (List.length blocks)
+  in
+  if per_block > bound_words_per_block then
+    Alcotest.failf
+      "Batch.run_on allocated %.1f words/block beyond the bare calls \
+       (bound %.0f)"
+      per_block bound_words_per_block
+
 let suite =
   [ quick "differential: builders x strategies" test_differential_cross_product;
     qcheck ~count:120 "differential: random batches (>= 100 seeds)"
@@ -449,4 +509,6 @@ let suite =
       test_profile_generation_cross_domain;
     quick "differential: explain off vs on" test_explain_differential;
     Alcotest.test_case "pipeline allocation budget" `Slow
-      test_pipeline_allocation_budget ]
+      test_pipeline_allocation_budget;
+    Alcotest.test_case "untraced driver allocation overhead" `Slow
+      test_untraced_overhead ]

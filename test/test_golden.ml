@@ -144,6 +144,7 @@ let test_golden_timeline_roundtrip () =
           ts_us = float_of_int sim.Pipeline.issue_cycle.(node);
           dur_us =
             float_of_int (max 1 (model.Latency.exec_time (Dag.insn dag node)));
+          minor_words = 0;
           pid = 0;
           tid = 0;
           args = [ ("node", Json.Int node) ];
