@@ -433,23 +433,53 @@ let forward_ordered t =
     arc's packed [(src, dst, latency, kind)] int in ascending
     [(src, dst)] order — so the digest depends only on the arc set, not
     on insertion order.  The future content-addressed cache key
-    (combined with block text, builder, strategy and machine model). *)
+    (combined with block text, builder, strategy and machine model).
+
+    No comparison sort: each src's arcs get a slot range from the
+    prefix sums of [#children], and walking the pred chains for
+    dst = 0 … n−1 fills every range in ascending dst — O(n + arcs) into
+    a per-domain scratch array, so the digest allocates only its
+    result. *)
+type fp_scratch = { mutable next : int array; mutable sorted : int array }
+
+let fp_key = Domain.DLS.new_key (fun () -> { next = [||]; sorted = [||] })
+
+let fnv_offset = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+
 let fingerprint t =
-  let fnv_prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  let mix v =
-    for k = 0 to 7 do
-      let byte = (v lsr (8 * k)) land 0xff in
-      h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) fnv_prime
+  let n = length t in
+  let s = Domain.DLS.get fp_key in
+  if Array.length s.next < n then s.next <- Array.make (max n (2 * Array.length s.next)) 0;
+  if Array.length s.sorted < t.n_arcs then
+    s.sorted <- Array.make (max t.n_arcs (2 * Array.length s.sorted)) 0;
+  let next = s.next and sorted = s.sorted in
+  let first = ref 0 in
+  for src = 0 to n - 1 do
+    next.(src) <- !first;
+    first := !first + n_children t src
+  done;
+  for dst = 0 to n - 1 do
+    let id = ref (pred_head t dst) in
+    while !id >= 0 do
+      let pk = t.arc_pk.(!id) in
+      let src = pk_src pk in
+      sorted.(next.(src)) <- pk;
+      next.(src) <- next.(src) + 1;
+      id := t.arc_npred.(!id)
     done
-  in
-  mix (length t);
-  let pks = Array.sub t.arc_pk 0 t.n_arcs in
-  Array.sort
-    (fun a b ->
-      compare ((pk_src a lsl 20) lor pk_dst a) ((pk_src b lsl 20) lor pk_dst b))
-    pks;
-  Array.iter mix pks;
+  done;
+  (* the node count, then the sorted arcs, 8 little-endian bytes each *)
+  let h = ref fnv_offset in
+  for k = -1 to t.n_arcs - 1 do
+    let v = if k < 0 then n else sorted.(k) in
+    for byte = 0 to 7 do
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int ((v lsr (8 * byte)) land 0xff)))
+          fnv_prime
+    done
+  done;
   !h
 
 let pp fmt t =

@@ -9,18 +9,20 @@ type key = {
   config : config;
 }
 
-(* 64-bit FNV-1a *)
+(* 64-bit FNV-1a.  The accumulators are local refs no closure captures,
+   so the compiler keeps them unboxed: a hash allocates only its
+   result. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
 let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
 
-let hash_string h s =
-  let h = ref h in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
+let hash_text s =
+  let h = ref fnv_offset in
+  for i = 0 to String.length s - 1 do
+    h := fnv_byte !h (Char.code (String.unsafe_get s i))
+  done;
   !h
-
-let hash_text s = hash_string fnv_offset s
 
 let hash_seed = fnv_offset
 

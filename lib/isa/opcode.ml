@@ -141,10 +141,41 @@ let to_string = function
   | Call -> "call" | Jmpl -> "jmpl" | Ret -> "ret"
   | Save -> "save" | Restore -> "restore" | Nop -> "nop"
 
-let by_name = Hashtbl.create 97
+(* Name lookup without a lowercase copy: the opcodes are bucketed by
+   (name length, first letter), and a candidate's name is compared in
+   place against the text, ignoring ASCII case. *)
+let max_name =
+  List.fold_left (fun m op -> max m (String.length (to_string op))) 0 all
 
-let () = List.iter (fun op -> Hashtbl.replace by_name (to_string op) op) all
+let bucket len c = (len * 26) + Char.code c - Char.code 'a'
 
-let of_string s = Hashtbl.find_opt by_name (String.lowercase_ascii s)
+let buckets =
+  let b = Array.make (bucket (max_name + 1) 'a') [||] in
+  List.iter
+    (fun op ->
+      let name = to_string op in
+      let k = bucket (String.length name) name.[0] in
+      b.(k) <- Array.append b.(k) [| op |])
+    all;
+  b
+
+let rec same_name s pos name j =
+  j = String.length name
+  || Char.lowercase_ascii s.[pos + j] = name.[j] && same_name s pos name (j + 1)
+
+let rec find_in cands s pos k =
+  if k = Array.length cands then raise Not_found
+  else if same_name s pos (to_string cands.(k)) 0 then cands.(k)
+  else find_in cands s pos (k + 1)
+
+let of_sub s pos len =
+  let c = if len > 0 then Char.lowercase_ascii s.[pos] else ' ' in
+  if len > max_name || c < 'a' || c > 'z' then raise Not_found;
+  find_in buckets.(bucket len c) s pos 0
+
+let of_string s =
+  match of_sub s 0 (String.length s) with
+  | op -> Some op
+  | exception Not_found -> None
 
 let pp fmt op = Format.pp_print_string fmt (to_string op)

@@ -60,5 +60,13 @@ val alters_window : t -> bool
 val all : t list
 
 val to_string : t -> string
+
+(** [of_sub s pos len] is the opcode named by the [len] bytes of [s] at
+    [pos], ignoring ASCII case, decoded in place (the parser's decoder).
+    Raises [Not_found] on an unknown name. *)
+val of_sub : string -> int -> int -> t
+
+(** {!of_sub} over the whole string. *)
 val of_string : string -> t option
+
 val pp : Format.formatter -> t -> unit

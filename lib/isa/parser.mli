@@ -7,10 +7,6 @@
 
 exception Parse_error of string
 
-(** Parse one line into an optional label and an optional instruction.
-    Raises [Parse_error]. *)
-val parse_line : string -> string option * Insn.t option
-
 (** Parse a whole program: labels attach to the following instruction,
     instructions are numbered consecutively from zero.  Raises
     [Parse_error] with a line-numbered message. *)

@@ -57,28 +57,48 @@ let to_string = function
   | Int n -> Printf.sprintf "%%i%d" (n - 24)
   | Float n -> Printf.sprintf "%%f%d" n
 
-let of_string s =
-  let fail () = invalid_arg (Printf.sprintf "Reg.of_string: %S" s) in
-  let num prefix_len =
-    match int_of_string_opt (String.sub s prefix_len (String.length s - prefix_len)) with
-    | Some n -> n
-    | None -> fail ()
-  in
-  if String.length s < 3 || s.[0] <> '%' then fail ()
+(* Every in-range register, preallocated, so decoding a name allocates
+   nothing.  Out-of-range numbers (a negative suffix such as [%g-1]
+   parses through [int_of_string_opt]) still build a fresh value. *)
+let ints = Array.init 32 (fun n -> Int n)
+let floats = Array.init 32 (fun n -> Float n)
+let int_reg n = if n >= 0 && n < 32 then ints.(n) else Int n
+let float_reg n = if n >= 0 && n < 32 then floats.(n) else Float n
+
+let is_digit c = c >= '0' && c <= '9'
+let digit s i = Char.code s.[i] - Char.code '0'
+
+(* The register number in [s.[i .. stop-1]]: one or two decimal digits
+   are read in place; any other token means what [int_of_string_opt]
+   makes of it, so [%o0x1] names [%o1]. *)
+let number s i stop =
+  if stop = i + 1 && is_digit s.[i] then digit s i
+  else if stop = i + 2 && is_digit s.[i] && is_digit s.[i + 1] then
+    (10 * digit s i) + digit s (i + 1)
   else
-    match s with
-    | "%sp" -> sp
-    | "%fp" -> fp
-    | _ -> (
-        let n = num 2 in
-        match s.[1] with
-        | 'g' when n < 8 -> Int n
-        | 'o' when n < 8 -> Int (8 + n)
-        | 'l' when n < 8 -> Int (16 + n)
-        | 'i' when n < 8 -> Int (24 + n)
-        | 'f' when n < 32 -> Float n
-        | 'r' when n < 32 -> Int n
-        | _ -> fail ())
+    match int_of_string_opt (String.sub s i (stop - i)) with
+    | Some n -> n
+    | None -> raise Not_found
+
+let of_sub s pos len =
+  if len < 3 || s.[pos] <> '%' then raise Not_found;
+  let c = s.[pos + 1] in
+  if len = 3 && c = 's' && s.[pos + 2] = 'p' then sp
+  else if len = 3 && c = 'f' && s.[pos + 2] = 'p' then fp
+  else
+    let n = number s (pos + 2) (pos + len) in
+    match c with
+    | 'g' when n < 8 -> int_reg n
+    | 'o' when n < 8 -> int_reg (8 + n)
+    | 'l' when n < 8 -> int_reg (16 + n)
+    | 'i' when n < 8 -> int_reg (24 + n)
+    | 'f' when n < 32 -> float_reg n
+    | 'r' when n < 32 -> int_reg n
+    | _ -> raise Not_found
+
+let of_string s =
+  try of_sub s 0 (String.length s)
+  with Not_found -> invalid_arg (Printf.sprintf "Reg.of_string: %S" s)
 
 (** The odd register of a double-word pair: LDD into [%o0] also writes
     [%o1]; LDDF into [%f2] also writes [%f3].  The paper notes the RAW

@@ -32,7 +32,13 @@ val float : int -> t
 (** Conventional names ([%o3], [%sp], [%f17], ...). *)
 val to_string : t -> string
 
-(** Inverse of [to_string]; raises [Invalid_argument] on unknown names. *)
+(** [of_sub s pos len] decodes the register named by the [len] bytes of
+    [s] at [pos], in place: the parser's decoder, which allocates nothing
+    for an in-range register.  Raises [Not_found] on an unknown name. *)
+val of_sub : string -> int -> int -> t
+
+(** Inverse of [to_string]: {!of_sub} over the whole string; raises
+    [Invalid_argument] on unknown names. *)
 val of_string : string -> t
 
 (** The odd register of a double-word pair (LDD/LDDF targets); [None] for

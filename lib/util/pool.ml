@@ -223,24 +223,35 @@ let create ?domains () =
 
 let size pool = Array.length pool.workers
 
-let submit pool task =
-  let task = instrument task in
+(* Queue [tasks] under one hold of the pool mutex.  A parked worker
+   needs that mutex to wake, so it cannot start on the first task while
+   later ones are still being pushed: an idle one-worker pool runs a
+   map's chunks in one fixed (LIFO) order, and so grows its per-domain
+   scratch, and allocates, the same way on every run. *)
+let submit_all pool tasks =
+  let tasks = List.map instrument tasks in
   Mutex.lock pool.mutex;
   if pool.stop then begin
     Mutex.unlock pool.mutex;
     invalid_arg "Pool.submit: pool is shut down"
   end;
-  let seq = pool.next_seq in
-  pool.next_seq <- seq + 1;
-  pool.pending <- pool.pending + 1;
-  let v = pool.next_victim in
-  pool.next_victim <- (v + 1) mod Array.length pool.deques;
-  (* deque lock nests inside the pool mutex on this path only; workers
-     take deque locks without the pool mutex, so there is no cycle *)
-  Deque.push pool.deques.(v) { seq; run = task };
-  Atomic.incr pool.available;
-  Condition.signal pool.has_work;
+  List.iter
+    (fun task ->
+      let seq = pool.next_seq in
+      pool.next_seq <- seq + 1;
+      pool.pending <- pool.pending + 1;
+      let v = pool.next_victim in
+      pool.next_victim <- (v + 1) mod Array.length pool.deques;
+      (* deque lock nests inside the pool mutex on this path only;
+         workers take deque locks without the pool mutex, so there is
+         no cycle *)
+      Deque.push pool.deques.(v) { seq; run = task };
+      Atomic.incr pool.available;
+      Condition.signal pool.has_work)
+    tasks;
   Mutex.unlock pool.mutex
+
+let submit pool task = submit_all pool [ task ]
 
 let wait pool =
   Mutex.lock pool.mutex;
@@ -270,17 +281,13 @@ let map_array_on pool ?chunk f arr =
     (* index-addressed result slots make the output order independent of
        scheduling; the mutex in [wait] publishes the workers' writes *)
     let out = Array.make n None in
-    let i = ref 0 in
-    while !i < n do
-      let lo = !i in
-      let hi = min n (lo + chunk) in
-      Ds_obs.Metrics.incr chunks_c;
-      submit pool (fun () ->
-          for j = lo to hi - 1 do
-            out.(j) <- Some (f arr.(j))
-          done);
-      i := hi
-    done;
+    let n_chunks = (n + chunk - 1) / chunk in
+    Ds_obs.Metrics.add chunks_c n_chunks;
+    submit_all pool
+      (List.init n_chunks (fun c () ->
+           for j = c * chunk to min n ((c + 1) * chunk) - 1 do
+             out.(j) <- Some (f arr.(j))
+           done));
     (* [wait] re-raises any task failure BEFORE the slots are read, so a
        chunk abandoned mid-way (slots after the raising element stay
        [None]) can never reach the [assert false] below — pinned by a

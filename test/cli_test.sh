@@ -145,6 +145,13 @@ printf 'frobnicate %%o1\n' > "$TMP/bad.s"
 grep -qF "parse error: $TMP/bad.s: line 1" "$TMP/err" \
   || fail "batch parse error does not name the file"
 
+# an unknown register is the same typed parse error (exit 2) as a
+# memory base as it is as an operand
+printf 'ld [%%q1 + 4], %%o1\n' | "$TOOL" schedule - 2> "$TMP/err" && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || fail "bad memory base: exit $rc, want 2"
+grep -qF 'line 1: unknown register "%q1"' "$TMP/err" \
+  || fail "bad memory base: no typed parse error"
+
 # a missing input file is bad input (exit 2) on every subcommand that
 # reads one, with the path in the message and no uncaught exception
 for sub in stats build schedule compare optimal chain batch explain dot gantt \

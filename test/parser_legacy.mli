@@ -1,0 +1,8 @@
+(** The pre-cursor, line-splitting parser, kept as the yardstick for the
+    cursor parser's differential tests.  An unknown memory-base register
+    escapes it as [Invalid_argument].  Not for pipeline use. *)
+
+exception Parse_error of string
+
+val parse_program : string -> Ds_isa.Insn.t list
+val parse_program_result : string -> (Ds_isa.Insn.t list, string) result

@@ -311,8 +311,32 @@ let test_fingerprint_returned () =
         h.Cache.key.Cache.fingerprint
   | None -> Alcotest.fail "expected a hit"
 
+(* The text half of the key is standard FNV-1a-64: the published test
+   vectors pin it, so a rewrite of the byte loop cannot change a key.
+   It allocates only its boxed result however long the text. *)
+let test_fnv_vectors () =
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check string) (Printf.sprintf "%S" text) want
+        (Printf.sprintf "%016Lx" (Cache.hash_text text)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8") ];
+  Alcotest.(check string) "fold of 0 from the seed" "a8c7f832281a39c5"
+    (Printf.sprintf "%016Lx" (Cache.hash_fold_int64 Cache.hash_seed 0L));
+  let text = String.make 65536 'x' in
+  let words f =
+    let m0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. m0
+  in
+  let w = words (fun () -> Cache.hash_text text) in
+  if w > 16.0 then Alcotest.failf "hash_text of 64 KiB allocated %.0f words" w;
+  let w = words (fun () -> Cache.hash_fold_int64 Cache.hash_seed 42L) in
+  if w > 16.0 then Alcotest.failf "hash_fold_int64 allocated %.0f words" w
+
 let suite =
-  [ Alcotest.test_case "model check (seeded interleavings)" `Quick
+  [ Alcotest.test_case "FNV-1a test vectors" `Quick test_fnv_vectors;
+    Alcotest.test_case "model check (seeded interleavings)" `Quick
       test_model_check;
     Alcotest.test_case "strict checks: gauges never drift" `Quick
       test_strict_gauge_agreement;

@@ -209,13 +209,24 @@ let test_parse_memory_forms () =
     forms
 
 let test_parse_errors () =
-  let bad = [ "frobnicate %o1"; "add %q1, %o2, %o3"; "ld [%fp - 8, %o1" ] in
+  let bad =
+    [ "frobnicate %o1"; "add %q1, %o2, %o3"; "ld [%fp - 8, %o1";
+      "ld [%q1 + 4], %o1" ]
+  in
   List.iter
     (fun s ->
       match Parser.parse_program_result s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "expected parse error for %S" s)
-    bad
+    bad;
+  (* an unknown register is the same typed, line-numbered error as an
+     operand and as a memory base *)
+  List.iter
+    (fun s ->
+      match Parser.parse_program_result s with
+      | Error m -> check_string s "line 2: unknown register \"%q1\"" m
+      | Ok _ -> Alcotest.failf "expected parse error for %S" s)
+    [ "nop\nadd %q1, %o2, %o3"; "nop\nld [%q1 + 4], %o1" ]
 
 let test_roundtrip_program () =
   let text = "start:\n\tld [%fp - 8], %o1\n\tadd %o1, 4, %o2\n\tcmp %o2, 10\n\tbe,a start\n\tnop\n" in
@@ -228,6 +239,170 @@ let test_roundtrip_program () =
       check_bool "equal insns" true (Insn.equal_ignoring_index a b);
       check_bool "equal labels" true (a.Insn.label = b.Insn.label))
     insns reparsed
+
+(* ------------------------------------------------------------------ *)
+(* cursor parser against the line-splitting yardstick *)
+
+type outcome = Parsed of Insn.t list | Failed of string | Escaped of string
+
+let legacy_outcome text =
+  match Parser_legacy.parse_program_result text with
+  | Ok insns -> Parsed insns
+  | Error m -> Failed m
+  | exception Invalid_argument m -> Escaped m
+
+let cursor_outcome text =
+  match Parser.parse_program_result text with
+  | Ok insns -> Parsed insns
+  | Error m -> Failed m
+
+let escaped_prefix = "Reg.of_string: "
+
+(* Same instruction list, or byte-identical error.  The one intended
+   divergence: an unknown memory-base register escaped the yardstick as
+   [Invalid_argument "Reg.of_string: NAME"], and the cursor parser
+   reports it as [line N: unknown register NAME]. *)
+let check_same_parse text =
+  match (legacy_outcome text, cursor_outcome text) with
+  | Parsed a, Parsed b ->
+      if a <> b then Alcotest.failf "%S: instruction lists differ" text
+  | Failed a, Failed b -> check_string (Printf.sprintf "error for %S" text) a b
+  | Escaped m, Failed b
+    when String.starts_with ~prefix:escaped_prefix m
+         && String.starts_with ~prefix:"line " b
+         && String.ends_with
+              ~suffix:
+                (": unknown register "
+                ^ String.sub m (String.length escaped_prefix)
+                    (String.length m - String.length escaped_prefix))
+              b ->
+      ()
+  | (Parsed _ | Failed _ | Escaped _), (Parsed _ | Failed _ | Escaped _) ->
+      Alcotest.failf "%S: the parsers disagree" text
+
+let parser_edge_cases =
+  [ ""; "\n"; "\n\n\n";
+    (* line endings, tabs, form feeds *)
+    "add %o1, %o2, %o3\r\nld [%fp - 8], %o1\r\n"; "nop\r"; "\r\n\r\n";
+    "\tadd\t%o1,%o2,%o3"; "\tld\t[%fp-8],\t%o1"; "add\t%o1, %o2, %o3";
+    "ld\t[%fp - 8], %o1"; "\012nop\012"; "add %o1,\r%o2, %o3";
+    (* comments *)
+    "add %o1, %o2, %o3 ! sum"; "# whole line"; "nop#x"; "! only";
+    "ld [x], %o1 ! [%fp"; "loop: ! label and comment\nnop";
+    (* labels *)
+    "loop:"; "loop:\n  add %o1, 1, %o1"; "loop: add %o1, 1, %o1";
+    "loop:nop"; "a:\nb:\nnop"; "a:\nc: nop"; "nop\nend:"; "a b: nop";
+    ":"; ": nop"; "1abc: nop"; ".L1:nop"; "$x_1.y: nop"; "a:b: nop";
+    "lab:   \t  "; "x:\n\n! gap\nnop";
+    (* annul suffix *)
+    "be,a done"; "BE,a done"; "be,A done"; "be,an done"; "be, done";
+    ",a done"; "be,a,a x"; "be,a"; "ba,a\tdone";
+    (* mnemonic case *)
+    "ADD %o1, %o2, %o3"; "Ld [%fp - 8], %o1"; "NOP"; "FaDdD %f0, %f2, %f4";
+    "nopx"; "fsqrtdx %f0, %f2"; "a"; "ldx [x], %o1";
+    (* registers *)
+    "add %r5, %r31, %r0"; "add %r32, %o1, %o2"; "ld [%sp], %o1";
+    "st %o1, [%fp + 4]"; "add %SP, %o1, %o2"; "add %g8, %o1, %o2";
+    "add %o0x1, %o1, %o2"; "add %g-1, %o1, %o2"; "fmovs %f31, %f0";
+    "fmovs %f32, %f0"; "add %q1, %o2, %o3"; "add %, %o1, %o2";
+    "add %g, %o1, %o2"; "add %g01, %o1, %o2"; "add %l7, %i7, %g7";
+    (* memory operands *)
+    "ld [%fp-8], %o1"; "ld [ %fp - 8 ], %o1"; "ld [%fp+-8], %o1";
+    "ld [%fp - -8], %o1"; "ld [x], %o1"; "ld [lut + 12], %o1";
+    "ld [+4], %o1"; "ld [-4], %o1"; "ld [%fp + 0x10], %o1"; "ld [], %o1";
+    "ld [ ], %o1"; "ld [foo bar], %o1"; "ld [%fp + x], %o1";
+    "ld [?x + y], %o1"; "ld [%q1 + y], %o1"; "ld [x-y], %o1";
+    "ld [%fp +], %o1"; "ld [x+4+4], %o1"; "ldd [%o2 + 8], %o4";
+    "ld [a]b], %o1"; "ld [?], %o1";
+    (* the intended divergence: unknown registers as memory bases *)
+    "ld [%q1 + 4], %o1"; "ld [%q1], %o1"; "ld [%fp - 8 + 4], %o1";
+    "nop\nst %o1, [%g9 - 4]";
+    (* integers *)
+    "add %o1, 0x10, %o2"; "add %o1, +4, %o2"; "add %o1, 1_000, %o2";
+    "add %o1, -0, %o2"; "add %o1, 99999999999999999999, %o2";
+    "add %o1, 123456789012345678, %o2"; "add %o1, 1234567890123456789, %o2";
+    "add %o1, -4611686018427387904, %o2"; "add %o1, 4611686018427387904, %o2";
+    "add %o1, -, %o2"; "add %o1, 0b101, %o2"; "add %o1, -0x10, %o2";
+    "add %o1, 12ab, %o2"; "add %o1, 007, %o2"; "add %o1, 4 4, %o2";
+    (* operand lists *)
+    "add %o1,, %o2, %o3"; "add %o1, %o2, %o3,"; "add , %o1"; "nop ,";
+    "nop , , "; "call foo"; "call foo bar"; "add %o1, ?"; "call _f.x$";
+    "ret"; "save %sp, -96, %sp";
+    (* unterminated brackets *)
+    "ld [%fp - 8, %o1"; "ld [, %o1"; "ld [%fp - 8"; "ld [";
+    (* error line numbers *)
+    "nop\nnop\nfrobnicate %o1"; "nop\n\n\nadd %o1, %o2, ?" ]
+
+let test_parser_edge_cases () = List.iter check_same_parse parser_edge_cases
+
+let test_parser_divergence () =
+  let text = "nop\nld [%q1 + 4], %o1" in
+  (match legacy_outcome text with
+  | Escaped m -> check_string "yardstick escapes" "Reg.of_string: \"%q1\"" m
+  | Parsed _ | Failed _ -> Alcotest.fail "yardstick no longer escapes");
+  match cursor_outcome text with
+  | Failed m -> check_string "typed error" "line 2: unknown register \"%q1\"" m
+  | Parsed _ | Escaped _ -> Alcotest.fail "expected a parse error"
+
+let program_of_block (b : Block.t) =
+  Printf.sprintf "B%d:\n%s" b.Block.id
+    (Parser.print_program (Array.to_list b.Block.insns))
+
+let prop_parser_generated seed =
+  check_same_parse (program_of_block (random_block seed));
+  true
+
+(* A generated program with a few random byte edits drawn from the
+   parser's syntax characters, so the error paths get compared too. *)
+let mutate seed text =
+  let rng = Prng.create (seed + 1) in
+  let alphabet = " \t\r,[]%+-!#:a0x9fog_" in
+  let buf = Buffer.create (String.length text + 8) in
+  Buffer.add_string buf text;
+  for _ = 0 to Prng.int rng 4 do
+    let s = Buffer.contents buf in
+    let i = Prng.int rng (String.length s + 1) in
+    let c = alphabet.[Prng.int rng (String.length alphabet)] in
+    let keep = if Prng.int rng 2 = 0 then i else min (i + 1) (String.length s) in
+    Buffer.clear buf;
+    Buffer.add_string buf (String.sub s 0 i);
+    Buffer.add_char buf c;
+    Buffer.add_string buf (String.sub s keep (String.length s - keep))
+  done;
+  Buffer.contents buf
+
+let prop_parser_mutated seed =
+  check_same_parse (mutate seed (program_of_block (random_block seed)));
+  true
+
+(* The Table-3 corpus rendered as [schedtool gen] prints it: one label
+   per block. *)
+let table3_texts =
+  lazy
+    (List.map
+       (fun (_, blocks) -> String.concat "" (List.map program_of_block blocks))
+       (Profiles.corpus Profiles.benchmarks))
+
+let test_parser_table3_differential () =
+  List.iter check_same_parse (Lazy.force table3_texts)
+
+(* Allocation guard for the cursor parser over the rendered Table-3
+   corpus, counted with [Gc.minor_words] on this domain — deterministic
+   for a fixed corpus.  Measured: 22.5 words/insn (the instruction
+   records and list cells, operand lists, memory expressions,
+   immediates and label strings), against 120.7 for the line-splitting
+   parser, which copied every line, operand and mnemonic.  The budget
+   is the measured value x 1.15, the benchmark's minor-words bound. *)
+let test_parser_allocation_budget () =
+  let budget = 25.9 in
+  let texts = Lazy.force table3_texts in
+  let insns = ref 0 in
+  let m0 = Gc.minor_words () in
+  List.iter (fun t -> insns := !insns + List.length (Parser.parse_program t)) texts;
+  let per_insn = (Gc.minor_words () -. m0) /. float_of_int !insns in
+  if per_insn > budget then
+    Alcotest.failf "parse_program allocated %.1f words/insn (budget %.1f)"
+      per_insn budget
 
 (* ------------------------------------------------------------------ *)
 (* def/use extraction against the pre-scan list-based specification *)
@@ -404,4 +579,14 @@ let suite =
     quick "parse memory forms" test_parse_memory_forms;
     quick "parse errors" test_parse_errors;
     quick "round trip program" test_roundtrip_program;
+    quick "parser edge cases match the yardstick" test_parser_edge_cases;
+    quick "parser: bad memory base is a parse error" test_parser_divergence;
+    qcheck ~count:300 "parser: generated programs match the yardstick"
+      QCheck.(map abs small_signed_int) prop_parser_generated;
+    qcheck ~count:500 "parser: mutated programs match the yardstick"
+      QCheck.(map abs small_signed_int) prop_parser_mutated;
+    Alcotest.test_case "parser: Table-3 corpus matches the yardstick" `Slow
+      test_parser_table3_differential;
+    Alcotest.test_case "parser allocation budget" `Slow
+      test_parser_allocation_budget;
     quick "defs/uses match list-based spec" test_defs_uses_match_spec ]

@@ -393,6 +393,9 @@ let test_error_containment () =
       check_error_kind j Serve.Bad_request;
       let _, j = response_json serve (schedule_payload "not assembly !!!") in
       check_error_kind j Serve.Block_parse;
+      (* an unknown memory-base register is a block parse error too *)
+      let _, j = response_json serve (schedule_payload "ld [%q1 + 4], %o1\n") in
+      check_error_kind j Serve.Block_parse;
       (* after all that abuse, real work still succeeds *)
       let _, j = response_json serve (schedule_payload "nop\n") in
       check_status j "ok")
