@@ -746,8 +746,10 @@ let serve_cmd =
     Arg.(
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains in the resident pool (default 1; part of \
-                the report, so also part of the response bytes).")
+          ~doc:"Domains the pipeline runs on (default 1).  With 1 the \
+                daemon schedules on its own domain; with N >= 2 on a \
+                resident pool of N worker domains.  Part of the report, \
+                so also part of the response bytes.")
   in
   let cache_entries =
     Arg.(

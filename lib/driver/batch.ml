@@ -146,6 +146,11 @@ let run_on ~pool config blocks =
   Ds_util.Pool.map_on pool ~chunk:Ds_util.Pool.default_chunk
     (run_block config) blocks
 
+let run_here config blocks =
+  log_start config blocks;
+  hb_start (List.length blocks);
+  List.map (run_block config) blocks
+
 let run ?domains ?(chunk = Ds_util.Pool.default_chunk) config blocks =
   let domains = resolve_domains domains in
   log_start config blocks;

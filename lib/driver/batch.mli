@@ -71,6 +71,12 @@ val run_on :
   pool:Ds_util.Pool.t -> pipeline_config -> Ds_cfg.Block.t list ->
   result list
 
+(** [run_here config blocks] is {!run} on the calling domain: no pool,
+    no worker domain, no [queue_wait]/[task_run] spans.  Results (and
+    any [Invalid_schedule]) are exactly {!run}'s — this is how a
+    one-domain daemon ({!Serve}) schedules. *)
+val run_here : pipeline_config -> Ds_cfg.Block.t list -> result list
+
 (** Batch aggregate: totals plus per-block timing statistics. *)
 type report = {
   domains : int;

@@ -74,6 +74,8 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable rejects : int;
+  mutable missed_text : string;  (* the last text [find] missed, and   *)
+  mutable missed_hash : int64;   (* its hash, for the [put] that follows *)
 }
 
 (* metrics registry counters (gated: no-ops unless --metrics/--trace
@@ -91,7 +93,8 @@ let create ?(max_entries = 4096) ?(max_bytes = 256 * 1024 * 1024) () =
     table = Tbl.create 64;
     mru = None; lru = None;
     entries = 0; bytes = 0;
-    hits = 0; misses = 0; evictions = 0; rejects = 0 }
+    hits = 0; misses = 0; evictions = 0; rejects = 0;
+    missed_text = ""; missed_hash = hash_text "" }
 
 let max_entries t = t.max_entries
 let max_bytes t = t.max_bytes
@@ -212,6 +215,8 @@ let find t ~text config =
            subsequent put will replace it *)
         t.misses <- t.misses + 1;
         Ds_obs.Metrics.incr m_misses;
+        t.missed_text <- text;
+        t.missed_hash <- h;
         None
   in
   strict_check t;
@@ -234,7 +239,10 @@ let evict_lru t =
       Ds_obs.Metrics.incr m_evictions
 
 let put t ~text ~fingerprint config ~payload =
-  let text_hash = hash_text text in
+  (* a miss's put carries the very string [find] hashed: hash it once *)
+  let text_hash =
+    if text == t.missed_text then t.missed_hash else hash_text text
+  in
   let ebytes = String.length text + String.length payload + entry_overhead in
   if ebytes > t.max_bytes then t.rejects <- t.rejects + 1
   else begin

@@ -79,7 +79,9 @@ val find : t -> text:string -> config -> hit option
 (** [put t ~text ~fingerprint config payload] inserts (or replaces —
     replacement is not an eviction) at most-recently-used position,
     then evicts from the least-recently-used end until both bounds
-    hold.  Counts nothing toward hits/misses. *)
+    hold.  Counts nothing toward hits/misses.  When [text] is the very
+    string the last missed {!find} was given (physically equal), its
+    hash is reused: a miss hashes its text once. *)
 val put : t -> text:string -> fingerprint:int64 -> config -> payload:string -> unit
 
 (** Exact, always-on counters.  [bytes]/[entries] are current

@@ -158,7 +158,7 @@ let result_to_json (r : Batch.result) =
 (* daemon state *)
 
 type t = {
-  pool : Ds_util.Pool.t;
+  pool : Ds_util.Pool.t option;  (* None: schedule on the calling domain *)
   domains : int;
   cache : Cache.t;
   start_s : float;
@@ -182,7 +182,10 @@ let parse_fail_budget () =
 let create ?(domains = 1) ?max_entries ?max_bytes ?access () =
   let domains = max 1 domains in
   let start_s = Ds_obs.Clock.now () in
-  { pool = Ds_util.Pool.create ~domains ();
+  { pool =
+      (* one domain means this one: an idle worker would only turn
+         every major-GC phase change into a cross-domain stop *)
+      (if domains > 1 then Some (Ds_util.Pool.create ~domains ()) else None);
     domains;
     cache = Cache.create ?max_entries ?max_bytes ();
     start_s;
@@ -197,7 +200,7 @@ let create ?(domains = 1) ?max_entries ?max_bytes ?access () =
     served = 0;
     fail_budget = parse_fail_budget () }
 
-let destroy t = Ds_util.Pool.shutdown t.pool
+let destroy t = Option.iter Ds_util.Pool.shutdown t.pool
 let cache t = t.cache
 let served t = t.served
 let window t = t.window
@@ -367,10 +370,11 @@ let prometheus_of_metrics m =
   P.windows buf ~prefix m.windows;
   Buffer.contents buf
 
-(* the cold path: full pipeline on the resident pool, then encode.  The
-   response text is entirely deterministic for (text, builder, strategy,
-   model, domains) — timing fields are zeroed — so it IS the cache
-   payload, and a warm response is byte-identical by construction. *)
+(* the cold path: full pipeline on the calling domain (one domain) or
+   the resident pool, then encode.  The response text is entirely
+   deterministic for (text, builder, strategy, model, domains) — timing
+   fields are zeroed — so it IS the cache payload, and a warm response
+   is byte-identical by construction. *)
 let schedule_cold t ~text ~builder ~strategy ~model =
   if t.fail_budget > 0 then begin
     t.fail_budget <- t.fail_budget - 1;
@@ -387,7 +391,11 @@ let schedule_cold t ~text ~builder ~strategy ~model =
             { Ds_dag.Opts.default with
               Ds_dag.Opts.model; strategy } }
       in
-      let results = Batch.run_on ~pool:t.pool config blocks in
+      let results =
+        match t.pool with
+        | None -> Batch.run_here config blocks
+        | Some pool -> Batch.run_on ~pool config blocks
+      in
       let fingerprint =
         List.fold_left
           (fun h (r : Batch.result) ->

@@ -87,10 +87,12 @@ val error_response : ?id:string -> error_kind -> string -> string
 
 type t
 
-(** [create ~domains ~max_entries ~max_bytes ?access ()] builds
-    the resident state: the domain pool (shared by every request), the
-    result cache, the windowed request metrics and the request-id
-    source (a fresh per-start nonce crossed with a monotonic counter).
+(** [create ~domains ~max_entries ~max_bytes ?access ()] builds the
+    resident state: where the pipeline runs (with [~domains:1], or
+    less, the calling domain itself; with [N >= 2] a pool of [N] worker
+    domains shared by every request), the result cache, the windowed
+    request metrics and the request-id source (a fresh per-start nonce
+    crossed with a monotonic counter).
     [?access] attaches a JSONL access-log sink — one line per request
     through {!Ds_obs.Log.Sink} (caller closes it).  Defaults: 1
     domain, cache defaults, no access log. *)
@@ -102,7 +104,7 @@ val create :
   unit ->
   t
 
-(** Shut the resident pool down (idempotent). *)
+(** Shut the resident pool down, if there is one (idempotent). *)
 val destroy : t -> unit
 
 val cache : t -> Cache.t
@@ -171,7 +173,9 @@ val prometheus_of_metrics : metrics -> string
 (** {1 The daemon} *)
 
 type options = {
-  domains : int;          (** pool size (determinism: part of reports) *)
+  domains : int;
+  (** domains the pipeline runs on: 1 is the daemon's own, [N >= 2] a
+      pool of [N] workers (determinism: part of reports) *)
   max_entries : int;      (** cache entry bound *)
   max_bytes : int;        (** cache byte bound *)
   max_frame : int;        (** request frame cap, bytes *)

@@ -55,7 +55,7 @@ let create dag direction =
 let seed t ~pending ~unit_busy =
   Array.iteri
     (fun u residual ->
-      if residual > 0 then t.unit_free.(u) <- max t.unit_free.(u) residual)
+      if residual > 0 then t.unit_free.(u) <- Int.max t.unit_free.(u) residual)
     unit_busy;
   if pending <> [] then begin
     let uses = Ds_isa.Insn.Scan.create () in
@@ -66,7 +66,7 @@ let seed t ~pending ~unit_busy =
           if ready_at > 0 then
             for u = 0 to Ds_isa.Insn.Scan.len uses - 1 do
               if Ds_isa.Resource.equal res (Ds_isa.Insn.Scan.res uses u) then
-                t.earliest_exec.(i) <- max t.earliest_exec.(i) ready_at
+                t.earliest_exec.(i) <- Int.max t.earliest_exec.(i) ready_at
             done)
         pending
     done
@@ -113,14 +113,14 @@ let schedule t i ~at =
   fold_successors t i
     (fun () peer latency _ ->
       unscheduled.(peer) <- unscheduled.(peer) - 1;
-      t.earliest_exec.(peer) <- max t.earliest_exec.(peer) (at + latency))
+      t.earliest_exec.(peer) <- Int.max t.earliest_exec.(peer) (at + latency))
     ();
   let insn = Ds_dag.Dag.insn t.dag i in
   let model = Ds_dag.Dag.model t.dag in
   let busy = model.Latency.fp_busy insn in
   if busy > 0 then begin
     let u = Funit.index (Funit.of_insn insn) in
-    t.unit_free.(u) <- max t.unit_free.(u) (at + busy)
+    t.unit_free.(u) <- Int.max t.unit_free.(u) (at + busy)
   end
 
 let unscheduled_preds_of_peer t peer =

@@ -28,7 +28,7 @@ let fp_unit_busy (st : Dyn_state.t) i =
   let model = Ds_dag.Dag.model st.dag in
   if model.Latency.fp_busy insn > 0 then
     let u = Funit.index (Funit.of_insn insn) in
-    max 0 (st.unit_free.(u) - st.time)
+    Int.max 0 (st.unit_free.(u) - st.time)
   else 0
 
 (** 1 when the candidate's class differs from the last scheduled

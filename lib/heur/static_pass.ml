@@ -20,11 +20,11 @@ let forward_pass dag (annot : Annot.t) =
   for j = 0 to n - 1 do
     Ds_dag.Dag.iter_pred dag j (fun src latency _ ->
         annot.max_path_from_root.(j) <-
-          max annot.max_path_from_root.(j) (annot.max_path_from_root.(src) + 1);
+          Int.max annot.max_path_from_root.(j) (annot.max_path_from_root.(src) + 1);
         annot.max_delay_from_root.(j) <-
-          max annot.max_delay_from_root.(j)
+          Int.max annot.max_delay_from_root.(j)
             (annot.max_delay_from_root.(src) + latency);
-        annot.est.(j) <- max annot.est.(j) (annot.est.(src) + latency))
+        annot.est.(j) <- Int.max annot.est.(j) (annot.est.(src) + latency))
   done
 
 (* Backward-pass annotations for one node, assuming all its children are
@@ -35,10 +35,10 @@ let backward_visit dag (annot : Annot.t) ~critical_path i =
   annot.lst.(i) <- critical_path - exec;
   Ds_dag.Dag.iter_succ dag i (fun dst latency _ ->
       annot.max_path_to_leaf.(i) <-
-        max annot.max_path_to_leaf.(i) (annot.max_path_to_leaf.(dst) + 1);
+        Int.max annot.max_path_to_leaf.(i) (annot.max_path_to_leaf.(dst) + 1);
       annot.max_delay_to_leaf.(i) <-
-        max annot.max_delay_to_leaf.(i) (annot.max_delay_to_leaf.(dst) + latency);
-      annot.lst.(i) <- min annot.lst.(i) (annot.lst.(dst) - latency));
+        Int.max annot.max_delay_to_leaf.(i) (annot.max_delay_to_leaf.(dst) + latency);
+      annot.lst.(i) <- Int.min annot.lst.(i) (annot.lst.(dst) - latency));
   annot.slack.(i) <- annot.lst.(i) - annot.est.(i)
 
 (* Descendant measures: population counts over reachability bit maps, as
@@ -109,7 +109,7 @@ let compute ?(traversal = Reverse_walk) ?live_out
   (* LST seeds from the critical path length through a virtual dummy leaf *)
   let critical_path = ref 0 in
   for i = 0 to n - 1 do
-    critical_path := max !critical_path (annot.est.(i) + annot.exec_time.(i))
+    critical_path := Int.max !critical_path (annot.est.(i) + annot.exec_time.(i))
   done;
   let critical_path = !critical_path in
   (match traversal with

@@ -39,6 +39,11 @@ let rec trim_end s start i =
 let rec ident_end s i stop =
   if i < stop && is_ident_char s.[i] then ident_end s (i + 1) stop else i
 
+(* End of the mnemonic: the first space or tab, else [stop]. *)
+let rec mnemonic_end s i stop =
+  if i >= stop || s.[i] = ' ' || s.[i] = '\t' then i
+  else mnemonic_end s (i + 1) stop
+
 (* End of the line's code: the first [!] or [#], else [stop]. *)
 let rec comment_cut s i stop =
   if i >= stop || s.[i] = '!' || s.[i] = '#' then i else comment_cut s (i + 1) stop
@@ -130,13 +135,10 @@ let rec operands_of_range s a b =
       operand :: operands_of_range s (stop + 1) b
 
 (* An instruction from its trimmed, non-empty text [s.[a .. b-1]].  The
-   mnemonic ends at the first space or, only when the line has none, at
-   the first tab — so [add\t%o1, %o2] splits after [%o1,] and is
-   rejected.  A [,a] suffix sets the annul bit. *)
+   mnemonic ends at the first space or tab ([add\t%o1, %o2], as [cc -S]
+   prints it).  A [,a] suffix sets the annul bit. *)
 let insn_of_range s a b ~index ~label =
-  let cut = index_in s a b ' ' in
-  let cut = if cut >= 0 then cut else index_in s a b '\t' in
-  let cut = if cut >= 0 then cut else b in
+  let cut = mnemonic_end s a b in
   let comma = index_in s a cut ',' in
   let annul = comma >= 0 in
   if annul && not (cut = comma + 2 && s.[comma + 1] = 'a') then

@@ -57,28 +57,26 @@ let to_string = function
   | Int n -> Printf.sprintf "%%i%d" (n - 24)
   | Float n -> Printf.sprintf "%%f%d" n
 
-(* Every in-range register, preallocated, so decoding a name allocates
-   nothing.  Out-of-range numbers (a negative suffix such as [%g-1]
-   parses through [int_of_string_opt]) still build a fresh value. *)
+(* Every register, preallocated, so decoding a name allocates
+   nothing. *)
 let ints = Array.init 32 (fun n -> Int n)
 let floats = Array.init 32 (fun n -> Float n)
-let int_reg n = if n >= 0 && n < 32 then ints.(n) else Int n
-let float_reg n = if n >= 0 && n < 32 then floats.(n) else Float n
 
 let is_digit c = c >= '0' && c <= '9'
 let digit s i = Char.code s.[i] - Char.code '0'
 
 (* The register number in [s.[i .. stop-1]]: one or two decimal digits
    are read in place; any other token means what [int_of_string_opt]
-   makes of it, so [%o0x1] names [%o1]. *)
+   makes of it, so [%o0x1] names [%o1].  A negative number names no
+   register ([%g-1], [%o-1]). *)
 let number s i stop =
   if stop = i + 1 && is_digit s.[i] then digit s i
   else if stop = i + 2 && is_digit s.[i] && is_digit s.[i + 1] then
     (10 * digit s i) + digit s (i + 1)
   else
     match int_of_string_opt (String.sub s i (stop - i)) with
-    | Some n -> n
-    | None -> raise Not_found
+    | Some n when n >= 0 -> n
+    | Some _ | None -> raise Not_found
 
 let of_sub s pos len =
   if len < 3 || s.[pos] <> '%' then raise Not_found;
@@ -88,12 +86,12 @@ let of_sub s pos len =
   else
     let n = number s (pos + 2) (pos + len) in
     match c with
-    | 'g' when n < 8 -> int_reg n
-    | 'o' when n < 8 -> int_reg (8 + n)
-    | 'l' when n < 8 -> int_reg (16 + n)
-    | 'i' when n < 8 -> int_reg (24 + n)
-    | 'f' when n < 32 -> float_reg n
-    | 'r' when n < 32 -> int_reg n
+    | 'g' when n < 8 -> ints.(n)
+    | 'o' when n < 8 -> ints.(8 + n)
+    | 'l' when n < 8 -> ints.(16 + n)
+    | 'i' when n < 8 -> ints.(24 + n)
+    | 'f' when n < 32 -> floats.(n)
+    | 'r' when n < 32 -> ints.(n)
     | _ -> raise Not_found
 
 let of_string s =

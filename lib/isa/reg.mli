@@ -33,8 +33,9 @@ val float : int -> t
 val to_string : t -> string
 
 (** [of_sub s pos len] decodes the register named by the [len] bytes of
-    [s] at [pos], in place: the parser's decoder, which allocates nothing
-    for an in-range register.  Raises [Not_found] on an unknown name. *)
+    [s] at [pos], in place: the parser's decoder, which allocates
+    nothing.  Raises [Not_found] on an unknown name, an out-of-range
+    number included ([%g8], [%f32], [%g-1]). *)
 val of_sub : string -> int -> int -> t
 
 (** Inverse of [to_string]: {!of_sub} over the whole string; raises

@@ -81,7 +81,7 @@ let simple_risc =
     exec_time = exec;
     raw = raw_with_pair exec;
     war = (fun ~parent:_ ~res:_ ~child:_ -> 1);
-    waw = (fun ~parent ~res:_ ~child:_ -> max 1 (exec parent - 1));
+    waw = (fun ~parent ~res:_ ~child:_ -> Int.max 1 (exec parent - 1));
     fp_busy = (fun _ -> 0);
   }
 
@@ -96,7 +96,7 @@ let deep_fp =
     exec_time = exec;
     raw = raw_with_pair exec;
     war = (fun ~parent:_ ~res:_ ~child:_ -> 1);
-    waw = (fun ~parent ~res:_ ~child:_ -> max 1 (exec parent - 1));
+    waw = (fun ~parent ~res:_ ~child:_ -> Int.max 1 (exec parent - 1));
     fp_busy =
       (fun insn ->
         match Opcode.cls insn.op with
@@ -118,11 +118,11 @@ let asymmetric_bypass =
     raw =
       (fun ~parent ~def_pos ~res ~child ~use_pos ->
         let base = raw_with_pair exec ~parent ~def_pos ~res ~child ~use_pos in
-        if Opcode.is_store child.Insn.op && use_pos = 0 then max 1 (base - 1)
+        if Opcode.is_store child.Insn.op && use_pos = 0 then Int.max 1 (base - 1)
         else if use_pos >= 1 && not (Opcode.is_store child.Insn.op) then base + 1
         else base);
     war = (fun ~parent:_ ~res:_ ~child:_ -> 1);
-    waw = (fun ~parent ~res:_ ~child:_ -> max 1 (exec parent - 1));
+    waw = (fun ~parent ~res:_ ~child:_ -> Int.max 1 (exec parent - 1));
     fp_busy =
       (fun insn ->
         match Opcode.cls insn.op with

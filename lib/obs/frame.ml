@@ -39,7 +39,13 @@ type reader = {
                                 at most one staging buffer per fill) *)
 }
 
-let reader fd = { fd; buf = Bytes.create 65536; pending = "" }
+(* The staging buffer only has to hold a header and whatever arrives
+   with it; payloads are read at their exact size.  512 bytes keeps it
+   a minor-heap allocation (the minor heap takes blocks up to 256
+   words), so a connection's reader costs no malloc. *)
+let staging_bytes = 512
+
+let reader fd = { fd; buf = Bytes.create staging_bytes; pending = "" }
 
 (* One read(2) into [dst].  EINTR retries (a SIGINT mid-read must not
    tear a frame — the daemon's drain flag is checked between requests);

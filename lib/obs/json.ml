@@ -105,50 +105,74 @@ let of_string s =
     end
     else fail "invalid literal"
   in
+  (* the end of the run of plain bytes from [i]: the next '"' or '\\' *)
+  let run_end i =
+    let j = ref i in
+    while
+      !j < n && (let c = String.unsafe_get s !j in c <> '"' && c <> '\\')
+    do
+      incr j
+    done;
+    !j
+  in
+  (* Plain bytes are copied a run at a time; a string without escapes
+     is one [String.sub] and needs no buffer. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance (); Buffer.contents buf
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape");
-          (match s.[!pos] with
-          | '"' -> Buffer.add_char buf '"'; advance ()
-          | '\\' -> Buffer.add_char buf '\\'; advance ()
-          | '/' -> Buffer.add_char buf '/'; advance ()
-          | 'b' -> Buffer.add_char buf '\b'; advance ()
-          | 'f' -> Buffer.add_char buf '\012'; advance ()
-          | 'n' -> Buffer.add_char buf '\n'; advance ()
-          | 'r' -> Buffer.add_char buf '\r'; advance ()
-          | 't' -> Buffer.add_char buf '\t'; advance ()
-          | 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub s !pos 4 in
-              let code =
-                if
-                  String.for_all
-                    (function
-                      | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
-                      | _ -> false)
-                    hex
-                then int_of_string ("0x" ^ hex)
-                else fail "bad \\u escape"
-              in
-              (* surrogate halves are not scalar values; Uchar.of_int
-                 would raise Invalid_argument and escape of_string's
-                 Error channel entirely *)
-              if not (Uchar.is_valid code) then fail "bad \\u escape";
-              pos := !pos + 4;
-              Buffer.add_utf_8_uchar buf (Uchar.of_int code)
-          | _ -> fail "unknown escape");
-          go ()
-      | c -> Buffer.add_char buf c; advance (); go ()
-    in
-    go ()
+    let stop = run_end !pos in
+    if stop < n && s.[stop] = '"' then begin
+      let plain = String.sub s !pos (stop - !pos) in
+      pos := stop + 1;
+      plain
+    end
+    else begin
+      let buf = Buffer.create (stop - !pos + 16) in
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        match s.[!pos] with
+        | '"' -> advance (); Buffer.contents buf
+        | '\\' ->
+            advance ();
+            (if !pos >= n then fail "unterminated escape");
+            (match s.[!pos] with
+            | '"' -> Buffer.add_char buf '"'; advance ()
+            | '\\' -> Buffer.add_char buf '\\'; advance ()
+            | '/' -> Buffer.add_char buf '/'; advance ()
+            | 'b' -> Buffer.add_char buf '\b'; advance ()
+            | 'f' -> Buffer.add_char buf '\012'; advance ()
+            | 'n' -> Buffer.add_char buf '\n'; advance ()
+            | 'r' -> Buffer.add_char buf '\r'; advance ()
+            | 't' -> Buffer.add_char buf '\t'; advance ()
+            | 'u' ->
+                advance ();
+                if !pos + 4 > n then fail "truncated \\u escape";
+                let hex = String.sub s !pos 4 in
+                let code =
+                  if
+                    String.for_all
+                      (function
+                        | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                        | _ -> false)
+                      hex
+                  then int_of_string ("0x" ^ hex)
+                  else fail "bad \\u escape"
+                in
+                (* surrogate halves are not scalar values; Uchar.of_int
+                   would raise Invalid_argument and escape of_string's
+                   Error channel entirely *)
+                if not (Uchar.is_valid code) then fail "bad \\u escape";
+                pos := !pos + 4;
+                Buffer.add_utf_8_uchar buf (Uchar.of_int code)
+            | _ -> fail "unknown escape");
+            go ()
+        | _ ->
+            let stop = run_end !pos in
+            Buffer.add_substring buf s !pos (stop - !pos);
+            pos := stop;
+            go ()
+      in
+      go ()
+    end
   in
   let parse_number () =
     let start = !pos in

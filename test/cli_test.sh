@@ -152,6 +152,24 @@ printf 'ld [%%q1 + 4], %%o1\n' | "$TOOL" schedule - 2> "$TMP/err" && rc=0 || rc=
 grep -qF 'line 1: unknown register "%q1"' "$TMP/err" \
   || fail "bad memory base: no typed parse error"
 
+# a negative register number names no register: the same typed parse
+# error (exit 2), not a crash, and %o-1 does not alias %g7
+for reg in %g-1 %o-1 %f-3; do
+  printf 'fmovs %s, %%f0\n' "$reg" | "$TOOL" schedule - 2> "$TMP/err" && rc=0 || rc=$?
+  [ "$rc" -eq 2 ] || fail "register $reg: exit $rc, want 2"
+  grep -qF "line 1: unknown register \"$reg\"" "$TMP/err" \
+    || fail "register $reg: no typed parse error"
+done
+
+# a tab after the mnemonic, as cc -S prints it, reads like a space
+printf 'add\t%%o1, %%o2, %%o3\nld\t[%%fp - 8], %%o4\n' \
+  | "$TOOL" schedule -A warren - > "$TMP/tab.out" 2>/dev/null \
+  || fail "tab after the mnemonic: schedule failed"
+printf 'add %%o1, %%o2, %%o3\nld [%%fp - 8], %%o4\n' \
+  | "$TOOL" schedule -A warren - > "$TMP/space.out" 2>/dev/null
+cmp -s "$TMP/tab.out" "$TMP/space.out" \
+  || fail "tab after the mnemonic: output differs from the spaced line"
+
 # a missing input file is bad input (exit 2) on every subcommand that
 # reads one, with the path in the message and no uncaught exception
 for sub in stats build schedule compare optimal chain batch explain dot gantt \
@@ -258,6 +276,12 @@ printf 'frobnicate %%o1\n' > "$TMP/bad.s"
 [ "$rc" -eq 1 ] || fail "client on bad asm: exit $rc, want 1"
 grep -q '"kind": "block-parse"' "$TMP/err.json" \
   || fail "client error: wrong kind"
+printf 'add %%g-1, %%o1, %%o2\n' > "$TMP/negreg.s"
+"$TOOL" client --socket "$SOCK" "$TMP/negreg.s" > "$TMP/err.json" 2>/dev/null \
+  && rc=0 || rc=$?
+[ "$rc" -eq 1 ] || fail "client on a negative register: exit $rc, want 1"
+grep -q '"kind": "block-parse"' "$TMP/err.json" \
+  || fail "client on a negative register: wrong kind"
 
 # SIGINT drains: exit 130, socket unlinked, cache counters in the
 # --metrics dump on stderr

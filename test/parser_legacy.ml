@@ -2,17 +2,48 @@
 
     This is the [Parser] that shipped before the one-cursor rewrite:
     every line is copied by [String.split_on_char], [strip_comment],
-    [String.trim] and [String.sub], operands again by [split_on_comma],
-    and a memory base goes through [Reg.of_string] unguarded — so an
-    unknown base register escapes as [Invalid_argument] instead of a
-    [Parse_error], the one behaviour the rewrite changes on purpose.  It
-    exists for the differential tests only, which require the cursor
+    [String.trim] and [String.sub], operands again by [split_on_comma].
+    It exists for the differential tests only, which require the cursor
     parser to return the same instruction lists and byte-identical
-    error messages.  Not for pipeline use. *)
+    error messages, except for three behaviours the cursor parser
+    changes on purpose:
+    - a memory base goes through [reg_of_string] unguarded, so an
+      unknown base register escapes as [Invalid_argument] instead of a
+      [Parse_error];
+    - [reg_of_string] is the register decoder of that time, which
+      decodes a negative number ([%g-1] is [Int (-1)], [%o-1] names
+      [%g7]);
+    - the mnemonic ends at the first space, and at the first tab only on
+      a line with no space, so [add\t%o1, %o2, %o3] is rejected.
+    Not for pipeline use. *)
 
 open Ds_isa
 
 exception Parse_error of string
+
+(* [Reg.of_string] as it shipped with this parser, verbatim *)
+let reg_of_string s =
+  let fail () = invalid_arg (Printf.sprintf "Reg.of_string: %S" s) in
+  let num prefix_len =
+    match int_of_string_opt (String.sub s prefix_len (String.length s - prefix_len)) with
+    | Some n -> n
+    | None -> fail ()
+  in
+  if String.length s < 3 || s.[0] <> '%' then fail ()
+  else
+    match s with
+    | "%sp" -> Reg.sp
+    | "%fp" -> Reg.fp
+    | _ -> (
+        let n = num 2 in
+        match s.[1] with
+        | 'g' when n < 8 -> Reg.Int n
+        | 'o' when n < 8 -> Reg.Int (8 + n)
+        | 'l' when n < 8 -> Reg.Int (16 + n)
+        | 'i' when n < 8 -> Reg.Int (24 + n)
+        | 'f' when n < 32 -> Reg.Float n
+        | 'r' when n < 32 -> Reg.Int n
+        | _ -> fail ())
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
@@ -49,7 +80,7 @@ let parse_mem_body s =
     | Some _ | None -> None
   in
   let base_of str =
-    if String.length str > 0 && str.[0] = '%' then Mem_expr.Breg (Reg.of_string str)
+    if String.length str > 0 && str.[0] = '%' then Mem_expr.Breg (reg_of_string str)
     else if String.length str > 0 && is_ident_char str.[0] then Mem_expr.Bsym str
     else fail "bad memory base %S" str
   in
@@ -68,7 +99,7 @@ let parse_operand s =
     Operand.Mem (parse_mem_body (String.sub s 1 (String.length s - 2)))
   end
   else if s.[0] = '%' then
-    try Operand.Reg (Reg.of_string s)
+    try Operand.Reg (reg_of_string s)
     with Invalid_argument _ -> fail "unknown register %S" s
   else if s.[0] = '-' || (s.[0] >= '0' && s.[0] <= '9') then
     Operand.Imm (parse_int s)

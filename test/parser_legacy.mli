@@ -1,6 +1,8 @@
 (** The pre-cursor, line-splitting parser, kept as the yardstick for the
     cursor parser's differential tests.  An unknown memory-base register
-    escapes it as [Invalid_argument].  Not for pipeline use. *)
+    escapes it as [Invalid_argument], a negative register number decodes,
+    and a tab after the mnemonic on a line with a space is rejected.  Not
+    for pipeline use. *)
 
 exception Parse_error of string
 

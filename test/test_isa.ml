@@ -258,11 +258,11 @@ let cursor_outcome text =
 
 let escaped_prefix = "Reg.of_string: "
 
-(* Same instruction list, or byte-identical error.  The one intended
+(* Same instruction list, or byte-identical error.  The first intended
    divergence: an unknown memory-base register escaped the yardstick as
    [Invalid_argument "Reg.of_string: NAME"], and the cursor parser
    reports it as [line N: unknown register NAME]. *)
-let check_same_parse text =
+let check_same_outcome text =
   match (legacy_outcome text, cursor_outcome text) with
   | Parsed a, Parsed b ->
       if a <> b then Alcotest.failf "%S: instruction lists differ" text
@@ -279,6 +279,102 @@ let check_same_parse text =
       ()
   | (Parsed _ | Failed _ | Escaped _), (Parsed _ | Failed _ | Escaped _) ->
       Alcotest.failf "%S: the parsers disagree" text
+
+(* The other two intended divergences are found first and asserted on
+   both parsers; the text before them is compared as above.
+   - A negative register number: the yardstick's [Reg.of_string]
+     decodes [%g-1]; the cursor parser stops there with
+     [line N: unknown register NAME].
+   - A tab ending the mnemonic on a line that also has a space: the
+     yardstick cuts the mnemonic at the space and rejects the line; the
+     cursor parser reads the line as if that tab were a space. *)
+
+(* the first [l - 1] lines of [text] *)
+let lines_before text l =
+  let rec stop i k =
+    if k = 0 then i
+    else
+      match String.index_from_opt text i '\n' with
+      | Some j -> stop (j + 1) (k - 1)
+      | None -> String.length text
+  in
+  String.sub text 0 (stop 0 (l - 1))
+
+(* [Some (line, name)] when the cursor parser stopped at a register of
+   a known class with a negative number *)
+let negative_register = function
+  | Failed m -> (
+      match Scanf.sscanf m "line %d: unknown register %S%!" (fun l r -> (l, r)) with
+      | l, name
+        when String.length name > 2
+             && String.contains "golifr" name.[1]
+             && Option.fold ~none:false ~some:(fun n -> n < 0)
+                  (int_of_string_opt (String.sub name 2 (String.length name - 2))) ->
+          Some (l, name)
+      | _ -> None
+      | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
+  | Parsed _ | Escaped _ -> None
+
+let is_ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+  || c = '_' || c = '.' || c = '$'
+
+(* A line whose instruction text (comment cut, trimmed, label removed,
+   as the yardstick splits it) has a tab before its first space: that
+   line with the tab made a space, without its comment. *)
+let tab_rewrite line =
+  let code =
+    match String.index_opt line '!', String.index_opt line '#' with
+    | Some i, Some j -> String.sub line 0 (min i j)
+    | Some i, None | None, Some i -> String.sub line 0 i
+    | None, None -> line
+  in
+  let code = String.trim code in
+  let label, body =
+    match String.index_opt code ':' with
+    | Some i when i > 0 && String.for_all is_ident_char (String.sub code 0 i) ->
+        (String.sub code 0 (i + 1) ^ " ",
+         String.trim (String.sub code (i + 1) (String.length code - i - 1)))
+    | Some _ | None -> ("", code)
+  in
+  match (String.index_opt body ' ', String.index_opt body '\t') with
+  | Some sp, Some tab when tab < sp ->
+      Some (label ^ String.mapi (fun i c -> if i = tab then ' ' else c) body)
+  | _ -> None
+
+let same_outcome a b =
+  match (a, b) with
+  | Parsed a, Parsed b -> a = b
+  | Failed a, Failed b -> String.equal a b
+  | _ -> false
+
+let rec check_same_parse text =
+  let tab_line =
+    List.find_mapi
+      (fun i line -> Option.map (fun r -> (i + 1, line, r)) (tab_rewrite line))
+      (String.split_on_char '\n' text)
+  in
+  let head =
+    match tab_line with Some (l, _, _) -> lines_before text l | None -> text
+  in
+  match negative_register (cursor_outcome head) with
+  | Some (l, name) -> (
+      check_same_outcome (lines_before head l);
+      match legacy_outcome ("add " ^ name ^ ", %o1, %o2") with
+      | Parsed _ -> ()
+      | Failed _ | Escaped _ ->
+          Alcotest.failf "%S: the yardstick rejects %s" text name)
+  | None -> (
+      check_same_outcome head;
+      match (tab_line, cursor_outcome head) with
+      | Some (_, line, rewritten), Parsed _ ->
+          (match legacy_outcome line with
+          | Failed m when String.starts_with ~prefix:"line 1: unknown mnemonic" m -> ()
+          | _ -> Alcotest.failf "%S: the yardstick accepts %S" text line);
+          if not (same_outcome (cursor_outcome line) (cursor_outcome rewritten))
+          then Alcotest.failf "%S: a tab ends the mnemonic unlike a space" line;
+          check_same_parse rewritten
+      | _ -> ())
 
 let parser_edge_cases =
   [ ""; "\n"; "\n\n\n";
@@ -343,6 +439,48 @@ let test_parser_divergence () =
   match cursor_outcome text with
   | Failed m -> check_string "typed error" "line 2: unknown register \"%q1\"" m
   | Parsed _ | Escaped _ -> Alcotest.fail "expected a parse error"
+
+(* a negative register number: the yardstick decodes it ([%o-1] even
+   names [%g7]), the cursor parser and [Reg] reject it *)
+let test_parser_negative_register () =
+  List.iter
+    (fun (text, name) ->
+      (match legacy_outcome text with
+      | Parsed _ -> ()
+      | Failed _ | Escaped _ -> Alcotest.failf "yardstick rejects %S" text);
+      (match cursor_outcome text with
+      | Failed m ->
+          check_string text (Printf.sprintf "line 1: unknown register %S" name) m
+      | Parsed _ | Escaped _ -> Alcotest.failf "%S parsed" text);
+      match Reg.of_string name with
+      | _ -> Alcotest.failf "Reg.of_string %S decoded" name
+      | exception Invalid_argument _ -> ())
+    [ ("add %g-1, %o1, %o2", "%g-1"); ("add %o-1, %o1, %o2", "%o-1");
+      ("fmovs %f-3, %f0", "%f-3"); ("ld [%l-20 + 4], %o1", "%l-20");
+      ("add %r-0x1, %o1, %o2", "%r-0x1") ];
+  match Parser_legacy.parse_program "add %o-1, %o1, %o2" with
+  | [ { Insn.operands = Operand.Reg r :: _; _ } ] ->
+      check_bool "yardstick: %o-1 names %g7" true (Reg.equal r (Reg.int 7))
+  | _ -> Alcotest.fail "yardstick: unexpected parse of %o-1"
+
+(* a tab ends the mnemonic even on a line with a space, as [cc -S]
+   prints it: the yardstick rejects such a line, the cursor parser reads
+   it as the same line with a space *)
+let test_parser_tab_mnemonic () =
+  List.iter
+    (fun (text, spaced) ->
+      (match legacy_outcome text with
+      | Failed m when String.starts_with ~prefix:"line 1: unknown mnemonic" m -> ()
+      | _ -> Alcotest.failf "yardstick accepts %S" text);
+      match (cursor_outcome text, cursor_outcome spaced) with
+      | Parsed a, Parsed b ->
+          check_bool (Printf.sprintf "%S parses as %S" text spaced) true (a = b)
+      | _ -> Alcotest.failf "%S or %S failed" text spaced)
+    [ ("add\t%o1, %o2, %o3", "add %o1, %o2, %o3");
+      ("\tld\t[%fp - 8], %o1", "ld [%fp - 8], %o1");
+      ("loop:\tld\t[%fp - 8], %o1 ! back", "loop: ld [%fp - 8], %o1");
+      ("\tst\t%o1, [%fp + 4]\n\tfaddd\t%f0, %f2, %f4",
+       "st %o1, [%fp + 4]\nfaddd %f0, %f2, %f4") ]
 
 let program_of_block (b : Block.t) =
   Printf.sprintf "B%d:\n%s" b.Block.id
@@ -589,4 +727,7 @@ let suite =
       test_parser_table3_differential;
     Alcotest.test_case "parser allocation budget" `Slow
       test_parser_allocation_budget;
-    quick "defs/uses match list-based spec" test_defs_uses_match_spec ]
+    quick "defs/uses match list-based spec" test_defs_uses_match_spec;
+    quick "parser: negative register number is a parse error"
+      test_parser_negative_register;
+    quick "parser: a tab ends the mnemonic" test_parser_tab_mnemonic ]

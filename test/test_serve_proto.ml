@@ -1,9 +1,10 @@
 (** Tier-1 suite for the serve layer, wire-free where possible:
 
     - the frame codec over real socketpairs — round trips (empty,
-      binary, large), several frames through one reader, truncation
-      mid-header and mid-payload, oversized and malformed headers, and
-      the receive-timeout path;
+      binary, large), several frames through one reader, frames around
+      and past the reader's staging buffer, headers split across reads,
+      truncation mid-header and mid-payload, oversized and malformed
+      headers, and the receive-timeout path;
     - the request codec against adversarial JSON — every error carries
       a typed path naming the offending field;
     - [Serve.handle_text] differentially against the in-process
@@ -13,6 +14,9 @@
       DAG fingerprints;
     - warm responses byte-identical to cold ones, with the cache
       counters moving exactly as specified;
+    - a one-domain [Serve.t] schedules on the calling domain, and its
+      responses equal a two-domain one's but for the report's
+      [domains];
     - failure containment: request JSON that does not parse, bad
       fields, unparseable assembly and an injected pipeline crash
       ([DAGSCHED_SERVE_FAIL]) each answer their typed error and leave
@@ -114,6 +118,67 @@ let test_frame_timeout () =
       Alcotest.check (Alcotest.result Alcotest.string frame_error)
         "receive timeout" (Error Frame.Timeout)
         (Frame.read (Frame.reader r)))
+
+(* frames straddling the reader's small staging buffer: back-to-back
+   frames around and past its size, written as one stream so a fill
+   over-reads into the next frame *)
+let test_frame_back_to_back () =
+  with_pair (fun w r ->
+      let payloads =
+        List.map
+          (fun n -> String.init n (fun i -> Char.chr ((i * 7 + n) land 0xff)))
+          [ 0; 1; 500; 511; 512; 513; 1; 1023; 2048; 0; 5000; 3; 70_000; 2 ]
+      in
+      let stream = String.concat "" (List.map Frame.encode payloads) in
+      let writer =
+        Domain.spawn (fun () ->
+            ignore (Unix.write_substring w stream 0 (String.length stream));
+            Unix.close w)
+      in
+      let reader = Frame.reader r in
+      List.iteri
+        (fun i expected ->
+          match Frame.read reader with
+          | Ok got ->
+              Alcotest.(check string) (Printf.sprintf "frame %d" i) expected got
+          | Error e ->
+              Alcotest.failf "frame %d: %s" i (Frame.error_to_string e))
+        payloads;
+      Domain.join writer;
+      Alcotest.check (Alcotest.result Alcotest.string frame_error)
+        "EOF after last frame" (Error Frame.Closed) (Frame.read reader))
+
+(* [chunks] written one at a time with a pause in between, so the
+   reader sees each in its own read *)
+let dribble w chunks =
+  Domain.spawn (fun () ->
+      List.iter
+        (fun c ->
+          ignore (Unix.write_substring w c 0 (String.length c));
+          Unix.sleepf 0.002)
+        chunks;
+      Unix.close w)
+
+let test_frame_split_header () =
+  let payload = String.make 1500 'p' in
+  let bytes s = List.init (String.length s) (fun i -> String.make 1 s.[i]) in
+  List.iter
+    (fun (what, expected, chunks) ->
+      with_pair (fun w r ->
+          let writer = dribble w chunks in
+          let reader = Frame.reader r in
+          let got = Frame.read reader in
+          let eof = Frame.read reader in
+          Domain.join writer;
+          Alcotest.check (Alcotest.result Alcotest.string frame_error)
+            what (Ok expected) got;
+          Alcotest.check (Alcotest.result Alcotest.string frame_error)
+            (what ^ ": EOF") (Error Frame.Closed) eof))
+    [ ( "header split across reads", payload,
+        [ "15"; "00"; "\n" ^ String.sub payload 0 700;
+          String.sub payload 700 800 ] );
+      ("header one byte at a time", payload, bytes "1500\n" @ [ payload ]);
+      ("frame one byte at a time", "tiny", bytes (Frame.encode "tiny")) ]
 
 (* ------------------------------------------------------------------ *)
 (* request codec *)
@@ -342,6 +407,82 @@ let test_differential () =
           if not (Batch.report_equal report expected_report) then
             Alcotest.fail "embedded report differs from Batch.report")
         combos)
+
+let grep_text = lazy (program_text (Profiles.generate Profiles.grep))
+
+let words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* [~domains:1] owns no pool: a schedule miss runs the pipeline on the
+   calling domain, whose minor words then cover at least the bare
+   pipeline's.  With a worker domain they miss it. *)
+let test_one_domain_runs_here () =
+  let text = Lazy.force grep_text in
+  let blocks = Cfg_builder.partition (Parser.parse_program text) in
+  let config =
+    { Batch.section6 with
+      Batch.algorithm = Builder.Table_forward;
+      opts =
+        { Opts.default with
+          Opts.model = Latency.simple_risc;
+          strategy = Disambiguate.Base_offset } }
+  in
+  let bare = words (fun () -> Batch.run_here config blocks) in
+  let miss domains =
+    with_serve ~domains (fun serve ->
+        words (fun () -> Serve.handle_text serve (schedule_payload text)))
+  in
+  let here = miss 1 and pooled = miss 2 in
+  if here < bare then
+    Alcotest.failf "one domain: %.0f minor words on the calling domain, \
+                    the bare pipeline %.0f" here bare;
+  if pooled >= bare then
+    Alcotest.failf "two domains: %.0f minor words on the calling domain, \
+                    the bare pipeline %.0f" pooled bare
+
+(* the report's "domains" is the only byte a pool changes *)
+let test_domains_identical () =
+  let texts =
+    [ Lazy.force grep_text;
+      "add %r1, %r2, %r3\nsub %r3, %r1, %r4\nld [%r4], %r5\n"; "" ]
+  in
+  let combos =
+    [ (Builder.Table_forward, Disambiguate.Base_offset);
+      (Builder.N2_backward, Disambiguate.Symbolic) ]
+  in
+  let responses domains =
+    with_serve ~domains (fun serve ->
+        List.concat_map
+          (fun text ->
+            List.map
+              (fun (builder, strategy) ->
+                Serve.handle_text serve
+                  (schedule_payload ~builder ~strategy text))
+              combos)
+          texts)
+  in
+  let one = responses 1 and two = responses 2 in
+  (* [s] with its one occurrence of [sub] replaced by [by] *)
+  let replace_once ~sub ~by s =
+    let n = String.length sub in
+    let rec find i =
+      if i + n > String.length s then Alcotest.failf "no %S in %S" sub s
+      else if String.sub s i n = sub then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+  in
+  List.iter2
+    (fun a b ->
+      (match Json.of_string a with
+      | Ok json -> check_status json "ok"
+      | Error msg -> Alcotest.failf "response does not parse: %s" msg);
+      Alcotest.(check string) "-j 2 response with its domains set to 1" a
+        (replace_once ~sub:"\"domains\": 2," ~by:"\"domains\": 1," b))
+    one two
 
 let test_warm_equals_cold () =
   let text = "add %r1, %r2, %r3\nsub %r3, %r1, %r4\nld [%r4], %r5\n" in
@@ -626,4 +767,12 @@ let suite =
     Alcotest.test_case "access log: one JSONL line per request" `Quick
       test_access_log;
     Alcotest.test_case "prometheus exposition well-formed" `Quick
-      test_prometheus_exposition ]
+      test_prometheus_exposition;
+    Alcotest.test_case "frame back-to-back past the staging buffer" `Quick
+      test_frame_back_to_back;
+    Alcotest.test_case "frame header split across reads" `Quick
+      test_frame_split_header;
+    Alcotest.test_case "one domain schedules on the calling domain" `Quick
+      test_one_domain_runs_here;
+    Alcotest.test_case "-j 1 = -j 2 apart from domains" `Quick
+      test_domains_identical ]

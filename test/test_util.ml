@@ -471,6 +471,76 @@ let test_json_parse_errors () =
       | Error _ -> ())
     [ "{"; "[1,"; "\"unterminated"; "truish"; ""; "1 2"; "{\"a\" 1}" ]
 
+(* [Json.of_string] against the per-byte yardstick: equal [Ok] values
+   (floats compared bitwise) or byte-identical [Error] strings *)
+let check_same_json text =
+  let rec same a b =
+    match (a, b) with
+    | Stats.Json.Float x, Stats.Json.Float y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | Stats.Json.List xs, Stats.Json.List ys ->
+        List.length xs = List.length ys && List.for_all2 same xs ys
+    | Stats.Json.Obj xs, Stats.Json.Obj ys ->
+        List.length xs = List.length ys
+        && List.for_all2 (fun (k, x) (l, y) -> String.equal k l && same x y) xs ys
+    | a, b -> a = b
+  in
+  match (Json_legacy.of_string text, Stats.Json.of_string text) with
+  | Ok a, Ok b -> if not (same a b) then Alcotest.failf "%S: values differ" text
+  | Error a, Error b -> check_string (Printf.sprintf "error for %S" text) a b
+  | Ok _, Error m -> Alcotest.failf "%S: only the yardstick parses (%s)" text m
+  | Error m, Ok _ -> Alcotest.failf "%S: only the yardstick fails (%s)" text m
+
+let test_json_strings_every_byte () =
+  let all = String.init 256 Char.chr in
+  (* each byte raw inside a literal: alone, around and between runs,
+     unterminated *)
+  for b = 0 to 255 do
+    let c = String.make 1 (Char.chr b) in
+    List.iter
+      (fun t -> check_same_json ("\"" ^ t ^ "\""); check_same_json ("[\"" ^ t))
+      [ c; "ab" ^ c; c ^ "cd"; "x\\n" ^ c ^ "y"; c ^ c ]
+  done;
+  check_same_json ("\"" ^ all ^ "\"");
+  check_same_json (Stats.Json.to_string (Stats.Json.String all));
+  check_same_json
+    (Stats.Json.to_string
+       (Stats.Json.Obj [ (all, Stats.Json.List [ Stats.Json.String all ]) ]))
+
+let test_json_escapes () =
+  let escapes =
+    [ {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\n|}; {|\r|}; {|\t|};
+      {|\u0000|}; {|\u001f|}; {|\u0041|}; {|\u00e9|}; {|\u00E9|};
+      {|\u20ac|}; {|\uffff|}; {|\ud7ff|}; {|\ue000|}; {|\uD800|};
+      {|\udbff|}; {|\uDC00|}; {|\uDFFF|}; {|\ud83d\ude00|}; {|\u12|};
+      {|\u|}; {|\u12g4|}; {|\u-123|}; {|\u 041|}; {|\x|}; {|\0|};
+      {|\U0041|}; {|\|}; {|é|} ]
+  in
+  List.iter
+    (fun e ->
+      List.iter check_same_json
+        [ "\"" ^ e ^ "\""; "\"" ^ e; "\"ab" ^ e ^ "cd\"";
+          "\"" ^ e ^ e ^ "\""; "{\"" ^ e ^ "\": 1}"; "[\"" ^ e ^ "\", 2]" ])
+    escapes
+
+(* every prefix of a serve request, and the request itself *)
+let test_json_request_prefixes () =
+  let text =
+    Parser.print_program (Array.to_list (random_block 7).Block.insns)
+    ^ "tab:\there\r\n\"quoted\" \\ back\x01\xff"
+  in
+  let request =
+    Stats.Json.to_string
+      (Serve.request_to_json
+         (Serve.Schedule
+            { text; builder = Builder.Table_forward;
+              strategy = Disambiguate.Base_offset;
+              model = Latency.simple_risc }))
+  in
+  for k = 0 to String.length request do
+    check_same_json (String.sub request 0 k)
+  done
+
 let test_json_member () =
   check_bool "member hit" true
     (Stats.Json.member "n" sample_json = Some (Stats.Json.Int (-42)));
@@ -532,4 +602,9 @@ let suite =
     quick "json parse errors" test_json_parse_errors;
     quick "json member" test_json_member;
     quick "stats to_json" test_stats_to_json;
-    quick "table render" test_table_render ]
+    quick "table render" test_table_render;
+    quick "json strings: every byte matches the yardstick"
+      test_json_strings_every_byte;
+    quick "json escapes match the yardstick" test_json_escapes;
+    quick "json request prefixes match the yardstick"
+      test_json_request_prefixes ]
