@@ -30,28 +30,30 @@
     eliminates the child-revisitation overhead of the forward approaches
     before the backward heuristic pass (§6, third approach).
 
-    Like the forward pass, this is allocation-free per block: resources
-    are scanned into a reused buffer and the table is the flat per-domain
-    arena of {!Res_table}. *)
+    Like the forward pass, this is allocation-free per block: it walks the
+    domain's top-down {!Ds_machine.Pipeline.decode} of the block from the
+    bottom, and the table is the flat per-domain arena of
+    {!Res_table}. *)
 
-open Ds_isa
 open Ds_machine
 
 let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
   let insns = block.Ds_cfg.Block.insns in
-  let dag = Dag.create ~model:opts.model insns in
-  let table = Res_table.create opts.strategy in
-  let strategy = opts.strategy in
   let model = opts.model in
-  let buf = Res_table.scan_buf table in
-  let n = Array.length insns in
-  for j = n - 1 downto 0 do
+  let dag = Dag.create ~model insns in
+  let sc = Pipeline.decode model insns in
+  Dag.set_decode_gen dag sc.Pipeline.gen;
+  let table = Res_table.create opts.strategy sc in
+  let def_start = sc.Pipeline.def_start and def_ids = sc.Pipeline.def_ids in
+  let use_start = sc.Pipeline.use_start and use_ids = sc.Pipeline.use_ids in
+  for j = Array.length insns - 1 downto 0 do
     let parent = insns.(j) in
     (* process resources defined *)
-    Insn.scan_defs buf parent;
-    for def_pos = 0 to Insn.Scan.len buf - 1 do
-      let res = Disambiguate.canonical strategy (Insn.Scan.res buf def_pos) in
-      let own = Res_table.lookup table res in
+    let d0 = def_start.(j) in
+    for d = d0 to def_start.(j + 1) - 1 do
+      let def_pos = d - d0 in
+      let own = Res_table.lookup table def_ids.(d) in
+      let res = Res_table.resource table own in
       (* own entry: the paper's algorithm, including the clear *)
       if not (Res_table.has_uses table own) then begin
         let dpk = Res_table.def_pk table own in
@@ -75,7 +77,7 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
       Res_table.clear_uses table own;
       Res_table.set_def table own ~node:j ~pos:def_pos;
       (* cross-aliasing entries: conservative arcs, no state change *)
-      let nc = Res_table.cross_into table ~self:own res in
+      let nc = Res_table.cross_into table ~self:own in
       for k = 0 to nc - 1 do
         let e = Res_table.cross_id table k in
         let nu = Res_table.uses_into table e ~except:j in
@@ -96,17 +98,18 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
       done
     done;
     (* process resources used *)
-    Insn.scan_uses buf parent;
-    for use_pos = 0 to Insn.Scan.len buf - 1 do
-      let res = Disambiguate.canonical strategy (Insn.Scan.res buf use_pos) in
-      let own = Res_table.lookup table res in
+    let u0 = use_start.(j) in
+    for u = u0 to use_start.(j + 1) - 1 do
+      let use_pos = u - u0 in
+      let own = Res_table.lookup table use_ids.(u) in
+      let res = Res_table.resource table own in
       let dpk = Res_table.def_pk table own in
       if dpk >= 0 && dpk lsr 8 <> j then begin
         let d = dpk lsr 8 in
         let latency = model.Latency.war ~parent ~res ~child:insns.(d) in
         ignore (Dag.add_arc dag ~src:j ~dst:d ~kind:Dep.War ~latency)
       end;
-      let nc = Res_table.cross_into table ~self:own res in
+      let nc = Res_table.cross_into table ~self:own in
       for k = 0 to nc - 1 do
         let e = Res_table.cross_id table k in
         let dpk = Res_table.def_pk table e in

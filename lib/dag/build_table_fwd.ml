@@ -20,29 +20,31 @@
     last definition and pending uses, leaving that entry's state intact.
     Only an expression's own definition clears its uselist.
 
-    The pass is allocation-free per block: instruction resources are
-    scanned into a reused buffer, the table is the flat per-domain arena
-    of {!Res_table}, and all iteration is over indices — no closures,
-    lists or options on the per-instruction path. *)
+    The pass is allocation-free per block: it walks the int arrays of the
+    domain's {!Ds_machine.Pipeline.decode} of the block (which scoring
+    then reuses), the table is the flat per-domain arena of {!Res_table},
+    and all iteration is over indices — no closures, lists or options on
+    the per-instruction path. *)
 
-open Ds_isa
 open Ds_machine
 
 let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
   let insns = block.Ds_cfg.Block.insns in
-  let dag = Dag.create ~model:opts.model insns in
-  let table = Res_table.create opts.strategy in
-  let strategy = opts.strategy in
   let model = opts.model in
-  let buf = Res_table.scan_buf table in
-  let n = Array.length insns in
-  for j = 0 to n - 1 do
+  let dag = Dag.create ~model insns in
+  let sc = Pipeline.decode model insns in
+  Dag.set_decode_gen dag sc.Pipeline.gen;
+  let table = Res_table.create opts.strategy sc in
+  let def_start = sc.Pipeline.def_start and def_ids = sc.Pipeline.def_ids in
+  let use_start = sc.Pipeline.use_start and use_ids = sc.Pipeline.use_ids in
+  for j = 0 to Array.length insns - 1 do
     let child = insns.(j) in
     (* process resources used *)
-    Insn.scan_uses buf child;
-    for use_pos = 0 to Insn.Scan.len buf - 1 do
-      let res = Disambiguate.canonical strategy (Insn.Scan.res buf use_pos) in
-      let own = Res_table.lookup table res in
+    let u0 = use_start.(j) in
+    for u = u0 to use_start.(j + 1) - 1 do
+      let use_pos = u - u0 in
+      let own = Res_table.lookup table use_ids.(u) in
+      let res = Res_table.resource table own in
       (* RAW from the entry's last definition; a cross entry's latency is
          charged to that entry's own resource *)
       let dpk = Res_table.def_pk table own in
@@ -53,7 +55,7 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
         in
         ignore (Dag.add_arc dag ~src:d ~dst:j ~kind:Dep.Raw ~latency)
       end;
-      let nc = Res_table.cross_into table ~self:own res in
+      let nc = Res_table.cross_into table ~self:own in
       for k = 0 to nc - 1 do
         let e = Res_table.cross_id table k in
         let dpk = Res_table.def_pk table e in
@@ -69,10 +71,11 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
       Res_table.add_use table own ~node:j ~pos:use_pos
     done;
     (* process resources defined *)
-    Insn.scan_defs buf child;
-    for def_pos = 0 to Insn.Scan.len buf - 1 do
-      let res = Disambiguate.canonical strategy (Insn.Scan.res buf def_pos) in
-      let own = Res_table.lookup table res in
+    let d0 = def_start.(j) in
+    for d = d0 to def_start.(j + 1) - 1 do
+      let def_pos = d - d0 in
+      let own = Res_table.lookup table def_ids.(d) in
+      let res = Res_table.resource table own in
       (* own entry: the paper's algorithm, including the clear — WAR from
          every pending use in ascending order, or a WAW from the previous
          definition when no use is pending *)
@@ -96,7 +99,7 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
       (* cross-aliasing entries: conservative arcs, no state change; WAR
          latencies are charged to the defined resource, WAW latencies to
          the aliasing entry's own resource *)
-      let nc = Res_table.cross_into table ~self:own res in
+      let nc = Res_table.cross_into table ~self:own in
       for k = 0 to nc - 1 do
         let e = Res_table.cross_id table k in
         let nu = Res_table.uses_into table e ~except:j in

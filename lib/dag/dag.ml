@@ -26,16 +26,22 @@
       through the arc arena ([arc_nsucc]/[arc_npred]), with per-node
       heads in the field array; chains are in most-recently-added-first
       order;
-    - per-node counters pack into a stride-6 int row ([nf]):
+    - per-node counters pack into a stride-8 int row ([nf]):
       children/parents/interlock, the two delay sums, the two delay
-      maxima, and the two chain heads;
-    - duplicate detection ([find_arc], coalescing) probes the shorter of
-      the two chains — a collision-free walk over real arcs only, so an
-      out-of-range query can never alias an in-range pair.  Once a block
-      accumulates enough arcs for chain walks to matter, an
-      open-addressed index of arc ids (keyed by the exact packed
-      [(src, dst)] pair, so distinct pairs still cannot alias) takes
-      over and keeps probes O(1) even on dense n² DAGs;
+      maxima, the two chain heads and the two coalescing bounds;
+    - coalescing is O(1) without any index: each node also records its
+      highest child index and its lowest parent index, each with the arc
+      that set it.  A pair whose dst lies above the source's bound, or
+      whose src lies below the destination's, is a new arc; a pair equal
+      to a bound is that bound's arc.  The table builders visit nodes in
+      one direction, so every pair they add is decided by a bound.  Only
+      an out-of-order add (dst below the source's highest child and src
+      above the destination's lowest parent, as the n² builders make)
+      builds an open-addressed index of arc ids, sized on first use and
+      keyed by the exact packed [(src, dst)] pair, so distinct pairs
+      cannot alias.  Read-only queries ([find_arc]) never build it: they
+      use the bounds, then the index if one exists, then the shorter of
+      the two chains — a walk over real arcs only;
     - reachability maps, when a builder maintains them, are one
       contiguous {!Ds_util.Bitset.Matrix} (row per node).
 
@@ -77,20 +83,24 @@ let pk_kind pk = code_kind.(pk_code pk)
 let arc_of_pk pk =
   { src = pk_src pk; dst = pk_dst pk; kind = pk_kind pk; latency = pk_latency pk }
 
-(* Per-node field row (stride 6 in [nf]):
+(* Per-node field row (stride 8 in [nf]):
    slot 0: children (bits 0-19) | parents (bits 20-39) | interlock (bit 40)
    slot 1: sum of delays to children
    slot 2: sum of delays from parents
    slot 3: max delay to child (bits 0-19) | max delay from parent (bits 20-39)
    slot 4: succ chain head, arc id + 1 (0 = none)
-   slot 5: pred chain head, arc id + 1 (0 = none) *)
-let stride = 6
+   slot 5: pred chain head, arc id + 1 (0 = none)
+   slot 6: highest child index + 1 (bits 0-19, 0 = none) | its arc id
+           (bits 20-)
+   slot 7: lowest parent index (bits 0-19, [field_mask] = none) | its
+           arc id (bits 20-) *)
+let stride = 8
 let interlock_bit = 1 lsl 40
 
 type t = {
   insns : Insn.t array;
   model : Latency.t;
-  nf : int array;                       (* stride-6 per-node fields *)
+  nf : int array;                       (* stride-8 per-node fields *)
   mutable arc_pk : int array;           (* packed (src,dst,latency,kind) *)
   mutable arc_nsucc : int array;        (* next arc id in src's chain, -1 end *)
   mutable arc_npred : int array;        (* next arc id in dst's chain, -1 end *)
@@ -98,20 +108,26 @@ type t = {
   mutable idx : int array;
       (* open-addressed arc index: slot holds arc id + 1 (0 = empty),
          keyed by the low 40 (src, dst) bits of the slot's [arc_pk].
-         Empty until [idx_threshold] arcs exist; linear probing at load
+         Empty until the first out-of-order add; linear probing at load
          factor <= 1/2 afterwards. *)
   mutable idx_mask : int;
   mutable reach : Ds_util.Bitset.Matrix.m option;
       (* descendant bit rows, when a builder maintained them *)
+  mutable decode_gen : int;
+      (* generation of the Pipeline decode the DAG was built from, or -1 *)
 }
 
 let create ~model insns =
   let n = Array.length insns in
   if n >= max_nodes then invalid_arg "Dag.create: block too large for arena";
+  let nf = Array.make (stride * n) 0 in
+  for i = 0 to n - 1 do
+    nf.((stride * i) + 7) <- field_mask
+  done;
   {
     insns;
     model;
-    nf = Array.make (stride * n) 0;
+    nf;
     arc_pk = [||];
     arc_nsucc = [||];
     arc_npred = [||];
@@ -119,10 +135,14 @@ let create ~model insns =
     idx = [||];
     idx_mask = 0;
     reach = None;
+    decode_gen = -1;
   }
 
 let length t = Array.length t.insns
 let insn t i = t.insns.(i)
+let insns t = t.insns
+let decode_gen t = t.decode_gen
+let set_decode_gen t g = t.decode_gen <- g
 let model t = t.model
 let n_arcs t = t.n_arcs
 
@@ -142,14 +162,27 @@ let pred_head t i = t.nf.((stride * i) + 5) - 1
 let arcs_added_counter = Ds_obs.Metrics.counter "dag.arcs_added"
 let arcs_coalesced_counter = Ds_obs.Metrics.counter "dag.arcs_coalesced"
 
-(* The open-addressed index.  Chain walks are O(degree) per probe, which
-   is fine for the small blocks that dominate real code but degrades to
-   O(n³) on dense n²-builder DAGs (the 11 750-instruction fpppp block).
-   Past [idx_threshold] arcs we switch to an int slot table: each slot
-   holds an arc id + 1, and a probe compares the full packed (src, dst)
-   key of the slot's arc — distinct pairs can never alias, the property
-   the old modular arc_index hashing lacked. *)
-let idx_threshold = 64
+(* Coalescing bounds: [src]'s highest child and [dst]'s lowest parent,
+   each packed with the arc that set it. *)
+let max_child t i = (t.nf.((stride * i) + 6) land field_mask) - 1
+let max_child_arc t i = t.nf.((stride * i) + 6) lsr 20
+let min_parent t i = t.nf.((stride * i) + 7) land field_mask
+let min_parent_arc t i = t.nf.((stride * i) + 7) lsr 20
+
+(* What the bounds say about (src, dst): its arc id, [-1] when it is
+   certainly new, or [-2] when they cannot tell (an out-of-order pair). *)
+let bounded_id t ~src ~dst =
+  let hi = max_child t src in
+  if dst > hi then -1
+  else if dst = hi then max_child_arc t src
+  else
+    let lo = min_parent t dst in
+    if src < lo then -1 else if src = lo then min_parent_arc t dst else -2
+
+(* The open-addressed index, for out-of-order pairs: an int slot table
+   where each slot holds an arc id + 1, and a probe compares the full
+   packed (src, dst) key of the slot's arc — distinct pairs can never
+   alias, the property the old modular arc_index hashing lacked. *)
 let key_mask = (1 lsl 40) - 1
 
 (* Slot for [key] (the low 40 bits of an [arc_pk]): either its arc's
@@ -170,36 +203,34 @@ let idx_insert t id =
   let s = idx_slot t (t.arc_pk.(id) land key_mask) in
   t.idx.(s) <- id + 1
 
-(* Build the index once [idx_threshold] arcs exist; afterwards keep the
-   load factor at or below 1/2 by doubling and rehashing. *)
-let ensure_idx_capacity t =
-  let size = Array.length t.idx in
-  if size = 0 then begin
-    if t.n_arcs >= idx_threshold then begin
-      let size' = 4 * idx_threshold in
-      t.idx <- Array.make size' 0;
-      t.idx_mask <- size' - 1;
-      for id = 0 to t.n_arcs - 1 do
-        idx_insert t id
-      done
-    end
-  end
-  else if 2 * (t.n_arcs + 1) > size then begin
-    let size' = 2 * size in
-    t.idx <- Array.make size' 0;
-    t.idx_mask <- size' - 1;
-    for id = 0 to t.n_arcs - 1 do
-      idx_insert t id
-    done
-  end
+(* (Re)build the index over every arc with room for [arcs] at load
+   factor <= 1/2. *)
+let idx_rebuild t arcs =
+  let size = ref 16 in
+  while !size < 2 * arcs do
+    size := 2 * !size
+  done;
+  t.idx <- Array.make !size 0;
+  t.idx_mask <- !size - 1;
+  for id = 0 to t.n_arcs - 1 do
+    idx_insert t id
+  done
 
-(* Arc id for (src, dst), or -1.  Small blocks probe the shorter of
-   src's succ chain and dst's pred chain — a walk over real arcs only,
-   never a hash that could alias distinct pairs; once the open-addressed
-   index exists it answers in O(1) expected with the same exact-key
-   guarantee.  Callers bounds-check. *)
+(* Arc id for an out-of-order (src, dst), or -1, building the index on
+   first use. *)
+let indexed_id t ~src ~dst =
+  if Array.length t.idx = 0 then idx_rebuild t (t.n_arcs + 1);
+  t.idx.(idx_slot t (src lor (dst lsl 20))) - 1
+
+(* Arc id for (src, dst), or -1, without building the index: the
+   bounds, then the index if an out-of-order add built one, then the
+   shorter of src's succ chain and dst's pred chain — a walk over real
+   arcs only, never a hash that could alias distinct pairs.  Callers
+   bounds-check. *)
 let find_id t ~src ~dst =
-  if Array.length t.idx > 0 then
+  let b = bounded_id t ~src ~dst in
+  if b <> -2 then b
+  else if Array.length t.idx > 0 then
     t.idx.(idx_slot t (src lor (dst lsl 20))) - 1
   else if n_children t src <= n_parents t dst then begin
     let id = ref (succ_head t src) in
@@ -287,7 +318,10 @@ let add_arc t ~src ~dst ~kind ~latency =
       invalid_arg "Dag.add_arc: node index out of range";
     if latency < 0 || latency >= max_latency then
       invalid_arg "Dag.add_arc: latency out of range";
-    let id = find_id t ~src ~dst in
+    let id =
+      let b = bounded_id t ~src ~dst in
+      if b = -2 then indexed_id t ~src ~dst else b
+    in
     if id >= 0 then begin
       Ds_obs.Metrics.incr arcs_coalesced_counter;
       let pk = t.arc_pk.(id) in
@@ -315,11 +349,15 @@ let add_arc t ~src ~dst ~kind ~latency =
     else begin
       Ds_obs.Metrics.incr arcs_added_counter;
       ensure_arc_capacity t;
-      ensure_idx_capacity t;
       let id = t.n_arcs in
       let bs = stride * src and bd = stride * dst in
       t.arc_pk.(id) <- pack ~src ~dst ~kind ~latency;
-      if Array.length t.idx > 0 then idx_insert t id;
+      if Array.length t.idx > 0 then begin
+        if 2 * (id + 1) > Array.length t.idx then idx_rebuild t (id + 1);
+        idx_insert t id
+      end;
+      if dst > max_child t src then t.nf.(bs + 6) <- (dst + 1) lor (id lsl 20);
+      if src < min_parent t dst then t.nf.(bd + 7) <- src lor (id lsl 20);
       t.arc_nsucc.(id) <- t.nf.(bs + 4) - 1;
       t.nf.(bs + 4) <- id + 1;
       t.arc_npred.(id) <- t.nf.(bd + 5) - 1;

@@ -8,7 +8,9 @@
     heuristics.  Arcs between the same pair are coalesced to the most
     constraining dependency, so [#children] counts distinct child nodes;
     equal-latency ties between kinds resolve RAW > WAW > WAR > CTL, so
-    annotations are independent of builder visit order.
+    annotations are independent of builder visit order.  Coalescing is
+    O(1): each node keeps its highest child and lowest parent, and only
+    an add that neither bound decides builds an open-addressed index.
 
     Internally the graph is flat int arrays: packed arcs, intrusive
     succ/pred chains, packed per-node counters, and an optional
@@ -33,6 +35,16 @@ val create : model:Ds_machine.Latency.t -> Ds_isa.Insn.t array -> t
 val length : t -> int
 val insn : t -> int -> Ds_isa.Insn.t
 val model : t -> Ds_machine.Latency.t
+
+(** The block's instructions, shared with the DAG (do not mutate). *)
+val insns : t -> Ds_isa.Insn.t array
+
+(** Generation of the {!Ds_machine.Pipeline.decode} the DAG was built
+    from, or [-1]: the table builders stamp their DAGs so scoring can
+    reuse the decode while it is still the domain's current one. *)
+val decode_gen : t -> int
+
+val set_decode_gen : t -> int -> unit
 
 (** [iter_succ t i f] calls [f dst latency kind] for every outgoing arc
     of [i], most recently added first; [iter_pred t i f] calls

@@ -7,191 +7,193 @@
     arcs against every may-aliasing expression already in the table — the
     variable-length growth the paper measured on fpppp.
 
-    Flat arena layout (see res_table.mli for the contract): resources
-    intern to dense ids through a per-domain {!Ds_isa.Resource.Ids} —
-    fixed ids for the finitely many register/CC resources, hash-interned
-    ids for symbolic memory expressions — and
-    all per-entry state (packed definition, uselist chain head) lives in
-    per-domain arrays.  A per-entry epoch stamp makes per-block reset
-    lazy: starting a new block is a single epoch bump, and an entry's
-    state is implicitly empty until first touched under the new epoch.
-    Uselists are intrusive chains through a pooled [use_pk]/[use_next]
-    arena rewound per block.  The interning table persists across blocks
-    (and grow across a corpus run exactly as the paper's variable-length
-    table does on fpppp); the per-block state costs no allocation at
-    all. *)
+    Flat layout (see res_table.mli for the contract): the entries are the
+    block-local resource ids of the block's {!Ds_machine.Pipeline.decode},
+    plus one [Mem_all] entry under [Serialize_all] when the block names
+    none itself.  All per-entry state (packed definition, uselist chain
+    head, alias-scan enlistment) lives in per-domain arrays filled for
+    each block, and uselists are intrusive chains through a pooled
+    [use_pk]/[use_next] arena rewound per block, so a block's table
+    costs no allocation at all. *)
 
 open Ds_isa
+module Pipeline = Ds_machine.Pipeline
 
-type scratch = {
-  mutable epoch : int;
-  (* per-entry state, indexed by id; valid iff stamp.(id) = epoch *)
-  mutable stamp : int array;
-  mutable def : int array;       (* (node lsl 8) lor pos, or -1 *)
-  mutable head : int array;      (* uselist chain head in the pool, or -1 *)
-  (* interning (persists across blocks) *)
-  ids : Resource.Ids.t;
-  (* per-block bookkeeping *)
-  mutable n_touched : int;
-  mutable mem_ids : int array;   (* entries touched this block that are memory *)
+type t = {
+  mutable strategy : Disambiguate.t;
+  mutable alias_scans : bool;      (* strategy <> Symbolic *)
+  (* per entry, valid below [n_entries] *)
+  mutable n_entries : int;
+  mutable entry_of : int array;    (* decode resource id -> entry *)
+  mutable res : Resource.t array;
+  mutable def : int array;         (* (node lsl 8) lor pos, or -1 *)
+  mutable head : int array;        (* uselist chain head in the pool, or -1 *)
+  mutable listed : Bytes.t;        (* looked up yet (alias scans only) *)
+  (* memory entries in the order the builder first looked them up *)
+  mutable mem_ids : int array;
   mutable n_mem : int;
   (* uselist pool, rewound per block *)
-  mutable use_pk : int array;    (* (node lsl 8) lor pos *)
+  mutable use_pk : int array;      (* (node lsl 8) lor pos *)
   mutable use_next : int array;
   mutable n_uses : int;
   (* iteration buffers *)
-  mutable sort_buf : int array;
+  mutable use_buf : int array;
   mutable cross_buf : int array;
-  scan : Insn.Scan.buf;
 }
 
 let fresh_scratch () =
-  { epoch = 0;
-    stamp = Array.make 128 (-1);
-    def = Array.make 128 (-1);
-    head = Array.make 128 (-1);
-    ids = Resource.Ids.create ();
-    n_touched = 0;
+  { strategy = Disambiguate.Symbolic;
+    alias_scans = false;
+    n_entries = 0;
+    entry_of = Array.make 64 0;
+    res = Array.make 64 Resource.Ctrl;
+    def = Array.make 64 (-1);
+    head = Array.make 64 (-1);
+    listed = Bytes.make 64 '\000';
     mem_ids = Array.make 16 0;
     n_mem = 0;
     use_pk = Array.make 64 0;
     use_next = Array.make 64 (-1);
     n_uses = 0;
-    sort_buf = Array.make 16 0;
-    cross_buf = Array.make 16 0;
-    scan = Insn.Scan.create () }
+    use_buf = Array.make 16 0;
+    cross_buf = Array.make 16 0 }
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
-
-type t = { strategy : Disambiguate.t; s : scratch }
-
-let create strategy =
-  let s = Domain.DLS.get scratch_key in
-  s.epoch <- s.epoch + 1;
-  s.n_touched <- 0;
-  s.n_mem <- 0;
-  s.n_uses <- 0;
-  { strategy; s }
 
 (* observability: table lookups and alias-scan lengths — the cost the
    paper's §6 asymmetry experiment is about *)
 let probe_counter = Ds_obs.Metrics.counter "dag.table_probes"
 let alias_scan_counter = Ds_obs.Metrics.counter "dag.alias_entries_scanned"
 
-let grow_int_array a len fill =
-  let grown = Array.make len fill in
+let grow a len fill =
+  let grown = Array.make (max len (2 * Array.length a)) fill in
   Array.blit a 0 grown 0 (Array.length a);
   grown
 
-let ensure_entry_capacity s id =
-  if id >= Array.length s.stamp then begin
-    let len = max (id + 1) (2 * Array.length s.stamp) in
-    (* fresh stamps read as "not this epoch", i.e. empty *)
-    s.stamp <- grow_int_array s.stamp len (-1);
-    s.def <- grow_int_array s.def len (-1);
-    s.head <- grow_int_array s.head len (-1)
-  end
-
-(* first touch under this epoch: reset the entry's state and, for
-   memory resources, enlist it for alias scans — the legacy table did
-   this when creating the hashtable entry *)
-let touch s id =
-  ensure_entry_capacity s id;
-  if s.stamp.(id) <> s.epoch then begin
-    s.stamp.(id) <- s.epoch;
-    s.def.(id) <- -1;
-    s.head.(id) <- -1;
-    s.n_touched <- s.n_touched + 1;
-    if id = Resource.Ids.mem_all || id >= Resource.Ids.n_fixed then begin
-      if s.n_mem >= Array.length s.mem_ids then
-        s.mem_ids <- grow_int_array s.mem_ids (2 * Array.length s.mem_ids) 0;
-      s.mem_ids.(s.n_mem) <- id;
-      s.n_mem <- s.n_mem + 1
-    end
-  end
-
-let lookup t res =
-  Ds_obs.Metrics.incr probe_counter;
-  let id = Resource.Ids.id t.s.ids res in
-  touch t.s id;
-  id
-
-let resource t id = Resource.Ids.resource t.s.ids id
-let def_pk t id = t.s.def.(id)
-let set_def t id ~node ~pos = t.s.def.(id) <- (node lsl 8) lor pos
-let clear_uses t id = t.s.head.(id) <- -1
-let has_uses t id = t.s.head.(id) >= 0
-
-let add_use t id ~node ~pos =
-  let s = t.s in
-  let cell = s.n_uses in
-  if cell >= Array.length s.use_pk then begin
-    let len = 2 * Array.length s.use_pk in
-    s.use_pk <- grow_int_array s.use_pk len 0;
-    s.use_next <- grow_int_array s.use_next len (-1)
+let create strategy (sc : Pipeline.scan) =
+  let t = Domain.DLS.get scratch_key in
+  let n_res = sc.Pipeline.n_res in
+  (* room for every decode id plus a [Mem_all] entry *)
+  if n_res + 1 > Array.length t.def then begin
+    t.entry_of <- grow t.entry_of (n_res + 1) 0;
+    t.res <- grow t.res (n_res + 1) Resource.Ctrl;
+    t.def <- grow t.def (n_res + 1) (-1);
+    t.head <- grow t.head (n_res + 1) (-1);
+    t.listed <- Bytes.make (Array.length t.def) '\000'
   end;
-  s.use_pk.(cell) <- (node lsl 8) lor pos;
-  s.use_next.(cell) <- s.head.(id);
-  s.head.(id) <- cell;
-  s.n_uses <- cell + 1
+  t.strategy <- strategy;
+  t.alias_scans <- strategy <> Disambiguate.Symbolic;
+  Array.blit sc.Pipeline.res 0 t.res 0 n_res;
+  for r = 0 to n_res - 1 do
+    t.entry_of.(r) <- r
+  done;
+  t.n_entries <- n_res;
+  if strategy = Disambiguate.Serialize_all then begin
+    (* every memory expression is the one [Mem_all] entry *)
+    let mem_all = ref (-1) in
+    for r = 0 to n_res - 1 do
+      match t.res.(r) with Resource.Mem_all -> mem_all := r | _ -> ()
+    done;
+    if !mem_all < 0 then begin
+      mem_all := n_res;
+      t.res.(n_res) <- Resource.Mem_all;
+      t.n_entries <- n_res + 1
+    end;
+    for r = 0 to n_res - 1 do
+      match t.res.(r) with
+      | Resource.Mem _ -> t.entry_of.(r) <- !mem_all
+      | _ -> ()
+    done
+  end;
+  Array.fill t.def 0 t.n_entries (-1);
+  Array.fill t.head 0 t.n_entries (-1);
+  Bytes.fill t.listed 0 t.n_entries '\000';
+  t.n_mem <- 0;
+  t.n_uses <- 0;
+  let n = Array.length sc.Pipeline.insns in
+  Ds_obs.Metrics.add probe_counter
+    (sc.Pipeline.def_start.(n) + sc.Pipeline.use_start.(n));
+  t
 
-let uses_into t id ~except =
-  let s = t.s in
-  (* collect the chain (newest first, like the legacy list) ... *)
+(* first lookup of a memory entry enlists it for alias scans, in lookup
+   order *)
+let enlist t e =
+  Bytes.unsafe_set t.listed e '\001';
+  if Resource.is_memory t.res.(e) then begin
+    if t.n_mem >= Array.length t.mem_ids then
+      t.mem_ids <- grow t.mem_ids (t.n_mem + 1) 0;
+    t.mem_ids.(t.n_mem) <- e;
+    t.n_mem <- t.n_mem + 1
+  end
+
+let lookup t r =
+  let e = t.entry_of.(r) in
+  if t.alias_scans && Bytes.get t.listed e = '\000' then enlist t e;
+  e
+
+let resource t e = t.res.(e)
+let def_pk t e = t.def.(e)
+let set_def t e ~node ~pos = t.def.(e) <- (node lsl 8) lor pos
+let clear_uses t e = t.head.(e) <- -1
+let has_uses t e = t.head.(e) >= 0
+
+let add_use t e ~node ~pos =
+  let cell = t.n_uses in
+  if cell >= Array.length t.use_pk then begin
+    t.use_pk <- grow t.use_pk (cell + 1) 0;
+    t.use_next <- grow t.use_next (cell + 1) (-1)
+  end;
+  t.use_pk.(cell) <- (node lsl 8) lor pos;
+  t.use_next.(cell) <- t.head.(e);
+  t.head.(e) <- cell;
+  t.n_uses <- cell + 1
+
+let uses_into t e ~except =
+  (* collect the chain, newest first ... *)
   let n = ref 0 in
-  let cur = ref s.head.(id) in
+  let cur = ref t.head.(e) in
   while !cur >= 0 do
-    let pk = s.use_pk.(!cur) in
+    let pk = t.use_pk.(!cur) in
     if pk lsr 8 <> except then begin
-      if !n >= Array.length s.sort_buf then
-        s.sort_buf <- grow_int_array s.sort_buf (2 * Array.length s.sort_buf) 0;
-      s.sort_buf.(!n) <- pk;
+      if !n >= Array.length t.use_buf then t.use_buf <- grow t.use_buf (!n + 1) 0;
+      t.use_buf.(!n) <- pk;
       incr n
     end;
-    cur := s.use_next.(!cur)
+    cur := t.use_next.(!cur)
   done;
-  (* ... then stable-insertion-sort ascending by node, reproducing the
-     legacy [List.sort] (stable) on the prepend-ordered list.  Uselists
-     are short and near-sorted, so this is effectively linear. *)
-  for i = 1 to !n - 1 do
-    let x = s.sort_buf.(i) in
-    let xn = x lsr 8 in
-    let j = ref (i - 1) in
-    while !j >= 0 && s.sort_buf.(!j) lsr 8 > xn do
-      s.sort_buf.(!j + 1) <- s.sort_buf.(!j);
-      decr j
+  (* ... and reverse it when it descends (a forward builder's chain):
+     the result ascends by node, and uses by one node stay together *)
+  let n = !n in
+  let b = t.use_buf in
+  if n > 1 && b.(0) lsr 8 > b.(n - 1) lsr 8 then
+    for k = 0 to (n / 2) - 1 do
+      let x = b.(k) in
+      b.(k) <- b.(n - 1 - k);
+      b.(n - 1 - k) <- x
     done;
-    s.sort_buf.(!j + 1) <- x
-  done;
-  !n
+  n
 
-let use_node t k = t.s.sort_buf.(k) lsr 8
-let use_pos t k = t.s.sort_buf.(k) land 0xff
+let use_node t k = t.use_buf.(k) lsr 8
+let use_pos t k = t.use_buf.(k) land 0xff
 
-let cross_into t ~self res =
-  if t.strategy = Disambiguate.Symbolic then 0
-  else if Resource.is_memory res then begin
-    let s = t.s in
+let cross_into t ~self =
+  let res = t.res.(self) in
+  if (not t.alias_scans) || not (Resource.is_memory res) then 0
+  else begin
     if Ds_obs.Metrics.is_enabled () then
-      Ds_obs.Metrics.add alias_scan_counter s.n_mem;
+      Ds_obs.Metrics.add alias_scan_counter t.n_mem;
     let n = ref 0 in
-    (* newest first, like the legacy prepend-ordered entry list *)
-    for k = s.n_mem - 1 downto 0 do
-      let id = s.mem_ids.(k) in
-      if id <> self && Disambiguate.may_alias t.strategy res
-           (Resource.Ids.resource s.ids id)
-      then begin
-        if !n >= Array.length s.cross_buf then
-          s.cross_buf <-
-            grow_int_array s.cross_buf (2 * Array.length s.cross_buf) 0;
-        s.cross_buf.(!n) <- id;
+    (* newest first by first lookup, the order arcs are added in *)
+    for k = t.n_mem - 1 downto 0 do
+      let e = t.mem_ids.(k) in
+      if e <> self && Disambiguate.may_alias t.strategy res t.res.(e) then begin
+        if !n >= Array.length t.cross_buf then
+          t.cross_buf <- grow t.cross_buf (!n + 1) 0;
+        t.cross_buf.(!n) <- e;
         incr n
       end
     done;
     !n
   end
-  else 0
 
-let cross_id t k = t.s.cross_buf.(k)
-let scan_buf t = t.s.scan
-let size t = t.s.n_touched
+let cross_id t k = t.cross_buf.(k)

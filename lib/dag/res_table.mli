@@ -3,15 +3,14 @@
     (§2).  Memory entries additionally participate in cross-expression
     alias scans.
 
-    The table is flat: resources are interned to dense integer entry
-    ids (registers, condition codes, [%y], [Mem_all] have fixed ids;
-    symbolic memory expressions are interned on first encounter, the
-    variable-length growth of §6), and per-entry state lives in
-    preallocated per-domain arrays with epoch-stamped lazy reset — so
-    building a table for a new block allocates nothing.  Uselists are
-    intrusive chains in a pooled arena; iteration hands out indices
-    into internal buffers rather than lists, keeping the builders'
-    hot loops closure- and allocation-free.
+    The table is read off a {!Ds_machine.Pipeline.decode} of the block:
+    its entries are the decode's block-local resource ids (under
+    [Serialize_all] every memory expression maps to one [Mem_all]
+    entry), so a lookup is an array read and nothing is interned per
+    occurrence.  Per-entry state lives in plain per-domain arrays reset
+    for each block.  Uselists are intrusive chains in a pooled arena;
+    iteration hands out indices into internal buffers rather than
+    lists, keeping the builders' hot loops closure- and allocation-free.
 
     Concurrency: the backing scratch is domain-local and reused across
     blocks.  At most one table may be live per domain at a time —
@@ -21,16 +20,17 @@
 
 type t
 
-(** [create strategy] starts a fresh table for one block on this
-    domain's scratch (invalidating any previous table of this domain). *)
-val create : Disambiguate.t -> t
+(** [create strategy sc] starts a fresh table for the block decoded in
+    [sc] on this domain's scratch (invalidating any previous table of
+    this domain).  Counts one [dag.table_probes] metric per resource
+    occurrence of the block — the paper's per-access table lookup,
+    which the builders make once for each. *)
+val create : Disambiguate.t -> Ds_machine.Pipeline.scan -> t
 
-(** Entry id for a (canonicalized) resource, interning it on first
-    encounter.  Counts one [dag.table_probes] metric per call — this is
-    the paper's per-access table lookup. *)
-val lookup : t -> Ds_isa.Resource.t -> int
+(** [lookup t r] is the entry of the decode's resource id [r]. *)
+val lookup : t -> int -> int
 
-(** The resource a live entry id denotes. *)
+(** The (canonical) resource an entry denotes. *)
 val resource : t -> int -> Ds_isa.Resource.t
 
 (** Recorded definition of an entry, packed as
@@ -47,34 +47,30 @@ val has_uses : t -> int -> bool
 
 (** [uses_into t e ~except] fills the internal use buffer with [e]'s
     recorded uses whose node differs from [except], in ascending node
-    order (the paper iterates the uselist "in ascending order"; ties
-    keep newest-first insertion order, matching a stable sort of the
-    legacy list representation), and returns their count.  The buffer
-    is valid until the next [uses_into] on this domain; read it with
+    order (the paper iterates the uselist "in ascending order"), and
+    returns their count, in time linear in the uselist.  A builder
+    visits nodes in one direction, so a chain is monotone in its node:
+    a forward builder's chain is walked reversed.  Uses by one node
+    come out together (newest first, or oldest first in a reversed
+    chain, where their arcs coalesce alike).  The buffer is valid until the
+    next [uses_into] on this domain; read it with
     {!use_node}/{!use_pos}. *)
 val uses_into : t -> int -> except:int -> int
 
 val use_node : t -> int -> int
 val use_pos : t -> int -> int
 
-(** [cross_into t ~self res] fills the internal cross buffer with the
-    ids of memory entries other than [self] that may denote the same
-    storage as [res] — newest first, like the legacy entry list — and
-    returns their count.  May-alias is not transitive, so callers add
-    arcs against these conservatively and never clear them; only an
-    entry's own definition clears its uselist.  Always 0 under the
-    [Symbolic] strategy.  When metrics are enabled, adds the number of
-    memory entries scanned (before filtering) to
+(** [cross_into t ~self] fills the internal cross buffer with the
+    memory entries other than [self] that may denote the same storage
+    as [self]'s resource — newest first by when the builder first
+    looked them up — and returns their count.  May-alias is not
+    transitive, so callers add arcs against these conservatively and
+    never clear them; only an entry's own definition clears its
+    uselist.  Always 0 under the [Symbolic] strategy and for
+    non-memory entries.  When metrics are enabled, adds the number of
+    memory entries looked up so far (before filtering) to
     [dag.alias_entries_scanned].  The buffer is valid until the next
     [cross_into] on this domain; read it with {!cross_id}. *)
-val cross_into : t -> self:int -> Ds_isa.Resource.t -> int
+val cross_into : t -> self:int -> int
 
 val cross_id : t -> int -> int
-
-(** Per-domain instruction-scan buffer, for builders to use with
-    [Insn.scan_defs]/[Insn.scan_uses]. *)
-val scan_buf : t -> Ds_isa.Insn.Scan.buf
-
-(** Number of distinct entries touched for this block (the
-    variable-length table growth of §6). *)
-val size : t -> int

@@ -36,7 +36,6 @@ type result = {
   dag_arcs : int;
   fingerprint : int64;
   order : int array;
-  annot : Ds_heur.Annot.t;
   original_cycles : int;
   cycles : int;
   stalls : int;
@@ -44,7 +43,7 @@ type result = {
 }
 
 let strip_timing r =
-  ( r.block_id, r.insns, r.dag_arcs, r.fingerprint, r.order, r.annot,
+  ( r.block_id, r.insns, r.dag_arcs, r.fingerprint, r.order,
     r.original_cycles, r.cycles, r.stalls )
 
 exception Invalid_schedule of int * string
@@ -87,7 +86,7 @@ let run_block config block =
       in
       Ds_obs.Trace.with_span ~cat:"pipeline" ~args name f
   in
-  let time_s, (dag, annot, sched) =
+  let time_s, (dag, sched) =
     Ds_util.Stats.time_runs ~runs:1 (fun () ->
         let dag =
           span ~builder:true "dag_build" (fun () ->
@@ -107,10 +106,11 @@ let run_block config block =
               | Ok () -> ()
               | Error v ->
                   raise (Invalid_schedule (id, Verify.violation_to_string v)));
-        (dag, annot, sched))
+        (dag, sched))
   in
   hb_tick ();
-  (* one scan of the block scores the original and the scheduled order *)
+  (* the builder's decode of the block scores the original and the
+     scheduled order *)
   let score = span "score" (fun () -> Schedule.score sched) in
   let fingerprint = span "fingerprint" (fun () -> Ds_dag.Dag.fingerprint dag) in
   { block_id = id;
@@ -118,7 +118,6 @@ let run_block config block =
     dag_arcs = Ds_dag.Dag.n_arcs dag;
     fingerprint;
     order = sched.Schedule.order;
-    annot;
     original_cycles = score.Schedule.original_cycles;
     cycles = score.Schedule.scheduled.Ds_machine.Pipeline.completion;
     stalls = score.Schedule.scheduled.Ds_machine.Pipeline.stall_cycles;

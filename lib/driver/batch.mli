@@ -5,7 +5,7 @@
     of every other block's, so a batch fans out across domains on a
     {!Ds_util.Pool} and still returns results in input order.  Running
     with [~domains:1] and [~domains:N] is guaranteed to produce identical
-    schedules, annotations and statistics (the differential test layer in
+    schedules and statistics (the differential test layer in
     [test/test_driver.ml] pins this down); only the wall-clock fields
     differ. *)
 
@@ -34,7 +34,6 @@ type result = {
   fingerprint : int64;          (* Ds_dag.Dag.fingerprint of the DAG —
                                    the serve cache's structural key *)
   order : int array;            (* node ids in scheduled order *)
-  annot : Ds_heur.Annot.t;      (* the static heuristic annotations *)
   original_cycles : int;        (* simulated cycles, original order *)
   cycles : int;                 (* simulated cycles, scheduled order *)
   stalls : int;
@@ -44,8 +43,7 @@ type result = {
 (** The deterministic part of a result (drops [time_s]) — what the
     differential tests compare. *)
 val strip_timing :
-  result ->
-  int * int * int * int64 * int array * Ds_heur.Annot.t * int * int * int
+  result -> int * int * int * int64 * int array * int * int * int
 
 (** Raised (from the submitting domain) when [verify] finds an invalid
     schedule; carries the block id and the violation. *)

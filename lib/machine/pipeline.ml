@@ -12,14 +12,17 @@
     also validate that a schedule never consumes a value before the machine
     produces it.
 
-    It runs in two steps.  [scan] reads the block once, in the manner of
+    It runs in two steps.  [decode] reads the block once, in the manner of
     the paper's table-building construction: each resource gets a dense
     block-local id, and the instructions' definitions, uses and per-insn
-    costs land in int arrays.  [simulate] then replays any ordering of
-    the block over that scan, keeping the "record of the last definition
-    of a resource and the set of current uses" (§2) as per-id arrays and
-    pooled reader chains.  Readers stay a chain rather than a maximum
-    because the WAR delay depends on the reading instruction. *)
+    costs land in int arrays of this domain's scratch.  The table builders
+    construct their DAGs from that decode, and scoring reuses it while it
+    is current, so a constructed block is read exactly once.  [simulate]
+    replays any ordering of the block over a decode, keeping the "record
+    of the last definition of a resource and the set of current uses"
+    (§2) as per-id arrays and pooled reader chains.  Readers stay a chain
+    rather than a maximum because the WAR delay depends on the reading
+    instruction. *)
 
 open Ds_isa
 
@@ -29,19 +32,32 @@ type result = {
   stall_cycles : int;        (* issue-slot bubbles from interlocks *)
 }
 
+(* One block, read once (layout in pipeline.mli).  The domain's decode
+   reuses its arrays from block to block; [scan] copies the live
+   prefixes. *)
+type scan = {
+  mutable gen : int;
+  mutable model : Latency.t;
+  mutable insns : Insn.t array;
+  mutable n_res : int;
+  mutable res : Resource.t array;
+  mutable def_start : int array;
+  mutable def_ids : int array;
+  mutable use_start : int array;
+  mutable use_ids : int array;
+  mutable exec : int array;
+  mutable busy : int array;      (* fp_busy *)
+  mutable unit : int array;      (* Funit index *)
+}
+
 type scratch = {
   ids : Resource.Ids.t;        (* persists across blocks *)
   buf : Insn.Scan.buf;
-  (* scan: [ids] id -> block-local id, valid iff stamp = epoch *)
+  (* decode: [ids] id -> block-local id, valid iff stamp = epoch *)
   mutable epoch : int;
   mutable stamp : int array;
   mutable local : int array;
-  mutable n_local : int;
-  mutable local_res : Resource.t array;
-  mutable def_buf : int array;
-  mutable n_defs : int;
-  mutable use_buf : int array;
-  mutable n_uses : int;
+  dec : scan;
   (* simulate: per block-local id *)
   mutable writer : int array;          (* insn index, or -1 *)
   mutable writer_issue : int array;
@@ -53,7 +69,12 @@ type scratch = {
   mutable slot_next : int array;
   unit_free : int array;
   mutable issue_buf : int array;
+  mutable identity : int array;        (* 0, 1, 2, ... *)
 }
+
+(* Decode generations are unique across the process, so a generation
+   recorded on one domain never matches another domain's decode. *)
+let next_gen = Atomic.make 1
 
 let fresh_scratch () =
   { ids = Resource.Ids.create ();
@@ -61,12 +82,13 @@ let fresh_scratch () =
     epoch = 0;
     stamp = Array.make 128 (-1);
     local = Array.make 128 0;
-    n_local = 0;
-    local_res = Array.make 64 Resource.Ctrl;
-    def_buf = Array.make 64 0;
-    n_defs = 0;
-    use_buf = Array.make 64 0;
-    n_uses = 0;
+    dec =
+      { gen = 0; model = Latency.simple_risc; insns = [||]; n_res = 0;
+        res = Array.make 64 Resource.Ctrl;
+        def_start = Array.make 64 0; def_ids = Array.make 64 0;
+        use_start = Array.make 64 0; use_ids = Array.make 64 0;
+        exec = Array.make 64 0; busy = Array.make 64 0;
+        unit = Array.make 64 0 };
     writer = [||];
     writer_issue = [||];
     writer_def_pos = [||];
@@ -75,7 +97,8 @@ let fresh_scratch () =
     slot_issue = [||];
     slot_next = [||];
     unit_free = Array.make Funit.count 0;
-    issue_buf = [||] }
+    issue_buf = [||];
+    identity = [||] }
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
@@ -83,24 +106,6 @@ let grow a len fill =
   let grown = Array.make (max len (2 * Array.length a)) fill in
   Array.blit a 0 grown 0 (Array.length a);
   grown
-
-(** One block, read once: resources as dense block-local ids (the
-    resource of id [r] is [res.(r)]); instruction [i] defines
-    [def_ids.(def_start.(i)) .. def_ids.(def_start.(i+1) - 1)] in
-    definition order and uses [use_ids] likewise, where a use's operand
-    position is its offset from [use_start.(i)]. *)
-type scan = {
-  model : Latency.t;
-  insns : Insn.t array;
-  res : Resource.t array;
-  def_start : int array;
-  def_ids : int array;
-  use_start : int array;
-  use_ids : int array;
-  exec : int array;
-  busy : int array;      (* fp_busy *)
-  unit : int array;      (* Funit index *)
-}
 
 let local_id s res =
   let g = Resource.Ids.id s.ids res in
@@ -110,66 +115,82 @@ let local_id s res =
   end;
   if s.stamp.(g) = s.epoch then s.local.(g)
   else begin
-    let l = s.n_local in
-    s.n_local <- l + 1;
+    let d = s.dec in
+    let l = d.n_res in
+    d.n_res <- l + 1;
     s.stamp.(g) <- s.epoch;
     s.local.(g) <- l;
-    if l >= Array.length s.local_res then
-      s.local_res <- grow s.local_res (l + 1) Resource.Ctrl;
-    s.local_res.(l) <- res;
+    if l >= Array.length d.res then d.res <- grow d.res (l + 1) Resource.Ctrl;
+    d.res.(l) <- res;
     l
   end
 
-let push_def s id =
-  if s.n_defs >= Array.length s.def_buf then
-    s.def_buf <- grow s.def_buf (s.n_defs + 1) 0;
-  s.def_buf.(s.n_defs) <- id;
-  s.n_defs <- s.n_defs + 1
-
-let push_use s id =
-  if s.n_uses >= Array.length s.use_buf then
-    s.use_buf <- grow s.use_buf (s.n_uses + 1) 0;
-  s.use_buf.(s.n_uses) <- id;
-  s.n_uses <- s.n_uses + 1
-
-let scan (model : Latency.t) insns =
-  let s = Domain.DLS.get scratch_key in
-  s.epoch <- s.epoch + 1;
-  s.n_local <- 0;
-  s.n_defs <- 0;
-  s.n_uses <- 0;
-  let n = Array.length insns in
-  let def_start = Array.make (n + 1) 0 and use_start = Array.make (n + 1) 0 in
-  let exec = Array.make n 0 and busy = Array.make n 0 and unit = Array.make n 0 in
+(* Append the buffer's resources as block-local ids to [ids] from [k];
+   returns the array (grown if needed) and the new count. *)
+let push_scanned s ids k =
   let b = s.buf in
+  let len = Insn.Scan.len b in
+  let ids = if k + len > Array.length ids then grow ids (k + len) 0 else ids in
+  for j = 0 to len - 1 do
+    ids.(k + j) <- local_id s (Insn.Scan.res b j)
+  done;
+  ids
+
+let decode (model : Latency.t) insns =
+  let s = Domain.DLS.get scratch_key in
+  let d = s.dec in
+  s.epoch <- s.epoch + 1;
+  d.gen <- Atomic.fetch_and_add next_gen 1;
+  d.model <- model;
+  d.insns <- insns;
+  d.n_res <- 0;
+  let n = Array.length insns in
+  if n + 1 > Array.length d.def_start then begin
+    d.def_start <- grow d.def_start (n + 1) 0;
+    d.use_start <- grow d.use_start (n + 1) 0;
+    d.exec <- grow d.exec (n + 1) 0;
+    d.busy <- grow d.busy (n + 1) 0;
+    d.unit <- grow d.unit (n + 1) 0
+  end;
+  let n_defs = ref 0 and n_uses = ref 0 in
   for i = 0 to n - 1 do
     let insn = insns.(i) in
-    def_start.(i) <- s.n_defs;
-    Insn.scan_defs b insn;
-    for j = 0 to Insn.Scan.len b - 1 do
-      push_def s (local_id s (Insn.Scan.res b j))
-    done;
-    use_start.(i) <- s.n_uses;
-    Insn.scan_uses b insn;
-    for j = 0 to Insn.Scan.len b - 1 do
-      push_use s (local_id s (Insn.Scan.res b j))
-    done;
-    exec.(i) <- model.Latency.exec_time insn;
-    busy.(i) <- model.Latency.fp_busy insn;
-    unit.(i) <- Funit.index (Funit.of_insn insn)
+    d.def_start.(i) <- !n_defs;
+    Insn.scan_defs s.buf insn;
+    d.def_ids <- push_scanned s d.def_ids !n_defs;
+    n_defs := !n_defs + Insn.Scan.len s.buf;
+    d.use_start.(i) <- !n_uses;
+    Insn.scan_uses s.buf insn;
+    d.use_ids <- push_scanned s d.use_ids !n_uses;
+    n_uses := !n_uses + Insn.Scan.len s.buf;
+    d.exec.(i) <- model.Latency.exec_time insn;
+    d.busy.(i) <- model.Latency.fp_busy insn;
+    d.unit.(i) <- Funit.index (Funit.of_insn insn)
   done;
-  def_start.(n) <- s.n_defs;
-  use_start.(n) <- s.n_uses;
-  { model; insns;
-    res = Array.sub s.local_res 0 s.n_local;
-    def_start;
-    def_ids = Array.sub s.def_buf 0 s.n_defs;
-    use_start;
-    use_ids = Array.sub s.use_buf 0 s.n_uses;
-    exec; busy; unit }
+  d.def_start.(n) <- !n_defs;
+  d.use_start.(n) <- !n_uses;
+  d
+
+let decoded ~gen model insns =
+  let d = (Domain.DLS.get scratch_key).dec in
+  if d.gen = gen then d else decode model insns
+
+let scan model insns =
+  let d = decode model insns in
+  let n = Array.length insns in
+  { gen = -1; model; insns;
+    n_res = d.n_res;
+    res = Array.sub d.res 0 d.n_res;
+    def_start = Array.sub d.def_start 0 (n + 1);
+    def_ids = Array.sub d.def_ids 0 d.def_start.(n);
+    use_start = Array.sub d.use_start 0 (n + 1);
+    use_ids = Array.sub d.use_ids 0 d.use_start.(n);
+    exec = Array.sub d.exec 0 n;
+    busy = Array.sub d.busy 0 n;
+    unit = Array.sub d.unit 0 n }
 
 let reset_state s sc =
-  let k = Array.length sc.res in
+  let k = sc.n_res in
   if k > Array.length s.writer then begin
     let len = max k (2 * Array.length s.writer) in
     s.writer <- Array.make len (-1);
@@ -181,15 +202,15 @@ let reset_state s sc =
   Array.fill s.readers 0 k (-1);
   Array.fill s.unit_free 0 Funit.count 0
 
-(* Issue [order] (indices into the scanned block) writing each issue
-   cycle into [issue].  Each instruction issues no earlier than the slot
-   after its predecessor, after every RAW producer's result, after every
-   current reader of a resource it redefines (WAR) and its previous
-   writer (WAW), and once its non-pipelined unit is free. *)
-let run_into sc order issue =
-  let s = Domain.DLS.get scratch_key in
+(* Issue [order.(0 .. len-1)] (indices into the decoded block) writing
+   each issue cycle into [issue].  Each instruction issues no earlier
+   than the slot after its predecessor, after every RAW producer's
+   result, after every current reader of a resource it redefines (WAR)
+   and its previous writer (WAW), and once its non-pipelined unit is
+   free. *)
+let run_into s sc order len issue =
   reset_state s sc;
-  let n_readers = Array.length sc.use_ids in
+  let n_readers = sc.use_start.(Array.length sc.insns) in
   if n_readers > Array.length s.slot_insn then begin
     let len = max n_readers (2 * Array.length s.slot_insn) in
     s.slot_insn <- Array.make len 0;
@@ -203,7 +224,7 @@ let run_into sc order issue =
   let slot_next = s.slot_next and unit_free = s.unit_free in
   let slots = ref 0 and stalls = ref 0 and completion = ref 0 in
   let prev = ref (-1) in
-  for p = 0 to Array.length order - 1 do
+  for p = 0 to len - 1 do
     let i = order.(p) in
     let child = insns.(i) in
     let min_issue = !prev + 1 in
@@ -269,19 +290,30 @@ let run_into sc order issue =
   done;
   { issue_cycle = issue; completion = !completion; stall_cycles = !stalls }
 
-let simulate sc order = run_into sc order (Array.make (Array.length order) 0)
+let simulate sc order =
+  let len = Array.length order in
+  run_into (Domain.DLS.get scratch_key) sc order len (Array.make len 0)
+
+(* the completion alone, issuing into a scratch array *)
+let completion_of s sc order len =
+  if len > Array.length s.issue_buf then
+    s.issue_buf <- Array.make (max len (2 * Array.length s.issue_buf)) 0;
+  (run_into s sc order len s.issue_buf).completion
 
 let completion sc order =
+  completion_of (Domain.DLS.get scratch_key) sc order (Array.length order)
+
+let original_completion sc =
   let s = Domain.DLS.get scratch_key in
-  let n = Array.length order in
-  if n > Array.length s.issue_buf then
-    s.issue_buf <- Array.make (max n (2 * Array.length s.issue_buf)) 0;
-  (run_into sc order s.issue_buf).completion
+  let n = Array.length sc.insns in
+  if n > Array.length s.identity then
+    s.identity <- Array.init (max n (2 * Array.length s.identity)) Fun.id;
+  completion_of s sc s.identity n
 
 (** [run model insns] simulates issuing [insns] in the given order. *)
 let run model insns =
-  simulate (scan model insns) (Array.init (Array.length insns) Fun.id)
+  simulate (decode model insns) (Array.init (Array.length insns) Fun.id)
 
-let cycles model insns = (run model insns).completion
+let cycles model insns = original_completion (decode model insns)
 
 let stalls model insns = (run model insns).stall_cycles

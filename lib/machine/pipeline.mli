@@ -8,15 +8,22 @@
     {!Ds_sched.Global}-style chains measure cross-block stalls: scan the
     concatenated blocks as one sequence.
 
-    Scoring is two steps.  {!scan} reads a block once into int arrays:
-    each resource gets a dense id from an intern table kept per domain
-    and reused across blocks.  {!simulate} then issues any ordering of
-    the scanned instructions — a permutation of [0 .. n-1], or any
-    sequence of distinct indices — against that scan, so the original
-    order, a schedule and every trial move of a postpass can be scored
-    without reading the instructions again.  The simulator's working
-    state is domain-local scratch too, so a scan is an immutable value
-    that any domain may simulate any number of times. *)
+    Scoring is two steps.  {!decode} reads a block once into int arrays
+    of this domain's scratch: each resource gets a dense block-local id
+    (through an intern table kept per domain and reused across blocks),
+    and each instruction its definitions and uses with their positions,
+    its execution time, busy time and functional unit.  {!simulate} then
+    issues any ordering of the decoded instructions — a permutation of
+    [0 .. n-1], or any sequence of distinct indices — against a decode,
+    so the original order, a schedule and every trial move of a postpass
+    can be scored without reading the instructions again.
+
+    The decode is the only routine that reads a block's resources: the
+    table DAG builders construct from it, and [Schedule.score] simulates
+    over it while it is still this domain's current decode.  A decode
+    stays valid until the next {!decode} on the same domain; {!scan}
+    returns an immutable copy that any domain may simulate any number
+    of times. *)
 
 type result = {
   issue_cycle : int array;   (* per instruction, in sequence order *)
@@ -24,20 +31,57 @@ type result = {
   stall_cycles : int;        (* issue-slot bubbles from interlocks *)
 }
 
-(** A block read once under a latency model. *)
-type scan
+(** A block read once under a latency model.  Resource id [r < n_res]
+    denotes [res.(r)]; instruction [i] defines
+    [def_ids.(def_start.(i)) .. def_ids.(def_start.(i+1) - 1)] in
+    definition order ({!Ds_isa.Insn.scan_defs}) and uses [use_ids]
+    likewise ({!Ds_isa.Insn.scan_uses}), where an occurrence's position
+    is its offset from the instruction's start.  A domain's decode keeps
+    its arrays from block to block, so they may be longer than the live
+    prefixes: [def_start]/[use_start] up to [n], the id arrays up to
+    [def_start.(n)]/[use_start.(n)], [exec]/[busy]/[unit] below [n]. *)
+type scan = private {
+  mutable gen : int;               (* see {!decode}; -1 for a {!scan} *)
+  mutable model : Latency.t;
+  mutable insns : Ds_isa.Insn.t array;
+  mutable n_res : int;
+  mutable res : Ds_isa.Resource.t array;
+  mutable def_start : int array;
+  mutable def_ids : int array;
+  mutable use_start : int array;
+  mutable use_ids : int array;
+  mutable exec : int array;        (* Latency.exec_time *)
+  mutable busy : int array;        (* Latency.fp_busy *)
+  mutable unit : int array;        (* Funit.index *)
+}
 
+(** [decode model insns] reads the block into this domain's decode and
+    returns it, stamped with a generation drawn from a process-wide
+    counter — so no two decodes, on any domains, share one.  The result
+    is overwritten by the next [decode] on this domain.  Allocates
+    nothing once the domain's arrays have grown to the block. *)
+val decode : Latency.t -> Ds_isa.Insn.t array -> scan
+
+(** [decoded ~gen model insns] is this domain's decode when its
+    generation is [gen] (it must then be a decode of [model] and
+    [insns]), and otherwise [decode model insns]. *)
+val decoded : gen:int -> Latency.t -> Ds_isa.Insn.t array -> scan
+
+(** An immutable copy of [decode model insns], sized to the block. *)
 val scan : Latency.t -> Ds_isa.Insn.t array -> scan
 
-(** [simulate sc order] issues the scanned instructions [order.(0)],
+(** [simulate sc order] issues the decoded instructions [order.(0)],
     [order.(1)], ... in that sequence; [issue_cycle] follows [order]. *)
 val simulate : scan -> int array -> result
 
 (** [completion] of {!simulate}, without allocating the issue array. *)
 val completion : scan -> int array -> int
 
+(** [completion] of the original order [0 .. n-1]; allocates nothing. *)
+val original_completion : scan -> int
+
 (** [run model insns] simulates [insns] in array order: {!simulate} over
-    a fresh {!scan} in the identity order. *)
+    a fresh {!decode} in the identity order. *)
 val run : Latency.t -> Ds_isa.Insn.t array -> result
 
 (** [completion] of {!run}. *)

@@ -17,6 +17,11 @@
     domains. *)
 val now : unit -> float
 
+(** {!now} in integer nanoseconds.  Allocates nothing, so a site that
+    times itself with it allocates the same whether or not the clock
+    moved. *)
+val now_ns : unit -> int
+
 (** [clamp d] is [d] if positive, else [0.0]. *)
 val clamp : float -> float
 

@@ -67,15 +67,16 @@ let to_json t =
     per-run time. *)
 let time_runs ~runs f =
   assert (runs > 0);
-  let total = ref 0.0 in
+  (* integer nanoseconds: no float is boxed per run, so what a timed
+     call allocates does not depend on whether the clock moved *)
+  let total_ns = ref 0 in
   let result = ref None in
   for _ = 1 to runs do
-    let t0 = Ds_obs.Clock.now () in
+    let t0 = Ds_obs.Clock.now_ns () in
     let r = f () in
-    let t1 = Ds_obs.Clock.now () in
-    total := !total +. Ds_obs.Clock.duration ~start:t0 ~stop:t1;
+    total_ns := !total_ns + (Ds_obs.Clock.now_ns () - t0);
     result := Some r
   done;
   match !result with
-  | Some r -> (!total /. float_of_int runs, r)
+  | Some r -> (float_of_int !total_ns *. 1e-9 /. float_of_int runs, r)
   | None -> assert false

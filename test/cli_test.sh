@@ -81,6 +81,11 @@ grep -q "2 domains" "$TMP/b2.err" || fail "batch: summary lacks domain count"
 grep -q '"domains": 2' "$TMP/b2.json" || fail "batch json: wrong domains"
 grep -q '"blocks": 730' "$TMP/b2.json" || fail "batch json: wrong block count"
 grep -q '"wall_s": ' "$TMP/b2.json" || fail "batch json: no wall clock"
+# the summary's wall clock moves: a stopped clock prints 0.0 ms
+awk '{ for (i = 1; i + 2 <= NF; i++)
+         if ($(i + 1) == "ms" && $(i + 2) == "wall") { seen = 1; wall = $i + 0 } }
+     END { exit !(seen && wall > 0) }' "$TMP/b2.err" \
+  || fail "batch: summary wall is not > 0"
 "$TOOL" batch -q --jobs 2 --json - "$TMP/grep.s" 2>/dev/null \
   | grep -q '"scheduled_cycles": ' || fail "batch json on stdout"
 # without -q, --json - still leaves stdout one JSON document: the

@@ -243,9 +243,11 @@ let test_n2_directions_agree () =
 (* open-addressed arc index *)
 
 let test_arc_index_threshold_crossing () =
-  (* build through the chain-probe regime, across the 64-arc switchover
-     and two index growths; every earlier arc must stay findable and no
-     phantom may appear *)
+  (* in-order adds 0 -> 1 .. 150, which the coalescing bounds decide
+     without an index; then 1 -> 150 .. 2 in descending order, out of
+     order from the second add on, which builds the index and grows it
+     twice.  Every earlier arc must stay findable and no phantom may
+     appear *)
   let n = 200 in
   let dag = Dag.create ~model (nop_block n) in
   for j = 1 to 150 do
@@ -260,14 +262,27 @@ let test_arc_index_threshold_crossing () =
   done;
   check_int "children bookkeeping" 150 (Dag.n_children dag 0);
   check_int "arc count" 150 (Dag.n_arcs dag);
-  (* re-adding is a coalesce, not an insertion, in the indexed regime *)
+  (* re-adding is a coalesce, not an insertion *)
   check_bool "duplicate coalesced" false
     (Dag.add_arc dag ~src:0 ~dst:75 ~kind:Dep.Raw ~latency:1);
-  check_int "count unchanged" 150 (Dag.n_arcs dag)
+  check_int "count unchanged" 150 (Dag.n_arcs dag);
+  for j = 150 downto 2 do
+    check_bool "fresh out-of-order arc" true
+      (Dag.add_arc dag ~src:1 ~dst:j ~kind:Dep.Raw ~latency:1);
+    if Dag.has_arc dag ~src:1 ~dst:(j - 1) then
+      Alcotest.failf "phantom arc 1 -> %d" (j - 1)
+  done;
+  for k = 2 to 150 do
+    if not (Dag.has_arc dag ~src:0 ~dst:k && Dag.has_arc dag ~src:1 ~dst:k) then
+      Alcotest.failf "lost an arc into %d" k
+  done;
+  check_bool "indexed duplicate coalesced" false
+    (Dag.add_arc dag ~src:1 ~dst:75 ~kind:Dep.Raw ~latency:1);
+  check_int "arc count with the index" 299 (Dag.n_arcs dag)
 
 let test_arc_index_random_differential () =
-  (* dense random insertion on 300 nodes (well past the index threshold)
-     against the legacy hashtable: fresh/coalesce decisions, presence and
+  (* dense random insertion on 300 nodes (mostly out of order, so
+     through the index) against the legacy hashtable: fresh/coalesce decisions, presence and
      coalesced latencies must all agree *)
   let n = 300 in
   let insns = nop_block n in
@@ -434,7 +449,7 @@ let test_walks_complete_and_current () =
             (upgrade_ops rng dag))
         Builder.all)
     (Lazy.force differential_blocks);
-  (* dense random insertion far past the 64-arc index threshold, with
+  (* dense random insertion far past 64 arcs, mostly out of order, with
      every kind of coalesce mixed in *)
   let n = 300 and kinds = [| Dep.Raw; Dep.War; Dep.Waw; Dep.Ctl |] in
   let ops =
@@ -509,7 +524,7 @@ let sorted_fingerprint dag =
 
 (* Every builder x disambiguation strategy x anchoring, over the 0- and
    1-instruction blocks, random blocks, and blocks large enough to pass
-   the 64-arc index switchover. *)
+   64 arcs. *)
 let test_fingerprint_matches_sort () =
   let large =
     List.init 6 (fun s ->
@@ -537,7 +552,40 @@ let test_fingerprint_matches_sort () =
             Disambiguate.all)
         Builder.all)
     (Lazy.force differential_blocks @ large);
-  check_bool "some DAG passes the 64-arc index" true (!most_arcs > 64)
+  check_bool "some DAG has more than 64 arcs" true (!most_arcs > 64)
+
+(* The table builders add every pair in an order the per-node bounds
+   decide (highest child, lowest parent), so no index is built; the
+   n² builders then add out of order.  Here in-order adds pass 64 arcs
+   first, with no index, and out-of-order adds follow: fresh/coalesce
+   decisions, latency upgrades and every counter must match the legacy
+   hashtable exactly.  One kind throughout keeps the legacy tie-break
+   out of the picture. *)
+let test_out_of_order_after_in_order () =
+  let n = 120 in
+  let insns = nop_block n in
+  let dag = Dag.create ~model insns in
+  let legacy = Dag_legacy.create ~model insns in
+  let add src dst latency =
+    let fresh = Dag.add_arc dag ~src ~dst ~kind:Dep.Raw ~latency in
+    let fresh' = Dag_legacy.add_arc legacy ~src ~dst ~kind:Dep.Raw ~latency in
+    if fresh <> fresh' then
+      Alcotest.failf "add %d -> %d: fresh %b, legacy %b" src dst fresh fresh'
+  in
+  for dst = 1 to n - 1 do
+    for src = max 0 (dst - 3) to dst - 1 do
+      add src dst 1;
+      add src dst 2
+    done
+  done;
+  check_bool "in-order adds pass 64 arcs" true (Dag.n_arcs dag > 64);
+  let rng = Prng.create 41 in
+  for _ = 1 to 3000 do
+    let src = Prng.int rng (n - 1) in
+    let dst = src + 1 + Prng.int rng (n - src - 1) in
+    add src dst (1 + Prng.int rng 5)
+  done;
+  check_replay_equal "out of order after in order" dag legacy
 
 (* ------------------------------------------------------------------ *)
 (* allocation-regression guard *)
@@ -596,6 +644,8 @@ let suite =
     quick "n2 directions agree" test_n2_directions_agree;
     quick "arc index threshold crossing" test_arc_index_threshold_crossing;
     quick "arc index random differential" test_arc_index_random_differential;
+    quick "out-of-order adds after in-order adds"
+      test_out_of_order_after_in_order;
     quick "adjacency walks complete and current" test_walks_complete_and_current;
     quick "fingerprint canonical" test_fingerprint_canonical;
     quick "fingerprint matches the sort-based digest"

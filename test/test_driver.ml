@@ -1,9 +1,11 @@
 (** Differential tests for the parallel batch-scheduling driver:
     parallelism must not change results.  [Batch.run ~domains:1] and
-    [Batch.run ~domains:N] must produce identical schedules, heuristic
-    annotations and statistics for every block, across all construction
-    algorithms, disambiguation strategies and chunk sizes (per-block,
-    odd, the 64-block default, and bigger than the corpus).
+    [Batch.run ~domains:N] must produce identical schedules and
+    statistics for every block, across all construction algorithms,
+    disambiguation strategies and chunk sizes (per-block, odd, the
+    64-block default, and bigger than the corpus); the static heuristic
+    annotations of the same DAGs must not depend on the domain count
+    either.
 
     CI can pin the parallel domain count with DAGSCHED_TEST_DOMAINS
     (default 4; values < 2 are clamped to 2 so the test always crosses a
@@ -70,6 +72,35 @@ let test_differential_cross_product () =
     (fun alg ->
       List.iter
         (fun strategy -> check_differential (config_with alg strategy) blocks)
+        Disambiguate.all)
+    Builder.all
+
+(* The static pass over one set of built DAGs, on one domain and on
+   several: every annotation must agree, for every builder and
+   strategy.  [Batch.result] carries no annotations, so this is where
+   1 == N domains is pinned for them. *)
+let test_annotation_differential () =
+  let blocks = List.mapi (fun i seed -> { (random_block seed) with Block.id = i })
+      [ 11; 23; 37; 41; 59; 67; 71; 83 ] in
+  let heuristics = Heuristic.all_26 in
+  List.iter
+    (fun alg ->
+      List.iter
+        (fun strategy ->
+          let opts = { Opts.default with Opts.strategy } in
+          let dags = List.map (Builder.build alg opts) blocks in
+          let annotate domains =
+            Pool.map ~domains ~chunk:1 (Static_pass.compute_for heuristics) dags
+          in
+          let seq = annotate 1 and par = annotate test_domains in
+          List.iter2
+            (fun (b : Block.t) (a, a') ->
+              if a <> a' then
+                Alcotest.failf "%s %s: block %d annotations differ across domains"
+                  (Builder.to_string alg)
+                  (Disambiguate.to_string strategy)
+                  b.Block.id)
+            blocks (List.combine seq par))
         Disambiguate.all)
     Builder.all
 
@@ -492,6 +523,7 @@ let test_untraced_overhead () =
 
 let suite =
   [ quick "differential: builders x strategies" test_differential_cross_product;
+    quick "differential: annotations 1 vs N domains" test_annotation_differential;
     qcheck ~count:120 "differential: random batches (>= 100 seeds)"
       arb_block prop_differential_batch;
     quick "results in input order" test_results_in_input_order;

@@ -11,6 +11,7 @@ let () =
       ("cfg", Test_cfg.suite);
       ("dag", Test_dag.suite);
       ("dag-arena", Test_dag_arena.suite);
+      ("decode", Test_decode.suite);
       ("heuristics", Test_heur.suite);
       ("scheduling", Test_sched.suite);
       ("workload", Test_workload.suite);

@@ -48,6 +48,23 @@ let test_clock_clamp () =
   check_float "forward duration" 2.5 (Clock.duration ~start:1.5 ~stop:4.0);
   check_bool "since is non-negative" true (Clock.since (Clock.now ()) >= 0.0)
 
+(* A stopped clock passes the two tests above; these it cannot. *)
+let test_clock_moves () =
+  let t0 = Clock.now () in
+  Unix.sleepf 0.02;
+  check_bool "since after a 20 ms sleep is >= 15 ms" true (Clock.since t0 >= 0.015);
+  check_bool "now is within 1 s of gettimeofday" true
+    (Float.abs (Clock.now () -. Unix.gettimeofday ()) < 1.0);
+  let mean, () = Stats.time_runs ~runs:2 (fun () -> Unix.sleepf 0.005) in
+  check_bool "time_runs over a sleep is positive" true (mean > 0.0)
+
+let test_span_duration_positive () =
+  with_obs @@ fun () ->
+  Trace.with_span ~cat:"test" "nap" (fun () -> Unix.sleepf 0.005);
+  match Trace.snapshot () with
+  | [ s ] -> check_bool "dur_us > 0" true (s.Trace.dur_us > 0.0)
+  | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
+
 (* ------------------------------------------------------------------ *)
 (* trace: recording semantics *)
 
@@ -918,6 +935,8 @@ let test_explain_stats_adversarial () =
 let suite =
   [ quick "clock: monotonic" test_clock_monotonic;
     quick "clock: clamping" test_clock_clamp;
+    quick "clock: moves with the wall clock" test_clock_moves;
+    quick "clock: a span over a sleep has a duration" test_span_duration_positive;
     quick "trace: disabled is invisible" test_trace_disabled_is_invisible;
     quick "trace: with_span records" test_trace_with_span_records;
     quick "trace: records on exception" test_trace_with_span_on_exception;
