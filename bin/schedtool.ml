@@ -843,20 +843,23 @@ let fetch_metrics ~who ~socket =
           exit 2)
 
 let client_cmd =
-  let run socket ping stats metrics metrics_text alg model strategy file =
+  let run socket ping stats metrics metrics_text raw alg model strategy file =
     if metrics_text then
       print_string
         (Serve.prometheus_of_metrics (fetch_metrics ~who:"client" ~socket))
     else
-      let request =
-        if ping then Serve.Ping
-        else if stats then Serve.Stats
-        else if metrics then Serve.Metrics
+      let payload =
+        if raw then read_input file
         else
-          Serve.Schedule
-            { text = read_input file; builder = alg; strategy; model }
+          Json.to_string
+            (Serve.request_to_json
+               (if ping then Serve.Ping
+                else if stats then Serve.Stats
+                else if metrics then Serve.Metrics
+                else
+                  Serve.Schedule
+                    { text = read_input file; builder = alg; strategy; model }))
       in
-      let payload = Json.to_string (Serve.request_to_json request) in
       match Serve.request_once ~socket payload with
       | Error msg ->
           Printf.eprintf "client error: %s\n" msg;
@@ -899,17 +902,25 @@ let client_cmd =
           ~doc:"Like $(b,--metrics), but render Prometheus/OpenMetrics \
                 text exposition instead of JSON.")
   in
+  let raw =
+    Arg.(
+      value & flag
+      & info [ "raw" ]
+          ~doc:"Send FILE's bytes as the request frame, unchanged: a JSON \
+                request written by hand.")
+  in
   Cmd.v
     (Cmd.info "client"
        ~doc:
          "Send one request to a running $(b,schedtool serve) daemon and \
           print the JSON response: a schedule request built from an \
           assembly file (default), $(b,--ping), $(b,--stats), \
-          $(b,--metrics), or $(b,--metrics-text) (Prometheus text).  \
+          $(b,--metrics), $(b,--metrics-text) (Prometheus text), or a \
+          request file sent as it is ($(b,--raw)).  \
           Exits 125 when the daemon is unreachable, 1 when it answers a \
           typed error.")
     Term.(
-      const run $ socket_arg $ ping $ stats $ metrics $ metrics_text
+      const run $ socket_arg $ ping $ stats $ metrics $ metrics_text $ raw
       $ builder_arg $ model_arg $ strategy_arg $ file_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -1,13 +1,5 @@
-(** Bounded LRU result cache, full-key-compared on lookup.  See
-    cache.mli for the contract. *)
-
-type config = { builder : string; strategy : string; model : string }
-
-type key = {
-  text_hash : int64;
-  fingerprint : int64;
-  config : config;
-}
+(** Bounded LRU result cache addressed by the request bytes, compared
+    in full on lookup.  See cache.mli for the contract. *)
 
 (* 64-bit FNV-1a.  The accumulators are local refs no closure captures,
    so the compiler keeps them unboxed: a hash allocates only its
@@ -17,7 +9,7 @@ let fnv_prime = 0x100000001b3L
 
 let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
 
-let hash_text s =
+let hash s =
   let h = ref fnv_offset in
   for i = 0 to String.length s - 1 do
     h := fnv_byte !h (Char.code (String.unsafe_get s i))
@@ -38,33 +30,26 @@ let hash_fold_int64 h v =
 let entry_overhead = 64
 
 type entry = {
-  ekey : key;
-  text : string;    (* full request text: byte-compared on lookup *)
-  payload : string;
+  request : string;  (* the whole request: byte-compared on lookup *)
+  addr : int;        (* its hash: the table key *)
+  response : string;
   ebytes : int;
   mutable prev : entry option;  (* toward MRU *)
   mutable next : entry option;  (* toward LRU *)
 }
 
-(* the table is addressed by the (text_hash, config) projection of the
-   key — same text + config deterministically implies the same
-   fingerprint, so the projection identifies the full key; the stored
-   entry carries the whole thing and [find] compares text and config
-   byte-for-byte before serving *)
-module Addr = struct
-  type t = int64 * config
+(* the FNV bits are already mixed: the address is its own hash *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
 
-  let equal (h1, c1) (h2, c2) = Int64.equal h1 h2 && c1 = c2
-
-  let hash (h, c) =
-    Hashtbl.hash (Int64.to_int h, c.builder, c.strategy, c.model)
-end
-
-module Tbl = Hashtbl.Make (Addr)
+  let equal = Int.equal
+  let hash a = a land max_int
+end)
 
 type t = {
   max_entries : int;
   max_bytes : int;
+  hash : string -> int64;
   table : entry Tbl.t;
   mutable mru : entry option;
   mutable lru : entry option;
@@ -74,8 +59,8 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable rejects : int;
-  mutable missed_text : string;  (* the last text [find] missed, and   *)
-  mutable missed_hash : int64;   (* its hash, for the [put] that follows *)
+  mutable missed : string;     (* the last request [find] missed, and  *)
+  mutable missed_addr : int;   (* its address, for the [put] that follows *)
 }
 
 (* metrics registry counters (gated: no-ops unless --metrics/--trace
@@ -87,19 +72,21 @@ let m_evictions = Ds_obs.Metrics.counter "cache.evictions"
 let m_bytes = Ds_obs.Metrics.counter "cache.bytes"
 let m_entries = Ds_obs.Metrics.counter "cache.entries"
 
-let create ?(max_entries = 4096) ?(max_bytes = 256 * 1024 * 1024) () =
+let create ?(max_entries = 4096) ?(max_bytes = 256 * 1024 * 1024) ?(hash = hash)
+    () =
   { max_entries = max 1 max_entries;
     max_bytes = max 1 max_bytes;
+    hash;
     table = Tbl.create 64;
     mru = None; lru = None;
     entries = 0; bytes = 0;
     hits = 0; misses = 0; evictions = 0; rejects = 0;
-    missed_text = ""; missed_hash = hash_text "" }
+    missed = ""; missed_addr = Int64.to_int (hash "") }
 
 let max_entries t = t.max_entries
 let max_bytes t = t.max_bytes
 
-let addr_of e = (e.ekey.text_hash, e.ekey.config)
+let address t request = Int64.to_int (t.hash request)
 
 (* ---------------- intrusive recency list ---------------- *)
 
@@ -131,7 +118,12 @@ let selfcheck t =
         if tail_ok then Ok (n, bytes)
         else Error "lru pointer does not match list tail"
     | Some e ->
-        let addr = addr_of e in
+        let addr = e.addr in
+        let* () =
+          if addr <> address t e.request then
+            Error "entry stored under another address"
+          else Ok ()
+        in
         let* () =
           if List.mem addr seen then Error "duplicate address in recency list"
           else Ok ()
@@ -197,33 +189,34 @@ let strict_check t =
 
 (* ---------------- operations ---------------- *)
 
-type hit = { key : key; payload : string }
-
-let find t ~text config =
+let find t request =
+  let addr = address t request in
   let result =
-    let h = hash_text text in
-    match Tbl.find_opt t.table (h, config) with
-    | Some e when String.equal e.text text && e.ekey.config = config ->
+    match Tbl.find t.table addr with
+    | e when String.equal e.request request ->
         unlink t e;
         push_front t e;
         t.hits <- t.hits + 1;
         Ds_obs.Metrics.incr m_hits;
-        Some { key = e.ekey; payload = e.payload }
-    | Some _ | None ->
-        (* a same-address entry whose stored text differs is a genuine
-           64-bit hash collision: refuse to serve it (miss), and the
-           subsequent put will replace it *)
-        t.misses <- t.misses + 1;
-        Ds_obs.Metrics.incr m_misses;
-        t.missed_text <- text;
-        t.missed_hash <- h;
+        Some e.response
+    | _ | (exception Not_found) ->
+        (* a same-address entry whose stored request differs is a
+           genuine 64-bit hash collision: refuse to serve it (miss), and
+           a following put replaces it *)
+        t.missed <- request;
+        t.missed_addr <- addr;
         None
   in
   strict_check t;
   result
 
+let count_miss t =
+  t.misses <- t.misses + 1;
+  Ds_obs.Metrics.incr m_misses;
+  strict_check t
+
 let remove_entry t e =
-  Tbl.remove t.table (addr_of e);
+  Tbl.remove t.table e.addr;
   unlink t e;
   t.entries <- t.entries - 1;
   t.bytes <- t.bytes - e.ebytes;
@@ -238,23 +231,24 @@ let evict_lru t =
       t.evictions <- t.evictions + 1;
       Ds_obs.Metrics.incr m_evictions
 
-let put t ~text ~fingerprint config ~payload =
+let put t request response =
   (* a miss's put carries the very string [find] hashed: hash it once *)
-  let text_hash =
-    if text == t.missed_text then t.missed_hash else hash_text text
+  let addr =
+    if request == t.missed then t.missed_addr else address t request
   in
-  let ebytes = String.length text + String.length payload + entry_overhead in
+  let ebytes =
+    String.length request + String.length response + entry_overhead
+  in
   if ebytes > t.max_bytes then t.rejects <- t.rejects + 1
   else begin
     (* replacement (same address) is not an eviction *)
-    (match Tbl.find_opt t.table (text_hash, config) with
+    (match Tbl.find_opt t.table addr with
     | Some old -> remove_entry t old
     | None -> ());
     let e =
-      { ekey = { text_hash; fingerprint; config }; text; payload; ebytes;
-        prev = None; next = None }
+      { request; addr; response; ebytes; prev = None; next = None }
     in
-    Tbl.replace t.table (addr_of e) e;
+    Tbl.replace t.table addr e;
     push_front t e;
     t.entries <- t.entries + 1;
     t.bytes <- t.bytes + ebytes;
@@ -282,6 +276,6 @@ let stats (t : t) =
 let items t =
   let rec go acc = function
     | None -> List.rev acc
-    | Some e -> go ((e.ekey, e.payload) :: acc) e.next
+    | Some e -> go ((e.request, e.response) :: acc) e.next
   in
   go [] t.mru

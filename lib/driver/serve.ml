@@ -1,4 +1,4 @@
-(** Scheduling-as-a-service daemon with the content-addressed result
+(** Scheduling-as-a-service daemon with the request-addressed result
     cache in front of the batch pipeline.  See serve.mli for the
     contract and docs/FORMAT.md for the wire schemas. *)
 
@@ -372,7 +372,7 @@ let prometheus_of_metrics m =
 
 (* the cold path: full pipeline on the calling domain (one domain) or
    the resident pool, then encode.  The response text is entirely
-   deterministic for (text, builder, strategy, model, domains) — timing
+   deterministic for the request and the daemon's domain count — timing
    fields are zeroed — so it IS the cache payload, and a warm response
    is byte-identical by construction. *)
 let schedule_cold t ~text ~builder ~strategy ~model =
@@ -415,7 +415,7 @@ let schedule_cold t ~text ~builder ~strategy ~model =
             ("report", Batch.report_to_json report);
             ("results", Json.List (List.map result_to_json results)) ]
       in
-      Ok (fingerprint, Json.to_string json)
+      Ok (Json.to_string json)
 
 let m_requests = Ds_obs.Metrics.counter "serve.requests"
 
@@ -424,8 +424,12 @@ let m_requests = Ds_obs.Metrics.counter "serve.requests"
 type disposition = { d_op : string; d_cache : string; d_outcome : string }
 
 let ok_disp ~op ?(cache = "-") () = { d_op = op; d_cache = cache; d_outcome = "ok" }
+let hit_disp = ok_disp ~op:"schedule" ~cache:"hit" ()
 
-let handle_request t ~id json =
+(* a request that missed the cache: decoded, and if it is a schedule
+   request, counted as a miss and run cold; an ok response is cached
+   under the request bytes *)
+let handle_request t ~id payload json =
   match request_of_json json with
   | Error e ->
       ( error_response ~id Bad_request (Json.error_to_string e),
@@ -434,22 +438,15 @@ let handle_request t ~id json =
   | Ok Stats -> (stats_response t, ok_disp ~op:"stats" ())
   | Ok Metrics -> (metrics_response t, ok_disp ~op:"metrics" ())
   | Ok (Schedule { text; builder; strategy; model }) -> (
-      let config =
-        { Cache.builder = Ds_dag.Builder.to_string builder;
-          strategy = Ds_dag.Disambiguate.to_string strategy;
-          model = model.Ds_machine.Latency.name }
-      in
-      match Cache.find t.cache ~text config with
-      | Some hit -> (hit.Cache.payload, ok_disp ~op:"schedule" ~cache:"hit" ())
-      | None -> (
-          match schedule_cold t ~text ~builder ~strategy ~model with
-          | Error (kind, msg) ->
-              ( error_response ~id kind msg,
-                { d_op = "schedule"; d_cache = "miss";
-                  d_outcome = error_kind_to_string kind } )
-          | Ok (fingerprint, payload) ->
-              Cache.put t.cache ~text ~fingerprint config ~payload;
-              (payload, ok_disp ~op:"schedule" ~cache:"miss" ())))
+      Cache.count_miss t.cache;
+      match schedule_cold t ~text ~builder ~strategy ~model with
+      | Error (kind, msg) ->
+          ( error_response ~id kind msg,
+            { d_op = "schedule"; d_cache = "miss";
+              d_outcome = error_kind_to_string kind } )
+      | Ok response ->
+          Cache.put t.cache payload response;
+          (response, ok_disp ~op:"schedule" ~cache:"miss" ()))
 
 (* one JSONL access line per request, through the untorn [Log.Sink]
    writer (single write(2), O_APPEND): survives SIGKILL, shareable *)
@@ -472,15 +469,20 @@ let access_write t ~ts ~id ~op ~cache ~bytes_in ~bytes_out ~dur_us ~outcome =
 let handle_payload t ~id payload =
   let t0 = Ds_obs.Clock.now () in
   let response, disp =
-    match Json.of_string payload with
-    | Error msg ->
-        ( error_response ~id Parse msg,
-          { d_op = "-"; d_cache = "-"; d_outcome = "parse" } )
-    | Ok json -> (
-        try handle_request t ~id json
-        with e ->
-          ( error_response ~id Internal (Printexc.to_string e),
-            { d_op = "-"; d_cache = "-"; d_outcome = "internal" } ))
+    try
+      (* the request bytes are the key: a hit decodes nothing, and since
+         only schedule responses are cached, a hit is a schedule *)
+      match Cache.find t.cache payload with
+      | Some response -> (response, hit_disp)
+      | None -> (
+          match Json.of_string payload with
+          | Error msg ->
+              ( error_response ~id Parse msg,
+                { d_op = "-"; d_cache = "-"; d_outcome = "parse" } )
+          | Ok json -> handle_request t ~id payload json)
+    with e ->
+      ( error_response ~id Internal (Printexc.to_string e),
+        { d_op = "-"; d_cache = "-"; d_outcome = "internal" } )
   in
   t.served <- t.served + 1;
   Ds_obs.Metrics.incr m_requests;
@@ -492,14 +494,15 @@ let handle_payload t ~id payload =
     ~bytes_in:(String.length payload)
     ~bytes_out:(String.length response)
     ~dur_us ~outcome:disp.d_outcome;
-  Ds_obs.Log.log Ds_obs.Log.Debug ~scope:"serve"
-    ~fields:
-      [ ("id", Json.String id);
-        ("op", Json.String disp.d_op);
-        ("cache", Json.String disp.d_cache);
-        ("dur_us", Json.Int dur_us);
-        ("outcome", Json.String disp.d_outcome) ]
-    "request";
+  if Ds_obs.Log.enabled Ds_obs.Log.Debug then
+    Ds_obs.Log.log Ds_obs.Log.Debug ~scope:"serve"
+      ~fields:
+        [ ("id", Json.String id);
+          ("op", Json.String disp.d_op);
+          ("cache", Json.String disp.d_cache);
+          ("dur_us", Json.Int dur_us);
+          ("outcome", Json.String disp.d_outcome) ]
+      "request";
   response
 
 let handle_text t payload = handle_payload t ~id:(next_id t) payload
@@ -559,13 +562,15 @@ let handle_connection t ~max_frame fd =
   let reader = Frame.reader fd in
   match Frame.read ~max_bytes:max_frame reader with
   | Ok payload ->
+      let args =
+        if Ds_obs.Trace.enabled () then
+          [ ("bytes", Json.Int (String.length payload));
+            ("id", Json.String id) ]
+        else []
+      in
       let response =
-        Ds_obs.Trace.with_span ~cat:"serve"
-          ~args:
-            [ ("bytes", Json.Int (String.length payload));
-              ("id", Json.String id) ]
-          "request"
-          (fun () -> handle_payload t ~id payload)
+        Ds_obs.Trace.with_span ~cat:"serve" ~args "request" (fun () ->
+            handle_payload t ~id payload)
       in
       respond response
   | Error Frame.Closed ->

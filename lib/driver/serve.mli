@@ -1,5 +1,5 @@
 (** Scheduling as a service: a resident daemon on a Unix socket, with
-    the content-addressed {!Cache} in front of the batch pipeline.
+    the request-addressed {!Cache} in front of the batch pipeline.
 
     {b Protocol.}  One request per connection: the client connects,
     sends one length-prefixed JSON frame ({!Ds_obs.Frame}), reads one
@@ -15,10 +15,14 @@
     "strategy": ..., "model": ...}] ([op] defaults to ["schedule"];
     builder/strategy/model default to the CLI defaults).  A schedule
     response carries the request's DAG fingerprint, the timing-free
-    batch report and the per-block schedules; the {e entire} response
-    text is what the cache stores, so a warm response is byte-identical
-    to the cold response that populated it (pinned by the differential
-    suite).  Every failure — unparseable JSON, bad fields, unparseable
+    batch report and the per-block schedules.  It is a pure function of
+    the request bytes and the daemon's domain count, so the cache maps
+    the raw request frame to the {e entire} response text: a repeated
+    frame is answered by one hash and one compare, without decoding,
+    and a warm response is byte-identical to the cold response that
+    populated it (pinned by the differential suite).  The same request
+    spelled differently (other field order or whitespace, [\/] for [/])
+    is a miss, answered with the same bytes.  Every failure — unparseable JSON, bad fields, unparseable
     assembly, an exception out of the pipeline (including the
     [DAGSCHED_SERVE_FAIL] injection knob) — answers a typed JSON error
     and leaves the daemon alive; only frame-level damage (malformed or
@@ -119,10 +123,15 @@ val served : t -> int
 val window : t -> Ds_obs.Window.t
 
 (** [handle_text t payload] is the full request->response path minus
-    the wire: parse, cache lookup, pipeline on miss, encode, cache
-    fill, windowed metrics, access-log line.  Mints a fresh request
-    id.  Never raises.  This is what the daemon runs per frame and
-    what the differential tests call in-process. *)
+    the wire: cache lookup on the payload bytes; on a miss, JSON decode,
+    pipeline, encode and cache fill; then windowed metrics and the
+    access-log line.  A hit counts one cache hit.  A miss counts one
+    cache miss only when the payload decodes to a schedule request
+    (whether it then schedules, fails to parse its block or fails
+    inside the pipeline); [ping], [stats], [metrics], unparseable JSON
+    and bad requests count neither.  Mints a fresh request id.  Never
+    raises.  This is what the daemon runs per frame and what the
+    differential tests call in-process. *)
 val handle_text : t -> string -> string
 
 (** {1 The metrics op}

@@ -106,7 +106,7 @@ module Ids = struct
     mutable next : int;
   }
 
-  let create () =
+  let fixed_ids () =
     let by_id = Array.make 128 Ctrl in
     Array.blit r_int 0 by_id 0 32;
     Array.blit r_float 0 by_id 32 32;
@@ -115,7 +115,16 @@ module Ids = struct
     by_id.(y) <- Y;
     by_id.(mem_all) <- Mem_all;
     by_id.(ctrl) <- Ctrl;
-    { mem = Mtbl.create 64; by_id; next = n_fixed }
+    by_id
+
+  let create () = { mem = Mtbl.create 64; by_id = fixed_ids (); next = n_fixed }
+
+  let interned t = t.next - n_fixed
+
+  let clear t =
+    Mtbl.reset t.mem;
+    t.by_id <- fixed_ids ();
+    t.next <- n_fixed
 
   let id t = function
     | R (Reg.Int n) -> n

@@ -35,7 +35,7 @@ module Tbl : Hashtbl.S with type key = t
 (** Dense resource ids.  Registers, the condition codes, [%y], [Mem_all]
     and [Ctrl] have fixed ids below {!Ids.n_fixed}; symbolic memory
     expressions are interned from [n_fixed] up on first encounter and
-    keep their id for the table's life, so the table grows when a new
+    keep their id until {!Ids.clear}, so the table grows when a new
     expression appears — the variable-length table the paper observed
     on fpppp.  A table is mutable and unsynchronized: keep one per
     domain. *)
@@ -51,6 +51,14 @@ module Ids : sig
 
   (** The resource an id denotes (the first one interned under it). *)
   val resource : t -> int -> resource
+
+  (** Memory expressions interned so far. *)
+  val interned : t -> int
+
+  (** Forget every interned memory expression: ids from {!n_fixed} up
+      are handed out afresh, and the table shrinks to its initial
+      size. *)
+  val clear : t -> unit
 
   val mem_all : int
   val n_fixed : int

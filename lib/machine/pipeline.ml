@@ -51,7 +51,7 @@ type scan = {
 }
 
 type scratch = {
-  ids : Resource.Ids.t;        (* persists across blocks *)
+  ids : Resource.Ids.t;        (* persists across blocks, up to a bound *)
   buf : Insn.Scan.buf;
   (* decode: [ids] id -> block-local id, valid iff stamp = epoch *)
   mutable epoch : int;
@@ -136,9 +136,19 @@ let push_scanned s ids k =
   done;
   ids
 
+(* The intern table keeps every memory expression it has seen, so a
+   long-lived domain (the serve daemon's) would grow with each new one
+   for ever.  Once it holds more than this many, the next decode starts
+   it afresh: ids are only read through [local], whose stamps the new
+   epoch invalidates.  The paper's corpora stay below the bound (full
+   fpppp has 3,338 expressions, the other eight Table-3 programs about
+   7,000 together), so a pass over them never re-interns. *)
+let max_interned = 8192
+
 let decode (model : Latency.t) insns =
   let s = Domain.DLS.get scratch_key in
   let d = s.dec in
+  if Resource.Ids.interned s.ids > max_interned then Resource.Ids.clear s.ids;
   s.epoch <- s.epoch + 1;
   d.gen <- Atomic.fetch_and_add next_gen 1;
   d.model <- model;

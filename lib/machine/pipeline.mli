@@ -10,7 +10,8 @@
 
     Scoring is two steps.  {!decode} reads a block once into int arrays
     of this domain's scratch: each resource gets a dense block-local id
-    (through an intern table kept per domain and reused across blocks),
+    (through an intern table kept per domain and reused across blocks,
+    started afresh once it holds more than 8,192 memory expressions),
     and each instruction its definitions and uses with their positions,
     its execution time, busy time and functional unit.  {!simulate} then
     issues any ordering of the decoded instructions — a permutation of

@@ -8,7 +8,16 @@ let default_max_bytes = 16 * 1024 * 1024
    header malformed (a peer streaming garbage must not grow our buffer) *)
 let max_header_digits = 20
 
-let encode s = Printf.sprintf "%d\n%s" (String.length s) s
+(* one allocation and two blits: Printf would copy the payload through
+   its own buffer first *)
+let encode s =
+  let header = string_of_int (String.length s) in
+  let h = String.length header in
+  let framed = Bytes.create (h + 1 + String.length s) in
+  Bytes.blit_string header 0 framed 0 h;
+  Bytes.set framed h '\n';
+  Bytes.blit_string s 0 framed (h + 1) (String.length s);
+  Bytes.unsafe_to_string framed
 
 let rec write_all fd buf pos len =
   if len > 0 then begin

@@ -274,6 +274,24 @@ cmp -s "$TMP/cold.json" "$TMP/warm.json" || fail "warm response != cold response
 grep -q '"hits": 1' "$TMP/stats.json" || fail "stats: wrong hit count"
 grep -q '"misses": 1' "$TMP/stats.json" || fail "stats: wrong miss count"
 
+# the cache is addressed by the request bytes: the same request with
+# its fields reordered is one more miss, answered byte for byte as the
+# canonical spelling is
+printf 'add %%o1, %%o2, %%o3\nsub %%o3, %%o1, %%o4\n' > "$TMP/pair.s"
+"$TOOL" client --socket "$SOCK" "$TMP/pair.s" > "$TMP/pair.json" \
+  || fail "client schedule of pair.s failed"
+printf '{"model": "simple_risc", "strategy": "base-offset", "builder": "table-forward", "block": "add %%o1, %%o2, %%o3\\nsub %%o3, %%o1, %%o4\\n", "op": "schedule"}' \
+  > "$TMP/reordered.req"
+"$TOOL" client --socket "$SOCK" --raw "$TMP/reordered.req" > "$TMP/reordered.json" \
+  || fail "client --raw of a reordered request failed"
+cmp -s "$TMP/pair.json" "$TMP/reordered.json" \
+  || fail "reordered request: response differs from the canonical one"
+"$TOOL" client --socket "$SOCK" --stats > "$TMP/stats.json" \
+  || fail "client --stats failed"
+grep -q '"hits": 1,' "$TMP/stats.json" || fail "stats after reordering: wrong hit count"
+grep -q '"misses": 3,' "$TMP/stats.json" \
+  || fail "stats after reordering: want one more miss than the canonical request's"
+
 # a typed error response is exit 1 (distinct from transport's 125)
 printf 'frobnicate %%o1\n' > "$TMP/bad.s"
 "$TOOL" client --socket "$SOCK" "$TMP/bad.s" > "$TMP/err.json" 2>/dev/null \

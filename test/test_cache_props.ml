@@ -5,8 +5,8 @@
     association list in recency order (most recently used first) with
     the same bounds and the same counter rules — and after {e every}
     operation the two must agree exactly: entry order (which fixes the
-    eviction order), payloads, stored fingerprints, entry and byte
-    occupancy, and all four monotone counters.  [Cache.selfcheck] (the
+    eviction order), requests, responses, entry and byte occupancy, and
+    all four monotone counters.  [Cache.selfcheck] (the
     intrusive-list/table invariant walk) also runs after every op, so a
     corrupted link or a table/list disagreement is caught at the op
     that introduced it, not at the end of the run.
@@ -25,10 +25,8 @@ let scale n = if heavy then n * 10 else n
 (* reference model *)
 
 type model_entry = {
-  m_text : string;
-  m_config : Cache.config;
-  m_fingerprint : int64;
-  m_payload : string;
+  m_request : string;
+  m_response : string;
   m_bytes : int;
 }
 
@@ -47,31 +45,33 @@ let model_create ~max_entries ~max_bytes =
   { mx_entries = max 1 max_entries; mx_bytes = max 1 max_bytes;
     items = []; hits = 0; misses = 0; evictions = 0; rejects = 0 }
 
-let model_same text config e =
-  String.equal e.m_text text && e.m_config = config
+let model_same request e = String.equal e.m_request request
 
-let model_find m ~text config =
-  match List.find_opt (model_same text config) m.items with
+(* a miss is counted only when the caller says the request was a
+   cacheable one ([counted]) *)
+let model_find m ~counted request =
+  match List.find_opt (model_same request) m.items with
   | Some e ->
       m.items <- e :: List.filter (fun e' -> e' != e) m.items;
       m.hits <- m.hits + 1;
-      Some e.m_payload
+      Some e.m_response
   | None ->
-      m.misses <- m.misses + 1;
+      if counted then m.misses <- m.misses + 1;
       None
 
 let model_bytes m =
   List.fold_left (fun a e -> a + e.m_bytes) 0 m.items
 
-let model_put m ~text ~fingerprint config ~payload =
-  let ebytes = String.length text + String.length payload + Cache.entry_overhead in
+let model_put m request response =
+  let ebytes =
+    String.length request + String.length response + Cache.entry_overhead
+  in
   if ebytes > m.mx_bytes then m.rejects <- m.rejects + 1
   else begin
     (* replacing an existing entry is not an eviction *)
-    m.items <- List.filter (fun e -> not (model_same text config e)) m.items;
+    m.items <- List.filter (fun e -> not (model_same request e)) m.items;
     m.items <-
-      { m_text = text; m_config = config; m_fingerprint = fingerprint;
-        m_payload = payload; m_bytes = ebytes }
+      { m_request = request; m_response = response; m_bytes = ebytes }
       :: m.items;
     while
       List.length m.items > m.mx_entries || model_bytes m > m.mx_bytes
@@ -84,9 +84,6 @@ let model_put m ~text ~fingerprint config ~payload =
 
 (* ------------------------------------------------------------------ *)
 (* agreement *)
-
-let config_to_string c =
-  Printf.sprintf "%s/%s/%s" c.Cache.builder c.Cache.strategy c.Cache.model
 
 let check_agree ~seed ~op cache m =
   let fail fmt =
@@ -102,17 +99,12 @@ let check_agree ~seed ~op cache m =
     fail "entry count: cache %d, model %d" (List.length items)
       (List.length m.items);
   List.iteri
-    (fun i ((key, payload), e) ->
-      if not (String.equal payload e.m_payload) then
-        fail "payload mismatch at recency position %d" i;
-      if key.Cache.config <> e.m_config then
-        fail "config mismatch at position %d: cache %s, model %s" i
-          (config_to_string key.Cache.config)
-          (config_to_string e.m_config);
-      if not (Int64.equal key.Cache.text_hash (Cache.hash_text e.m_text)) then
-        fail "text hash mismatch at position %d" i;
-      if not (Int64.equal key.Cache.fingerprint e.m_fingerprint) then
-        fail "fingerprint mismatch at position %d" i)
+    (fun i ((request, response), e) ->
+      if not (String.equal request e.m_request) then
+        fail "request mismatch at recency position %d: cache %S, model %S" i
+          request e.m_request;
+      if not (String.equal response e.m_response) then
+        fail "response mismatch at recency position %d" i)
     (List.combine items m.items);
   let s = Cache.stats cache in
   if s.Cache.entries <> List.length m.items then
@@ -135,16 +127,12 @@ let check_agree ~seed ~op cache m =
 (* ------------------------------------------------------------------ *)
 (* the seeded interleaving *)
 
-let builders = [| "compare-forward"; "table-forward" |]
-let strategies = [| "base-offset"; "symbolic" |]
-
-let random_config rng =
-  { Cache.builder = builders.(Prng.int rng (Array.length builders));
-    strategy = strategies.(Prng.int rng (Array.length strategies));
-    model = "simple-risc" }
-
-(* a small text pool so lookups hit, replace and collide on purpose *)
-let random_text rng = Printf.sprintf "text-%d" (Prng.int rng 12)
+(* keys from a small pool (12 texts x 2 builders x 2 strategies, the
+   configuration as two digits) so lookups hit, replace and collide on
+   purpose; keys differing only in configuration are distinct *)
+let random_request rng =
+  Printf.sprintf "text-%d/%d%d" (Prng.int rng 12) (Prng.int rng 2)
+    (Prng.int rng 2)
 
 let random_payload rng =
   (* occasionally huge, to exercise the single-entry reject path *)
@@ -164,15 +152,14 @@ let model_iteration seed =
   let m = model_create ~max_entries ~max_bytes in
   let ops = scale 100 in
   for op = 1 to ops do
-    let text = random_text rng in
-    let config = random_config rng in
+    let request = random_request rng in
     (if Prng.int rng 2 = 0 then begin
-       let expected = model_find m ~text config in
-       let got =
-         Option.map
-           (fun (h : Cache.hit) -> h.Cache.payload)
-           (Cache.find cache ~text config)
-       in
+       (* most lookups stand for schedule requests, whose misses count;
+          the rest for ping/stats/bad requests, whose misses do not *)
+       let counted = Prng.int rng 4 <> 0 in
+       let expected = model_find m ~counted request in
+       let got = Cache.find cache request in
+       if got = None && counted then Cache.count_miss cache;
        if got <> expected then
          Alcotest.failf "seed %d, op %d: find disagrees (cache %s, model %s)"
            seed op
@@ -180,10 +167,9 @@ let model_iteration seed =
            (match expected with Some _ -> "hit" | None -> "miss")
      end
      else begin
-       let payload = random_payload rng in
-       let fingerprint = Cache.hash_text payload in
-       model_put m ~text ~fingerprint config ~payload;
-       Cache.put cache ~text ~fingerprint config ~payload
+       let response = random_payload rng in
+       model_put m request response;
+       Cache.put cache request response
      end);
     check_agree ~seed ~op cache m
   done
@@ -222,49 +208,41 @@ let test_strict_gauge_agreement () =
 (* ------------------------------------------------------------------ *)
 (* deterministic corner cases *)
 
-let cfg = { Cache.builder = "table-forward"; strategy = "base-offset";
-            model = "simple-risc" }
-
-let put_simple cache text payload =
-  Cache.put cache ~text ~fingerprint:(Cache.hash_text text) cfg ~payload
-
-let payloads cache =
-  List.map (fun (_, p) -> p) (Cache.items cache)
+let responses cache =
+  List.map (fun (_, r) -> r) (Cache.items cache)
 
 let test_eviction_order () =
   let cache = Cache.create ~max_entries:3 ~max_bytes:max_int ()
-  and payload = "p" in
-  put_simple cache "a" payload;
-  put_simple cache "b" payload;
-  put_simple cache "c" payload;
+  and response = "p" in
+  Cache.put cache "a" response;
+  Cache.put cache "b" response;
+  Cache.put cache "c" response;
   (* touch "a": it becomes MRU, so the next eviction takes "b" *)
-  (match Cache.find cache ~text:"a" cfg with
+  (match Cache.find cache "a" with
   | Some _ -> ()
   | None -> Alcotest.fail "expected a hit on \"a\"");
-  put_simple cache "d" payload;
-  let keys =
-    List.map (fun (k, _) -> k.Cache.text_hash) (Cache.items cache)
-  in
-  let expect = List.map Cache.hash_text [ "d"; "a"; "c" ] in
-  Alcotest.(check (list int64)) "recency order after eviction" expect keys;
+  Cache.put cache "d" response;
+  let keys = List.map fst (Cache.items cache) in
+  Alcotest.(check (list string)) "recency order after eviction"
+    [ "d"; "a"; "c" ] keys;
   let s = Cache.stats cache in
   Alcotest.(check int) "one eviction" 1 s.Cache.evictions
 
 let test_replacement_is_not_eviction () =
   let cache = Cache.create ~max_entries:4 ~max_bytes:max_int () in
-  put_simple cache "a" "first";
-  put_simple cache "a" "second";
+  Cache.put cache "a" "first";
+  Cache.put cache "a" "second";
   let s = Cache.stats cache in
   Alcotest.(check int) "one entry" 1 s.Cache.entries;
   Alcotest.(check int) "no evictions" 0 s.Cache.evictions;
-  Alcotest.(check (list string)) "replaced payload" [ "second" ]
-    (payloads cache)
+  Alcotest.(check (list string)) "replaced response" [ "second" ]
+    (responses cache)
 
 let test_oversized_reject () =
   let cache = Cache.create ~max_entries:4 ~max_bytes:200 () in
-  put_simple cache "small" "p";
+  Cache.put cache "small" "p";
   let occupancy_before = (Cache.stats cache).Cache.bytes in
-  put_simple cache "big" (String.make 500 'x');
+  Cache.put cache "big" (String.make 500 'x');
   let s = Cache.stats cache in
   Alcotest.(check int) "reject counted" 1 s.Cache.rejects;
   Alcotest.(check int) "no eviction churn" 0 s.Cache.evictions;
@@ -275,50 +253,100 @@ let test_byte_bound_eviction () =
   (* entries of ~(64 + 1 + 100) bytes against a 400-byte bound: the
      third insert must evict the oldest even though max_entries is 10 *)
   let cache = Cache.create ~max_entries:10 ~max_bytes:400 () in
-  put_simple cache "a" (String.make 100 'a');
-  put_simple cache "b" (String.make 100 'b');
-  put_simple cache "c" (String.make 100 'c');
+  Cache.put cache "a" (String.make 100 'a');
+  Cache.put cache "b" (String.make 100 'b');
+  Cache.put cache "c" (String.make 100 'c');
   let s = Cache.stats cache in
   Alcotest.(check int) "evicted to fit bytes" 1 s.Cache.evictions;
   Alcotest.(check int) "two entries left" 2 s.Cache.entries;
   Alcotest.(check bool) "bytes within bound" true (s.Cache.bytes <= 400);
-  (match Cache.find cache ~text:"a" cfg with
+  (match Cache.find cache "a" with
   | None -> ()
   | Some _ -> Alcotest.fail "oldest entry should have been evicted");
   match Cache.selfcheck cache with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "selfcheck: %s" msg
 
+(* the configuration travels in the request bytes: two requests for the
+   same text under different builders are two entries *)
 let test_config_distinguishes () =
+  let request builder =
+    Json.to_string
+      (Serve.request_to_json
+         (Serve.Schedule
+            { text = "nop\n"; builder; strategy = Disambiguate.Base_offset;
+              model = Latency.simple_risc }))
+  in
+  let table = request Builder.Table_forward
+  and compare = request Builder.N2_forward in
   let cache = Cache.create () in
-  let cfg' = { cfg with Cache.builder = "compare-forward" } in
-  put_simple cache "a" "table";
-  Cache.put cache ~text:"a" ~fingerprint:0L cfg' ~payload:"compare";
+  Cache.put cache table "table";
+  Cache.put cache compare "compare";
   Alcotest.(check int) "two entries" 2 (Cache.stats cache).Cache.entries;
-  (match Cache.find cache ~text:"a" cfg with
-  | Some h -> Alcotest.(check string) "table payload" "table" h.Cache.payload
-  | None -> Alcotest.fail "expected hit under the table config");
-  match Cache.find cache ~text:"a" cfg' with
-  | Some h -> Alcotest.(check string) "compare payload" "compare" h.Cache.payload
-  | None -> Alcotest.fail "expected hit under the compare config"
+  Alcotest.(check (option string)) "table response" (Some "table")
+    (Cache.find cache table);
+  Alcotest.(check (option string)) "compare response" (Some "compare")
+    (Cache.find cache compare)
 
-let test_fingerprint_returned () =
+let test_response_returned () =
   let cache = Cache.create () in
-  Cache.put cache ~text:"a" ~fingerprint:0x1234L cfg ~payload:"p";
-  match Cache.find cache ~text:"a" cfg with
-  | Some h ->
-      Alcotest.(check int64) "stored fingerprint comes back" 0x1234L
-        h.Cache.key.Cache.fingerprint
+  let response = "{\"status\": \"ok\"}" in
+  Cache.put cache "a" response;
+  match Cache.find cache "a" with
+  | Some r ->
+      Alcotest.(check bool) "the stored response itself comes back" true
+        (r == response)
   | None -> Alcotest.fail "expected a hit"
 
-(* The text half of the key is standard FNV-1a-64: the published test
-   vectors pin it, so a rewrite of the byte loop cannot change a key.
-   It allocates only its boxed result however long the text. *)
+(* every request at one address: a lookup that finds another request
+   there is a miss, and the put that follows replaces that entry *)
+let test_collision_refused () =
+  let cache = Cache.create ~hash:(fun _ -> 42L) () in
+  Cache.put cache "a" "for a";
+  Alcotest.(check (option string)) "same address, other request: miss"
+    None (Cache.find cache "b");
+  Cache.put cache "b" "for b";
+  let s = Cache.stats cache in
+  Alcotest.(check int) "one entry" 1 s.Cache.entries;
+  Alcotest.(check int) "replacement, not eviction" 0 s.Cache.evictions;
+  Alcotest.(check (option string)) "displaced request misses" None
+    (Cache.find cache "a");
+  Alcotest.(check (option string)) "new request hits" (Some "for b")
+    (Cache.find cache "b");
+  Alcotest.(check int) "find counted no miss" 0 (Cache.stats cache).Cache.misses;
+  match Cache.selfcheck cache with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "selfcheck: %s" msg
+
+(* a miss and the put that follows hash the request once; a put of an
+   equal but distinct string hashes it again *)
+let test_miss_hashes_once () =
+  (* strict checks rehash every entry: keep them out of the count *)
+  let was_strict = Cache.strict_checks () in
+  Cache.set_strict_checks false;
+  Fun.protect ~finally:(fun () -> Cache.set_strict_checks was_strict)
+  @@ fun () ->
+  let calls = ref 0 in
+  let cache =
+    Cache.create ~hash:(fun s -> incr calls; Cache.hash s) ()
+  in
+  let request = String.concat "" [ "req"; "uest" ] in
+  calls := 0;
+  ignore (Cache.find cache request);
+  Cache.put cache request "r";
+  Alcotest.(check int) "find + put: one hash" 1 !calls;
+  Cache.put cache (String.concat "" [ "req"; "uest" ]) "r'";
+  Alcotest.(check int) "a copy is hashed" 2 !calls;
+  Alcotest.(check int) "still one entry" 1 (Cache.stats cache).Cache.entries
+
+(* The address is standard FNV-1a-64: the published test vectors pin
+   it, so a rewrite of the byte loop cannot change an address.  It
+   allocates only its boxed result however long the request. *)
 let test_fnv_vectors () =
   List.iter
     (fun (text, want) ->
       Alcotest.(check string) (Printf.sprintf "%S" text) want
-        (Printf.sprintf "%016Lx" (Cache.hash_text text)))
+        (Printf.sprintf "%016Lx" (Cache.hash text)))
     [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c");
       ("foobar", "85944171f73967e8") ];
   Alcotest.(check string) "fold of 0 from the seed" "a8c7f832281a39c5"
@@ -329,8 +357,8 @@ let test_fnv_vectors () =
     ignore (Sys.opaque_identity (f ()));
     Gc.minor_words () -. m0
   in
-  let w = words (fun () -> Cache.hash_text text) in
-  if w > 16.0 then Alcotest.failf "hash_text of 64 KiB allocated %.0f words" w;
+  let w = words (fun () -> Cache.hash text) in
+  if w > 16.0 then Alcotest.failf "hash of 64 KiB allocated %.0f words" w;
   let w = words (fun () -> Cache.hash_fold_int64 Cache.hash_seed 42L) in
   if w > 16.0 then Alcotest.failf "hash_fold_int64 allocated %.0f words" w
 
@@ -350,5 +378,9 @@ let suite =
       test_byte_bound_eviction;
     Alcotest.test_case "config is part of the key" `Quick
       test_config_distinguishes;
-    Alcotest.test_case "hit returns the stored fingerprint" `Quick
-      test_fingerprint_returned ]
+    Alcotest.test_case "hit returns the stored response" `Quick
+      test_response_returned;
+    Alcotest.test_case "address collision is a miss, then a replacement"
+      `Quick test_collision_refused;
+    Alcotest.test_case "a miss hashes its request once" `Quick
+      test_miss_hashes_once ]

@@ -225,9 +225,66 @@ let test_wide_uselist () =
       Alcotest.failf "table-forward took %.2f s over %d reads (bound 1 s)" s reads
   end
 
+(* ------------------------------------------------------------------ *)
+(* a long-lived domain's intern table *)
+
+(* 50,000 stores, each to a memory expression of its own, in blocks of
+   500: [base] picks which 50,000 *)
+let stores_request base =
+  let buf = Buffer.create (1 lsl 20) in
+  for k = 0 to 49_999 do
+    if k mod 500 = 0 then Buffer.add_string buf (Printf.sprintf "B%d:\n" (k / 500));
+    let e = base + k in
+    Buffer.add_string buf
+      (Printf.sprintf "st %%g1, [%%o%d + %d]\n" (e mod 8) (8 * (e / 8)))
+  done;
+  Json.to_string
+    (Serve.request_to_json
+       (Serve.Schedule
+          { text = Buffer.contents buf; builder = Builder.Table_forward;
+            strategy = Disambiguate.Base_offset; model = Latency.simple_risc }))
+
+(* A daemon serving ever new memory expressions keeps a bounded number
+   of them: once the first requests have grown the domain's scratch, a
+   request of 50,000 new expressions leaves less than 1 MB more live
+   behind.  Each request is evicted by the next ([~max_entries:1] and a
+   [nop] request), so the cache holds nothing of it. *)
+let test_interned_expressions_bounded () =
+  if Sys.getenv_opt "DAGSCHED_DECODE_HEAVY" <> None then begin
+    let serve = Serve.create ~max_entries:1 () in
+    Fun.protect ~finally:(fun () -> Serve.destroy serve) @@ fun () ->
+    let nop =
+      Json.to_string
+        (Serve.request_to_json
+           (Serve.Schedule
+              { text = "nop\n"; builder = Builder.Table_forward;
+                strategy = Disambiguate.Base_offset;
+                model = Latency.simple_risc }))
+    in
+    let live_after base =
+      ignore (Serve.handle_text serve (stores_request base));
+      ignore (Serve.handle_text serve nop);
+      Gc.compact ();
+      (Gc.stat ()).Gc.live_words
+    in
+    let first = live_after 0 in
+    let again = live_after 0 in
+    let third = live_after 1_000_000 in
+    let fourth = live_after 2_000_000 in
+    let mb w = float_of_int (w * (Sys.word_size / 8)) /. 1048576.0 in
+    if fourth - third >= 131_072 then
+      Alcotest.failf
+        "live MB after requests: %.2f, %.2f (same), %.2f, %.2f (new \
+         expressions): the fourth kept %.2f MB"
+        (mb first) (mb again) (mb third) (mb fourth)
+        (mb (fourth - third))
+  end
+
 let suite =
   [ quick "table builders match their yardsticks" test_builders_match_yardsticks;
     quick "stale decode is not reused" test_stale_decode;
     quick "scoring on another domain" test_score_on_another_domain;
     quick "score allocates no scan" test_score_allocates_no_scan;
-    Alcotest.test_case "wide uselist builds in linear time" `Slow test_wide_uselist ]
+    Alcotest.test_case "wide uselist builds in linear time" `Slow test_wide_uselist;
+    Alcotest.test_case "interned memory expressions stay bounded" `Slow
+      test_interned_expressions_bounded ]

@@ -180,6 +180,16 @@ let test_frame_split_header () =
       ("header one byte at a time", payload, bytes "1500\n" @ [ payload ]);
       ("frame one byte at a time", "tiny", bytes (Frame.encode "tiny")) ]
 
+(* the encoder's bytes are the decimal-header format, to the byte *)
+let test_frame_encode_format () =
+  List.iter
+    (fun payload ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d-byte payload" (String.length payload))
+        (Printf.sprintf "%d\n%s" (String.length payload) payload)
+        (Frame.encode payload))
+    [ ""; "x"; String.init (1 lsl 20) (fun i -> Char.chr (i land 0xff)) ]
+
 (* ------------------------------------------------------------------ *)
 (* request codec *)
 
@@ -507,6 +517,143 @@ let test_warm_equals_cold () =
       Alcotest.(check int) "second miss" 2 s.Cache.misses;
       Alcotest.(check int) "two entries" 2 s.Cache.entries)
 
+(* The cache is addressed by the request bytes: the same request
+   spelled differently misses, answers the canonical response byte for
+   byte, and is then a hit under either spelling. *)
+let test_spellings () =
+  let text = "add %r1, %r2, %r3 ! r3 = r1/r2\nsub %r3, %r1, %r4\n" in
+  let canonical = schedule_payload text in
+  let str s = Json.to_string (Json.String s) in
+  let spellings =
+    [ ( "reordered fields",
+        Json.to_string
+          (Json.Obj
+             [ ("model", Json.String Latency.simple_risc.Latency.name);
+               ("strategy", Json.String "base-offset");
+               ("builder", Json.String "table-forward");
+               ("block", Json.String text);
+               ("op", Json.String "schedule") ]) );
+      ( "extra whitespace",
+        Printf.sprintf
+          "{\n  \"op\" : \"schedule\" ,\n  \"block\" :%s,\"builder\":%s,\t\
+           \"strategy\": %s , \"model\": %s }\n"
+          (str text) (str "table-forward") (str "base-offset")
+          (str Latency.simple_risc.Latency.name) );
+      ( "escaped solidus",
+        String.concat "\\/" (String.split_on_char '/' canonical) ) ]
+  in
+  with_serve (fun serve ->
+      let cold, json = response_json serve canonical in
+      check_status json "ok";
+      let counts () =
+        let s = Cache.stats (Serve.cache serve) in
+        (s.Cache.hits, s.Cache.misses)
+      in
+      List.iteri
+        (fun i (what, payload) ->
+          if String.equal payload canonical then
+            Alcotest.failf "%s: the payload is the canonical one" what;
+          let hits, misses = counts () in
+          Alcotest.(check string) (what ^ ": first is byte-identical") cold
+            (Serve.handle_text serve payload);
+          Alcotest.(check (pair int int)) (what ^ ": first is a miss")
+            (hits, misses + 1) (counts ());
+          Alcotest.(check string) (what ^ ": repeat is byte-identical") cold
+            (Serve.handle_text serve payload);
+          Alcotest.(check string) "canonical again" cold
+            (Serve.handle_text serve canonical);
+          Alcotest.(check (pair int int)) (what ^ ": both repeats hit")
+            (hits + 2, misses + 1) (counts ());
+          Alcotest.(check int) (what ^ ": one entry per spelling") (i + 2)
+            (Cache.stats (Serve.cache serve)).Cache.entries)
+        spellings)
+
+(* Counters after a scripted sequence of every kind of request, equal to
+   those of the text-addressed cache this one replaced (hard-coded from
+   it).  The injected failure comes first because the budget is spent
+   by the first schedule pipelines. *)
+let test_counter_parity () =
+  Unix.putenv Serve.fail_env "raise:1";
+  let serve =
+    Fun.protect ~finally:(fun () -> Unix.putenv Serve.fail_env "") (fun () ->
+        Serve.create ~max_entries:1 ~max_bytes:4096 ())
+  in
+  Fun.protect ~finally:(fun () -> Serve.destroy serve) @@ fun () ->
+  let text = "add %r1, %r2, %r3\nsub %r3, %r1, %r4\n" in
+  let p = schedule_payload text in
+  let big =
+    schedule_payload
+      (String.concat ""
+         (List.init 300 (fun i ->
+              Printf.sprintf "add %%r%d, %%r2, %%r3\n" (1 + (i mod 20)))))
+  in
+  let ok = `Ok and err k = `Error k in
+  (* request, expected outcome, (hits, misses, evictions, rejects,
+     entries) after it *)
+  let script =
+    [ ("injected failure", p, err Serve.Internal, (0, 1, 0, 0, 0));
+      ("schedule miss", p, ok, (0, 2, 0, 0, 1));
+      ("schedule hit", p, ok, (1, 2, 0, 0, 1));
+      ("ping", {|{"op": "ping"}|}, ok, (1, 2, 0, 0, 1));
+      ("stats", {|{"op": "stats"}|}, ok, (1, 2, 0, 0, 1));
+      ("metrics", {|{"op": "metrics"}|}, ok, (1, 2, 0, 0, 1));
+      ("bad JSON", "{not json", err Serve.Parse, (1, 2, 0, 0, 1));
+      ("bad request", {|{"op": "launch"}|}, err Serve.Bad_request,
+       (1, 2, 0, 0, 1));
+      ("block parse", schedule_payload "not assembly !!!",
+       err Serve.Block_parse, (1, 3, 0, 0, 1));
+      ("other builder", schedule_payload ~builder:Builder.N2_forward text, ok,
+       (1, 4, 1, 0, 1));
+      ("over the byte bound", big, ok, (1, 5, 1, 1, 1));
+      ("first request again", p, ok, (1, 6, 2, 1, 1)) ]
+  in
+  List.iter
+    (fun (what, payload, outcome, expected) ->
+      let _, json = response_json serve payload in
+      (match outcome with
+      | `Ok -> check_status json "ok"
+      | `Error kind -> check_error_kind json kind);
+      let s = Cache.stats (Serve.cache serve) in
+      let t5 = Alcotest.(pair int (pair int (pair int (pair int int)))) in
+      let h, m, e, r, n = expected in
+      Alcotest.check t5 (what ^ ": hits, misses, evictions, rejects, entries")
+        (h, (m, (e, (r, n))))
+        (s.Cache.hits, (s.Cache.misses, (s.Cache.evictions,
+                                         (s.Cache.rejects, s.Cache.entries)))))
+    script
+
+(* A hit decodes nothing: on a 1 KB and on a 1 MB request it allocates a
+   few minor words, independent of size, and nothing on the major heap. *)
+let test_hit_allocation () =
+  let program = "add %r1, %r2, %r3\nsub %r3, %r1, %r4\nld [%r4], %r5\n" in
+  let padded size =
+    let payload pad = schedule_payload (program ^ "! " ^ String.make pad 'x' ^ "\n") in
+    payload (size - String.length (payload 0))
+  in
+  with_serve (fun serve ->
+      List.iter
+        (fun size ->
+          let payload = padded size in
+          Alcotest.(check int) "payload size" size (String.length payload);
+          let cold = Serve.handle_text serve payload in
+          ignore (Serve.handle_text serve payload);
+          Gc.minor ();
+          let q0 = Gc.quick_stat () in
+          let m0 = Gc.minor_words () in
+          let warm = Serve.handle_text serve payload in
+          let minor = Gc.minor_words () -. m0 in
+          let q1 = Gc.quick_stat () in
+          let major = q1.Gc.major_words -. q0.Gc.major_words in
+          Alcotest.(check string) "the cold response" cold warm;
+          if minor > 200.0 || major > 0.0 then
+            Alcotest.failf
+              "a hit on a %d-byte request allocated %.0f minor and %.0f major \
+               words (bound 200 and 0)"
+              size minor major)
+        [ 1024; 1 lsl 20 ];
+      Alcotest.(check int) "two hits per request" 4
+        (Cache.stats (Serve.cache serve)).Cache.hits)
+
 let test_stats_op () =
   with_serve (fun serve ->
       let _, _ = response_json serve (schedule_payload "nop\n") in
@@ -775,4 +922,12 @@ let suite =
     Alcotest.test_case "one domain schedules on the calling domain" `Quick
       test_one_domain_runs_here;
     Alcotest.test_case "-j 1 = -j 2 apart from domains" `Quick
-      test_domains_identical ]
+      test_domains_identical;
+    Alcotest.test_case "frame encoding is the decimal-header format" `Quick
+      test_frame_encode_format;
+    Alcotest.test_case "other spellings miss, answer the same bytes" `Quick
+      test_spellings;
+    Alcotest.test_case "cache counters match the text-keyed cache" `Quick
+      test_counter_parity;
+    Alcotest.test_case "a hit allocates no decode, at any size" `Quick
+      test_hit_allocation ]
