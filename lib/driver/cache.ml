@@ -1,31 +1,78 @@
 (** Bounded LRU result cache addressed by the request bytes, compared
     in full on lookup.  See cache.mli for the contract. *)
 
-(* 64-bit FNV-1a.  The accumulators are local refs no closure captures,
-   so the compiler keeps them unboxed: a hash allocates only its
-   result. *)
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
+(* XXH64 with seed 0, after the xxHash specification
+   (https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md):
+   32-byte stripes into four lanes, then the 8-, 4- and 1-byte tails
+   and the final avalanche.  Every accumulator is a local ref no closure
+   captures and every helper is inlined, so the compiler keeps them
+   unboxed: a hash allocates only its result. *)
+let prime1 = 0x9E3779B185EBCA87L
+let prime2 = 0xC2B2AE3D27D4EB4FL
+let prime3 = 0x165667B19E3779F9L
+let prime4 = 0x85EBCA77C2B2AE63L
+let prime5 = 0x27D4EB2F165667C5L
 
-let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
+let[@inline] rotl x r =
+  Int64.logor (Int64.shift_left x r) (Int64.shift_right_logical x (64 - r))
+
+let[@inline] round acc lane =
+  Int64.mul (rotl (Int64.add acc (Int64.mul lane prime2)) 31) prime1
+
+let[@inline] merge acc v =
+  Int64.add (Int64.mul (Int64.logxor acc (round 0L v)) prime1) prime4
 
 let hash s =
-  let h = ref fnv_offset in
-  for i = 0 to String.length s - 1 do
-    h := fnv_byte !h (Char.code (String.unsafe_get s i))
+  let len = String.length s in
+  let p = ref 0 in
+  let acc = ref 0L in
+  if len >= 32 then begin
+    let v1 = ref (Int64.add prime1 prime2) in
+    let v2 = ref prime2 in
+    let v3 = ref 0L in
+    let v4 = ref (Int64.neg prime1) in
+    while !p <= len - 32 do
+      v1 := round !v1 (String.get_int64_le s !p);
+      v2 := round !v2 (String.get_int64_le s (!p + 8));
+      v3 := round !v3 (String.get_int64_le s (!p + 16));
+      v4 := round !v4 (String.get_int64_le s (!p + 24));
+      p := !p + 32
+    done;
+    acc :=
+      Int64.add
+        (Int64.add (rotl !v1 1) (rotl !v2 7))
+        (Int64.add (rotl !v3 12) (rotl !v4 18));
+    acc := merge !acc !v1;
+    acc := merge !acc !v2;
+    acc := merge !acc !v3;
+    acc := merge !acc !v4
+  end
+  else acc := prime5;
+  acc := Int64.add !acc (Int64.of_int len);
+  while !p <= len - 8 do
+    acc := Int64.logxor !acc (round 0L (String.get_int64_le s !p));
+    acc := Int64.add (Int64.mul (rotl !acc 27) prime1) prime4;
+    p := !p + 8
   done;
-  !h
-
-let hash_seed = fnv_offset
-
-let hash_fold_int64 h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    h :=
-      fnv_byte !h
-        (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
+  if !p <= len - 4 then begin
+    let lane =
+      Int64.logand (Int64.of_int32 (String.get_int32_le s !p)) 0xFFFFFFFFL
+    in
+    acc := Int64.logxor !acc (Int64.mul lane prime1);
+    acc := Int64.add (Int64.mul (rotl !acc 23) prime2) prime3;
+    p := !p + 4
+  end;
+  while !p < len do
+    let lane = Int64.of_int (Char.code (String.unsafe_get s !p)) in
+    acc := Int64.logxor !acc (Int64.mul lane prime5);
+    acc := Int64.mul (rotl !acc 11) prime1;
+    incr p
   done;
-  !h
+  acc := Int64.logxor !acc (Int64.shift_right_logical !acc 33);
+  acc := Int64.mul !acc prime2;
+  acc := Int64.logxor !acc (Int64.shift_right_logical !acc 29);
+  acc := Int64.mul !acc prime3;
+  Int64.logxor !acc (Int64.shift_right_logical !acc 32)
 
 let entry_overhead = 64
 
@@ -38,7 +85,7 @@ type entry = {
   mutable next : entry option;  (* toward LRU *)
 }
 
-(* the FNV bits are already mixed: the address is its own hash *)
+(* the XXH64 bits are already mixed: the address is its own hash *)
 module Tbl = Hashtbl.Make (struct
   type t = int
 

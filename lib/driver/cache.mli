@@ -7,13 +7,13 @@
     bytes of its response.  A serve response is a pure function of the
     request bytes (and the daemon's domain count, fixed for its life),
     so the request bytes are the whole key: nothing is decoded to look
-    one up.  The 64-bit FNV-1a hash of the request ({!hash}) addresses
-    the table.  Collision safety is by construction, not by
-    probability: every entry stores the {e entire} request, and a
-    lookup compares it byte-for-byte before serving, so no hash
-    collision can ever return a wrong response.  A same-address entry
-    whose request differs is a miss, and the {!put} that follows
-    replaces it.
+    one up.  The XXH64 hash of the request ({!hash}) addresses the
+    table: one word-at-a-time pass over the bytes.  Collision safety is
+    by construction, not by probability: every entry stores the
+    {e entire} request, and a lookup compares it byte-for-byte before
+    serving, so no hash collision can ever return a wrong response.  A
+    same-address entry whose request differs is a miss, and the {!put}
+    that follows replaces it.
 
     {b Bounds.}  The cache holds at most [max_entries] entries and
     [max_bytes] bytes (request + response + a fixed per-entry
@@ -36,16 +36,10 @@
     Not thread-safe: the serve daemon services requests sequentially
     (its concurrency lives inside the request, on the domain pool). *)
 
-(** 64-bit FNV-1a over a string: the cache's address. *)
+(** XXH64 with seed 0 over a string: the cache's address.  Matches the
+    xxHash specification's published test vectors; allocates only its
+    boxed result. *)
 val hash : string -> int64
-
-(** The FNV-1a offset basis — the seed for incremental hashing. *)
-val hash_seed : int64
-
-(** [hash_fold_int64 h v] folds the 8 little-endian bytes of [v] into
-    [h] — how serve combines per-block {!Ds_dag.Dag.fingerprint}s into
-    one request-level fingerprint. *)
-val hash_fold_int64 : int64 -> int64 -> int64
 
 (** Fixed accounting overhead charged per entry on top of request and
     response bytes. *)

@@ -141,6 +141,23 @@ let error_response ?id kind message =
 
 let fingerprint_hex fp = Printf.sprintf "%016Lx" fp
 
+(* The request fingerprint is a 64-bit FNV-1a fold of the per-block
+   fingerprints.  It is part of the response bytes, so it stays FNV-1a
+   whatever hash addresses the cache.  The accumulator is a local ref no
+   closure captures: a fold allocates only its result. *)
+let fingerprint_seed = 0xcbf29ce484222325L
+
+let fold_fingerprint h v =
+  let h = ref h in
+  for i = 0 to 7 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h
+           (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
+        0x100000001b3L
+  done;
+  !h
+
 let result_to_json (r : Batch.result) =
   Json.Obj
     [ ("block_id", Json.Int r.Batch.block_id);
@@ -399,8 +416,8 @@ let schedule_cold t ~text ~builder ~strategy ~model =
       let fingerprint =
         List.fold_left
           (fun h (r : Batch.result) ->
-            Cache.hash_fold_int64 h r.Batch.fingerprint)
-          Cache.hash_seed results
+            fold_fingerprint h r.Batch.fingerprint)
+          fingerprint_seed results
       in
       let report =
         { (Batch.report ~domains:t.domains ~wall_s:0.0 results) with

@@ -63,6 +63,16 @@ val request_of_json :
 
 val request_to_json : request -> Ds_obs.Json.t
 
+(** The FNV-1a offset basis — the seed of a request fingerprint. *)
+val fingerprint_seed : int64
+
+(** [fold_fingerprint h v] folds the 8 little-endian bytes of [v] into
+    [h] with 64-bit FNV-1a.  A schedule response's top-level
+    ["fingerprint"] is the fold of every block's
+    {!Ds_dag.Dag.fingerprint}, in block order, from
+    {!fingerprint_seed}. *)
+val fold_fingerprint : int64 -> int64 -> int64
+
 (** Error kinds a response can carry:
     ["parse"] (request JSON does not parse),
     ["bad-request"] (request shape/fields),

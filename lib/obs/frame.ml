@@ -8,16 +8,9 @@ let default_max_bytes = 16 * 1024 * 1024
    header malformed (a peer streaming garbage must not grow our buffer) *)
 let max_header_digits = 20
 
-(* one allocation and two blits: Printf would copy the payload through
-   its own buffer first *)
-let encode s =
-  let header = string_of_int (String.length s) in
-  let h = String.length header in
-  let framed = Bytes.create (h + 1 + String.length s) in
-  Bytes.blit_string header 0 framed 0 h;
-  Bytes.set framed h '\n';
-  Bytes.blit_string s 0 framed (h + 1) (String.length s);
-  Bytes.unsafe_to_string framed
+let header n = string_of_int n ^ "\n"
+
+let encode s = header (String.length s) ^ s
 
 let rec write_all fd buf pos len =
   if len > 0 then begin
@@ -25,9 +18,13 @@ let rec write_all fd buf pos len =
     write_all fd buf (pos + n) (len - n)
   end
 
+(* the header, then the payload straight from the caller's string:
+   framing a payload first would copy it, on the major heap once it is
+   past 2 KiB *)
 let write fd s =
-  let framed = encode s in
-  write_all fd framed 0 (String.length framed)
+  let h = header (String.length s) in
+  write_all fd h 0 (String.length h);
+  write_all fd s 0 (String.length s)
 
 type error =
   | Closed

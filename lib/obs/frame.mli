@@ -19,9 +19,10 @@
     boundary cannot be trusted). *)
 val default_max_bytes : int
 
-(** [write fd s] writes the header and payload, looping over partial
-    writes.  Raises [Unix.Unix_error] on a broken pipe or closed peer —
-    callers own the connection lifecycle. *)
+(** [write fd s] writes the header, then the payload straight from [s]
+    (no framed copy), looping over partial writes: the bytes on the wire
+    are exactly {!encode}[ s].  Raises [Unix.Unix_error] on a broken
+    pipe or closed peer — callers own the connection lifecycle. *)
 val write : Unix.file_descr -> string -> unit
 
 type error =
@@ -48,7 +49,7 @@ val reader : Unix.file_descr -> reader
     cannot be trusted.  After any [Error] the reader must be discarded. *)
 val read : ?max_bytes:int -> reader -> (string, error) result
 
-(** [roundtrip s] is the frame encoding of [s] as bytes — header plus
-    payload, exactly what {!write} puts on the wire (for tests and for
-    hand-rolled clients). *)
+(** [encode s] is the frame encoding of [s] as bytes — header plus
+    payload, exactly what {!write} puts on the wire: the format's
+    definition (for tests and for hand-rolled clients). *)
 val encode : string -> string
