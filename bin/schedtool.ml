@@ -302,7 +302,7 @@ let explain_tables () =
    figures no single span can own (promotion, major allocation,
    collections, heap high-water). *)
 let gc_totals () =
-  let s = Gc.quick_stat () in
+  let s = Trace.gc_totals () in
   Printf.sprintf
     "gc: %.2f promoted Mw, %.2f major Mw, %d minor / %d major collections, \
      top heap %.2f Mw\n"

@@ -115,6 +115,27 @@ let all =
     Fba; Fbe; Fbne; Fbg; Fbl; Fbge; Fble;
     Call; Jmpl; Ret; Save; Restore; Nop ]
 
+(* Dense index, [all]'s order: per-opcode tables are read at it.  Inlined,
+   it compiles to the constructor's own number. *)
+let[@inline] index = function
+  | Add -> 0 | Sub -> 1 | And -> 2 | Or -> 3 | Xor -> 4 | Andn -> 5
+  | Orn -> 6 | Xnor -> 7 | Sll -> 8 | Srl -> 9 | Sra -> 10 | Addcc -> 11
+  | Subcc -> 12 | Andcc -> 13 | Orcc -> 14 | Smul -> 15 | Umul -> 16
+  | Sdiv -> 17 | Udiv -> 18 | Sethi -> 19 | Mov -> 20 | Cmp -> 21 | Ld -> 22
+  | Ldd -> 23 | Ldub -> 24 | Ldsb -> 25 | Lduh -> 26 | Ldsh -> 27
+  | Ldf -> 28 | Lddf -> 29 | St -> 30 | Std -> 31 | Stb -> 32 | Sth -> 33
+  | Stf -> 34 | Stdf -> 35 | Fadds -> 36 | Faddd -> 37 | Fsubs -> 38
+  | Fsubd -> 39 | Fmuls -> 40 | Fmuld -> 41 | Fdivs -> 42 | Fdivd -> 43
+  | Fsqrts -> 44 | Fsqrtd -> 45 | Fmovs -> 46 | Fnegs -> 47 | Fabss -> 48
+  | Fcmps -> 49 | Fcmpd -> 50 | Fitos -> 51 | Fitod -> 52 | Fstoi -> 53
+  | Fdtoi -> 54 | Fstod -> 55 | Fdtos -> 56 | Ba -> 57 | Bn -> 58 | Be -> 59
+  | Bne -> 60 | Bg -> 61 | Ble -> 62 | Bge -> 63 | Bl -> 64 | Bgu -> 65
+  | Bleu -> 66 | Bcs -> 67 | Bcc_ -> 68 | Fba -> 69 | Fbe -> 70 | Fbne -> 71
+  | Fbg -> 72 | Fbl -> 73 | Fbge -> 74 | Fble -> 75 | Call -> 76
+  | Jmpl -> 77 | Ret -> 78 | Save -> 79 | Restore -> 80 | Nop -> 81
+
+let count = List.length all
+
 let to_string = function
   | Add -> "add" | Sub -> "sub" | And -> "and" | Or -> "or" | Xor -> "xor"
   | Andn -> "andn" | Orn -> "orn" | Xnor -> "xnor"

@@ -59,6 +59,12 @@ val alters_window : t -> bool
 
 val all : t list
 
+(** Dense index: [all]'s opcodes are [0 .. count - 1] in order.  The
+    machine models' per-opcode tables are read at it. *)
+val index : t -> int
+
+val count : int
+
 val to_string : t -> string
 
 (** [of_sub s pos len] is the opcode named by the [len] bytes of [s] at

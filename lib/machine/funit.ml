@@ -30,9 +30,9 @@ let to_string = function
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
-(** Unit an instruction executes on, by opcode class. *)
-let of_insn (insn : Ds_isa.Insn.t) =
-  match Ds_isa.Opcode.cls insn.op with
+(* Unit an opcode executes on, by class *)
+let of_op op =
+  match Ds_isa.Opcode.cls op with
   | Ds_isa.Opcode.C_ialu -> Iu
   | Ds_isa.Opcode.C_imul | Ds_isa.Opcode.C_idiv -> Mdu
   | Ds_isa.Opcode.C_load | Ds_isa.Opcode.C_store -> Lsu
@@ -41,3 +41,12 @@ let of_insn (insn : Ds_isa.Insn.t) =
   | Ds_isa.Opcode.C_fpdiv -> Fpd
   | Ds_isa.Opcode.C_branch | Ds_isa.Opcode.C_call -> Bru
   | Ds_isa.Opcode.C_window | Ds_isa.Opcode.C_nop -> Iu
+
+(* [of_op] per opcode, read at [Opcode.index] *)
+let by_opcode =
+  let t = Array.make Ds_isa.Opcode.count Iu in
+  List.iter (fun op -> t.(Ds_isa.Opcode.index op) <- of_op op) Ds_isa.Opcode.all;
+  t
+
+(** Unit an instruction executes on, by opcode class. *)
+let of_insn (insn : Ds_isa.Insn.t) = by_opcode.(Ds_isa.Opcode.index insn.op)

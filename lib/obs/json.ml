@@ -43,10 +43,24 @@ let escape buf s =
       | c -> Buffer.add_char buf c)
     s
 
+(* [string_of_int]'s digits, written straight into [buf].  They come
+   off the value negated, [n <= 0], so [min_int] needs no special case:
+   [n mod 10] is then in [-9, 0]. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f -> Buffer.add_string buf (float_repr f)
   | String s ->
       Buffer.add_char buf '"';

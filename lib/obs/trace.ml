@@ -219,3 +219,7 @@ let summary spans =
   Hashtbl.fold (fun _ st acc -> st :: acc) tbl []
   |> List.sort (fun a b ->
          compare (b.total_us, a.phase) (a.total_us, b.phase))
+
+let gc_totals () =
+  Gc.minor ();
+  Gc.quick_stat ()

@@ -98,3 +98,10 @@ type phase_stat = {
 (** Aggregate spans by name, sorted by descending total duration (ties
     by name) — the data behind the [--trace] stderr phases table. *)
 val summary : span list -> phase_stat list
+
+(** The process's GC counters for the [--trace] totals line.  A minor
+    collection first makes every domain publish its counts, so major
+    words include those a domain allocated directly on the major heap
+    since its last minor collection, which [Gc.quick_stat] alone misses
+    on OCaml 5.1. *)
+val gc_totals : unit -> Gc.stat

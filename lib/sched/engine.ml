@@ -82,25 +82,31 @@ let pick_winnowing direction keys ~annot ~st cand vals m =
   in
   narrow m keys
 
-(* Priority function: rank-weighted sum of signed values; earlier ranks
-   dominate by an order of magnitude. *)
-let priority keys ~annot ~st i =
+(* Priority-function rank weights: of [n] keys, rank [r] (from 1) weighs
+   10^(n - r), so earlier ranks dominate by an order of magnitude.
+   They are computed once per block (per call of [pick]), not per
+   candidate. *)
+let weights keys =
   let nkeys = List.length keys in
-  let rec sum acc rank = function
+  Array.init nkeys (fun r -> int_of_float (10.0 ** float_of_int (nkeys - r - 1)))
+
+(* Priority function: rank-weighted sum of signed values. *)
+let priority keys weights ~annot ~st i =
+  let rec sum acc r = function
     | [] -> acc
     | k :: rest ->
-        let weight = int_of_float (10.0 ** float_of_int (nkeys - rank)) in
-        sum (acc + (weight * signed_value k ~annot ~st i)) (rank + 1) rest
+        sum (acc + (weights.(r) * signed_value k ~annot ~st i)) (r + 1) rest
   in
-  sum 0 1 keys
+  sum 0 0 keys
 
 (* The full top-priority tie set, so the tracer can tell when the
    program-order fallback fired. *)
 let priority_best keys ~annot ~st candidates =
+  let weights = weights keys in
   let best = ref [] and best_p = ref min_int in
   List.iter
     (fun i ->
-      let p = priority keys ~annot ~st i in
+      let p = priority keys weights ~annot ~st i in
       if p > !best_p then begin
         best := [ i ];
         best_p := p
@@ -111,12 +117,12 @@ let priority_best keys ~annot ~st candidates =
 
 (* The program-order winner of the top-priority set over the first [m]
    (>= 1) entries of [cand]. *)
-let pick_priority direction keys ~annot ~st cand m =
+let pick_priority direction keys weights ~annot ~st cand m =
   let best = ref cand.(0) in
-  let best_p = ref (priority keys ~annot ~st cand.(0)) in
+  let best_p = ref (priority keys weights ~annot ~st cand.(0)) in
   for j = 1 to m - 1 do
     let i = cand.(j) in
-    let p = priority keys ~annot ~st i in
+    let p = priority keys weights ~annot ~st i in
     if p > !best_p then begin
       best := i;
       best_p := p
@@ -280,11 +286,18 @@ let explain_record cell ~ncand ~trail ~forced ~tie_break ~overruled =
    the explain registry is live the trail is computed so the decision's
    shape can be recorded; otherwise this is one atomic read on top of
    the bare winnowing/priority pick. *)
-let bare_pick config ~annot ~st cand vals m =
+let bare_pick config weights ~annot ~st cand vals m =
   match config.mode with
   | Winnowing ->
       pick_winnowing config.direction config.keys ~annot ~st cand vals m
-  | Priority_fn -> pick_priority config.direction config.keys ~annot ~st cand m
+  | Priority_fn ->
+      pick_priority config.direction config.keys weights ~annot ~st cand m
+
+(* a config's priority weights, none for winnowing *)
+let config_weights config =
+  match config.mode with
+  | Winnowing -> [||]
+  | Priority_fn -> weights config.keys
 
 let pick config ~annot ~st candidates =
   match candidates with
@@ -297,7 +310,8 @@ let pick config ~annot ~st candidates =
       if not (Ds_obs.Explain.enabled ()) then begin
         let cand = Array.of_list candidates in
         let m = Array.length cand in
-        bare_pick config ~annot ~st cand (Array.make m 0) m
+        bare_pick config (config_weights config) ~annot ~st cand
+          (Array.make m 0) m
       end
       else begin
         let trail, chosen, tie_break, overruled =
@@ -317,10 +331,11 @@ let stall_counter = Ds_obs.Metrics.counter "sched.stall_cycles"
 (* Choose among the [m] ready candidates [ready.(0 .. m-1)] (list
    order).  The candidates become a list only for a recorder or the
    decisiveness registry; otherwise the pick runs over the array. *)
-let pick_ready ?recorder config ~annot ~st expl ready vals m =
+let pick_ready ?recorder config weights ~annot ~st expl ready vals m =
   match (recorder, expl) with
   | None, None ->
-      if m = 1 then ready.(0) else bare_pick config ~annot ~st ready vals m
+      if m = 1 then ready.(0)
+      else bare_pick config weights ~annot ~st ready vals m
   | None, Some cell ->
       if m = 1 then begin
         Ds_obs.Explain.record cell ~candidates:1 ~survivor_counts:[]
@@ -374,6 +389,7 @@ let run_impl ?seed ?recorder config ~annot dag =
     in
     (* the ready candidates in list order, and pick scratch *)
     let ready = Array.make n 0 and vals = Array.make n 0 in
+    let weights = config_weights config in
     (* metrics/trace bookkeeping is resolved once per block; the common
        (disabled) path costs two atomic reads per run_impl call; only
        tracing reads the clock around each pick *)
@@ -408,11 +424,13 @@ let run_impl ?seed ?recorder config ~annot dag =
       else begin
         let chosen =
           if not trace_on then
-            pick_ready ?recorder config ~annot ~st expl ready vals m
+            pick_ready ?recorder config weights ~annot ~st expl ready vals m
           else begin
             let t0 = Ds_obs.Clock.now () in
             if !picks = 0 then pick_first := t0;
-            let c = pick_ready ?recorder config ~annot ~st expl ready vals m in
+            let c =
+              pick_ready ?recorder config weights ~annot ~st expl ready vals m
+            in
             pick_total := !pick_total +. Ds_obs.Clock.since t0;
             incr picks;
             c

@@ -115,6 +115,21 @@ cat "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/both.s"
 aggregate "$TMP/both.json" > "$TMP/aggboth"
 cmp -s "$TMP/agg1" "$TMP/aggboth" || fail "two-file batch != concatenated batch"
 
+# every latency model's totals over grep + linpack, pinned: arcs,
+# original cycles, scheduled cycles, stalls (the benchmark runs only
+# simple_risc, so this is what holds the other three models' timing)
+for pinned in "simple_risc 9158 5899 5409 107" "deep_fp 9158 7623 6907 939" \
+              "asymmetric_bypass 9158 7040 6280 659" \
+              "unit_latency 9158 5130 5130 0"; do
+  set -- $pinned
+  got=$("$TOOL" batch -q -m "$1" --json - "$TMP/grep.s" "$TMP/linpack.s" \
+    2>/dev/null | tr ',' '\n' \
+    | grep -E '"(arcs|original_cycles|scheduled_cycles|stalls)"' \
+    | sed 's/.*: //' | tr '\n' ' ')
+  [ "$got" = "$2 $3 $4 $5 " ] \
+    || fail "batch -m $1 totals: got '$got', want '$2 $3 $4 $5'"
+done
+
 "$TOOL" batch --jobs 1 "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/mj1.out" \
   2>/dev/null || fail "two-file batch --jobs 1 failed"
 "$TOOL" batch --jobs 2 "$TMP/grep.s" "$TMP/linpack.s" > "$TMP/mj2.out" \

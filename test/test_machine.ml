@@ -171,6 +171,60 @@ let test_funit_mapping () =
     (fun u -> check_bool "index round trip" true (Funit.of_index (Funit.index u) = u))
     Funit.all
 
+(* The table-driven models against the match-based ones they replaced:
+   every model, parent and child opcode (so store and non-store
+   children), definition and use position. *)
+let test_tables_match_legacy () =
+  let res = Resource.R (Reg.float 0) in
+  let insns = List.map (fun op -> Insn.make op []) Opcode.all in
+  List.iter2
+    (fun (m : Latency.t) (l : Latency.t) ->
+      check_string "model order" l.Latency.name m.Latency.name;
+      List.iter
+        (fun parent ->
+          let op (i : Insn.t) = Opcode.to_string i.Insn.op in
+          let what f = Printf.sprintf "%s %s %s" m.Latency.name f (op parent) in
+          check_int (what "exec_time") (l.Latency.exec_time parent)
+            (m.Latency.exec_time parent);
+          check_int (what "fp_busy") (l.Latency.fp_busy parent)
+            (m.Latency.fp_busy parent);
+          List.iter
+            (fun child ->
+              let what f =
+                Printf.sprintf "%s %s %s -> %s" m.Latency.name f (op parent)
+                  (op child)
+              in
+              check_int (what "war") (l.Latency.war ~parent ~res ~child)
+                (m.Latency.war ~parent ~res ~child);
+              check_int (what "waw") (l.Latency.waw ~parent ~res ~child)
+                (m.Latency.waw ~parent ~res ~child);
+              List.iter
+                (fun def_pos ->
+                  List.iter
+                    (fun use_pos ->
+                      let raw (x : Latency.t) =
+                        x.Latency.raw ~parent ~def_pos ~res ~child ~use_pos
+                      in
+                      check_int
+                        (what (Printf.sprintf "raw def %d use %d" def_pos use_pos))
+                        (raw l) (raw m))
+                    [ 0; 1; 2 ])
+                [ 0; 1 ])
+            insns)
+        insns)
+    Latency.all_models Latency_legacy.all_models;
+  List.iter
+    (fun insn ->
+      check_bool
+        ("funit " ^ Opcode.to_string insn.Insn.op)
+        true
+        (Funit.of_insn insn = Latency_legacy.funit_of_insn insn))
+    insns;
+  check_int "count" (List.length Opcode.all) Opcode.count;
+  List.iteri
+    (fun k op -> check_int ("index " ^ Opcode.to_string op) k (Opcode.index op))
+    Opcode.all
+
 let suite =
   [ quick "exec times deep_fp" test_exec_times_deep_fp;
     quick "WAR is short" test_war_is_short;
@@ -189,4 +243,5 @@ let suite =
     quick "reservation independent units" test_reservation_independent_units;
     quick "reservation earliest" test_reservation_respects_earliest;
     quick "reservation usage_of" test_reservation_usage_of;
-    quick "funit mapping" test_funit_mapping ]
+    quick "funit mapping" test_funit_mapping;
+    quick "tables match legacy models" test_tables_match_legacy ]

@@ -169,6 +169,28 @@ let test_trace_span_minor_words () =
   | Some p -> check_int "summary sums the charge" (words "alloc") p.Trace.minor_words
   | None -> Alcotest.fail "no alloc phase"
 
+(* A 64 KiB [^] goes straight to the calling domain's major heap:
+   8,194 words (8,192 of bytes, a header word, a padding word).  Plain
+   [Gc.quick_stat] read 0 of them on OCaml 5.1; the totals must see them
+   all.  Promotion by the collections themselves is excluded.  In the
+   full suite the first reading sometimes carries ~4,400 more words from
+   elsewhere in the process (earlier tests' domains); such words only
+   add, so the least of a few readings is the [^] alone. *)
+let test_trace_gc_totals_major () =
+  let half = Sys.opaque_identity (String.make 32768 'a') in
+  let direct (s : Gc.stat) = s.Gc.major_words -. s.Gc.promoted_words in
+  let reading () =
+    let s0 = Trace.gc_totals () in
+    let whole = Sys.opaque_identity (half ^ half) in
+    let s1 = Trace.gc_totals () in
+    check_int "64 KiB string" 65536 (String.length whole);
+    int_of_float (direct s1 -. direct s0)
+  in
+  let rec least k best =
+    if k = 0 || best = 8194 then best else least (k - 1) (min best (reading ()))
+  in
+  check_int "direct major words" 8194 (least 10 max_int)
+
 let test_trace_metadata_skipped () =
   with_obs @@ fun () ->
   Trace.record ~cat:"t" ~name:"work" ~start_s:1.0 ~stop_s:2.0 ();
@@ -974,4 +996,5 @@ let suite =
       test_explain_decision_adversarial;
     quick "explain: stats round trip" test_explain_stats_roundtrip;
     quick "explain: never consulted" test_explain_never_consulted;
-    quick "explain: stats adversarial decode" test_explain_stats_adversarial ]
+    quick "explain: stats adversarial decode" test_explain_stats_adversarial;
+    quick "trace: GC totals count direct major words" test_trace_gc_totals_major ]

@@ -686,13 +686,14 @@ let test_hit_allocation () =
           Alcotest.(check int) "payload size" size (String.length payload);
           let cold = Serve.handle_text serve payload in
           ignore (Serve.handle_text serve payload);
-          Gc.minor ();
-          let q0 = Gc.quick_stat () in
+          (* [Gc.counters], not [Gc.quick_stat]: on OCaml 5.1 the
+             latter misses this domain's direct major allocations *)
+          let major () = let _, _, m = Gc.counters () in m in
+          let major0 = major () in
           let m0 = Gc.minor_words () in
           let warm = Serve.handle_text serve payload in
           let minor = Gc.minor_words () -. m0 in
-          let q1 = Gc.quick_stat () in
-          let major = q1.Gc.major_words -. q0.Gc.major_words in
+          let major = major () -. major0 in
           Alcotest.(check string) "the cold response" cold warm;
           if minor > 200.0 || major > 0.0 then
             Alcotest.failf

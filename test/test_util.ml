@@ -463,6 +463,21 @@ let test_json_negative_zero () =
   | Ok _ -> Alcotest.fail "-0.0 did not parse as a float"
   | Error msg -> Alcotest.failf "-0.0 does not parse: %s" msg
 
+(* [Int]s are written digit by digit: the text is [string_of_int]'s,
+   at the extremes and on random values of every magnitude. *)
+let test_json_ints () =
+  let rng = Random.State.make [| 24 |] in
+  let random () =
+    let bits = Random.State.bits64 rng in
+    Int64.to_int (Int64.shift_right bits (Random.State.int rng 64))
+  in
+  List.iter
+    (fun i ->
+      check_string (string_of_int i) (string_of_int i)
+        (Stats.Json.to_string (Stats.Json.Int i)))
+    ([ 0; -1; 1; 9; 10; -9; -10; max_int; min_int; max_int - 1; min_int + 1 ]
+    @ List.init 2000 (fun _ -> random ()))
+
 let test_json_parse_errors () =
   List.iter
     (fun s ->
@@ -607,4 +622,5 @@ let suite =
       test_json_strings_every_byte;
     quick "json escapes match the yardstick" test_json_escapes;
     quick "json request prefixes match the yardstick"
-      test_json_request_prefixes ]
+      test_json_request_prefixes;
+    quick "json ints spelled as string_of_int" test_json_ints ]
