@@ -177,9 +177,11 @@ let log_arg =
     & opt (some log_path_conv) None
     & info [ "log" ] ~docv:"FILE"
         ~doc:"Write structured JSONL events (one object per line) to \
-              $(docv), truncating it first: heartbeats and diagnostics.  \
-              The file is written through on every event (O_APPEND, no \
-              buffering), so it survives crashes and kills.")
+              $(docv), truncating it first: heartbeats and diagnostics; \
+              at $(b,--log-level debug) a $(b,serve) daemon adds one \
+              $(i,request) event per request.  The file is written \
+              through on every event (O_APPEND, no buffering), so it \
+              survives crashes and kills.")
 
 let log_level_conv =
   let parse s =
@@ -227,12 +229,11 @@ let obs_term ~explain =
     $ (if explain then explain_arg else const false)
     $ log_arg $ log_level_arg $ progress_arg)
 
-(* --trace also turns the metrics registry on (a traced serve daemon's
-   metrics op reports it); only --metrics prints the registry on
-   stderr.  --progress echoes this process's heartbeats on stderr. *)
+(* --metrics turns the registry on and prints it on stderr at exit.
+   --progress echoes this process's heartbeats on stderr. *)
 let obs_enable o =
   if o.trace <> None then Trace.enable ();
-  if o.metrics || o.trace <> None then Metrics.enable ();
+  if o.metrics then Metrics.enable ();
   if o.explain then Explain.enable ();
   if o.progress then Log.set_heartbeat ~echo:true ~interval_s:0.5 ();
   (match (o.log_level, o.log) with
@@ -725,7 +726,7 @@ let socket_arg =
 
 let serve_cmd =
   let run socket jobs cache_entries cache_bytes max_frame timeout backlog
-      access_log no_service_obs obs =
+      obs =
     obs_enable obs;
     let d = Serve.default_options in
     let options =
@@ -734,9 +735,7 @@ let serve_cmd =
         max_bytes = (if cache_bytes <= 0 then d.Serve.max_bytes else cache_bytes);
         max_frame = (if max_frame <= 0 then d.Serve.max_frame else max_frame);
         read_timeout_s = (if timeout <= 0.0 then d.Serve.read_timeout_s else timeout);
-        backlog = (if backlog <= 0 then d.Serve.backlog else backlog);
-        service_obs = not no_service_obs;
-        access_log }
+        backlog = (if backlog <= 0 then d.Serve.backlog else backlog) }
     in
     let code = Serve.run ~options ~socket () in
     obs_finish obs;
@@ -783,25 +782,6 @@ let serve_cmd =
           ~doc:"listen(2) backlog — how many clients may queue (0 or \
                 absent: 128).")
   in
-  let access_log =
-    (* socket_conv is just the nonempty-path check; an empty path is a
-       flag error (124), an unopenable one is I/O (125, from run) *)
-    Arg.(
-      value
-      & opt (some socket_conv) None
-      & info [ "access-log" ] ~docv:"FILE"
-          ~doc:"Write one JSONL access-log line per request (id, op, \
-                cache hit/miss, bytes in/out, duration, outcome); the \
-                file is truncated at daemon start.")
-  in
-  let no_service_obs =
-    Arg.(
-      value & flag
-      & info [ "no-service-obs" ]
-          ~doc:"Disable windowed request metrics (the $(b,metrics) op \
-                then answers empty windows).  Response bytes are \
-                identical either way.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -814,65 +794,34 @@ let serve_cmd =
           exits 130.")
     Term.(
       const run $ socket_arg $ jobs $ cache_entries $ cache_bytes
-      $ max_frame $ timeout $ backlog $ access_log $ no_service_obs
-      $ obs_term ~explain:false)
-
-(* one metrics-op exchange, decoded: shared by `client --metrics-text`
-   and `top`.  Exit taxonomy: 125 unreachable, 1 typed error answer,
-   2 undecodable response. *)
-let fetch_metrics ~who ~socket =
-  let payload = Json.to_string (Serve.request_to_json Serve.Metrics) in
-  match Serve.request_once ~socket payload with
-  | Error msg ->
-      Printf.eprintf "%s error: %s\n" who msg;
-      exit 125
-  | Ok response -> (
-      match Json.of_string response with
-      | Ok json when Json.member "status" json = Some (Json.String "error") ->
-          print_endline response;
-          exit 1
-      | Ok json -> (
-          match Serve.metrics_of_json json with
-          | Ok m -> m
-          | Error e ->
-              Printf.eprintf "%s error: bad metrics response: %s\n" who
-                (Json.error_to_string e);
-              exit 2)
-      | Error msg ->
-          Printf.eprintf "%s error: unparseable response: %s\n" who msg;
-          exit 2)
+      $ max_frame $ timeout $ backlog $ obs_term ~explain:false)
 
 let client_cmd =
-  let run socket ping stats metrics metrics_text raw alg model strategy file =
-    if metrics_text then
-      print_string
-        (Serve.prometheus_of_metrics (fetch_metrics ~who:"client" ~socket))
-    else
-      let payload =
-        if raw then read_input file
-        else
-          Json.to_string
-            (Serve.request_to_json
-               (if ping then Serve.Ping
-                else if stats then Serve.Stats
-                else if metrics then Serve.Metrics
-                else
-                  Serve.Schedule
-                    { text = read_input file; builder = alg; strategy; model }))
-      in
-      match Serve.request_once ~socket payload with
-      | Error msg ->
-          Printf.eprintf "client error: %s\n" msg;
-          exit 125
-      | Ok response -> (
-          print_endline response;
-          (* a typed error answer is a request failure: exit 1 so scripts
-             can tell "scheduled" from "daemon said no" *)
-          match Json.of_string response with
-          | Ok json
-            when Json.member "status" json = Some (Json.String "error") ->
-              exit 1
-          | _ -> ())
+  let run socket ping stats raw alg model strategy file =
+    let payload =
+      if raw then read_input file
+      else
+        Json.to_string
+          (Serve.request_to_json
+             (if ping then Serve.Ping
+              else if stats then Serve.Stats
+              else
+                Serve.Schedule
+                  { text = read_input file; builder = alg; strategy; model }))
+    in
+    match Serve.request_once ~socket payload with
+    | Error msg ->
+        Printf.eprintf "client error: %s\n" msg;
+        exit 125
+    | Ok response -> (
+        print_endline response;
+        (* a typed error answer is a request failure: exit 1 so scripts
+           can tell "scheduled" from "daemon said no" *)
+        match Json.of_string response with
+        | Ok json
+          when Json.member "status" json = Some (Json.String "error") ->
+            exit 1
+        | _ -> ())
   in
   let ping =
     Arg.(
@@ -887,21 +836,6 @@ let client_cmd =
           ~doc:"Ask the daemon for its request and cache counters \
                 (hits, misses, evictions, bytes) instead of scheduling.")
   in
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:"Ask the daemon for its full telemetry snapshot (uptime, \
-                rss, cache gauges, registry, windowed latency stats) as \
-                raw JSON.")
-  in
-  let metrics_text =
-    Arg.(
-      value & flag
-      & info [ "metrics-text" ]
-          ~doc:"Like $(b,--metrics), but render Prometheus/OpenMetrics \
-                text exposition instead of JSON.")
-  in
   let raw =
     Arg.(
       value & flag
@@ -914,116 +848,13 @@ let client_cmd =
        ~doc:
          "Send one request to a running $(b,schedtool serve) daemon and \
           print the JSON response: a schedule request built from an \
-          assembly file (default), $(b,--ping), $(b,--stats), \
-          $(b,--metrics), $(b,--metrics-text) (Prometheus text), or a \
+          assembly file (default), $(b,--ping), $(b,--stats), or a \
           request file sent as it is ($(b,--raw)).  \
           Exits 125 when the daemon is unreachable, 1 when it answers a \
           typed error.")
     Term.(
-      const run $ socket_arg $ ping $ stats $ metrics $ metrics_text $ raw
-      $ builder_arg $ model_arg $ strategy_arg $ file_arg)
-
-(* ------------------------------------------------------------------ *)
-(* top: live terminal dashboard over the metrics op *)
-
-(* top's --interval and --count *)
-let timeout_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some t when Float.is_finite t && t > 0.0 -> Ok t
-    | _ -> Error (`Msg (Printf.sprintf "timeout must be a positive number of seconds, got %S" s))
-  in
-  Arg.conv (parse, fun fmt t -> Format.fprintf fmt "%g" t)
-
-let retries_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some r when r >= 0 -> Ok r
-    | _ -> Error (`Msg (Printf.sprintf "retries must be a non-negative integer, got %S" s))
-  in
-  Arg.conv (parse, fun fmt r -> Format.pp_print_int fmt r)
-
-let top_cmd =
-  let render m =
-    let lookups = m.Serve.cache_hits + m.Serve.cache_misses in
-    let hit_rate =
-      if lookups = 0 then 0.0
-      else 100.0 *. float_of_int m.Serve.cache_hits /. float_of_int lookups
-    in
-    Printf.printf "uptime %.1f s   rss %.1f MB   requests %d\n"
-      m.Serve.uptime_s
-      (float_of_int m.Serve.rss_kb /. 1024.0)
-      m.Serve.requests;
-    Printf.printf
-      "cache: %d/%d entries   %.2f/%.2f MB   hit rate %.1f%%   evictions \
-       %d   rejects %d\n"
-      m.Serve.cache_entries m.Serve.cache_max_entries
-      (float_of_int m.Serve.cache_bytes /. (1024.0 *. 1024.0))
-      (float_of_int m.Serve.cache_max_bytes /. (1024.0 *. 1024.0))
-      hit_rate m.Serve.cache_evictions m.Serve.cache_rejects;
-    let t =
-      Table.create ~title:"windows"
-        [ "window"; "count"; "req/s"; "errors"; "mean us"; "p50 us";
-          "p95 us"; "p99 us" ]
-    in
-    List.iter
-      (fun (w : Window.stats) ->
-        Table.add_row t
-          [ Printf.sprintf "%gs" w.Window.window_s;
-            string_of_int w.Window.count;
-            Table.fmt_float w.Window.rate;
-            string_of_int w.Window.errors;
-            Table.fmt_float w.Window.mean_us;
-            string_of_int w.Window.p50_us;
-            string_of_int w.Window.p95_us;
-            string_of_int w.Window.p99_us ])
-      m.Serve.windows;
-    Table.print t
-  in
-  let run socket interval count =
-    let tty = try Unix.isatty Unix.stdout with Unix.Unix_error _ -> false in
-    if (not tty) || count = 1 then
-      (* non-TTY (scripts, CI): one table, no redraw loop *)
-      render (fetch_metrics ~who:"top" ~socket)
-    else begin
-      let polls = ref 0 in
-      let remaining () = count <= 0 || !polls < count in
-      while remaining () do
-        let m = fetch_metrics ~who:"top" ~socket in
-        (* clear screen, cursor home — a minimal live dashboard *)
-        print_string "\027[2J\027[H";
-        render m;
-        flush stdout;
-        incr polls;
-        if remaining () then Unix.sleepf interval
-      done
-    end
-  in
-  let interval =
-    Arg.(
-      value
-      & opt timeout_conv 2.0
-      & info [ "n"; "interval" ] ~docv:"S"
-          ~doc:"Seconds between polls (positive; default 2).")
-  in
-  let count =
-    Arg.(
-      value
-      & opt retries_conv 0
-      & info [ "c"; "count" ] ~docv:"N"
-          ~doc:"Stop after N polls (0 or absent: until interrupted; \
-                always a single poll when stdout is not a TTY).")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live dashboard over a running $(b,schedtool serve) daemon: \
-          polls the $(b,metrics) op every $(b,--interval) seconds and \
-          renders requests/s, windowed latency quantiles (1s/10s/60s), \
-          error counts and cache occupancy.  When stdout is not a TTY \
-          it prints one snapshot table and exits.  Exits 125 when the \
-          daemon is unreachable, 1 when it answers a typed error.")
-    Term.(const run $ socket_arg $ interval $ count)
+      const run $ socket_arg $ ping $ stats $ raw $ builder_arg $ model_arg
+      $ strategy_arg $ file_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dot *)
@@ -1527,4 +1358,4 @@ let () =
        (Cmd.group info
           [ gen_cmd; stats_cmd; build_cmd; schedule_cmd; compare_cmd;
             optimal_cmd; chain_cmd; batch_cmd; serve_cmd; client_cmd;
-            top_cmd; dot_cmd; gantt_cmd; explain_cmd ]))
+            dot_cmd; gantt_cmd; explain_cmd ]))

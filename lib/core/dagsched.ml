@@ -50,8 +50,6 @@ module Clock = Ds_obs.Clock
 module Trace = Ds_obs.Trace
 module Metrics = Ds_obs.Metrics
 module Log = Ds_obs.Log
-module Window = Ds_obs.Window
-module Prom = Ds_obs.Prom
 module Frame = Ds_obs.Frame
 module Explain = Ds_obs.Explain
 

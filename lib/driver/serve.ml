@@ -13,7 +13,6 @@ let fail_env = "DAGSCHED_SERVE_FAIL"
 type request =
   | Ping
   | Stats
-  | Metrics
   | Schedule of {
       text : string;
       builder : Ds_dag.Builder.algorithm;
@@ -60,7 +59,6 @@ let request_of_json ?(path = []) json =
       match op with
       | "ping" -> Ok Ping
       | "stats" -> Ok Stats
-      | "metrics" -> Ok Metrics
       | "schedule" ->
           let* text = Json.get_string ~path "block" json in
           let* builder =
@@ -95,7 +93,6 @@ let request_of_json ?(path = []) json =
 let request_to_json = function
   | Ping -> Json.Obj [ ("op", Json.String "ping") ]
   | Stats -> Json.Obj [ ("op", Json.String "stats") ]
-  | Metrics -> Json.Obj [ ("op", Json.String "metrics") ]
   | Schedule { text; builder; strategy; model } ->
       Json.Obj
         [ ("op", Json.String "schedule");
@@ -124,7 +121,7 @@ let error_kind_to_string = function
   | Internal -> "internal"
 
 (* error responses carry the request id for correlation with the
-   access log and trace spans; ok responses never do — a schedule
+   request log line and trace spans; ok responses never do — a schedule
    response is the cache payload and must stay byte-identical across
    requests (and daemon restarts) *)
 let error_response ?id kind message =
@@ -178,11 +175,8 @@ type t = {
   pool : Ds_util.Pool.t option;  (* None: schedule on the calling domain *)
   domains : int;
   cache : Cache.t;
-  start_s : float;
   nonce : string;       (* per-daemon-start half of every request id *)
   mutable seq : int;    (* monotonic half *)
-  window : Ds_obs.Window.t;
-  access : Ds_obs.Log.Sink.t option;
   mutable served : int;
   mutable fail_budget : int;  (* DAGSCHED_SERVE_FAIL=raise:n countdown *)
 }
@@ -196,7 +190,7 @@ let parse_fail_budget () =
           match int_of_string_opt n with Some n -> max 0 n | None -> 0)
       | _ -> 0)
 
-let create ?(domains = 1) ?max_entries ?max_bytes ?access () =
+let create ?(domains = 1) ?max_entries ?max_bytes () =
   let domains = max 1 domains in
   let start_s = Ds_obs.Clock.now () in
   { pool =
@@ -205,22 +199,18 @@ let create ?(domains = 1) ?max_entries ?max_bytes ?access () =
       (if domains > 1 then Some (Ds_util.Pool.create ~domains ()) else None);
     domains;
     cache = Cache.create ?max_entries ?max_bytes ();
-    start_s;
     nonce =
       (* distinct across daemon starts, stable within one: two daemons
          never hand out colliding ids even at the same counter value *)
       Printf.sprintf "%08x"
         (Hashtbl.hash (start_s, Unix.getpid ()) land 0x0fffffff);
     seq = 0;
-    window = Ds_obs.Window.create "serve.request";
-    access;
     served = 0;
     fail_budget = parse_fail_budget () }
 
 let destroy t = Option.iter Ds_util.Pool.shutdown t.pool
 let cache t = t.cache
 let served t = t.served
-let window t = t.window
 
 let next_id t =
   t.seq <- t.seq + 1;
@@ -247,145 +237,6 @@ let stats_response t =
 
 let pong = Json.to_string
     (Json.Obj [ ("status", Json.String "ok"); ("op", Json.String "pong") ])
-
-(* ------------------------------------------------------------------ *)
-(* the metrics op: a full telemetry snapshot, typed both ways so
-   `client --metrics-text` and `schedtool top` decode it *)
-
-type metrics = {
-  uptime_s : float;
-  rss_kb : int;
-  requests : int;
-  cache_entries : int;
-  cache_bytes : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  cache_rejects : int;
-  cache_max_entries : int;
-  cache_max_bytes : int;
-  registry : Ds_obs.Metrics.snapshot;
-  windows : Ds_obs.Window.stats list;
-}
-
-(* the windows every metrics response answers, seconds *)
-let report_windows = [ 1.0; 10.0; 60.0 ]
-
-let metrics_of t =
-  let s = Cache.stats t.cache in
-  { uptime_s = Ds_obs.Clock.since t.start_s;
-    rss_kb = Ds_obs.Log.rss_kb ();
-    requests = t.served;
-    cache_entries = s.Cache.entries;
-    cache_bytes = s.Cache.bytes;
-    cache_hits = s.Cache.hits;
-    cache_misses = s.Cache.misses;
-    cache_evictions = s.Cache.evictions;
-    cache_rejects = s.Cache.rejects;
-    cache_max_entries = Cache.max_entries t.cache;
-    cache_max_bytes = Cache.max_bytes t.cache;
-    registry = Ds_obs.Metrics.snapshot ();
-    windows =
-      List.map
-        (fun w -> Ds_obs.Window.stats t.window ~window_s:w)
-        report_windows }
-
-let metrics_to_json m =
-  Json.Obj
-    [ ("status", Json.String "ok");
-      ("op", Json.String "metrics");
-      ("uptime_s", Json.Float m.uptime_s);
-      ("rss_kb", Json.Int m.rss_kb);
-      ("requests", Json.Int m.requests);
-      ( "cache",
-        Json.Obj
-          [ ("entries", Json.Int m.cache_entries);
-            ("bytes", Json.Int m.cache_bytes);
-            ("hits", Json.Int m.cache_hits);
-            ("misses", Json.Int m.cache_misses);
-            ("evictions", Json.Int m.cache_evictions);
-            ("rejects", Json.Int m.cache_rejects);
-            ("max_entries", Json.Int m.cache_max_entries);
-            ("max_bytes", Json.Int m.cache_max_bytes) ] );
-      ("metrics", Ds_obs.Metrics.snapshot_to_json m.registry);
-      ( "windows",
-        Json.List (List.map Ds_obs.Window.stats_to_json m.windows) ) ]
-
-let metrics_of_json ?(path = []) json =
-  let ( let* ) = Result.bind in
-  let* uptime_s = Json.get_float ~path "uptime_s" json in
-  let* rss_kb = Json.get_int ~path "rss_kb" json in
-  let* requests = Json.get_int ~path "requests" json in
-  let* cache_json = Json.get_field ~path "cache" json in
-  let cpath = path @ [ "cache" ] in
-  let* cache_entries = Json.get_int ~path:cpath "entries" cache_json in
-  let* cache_bytes = Json.get_int ~path:cpath "bytes" cache_json in
-  let* cache_hits = Json.get_int ~path:cpath "hits" cache_json in
-  let* cache_misses = Json.get_int ~path:cpath "misses" cache_json in
-  let* cache_evictions = Json.get_int ~path:cpath "evictions" cache_json in
-  let* cache_rejects = Json.get_int ~path:cpath "rejects" cache_json in
-  let* cache_max_entries = Json.get_int ~path:cpath "max_entries" cache_json in
-  let* cache_max_bytes = Json.get_int ~path:cpath "max_bytes" cache_json in
-  let* registry_json = Json.get_field ~path "metrics" json in
-  let* registry =
-    Ds_obs.Metrics.snapshot_of_json ~path:(path @ [ "metrics" ]) registry_json
-  in
-  let* windows_json = Json.get_field ~path "windows" json in
-  let* windows =
-    match windows_json with
-    | Json.List ws ->
-        let rec go acc i = function
-          | [] -> Ok (List.rev acc)
-          | w :: rest ->
-              let* s =
-                Ds_obs.Window.stats_of_json
-                  ~path:(path @ [ Printf.sprintf "windows[%d]" i ])
-                  w
-              in
-              go (s :: acc) (i + 1) rest
-        in
-        go [] 0 ws
-    | other ->
-        Json.decode_error ~path:(path @ [ "windows" ])
-          (Printf.sprintf "expected a list, found %s" (Json.type_name other))
-  in
-  Ok
-    { uptime_s; rss_kb; requests; cache_entries; cache_bytes; cache_hits;
-      cache_misses; cache_evictions; cache_rejects; cache_max_entries;
-      cache_max_bytes; registry; windows }
-
-let metrics_response t = Json.to_string (metrics_to_json (metrics_of t))
-
-(* cache occupancy and request totals are exposed from the exact
-   always-on stats above; the same events may also live in the gated
-   registry, so drop the duplicates from its rendering *)
-let registry_duplicates =
-  [ "cache.hits"; "cache.misses"; "cache.evictions"; "cache.bytes";
-    "cache.entries"; "serve.requests" ]
-
-let prometheus_of_metrics m =
-  let buf = Buffer.create 4096 in
-  let prefix = "dagsched_" in
-  let module P = Ds_obs.Prom in
-  P.gauge buf ~prefix "uptime_seconds" m.uptime_s;
-  P.gauge buf ~prefix "rss_kilobytes" (float_of_int m.rss_kb);
-  P.counter buf ~prefix "requests" m.requests;
-  P.gauge buf ~prefix "cache_entries" (float_of_int m.cache_entries);
-  P.gauge buf ~prefix "cache_bytes" (float_of_int m.cache_bytes);
-  P.gauge buf ~prefix "cache_entries_limit" (float_of_int m.cache_max_entries);
-  P.gauge buf ~prefix "cache_bytes_limit" (float_of_int m.cache_max_bytes);
-  P.counter buf ~prefix "cache_hits" m.cache_hits;
-  P.counter buf ~prefix "cache_misses" m.cache_misses;
-  P.counter buf ~prefix "cache_evictions" m.cache_evictions;
-  P.counter buf ~prefix "cache_rejects" m.cache_rejects;
-  P.snapshot buf ~prefix
-    { m.registry with
-      Ds_obs.Metrics.counters =
-        List.filter
-          (fun (name, _) -> not (List.mem name registry_duplicates))
-          m.registry.Ds_obs.Metrics.counters };
-  P.windows buf ~prefix m.windows;
-  Buffer.contents buf
 
 (* the cold path: full pipeline on the calling domain (one domain) or
    the resident pool, then encode.  The response text is entirely
@@ -436,8 +287,8 @@ let schedule_cold t ~text ~builder ~strategy ~model =
 
 let m_requests = Ds_obs.Metrics.counter "serve.requests"
 
-(* per-request metadata for the access log and windowed RED metrics:
-   op name, cache disposition and outcome (["ok"] or the error kind) *)
+(* per-request metadata for the request log line: op name, cache
+   disposition and outcome (["ok"] or the error kind) *)
 type disposition = { d_op : string; d_cache : string; d_outcome : string }
 
 let ok_disp ~op ?(cache = "-") () = { d_op = op; d_cache = cache; d_outcome = "ok" }
@@ -453,7 +304,6 @@ let handle_request t ~id payload json =
         { d_op = "-"; d_cache = "-"; d_outcome = "bad-request" } )
   | Ok Ping -> (pong, ok_disp ~op:"ping" ())
   | Ok Stats -> (stats_response t, ok_disp ~op:"stats" ())
-  | Ok Metrics -> (metrics_response t, ok_disp ~op:"metrics" ())
   | Ok (Schedule { text; builder; strategy; model }) -> (
       Cache.count_miss t.cache;
       match schedule_cold t ~text ~builder ~strategy ~model with
@@ -465,23 +315,25 @@ let handle_request t ~id payload json =
           Cache.put t.cache payload response;
           (response, ok_disp ~op:"schedule" ~cache:"miss" ()))
 
-(* one JSONL access line per request, through the untorn [Log.Sink]
-   writer (single write(2), O_APPEND): survives SIGKILL, shareable *)
-let access_write t ~ts ~id ~op ~cache ~bytes_in ~bytes_out ~dur_us ~outcome =
-  match t.access with
-  | None -> ()
-  | Some sink ->
-      Ds_obs.Log.Sink.write_line sink
-        (Json.to_string
-           (Json.Obj
-              [ ("ts", Json.Float ts);
-                ("id", Json.String id);
-                ("op", Json.String op);
-                ("cache", Json.String cache);
-                ("bytes_in", Json.Int bytes_in);
-                ("bytes_out", Json.Int bytes_out);
-                ("dur_us", Json.Int dur_us);
-                ("outcome", Json.String outcome) ]))
+let log_serve ?(fields = []) level msg =
+  Ds_obs.Log.log level ~scope:"serve" ~fields msg
+
+(* the one per-request record: a Debug "request" event, written
+   through the event log's untorn sink *)
+let log_request ~t0 ~id ~op ~cache ~bytes_in ~bytes_out ~outcome =
+  if Ds_obs.Log.enabled Ds_obs.Log.Debug then
+    log_serve Ds_obs.Log.Debug
+      ~fields:
+        [ ("id", Json.String id);
+          ("op", Json.String op);
+          ("cache", Json.String cache);
+          ("bytes_in", Json.Int bytes_in);
+          ("bytes_out", Json.Int bytes_out);
+          ( "dur_us",
+            Json.Int
+              (int_of_float (Float.round (Ds_obs.Clock.since t0 *. 1e6))) );
+          ("outcome", Json.String outcome) ]
+      "request"
 
 let handle_payload t ~id payload =
   let t0 = Ds_obs.Clock.now () in
@@ -503,23 +355,10 @@ let handle_payload t ~id payload =
   in
   t.served <- t.served + 1;
   Ds_obs.Metrics.incr m_requests;
-  let dur_s = Ds_obs.Clock.since t0 in
-  let error = disp.d_outcome <> "ok" in
-  Ds_obs.Window.observe_s ~error t.window dur_s;
-  let dur_us = int_of_float (Float.round (dur_s *. 1e6)) in
-  access_write t ~ts:t0 ~id ~op:disp.d_op ~cache:disp.d_cache
+  log_request ~t0 ~id ~op:disp.d_op ~cache:disp.d_cache
     ~bytes_in:(String.length payload)
     ~bytes_out:(String.length response)
-    ~dur_us ~outcome:disp.d_outcome;
-  if Ds_obs.Log.enabled Ds_obs.Log.Debug then
-    Ds_obs.Log.log Ds_obs.Log.Debug ~scope:"serve"
-      ~fields:
-        [ ("id", Json.String id);
-          ("op", Json.String disp.d_op);
-          ("cache", Json.String disp.d_cache);
-          ("dur_us", Json.Int dur_us);
-          ("outcome", Json.String disp.d_outcome) ]
-      "request";
+    ~outcome:disp.d_outcome;
   response
 
 let handle_text t payload = handle_payload t ~id:(next_id t) payload
@@ -534,8 +373,6 @@ type options = {
   max_frame : int;
   read_timeout_s : float;
   backlog : int;
-  service_obs : bool;
-  access_log : string option;
 }
 
 let default_options =
@@ -544,20 +381,15 @@ let default_options =
     max_bytes = 256 * 1024 * 1024;
     max_frame = Frame.default_max_bytes;
     read_timeout_s = 10.0;
-    backlog = 128;
-    service_obs = true;
-    access_log = None }
-
-let log_serve ?(fields = []) level msg =
-  Ds_obs.Log.log level ~scope:"serve" ~fields msg
+    backlog = 128 }
 
 (* one connection: one framed request, one framed response.  All frame
    damage answers a typed error when the peer can still hear it; the
    daemon itself never dies for a connection's sake. *)
 let handle_connection t ~max_frame fd =
   (* the id is minted per connection so frame-level damage (which never
-     reaches request handling) still correlates its error response,
-     log line and access-log line *)
+     reaches request handling) still correlates its error response and
+     its request log line *)
   let id = next_id t in
   let t0 = Ds_obs.Clock.now () in
   let respond text =
@@ -569,12 +401,11 @@ let handle_connection t ~max_frame fd =
         "client gone before response"
   in
   let frame_error kind message =
-    respond (error_response ~id kind message);
-    let dur_us =
-      int_of_float (Float.round (Ds_obs.Clock.since t0 *. 1e6))
-    in
-    access_write t ~ts:t0 ~id ~op:"-" ~cache:"-" ~bytes_in:0
-      ~bytes_out:0 ~dur_us ~outcome:(error_kind_to_string kind)
+    let response = error_response ~id kind message in
+    respond response;
+    log_request ~t0 ~id ~op:"-" ~cache:"-" ~bytes_in:0
+      ~bytes_out:(String.length response)
+      ~outcome:(error_kind_to_string kind)
   in
   let reader = Frame.reader fd in
   match Frame.read ~max_bytes:max_frame reader with
@@ -605,99 +436,83 @@ let handle_connection t ~max_frame fd =
 let run ?(options = default_options) ~socket () =
   let draining = Atomic.make false in
   match
-    match options.access_log with
-    | None -> Ok None
-    | Some path -> Result.map Option.some (Ds_obs.Log.Sink.open_ ~append:false path)
+    let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (try
+       if Sys.file_exists socket then Unix.unlink socket;
+       Unix.bind lfd (Unix.ADDR_UNIX socket);
+       Unix.listen lfd (max 1 options.backlog)
+     with e ->
+       (try Unix.close lfd with Unix.Unix_error _ -> ());
+       raise e);
+    lfd
   with
-  | Error msg ->
-      Printf.eprintf "serve: cannot open access log: %s\n%!" msg;
+  | exception Unix.Unix_error (err, _, _) ->
+      Printf.eprintf "serve: cannot bind %s: %s\n%!" socket
+        (Unix.error_message err);
       125
-  | Ok access -> (
-      let close_access () =
-        match access with Some s -> Ds_obs.Log.Sink.close s | None -> ()
-      in
-      if options.service_obs then Ds_obs.Window.enable ();
-      match
-        let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try
-           if Sys.file_exists socket then Unix.unlink socket;
-           Unix.bind lfd (Unix.ADDR_UNIX socket);
-           Unix.listen lfd (max 1 options.backlog)
-         with e ->
-           (try Unix.close lfd with Unix.Unix_error _ -> ());
-           raise e);
-        lfd
-      with
-      | exception Unix.Unix_error (err, _, _) ->
-          Printf.eprintf "serve: cannot bind %s: %s\n%!" socket
-            (Unix.error_message err);
-          close_access ();
-          125
-      | exception Sys_error msg ->
-          Printf.eprintf "serve: cannot bind %s: %s\n%!" socket msg;
-          close_access ();
-          125
-      | lfd ->
-      let state =
-        create ~domains:options.domains ~max_entries:options.max_entries
-          ~max_bytes:options.max_bytes ?access ()
-      in
-      let old_sigint =
-        match
-          Sys.signal Sys.sigint
-            (Sys.Signal_handle (fun _ -> Atomic.set draining true))
-        with
-        | behavior -> Some behavior
-        | exception (Invalid_argument _ | Sys_error _) -> None
-      in
-      let cleanup () =
-        (match old_sigint with
-        | Some b -> ( try Sys.set_signal Sys.sigint b with Sys_error _ -> ())
-        | None -> ());
-        (try Unix.close lfd with Unix.Unix_error _ -> ());
-        (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ());
-        close_access ();
-        destroy state
-      in
-      Fun.protect ~finally:cleanup @@ fun () ->
-      log_serve Ds_obs.Log.Info
-        ~fields:
-          [ ("socket", Json.String socket);
-            ("domains", Json.Int options.domains) ]
-        "listening";
-      Ds_obs.Log.heartbeat ~force:true ~phase:"listening" ~done_:0 ~total:0 ();
-      while not (Atomic.get draining) do
-        match Unix.select [ lfd ] [] [] 0.25 with
+  | exception Sys_error msg ->
+      Printf.eprintf "serve: cannot bind %s: %s\n%!" socket msg;
+      125
+  | lfd ->
+  let state =
+    create ~domains:options.domains ~max_entries:options.max_entries
+      ~max_bytes:options.max_bytes ()
+  in
+  let old_sigint =
+    match
+      Sys.signal Sys.sigint
+        (Sys.Signal_handle (fun _ -> Atomic.set draining true))
+    with
+    | behavior -> Some behavior
+    | exception (Invalid_argument _ | Sys_error _) -> None
+  in
+  let cleanup () =
+    (match old_sigint with
+    | Some b -> ( try Sys.set_signal Sys.sigint b with Sys_error _ -> ())
+    | None -> ());
+    (try Unix.close lfd with Unix.Unix_error _ -> ());
+    (try Unix.unlink socket with Unix.Unix_error _ | Sys_error _ -> ());
+    destroy state
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  log_serve Ds_obs.Log.Info
+    ~fields:
+      [ ("socket", Json.String socket);
+        ("domains", Json.Int options.domains) ]
+    "listening";
+  Ds_obs.Log.heartbeat ~force:true ~phase:"listening" ~done_:0 ~total:0 ();
+  while not (Atomic.get draining) do
+    match Unix.select [ lfd ] [] [] 0.25 with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | [], _, _ ->
+        (* idle tick: liveness heartbeat (rate-limited) *)
+        Ds_obs.Log.heartbeat ~phase:"idle" ~done_:state.served
+          ~total:state.served ()
+    | _ :: _, _, _ -> (
+        match Unix.accept lfd with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | [], _, _ ->
-            (* idle tick: liveness heartbeat (rate-limited) *)
-            Ds_obs.Log.heartbeat ~phase:"idle" ~done_:state.served
-              ~total:state.served ()
-        | _ :: _, _, _ -> (
-            match Unix.accept lfd with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | exception
-                Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                ()
-            | fd, _ ->
-                Fun.protect
-                  ~finally:(fun () ->
-                    try Unix.close fd with Unix.Unix_error _ -> ())
-                  (fun () ->
-                    (try
-                       Unix.setsockopt_float fd Unix.SO_RCVTIMEO
-                         options.read_timeout_s
-                     with Unix.Unix_error _ | Invalid_argument _ -> ());
-                    handle_connection state ~max_frame:options.max_frame fd);
-                Ds_obs.Log.heartbeat ~phase:"serve" ~done_:state.served
-                  ~total:state.served ())
-      done;
-      log_serve Ds_obs.Log.Info
-        ~fields:[ ("served", Json.Int state.served) ]
-        "drained";
-      Ds_obs.Log.heartbeat ~force:true ~phase:"drained" ~done_:state.served
-        ~total:state.served ();
-      130)
+        | exception
+            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            ()
+        | fd, _ ->
+            Fun.protect
+              ~finally:(fun () ->
+                try Unix.close fd with Unix.Unix_error _ -> ())
+              (fun () ->
+                (try
+                   Unix.setsockopt_float fd Unix.SO_RCVTIMEO
+                     options.read_timeout_s
+                 with Unix.Unix_error _ | Invalid_argument _ -> ());
+                handle_connection state ~max_frame:options.max_frame fd);
+            Ds_obs.Log.heartbeat ~phase:"serve" ~done_:state.served
+              ~total:state.served ())
+  done;
+  log_serve Ds_obs.Log.Info
+    ~fields:[ ("served", Json.Int state.served) ]
+    "drained";
+  Ds_obs.Log.heartbeat ~force:true ~phase:"drained" ~done_:state.served
+    ~total:state.served ();
+  130
 
 (* ------------------------------------------------------------------ *)
 (* a minimal blocking client, shared by `schedtool client`, the bench

@@ -45,7 +45,6 @@ val fail_env : string
 type request =
   | Ping
   | Stats
-  | Metrics
   | Schedule of {
       text : string;
       builder : Ds_dag.Builder.algorithm;
@@ -54,8 +53,8 @@ type request =
     }
 
 (** Total over arbitrary JSON; typed path errors name the offending
-    field (unknown [op], unknown builder/strategy/model, missing
-    [block], wrong types). *)
+    field (unknown [op] — the retired ["metrics"] among them — unknown
+    builder/strategy/model, missing [block], wrong types). *)
 val request_of_json :
   ?path:string list ->
   Ds_obs.Json.t ->
@@ -92,7 +91,7 @@ val error_kind_to_string : error_kind -> string
 (** [{"status": "error", "error": {"kind": ..., "message": ..., "id":
     ...}}] as text, framed and sent as-is.  [?id] is the request id —
     every error the daemon emits carries one, for correlation with the
-    access log and trace spans.  Ok responses never carry an id: a
+    Debug [request] log line and trace spans.  Ok responses never carry an id: a
     schedule response is the cache payload and must stay byte-identical
     across requests and daemon restarts. *)
 val error_response : ?id:string -> error_kind -> string -> string
@@ -101,20 +100,16 @@ val error_response : ?id:string -> error_kind -> string -> string
 
 type t
 
-(** [create ~domains ~max_entries ~max_bytes ?access ()] builds the
-    resident state: where the pipeline runs (with [~domains:1], or
-    less, the calling domain itself; with [N >= 2] a pool of [N] worker
-    domains shared by every request), the result cache, the windowed
-    request metrics and the request-id source (a fresh per-start nonce
-    crossed with a monotonic counter).
-    [?access] attaches a JSONL access-log sink — one line per request
-    through {!Ds_obs.Log.Sink} (caller closes it).  Defaults: 1
-    domain, cache defaults, no access log. *)
+(** [create ~domains ~max_entries ~max_bytes ()] builds the resident
+    state: where the pipeline runs (with [~domains:1], or less, the
+    calling domain itself; with [N >= 2] a pool of [N] worker domains
+    shared by every request), the result cache and the request-id
+    source (a fresh per-start nonce crossed with a monotonic counter).
+    Defaults: 1 domain, cache defaults. *)
 val create :
   ?domains:int ->
   ?max_entries:int ->
   ?max_bytes:int ->
-  ?access:Ds_obs.Log.Sink.t ->
   unit ->
   t
 
@@ -126,68 +121,32 @@ val cache : t -> Cache.t
 (** Requests served so far (any op, errors included). *)
 val served : t -> int
 
-(** The daemon's windowed request metrics (rate/errors/duration over
-    the last 1s/10s/60s).  Records only while {!Ds_obs.Window} is
-    enabled ({!run} enables it unless [options.service_obs] is off;
-    in-process harnesses enable it themselves). *)
-val window : t -> Ds_obs.Window.t
-
 (** [handle_text t payload] is the full request->response path minus
     the wire: cache lookup on the payload bytes; on a miss, JSON decode,
-    pipeline, encode and cache fill; then windowed metrics and the
-    access-log line.  A hit counts one cache hit.  A miss counts one
-    cache miss only when the payload decodes to a schedule request
-    (whether it then schedules, fails to parse its block or fails
-    inside the pipeline); [ping], [stats], [metrics], unparseable JSON
-    and bad requests count neither.  Mints a fresh request id.  Never
-    raises.  This is what the daemon runs per frame and what the
-    differential tests call in-process. *)
+    pipeline, encode and cache fill; then the request log line.  A hit
+    counts one cache hit.  A miss counts one cache miss only when the
+    payload decodes to a schedule request (whether it then schedules,
+    fails to parse its block or fails inside the pipeline); [ping],
+    [stats], unparseable JSON and bad requests count neither.  Mints a
+    fresh request id.  Never raises.  This is what the daemon runs per
+    frame and what the differential tests call in-process.
+
+    {b The request record.}  While {!Ds_obs.Log} is enabled at
+    [Debug], every request leaves one event (scope ["serve"], message
+    ["request"]) with fields [id], [op], [cache] (["hit"], ["miss"] or
+    ["-"]), [bytes_in], [bytes_out], [dur_us] and [outcome] (["ok"] or
+    the error kind); schema in docs/FORMAT.md ("Event log JSONL"). *)
 val handle_text : t -> string -> string
 
-(** {1 The metrics op}
-
-    [{"op": "metrics"}] answers a full telemetry snapshot: uptime,
-    resident-set size, request total, cache occupancy and limits, the
-    {!Ds_obs.Metrics} registry (when enabled; empty otherwise) and
-    windowed RED stats over the last {!report_windows} seconds.
-    Schema in docs/FORMAT.md ("metrics op"). *)
-
-type metrics = {
-  uptime_s : float;
-  rss_kb : int;
-  requests : int;
-  cache_entries : int;
-  cache_bytes : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
-  cache_rejects : int;
-  cache_max_entries : int;
-  cache_max_bytes : int;
-  registry : Ds_obs.Metrics.snapshot;
-  windows : Ds_obs.Window.stats list;
-}
-
-(** The windows every metrics response reports, in seconds:
-    [1; 10; 60]. *)
-val report_windows : float list
-
-(** Capture the snapshot an in-process harness would get from the op. *)
-val metrics_of : t -> metrics
-
-val metrics_to_json : metrics -> Ds_obs.Json.t
-
-(** Total reader over an ok metrics {e response} object — what
-    [schedtool client --metrics-text] and [schedtool top] decode. *)
-val metrics_of_json :
-  ?path:string list -> Ds_obs.Json.t -> (metrics, Ds_obs.Json.error) result
-
-(** Prometheus/OpenMetrics text exposition of a snapshot
-    ([dagsched_]-prefixed families; schema in docs/FORMAT.md).  Cache
-    occupancy and request totals come from the exact always-on stats;
-    their gated registry mirrors are dropped from the rendering rather
-    than exposed twice. *)
-val prometheus_of_metrics : metrics -> string
+(** [handle_connection t ~max_frame fd] is one connection's exchange,
+    what {!run} does per accepted descriptor: read one frame (at most
+    [max_frame] payload bytes), answer it through {!handle_text}'s path
+    and write one response frame.  Frame damage (malformed, oversized
+    or timed-out header) answers a typed error and leaves its own
+    request line ([op] and [cache] ["-"], [bytes_in] 0); a peer that
+    disconnects mid-frame gets a Warn line and no answer.  The caller
+    owns and closes [fd]. *)
+val handle_connection : t -> max_frame:int -> Unix.file_descr -> unit
 
 (** {1 The daemon} *)
 
@@ -200,13 +159,6 @@ type options = {
   max_frame : int;        (** request frame cap, bytes *)
   read_timeout_s : float; (** per-connection receive timeout *)
   backlog : int;          (** listen(2) backlog — queued clients *)
-  service_obs : bool;
-  (** enable {!Ds_obs.Window} so the metrics op answers live windowed
-      quantiles (default [true]; [--no-service-obs] turns it off for
-      overhead baselines).  Never affects response bytes. *)
-  access_log : string option;
-  (** JSONL access-log path (truncated at start; [None] = no access
-      log).  Unopenable path: [run] returns 125. *)
 }
 
 val default_options : options

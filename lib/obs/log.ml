@@ -53,9 +53,8 @@ type event = {
 (* ------------------------------------------------------------------ *)
 (* sink: O_APPEND + one write(2) per line = signal-safe write-through.
    POSIX guarantees O_APPEND writes land whole at the end of the file,
-   so concurrent domains never tear a line.  [Sink] is the reusable
-   untorn-line writer; the module-level sink (below) and the serve
-   daemon's access log both build on it. *)
+   so concurrent domains never tear a line.  [Sink] is the untorn-line
+   writer the module-level sink (below) builds on. *)
 
 module Sink = struct
   type t = { s_path : string; s_fd : Unix.file_descr }

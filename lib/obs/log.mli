@@ -69,8 +69,7 @@ val reset : unit -> unit
     [Sink] is the reusable untorn-line writer underneath the module
     sink: an [O_APPEND] descriptor where each {!Sink.write_line} is a
     single [write(2)] of [line ^ "\n"], so concurrent writers (or a
-    SIGKILL mid-run) never tear a line.  The serve daemon's access log
-    uses it directly for a stream separate from the event log. *)
+    SIGKILL mid-run) never tear a line. *)
 
 module Sink : sig
   type t

@@ -186,8 +186,6 @@ let snapshot () =
       in
       { counters; histograms })
 
-let snapshot_equal (a : snapshot) (b : snapshot) = a = b
-
 (* ------------------------------------------------------------------ *)
 (* JSON (schema in docs/FORMAT.md) *)
 
@@ -211,21 +209,6 @@ let snapshot_to_json s =
                               [ ("le", Json.Int le); ("count", Json.Int n) ])
                           h.buckets) ) ])
              s.histograms) ) ]
-
-let hist_of_json ~path json =
-  let ( let* ) = Result.bind in
-  let* name = Json.get_string ~path "name" json in
-  let* count = Json.get_int ~path "count" json in
-  let* sum = Json.get_int ~path "sum" json in
-  let* buckets =
-    Json.get_list ~path "buckets"
-      (fun ~path b ->
-        let* le = Json.get_int ~path "le" b in
-        let* n = Json.get_int ~path "count" b in
-        Ok (le, n))
-      json
-  in
-  Ok { name; count; sum; buckets }
 
 (* ------------------------------------------------------------------ *)
 (* quantile estimation from the log buckets: the value returned is the
@@ -264,25 +247,3 @@ let summarize (h : hist_snapshot) =
     p50 = quantile h 0.50; p95 = quantile h 0.95; p99 = quantile h 0.99 }
 
 let summary (s : snapshot) = List.map summarize s.histograms
-
-let snapshot_of_json ?(path = []) json =
-  let ( let* ) = Result.bind in
-  let* counters_json = Json.get_field ~path "counters" json in
-  let* counters =
-    match counters_json with
-    | Json.Obj fields ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | (k, Json.Int v) :: rest -> go ((k, v) :: acc) rest
-          | (k, v) :: _ ->
-              Json.decode_error
-                ~path:(path @ [ "counters"; k ])
-                (Printf.sprintf "expected an int, found %s" (Json.type_name v))
-        in
-        go [] fields
-    | v ->
-        Json.decode_error ~path:(path @ [ "counters" ])
-          (Printf.sprintf "expected an object, found %s" (Json.type_name v))
-  in
-  let* histograms = Json.get_list ~path "histograms" hist_of_json json in
-  Ok { counters; histograms }

@@ -19,7 +19,7 @@
     every snapshot in this tree happens.
 
     Enabled state, like {!Trace}'s, is per process: [schedtool] enables
-    it when [--metrics] (or [--trace]) is given. *)
+    it when [--metrics] is given. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -62,17 +62,6 @@ val histogram : string -> histogram
 (** Record one integer observation.  No-op when disabled. *)
 val observe : histogram -> int -> unit
 
-(** {1 Bucketing}
-
-    The log-bucket layout, exported so other histogram consumers
-    ({!Window}'s ring slots, Prometheus exposition) bucket identically:
-    [bucket_index v] is the bucket for observation [v], [bucket_le i]
-    the inclusive upper bound of bucket [i]. *)
-
-val n_buckets : int
-val bucket_index : int -> int
-val bucket_le : int -> int
-
 (** {1 Snapshots} *)
 
 type hist_snapshot = {
@@ -91,8 +80,6 @@ type snapshot = {
 }
 
 val snapshot : unit -> snapshot
-
-val snapshot_equal : snapshot -> snapshot -> bool
 
 (** {1 Quantile summaries}
 
@@ -119,9 +106,6 @@ type hist_summary = {
     the data behind the [--metrics] stderr table. *)
 val summary : snapshot -> hist_summary list
 
-(** Schema in docs/FORMAT.md ("metrics").  {!snapshot_of_json} is total
-    over arbitrary JSON and round trips {!snapshot_to_json} exactly. *)
+(** Schema in docs/FORMAT.md ("metrics"); [bench obs] writes it into
+    [BENCH_obs.json]. *)
 val snapshot_to_json : snapshot -> Json.t
-
-val snapshot_of_json :
-  ?path:string list -> Json.t -> (snapshot, Json.error) result

@@ -149,7 +149,12 @@ cmp -s "$TMP/mj1.out" "$TMP/mj2.out" || fail "two-file batch output depends on -
 for bad in "shard $TMP/grep.s" "batch --chunk 4 $TMP/grep.s" \
            "serve --chunk 4 --socket $TMP/gone.sock" \
            "fleet $TMP/grep.s" "worker $TMP/m.json" \
-           "batch --resource $TMP/grep.s"; do
+           "batch --resource $TMP/grep.s" \
+           "top --socket $TMP/gone.sock" \
+           "client --socket $TMP/gone.sock --metrics" \
+           "client --socket $TMP/gone.sock --metrics-text" \
+           "serve --socket $TMP/gone.sock --no-service-obs" \
+           "serve --socket $TMP/gone.sock --access-log $TMP/a.jsonl"; do
   # shellcheck disable=SC2086
   "$TOOL" $bad 2>/dev/null && rc=0 || rc=$?
   [ "$rc" -eq 124 ] || fail "$bad: exit $rc, want 124"
@@ -332,32 +337,12 @@ grep -q 'cache.misses' "$TMP/serve.err" || fail "serve --metrics: no cache.misse
 grep -q 'serve.requests' "$TMP/serve.err" || fail "serve --metrics: no request counter"
 
 # ------------------------------------------------------------------
-# serve monitoring: request ids, access log, metrics op, Prometheus
-# exposition, and the top dashboard.  Flag validation first.
-"$TOOL" top --socket "" 2>/dev/null && rc=0 || rc=$?
-[ "$rc" -eq 124 ] || fail "top --socket '': exit $rc, want 124"
-"$TOOL" top --socket "$TMP/x.sock" --interval 0 2>/dev/null && rc=0 || rc=$?
-[ "$rc" -eq 124 ] || fail "top --interval 0: exit $rc, want 124"
-"$TOOL" top --socket "$TMP/x.sock" --count -3 2>/dev/null && rc=0 || rc=$?
-[ "$rc" -eq 124 ] || fail "top --count -3: exit $rc, want 124"
-"$TOOL" serve --socket "$TMP/x.sock" --access-log "" 2>/dev/null && rc=0 || rc=$?
-[ "$rc" -eq 124 ] || fail "serve --access-log '': exit $rc, want 124"
-"$TOOL" serve --socket "$TMP/x.sock" --access-log /nonexistent-dir/a.jsonl \
-  2>/dev/null && rc=0 || rc=$?
-[ "$rc" -eq 125 ] || fail "serve --access-log unwritable: exit $rc, want 125"
-
-# no daemon behind the socket: connect failures are transport errors
-"$TOOL" top --socket "$TMP/no-daemon.sock" 2>/dev/null && rc=0 || rc=$?
-[ "$rc" -eq 125 ] || fail "top without daemon: exit $rc, want 125"
-"$TOOL" client --socket "$TMP/no-daemon.sock" --metrics-text 2>/dev/null \
-  && rc=0 || rc=$?
-[ "$rc" -eq 125 ] || fail "client --metrics-text without daemon: exit $rc, want 125"
-
-# a fully instrumented daemon: registry metrics, access log, service obs
+# serve monitoring: a fully instrumented daemon.  Its one per-request
+# record is the Debug `request` event in the --log file.
 SOCK="$TMP/mon.sock"
-ACCESS="$TMP/access.jsonl"
-"$TOOL" serve --socket "$SOCK" --metrics --access-log "$ACCESS" \
-  2> "$TMP/mon.err" &
+LOG="$TMP/mon.jsonl"
+"$TOOL" serve --socket "$SOCK" --metrics --trace "$TMP/mon-trace.json" \
+  --log "$LOG" --log-level debug 2> "$TMP/mon.err" &
 SRV=$!
 for _ in $(seq 1 100); do
   "$TOOL" client --socket "$SOCK" --ping >/dev/null 2>&1 && break
@@ -369,62 +354,33 @@ done
   || fail "monitored daemon: warm schedule failed"
 cmp -s "$TMP/mon-cold.json" "$TMP/mon-warm.json" \
   || fail "instrumentation changed response bytes (warm != cold)"
-
-# the metrics op answers a JSON snapshot
-"$TOOL" client --socket "$SOCK" --metrics > "$TMP/metrics.json" \
-  || fail "client --metrics failed"
-grep -q '"op": "metrics"' "$TMP/metrics.json" || fail "metrics: wrong op"
-grep -q '"uptime_s": ' "$TMP/metrics.json" || fail "metrics: no uptime"
-grep -q '"cache": ' "$TMP/metrics.json" || fail "metrics: no cache object"
-grep -q '"windows": ' "$TMP/metrics.json" || fail "metrics: no windows"
-
-# Prometheus text exposition: families, windowed quantiles, gauges
-"$TOOL" client --socket "$SOCK" --metrics-text > "$TMP/expo.txt" \
-  || fail "client --metrics-text failed"
-grep -q '^# TYPE dagsched_requests_total counter$' "$TMP/expo.txt" \
-  || fail "expo: no request counter family"
-grep -q '^# TYPE dagsched_cache_entries gauge$' "$TMP/expo.txt" \
-  || fail "expo: no cache entries gauge"
-grep -q '^dagsched_cache_bytes [0-9]' "$TMP/expo.txt" \
-  || fail "expo: no cache bytes sample"
-grep -q '^dagsched_cache_hits_total 1$' "$TMP/expo.txt" \
-  || fail "expo: wrong hit counter"
-grep -q 'window="10s"' "$TMP/expo.txt" || fail "expo: no 10s window"
-grep -q 'quantile="0.99"' "$TMP/expo.txt" || fail "expo: no p99 quantile"
-grep -q '^dagsched_uptime_seconds [0-9]' "$TMP/expo.txt" \
-  || fail "expo: no uptime gauge"
-[ "$(grep -c '^# TYPE dagsched_cache_hits_total' "$TMP/expo.txt")" -eq 1 ] \
-  || fail "expo: cache_hits family rendered twice"
-
-# top without a TTY degrades to a single-shot table
-"$TOOL" top --socket "$SOCK" > "$TMP/top.out" || fail "top failed"
-grep -q 'uptime ' "$TMP/top.out" || fail "top: no uptime line"
-grep -q 'cache: ' "$TMP/top.out" || fail "top: no cache line"
-grep -q 'windows' "$TMP/top.out" || fail "top: no windows table"
-grep -q 'p99 us' "$TMP/top.out" || fail "top: no p99 column"
-"$TOOL" top --socket "$SOCK" --count 2 --interval 0.1 > "$TMP/top2.out" \
-  || fail "top --count 2 failed"
-
-# the access log: one JSONL line per request, ids and dispositions
+"$TOOL" client --socket "$SOCK" "$TMP/pair.s" > "$TMP/mon-pair.json" \
+  || fail "monitored daemon: schedule of pair.s failed"
+"$TOOL" client --socket "$SOCK" --stats > "$TMP/mon-stats.json" \
+  || fail "monitored daemon: stats failed"
 kill -INT "$SRV"
 wait "$SRV" && rc=0 || rc=$?
 [ "$rc" -eq 130 ] || fail "monitored serve SIGINT: exit $rc, want 130"
-grep -q '"op": "ping"' "$ACCESS" || fail "access log: no ping line"
-grep -q '"op": "schedule"' "$ACCESS" || fail "access log: no schedule line"
-grep -q '"op": "metrics"' "$ACCESS" || fail "access log: no metrics line"
-grep -q '"cache": "miss"' "$ACCESS" || fail "access log: no miss"
-grep -q '"cache": "hit"' "$ACCESS" || fail "access log: no hit"
-grep -q '"outcome": "ok"' "$ACCESS" || fail "access log: no ok outcome"
-grep -q '"id": "' "$ACCESS" || fail "access log: no request ids"
-grep -q '"dur_us": ' "$ACCESS" || fail "access log: no durations"
-n_ids=$(grep -o '"id": "[^"]*"' "$ACCESS" | sort -u | wc -l)
-n_lines=$(wc -l < "$ACCESS")
-[ "$n_ids" -eq "$n_lines" ] || fail "access log: ids not unique per request"
+grep -q '"traceEvents"' "$TMP/mon-trace.json" || fail "monitored serve: no trace"
+grep -q 'serve.requests' "$TMP/mon.err" || fail "monitored serve: no --metrics dump"
+grep '"msg": "request"' "$LOG" > "$TMP/requests.jsonl" \
+  || fail "request log: no request lines"
+grep -q '"op": "ping"' "$TMP/requests.jsonl" || fail "request log: no ping line"
+grep -q '"op": "schedule"' "$TMP/requests.jsonl" || fail "request log: no schedule line"
+grep -q '"cache": "miss"' "$TMP/requests.jsonl" || fail "request log: no miss"
+grep -q '"cache": "hit"' "$TMP/requests.jsonl" || fail "request log: no hit"
+grep -q '"outcome": "ok"' "$TMP/requests.jsonl" || fail "request log: no ok outcome"
+grep -q '"dur_us": [0-9]' "$TMP/requests.jsonl" || fail "request log: no durations"
+grep -q '"bytes_in": [1-9]' "$TMP/requests.jsonl" || fail "request log: no bytes in"
+grep -q '"bytes_out": [1-9]' "$TMP/requests.jsonl" || fail "request log: no bytes out"
+n_ids=$(grep -o '"id": "[^"]*"' "$TMP/requests.jsonl" | sort -u | wc -l)
+n_lines=$(wc -l < "$TMP/requests.jsonl")
+[ "$n_ids" -eq "$n_lines" ] || fail "request log: ids not unique per request"
 
-# instrumentation off: responses stay byte-identical to the
-# instrumented daemon's (service obs never leaks into the payload)
+# instrumentation off: a bare daemon answers the same requests with the
+# same bytes (obs-on == obs-off over the wire)
 SOCK="$TMP/bare.sock"
-"$TOOL" serve --socket "$SOCK" --no-service-obs 2>/dev/null &
+"$TOOL" serve --socket "$SOCK" 2>/dev/null &
 SRV=$!
 for _ in $(seq 1 100); do
   "$TOOL" client --socket "$SOCK" --ping >/dev/null 2>&1 && break
@@ -432,8 +388,16 @@ for _ in $(seq 1 100); do
 done
 "$TOOL" client --socket "$SOCK" "$TMP/linpack.s" > "$TMP/bare.json" \
   || fail "bare daemon: schedule failed"
-cmp -s "$TMP/bare.json" "$TMP/mon-cold.json" \
-  || fail "responses differ with service obs disabled"
+"$TOOL" client --socket "$SOCK" "$TMP/linpack.s" > "$TMP/bare-warm.json" \
+  || fail "bare daemon: warm schedule failed"
+"$TOOL" client --socket "$SOCK" "$TMP/pair.s" > "$TMP/bare-pair.json" \
+  || fail "bare daemon: schedule of pair.s failed"
+"$TOOL" client --socket "$SOCK" --stats > "$TMP/bare-stats.json" \
+  || fail "bare daemon: stats failed"
+for r in cold:bare warm:bare-warm pair:bare-pair stats:bare-stats; do
+  cmp -s "$TMP/mon-${r%%:*}.json" "$TMP/${r#*:}.json" \
+    || fail "instrumented and bare daemons differ (${r%%:*})"
+done
 kill -INT "$SRV"
 wait "$SRV" && rc=0 || rc=$?
 [ "$rc" -eq 130 ] || fail "bare serve SIGINT: exit $rc, want 130"

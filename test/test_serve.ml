@@ -11,8 +11,10 @@
       malformed headers, garbage JSON, unparseable assembly and
       mid-request disconnects, interleaved with healthy requests — the
       daemon must answer typed errors where the protocol allows one and
-      keep serving; the [DAGSCHED_SERVE_FAIL] crash knob must surface
-      as typed [internal] errors, never as a daemon death;
+      keep serving, and each typed answer leaves exactly one Debug
+      [request] event with that outcome in the [--log] file; the
+      [DAGSCHED_SERVE_FAIL] crash knob must surface as typed
+      [internal] errors, never as a daemon death;
     - {e drain}: SIGINT under load lets the in-flight request finish,
       answers it completely, unlinks the socket, and exits 130. *)
 
@@ -259,16 +261,48 @@ let expect_typed_error d bytes kind =
   | None ->
       Alcotest.failf "no response frame for the %s case" kind
 
+(* a daemon logging at Debug into a file of its own: [f] runs against
+   it, and the outcomes of its request events come back once it has
+   drained, sorted *)
+let with_logged_daemon ?(args = [||]) f =
+  let log = Filename.temp_file "dagsched_serve_log" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove log with Sys_error _ -> ())
+  @@ fun () ->
+  with_daemon
+    ~args:(Array.append args [| "--log"; log; "--log-level"; "debug" |])
+    f;
+  match
+    Log.events_of_jsonl (In_channel.with_open_bin log In_channel.input_all)
+  with
+  | Error e -> Alcotest.failf "daemon log: %s" (Json.error_to_string e)
+  | Ok events ->
+      List.filter_map
+        (fun (e : Log.event) ->
+          if e.Log.scope = "serve" && e.Log.msg = "request" then
+            match List.assoc_opt "outcome" e.Log.fields with
+            | Some (Json.String o) -> Some o
+            | _ -> Alcotest.fail "request event without an outcome"
+          else None)
+        events
+      |> List.sort compare
+
+(* every outcome but "ok" (pings and healthy requests), sorted *)
+let check_errors what expected outcomes =
+  Alcotest.(check (list string)) what expected
+    (List.filter (fun o -> o <> "ok") outcomes);
+  check_bool (what ^ ": ok requests logged") true (List.mem "ok" outcomes)
+
 let test_fault_injection () =
-  with_daemon (fun d ->
+  with_logged_daemon (fun d ->
       let healthy = schedule_payload "nop\n" in
       let baseline = request d healthy in
       (* malformed header bytes *)
       expect_typed_error d "garbage header\n" "malformed-frame";
       check_string "alive after malformed header" baseline
-        (request d healthy));
+        (request d healthy))
+  |> check_errors "one request event per typed answer" [ "malformed-frame" ];
   (* oversized cap and timeout behavior need their own daemon options *)
-  with_daemon ~args:[| "--max-frame"; "1024"; "--timeout"; "0.3" |]
+  with_logged_daemon ~args:[| "--max-frame"; "1024"; "--timeout"; "0.3" |]
     (fun d ->
       let healthy = schedule_payload "nop\n" in
       let baseline = request d healthy in
@@ -304,6 +338,9 @@ let test_fault_injection () =
         (Frame.encode (schedule_payload "definitely not assembly !!!"))
         "block-parse";
       check_string "alive after the gauntlet" baseline (request d healthy))
+  (* the torn frame got no answer, so it leaves no request event *)
+  |> check_errors "one request event per typed answer"
+       [ "bad-request"; "block-parse"; "malformed-frame"; "oversized"; "parse" ]
 
 let test_crash_knob () =
   with_daemon ~env:[| "DAGSCHED_SERVE_FAIL=raise:2" |] (fun d ->

@@ -19,9 +19,12 @@
       responses equal a two-domain one's but for the report's
       [domains];
     - failure containment: request JSON that does not parse, bad
-      fields, unparseable assembly and an injected pipeline crash
-      ([DAGSCHED_SERVE_FAIL]) each answer their typed error and leave
-      the daemon state serving correctly afterwards.
+      fields, unparseable assembly, the retired [metrics] op and an
+      injected pipeline crash ([DAGSCHED_SERVE_FAIL]) each answer their
+      typed error and leave the daemon state serving correctly
+      afterwards;
+    - the one per-request record, the Debug [request] log event: one
+      per request, damaged frames included.
 
     The over-the-wire daemon (real process, SIGINT drain, concurrent
     clients) lives in the slow suite, [test/test_serve.ml]. *)
@@ -645,7 +648,8 @@ let test_counter_parity () =
       ("schedule hit", p, ok, (1, 2, 0, 0, 1));
       ("ping", {|{"op": "ping"}|}, ok, (1, 2, 0, 0, 1));
       ("stats", {|{"op": "stats"}|}, ok, (1, 2, 0, 0, 1));
-      ("metrics", {|{"op": "metrics"}|}, ok, (1, 2, 0, 0, 1));
+      ("retired metrics op", {|{"op": "metrics"}|}, err Serve.Bad_request,
+       (1, 2, 0, 0, 1));
       ("bad JSON", "{not json", err Serve.Parse, (1, 2, 0, 0, 1));
       ("bad request", {|{"op": "launch"}|}, err Serve.Bad_request,
        (1, 2, 0, 0, 1));
@@ -756,47 +760,32 @@ let test_fail_injection () =
       Alcotest.(check int) "failed requests never cached" 1 s.Cache.entries)
 
 (* ------------------------------------------------------------------ *)
-(* service observability: metrics op, request ids, access log *)
+(* the retired metrics op, request ids, the request log line *)
 
-let test_metrics_op () =
-  Window.disable ();
-  Window.enable ();
-  Fun.protect ~finally:(fun () -> Window.disable ())
-  @@ fun () ->
+let test_retired_metrics_op () =
   with_serve (fun serve ->
       let payload = schedule_payload "nop\n" in
       let _, _ = response_json serve payload in
-      let _, _ = response_json serve payload in
-      let _, json = response_json serve {|{"op": "metrics"}|} in
-      check_status json "ok";
-      let m =
-        get_exn ~what:"metrics response" (Serve.metrics_of_json json)
+      let counts () =
+        let s = Cache.stats (Serve.cache serve) in
+        (s.Cache.hits, s.Cache.misses)
       in
-      Alcotest.(check int) "requests counted" 2 m.Serve.requests;
-      Alcotest.(check int) "cache entries" 1 m.Serve.cache_entries;
-      Alcotest.(check int) "cache hits" 1 m.Serve.cache_hits;
-      Alcotest.(check int) "cache misses" 1 m.Serve.cache_misses;
-      let s = Cache.stats (Serve.cache serve) in
-      Alcotest.(check int) "cache bytes exact" s.Cache.bytes m.Serve.cache_bytes;
-      Alcotest.(check bool) "uptime advances" true (m.Serve.uptime_s >= 0.0);
-      Alcotest.(check bool) "rss read" true (m.Serve.rss_kb >= 0);
-      (* every advertised window, in order, with the two requests in *)
-      Alcotest.(check (list (float 1e-9)))
-        "windows as advertised" Serve.report_windows
-        (List.map (fun (w : Window.stats) -> w.Window.window_s)
-           m.Serve.windows);
-      List.iter
-        (fun (w : Window.stats) ->
-          Alcotest.(check int)
-            (Printf.sprintf "window %gs sees both requests"
-               w.Window.window_s)
-            2 w.Window.count;
-          Alcotest.(check int)
-            (Printf.sprintf "window %gs error-free" w.Window.window_s)
-            0 w.Window.errors)
-        m.Serve.windows;
-      (* the metrics op itself is served but was not yet counted when
-         the snapshot was taken *)
+      let before = counts () in
+      let _, json = response_json serve {|{"op": "metrics"}|} in
+      check_error_kind json Serve.Bad_request;
+      (match Json.member "error" json with
+      | Some err -> (
+          match Json.member "message" err with
+          | Some (Json.String m) ->
+              if not (contains ~needle:{|"metrics"|} m) then
+                Alcotest.failf "message %S does not name the op" m
+          | _ -> Alcotest.fail "error without a message")
+      | None -> Alcotest.fail "no error object");
+      Alcotest.(check (pair int int)) "neither a hit nor a miss" before
+        (counts ());
+      Alcotest.(check int) "served counts it" 2 (Serve.served serve);
+      let _, j = response_json serve payload in
+      check_status j "ok";
       Alcotest.(check int) "served after" 3 (Serve.served serve))
 
 let test_error_responses_carry_ids () =
@@ -825,115 +814,133 @@ let test_error_responses_carry_ids () =
       Alcotest.(check bool) "ok response id-free" false
         (contains ~needle:"\"id\"" ok))
 
-let test_access_log () =
-  let path = Filename.temp_file "dagsched_test_access" ".jsonl" in
+(* Run [f] with the event log at Debug into a temporary sink; [f] gets a
+   reader of the serve request events written so far. *)
+let with_request_log f =
+  let path = Filename.temp_file "dagsched_test_requests" ".jsonl" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      Log.set_level None;
+      Log.close_sink ();
+      try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let sink =
-    match Log.Sink.open_ ~append:false path with
-    | Ok s -> s
-    | Error msg -> Alcotest.failf "sink: %s" msg
-  in
-  let t = Serve.create ~access:sink () in
-  Fun.protect ~finally:(fun () ->
-      Serve.destroy t;
-      Log.Sink.close sink)
-  @@ fun () ->
-  let payload = schedule_payload "nop\n" in
-  ignore (Serve.handle_text t payload);          (* miss *)
-  ignore (Serve.handle_text t payload);          (* hit *)
-  ignore (Serve.handle_text t {|{"op": "ping"}|});
-  ignore (Serve.handle_text t "{not json");
-  let lines =
-    In_channel.with_open_bin path In_channel.input_lines
-    |> List.map (fun l ->
-           match Json.of_string l with
-           | Ok j -> j
-           | Error msg -> Alcotest.failf "access line %S: %s" l msg)
-  in
-  Alcotest.(check int) "one line per request" 4 (List.length lines);
-  let field name j =
-    match Json.member name j with
-    | Some (Json.String s) -> s
-    | Some v -> Json.to_string v
-    | None -> Alcotest.failf "access line without %S" name
-  in
-  (match lines with
-  | [ miss; hit; ping; bad ] ->
-      Alcotest.(check string) "miss op" "schedule" (field "op" miss);
-      Alcotest.(check string) "miss cache" "miss" (field "cache" miss);
-      Alcotest.(check string) "miss outcome" "ok" (field "outcome" miss);
-      Alcotest.(check string) "hit cache" "hit" (field "cache" hit);
-      Alcotest.(check string) "ping op" "ping" (field "op" ping);
-      Alcotest.(check string) "ping cache" "-" (field "cache" ping);
-      Alcotest.(check string) "parse outcome" "parse" (field "outcome" bad);
+  Log.set_level (Some Log.Debug);
+  (match Log.set_sink path with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "log sink: %s" msg);
+  f (fun () ->
+      match
+        Log.events_of_jsonl (In_channel.with_open_bin path In_channel.input_all)
+      with
+      | Ok evs ->
+          List.filter
+            (fun (e : Log.event) ->
+              e.Log.scope = "serve" && e.Log.msg = "request")
+            evs
+      | Error e -> Alcotest.failf "log read back: %s" (Json.error_to_string e))
+
+let request_field name (e : Log.event) =
+  match List.assoc_opt name e.Log.fields with
+  | Some (Json.String s) -> s
+  | Some v -> Json.to_string v
+  | None -> Alcotest.failf "request line without %S" name
+
+let request_int name (e : Log.event) =
+  match List.assoc_opt name e.Log.fields with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "request line without an int %S" name
+
+let test_debug_log () =
+  with_request_log @@ fun logged ->
+  with_serve (fun t ->
+      let payload = schedule_payload "nop\n" in
+      let requests =
+        [ payload; payload; {|{"op": "ping"}|}; "{not json" ]
+      in
+      let exchanges =
+        List.map (fun p -> (p, Serve.handle_text t p)) requests
+      in
+      let lines = logged () in
+      Alcotest.(check int) "one line per request" 4 (List.length lines);
+      (match lines with
+      | [ miss; hit; ping; bad ] ->
+          Alcotest.(check string) "miss op" "schedule"
+            (request_field "op" miss);
+          Alcotest.(check string) "miss cache" "miss"
+            (request_field "cache" miss);
+          Alcotest.(check string) "miss outcome" "ok"
+            (request_field "outcome" miss);
+          Alcotest.(check string) "hit cache" "hit" (request_field "cache" hit);
+          Alcotest.(check string) "ping op" "ping" (request_field "op" ping);
+          Alcotest.(check string) "ping cache" "-" (request_field "cache" ping);
+          Alcotest.(check string) "parse outcome" "parse"
+            (request_field "outcome" bad)
+      | _ -> Alcotest.fail "unreachable");
       (* ids are distinct and shaped like the error-response ids *)
-      let ids = List.map (field "id") lines in
+      let ids = List.map (request_field "id") lines in
       Alcotest.(check int) "ids distinct" 4
         (List.length (List.sort_uniq compare ids));
-      List.iter
-        (fun j ->
-          let geti k =
-            get_exn ~what:k (Json.get_int ~path:[] k j)
-          in
-          Alcotest.(check bool) "bytes_in positive" true (geti "bytes_in" > 0);
-          Alcotest.(check bool) "bytes_out positive" true
-            (geti "bytes_out" > 0);
+      List.iter2
+        (fun (payload, response) e ->
+          Alcotest.(check int) "bytes_in is the request's length"
+            (String.length payload) (request_int "bytes_in" e);
+          Alcotest.(check int) "bytes_out is the response's length"
+            (String.length response) (request_int "bytes_out" e);
           Alcotest.(check bool) "duration non-negative" true
-            (geti "dur_us" >= 0))
-        lines
-  | _ -> Alcotest.fail "unreachable")
+            (request_int "dur_us" e >= 0))
+        exchanges lines)
 
-let test_prometheus_exposition () =
-  Window.disable ();
-  Window.enable ();
-  Fun.protect ~finally:(fun () -> Window.disable ())
-  @@ fun () ->
-  with_serve (fun serve ->
-      ignore (Serve.handle_text serve (schedule_payload "nop\n"));
-      ignore (Serve.handle_text serve (schedule_payload "nop\n"));
-      let text = Serve.prometheus_of_metrics (Serve.metrics_of serve) in
-      let expect needle =
-        if not (contains ~needle text) then
-          Alcotest.failf "exposition lacks %S" needle
+(* the frame-error path leaves the same record: one request line per
+   typed answer, none for a peer that vanished mid-frame *)
+let test_debug_log_frames () =
+  with_request_log @@ fun logged ->
+  with_serve (fun t ->
+      let exchange bytes =
+        with_pair (fun client server ->
+            ignore (Unix.write_substring client bytes 0 (String.length bytes));
+            Unix.shutdown client Unix.SHUTDOWN_SEND;
+            Serve.handle_connection t ~max_frame:1024 server;
+            (* as the daemon's close would: a torn frame reads EOF *)
+            Unix.shutdown server Unix.SHUTDOWN_SEND;
+            match Frame.read (Frame.reader client) with
+            | Ok response -> Some response
+            | Error _ -> None)
       in
-      expect "# TYPE dagsched_uptime_seconds gauge";
-      expect "# TYPE dagsched_requests_total counter";
-      expect "dagsched_requests_total 2";
-      expect "dagsched_cache_entries 1";
-      expect "dagsched_cache_hits_total 1";
-      expect "dagsched_cache_misses_total 1";
-      expect "dagsched_cache_bytes_limit";
-      expect "dagsched_serve_request_window_count{window=\"1s\"} 2";
-      expect "dagsched_serve_request_window_rate{window=\"60s\"}";
-      expect "window=\"10s\",quantile=\"0.99\"";
-      (* families render once: the registry mirrors of the exact
-         counters are dropped, not exposed twice *)
-      let occurrences needle =
-        let n = String.length needle in
-        let rec go i acc =
-          if i + n > String.length text then acc
-          else if String.sub text i n = needle then go (i + 1) (acc + 1)
-          else go (i + 1) acc
-        in
-        go 0 0
+      let typed bytes kind =
+        let name = Serve.error_kind_to_string kind in
+        match exchange bytes with
+        | None -> Alcotest.failf "no answer for the %s case" name
+        | Some response -> (
+            (match Json.of_string response with
+            | Ok json -> check_error_kind json kind
+            | Error msg -> Alcotest.failf "response does not parse: %s" msg);
+            match List.rev (logged ()) with
+            | e :: _ ->
+                Alcotest.(check string) (name ^ " outcome") name
+                  (request_field "outcome" e);
+                Alcotest.(check string) (name ^ " op") "-"
+                  (request_field "op" e);
+                Alcotest.(check int) (name ^ " bytes_in") 0
+                  (request_int "bytes_in" e);
+                Alcotest.(check int) (name ^ " bytes_out")
+                  (String.length response) (request_int "bytes_out" e)
+            | [] -> Alcotest.failf "no request line for the %s case" name)
       in
-      Alcotest.(check int) "cache_hits family once" 1
-        (occurrences "# TYPE dagsched_cache_hits_total");
-      Alcotest.(check int) "requests family once" 1
-        (occurrences "# TYPE dagsched_requests_total");
-      (* every line is a comment or `name{labels} value` *)
-      String.split_on_char '\n' text
-      |> List.iter (fun line ->
-             if line <> "" && line.[0] <> '#' then
-               match String.rindex_opt line ' ' with
-               | None -> Alcotest.failf "unparseable line %S" line
-               | Some i ->
-                   let v = String.sub line (i + 1)
-                             (String.length line - i - 1) in
-                   if float_of_string_opt v = None then
-                     Alcotest.failf "non-numeric value in %S" line))
+      typed "garbage header\n" Serve.Malformed_frame;
+      Alcotest.(check int) "one line" 1 (List.length (logged ()));
+      typed (Frame.encode (String.make 4096 'x')) Serve.Oversized;
+      Alcotest.(check int) "two lines" 2 (List.length (logged ()));
+      Alcotest.(check bool) "a torn frame gets no answer" true
+        (exchange "100\npartial" = None);
+      Alcotest.(check int) "and no request line" 2 (List.length (logged ()));
+      (match exchange (Frame.encode {|{"op": "ping"}|}) with
+      | Some _ -> ()
+      | None -> Alcotest.fail "no answer to a ping");
+      match List.rev (logged ()) with
+      | ping :: _ :: _ :: [] ->
+          Alcotest.(check string) "ping through the connection" "ping"
+            (request_field "op" ping)
+      | l -> Alcotest.failf "expected 3 request lines, got %d" (List.length l))
 
 let suite =
   [ Alcotest.test_case "frame round trips" `Quick test_frame_roundtrip;
@@ -957,14 +964,14 @@ let suite =
       test_error_containment;
     Alcotest.test_case "DAGSCHED_SERVE_FAIL answers internal errors" `Quick
       test_fail_injection;
-    Alcotest.test_case "metrics op: exact snapshot + windows" `Quick
-      test_metrics_op;
+    Alcotest.test_case "a retired metrics op answers bad-request" `Quick
+      test_retired_metrics_op;
     Alcotest.test_case "error responses carry request ids" `Quick
       test_error_responses_carry_ids;
-    Alcotest.test_case "access log: one JSONL line per request" `Quick
-      test_access_log;
-    Alcotest.test_case "prometheus exposition well-formed" `Quick
-      test_prometheus_exposition;
+    Alcotest.test_case "debug log: one request line per request" `Quick
+      test_debug_log;
+    Alcotest.test_case "debug log: one line per damaged frame" `Quick
+      test_debug_log_frames;
     Alcotest.test_case "frame back-to-back past the staging buffer" `Quick
       test_frame_back_to_back;
     Alcotest.test_case "frame header split across reads" `Quick
