@@ -6,8 +6,8 @@
     attributes reservation structure pressure obs].  With no arguments,
     everything runs in order.  [obs] measures the overhead of the
     in-library observability layer: the batch pipeline over the Table-3
-    corpus with every recorder off, with trace+metrics, with all
-    pillars, and with the explain decision recorder, interleaved, and
+    corpus with every recorder off, with trace, with all pillars, and
+    with the explain decision recorder, interleaved, and
     writes BENCH_obs.json (target: under 5% overhead enabled).  The
     throughput of the whole pipeline and of the serve daemon is measured
     by perfbench/, not here.
@@ -481,11 +481,11 @@ let schedulers () =
 
 (* ------------------------------------------------------------------ *)
 (* observability overhead: the batch pipeline with every recorder off,
-   trace+metrics, all pillars, and the explain decision recorder over the
+   trace, all pillars, and the explain decision recorder over the
    Table-3 corpus, with a machine-readable BENCH_obs.json *)
 
 let obs_bench () =
-  heading "Observability overhead: off vs trace+metrics vs all pillars vs explain";
+  heading "Observability overhead: off vs trace vs all pillars vs explain";
   let corpus = Profiles.corpus Profiles.benchmarks in
   let blocks = List.concat_map snd corpus in
   Printf.printf
@@ -496,13 +496,11 @@ let obs_bench () =
   let log_path = Filename.temp_file "dagsched_bench_log" ".jsonl" in
   let all_off () =
     Trace.disable ();
-    Metrics.disable ();
     Explain.disable ();
     Log.set_level None;
     Log.close_sink ();
     Log.disable_heartbeat ();
     Trace.reset ();
-    Metrics.reset ();
     Explain.reset ();
     Log.reset ()
   in
@@ -516,15 +514,12 @@ let obs_bench () =
     all_off ();
     (match mode with
     | `Off -> ()
-    | `Two ->
-        Trace.enable ();
-        Metrics.enable ()
+    | `Trace -> Trace.enable ()
     | `All ->
-        (* everything a [--trace --metrics --log --progress] run pays:
-           spans with their minor words, counter bumps, and rate-limited
-           heartbeats streamed through a real file sink *)
+        (* everything a [--trace --log --progress] run pays: spans with
+           their minor words and counts, and rate-limited heartbeats
+           streamed through a real file sink *)
         Trace.enable ();
-        Metrics.enable ();
         Log.set_level (Some Log.Info);
         (match Log.set_sink log_path with
         | Ok () -> ()
@@ -538,9 +533,9 @@ let obs_bench () =
   (* untimed warmup so no configuration pays first-run cache/GC costs *)
   ignore (timed_run ~mode:`Off);
   (* all-pillars runs last, so after the loop the recorders hold one
-     such run's spans and metrics (and the sink one run's
-     heartbeats); the explain registry is read right after its run *)
-  let modes = [| `Off; `Two; `Explain; `All |] in
+     such run's spans (and the sink one run's heartbeats); the explain
+     registry is read right after its run *)
+  let modes = [| `Off; `Trace; `Explain; `All |] in
   let totals = Array.make (Array.length modes) 0.0 in
   let results = Array.make (Array.length modes) [] in
   let stats = ref [] in
@@ -558,7 +553,6 @@ let obs_bench () =
   and all_s = mean 3 in
   let stats = !stats in
   let spans = Trace.snapshot () in
-  let snap = Metrics.snapshot () in
   let heartbeats =
     let evs, _ =
       Log.events_of_jsonl_prefix
@@ -583,7 +577,7 @@ let obs_bench () =
   let t = Table.create ~title:"" [ "config"; "ms/run"; "overhead %" ] in
   Table.add_row t [ "disabled"; Table.fmt_float (1000.0 *. off_s); "-" ];
   Table.add_row t
-    [ "trace+metrics"; Table.fmt_float (1000.0 *. on_s);
+    [ "trace"; Table.fmt_float (1000.0 *. on_s);
       Table.fmt_float overhead_pct ];
   Table.add_row t
     [ "all pillars"; Table.fmt_float (1000.0 *. all_s);
@@ -597,19 +591,15 @@ let obs_bench () =
       0 stats
   in
   Printf.printf
-    "%d spans, %d counters, %d histograms, %d log events recorded per\n\
-     all-pillars run; %d decisions across %d strategies recorded per\n\
-     explain run\n"
-    (List.length spans)
-    (List.length snap.Metrics.counters)
-    (List.length snap.Metrics.histograms)
-    heartbeats decisions (List.length stats);
+    "%d spans, %d log events recorded per all-pillars run; %d decisions\n\
+     across %d strategies recorded per explain run\n"
+    (List.length spans) heartbeats decisions (List.length stats);
   if overhead_pct > 5.0 then
     Printf.printf
-      "(overhead above the 5%% target on this host — the run pays ~1M\n\
-      \ counter bumps and ~125k span clock reads against the baseline;\n\
-      \ on a slow single-core container that ratio is unfavourable, and\n\
-      \ the target is judged on an unloaded multicore host)\n";
+      "(overhead above the 5%% target on this host — the run pays ~125k\n\
+      \ span clock reads against the baseline; on a slow single-core\n\
+      \ container that ratio is unfavourable, and the target is judged on\n\
+      \ an unloaded multicore host)\n";
   let json =
     Stats.Json.Obj
       [ ("experiment", Stats.Json.String "obs");
@@ -635,7 +625,6 @@ let obs_bench () =
                      ("max_us", Stats.Json.Float p.Trace.max_us);
                      ("minor_words", Stats.Json.Int p.Trace.minor_words) ])
                (Trace.summary spans)) );
-        ("metrics", Metrics.snapshot_to_json snap);
         ("decisions", Stats.Json.Int decisions);
         ("decisiveness", Explain.to_json stats) ]
   in

@@ -122,8 +122,8 @@ let builder_arg =
 let opts_of model strategy = { Opts.default with Opts.model; strategy }
 
 (* ------------------------------------------------------------------ *)
-(* observability: --trace / --metrics / --explain / --log / --log-level /
-   --progress on batch and serve *)
+(* observability: --trace / --explain / --log / --log-level / --progress
+   on batch and serve *)
 
 let trace_conv =
   let parse s =
@@ -140,17 +140,11 @@ let trace_arg =
               trace-event JSON timeline to $(docv) (loadable in Perfetto \
               at ui.perfetto.dev or chrome://tracing), plus a per-phase \
               summary table on stderr (spans, time and minor-heap words \
-              per phase, then the run's GC totals).  Report outputs are \
-              byte-identical with and without tracing.")
-
-let metrics_arg =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:"Collect pipeline counters and histograms (arcs added, \
-              transitive arcs pruned, table probes, ready-list lengths, \
-              stall cycles, pool steals) and print them on stderr \
-              after the run, with p50/p95/p99 columns per histogram.")
+              per phase, then the run's GC totals).  The counts that \
+              explain a phase's cost (arcs, table probes, alias entries \
+              scanned, candidates examined, stall cycles) are its span's \
+              args.  Report outputs are byte-identical with and without \
+              tracing.")
 
 let explain_arg =
   Arg.(
@@ -213,7 +207,6 @@ let progress_arg =
 (* the obs flags, declared once; serve has no --explain *)
 type obs = {
   trace : string option;
-  metrics : bool;
   explain : bool;
   log : string option;
   log_level : Log.level option;
@@ -221,19 +214,17 @@ type obs = {
 }
 
 let obs_term ~explain =
-  let make trace metrics explain log log_level progress =
-    { trace; metrics; explain; log; log_level; progress }
+  let make trace explain log log_level progress =
+    { trace; explain; log; log_level; progress }
   in
   Term.(
-    const make $ trace_arg $ metrics_arg
+    const make $ trace_arg
     $ (if explain then explain_arg else const false)
     $ log_arg $ log_level_arg $ progress_arg)
 
-(* --metrics turns the registry on and prints it on stderr at exit.
-   --progress echoes this process's heartbeats on stderr. *)
+(* --progress echoes this process's heartbeats on stderr. *)
 let obs_enable o =
   if o.trace <> None then Trace.enable ();
-  if o.metrics then Metrics.enable ();
   if o.explain then Explain.enable ();
   if o.progress then Log.set_heartbeat ~echo:true ~interval_s:0.5 ();
   (match (o.log_level, o.log) with
@@ -312,8 +303,8 @@ let gc_totals () =
     (float_of_int s.Gc.top_heap_words /. 1e6)
 
 (* After the run: write the Chrome trace (with the same round-trip
-   self-check discipline as the report writers) and print the per-phase,
-   metrics and decisiveness summaries on stderr. *)
+   self-check discipline as the report writers) and print the per-phase
+   and decisiveness summaries on stderr. *)
 let obs_finish o =
   (match o.trace with
   | None -> ()
@@ -350,32 +341,6 @@ let obs_finish o =
         (Trace.summary spans);
       prerr_string (Table.render t);
       prerr_string (gc_totals ()));
-  if o.metrics then begin
-    let snap = Metrics.snapshot () in
-    if snap.Metrics.counters <> [] then begin
-      let ct = Table.create ~title:"counters" [ "counter"; "value" ] in
-      List.iter
-        (fun (name, v) -> Table.add_row ct [ name; string_of_int v ])
-        snap.Metrics.counters;
-      prerr_string (Table.render ct)
-    end;
-    if snap.Metrics.histograms <> [] then begin
-      let ht =
-        Table.create ~title:"histograms"
-          [ "histogram"; "count"; "sum"; "mean"; "p50"; "p95"; "p99" ]
-      in
-      List.iter
-        (fun (h : Metrics.hist_summary) ->
-          Table.add_row ht
-            [ h.Metrics.name; string_of_int h.Metrics.count;
-              string_of_int h.Metrics.sum;
-              Printf.sprintf "%.1f" h.Metrics.mean;
-              string_of_int h.Metrics.p50; string_of_int h.Metrics.p95;
-              string_of_int h.Metrics.p99 ])
-        (Metrics.summary snap);
-      prerr_string (Table.render ht)
-    end
-  end;
   if o.explain then explain_tables ()
 
 (* ------------------------------------------------------------------ *)

@@ -42,13 +42,12 @@ module Stats = Ds_util.Stats
 module Table = Ds_util.Table
 module Pool = Ds_util.Pool
 
-(* observability: monotonic-leaning clock, span tracing (time and
-   minor-heap words per phase, Chrome trace-event export), metrics
-   registry, structured event log *)
+(* observability: monotonic-leaning clock, span tracing (time,
+   minor-heap words and counts per phase, Chrome trace-event export),
+   structured event log *)
 module Json = Ds_obs.Json
 module Clock = Ds_obs.Clock
 module Trace = Ds_obs.Trace
-module Metrics = Ds_obs.Metrics
 module Log = Ds_obs.Log
 module Frame = Ds_obs.Frame
 module Explain = Ds_obs.Explain

@@ -18,11 +18,6 @@
     recovered through the retained WAR-then-RAW path.  This builder exists
     so the bench can demonstrate exactly that. *)
 
-(* covered-candidate skips: each is a transitively ordered parent whose
-   (potential) direct arc the pruning suppressed — the quantity the
-   paper's conclusion 3 is about *)
-let pruned_counter = Ds_obs.Metrics.counter "dag.transitive_arcs_pruned"
-
 let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
   let insns = block.Ds_cfg.Block.insns in
   let dag = Dag.create ~model:opts.model insns in
@@ -32,11 +27,14 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
      the covered scratch row, cleared per child *)
   let anc = Ds_util.Bitset.Matrix.create ~rows:(n + 1) ~cols:(max n 1) in
   let covered = n in
+  (* covered-candidate skips: each is a transitively ordered parent whose
+     (potential) direct arc the pruning suppressed — the quantity the
+     paper's conclusion 3 is about *)
+  let pruned = ref 0 in
   for j = 1 to n - 1 do
     Ds_util.Bitset.Matrix.clear_row anc covered;
     for i = j - 1 downto 0 do
-      if Ds_util.Bitset.Matrix.mem anc covered i then
-        Ds_obs.Metrics.incr pruned_counter
+      if Ds_util.Bitset.Matrix.mem anc covered i then incr pruned
       else begin
         let pk =
           Pairdep.strongest_packed sums ~model:opts.model
@@ -54,5 +52,6 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
       end
     done
   done;
+  Ds_obs.Trace.count "transitive_arcs_pruned" !pruned;
   if opts.anchor_branch then Dag.anchor_terminator dag;
   dag

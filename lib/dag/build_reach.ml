@@ -19,9 +19,6 @@
     with zero per-arc allocation; they are retained on the DAG — the paper
     notes [#descendants] then falls out as a population count. *)
 
-(* dependencies whose direct arc the reachability test suppressed *)
-let pruned_counter = Ds_obs.Metrics.counter "dag.transitive_arcs_pruned"
-
 let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
   let insns = block.Ds_cfg.Block.insns in
   let dag = Dag.create ~model:opts.model insns in
@@ -31,6 +28,8 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
   for i = 0 to n - 1 do
     Ds_util.Bitset.Matrix.set reach i i
   done;
+  (* dependencies whose direct arc the reachability test suppressed *)
+  let pruned = ref 0 in
   for a = n - 2 downto 0 do
     for b = a + 1 to n - 1 do
       let pk =
@@ -38,8 +37,7 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
           ~strategy:opts.strategy insns a b
       in
       if pk >= 0 then begin
-        if Ds_util.Bitset.Matrix.mem reach a b then
-          Ds_obs.Metrics.incr pruned_counter
+        if Ds_util.Bitset.Matrix.mem reach a b then incr pruned
         else begin
           Ds_util.Bitset.Matrix.union_rows reach ~into:a ~from:b;
           ignore
@@ -49,6 +47,7 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
       end
     done
   done;
+  Ds_obs.Trace.count "transitive_arcs_pruned" !pruned;
   if opts.anchor_branch then begin
     Dag.anchor_terminator dag;
     (* anchoring adds leaf->branch arcs after the fact; refresh the maps so

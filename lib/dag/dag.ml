@@ -157,11 +157,6 @@ let interlock_with_child t i = t.nf.(stride * i) land interlock_bit <> 0
 let succ_head t i = t.nf.((stride * i) + 4) - 1
 let pred_head t i = t.nf.((stride * i) + 5) - 1
 
-(* observability: arc insertions per process run (Ds_obs.Metrics is a
-   no-op unless schedtool --metrics/--trace enabled it) *)
-let arcs_added_counter = Ds_obs.Metrics.counter "dag.arcs_added"
-let arcs_coalesced_counter = Ds_obs.Metrics.counter "dag.arcs_coalesced"
-
 (* Coalescing bounds: [src]'s highest child and [dst]'s lowest parent,
    each packed with the arc that set it. *)
 let max_child t i = (t.nf.((stride * i) + 6) land field_mask) - 1
@@ -323,7 +318,8 @@ let add_arc t ~src ~dst ~kind ~latency =
       if b = -2 then indexed_id t ~src ~dst else b
     in
     if id >= 0 then begin
-      Ds_obs.Metrics.incr arcs_coalesced_counter;
+      (* an arg of the enclosing trace span (dag_build), when tracing *)
+      Ds_obs.Trace.count "arcs_coalesced" 1;
       let pk = t.arc_pk.(id) in
       let old_latency = pk_latency pk in
       if latency > old_latency then begin
@@ -347,7 +343,6 @@ let add_arc t ~src ~dst ~kind ~latency =
       false
     end
     else begin
-      Ds_obs.Metrics.incr arcs_added_counter;
       ensure_arc_capacity t;
       let id = t.n_arcs in
       let bs = stride * src and bd = stride * dst in

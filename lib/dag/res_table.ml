@@ -60,11 +60,6 @@ let fresh_scratch () =
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
-(* observability: table lookups and alias-scan lengths — the cost the
-   paper's §6 asymmetry experiment is about *)
-let probe_counter = Ds_obs.Metrics.counter "dag.table_probes"
-let alias_scan_counter = Ds_obs.Metrics.counter "dag.alias_entries_scanned"
-
 let grow a len fill =
   let grown = Array.make (max len (2 * Array.length a)) fill in
   Array.blit a 0 grown 0 (Array.length a);
@@ -111,7 +106,9 @@ let create strategy (sc : Pipeline.scan) =
   t.n_mem <- 0;
   t.n_uses <- 0;
   let n = Array.length sc.Pipeline.insns in
-  Ds_obs.Metrics.add probe_counter
+  (* table lookups and alias-scan lengths are the cost the paper's §6
+     asymmetry experiment is about: both ride on the dag_build span *)
+  Ds_obs.Trace.count "table_probes"
     (sc.Pipeline.def_start.(n) + sc.Pipeline.use_start.(n));
   t
 
@@ -180,8 +177,7 @@ let cross_into t ~self =
   let res = t.res.(self) in
   if (not t.alias_scans) || not (Resource.is_memory res) then 0
   else begin
-    if Ds_obs.Metrics.is_enabled () then
-      Ds_obs.Metrics.add alias_scan_counter t.n_mem;
+    Ds_obs.Trace.count "alias_entries_scanned" t.n_mem;
     let n = ref 0 in
     (* newest first by first lookup, the order arcs are added in *)
     for k = t.n_mem - 1 downto 0 do

@@ -22,9 +22,9 @@ type t
 
 (** [create strategy sc] starts a fresh table for the block decoded in
     [sc] on this domain's scratch (invalidating any previous table of
-    this domain).  Counts one [dag.table_probes] metric per resource
-    occurrence of the block — the paper's per-access table lookup,
-    which the builders make once for each. *)
+    this domain).  Counts ({!Ds_obs.Trace.count}) one [table_probes]
+    per resource occurrence of the block — the paper's per-access table
+    lookup, which the builders make once for each. *)
 val create : Disambiguate.t -> Ds_machine.Pipeline.scan -> t
 
 (** [lookup t r] is the entry of the decode's resource id [r]. *)
@@ -67,9 +67,8 @@ val use_pos : t -> int -> int
     transitive, so callers add arcs against these conservatively and
     never clear them; only an entry's own definition clears its
     uselist.  Always 0 under the [Symbolic] strategy and for
-    non-memory entries.  When metrics are enabled, adds the number of
-    memory entries looked up so far (before filtering) to
-    [dag.alias_entries_scanned].  The buffer is valid until the next
+    non-memory entries.  Counts the memory entries looked up so far
+    (before filtering) as [alias_entries_scanned].  The buffer is valid until the next
     [cross_into] on this domain; read it with {!cross_id}. *)
 val cross_into : t -> self:int -> int
 

@@ -90,7 +90,11 @@ let run_block config block =
     Ds_util.Stats.time_runs ~runs:1 (fun () ->
         let dag =
           span ~builder:true "dag_build" (fun () ->
-              Ds_dag.Builder.build config.algorithm config.opts block)
+              let dag =
+                Ds_dag.Builder.build config.algorithm config.opts block
+              in
+              Ds_obs.Trace.count "arcs" (Ds_dag.Dag.n_arcs dag);
+              dag)
         in
         let annot =
           span "heur_static" (fun () ->

@@ -110,15 +110,6 @@ type t = {
   mutable missed_addr : int;   (* its address, for the [put] that follows *)
 }
 
-(* metrics registry counters (gated: no-ops unless --metrics/--trace
-   enabled the registry); cache.bytes and cache.entries are gauges
-   maintained by deltas *)
-let m_hits = Ds_obs.Metrics.counter "cache.hits"
-let m_misses = Ds_obs.Metrics.counter "cache.misses"
-let m_evictions = Ds_obs.Metrics.counter "cache.evictions"
-let m_bytes = Ds_obs.Metrics.counter "cache.bytes"
-let m_entries = Ds_obs.Metrics.counter "cache.entries"
-
 let create ?(max_entries = 4096) ?(max_bytes = 256 * 1024 * 1024) ?(hash = hash)
     () =
   { max_entries = max 1 max_entries;
@@ -198,8 +189,7 @@ let selfcheck t =
   else if t.bytes > t.max_bytes then Error "byte bound violated"
   else Ok ()
 
-(* strict mode: re-run [selfcheck] after every mutation and require the
-   Metrics gauge mirrors to equal the recomputed totals.  O(n) per
+(* strict mode: re-run [selfcheck] after every mutation.  O(n) per
    operation, so opt-in (tests, debugging) — never the service path. *)
 let strict =
   ref
@@ -211,28 +201,10 @@ let set_strict_checks b = strict := b
 let strict_checks () = !strict
 
 let strict_check t =
-  if !strict then begin
-    (match selfcheck t with
+  if !strict then
+    match selfcheck t with
     | Ok () -> ()
-    | Error msg -> failwith ("Cache strict check: " ^ msg));
-    (* gauge mirrors only move while the registry records, so they are
-       comparable only when it is enabled (and has been for this
-       cache's whole life — the strict harness's responsibility) *)
-    if Ds_obs.Metrics.is_enabled () then begin
-      let gb = Ds_obs.Metrics.value m_bytes in
-      let ge = Ds_obs.Metrics.value m_entries in
-      if gb <> t.bytes then
-        failwith
-          (Printf.sprintf
-             "Cache strict check: cache.bytes gauge %d, recomputed %d" gb
-             t.bytes);
-      if ge <> t.entries then
-        failwith
-          (Printf.sprintf
-             "Cache strict check: cache.entries gauge %d, recomputed %d" ge
-             t.entries)
-    end
-  end
+    | Error msg -> failwith ("Cache strict check: " ^ msg)
 
 (* ---------------- operations ---------------- *)
 
@@ -244,7 +216,6 @@ let find t request =
         unlink t e;
         push_front t e;
         t.hits <- t.hits + 1;
-        Ds_obs.Metrics.incr m_hits;
         Some e.response
     | _ | (exception Not_found) ->
         (* a same-address entry whose stored request differs is a
@@ -259,24 +230,20 @@ let find t request =
 
 let count_miss t =
   t.misses <- t.misses + 1;
-  Ds_obs.Metrics.incr m_misses;
   strict_check t
 
 let remove_entry t e =
   Tbl.remove t.table e.addr;
   unlink t e;
   t.entries <- t.entries - 1;
-  t.bytes <- t.bytes - e.ebytes;
-  Ds_obs.Metrics.add m_bytes (-e.ebytes);
-  Ds_obs.Metrics.add m_entries (-1)
+  t.bytes <- t.bytes - e.ebytes
 
 let evict_lru t =
   match t.lru with
   | None -> ()
   | Some e ->
       remove_entry t e;
-      t.evictions <- t.evictions + 1;
-      Ds_obs.Metrics.incr m_evictions
+      t.evictions <- t.evictions + 1
 
 let put t request response =
   (* a miss's put carries the very string [find] hashed: hash it once *)
@@ -299,8 +266,6 @@ let put t request response =
     push_front t e;
     t.entries <- t.entries + 1;
     t.bytes <- t.bytes + ebytes;
-    Ds_obs.Metrics.add m_bytes ebytes;
-    Ds_obs.Metrics.add m_entries 1;
     while t.entries > t.max_entries || t.bytes > t.max_bytes do
       evict_lru t
     done

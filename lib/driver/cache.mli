@@ -26,12 +26,6 @@
     plain ints, the serve protocol's [stats] op reads them).  A hit is
     counted by {!find}; a miss only by {!count_miss}, because only the
     caller knows whether the request that missed was a cacheable one.
-    The same events also bump the {!Ds_obs.Metrics} registry
-    ([cache.hits]/[cache.misses]/[cache.evictions], plus the occupancy
-    gauges [cache.bytes]/[cache.entries] maintained by deltas) when
-    metrics are enabled, so [--metrics] tables and the serve daemon's
-    [metrics] op see them; gated off, they cost one atomic read like
-    every other instrumentation site.
 
     Not thread-safe: the serve daemon services requests sequentially
     (its concurrency lives inside the request, on the domain pool). *)
@@ -102,13 +96,9 @@ val selfcheck : t -> (unit, string) result
 
     With strict checks on, every mutation path ([find] hit or miss,
     [count_miss], [put] insert/replace/evict/reject) re-runs
-    {!selfcheck} and — when the metrics registry is enabled — requires
-    the mirrored [cache.bytes]/[cache.entries] gauges to equal the
-    recomputed totals, raising [Failure] naming the first divergence.
-    O(n) per operation, so opt-in: the randomized regression harness
-    turns it on, the service path never does.  The gauge comparison
-    presumes one live cache with metrics enabled for its whole life
-    (the gauges are process-wide).  Also armed by the
+    {!selfcheck}, raising [Failure] naming the first violation.  O(n)
+    per operation, so opt-in: the randomized regression harness turns
+    it on, the service path never does.  Also armed by the
     [DAGSCHED_CACHE_STRICT] environment variable (any value but
     ["" ]/["0"]). *)
 

@@ -285,8 +285,6 @@ let schedule_cold t ~text ~builder ~strategy ~model =
       in
       Ok (Json.to_string json)
 
-let m_requests = Ds_obs.Metrics.counter "serve.requests"
-
 (* per-request metadata for the request log line: op name, cache
    disposition and outcome (["ok"] or the error kind) *)
 type disposition = { d_op : string; d_cache : string; d_outcome : string }
@@ -354,7 +352,6 @@ let handle_payload t ~id payload =
         { d_op = "-"; d_cache = "-"; d_outcome = "internal" } )
   in
   t.served <- t.served + 1;
-  Ds_obs.Metrics.incr m_requests;
   log_request ~t0 ~id ~op:disp.d_op ~cache:disp.d_cache
     ~bytes_in:(String.length payload)
     ~bytes_out:(String.length response)

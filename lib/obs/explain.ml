@@ -117,10 +117,10 @@ type strategy_stat = {
 
 type stats = strategy_stat list
 
-(* One cell per (domain, signature).  Unlike Metrics handles, which are
-   module-level lets, signatures arrive dynamically, so each domain owns
-   a hashtable of cells; the tables themselves are registered into a
-   global list under the mutex so [snapshot]/[reset] can reach them. *)
+(* One cell per (domain, signature).  Signatures arrive dynamically, so
+   each domain owns a hashtable of cells; the tables themselves are
+   registered into a global list under the mutex so [snapshot]/[reset]
+   can reach them. *)
 type cell = {
   ckeys : string array;
   mutable cdecisions : int;
@@ -240,8 +240,7 @@ let stat_of_cell signature (c : cell) =
   }
 
 (* Empty cells (decisions = 0) are dropped, so a snapshot is independent
-   of which signatures merely registered — same zero-dropping discipline
-   as Metrics.snapshot. *)
+   of which signatures merely registered. *)
 let snapshot () =
   with_registry (fun () ->
       let merged : (string, cell) Hashtbl.t = Hashtbl.create 8 in

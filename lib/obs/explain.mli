@@ -21,8 +21,8 @@
     Like every observability layer in this tree the registry is
     atomics-gated off by default — a disabled {!observe} is one atomic
     read, schedules and reports are byte-identical — and sharded into
-    per-domain cells on the hot path (the {!Metrics} idiom), merged by
-    {!snapshot} once the pool has quiesced.
+    per-domain cells on the hot path, merged by {!snapshot} once the
+    pool has quiesced.
 
     This module is generic over the heuristic kit: heuristics are
     identified by their display strings, so [ds_obs] stays at the bottom
@@ -132,8 +132,7 @@ val record :
   unit
 
 (** Merged view over every domain's cells, sorted by signature.
-    Exact once recording domains have quiesced (pool joined), like
-    {!Metrics.snapshot}. *)
+    Exact once recording domains have quiesced (pool joined). *)
 val snapshot : unit -> stats
 
 (** Drop all recorded statistics (the enabled state is unchanged). *)

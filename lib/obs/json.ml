@@ -1,9 +1,9 @@
 (** Hand-rolled JSON, used for the machine-readable perf reports
     (BENCH_obs.json, schedtool batch --json) and the observability
-    layer's trace/metrics serialization.  No external deps.
+    layer's trace serialization.  No external deps.
 
     Historically this lived in [Ds_util.Stats.Json]; it moved here so the
-    observability layer ({!Trace}, {!Metrics}) can sit below [ds_util].
+    observability layer ({!Trace}) can sit below [ds_util].
     [Ds_util.Stats.Json] remains a transparent alias, so existing callers
     and type equalities are unchanged. *)
 

@@ -1,6 +1,6 @@
 (** Hand-rolled JSON, used for the machine-readable perf reports
     ([BENCH_obs.json], [schedtool batch --json]) and for the
-    observability layer's trace/metrics serialization.  The writer
+    observability layer's trace serialization.  The writer
     emits floats with a representation that reads back exactly and
     always carries a [.]/[e] so a round trip
     preserves the [Int]/[Float] distinction.  JSON has no nan/infinity:
@@ -37,7 +37,7 @@ val type_name : t -> string
 (** Typed decode error: the path of object fields / list indices from
     the document root to the offending value, plus what went wrong.
     Produced by the schema readers ({!Ds_driver.Batch.report_of_json},
-    the {!Trace}/{!Metrics} readers) so a malformed document names the
+    the {!Trace} reader) so a malformed document names the
     exact field. *)
 type error = { path : string list; message : string }
 

@@ -53,53 +53,35 @@ type event = {
 (* ------------------------------------------------------------------ *)
 (* sink: O_APPEND + one write(2) per line = signal-safe write-through.
    POSIX guarantees O_APPEND writes land whole at the end of the file,
-   so concurrent domains never tear a line.  [Sink] is the untorn-line
-   writer the module-level sink (below) builds on. *)
+   so concurrent domains never tear a line. *)
 
-module Sink = struct
-  type t = { s_path : string; s_fd : Unix.file_descr }
-
-  let open_ ?(append = true) path =
-    let flags =
-      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-      @ if append then [] else [ Unix.O_TRUNC ]
-    in
-    match Unix.openfile path flags 0o644 with
-    | exception Unix.Unix_error (e, _, _) ->
-        Stdlib.Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
-    | fd -> Ok { s_path = path; s_fd = fd }
-
-  let path t = t.s_path
-
-  let rec write_all fd bytes off len =
-    if len > 0 then
-      match Unix.write fd bytes off len with
-      | n -> if n < len then write_all fd bytes (off + n) (len - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-          write_all fd bytes off len
-
-  (* best-effort: logging must never take the pipeline down *)
-  let write_line t line =
-    let b = Bytes.of_string (line ^ "\n") in
-    try write_all t.s_fd b 0 (Bytes.length b) with Unix.Unix_error _ -> ()
-
-  let close t = try Unix.close t.s_fd with Unix.Unix_error _ -> ()
-end
-
-let sink : Sink.t option Atomic.t = Atomic.make None
+let sink : Unix.file_descr option Atomic.t = Atomic.make None
 
 let close_sink () =
   match Atomic.exchange sink None with
   | None -> ()
-  | Some s -> Sink.close s
+  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
 
 let set_sink path =
-  match Sink.open_ ~append:false path with
-  | Stdlib.Error _ as e -> e
-  | Ok s ->
+  let flags = [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND; Unix.O_TRUNC ] in
+  match Unix.openfile path flags 0o644 with
+  | exception Unix.Unix_error (e, _, _) ->
+      Stdlib.Error (Printf.sprintf "%s: %s" path (Unix.error_message e))
+  | fd ->
       close_sink ();
-      Atomic.set sink (Some s);
+      Atomic.set sink (Some fd);
       Ok ()
+
+let rec write_all fd bytes off len =
+  if len > 0 then
+    match Unix.write fd bytes off len with
+    | n -> if n < len then write_all fd bytes (off + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd bytes off len
+
+(* best-effort: logging must never take the pipeline down *)
+let write_line fd line =
+  let b = Bytes.of_string (line ^ "\n") in
+  try write_all fd b 0 (Bytes.length b) with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* JSON *)
@@ -190,7 +172,7 @@ let os_pid = lazy (Unix.getpid ())
 let emit ev =
   match Atomic.get sink with
   | None -> ()
-  | Some s -> Sink.write_line s (Json.to_string (event_to_json ev))
+  | Some fd -> write_line fd (Json.to_string (event_to_json ev))
 
 let make_event ?(fields = []) level ~scope msg =
   { ts_s = Clock.now (); level; scope; msg; fields;

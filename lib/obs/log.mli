@@ -1,5 +1,5 @@
-(** Structured, leveled JSONL event logging — the third observability
-    pillar next to {!Trace} (spans) and {!Metrics} (counters).
+(** Structured, leveled JSONL event logging — the observability pillar
+    next to {!Trace} (spans and their counts).
 
     An {e event} is one structured record: timestamp, level, scope
     (["batch"], ["serve"], ["heartbeat"]), a short stable message,
@@ -17,7 +17,7 @@
 
     {b Gating.}  Logging is disabled by default; {!log} costs one atomic
     read until {!set_level} arms it, so report bytes are identical with
-    logging off — same discipline as {!Trace}/{!Metrics}.
+    logging off — same discipline as {!Trace}.
 
     {b Heartbeats} are progress events (scope ["heartbeat"]): blocks
     done/total, current phase, resident-set size.  They are gated by
@@ -64,34 +64,13 @@ val log : ?fields:(string * Json.t) list -> level -> scope:string -> string -> u
     Level and sink are untouched. *)
 val reset : unit -> unit
 
-(** {1 Sink}
-
-    [Sink] is the reusable untorn-line writer underneath the module
-    sink: an [O_APPEND] descriptor where each {!Sink.write_line} is a
-    single [write(2)] of [line ^ "\n"], so concurrent writers (or a
-    SIGKILL mid-run) never tear a line. *)
-
-module Sink : sig
-  type t
-
-  (** [open_ ?append path] opens [path] [O_APPEND] (truncated first
-      unless [append], default [true]).  [Error] carries the system
-      message. *)
-  val open_ : ?append:bool -> string -> (t, string) result
-
-  val path : t -> string
-
-  (** Append [line ^ "\n"] with one [write(2)].  Best-effort: write
-      errors are swallowed (logging must not take the service down). *)
-  val write_line : t -> string -> unit
-
-  val close : t -> unit
-end
+(** {1 Sink} *)
 
 (** [set_sink path] truncates [path], opens it [O_APPEND] and routes
-    every subsequent event to it as one JSONL line.  Replaces (and
-    closes) any previous sink.  [Error] with the system message when
-    the path cannot be opened. *)
+    every subsequent event to it as one JSONL line, written with a
+    single [write(2)] so concurrent domains (or a SIGKILL mid-run)
+    never tear a line.  Replaces (and closes) any previous sink.
+    [Error] with the system message when the path cannot be opened. *)
 val set_sink : string -> (unit, string) result
 
 (** Close and detach the sink (no-op without one). *)

@@ -50,9 +50,57 @@ let push ~cat ~args ~minor_words ~name ~start_s ~stop_s =
 let record ?(cat = "") ?(args = []) ~name ~start_s ~stop_s () =
   push ~cat ~args ~minor_words:0 ~name ~start_s ~stop_s
 
+(* The tallies of the calling domain's open spans, as one stack of
+   (name, count) entries: entries [base .. top - 1] belong to the
+   innermost open span, and [base] is -1 while none is open.  A span
+   saves the [base] it found and restores it on exit. *)
+type tally = {
+  mutable names : string array;
+  mutable counts : int array;
+  mutable top : int;
+  mutable base : int;
+}
+
+let tally_key =
+  Domain.DLS.new_key (fun () ->
+      { names = Array.make 8 ""; counts = Array.make 8 0; top = 0; base = -1 })
+
+let rec tally_add t name n i =
+  if i = t.top then begin
+    if i = Array.length t.names then begin
+      t.names <- Array.append t.names (Array.make i "");
+      t.counts <- Array.append t.counts (Array.make i 0)
+    end;
+    t.names.(i) <- name;
+    t.counts.(i) <- n;
+    t.top <- i + 1
+  end
+  else if String.equal t.names.(i) name then t.counts.(i) <- t.counts.(i) + n
+  else tally_add t name n (i + 1)
+
+let count name n =
+  if enabled () then begin
+    let t = Domain.DLS.get tally_key in
+    if t.base >= 0 then tally_add t name n t.base
+  end
+
+(* pop the innermost span's tally, appended to its [args] *)
+let close_tally t ~outer args =
+  let rec tail i =
+    if i = t.top then []
+    else (t.names.(i), Json.Int t.counts.(i)) :: tail (i + 1)
+  in
+  let args = if t.top = t.base then args else args @ tail t.base in
+  t.top <- t.base;
+  t.base <- outer;
+  args
+
 let with_span ?(cat = "") ?(args = []) name f =
   if not (enabled ()) then f ()
   else begin
+    let t = Domain.DLS.get tally_key in
+    let outer = t.base in
+    t.base <- t.top;
     let start_s = Clock.now () in
     (* [Gc.minor_words] counts this domain's allocation and does not
        allocate itself; both reads sit inside the clock reads, so the
@@ -65,12 +113,16 @@ let with_span ?(cat = "") ?(args = []) name f =
     match f () with
     | v ->
         let minor_words = int_of_float (Gc.minor_words () -. w0) in
-        push ~cat ~args ~minor_words ~name ~start_s ~stop_s:(Clock.now ());
+        let stop_s = Clock.now () in
+        push ~cat ~args:(close_tally t ~outer args) ~minor_words ~name
+          ~start_s ~stop_s;
         v
     | exception e ->
         let minor_words = int_of_float (Gc.minor_words () -. w0) in
+        let stop_s = Clock.now () in
         let bt = Printexc.get_raw_backtrace () in
-        push ~cat ~args ~minor_words ~name ~start_s ~stop_s:(Clock.now ());
+        push ~cat ~args:(close_tally t ~outer args) ~minor_words ~name
+          ~start_s ~stop_s;
         Printexc.raise_with_backtrace e bt
   end
 

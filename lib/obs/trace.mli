@@ -7,7 +7,9 @@
     [fingerprint], [json_encode], the pool's [queue_wait]/[task_run] —
     with a category, Chrome [pid]/[tid] lane coordinates, free-form
     [args] and the minor-heap words the recording domain allocated
-    inside it.  In this tree [pid] is a lane: 0 for the process's own
+    inside it.  The counts that explain a phase's cost (table probes,
+    alias entries scanned, candidates examined) ride on its span as
+    integer args, added through {!count}.  In this tree [pid] is a lane: 0 for the process's own
     spans, the block id for [schedtool explain --timeline]'s per-block
     issue lanes; [tid] is the OCaml domain id, so a trace shows one
     thread lane per domain.
@@ -46,6 +48,13 @@ val reset : unit -> unit
     allocated inside [f].  When disabled this is just [f ()]. *)
 val with_span :
   ?cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
+
+(** [count name n] adds [n] to the count [name] of the innermost
+    {!with_span} open on the calling domain; that span appends its
+    counts to its [args] as integers when it exits, in first-count
+    order.  Does nothing when recording is disabled or no span is open
+    on this domain.  Costs one atomic read when disabled. *)
+val count : string -> int -> unit
 
 (** Low-level recording for sites that already hold both endpoints
     (pool queue waits, the engine's aggregate pick span).

@@ -322,12 +322,6 @@ let pick config ~annot ~st candidates =
         chosen
       end
 
-(* observability: per-issue ready-list lengths and stall-cycle totals
-   (--metrics), and the accumulated dynamic-heuristic (pick) time
-   (--trace) — all no-ops unless enabled *)
-let ready_len_hist = Ds_obs.Metrics.histogram "sched.ready_len"
-let stall_counter = Ds_obs.Metrics.counter "sched.stall_cycles"
-
 (* Choose among the [m] ready candidates [ready.(0 .. m-1)] (list
    order).  The candidates become a list only for a recorder or the
    decisiveness registry; otherwise the pick runs over the array. *)
@@ -390,15 +384,17 @@ let run_impl ?seed ?recorder config ~annot dag =
     (* the ready candidates in list order, and pick scratch *)
     let ready = Array.make n 0 and vals = Array.make n 0 in
     let weights = config_weights config in
-    (* metrics/trace bookkeeping is resolved once per block; the common
-       (disabled) path costs two atomic reads per run_impl call; only
+    (* trace bookkeeping is resolved once per block; the common
+       (disabled) path costs one atomic read per run_impl call; only
        tracing reads the clock around each pick *)
-    let metrics_on = Ds_obs.Metrics.is_enabled () in
     let trace_on = Ds_obs.Trace.enabled () in
     (* decisiveness accumulator resolved once per block; [None] when the
        explain registry is off, leaving the pick path untouched *)
     let expl = explain_cell config in
     let picks = ref 0 and pick_first = ref 0.0 and pick_total = ref 0.0 in
+    (* the summed ready-list lengths and the cycles no candidate could
+       issue: the heur_dynamic span's args *)
+    let candidates = ref 0 and stall_cycles = ref 0 in
     let order = Array.make n 0 in
     while not (Dyn_state.complete st) do
       let m = ref 0 in
@@ -410,7 +406,7 @@ let run_impl ?seed ?recorder config ~annot dag =
         end
       done;
       let m = !m in
-      if metrics_on then Ds_obs.Metrics.observe ready_len_hist m;
+      candidates := !candidates + m;
       if m = 0 then begin
         (* no candidate can issue: advance to the nearest release time *)
         let next = ref max_int in
@@ -418,7 +414,7 @@ let run_impl ?seed ?recorder config ~annot dag =
           next := Int.min !next st.earliest_exec.(avail.(j))
         done;
         assert (!next < max_int);
-        Ds_obs.Metrics.add stall_counter (!next - st.time);
+        stall_cycles := !stall_cycles + (!next - st.time);
         st.time <- !next
       end
       else begin
@@ -457,12 +453,15 @@ let run_impl ?seed ?recorder config ~annot dag =
     (* one aggregate span per block: total dynamic-heuristic time spent
        inside the enclosing "schedule" span (the picks themselves are
        interleaved with issue bookkeeping, so a contiguous sub-span per
-       pick would be noise; args carry the pick count) *)
+       pick would be noise; args carry the pick count, the candidates
+       examined and the stall cycles) *)
     if trace_on && !picks > 0 then
       Ds_obs.Trace.record ~cat:"pipeline" ~name:"heur_dynamic"
         ~args:
           [ ("picks", Ds_obs.Json.Int !picks);
-            ("aggregate", Ds_obs.Json.Bool true) ]
+            ("aggregate", Ds_obs.Json.Bool true);
+            ("candidates", Ds_obs.Json.Int !candidates);
+            ("stall_cycles", Ds_obs.Json.Int !stall_cycles) ]
         ~start_s:!pick_first
         ~stop_s:(!pick_first +. !pick_total)
         ();

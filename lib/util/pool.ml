@@ -120,10 +120,6 @@ let default_chunk = 64
    happens at submit time, so the disabled path costs one atomic read
    per task and nothing per instruction.  With chunked submission one
    task covers a whole chunk, so these are per-chunk, not per-block. *)
-let steals_c = Ds_obs.Metrics.counter "pool.steals"
-let steal_fails_c = Ds_obs.Metrics.counter "pool.steal_fails"
-let chunks_c = Ds_obs.Metrics.counter "pool.chunks"
-
 let instrument task =
   if not (Ds_obs.Trace.enabled ()) then task
   else
@@ -155,12 +151,8 @@ let try_take pool me rng =
           else
             let v = (me + 1 + ((start + k) mod (n - 1))) mod n in
             match Deque.steal pool.deques.(v) with
-            | Some _ as r ->
-                Ds_obs.Metrics.incr steals_c;
-                r
-            | None ->
-                Ds_obs.Metrics.incr steal_fails_c;
-                sweep (k + 1)
+            | Some _ as r -> r
+            | None -> sweep (k + 1)
         in
         sweep 0
       end
@@ -282,7 +274,6 @@ let map_array_on pool ?chunk f arr =
        scheduling; the mutex in [wait] publishes the workers' writes *)
     let out = Array.make n None in
     let n_chunks = (n + chunk - 1) / chunk in
-    Ds_obs.Metrics.add chunks_c n_chunks;
     submit_all pool
       (List.init n_chunks (fun c () ->
            for j = c * chunk to min n ((c + 1) * chunk) - 1 do

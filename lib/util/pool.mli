@@ -73,10 +73,8 @@ val size : t -> int
     to record a [queue_wait] span (submit to start) and a [task_run]
     span (start to finish, also on exception); when disabled the wrap
     is skipped entirely (one atomic read per task).  With chunked
-    submission a task covers a whole chunk, so these are per-chunk.
-    The {!Ds_obs.Metrics} registry carries [pool.steals] (successful
-    steals), [pool.steal_fails] (empty-handed steal probes) and
-    [pool.chunks] (chunk tasks submitted by the map entry points). *)
+    submission a task covers a whole chunk, so these are per-chunk,
+    and the number of [task_run] spans is the number of chunks. *)
 val submit : t -> (unit -> unit) -> unit
 
 (** Block until every submitted task has finished.  If any task raised,

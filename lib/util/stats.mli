@@ -25,7 +25,7 @@ val merge : t -> t -> t
 (** Hand-rolled JSON, used for the machine-readable perf reports
     ([BENCH_obs.json], [schedtool batch --json]).  The
     implementation lives in {!Ds_obs.Json} (the observability layer
-    serializes traces and metrics through it and sits below
+    serializes traces through it and sits below
     [ds_util]); this transparent alias preserves every historical
     [Ds_util.Stats.Json] reference and type equality.  See
     [lib/obs/json.mli] for the full contract (exact float round trips,

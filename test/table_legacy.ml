@@ -63,11 +63,6 @@ module Res_table = struct
     s.n_uses <- 0;
     { strategy; s }
 
-  (* observability: table lookups and alias-scan lengths — the cost the
-     paper's §6 asymmetry experiment is about *)
-  let probe_counter = Ds_obs.Metrics.counter "dag.table_probes"
-  let alias_scan_counter = Ds_obs.Metrics.counter "dag.alias_entries_scanned"
-
   let grow_int_array a len fill =
     let grown = Array.make len fill in
     Array.blit a 0 grown 0 (Array.length a);
@@ -100,8 +95,10 @@ module Res_table = struct
       end
     end
 
+  (* table lookups and alias-scan lengths, the cost the paper's §6
+     asymmetry experiment is about, count on the enclosing trace span *)
   let lookup t res =
-    Ds_obs.Metrics.incr probe_counter;
+    Ds_obs.Trace.count "table_probes" 1;
     let id = Resource.Ids.id t.s.ids res in
     touch t.s id;
     id
@@ -162,8 +159,7 @@ module Res_table = struct
     if t.strategy = Disambiguate.Symbolic then 0
     else if Resource.is_memory res then begin
       let s = t.s in
-      if Ds_obs.Metrics.is_enabled () then
-        Ds_obs.Metrics.add alias_scan_counter s.n_mem;
+      Ds_obs.Trace.count "alias_entries_scanned" s.n_mem;
       let n = ref 0 in
       (* newest first, like the legacy prepend-ordered entry list *)
       for k = s.n_mem - 1 downto 0 do

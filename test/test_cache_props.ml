@@ -181,27 +181,17 @@ let test_model_check () =
   done
 
 (* the same interleavings with strict checks armed: after every find
-   and put the cache itself re-walks its invariants AND compares the
-   cache.bytes / cache.entries metrics gauges against the recomputed
-   totals, so a gauge that drifts from reality fails at the op that
-   introduced the drift.  One cache per seed with the registry reset:
-   the gauges are process-global, so they track exactly one live
-   cache's occupancy. *)
-let test_strict_gauge_agreement () =
+   and put the cache itself re-runs [selfcheck], whose byte and entry
+   totals are recomputed from the entries, so an occupancy count that
+   drifts from reality fails at the op that introduced the drift *)
+let test_strict_selfcheck () =
   let was_strict = Cache.strict_checks () in
-  Metrics.disable ();
-  Metrics.reset ();
-  Metrics.enable ();
   Cache.set_strict_checks true;
   Fun.protect
-    ~finally:(fun () ->
-      Cache.set_strict_checks was_strict;
-      Metrics.disable ();
-      Metrics.reset ())
+    ~finally:(fun () -> Cache.set_strict_checks was_strict)
     (fun () ->
       let seeds = scale 60 in
       for seed = 0 to seeds - 1 do
-        Metrics.reset ();
         model_iteration seed
       done)
 
@@ -433,8 +423,8 @@ let suite =
   [ Alcotest.test_case "XXH64 test vectors" `Quick test_xxh64_vectors;
     Alcotest.test_case "model check (seeded interleavings)" `Quick
       test_model_check;
-    Alcotest.test_case "strict checks: gauges never drift" `Quick
-      test_strict_gauge_agreement;
+    Alcotest.test_case "strict checks: selfcheck after every mutation" `Quick
+      test_strict_selfcheck;
     Alcotest.test_case "eviction order follows recency" `Quick
       test_eviction_order;
     Alcotest.test_case "replacement is not an eviction" `Quick

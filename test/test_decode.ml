@@ -3,7 +3,8 @@
     The table builders read each block through
     {!Pipeline.decode}; these tests pin them to their pre-decode
     yardsticks ({!Table_legacy}) — fingerprints, adjacency walk
-    sequences and the table-probe and alias-scan counters — and pin
+    sequences and the table-probe and alias-scan counts on the build's
+    trace span — and pin
     scoring's reuse of the decode: a stale decode is never used, a DAG
     scored on another domain scores the same, and scoring a freshly
     built DAG allocates no scan.  The wide-uselist regression runs only
@@ -12,21 +13,26 @@
 open Dagsched
 open Helpers
 
-let probes = Metrics.counter "dag.table_probes"
-let alias_scans = Metrics.counter "dag.alias_entries_scanned"
-
-(* [build ()] with metrics on: the DAG and its probe and alias-scan
-   counts *)
+(* [build ()] inside a traced dag_build span: the DAG and the probe and
+   alias-scan counts that span's args carry *)
 let counted build =
-  Metrics.reset ();
-  Metrics.enable ();
+  Trace.reset ();
+  Trace.enable ();
   Fun.protect
     ~finally:(fun () ->
-      Metrics.disable ();
-      Metrics.reset ())
+      Trace.disable ();
+      Trace.reset ())
     (fun () ->
-      let dag = build () in
-      (dag, Metrics.value probes, Metrics.value alias_scans))
+      let dag = Trace.with_span "dag_build" build in
+      match Trace.snapshot () with
+      | [ s ] ->
+          let arg k =
+            match List.assoc_opt k s.Trace.args with
+            | Some (Json.Int n) -> n
+            | _ -> 0
+          in
+          (dag, arg "table_probes", arg "alias_entries_scanned")
+      | spans -> Alcotest.failf "expected one span, found %d" (List.length spans))
 
 (* every node's succ and pred walks, in walk order *)
 let walks dag =

@@ -1,11 +1,11 @@
 (** Observability tests: the monotonic-leaning clock, the span recorder
-    and its Chrome trace-event round trip, the metrics registry and the
-    golden bytes of its snapshot JSON, the spans' minor-words charge,
-    adversarial decoding of malformed trace JSON, pool instrumentation, the
-    event log read back from its sink, and the differential guarantee that
-    enabling observability changes no scheduling result.
+    and its Chrome trace-event round trip, the counts that ride on spans
+    as args, the spans' minor-words charge, adversarial decoding of
+    malformed trace JSON, pool instrumentation, the event log read back
+    from its sink, and the differential guarantee that enabling
+    observability changes no scheduling result.
 
-    Every test leaves both recorders disabled and empty: the rest of the
+    Every test leaves the recorders disabled and empty: the rest of the
     suite (golden output tests in particular) relies on observability
     being invisible by default. *)
 
@@ -14,16 +14,13 @@ open Helpers
 
 let obs_off () =
   Trace.disable ();
-  Metrics.disable ();
-  Trace.reset ();
-  Metrics.reset ()
+  Trace.reset ()
 
-(* Run [f] with both recorders enabled and empty, restoring the default
-   disabled-and-empty state afterwards even on failure. *)
+(* Run [f] with the span recorder enabled and empty, restoring the
+   default disabled-and-empty state afterwards even on failure. *)
 let with_obs f =
   obs_off ();
   Trace.enable ();
-  Metrics.enable ();
   Fun.protect ~finally:obs_off f
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -268,65 +265,94 @@ let test_trace_summary () =
   | l -> Alcotest.failf "expected 2 phases, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
-(* metrics *)
+(* counts: a phase's counts ride on its span as args *)
 
-let test_metrics_disabled_is_invisible () =
+(* the integer arg [k] of [s], 0 when absent *)
+let int_arg k (s : Trace.span) =
+  match List.assoc_opt k s.Trace.args with Some (Json.Int n) -> n | _ -> 0
+
+let span_named name spans =
+  match List.filter (fun s -> s.Trace.name = name) spans with
+  | [ s ] -> s
+  | l -> Alcotest.failf "expected one %s span, got %d" name (List.length l)
+
+let test_count_innermost_span () =
+  (* tracing off: nothing is kept, not even for a later span *)
   obs_off ();
-  let c = Metrics.counter "test.gated" in
-  let h = Metrics.histogram "test.gated_h" in
-  Metrics.add c 5;
-  Metrics.incr c;
-  Metrics.observe h 3;
-  let snap = Metrics.snapshot () in
-  check_bool "no counters" true (snap.Metrics.counters = []);
-  check_bool "no histograms" true (snap.Metrics.histograms = [])
-
-let test_metrics_counters_and_buckets () =
+  Trace.count "lost" 5;
   with_obs @@ fun () ->
-  let c = Metrics.counter "test.alpha" in
-  Metrics.add c 5;
-  Metrics.incr c;
-  (* same name, same handle *)
-  Metrics.incr (Metrics.counter "test.alpha");
-  let h = Metrics.histogram "test.lat" in
-  List.iter (Metrics.observe h) [ 0; 1; 2; 3; 4; 1000 ];
-  let snap = Metrics.snapshot () in
-  Alcotest.(check (list (pair string int)))
-    "counter summed" [ ("test.alpha", 7) ] snap.Metrics.counters;
-  match snap.Metrics.histograms with
-  | [ hs ] ->
-      check_string "name" "test.lat" hs.Metrics.name;
-      check_int "count" 6 hs.Metrics.count;
-      check_int "sum" 1010 hs.Metrics.sum;
-      (* log2 buckets: <=0 | 1 | 2-3 | 4-7 | ... | 512-1023 *)
-      Alcotest.(check (list (pair int int)))
-        "buckets"
-        [ (0, 1); (1, 1); (3, 2); (7, 1); (1023, 1) ]
-        hs.Metrics.buckets
-  | l -> Alcotest.failf "expected 1 histogram, got %d" (List.length l)
+  (* no span open: dropped *)
+  Trace.count "lost" 7;
+  Trace.with_span "outer" (fun () ->
+      Trace.count "n" 1;
+      Trace.with_span "inner" (fun () ->
+          Trace.count "n" 10;
+          Trace.count "m" 2;
+          Trace.count "n" 10);
+      Trace.count "n" 100;
+      try
+        Trace.with_span "raises" (fun () ->
+            Trace.count "n" 1000;
+            failwith "boom")
+      with Failure _ -> ());
+  let spans = Trace.snapshot () in
+  let args name = (span_named name spans).Trace.args in
+  check_bool "inner: summed, first-count order" true
+    (args "inner" = [ ("n", Json.Int 20); ("m", Json.Int 2) ]);
+  check_bool "outer: its own counts only" true
+    (args "outer" = [ ("n", Json.Int 101) ]);
+  check_bool "a raising span keeps its counts" true
+    (args "raises" = [ ("n", Json.Int 1000) ]);
+  check_bool "nothing outside a span or with tracing off" true
+    (List.for_all (fun s -> int_arg "lost" s = 0) spans);
+  (* the stack is empty again: a later span starts from nothing *)
+  Trace.reset ();
+  Trace.with_span ~args:[ ("k", Json.Int 1) ] "fresh" (fun () -> ());
+  let fresh = span_named "fresh" (Trace.snapshot ()) in
+  check_bool "given args untouched without counts" true
+    (fresh.Trace.args = [ ("k", Json.Int 1) ])
 
-(* [bench obs] writes [snapshot_to_json] into BENCH_obs.json, and
-   nothing reads it back: pin its bytes on a fixed snapshot, which is
-   also what the registry holds after the same observations *)
-let test_metrics_json_golden () =
-  let fixed =
-    { Metrics.counters = [ ("test.a", 3); ("test.b", 9) ];
-      histograms =
-        [ { Metrics.name = "test.h"; count = 3; sum = 66;
-            buckets = [ (1, 2); (127, 1) ] } ] }
+(* the engine's aggregate pick span on a dependence chain: one candidate
+   per pick, and each arc's latency beyond one cycle stalls the issue
+   (a 6-cycle and a 2-cycle arc: stalls of several cycles each) *)
+let test_count_heur_dynamic () =
+  let block =
+    block_of_asm
+      "fdivd %f0, %f2, %f4\nfaddd %f4, %f4, %f6\nfaddd %f6, %f6, %f8\n"
+  in
+  let dag =
+    Builder.build Batch.section6.Batch.algorithm Batch.section6.Batch.opts
+      block
+  in
+  let stalls =
+    List.fold_left
+      (fun acc (a : Dag.arc) -> acc + max 0 (a.Dag.latency - 1))
+      0 (Dag.arcs dag)
+  in
+  check_int "the chain stalls" 6 stalls;
+  with_obs @@ fun () ->
+  ignore (Batch.run_here Batch.section6 [ block ]);
+  let s = span_named "heur_dynamic" (Trace.snapshot ()) in
+  check_int "picks" 3 (int_arg "picks" s);
+  check_int "one candidate per pick" 3 (int_arg "candidates" s);
+  check_int "stall cycles" stalls (int_arg "stall_cycles" s)
+
+(* Chrome trace bytes of a counted span: given args, then the counts in
+   first-count order, then the minor-words charge *)
+let test_count_args_golden () =
+  with_obs @@ fun () ->
+  Trace.with_span ~cat:"pipeline" ~args:[ ("block", Json.Int 3) ] "dag_build"
+    (fun () ->
+      Trace.count "table_probes" 7;
+      Trace.count "alias_entries_scanned" 2;
+      Trace.count "table_probes" 1);
+  let s = span_named "dag_build" (Trace.snapshot ()) in
+  let s =
+    { s with Trace.ts_us = 1.0; dur_us = 2.0; minor_words = 5; tid = 0 }
   in
   check_string "golden bytes"
-    {|{"counters": {"test.a": 3, "test.b": 9}, "histograms": [{"name": "test.h", "count": 3, "sum": 66, "buckets": [{"le": 1, "count": 2}, {"le": 127, "count": 1}]}]}|}
-    (Stats.Json.to_string (Metrics.snapshot_to_json fixed));
-  check_string "empty snapshot" {|{"counters": {}, "histograms": []}|}
-    (Stats.Json.to_string
-       (Metrics.snapshot_to_json { Metrics.counters = []; histograms = [] }));
-  with_obs @@ fun () ->
-  Metrics.add (Metrics.counter "test.b") 9;
-  Metrics.add (Metrics.counter "test.a") 3;
-  List.iter (Metrics.observe (Metrics.histogram "test.h")) [ 1; 1; 64 ];
-  check_bool "the registry's snapshot of the same observations" true
-    (Metrics.snapshot () = fixed)
+    {|{"name": "dag_build", "cat": "pipeline", "ph": "X", "ts": 1.0, "dur": 2.0, "pid": 0, "tid": 0, "args": {"block": 3, "table_probes": 8, "alias_entries_scanned": 2, "minor_words": 5}}|}
+    (Stats.Json.to_string (Trace.span_to_json s))
 
 (* ------------------------------------------------------------------ *)
 (* pool instrumentation *)
@@ -363,10 +389,26 @@ let test_batch_differential () =
         (Batch.strip_timing a = Batch.strip_timing b))
     off_results on_results
 
+(* every integer arg but the block id, summed per (span, arg) *)
+let summed_counts spans =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (s : Trace.span) ->
+      List.iter
+        (function
+          | k, Json.Int n when k <> "block" ->
+              let key = (s.Trace.name, k) in
+              Hashtbl.replace tbl key
+                (n + Option.value (Hashtbl.find_opt tbl key) ~default:0)
+          | _ -> ())
+        s.Trace.args)
+    spans;
+  List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [])
+
 let test_batch_records_pipeline_phases () =
   with_obs @@ fun () ->
   let blocks = Profiles.generate Profiles.grep in
-  let _ = Batch.run ~domains:1 Batch.section6 blocks in
+  let results = Batch.run ~domains:1 Batch.section6 blocks in
   let spans = Trace.snapshot () in
   let names = List.sort_uniq compare (List.map (fun s -> s.Trace.name) spans) in
   List.iter
@@ -380,16 +422,28 @@ let test_batch_records_pipeline_phases () =
       check_bool "aggregate tag" true
         (List.assoc_opt "aggregate" s.Trace.args = Some (Json.Bool true))
   | None -> Alcotest.fail "no heur_dynamic span");
-  let snap = Metrics.snapshot () in
-  let counter name = List.assoc_opt name snap.Metrics.counters in
-  check_bool "arcs counted" true
-    (match counter "dag.arcs_added" with Some n -> n > 0 | None -> false);
-  check_bool "probes counted" true
-    (match counter "dag.table_probes" with Some n -> n > 0 | None -> false);
-  check_bool "ready lengths observed" true
-    (List.exists
-       (fun (h : Metrics.hist_snapshot) -> h.Metrics.name = "sched.ready_len")
-       snap.Metrics.histograms)
+  (* the counts on the phases' spans *)
+  let sum name k =
+    List.fold_left
+      (fun acc s -> if s.Trace.name = name then acc + int_arg k s else acc)
+      0 spans
+  in
+  let report = Batch.report ~domains:1 ~wall_s:0.0 results in
+  check_int "dag_build arcs sum to the report's" report.Batch.arcs
+    (sum "dag_build" "arcs");
+  check_bool "probes counted" true (sum "dag_build" "table_probes" > 0);
+  List.iter
+    (fun s ->
+      if s.Trace.name = "heur_dynamic" then
+        check_bool "candidates >= picks" true
+          (int_arg "candidates" s >= int_arg "picks" s))
+    spans;
+  (* the counts do not depend on the number of domains *)
+  let one = summed_counts spans in
+  Trace.reset ();
+  ignore (Batch.run ~domains:3 Batch.section6 blocks);
+  check_bool "summed args equal at 1 and 3 domains" true
+    (summed_counts (Trace.snapshot ()) = one)
 
 (* ------------------------------------------------------------------ *)
 (* log: the third pillar *)
@@ -511,22 +565,31 @@ let test_log_sink_write_through () =
           | Ok () -> ()
           | Error msg -> Alcotest.failf "set_sink: %s" msg);
           Log.log Log.Info ~scope:"test" "first";
-          (* no close, no flush: the line must already be on disk *)
+          Log.log Log.Info ~scope:"test" "second";
+          (* no close, no flush: both lines must already be on disk,
+             whole *)
           let ondisk = In_channel.with_open_bin path In_channel.input_all in
-          check_bool "write-through" true (contains ondisk "first"));
+          check_bool "ends with a newline" true
+            (String.ends_with ~suffix:"\n" ondisk);
+          match Log.events_of_jsonl ondisk with
+          | Ok evs ->
+              Alcotest.(check (list string))
+                "two whole lines before close" [ "first"; "second" ]
+                (List.map (fun e -> e.Log.msg) evs)
+          | Error e -> Alcotest.failf "read: %s" (Stats.Json.error_to_string e));
       (* a new sink on the same path starts the file afresh *)
       with_log (fun _ ->
           (match Log.set_sink path with
           | Ok () -> ()
           | Error msg -> Alcotest.failf "reopened sink: %s" msg);
-          Log.log Log.Info ~scope:"test" "second";
+          Log.log Log.Info ~scope:"test" "third";
           Log.close_sink ();
           match Log.events_of_jsonl
                   (In_channel.with_open_bin path In_channel.input_all)
           with
           | Ok evs ->
               Alcotest.(check (list string))
-                "reopening truncates" [ "second" ]
+                "reopening truncates" [ "third" ]
                 (List.map (fun e -> e.Log.msg) evs)
           | Error e -> Alcotest.failf "read: %s" (Stats.Json.error_to_string e));
       (* unopenable path is a typed error, not an exception *)
@@ -559,80 +622,97 @@ let test_log_heartbeat () =
   | l -> Alcotest.failf "expected 2 events, got %d" (List.length l));
   check_bool "rss_kb readable" true (Log.rss_kb () >= 0)
 
-(* ------------------------------------------------------------------ *)
-(* the Sink submodule: the reusable untorn-line writer *)
-
+(* the sink as a line writer: exact bytes, replacement, close *)
 let test_log_sink_module () =
-  let path = Filename.temp_file "dagsched_test_sink" ".log" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let s =
-        match Log.Sink.open_ ~append:false path with
-        | Ok s -> s
-        | Error msg -> Alcotest.failf "open: %s" msg
-      in
-      check_string "path recorded" path (Log.Sink.path s);
-      Log.Sink.write_line s "alpha";
-      Log.Sink.write_line s "beta";
-      (* write-through: on disk before close *)
-      check_string "two whole lines, no buffering" "alpha\nbeta\n"
-        (In_channel.with_open_bin path In_channel.input_all);
-      Log.Sink.close s;
-      (* append extends, truncate wipes *)
-      let s2 =
-        match Log.Sink.open_ ~append:true path with
-        | Ok s -> s
-        | Error msg -> Alcotest.failf "append open: %s" msg
-      in
-      Log.Sink.write_line s2 "gamma";
-      Log.Sink.close s2;
-      check_string "append kept prior lines" "alpha\nbeta\ngamma\n"
-        (In_channel.with_open_bin path In_channel.input_all);
-      let s3 =
-        match Log.Sink.open_ ~append:false path with
-        | Ok s -> s
-        | Error msg -> Alcotest.failf "truncate open: %s" msg
-      in
-      Log.Sink.close s3;
-      check_string "truncate wiped" ""
-        (In_channel.with_open_bin path In_channel.input_all);
-      (* unopenable path: typed error, not an exception *)
-      match Log.Sink.open_ "/nonexistent-dir/x.log" with
-      | Ok _ -> Alcotest.fail "bogus path accepted"
-      | Error msg ->
-          check_bool "path in error" true (contains msg "/nonexistent-dir"))
-
-(* ------------------------------------------------------------------ *)
-(* metrics quantiles *)
-
-let test_metrics_quantiles () =
-  (* hand-built: 50 observations <= 1, 50 in (1, 3] *)
-  let h =
-    { Metrics.name = "q"; count = 100; sum = 200;
-      buckets = [ (1, 50); (3, 50) ] }
+  let path_a = Filename.temp_file "dagsched_test_sink" ".log" in
+  let path_b = Filename.temp_file "dagsched_test_sink" ".log" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let msgs path =
+    match Log.events_of_jsonl (read path) with
+    | Ok evs -> List.map (fun e -> e.Log.msg) evs
+    | Error e -> Alcotest.failf "read: %s" (Stats.Json.error_to_string e)
   in
-  check_int "p50 at first bucket edge" 1 (Metrics.quantile h 0.50);
-  check_int "p95 in second bucket" 3 (Metrics.quantile h 0.95);
-  check_int "p99 in second bucket" 3 (Metrics.quantile h 0.99);
-  check_int "p0 clamps to first" 1 (Metrics.quantile h 0.0);
-  check_int "p1 is max bucket" 3 (Metrics.quantile h 1.0);
-  check_int "empty histogram" 0
-    (Metrics.quantile { Metrics.name = "e"; count = 0; sum = 0; buckets = [] } 0.5);
-  (* summary agrees with quantile and the snapshot order *)
-  with_obs @@ fun () ->
-  List.iter (Metrics.observe (Metrics.histogram "test.q")) [ 1; 1; 1; 100 ];
-  match Metrics.summary (Metrics.snapshot ()) with
-  | [ s ] ->
-      check_string "name" "test.q" s.Metrics.name;
-      check_int "count" 4 s.Metrics.count;
-      check_int "p50" 1 s.Metrics.p50;
-      check_int "p99 reaches the outlier bucket" 127 s.Metrics.p99;
-      check_bool "mean" true (Float.abs (s.Metrics.mean -. 25.75) < 1e-9)
-  | l -> Alcotest.failf "expected 1 summary, got %d" (List.length l)
+  let open_sink path =
+    match Log.set_sink path with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "set_sink: %s" msg
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      log_off ();
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path_a; path_b ])
+    (fun () ->
+      log_off ();
+      Log.set_level (Some Log.Debug);
+      open_sink path_a;
+      Log.log ~fields:[ ("k", Json.Int 1) ] Log.Info ~scope:"test" "alpha";
+      Log.log Log.Warn ~scope:"test" "beta";
+      (* on disk before close: each event is its JSON and one newline *)
+      let ondisk = read path_a in
+      (match Log.events_of_jsonl ondisk with
+      | Ok evs ->
+          check_string "one line per event, no buffering"
+            (String.concat ""
+               (List.map
+                  (fun e -> Stats.Json.to_string (Log.event_to_json e) ^ "\n")
+                  evs))
+            ondisk;
+          Alcotest.(check (list string))
+            "both events" [ "alpha"; "beta" ]
+            (List.map (fun e -> e.Log.msg) evs)
+      | Error e -> Alcotest.failf "read: %s" (Stats.Json.error_to_string e));
+      (* a new sink replaces the old one: later events land only there *)
+      open_sink path_b;
+      Log.log Log.Info ~scope:"test" "gamma";
+      check_string "replaced sink untouched" ondisk (read path_a);
+      Alcotest.(check (list string)) "new sink" [ "gamma" ] (msgs path_b);
+      (* detached: events are dropped, and closing twice is a no-op *)
+      Log.close_sink ();
+      Log.log Log.Info ~scope:"test" "delta";
+      Log.close_sink ();
+      Alcotest.(check (list string))
+        "nothing after close" [ "gamma" ] (msgs path_b))
 
 (* ------------------------------------------------------------------ *)
-(* differential: the full three-pillar stack changes no result *)
+(* counts on dag_build *)
+
+(* the counts on the dag_build span of one traced build of [block] *)
+let build_counts alg opts block =
+  with_obs @@ fun () ->
+  let dag =
+    Trace.with_span "dag_build" (fun () -> Builder.build alg opts block)
+  in
+  (dag, span_named "dag_build" (Trace.snapshot ()))
+
+(* Figure 1's direct RAW arc 1 -> 3 is covered by 1 -> 2 -> 3: both
+   transitive-free builders prune exactly it; a table builder prunes
+   nothing and records no such count *)
+let test_count_transitive_pruned () =
+  List.iter
+    (fun alg ->
+      let _, s = build_counts alg figure1_opts (figure1_block ()) in
+      check_int (Builder.to_string alg ^ " prunes one arc") 1
+        (int_arg "transitive_arcs_pruned" s))
+    [ Builder.Reach_backward; Builder.Landskov ];
+  let _, s =
+    build_counts Builder.Table_forward figure1_opts (figure1_block ())
+  in
+  check_bool "table-forward records no pruning" true
+    (List.assoc_opt "transitive_arcs_pruned" s.Trace.args = None)
+
+(* [ld] then an [add] that reads and rewrites its target: RAW and WAW on
+   one pair coalesce into one arc *)
+let test_count_coalesced_arcs () =
+  let block = block_of_asm "ld [%fp - 8], %o1\nadd %o1, 1, %o1\n" in
+  let dag, s = build_counts Builder.Table_forward Opts.default block in
+  check_int "one arc" 1 (Dag.n_arcs dag);
+  check_bool "coalesced" true (int_arg "arcs_coalesced" s >= 1);
+  check_bool "probes counted" true (int_arg "table_probes" s > 0)
+
+(* ------------------------------------------------------------------ *)
+(* differential: the full obs stack changes no result *)
 
 let test_full_obs_differential () =
   obs_off ();
@@ -845,9 +925,10 @@ let suite =
     quick "trace: metadata events" test_trace_metadata_skipped;
     quick "trace: adversarial decode" test_trace_decode_adversarial;
     quick "trace: phase summary" test_trace_summary;
-    quick "metrics: disabled is invisible" test_metrics_disabled_is_invisible;
-    quick "metrics: counters and buckets" test_metrics_counters_and_buckets;
-    quick "metrics: snapshot JSON golden bytes" test_metrics_json_golden;
+    quick "trace: count lands on the innermost span" test_count_innermost_span;
+    quick "trace: heur_dynamic counts candidates and stalls"
+      test_count_heur_dynamic;
+    quick "trace: count args golden bytes" test_count_args_golden;
     quick "pool: queue_wait/task_run instrumented" test_pool_instrumented;
     quick "batch: differential off vs on" test_batch_differential;
     quick "batch: pipeline phases recorded" test_batch_records_pipeline_phases;
@@ -858,8 +939,10 @@ let suite =
     quick "log: sink write-through" test_log_sink_write_through;
     quick "log: heartbeat" test_log_heartbeat;
     quick "log: sink module" test_log_sink_module;
+    quick "trace: dag_build counts coalesced arcs" test_count_coalesced_arcs;
     quick "trace: span charges minor words" test_trace_span_minor_words;
-    quick "metrics: quantiles" test_metrics_quantiles;
+    quick "trace: transitive-free builders count pruned arcs"
+      test_count_transitive_pruned;
     quick "differential: full obs stack" test_full_obs_differential;
     quick "explain: disabled is invisible" test_explain_disabled_is_invisible;
     quick "explain: observe aggregates" test_explain_observe_aggregates;
