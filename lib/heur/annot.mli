@@ -1,7 +1,11 @@
 (** Static heuristic annotations: one value per DAG node for every
     heuristic computable before the scheduling pass (Table 1 columns `a`,
     `f`, `b`, `f+b`).  Column-`a` values live on the DAG itself; this
-    record holds the pass-computed ones. *)
+    record holds the pass-computed ones.  {!create} allocates every
+    column; [Static_pass.compute] fills them all, while
+    [Static_pass.compute_for] fills only the walks and groups its
+    heuristics name and leaves the other columns zero (see
+    static_pass.mli). *)
 
 type t = {
   exec_time : int array;               (* a *)

@@ -24,7 +24,7 @@ type t = {
   unscheduled_parents : int array;
   unscheduled_children : int array;
   earliest_exec : int array;
-  mutable last : int option;          (* most recently scheduled node *)
+  mutable last : int;                 (* most recently scheduled node, -1 before the first *)
   unit_free : int array;              (* per Funit, next free cycle *)
   mutable n_scheduled : int;
 }
@@ -40,7 +40,7 @@ let create dag direction =
     unscheduled_parents = Array.init n (Ds_dag.Dag.n_parents dag);
     unscheduled_children = Array.init n (Ds_dag.Dag.n_children dag);
     earliest_exec = Array.make n 0;
-    last = None;
+    last = -1;
     unit_free = Array.make Funit.count 0;
     n_scheduled = 0;
   }
@@ -104,7 +104,7 @@ let schedule t i ~at =
   t.scheduled.(i) <- true;
   t.sched_time.(i) <- at;
   t.n_scheduled <- t.n_scheduled + 1;
-  t.last <- Some i;
+  t.last <- i;
   let unscheduled =
     match t.direction with
     | Forward -> t.unscheduled_parents

@@ -15,7 +15,7 @@ type t = {
   unscheduled_parents : int array;
   unscheduled_children : int array;
   earliest_exec : int array;
-  mutable last : int option;
+  mutable last : int;        (* most recently scheduled node; -1 before the first *)
   unit_free : int array;     (* per Funit, next free cycle *)
   mutable n_scheduled : int;
 }

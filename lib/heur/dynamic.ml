@@ -10,15 +10,15 @@ open Ds_machine
     greater than one".  The paper calls the heuristic expensive and notes
     earliest execution time does the job better. *)
 let interlock_with_previous (st : Dyn_state.t) i =
-  match st.last with
-  | None -> 0
-  | Some last ->
-      let interlocks =
-        Dyn_state.fold_successors st last
-          (fun found peer latency _ -> found || (peer = i && latency > 1))
-          false
-      in
-      if interlocks then 1 else 0
+  let last = st.last in
+  if last < 0 then 0
+  else
+    let interlocks =
+      Dyn_state.fold_successors st last
+        (fun found peer latency _ -> found || (peer = i && latency > 1))
+        false
+    in
+    if interlocks then 1 else 0
 
 let earliest_execution_time (st : Dyn_state.t) i = st.earliest_exec.(i)
 
@@ -34,14 +34,13 @@ let fp_unit_busy (st : Dyn_state.t) i =
 (** 1 when the candidate's class differs from the last scheduled
     instruction's — the superscalar alternation preference. *)
 let alternate_type (st : Dyn_state.t) i =
-  match st.last with
-  | None -> 0
-  | Some last ->
-      if
-        Funit.of_insn (Ds_dag.Dag.insn st.dag i)
-        <> Funit.of_insn (Ds_dag.Dag.insn st.dag last)
-      then 1
-      else 0
+  let last = st.last in
+  if last < 0 then 0
+  else if
+    Funit.of_insn (Ds_dag.Dag.insn st.dag i)
+    <> Funit.of_insn (Ds_dag.Dag.insn st.dag last)
+  then 1
+  else 0
 
 (* Children (scheduling-direction successors) of [i] whose only remaining
    unscheduled predecessor is [i] itself. *)
@@ -73,12 +72,12 @@ let num_uncovered_children (st : Dyn_state.t) i =
     is a RAW parent of the most recently scheduled node — choosing it next
     shortens the corresponding register lifetime. *)
 let birthing_instruction (st : Dyn_state.t) i =
-  match st.last with
-  | None -> 0
-  | Some last ->
-      let is_raw_parent =
-        Dyn_state.fold_successors st last
-          (fun found peer _ kind -> found || (peer = i && kind = Dep.Raw))
-          false
-      in
-      if is_raw_parent then 1 else 0
+  let last = st.last in
+  if last < 0 then 0
+  else
+    let is_raw_parent =
+      Dyn_state.fold_successors st last
+        (fun found peer _ kind -> found || (peer = i && kind = Dep.Raw))
+        false
+    in
+    if is_raw_parent then 1 else 0

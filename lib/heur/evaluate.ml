@@ -42,3 +42,8 @@ let value (h : Heuristic.t) ~(annot : Annot.t) ~(st : Dyn_state.t) i =
   | Heuristic.Liveness -> annot.liveness.(i)
   | Heuristic.Birthing_instruction -> Dynamic.birthing_instruction st i
   | Heuristic.Original_order -> i
+
+let is_static (h : Heuristic.t) =
+  match h with
+  | Heuristic.Birthing_instruction -> false
+  | _ -> not (Heuristic.is_dynamic h)

@@ -29,17 +29,21 @@ let forward_pass dag (annot : Annot.t) =
 
 (* Backward-pass annotations for one node, assuming all its children are
    already final. *)
-let backward_visit dag (annot : Annot.t) ~critical_path i =
-  let exec = annot.exec_time.(i) in
-  annot.max_delay_to_leaf.(i) <- exec;
-  annot.lst.(i) <- critical_path - exec;
+let backward_visit dag (annot : Annot.t) i =
+  annot.max_delay_to_leaf.(i) <- annot.exec_time.(i);
   Ds_dag.Dag.iter_succ dag i (fun dst latency _ ->
       annot.max_path_to_leaf.(i) <-
         Int.max annot.max_path_to_leaf.(i) (annot.max_path_to_leaf.(dst) + 1);
       annot.max_delay_to_leaf.(i) <-
-        Int.max annot.max_delay_to_leaf.(i) (annot.max_delay_to_leaf.(dst) + latency);
-      annot.lst.(i) <- Int.min annot.lst.(i) (annot.lst.(dst) - latency));
-  annot.slack.(i) <- annot.lst.(i) - annot.est.(i)
+        Int.max annot.max_delay_to_leaf.(i) (annot.max_delay_to_leaf.(dst) + latency))
+
+let backward_pass traversal dag annot =
+  match traversal with
+  | Reverse_walk ->
+      for i = Ds_dag.Dag.length dag - 1 downto 0 do
+        backward_visit dag annot i
+      done
+  | Level_lists -> Level.iter_backward (backward_visit dag annot) (Level.compute dag)
 
 (* Descendant measures: population counts over reachability bit maps, as
    the paper recommends ("the #descendants is then merely the population
@@ -70,8 +74,7 @@ let descendant_measures dag (annot : Annot.t) =
           annot.sum_exec_of_descendants.(i) <- !sum)
         maps
 
-(** Which optional (and costly) annotation groups to compute.  The
-    path/delay/EST/LST/slack annotations are always computed; descendant
+(** Which optional (and costly) annotation groups to compute: descendant
     measures (population counts over reachability maps, O(n²) bits) and
     register-usage measures are only needed by algorithms that rank with
     them. *)
@@ -86,40 +89,57 @@ let requirements_of heuristics =
       match h with
       | Heuristic.Num_descendants | Heuristic.Sum_exec_of_descendants ->
           { acc with descendants = true }
+      (* [Birthing_instruction] reads the DAG's RAW arcs, not these *)
       | Heuristic.Registers_born | Heuristic.Registers_killed
-      | Heuristic.Liveness | Heuristic.Birthing_instruction ->
+      | Heuristic.Liveness ->
           { acc with registers = true }
       | _ -> acc)
     { descendants = false; registers = false }
     heuristics
 
-(** Compute the static annotation set for a DAG.  [live_out] feeds the
-    register-usage heuristics (default: every register escapes the
-    block); [requirements] trims the costly annotation groups (default:
-    compute everything). *)
-let compute ?(traversal = Reverse_walk) ?live_out
-    ?(requirements = all_requirements) dag =
+(* The walks a set of heuristics names (Table 1's [F], [B] and [FB]). *)
+type walks = { forward : bool; backward : bool }
+
+let walks_of heuristics =
+  List.fold_left
+    (fun acc h ->
+      match Heuristic.calc_pass h with
+      | Heuristic.F -> { acc with forward = true }
+      | Heuristic.B -> { acc with backward = true }
+      | Heuristic.FB -> { forward = true; backward = true }
+      | Heuristic.A | Heuristic.V -> acc)
+    { forward = false; backward = false }
+    heuristics
+
+let run ~traversal ?live_out ~requirements ~walks dag =
   let n = Ds_dag.Dag.length dag in
   let annot = Annot.create n in
   let model = Ds_dag.Dag.model dag in
   for i = 0 to n - 1 do
     annot.exec_time.(i) <- model.Latency.exec_time (Ds_dag.Dag.insn dag i)
   done;
-  forward_pass dag annot;
-  (* LST seeds from the critical path length through a virtual dummy leaf *)
-  let critical_path = ref 0 in
-  for i = 0 to n - 1 do
-    critical_path := Int.max !critical_path (annot.est.(i) + annot.exec_time.(i))
-  done;
-  let critical_path = !critical_path in
-  (match traversal with
-  | Reverse_walk ->
-      for i = n - 1 downto 0 do
-        backward_visit dag annot ~critical_path i
-      done
-  | Level_lists ->
-      let levels = Level.compute dag in
-      Level.iter_backward (backward_visit dag annot ~critical_path) levels);
+  if walks.forward then forward_pass dag annot;
+  if walks.backward then backward_pass traversal dag annot;
+  (* the critical path ends at a virtual dummy leaf: the largest
+     est + exec, which is also the largest max delay to a leaf *)
+  let critical_path =
+    if walks.backward then Array.fold_left Int.max 0 annot.max_delay_to_leaf
+    else if walks.forward then begin
+      let cp = ref 0 in
+      for i = 0 to n - 1 do
+        cp := Int.max !cp (annot.est.(i) + annot.exec_time.(i))
+      done;
+      !cp
+    end
+    else 0
+  in
+  (* LST seeds from the critical path: the latest start that still ends
+     every path through the node by then *)
+  if walks.backward then
+    for i = 0 to n - 1 do
+      annot.lst.(i) <- critical_path - annot.max_delay_to_leaf.(i);
+      if walks.forward then annot.slack.(i) <- annot.lst.(i) - annot.est.(i)
+    done;
   if requirements.descendants then descendant_measures dag annot;
   if requirements.registers then begin
     let regs =
@@ -134,26 +154,25 @@ let compute ?(traversal = Reverse_walk) ?live_out
   end;
   Annot.with_critical_path annot critical_path
 
+(** Compute the static annotation set for a DAG: both walks.  [live_out]
+    feeds the register-usage heuristics (default: every register escapes
+    the block); [requirements] trims the costly annotation groups
+    (default: compute everything). *)
+let compute ?(traversal = Reverse_walk) ?live_out
+    ?(requirements = all_requirements) dag =
+  run ~traversal ?live_out ~requirements
+    ~walks:{ forward = true; backward = true } dag
+
 (** [compute_for heuristics dag] computes only what the given heuristics
-    need — what a scheduler's intermediate pass would actually run. *)
-let compute_for ?traversal ?live_out heuristics dag =
-  compute ?traversal ?live_out ~requirements:(requirements_of heuristics) dag
+    need — what a scheduler's intermediate pass would actually run: the
+    walks their calculation passes name, and the costly groups they
+    read. *)
+let compute_for ?(traversal = Reverse_walk) ?live_out heuristics dag =
+  run ~traversal ?live_out ~requirements:(requirements_of heuristics)
+    ~walks:(walks_of heuristics) dag
 
 (** Only the backward-pass annotations (used when timing the traversal
     strategies in isolation, §4). *)
 let backward_only ?(traversal = Reverse_walk) dag =
-  let n = Ds_dag.Dag.length dag in
-  let annot = Annot.create n in
-  let model = Ds_dag.Dag.model dag in
-  for i = 0 to n - 1 do
-    annot.exec_time.(i) <- model.Latency.exec_time (Ds_dag.Dag.insn dag i)
-  done;
-  (match traversal with
-  | Reverse_walk ->
-      for i = n - 1 downto 0 do
-        backward_visit dag annot ~critical_path:0 i
-      done
-  | Level_lists ->
-      let levels = Level.compute dag in
-      Level.iter_backward (backward_visit dag annot ~critical_path:0) levels);
-  annot
+  run ~traversal ~requirements:{ descendants = false; registers = false }
+    ~walks:{ forward = false; backward = true } dag

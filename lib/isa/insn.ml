@@ -35,25 +35,63 @@ let with_index t index = { t with index }
     array plus a length; DAG builders keep one buffer per domain and
     loop over indices instead of consuming lists.  The scan helpers
     below are top-level and thread the buffer explicitly, so a scan
-    allocates nothing beyond the (preallocated) [Resource.t] values —
-    only double-word memory operands create a fresh second-word
-    expression. *)
+    allocates nothing: registers are preallocated [Resource.t] values,
+    and a memory entry keeps its operand's expression and the offset to
+    add to it (4 for a double-word's second word), boxed as a
+    [Resource.Mem] only when {!Scan.res} asks and interned by
+    {!Scan.id} without boxing. *)
 module Scan = struct
-  type buf = { mutable res : Resource.t array; mutable len : int }
+  type buf = {
+    mutable res : Resource.t array;
+    mutable mem : Mem_expr.t array;
+    mutable delta : int array;  (* memory: offset to add; otherwise -1 *)
+    mutable len : int;
+  }
 
-  let create () = { res = Array.make 8 Resource.Ctrl; len = 0 }
+  let no_mem = Mem_expr.make_sym ""
+
+  let create () =
+    { res = Array.make 8 Resource.Ctrl; mem = Array.make 8 no_mem;
+      delta = Array.make 8 (-1); len = 0 }
+
+  let grow b =
+    let cap = 2 * Array.length b.res in
+    let res = Array.make cap Resource.Ctrl
+    and mem = Array.make cap no_mem
+    and delta = Array.make cap (-1) in
+    Array.blit b.res 0 res 0 b.len;
+    Array.blit b.mem 0 mem 0 b.len;
+    Array.blit b.delta 0 delta 0 b.len;
+    b.res <- res;
+    b.mem <- mem;
+    b.delta <- delta
 
   let push b r =
-    if b.len >= Array.length b.res then begin
-      let grown = Array.make (2 * Array.length b.res) Resource.Ctrl in
-      Array.blit b.res 0 grown 0 b.len;
-      b.res <- grown
-    end;
+    if b.len >= Array.length b.res then grow b;
     b.res.(b.len) <- r;
+    b.delta.(b.len) <- -1;
+    b.len <- b.len + 1
+
+  let push_mem b m delta =
+    if b.len >= Array.length b.res then grow b;
+    b.mem.(b.len) <- m;
+    b.delta.(b.len) <- delta;
     b.len <- b.len + 1
 
   let len b = b.len
-  let res b i = b.res.(i)
+
+  let res b i =
+    let delta = b.delta.(i) in
+    if delta < 0 then b.res.(i)
+    else
+      let m = b.mem.(i) in
+      Resource.Mem
+        (if delta = 0 then m else { m with Mem_expr.offset = m.Mem_expr.offset + delta })
+
+  let id ids b i =
+    let delta = b.delta.(i) in
+    if delta < 0 then Resource.Ids.id ids b.res.(i)
+    else Resource.Ids.mem_id ids b.mem.(i) delta
 end
 
 (* Every non-%g0 register operand, in operand order. *)
@@ -111,9 +149,8 @@ let rec push_mem_bases b ops =
       push_mem_bases b rest
 
 let push_mem_exprs b ~double m =
-  Scan.push b (Resource.Mem m);
-  if double then
-    Scan.push b (Resource.Mem { m with Mem_expr.offset = m.Mem_expr.offset + 4 })
+  Scan.push_mem b m 0;
+  if double then Scan.push_mem b m 4
 
 (* Load sources: per memory operand, the base register then the touched
    expression(s). *)
@@ -215,20 +252,23 @@ let scan_uses b t =
       | Sdiv | Udiv -> Scan.push b Resource.Y
       | _ -> ())
 
+(* the list views' buffer: one per domain, read out before they return *)
+let list_buf = Domain.DLS.new_key Scan.create
+
 (** Resources defined by the instruction, in definition order (a register
     pair lists the even register first).  List view over {!scan_defs}. *)
 let defs t =
-  let b = Scan.create () in
+  let b = Domain.DLS.get list_buf in
   scan_defs b t;
-  List.init b.Scan.len (fun i -> b.Scan.res.(i))
+  List.init b.Scan.len (Scan.res b)
 
 (** Resources used by the instruction, paired with the source-operand
     position (0-based) for asymmetric-bypass latency models.  List view
     over {!scan_uses} (positions are the emission indices). *)
 let uses_with_pos t =
-  let b = Scan.create () in
+  let b = Domain.DLS.get list_buf in
   scan_uses b t;
-  List.init b.Scan.len (fun i -> (b.Scan.res.(i), i))
+  List.init b.Scan.len (fun i -> (Scan.res b i, i))
 
 let uses t = List.map fst (uses_with_pos t)
 

@@ -31,7 +31,13 @@ module Scan : sig
 
   val create : unit -> buf
   val len : buf -> int
+
+  (** The [i]th resource; a memory entry is boxed afresh. *)
   val res : buf -> int -> Resource.t
+
+  (** [id ids b i] is [Resource.Ids.id ids (res b i)], without boxing a
+      memory entry. *)
+  val id : Resource.Ids.t -> buf -> int -> int
 end
 
 (** Fill the buffer with the instruction's defined resources (definition

@@ -93,15 +93,12 @@ module Ids = struct
   let ctrl = 68
   let n_fixed = 69
 
-  module Mtbl = Hashtbl.Make (struct
-    type t = Mem_expr.t
-
-    let equal = Mem_expr.equal
-    let hash = Mem_expr.hash
-  end)
-
+  (* Memory expressions are interned in an open-addressed table of ids
+     (-1 = empty), a power of two long and at most half full, probed
+     linearly from a hash of the base and offset; a probe reads the
+     expression back from [by_id], so a lookup allocates nothing. *)
   type t = {
-    mem : int Mtbl.t;
+    mutable slots : int array;
     mutable by_id : resource array;
     mutable next : int;
   }
@@ -117,14 +114,76 @@ module Ids = struct
     by_id.(ctrl) <- Ctrl;
     by_id
 
-  let create () = { mem = Mtbl.create 64; by_id = fixed_ids (); next = n_fixed }
+  let initial_slots = 128
+
+  let create () =
+    { slots = Array.make initial_slots (-1); by_id = fixed_ids (); next = n_fixed }
 
   let interned t = t.next - n_fixed
 
   let clear t =
-    Mtbl.reset t.mem;
+    t.slots <- Array.make initial_slots (-1);
     t.by_id <- fixed_ids ();
     t.next <- n_fixed
+
+  let base_hash = function
+    | Mem_expr.Breg r -> Reg.hash r
+    | Mem_expr.Bsym s ->
+        let h = ref 128 in
+        for i = 0 to String.length s - 1 do
+          h := (!h * 31) + Char.code (String.unsafe_get s i)
+        done;
+        !h
+
+  (* Fibonacci hashing of base and offset onto [mask + 1] slots *)
+  let slot_of base offset mask =
+    ((((base_hash base * 8191) + offset) * 0x1E3779B97F4A7C15) lsr 24) land mask
+
+  (* The id of [base + offset] probing from slot [i], or [lnot] of the
+     empty slot it would take. *)
+  let rec probe t base offset i =
+    let id = t.slots.(i) in
+    if id < 0 then lnot i
+    else
+      match t.by_id.(id) with
+      | Mem m when m.Mem_expr.offset = offset && Mem_expr.base_equal m.Mem_expr.base base ->
+          id
+      | _ -> probe t base offset ((i + 1) land (Array.length t.slots - 1))
+
+  let rehash t =
+    let slots = Array.make (2 * Array.length t.slots) (-1) in
+    let mask = Array.length slots - 1 in
+    for id = n_fixed to t.next - 1 do
+      match t.by_id.(id) with
+      | Mem m ->
+          let i = ref (slot_of m.Mem_expr.base m.Mem_expr.offset mask) in
+          while slots.(!i) >= 0 do
+            i := (!i + 1) land mask
+          done;
+          slots.(!i) <- id
+      | R _ | Icc | Fcc | Y | Mem_all | Ctrl -> ()
+    done;
+    t.slots <- slots
+
+  let mem_id t (m : Mem_expr.t) delta =
+    let offset = m.offset + delta in
+    let found =
+      probe t m.base offset (slot_of m.base offset (Array.length t.slots - 1))
+    in
+    if found >= 0 then found
+    else begin
+      let i = t.next in
+      t.next <- i + 1;
+      if i >= Array.length t.by_id then begin
+        let grown = Array.make (2 * Array.length t.by_id) Ctrl in
+        Array.blit t.by_id 0 grown 0 (Array.length t.by_id);
+        t.by_id <- grown
+      end;
+      t.by_id.(i) <- Mem (if delta = 0 then m else { m with offset });
+      t.slots.(lnot found) <- i;
+      if 2 * interned t > Array.length t.slots then rehash t;
+      i
+    end
 
   let id t = function
     | R (Reg.Int n) -> n
@@ -134,20 +193,7 @@ module Ids = struct
     | Y -> y
     | Mem_all -> mem_all
     | Ctrl -> ctrl
-    | Mem m as r -> (
-        match Mtbl.find t.mem m with
-        | i -> i
-        | exception Not_found ->
-            let i = t.next in
-            t.next <- i + 1;
-            if i >= Array.length t.by_id then begin
-              let grown = Array.make (2 * Array.length t.by_id) Ctrl in
-              Array.blit t.by_id 0 grown 0 (Array.length t.by_id);
-              t.by_id <- grown
-            end;
-            t.by_id.(i) <- r;
-            Mtbl.add t.mem m i;
-            i)
+    | Mem m -> mem_id t m 0
 
   let resource t i = t.by_id.(i)
 end

@@ -34,7 +34,8 @@ module Tbl : Hashtbl.S with type key = t
 
 (** Dense resource ids.  Registers, the condition codes, [%y], [Mem_all]
     and [Ctrl] have fixed ids below {!Ids.n_fixed}; symbolic memory
-    expressions are interned from [n_fixed] up on first encounter and
+    expressions are interned (in an open-addressed table hashed on base
+    and offset) from [n_fixed] up on first encounter and
     keep their id until {!Ids.clear}, so the table grows when a new
     expression appears — the variable-length table the paper observed
     on fpppp.  A table is mutable and unsynchronized: keep one per
@@ -48,6 +49,11 @@ module Ids : sig
   (** Id of the resource, interning a memory expression on first
       encounter. *)
   val id : t -> resource -> int
+
+  (** [mem_id t m delta] is [id t (Mem m')] where [m'] is [m] with
+      [delta] added to its offset, without building [m'] or the [Mem]
+      box unless the expression is new. *)
+  val mem_id : t -> Mem_expr.t -> int -> int
 
   (** The resource an id denotes (the first one interned under it). *)
   val resource : t -> int -> resource

@@ -107,8 +107,9 @@ let grow a len fill =
   Array.blit a 0 grown 0 (Array.length a);
   grown
 
-let local_id s res =
-  let g = Resource.Ids.id s.ids res in
+(* The block-local id of the buffer's [j]th resource. *)
+let local_id s j =
+  let g = Insn.Scan.id s.ids s.buf j in
   if g >= Array.length s.stamp then begin
     s.stamp <- grow s.stamp (g + 1) (-1);
     s.local <- grow s.local (g + 1) 0
@@ -121,7 +122,7 @@ let local_id s res =
     s.stamp.(g) <- s.epoch;
     s.local.(g) <- l;
     if l >= Array.length d.res then d.res <- grow d.res (l + 1) Resource.Ctrl;
-    d.res.(l) <- res;
+    d.res.(l) <- Resource.Ids.resource s.ids g;
     l
   end
 
@@ -132,7 +133,7 @@ let push_scanned s ids k =
   let len = Insn.Scan.len b in
   let ids = if k + len > Array.length ids then grow ids (k + len) 0 else ids in
   for j = 0 to len - 1 do
-    ids.(k + j) <- local_id s (Insn.Scan.res b j)
+    ids.(k + j) <- local_id s j
   done;
   ids
 

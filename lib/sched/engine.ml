@@ -132,6 +132,79 @@ let pick_priority direction keys weights ~annot ~st cand m =
   !best
 
 (* ------------------------------------------------------------------ *)
+(* the static priority: one precomputed rank per node *)
+
+(* A block's static ranking for the bare pick.  [prio.(i)] is node [i]'s
+   priority: for winnowing, the signed values of the config's longest
+   prefix of static keys packed rank-major into one int (each offset by
+   its block minimum and scaled by the value ranges of the packed keys
+   after it), then program order where it fits; for a priority function whose keys are all static, its
+   weighted sum.  [rest] are the keys that winnow the nodes tied for the
+   top priority, in rank order. *)
+type static_rank = { prio : int array; rest : key list }
+
+let is_static k = Evaluate.is_static k.heuristic
+
+(* Fold key [k] into [prio] when its value range fits beside the [span]
+   distinct priorities packed so far; returns the new span, or 0 when it
+   does not fit. *)
+let pack_key ~annot ~st prio span k =
+  let n = Array.length prio in
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to n - 1 do
+    let v = signed_value k ~annot ~st i in
+    if v < !lo then lo := v;
+    if v > !hi then hi := v
+  done;
+  (* [d] is negative exactly when [hi - lo] overflows *)
+  let d = !hi - !lo in
+  if d >= 0 && d < max_int / span then begin
+    let range = d + 1 and lo = !lo in
+    for i = 0 to n - 1 do
+      prio.(i) <- (prio.(i) * range) + (signed_value k ~annot ~st i - lo)
+    done;
+    span * range
+  end
+  else 0
+
+(* Fold the leading static keys into [prio] while they fit; returns the
+   keys left over.  When every key fits, [last] follows if it fits too. *)
+let rec pack_keys ~annot ~st prio span last = function
+  | k :: rest as keys when is_static k ->
+      let span = pack_key ~annot ~st prio span k in
+      if span = 0 then keys else pack_keys ~annot ~st prio span last rest
+  | [] ->
+      ignore (pack_key ~annot ~st prio span last);
+      []
+  | keys -> keys
+
+(* The final tie-break as a key: the first instruction forward, the last
+   backward.  The pick breaks ties by program order anyway; packed, it
+   leaves no ties to break. *)
+let forward_order = key ~sense:Heuristic.Minimize Heuristic.Original_order
+let backward_order = key ~sense:Heuristic.Maximize Heuristic.Original_order
+
+(* [None] when the leading key is dynamic (or its range alone does not
+   fit in an int): the pick then winnows the whole ready list.  [n] >= 1. *)
+let static_rank config weights ~annot ~st n =
+  match (config.mode, config.keys) with
+  | Winnowing, [] -> Some { prio = Array.make n 0; rest = [] }
+  | Winnowing, k :: _ when is_static k ->
+      let prio = Array.make n 0 in
+      let last =
+        match config.direction with
+        | Dyn_state.Forward -> forward_order
+        | Dyn_state.Backward -> backward_order
+      in
+      let rest = pack_keys ~annot ~st prio 1 last config.keys in
+      if rest == config.keys then None else Some { prio; rest }
+  | Winnowing, _ -> None
+  | Priority_fn, keys ->
+      if List.for_all is_static keys then
+        Some { prio = Array.init n (priority keys weights ~annot ~st); rest = [] }
+      else None
+
+(* ------------------------------------------------------------------ *)
 (* decision tracing: which heuristic actually decided each issue *)
 
 (** One scheduling decision: the ready candidates at [time], the
@@ -369,7 +442,9 @@ let run_impl ?seed ?recorder config ~annot dag =
     (* The candidate list keeps one order that [explain] prints:
        ascending at first, newly available nodes in front in
        [fold_successors] order, removals keeping the rest in place.  It
-       lives in an array with the list's head last. *)
+       lives in an array with the list's head last.  The priority pick
+       reads no order, so it fills a removal's gap with the last
+       entry. *)
     let avail = Array.make n 0 and n_avail = ref 0 in
     let push i =
       avail.(!n_avail) <- i;
@@ -381,9 +456,13 @@ let run_impl ?seed ?recorder config ~annot dag =
     let on_successor () peer _ _ =
       if Dyn_state.available st peer then push peer
     in
-    (* the ready candidates in list order, and pick scratch *)
-    let ready = Array.make n 0 and vals = Array.make n 0 in
-    let weights = config_weights config in
+    let position i =
+      let j = ref (!n_avail - 1) in
+      while avail.(!j) <> i do
+        decr j
+      done;
+      !j
+    in
     (* trace bookkeeping is resolved once per block; the common
        (disabled) path costs one atomic read per run_impl call; only
        tracing reads the clock around each pick *)
@@ -391,23 +470,76 @@ let run_impl ?seed ?recorder config ~annot dag =
     (* decisiveness accumulator resolved once per block; [None] when the
        explain registry is off, leaving the pick path untouched *)
     let expl = explain_cell config in
+    (* the bare path ranks by one static priority per node when the
+       config leads with static keys; a recorder or the registry sees
+       the list-order candidates *)
+    let weights = config_weights config in
+    let rank =
+      match (recorder, expl) with
+      | None, None -> static_rank config weights ~annot ~st n
+      | _ -> None
+    in
+    (* the ready candidates in list order, or the top-priority front;
+       winnowing scratch unless the priority decides alone *)
+    let ready = Array.make n 0 in
+    let ties_by_order =
+      match rank with Some { rest = []; _ } -> true | _ -> false
+    in
+    let vals = if ties_by_order then [||] else Array.make n 0 in
     let picks = ref 0 and pick_first = ref 0.0 and pick_total = ref 0.0 in
     (* the summed ready-list lengths and the cycles no candidate could
        issue: the heur_dynamic span's args *)
     let candidates = ref 0 and stall_cycles = ref 0 in
     let order = Array.make n 0 in
+    (* where the priority pick's winner sits in [avail] *)
+    let at = ref 0 in
     while not (Dyn_state.complete st) do
-      let m = ref 0 in
-      for j = !n_avail - 1 downto 0 do
-        let i = avail.(j) in
-        if st.earliest_exec.(i) <= st.time then begin
-          ready.(!m) <- i;
-          incr m
-        end
-      done;
-      let m = !m in
-      candidates := !candidates + m;
-      if m = 0 then begin
+      let t0 = if trace_on then Ds_obs.Clock.now () else 0.0 in
+      (* the node to issue now, or -1 when none is released *)
+      let chosen =
+        match rank with
+        | Some { prio; rest } ->
+            (* one pass: skip the unreleased nodes, keep the released
+               ones tied for the top priority in [ready.(0 .. f-1)] and
+               their program-order winner at [avail.(!at)] *)
+            let m = ref 0 and f = ref 0 and best = ref min_int in
+            for j = 0 to !n_avail - 1 do
+              let i = avail.(j) in
+              if st.earliest_exec.(i) <= st.time then begin
+                incr m;
+                let p = prio.(i) in
+                if !f = 0 || p > !best then begin
+                  best := p;
+                  ready.(0) <- i;
+                  f := 1;
+                  at := j
+                end
+                else if p = !best then begin
+                  ready.(!f) <- i;
+                  incr f;
+                  if order_tie2 config.direction avail.(!at) i = i then at := j
+                end
+              end
+            done;
+            candidates := !candidates + !m;
+            if !m = 0 then -1
+            else if !f = 1 || ties_by_order then avail.(!at)
+            else pick_winnowing config.direction rest ~annot ~st ready vals !f
+        | None ->
+            let m = ref 0 in
+            for j = !n_avail - 1 downto 0 do
+              let i = avail.(j) in
+              if st.earliest_exec.(i) <= st.time then begin
+                ready.(!m) <- i;
+                incr m
+              end
+            done;
+            let m = !m in
+            candidates := !candidates + m;
+            if m = 0 then -1
+            else pick_ready ?recorder config weights ~annot ~st expl ready vals m
+      in
+      if chosen < 0 then begin
         (* no candidate can issue: advance to the nearest release time *)
         let next = ref max_int in
         for j = 0 to !n_avail - 1 do
@@ -418,31 +550,24 @@ let run_impl ?seed ?recorder config ~annot dag =
         st.time <- !next
       end
       else begin
-        let chosen =
-          if not trace_on then
-            pick_ready ?recorder config weights ~annot ~st expl ready vals m
-          else begin
-            let t0 = Ds_obs.Clock.now () in
-            if !picks = 0 then pick_first := t0;
-            let c =
-              pick_ready ?recorder config weights ~annot ~st expl ready vals m
-            in
-            pick_total := !pick_total +. Ds_obs.Clock.since t0;
-            incr picks;
-            c
-          end
-        in
+        if trace_on then begin
+          if !picks = 0 then pick_first := t0;
+          pick_total := !pick_total +. Ds_obs.Clock.since t0;
+          incr picks
+        end;
         (* a backward pass builds the schedule last-to-first *)
         (match config.direction with
         | Dyn_state.Forward -> order.(st.n_scheduled) <- chosen
         | Dyn_state.Backward -> order.(n - 1 - st.n_scheduled) <- chosen);
         Dyn_state.schedule st chosen ~at:st.time;
         st.time <- st.time + 1;
-        let j = ref (!n_avail - 1) in
-        while avail.(!j) <> chosen do
-          decr j
-        done;
-        Array.blit avail (!j + 1) avail !j (!n_avail - !j - 1);
+        (match rank with
+        | Some _ ->
+            let j = if avail.(!at) = chosen then !at else position chosen in
+            avail.(j) <- avail.(!n_avail - 1)
+        | None ->
+            let j = position chosen in
+            Array.blit avail (j + 1) avail j (!n_avail - j - 1));
         decr n_avail;
         (* arcs are coalesced, so a peer's counter reaches zero exactly
            when its last predecessor, [chosen], issues: it cannot

@@ -35,7 +35,21 @@ val signature : config -> string
 val key_labels : config -> string list
 
 (** Run the scheduling pass; returns node ids in the new program order.
-    [seed] can prime the state with inherited cross-block latencies. *)
+    [seed] can prime the state with inherited cross-block latencies.
+
+    The priority pick: at block start the engine computes one priority
+    per node from the config's longest prefix of static keys
+    ({!Ds_heur.Evaluate.is_static}) whose per-block value ranges fit
+    together in one int, packed rank-major; a priority-fn config whose
+    keys are all static gets its weighted sum instead.  A pick is then
+    one pass over the available list that skips the unreleased nodes
+    and keeps those tied for the top priority; the keys after the
+    prefix winnow that front as {!pick} would, and program order breaks
+    the last tie.  The chosen node is always the one the whole-list
+    winnowing or weighted sum picks.  When the leading key is dynamic,
+    or the explain registry is on, every pick winnows the whole ready
+    list.  The [heur_dynamic] span's [picks], [candidates] and
+    [stall_cycles] count the same on either path. *)
 val run :
   ?seed:(Dyn_state.t -> unit) -> config -> annot:Annot.t -> Ds_dag.Dag.t ->
   int array

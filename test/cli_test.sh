@@ -230,6 +230,18 @@ grep -q '"alias_entries_scanned": ' "$TMP/bt.json" \
   || fail "batch trace: no alias_entries_scanned args"
 grep -q '"candidates": ' "$TMP/bt.json" || fail "batch trace: no candidates args"
 
+# batch ranks by section 6's keys, all static, so every block takes the
+# engine's priority pick; each block still records its heur_dynamic
+# span, with one pick per instruction (the spans carry no block id, so
+# compare the sorted pick counts with the sorted block sizes)
+"$TOOL" batch --jobs 1 --trace "$TMP/bp.json" "$TMP/grep.s" > "$TMP/bp.out" 2>/dev/null \
+  || fail "batch --jobs 1 --trace failed"
+sed 's/}, {"name"/}\n{"name"/g' "$TMP/bp.json" \
+  | sed -n 's/^{"name": "heur_dynamic".*"picks": \([0-9]*\).*/\1/p' | sort -n > "$TMP/bp.picks"
+sed -n 's/^B[0-9]*: \([0-9]*\) insns.*/\1/p' "$TMP/bp.out" | sort -n > "$TMP/bp.insns"
+[ "$(wc -l < "$TMP/bp.picks")" -eq 730 ] || fail "batch trace: not one heur_dynamic span per block"
+cmp -s "$TMP/bp.picks" "$TMP/bp.insns" || fail "batch trace: heur_dynamic picks differ from block sizes"
+
 # an empty --trace path is a CLI error (124), before any work runs
 "$TOOL" batch --trace "" "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
 [ "$rc" -eq 124 ] || fail "batch --trace '': exit $rc, want 124"

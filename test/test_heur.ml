@@ -412,8 +412,8 @@ module Slow = struct
     match h with
     | Heuristic.Interlock_with_previous -> (
         match st.Dyn_state.last with
-        | None -> 0
-        | Some last ->
+        | -1 -> 0
+        | last ->
             if
               List.exists
                 (fun (a : Dag.arc) ->
@@ -428,8 +428,8 @@ module Slow = struct
     | Heuristic.Execution_time -> slow.exec i
     | Heuristic.Alternate_type -> (
         match st.Dyn_state.last with
-        | None -> 0
-        | Some last ->
+        | -1 -> 0
+        | last ->
             if
               Funit.of_insn (Dag.insn dag i)
               <> Funit.of_insn (Dag.insn dag last)
@@ -482,8 +482,8 @@ module Slow = struct
     | Heuristic.Liveness -> slow.regs.Liveness.net.(i)
     | Heuristic.Birthing_instruction -> (
         match st.Dyn_state.last with
-        | None -> 0
-        | Some last ->
+        | -1 -> 0
+        | last ->
             (* a RAW arc between [last] and [i] in the scheduling
                direction: backward, [i] is a RAW parent of [last];
                forward (mirrored), a RAW child *)

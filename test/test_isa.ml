@@ -691,6 +691,52 @@ let test_defs_uses_match_spec () =
     Array.iter (check_insn (Printf.sprintf "seed %d" seed)) b.Block.insns
   done
 
+(* Interning a scan's memory entries without boxing them hands out the
+   ids a first-seen-order table of the boxed resources would, past the
+   table's growth and after a clear, and each id reads back its
+   resource. *)
+let test_scan_ids_match_boxed () =
+  let ids = Resource.Ids.create () and buf = Insn.Scan.create () in
+  let reference = Hashtbl.create 64 in
+  let ref_id r =
+    if not (Resource.is_memory r) || r = Resource.Mem_all then Resource.Ids.id ids r
+    else
+      match Hashtbl.find_opt reference r with
+      | Some i -> i
+      | None ->
+          let i = Resource.Ids.n_fixed + Hashtbl.length reference in
+          Hashtbl.add reference r i;
+          i
+  in
+  let check_block (b : Block.t) =
+    Array.iter
+      (fun insn ->
+        List.iter
+          (fun scan ->
+            scan buf insn;
+            for j = 0 to Insn.Scan.len buf - 1 do
+              let r = Insn.Scan.res buf j in
+              let id = Insn.Scan.id ids buf j in
+              if id <> ref_id r || not (Resource.equal (Resource.Ids.resource ids id) r)
+              then
+                Alcotest.failf "%s: id %d, want %d" (Resource.to_string r) id (ref_id r)
+            done)
+          [ Insn.scan_defs; Insn.scan_uses ])
+      b.Block.insns
+  in
+  let rng = Prng.create 5 in
+  let blocks =
+    block_of_asm "lddf [%fp - 8], %f2\nstd %o2, [x + 4]\nld [x + 8], %o1\nld [%fp - 4], %o3"
+    :: List.init 6 (fun id -> Gen.block rng ~params:Gen.fp_straightline ~id ~size:300 ())
+  in
+  List.iter check_block blocks;
+  check_bool "the table grew past its first 128 slots" true
+    (Resource.Ids.interned ids > 64);
+  Resource.Ids.clear ids;
+  Hashtbl.reset reference;
+  check_int "cleared" 0 (Resource.Ids.interned ids);
+  List.iter check_block (List.rev blocks)
+
 let suite =
   [ quick "reg names" test_reg_names;
     quick "reg round trip" test_reg_roundtrip;
@@ -730,4 +776,5 @@ let suite =
     quick "defs/uses match list-based spec" test_defs_uses_match_spec;
     quick "parser: negative register number is a parse error"
       test_parser_negative_register;
-    quick "parser: a tab ends the mnemonic" test_parser_tab_mnemonic ]
+    quick "parser: a tab ends the mnemonic" test_parser_tab_mnemonic;
+    quick "scan ids match the boxed resources" test_scan_ids_match_boxed ]

@@ -14,6 +14,7 @@ let () =
       ("decode", Test_decode.suite);
       ("heuristics", Test_heur.suite);
       ("scheduling", Test_sched.suite);
+      ("engine", Test_engine.suite);
       ("workload", Test_workload.suite);
       ("codegen", Test_codegen.suite);
       ("interp", Test_interp.suite);
