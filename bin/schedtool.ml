@@ -47,6 +47,18 @@ let profile_conv =
   in
   Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt p.Profiles.name)
 
+(* a worker-domain count: one pool holds at most Pool.max_domains *)
+let jobs_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n > Pool.max_domains ->
+        Error
+          (`Msg
+            (Printf.sprintf "%d worker domains, at most %d" n Pool.max_domains))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let builder_conv =
   let parse s =
     match Builder.of_string s with
@@ -620,8 +632,8 @@ let batch_cmd =
         Batch.algorithm = alg;
         opts = opts_of model strategy }
     in
-    let domains = if jobs <= 0 then Pool.recommended () else jobs in
-    let results, report = Batch.run_with_report ~domains config blocks in
+    let domains = if jobs <= 0 then None else Some jobs in
+    let results, report = Batch.run_with_report ?domains config blocks in
     (* --json - claims stdout for the report alone, so it stays one
        JSON document *)
     if not (quiet || json_path = Some "-") then
@@ -642,9 +654,12 @@ let batch_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 0
+      value & opt jobs_conv 0
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains (0 or absent: one per recommended core).")
+          ~doc:
+            (Printf.sprintf
+               "Worker domains, at most %d (0 or absent: one per \
+                recommended core)." Pool.max_domains))
   in
   let json_path =
     Arg.(
@@ -668,8 +683,9 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:
          "Run the full pipeline over every block of every input in \
-          parallel across a work-stealing domain pool (deterministic: \
-          output is independent of $(b,--jobs)).")
+          parallel across a pool of worker domains that take chunks of \
+          64 blocks off one shared counter (deterministic: output is \
+          independent of $(b,--jobs)).")
     Term.(
       const run $ builder_arg $ model_arg $ strategy_arg $ jobs $ json_path
       $ quiet $ obs_term ~explain:true $ files)
@@ -708,12 +724,15 @@ let serve_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value & opt jobs_conv 1
       & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domains the pipeline runs on (default 1).  With 1 the \
-                daemon schedules on its own domain; with N >= 2 on a \
-                resident pool of N worker domains.  Part of the report, \
-                so also part of the response bytes.")
+          ~doc:
+            (Printf.sprintf
+               "Domains the pipeline runs on, at most %d (default 1).  \
+                With 1 the daemon schedules on its own domain; with N >= 2 \
+                on a resident pool of N worker domains.  Part of the \
+                report, so also part of the response bytes."
+               Pool.max_domains))
   in
   let cache_entries =
     Arg.(

@@ -139,10 +139,10 @@ let log_start config blocks =
           Ds_obs.Json.String (Ds_dag.Builder.to_string config.algorithm) ) ]
     "starting batch"
 
-(* ~64-block chunks per pool task (Pool.default_chunk) cut dispatch
-   bookkeeping — deque traffic, queue_wait spans — by the chunk factor
-   while leaving plenty of tasks to balance across domains via steals;
-   results and reports are chunk-size-invariant (differential-tested) *)
+(* ~64-block chunks (Pool.default_chunk) cut dispatch bookkeeping —
+   counter takes, queue_wait spans — by the chunk factor while leaving
+   enough chunks for the workers to share; results and reports are
+   chunk-size-invariant (differential-tested) *)
 let run_on ~pool config blocks =
   log_start config blocks;
   hb_start (List.length blocks);

@@ -45,13 +45,13 @@ type result = {
 val strip_timing :
   result -> int * int * int * int64 * int array * int * int * int
 
-(** Raised (from the submitting domain) when [verify] finds an invalid
+(** Raised (on the calling domain) when [verify] finds an invalid
     schedule; carries the block id and the violation. *)
 exception Invalid_schedule of int * string
 
 (** [run ?domains ?chunk config blocks] schedules every block, fanning
     out over [domains] workers (default {!Ds_util.Pool.recommended}) in
-    chunks of [chunk] blocks per pool task (default
+    chunks of [chunk] blocks (default
     {!Ds_util.Pool.default_chunk}; values < 1 are clamped to 1).
     Results are in input order, and identical for every domain count
     and chunk size — only dispatch bookkeeping changes (the

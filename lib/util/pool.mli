@@ -1,118 +1,60 @@
-(** Fixed-size domain work pool over per-domain work-stealing deques.
+(** Fixed-size domain pool that runs one chunked map at a time.
 
-    Each worker domain owns a deque.  Submitted tasks are spread
-    round-robin across the deques; an idle worker pops its own deque
-    LIFO (newest first — the freshly pushed task is the cache-warm one)
-    and, finding it empty, steals FIFO (oldest first) from the other
-    deques in one randomly rotated sweep.  Workers park on a shared
-    [Mutex]/[Condition] pair only when every deque is empty, so the
-    central lock is touched per submit and per park/unpark, never per
-    take — the old single-queue pool paid it per task.
+    A map splits its items into chunks, posts one job (the chunk
+    function, the chunk count and a shared counter) and wakes the
+    workers.  Each worker takes chunks with one [Atomic.fetch_and_add]
+    on the counter until none are left; the caller waits until every
+    worker has left the job.  The k-th take runs chunk [n_chunks - 1 - k],
+    so a one-worker pool runs a map's chunks last-first, in the same
+    order on every run.  Chunks run on the workers only, never on the
+    calling domain.
 
-    [map]/[map_array] are the common entry points: they fan a function
-    out over the items in chunks and return the results in input order,
-    regardless of which domain computed what.  A task that raises does
-    not hang the pool: the failure with the {e lowest submission
-    sequence number} is captured and re-raised (with its backtrace)
-    from [wait] on the submitting domain, after the queue drains — so
-    the propagated exception is deterministic in input order, not in
-    racy completion or steal order. *)
+    Results come back in input order whichever domain computed what.
+    When [f] raises, the rest of that chunk is skipped, every other
+    chunk still runs, and the failure of the lowest-numbered chunk is
+    re-raised (with its backtrace) on the calling domain — so the
+    propagated exception is the first in input order, not the first to
+    fire.  The pool stays usable afterwards.
 
-(** The work-stealing deque itself, exposed for the randomized property
-    suite (test/test_pool_props.ml).  All operations are thread-safe
-    (one private lock per deque); the order contract is: {!pop} (the
-    owner side) returns newest-first (LIFO), {!steal} (the thief side)
-    returns oldest-first (FIFO), and the two drain from opposite ends
-    of the same sequence. *)
-module Deque : sig
-  type 'a t
+    Not reentrant: one map at a time per pool.
 
-  (** [create ?capacity ()] is an empty deque.  [capacity] (default 64,
-      rounded up to a power of two) only sizes the initial ring; the
-      deque grows without bound. *)
-  val create : ?capacity:int -> unit -> 'a t
-
-  (** Add to the owner end. *)
-  val push : 'a t -> 'a -> unit
-
-  (** Remove from the owner end: the {e newest} element, or [None] when
-      empty. *)
-  val pop : 'a t -> 'a option
-
-  (** Remove from the thief end: the {e oldest} element, or [None] when
-      empty. *)
-  val steal : 'a t -> 'a option
-
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-end
+    When {!Ds_obs.Trace} is enabled at the map's start, each chunk
+    records a [queue_wait] span (the map's start to the chunk's start)
+    and a [task_run] span (the chunk's run, also on exception); the
+    number of [task_run] spans is the number of chunks. *)
 
 type t
 
-(** [Domain.recommended_domain_count], at least 1. *)
+(** The most worker domains one pool may have: OCaml 5.1 runs at most
+    128 domains, the calling one included. *)
+val max_domains : int
+
+(** [Domain.recommended_domain_count], between 1 and {!max_domains}. *)
 val recommended : unit -> int
 
-(** The chunk size the batch driver submits with (only [Batch.run
-    ~chunk] overrides it): 64 blocks per task keeps task-dispatch
-    bookkeeping (deque traffic, queue_wait spans) two orders of
-    magnitude below per-block submission while still splitting real
-    corpora into enough tasks to balance across domains. *)
+(** The chunk size the batch driver maps with (only [Batch.run ~chunk]
+    overrides it): 64 blocks per chunk keeps dispatch bookkeeping
+    (counter takes, queue_wait spans) two orders of magnitude below
+    per-block dispatch while still splitting real corpora into enough
+    chunks to balance across domains. *)
 val default_chunk : int
 
 (** [create ?domains ()] spawns the workers ([domains] defaults to
-    {!recommended}; values < 1 are clamped to 1).  Call {!shutdown} when
-    done. *)
+    {!recommended}; values < 1 are clamped to 1).  Raises
+    [Invalid_argument], before spawning any, for more than
+    {!max_domains}.  Call {!shutdown} when done. *)
 val create : ?domains:int -> unit -> t
 
-(** Number of worker domains. *)
-val size : t -> int
-
-(** Enqueue a task.  Raises [Invalid_argument] after {!shutdown}.
-
-    When {!Ds_obs.Trace} is enabled at submit time, the task is wrapped
-    to record a [queue_wait] span (submit to start) and a [task_run]
-    span (start to finish, also on exception); when disabled the wrap
-    is skipped entirely (one atomic read per task).  With chunked
-    submission a task covers a whole chunk, so these are per-chunk,
-    and the number of [task_run] spans is the number of chunks. *)
-val submit : t -> (unit -> unit) -> unit
-
-(** Block until every submitted task has finished.  If any task raised,
-    the failure with the lowest submission sequence number is re-raised
-    here (and cleared, so the pool remains usable). *)
-val wait : t -> unit
-
-(** Drain the deques, stop and join the workers.  Idempotent. *)
+(** Stop and join the workers.  Idempotent. *)
 val shutdown : t -> unit
 
-(** [map_array_on pool f arr] computes [Array.map f arr] on an existing
-    pool, [chunk] items (default 1) per queued task, preserving input
-    order.  The pool stays usable afterwards, so a sequence of maps (one
-    batch per daemon request, say) reuses the same worker domains
-    instead of paying domain spawn/join per call.  The batch driver
-    passes [~chunk:default_chunk] unless told otherwise.
-
-    Not reentrant: one map at a time per pool — it uses {!wait}, which
-    blocks until the pool's {e whole} queue drains.
-
-    Exception ordering under [~chunk]: when [f] raises mid-chunk, the
-    remaining items of that chunk are skipped and their result slots are
-    never written.  That is safe — and the internal [assert false] on an
-    unwritten slot unreachable — only because {!wait} re-raises the
-    captured exception {e before} any slot is read.  Chunks are
-    numbered in input order, so with several raising chunks the one
-    holding the lowest-index raising element wins deterministically,
-    even when the chunks ran on different domains via steals.  A
-    regression test (test_util.ml "pool chunk exception ordering")
-    pins the raise-before-read ordering and input-order determinism. *)
-val map_array_on : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-
-(** List analogue of {!map_array_on}. *)
+(** [map_on pool ?chunk f xs] is [List.map f xs] on an existing pool,
+    [chunk] items (default 1) per chunk.  The pool stays usable
+    afterwards, so a sequence of maps (one batch per daemon request,
+    say) reuses the same worker domains.  Raises [Invalid_argument]
+    after {!shutdown}. *)
 val map_on : t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [map_array ?domains ?chunk f arr] is {!map_array_on} on a fresh
-    pool.  The pool is always shut down, even when [f] raises. *)
-val map_array : ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-
-(** List analogue of {!map_array}. *)
+(** [map ?domains ?chunk f xs] is {!map_on} on a fresh pool, which is
+    always shut down, even when [f] raises. *)
 val map : ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list

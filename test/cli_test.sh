@@ -271,6 +271,13 @@ grep -q '^dag_build .* [0-9]\.[0-9][0-9] *$' "$TMP/bo.err" \
 "$TOOL" batch --log /nonexistent-dir/x.jsonl "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
 [ "$rc" -eq 125 ] || fail "batch --log unwritable: exit $rc, want 125"
 
+# a domain count past the pool's bound is a CLI error (124), before
+# any domain is spawned
+"$TOOL" batch --jobs 100000 "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
+[ "$rc" -eq 124 ] || fail "batch --jobs 100000: exit $rc, want 124"
+"$TOOL" serve -j 100000 --socket "$TMP/jobs.sock" 2>/dev/null && rc=0 || rc=$?
+[ "$rc" -eq 124 ] || fail "serve -j 100000: exit $rc, want 124"
+
 # serve/client: the scheduling daemon over a Unix socket.  Flag
 # validation first — an empty socket is a CLI error (124) before any
 # work runs, an unbindable one an I/O error (125)

@@ -367,6 +367,14 @@ let test_pool_instrumented () =
   in
   check_int "one queue_wait per task" 5 (count "queue_wait");
   check_int "one task_run per task" 5 (count "task_run");
+  (* every chunk's queue_wait runs from the map's start *)
+  (match List.filter (fun s -> s.Trace.name = "queue_wait") spans with
+  | w :: ws ->
+      List.iter
+        (fun s -> check_bool "queue_wait from the map's start" true
+            (s.Trace.ts_us = w.Trace.ts_us))
+        ws
+  | [] -> ());
   List.iter
     (fun s ->
       check_string "pool category" "pool" s.Trace.cat;

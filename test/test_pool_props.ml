@@ -1,23 +1,15 @@
-(** Randomized property/stress suite for the work-stealing pool
+(** Randomized property/stress suite for the domain pool
     (lib/util/pool.ml).
 
-    Four angles, all seeded through {!Prng} so any failure reproduces
+    Two angles, both seeded through {!Prng} so any failure reproduces
     from the seed printed in the message:
 
-    - the deque against a reference model: seeded interleavings of
-      push/pop/steal must agree with a plain list operated from both
-      ends (owner LIFO, thief FIFO), including across ring growth;
-    - concurrent thieves against a pushing/popping owner: no element
-      lost, none seen twice, and each thief's steal sequence is
-      FIFO-monotonic;
-    - pool-level [map_array] across random domain counts and chunk
-      sizes: results equal the sequential map and every task body runs
-      exactly once;
-    - park/shutdown races on empty or nearly-empty deques: shutdown must
-      terminate cleanly and never abandon submitted work.
+    - [map] across random domain counts and chunk sizes: results equal
+      the sequential map and every element is computed exactly once;
+    - park/shutdown races on idle or just-finished pools: shutdown must
+      terminate cleanly, after every mapped element ran.
 
-    Tier-1 runs 1000 model-checked interleavings plus lighter concurrent
-    sweeps.  [dune build @slow] re-runs the suite with
+    [dune build @slow] re-runs the suite with
     DAGSCHED_POOL_PROPS_HEAVY=1, which multiplies every iteration count
     by 10. *)
 
@@ -26,144 +18,6 @@ open Helpers
 
 let heavy = Sys.getenv_opt "DAGSCHED_POOL_PROPS_HEAVY" <> None
 let scale n = if heavy then n * 10 else n
-
-(* ------------------------------------------------------------------ *)
-(* deque vs reference model *)
-
-(* Model: plain list, index 0 = oldest (thief end), last = newest
-   (owner end).  Quadratic list surgery, but iterations stay tiny. *)
-let model_push m x = m := !m @ [ x ]
-
-let model_pop m =
-  match List.rev !m with
-  | [] -> None
-  | x :: rest ->
-      m := List.rev rest;
-      Some x
-
-let model_steal m =
-  match !m with
-  | [] -> None
-  | x :: rest ->
-      m := rest;
-      Some x
-
-let opt_to_string = function None -> "None" | Some x -> string_of_int x
-
-let model_iteration seed =
-  let rng = Prng.create (0x5eed0000 + seed) in
-  (* tiny initial capacity so growth is exercised constantly *)
-  let d = Pool.Deque.create ~capacity:(1 + Prng.int rng 8) () in
-  let m = ref [] in
-  let next = ref 0 in
-  let check_take what got expected =
-    if got <> expected then
-      Alcotest.failf "seed %d: %s returned %s, model expects %s" seed what
-        (opt_to_string got) (opt_to_string expected)
-  in
-  let steps = 1 + Prng.int rng 120 in
-  for _ = 1 to steps do
-    (match Prng.int rng 4 with
-    | 0 | 1 ->
-        (* push twice as likely as either take, so the ring fills *)
-        Pool.Deque.push d !next;
-        model_push m !next;
-        incr next
-    | 2 -> check_take "pop (owner, LIFO)" (Pool.Deque.pop d) (model_pop m)
-    | _ ->
-        check_take "steal (thief, FIFO)" (Pool.Deque.steal d) (model_steal m));
-    if Pool.Deque.length d <> List.length !m then
-      Alcotest.failf "seed %d: length %d, model says %d" seed
-        (Pool.Deque.length d) (List.length !m);
-    if Pool.Deque.is_empty d <> (!m = []) then
-      Alcotest.failf "seed %d: is_empty disagrees with model" seed
-  done;
-  (* drain from a random mix of both ends; both must empty together *)
-  while not (Pool.Deque.is_empty d) || !m <> [] do
-    if Prng.bool rng 0.5 then
-      check_take "drain pop" (Pool.Deque.pop d) (model_pop m)
-    else check_take "drain steal" (Pool.Deque.steal d) (model_steal m)
-  done
-
-let test_deque_model () =
-  for seed = 0 to scale 1000 - 1 do
-    model_iteration seed
-  done
-
-(* ------------------------------------------------------------------ *)
-(* concurrent thieves vs a pushing/popping owner *)
-
-let concurrent_iteration seed =
-  let rng = Prng.create (0xc0ffee + seed) in
-  let thieves = 1 + Prng.int rng 3 in
-  let total = 100 + Prng.int rng 300 in
-  let d = Pool.Deque.create ~capacity:(1 + Prng.int rng 4) () in
-  let stop = Atomic.make false in
-  let thief_domains =
-    Array.init thieves (fun _ ->
-        Domain.spawn (fun () ->
-            let acc = ref [] in
-            let rec loop () =
-              match Pool.Deque.steal d with
-              | Some x ->
-                  acc := x :: !acc;
-                  loop ()
-              | None ->
-                  (* empty-deque race: keep probing until the owner is
-                     done pushing AND the deque stays empty *)
-                  if not (Atomic.get stop) then begin
-                    Domain.cpu_relax ();
-                    loop ()
-                  end
-            in
-            loop ();
-            List.rev !acc))
-  in
-  (* the owner pushes 0..total-1 in order, popping now and then *)
-  let popped = ref [] in
-  for x = 0 to total - 1 do
-    Pool.Deque.push d x;
-    if Prng.bool rng 0.25 then
-      match Pool.Deque.pop d with
-      | Some y -> popped := y :: !popped
-      | None -> ()
-  done;
-  Atomic.set stop true;
-  let stolen = Array.to_list (Array.map Domain.join thief_domains) in
-  let rec drain acc =
-    match Pool.Deque.steal d with Some x -> drain (x :: acc) | None -> acc
-  in
-  let leftover = drain [] in
-  (* per-thief FIFO monotonicity: the steal side only moves forward, and
-     elements were pushed in increasing order, so each single thief must
-     see a strictly increasing sequence whatever the interleaving *)
-  List.iteri
-    (fun t s ->
-      ignore
-        (List.fold_left
-           (fun prev x ->
-             if x <= prev then
-               Alcotest.failf
-                 "seed %d: thief %d stole %d after %d (not FIFO-monotonic)"
-                 seed t x prev;
-             x)
-           (-1) s))
-    stolen;
-  (* no element lost, none seen twice: owner pops + thief steals +
-     whatever is left must be exactly {0..total-1} *)
-  let all = List.concat (!popped :: leftover :: stolen) in
-  check_int (Printf.sprintf "seed %d: element count" seed) total
-    (List.length all);
-  List.iteri
-    (fun i x ->
-      if x <> i then
-        Alcotest.failf "seed %d: multiset mismatch at rank %d: %d" seed i x)
-    (List.sort compare all)
-
-let test_deque_concurrent () =
-  for seed = 0 to scale 30 - 1 do
-    concurrent_iteration seed
-  done
 
 (* ------------------------------------------------------------------ *)
 (* pool-level stress: map equivalence + exactly-once *)
@@ -179,9 +33,9 @@ let pool_map_iteration seed =
     Atomic.incr runs.(i);
     g i
   in
-  let got = Pool.map_array ~domains ~chunk f (Array.init n Fun.id) in
-  if got <> Array.init n g then
-    Alcotest.failf "seed %d: map_array (%d domains, chunk %d) <> Array.map"
+  let got = Pool.map ~domains ~chunk f (List.init n Fun.id) in
+  if got <> List.init n g then
+    Alcotest.failf "seed %d: map (%d domains, chunk %d) <> List.map"
       seed domains chunk;
   Array.iteri
     (fun i c ->
@@ -196,20 +50,18 @@ let test_pool_map () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* park/shutdown races on (nearly) empty deques *)
+(* park/shutdown races on idle or just-finished pools *)
 
 let shutdown_race_iteration seed =
   let rng = Prng.create (0xd00f + seed) in
   let domains = 1 + Prng.int rng 4 in
   let pool = Pool.create ~domains () in
-  let n = Prng.int rng 4 in
+  let n = if Prng.bool rng 0.5 then Prng.int rng 4 else 0 in
   let hits = Atomic.make 0 in
-  for _ = 1 to n do
-    Pool.submit pool (fun () -> Atomic.incr hits)
-  done;
-  if Prng.bool rng 0.5 then Pool.wait pool;
-  (* must terminate whether workers are parked on empty deques, mid-take
-     or still starting up — and must run every submitted task first *)
+  if n > 0 then
+    ignore (Pool.map_on pool (fun () -> Atomic.incr hits) (List.init n ignore));
+  (* must terminate whether workers are parked, just leaving a job or
+     still starting up — and every mapped element must have run *)
   Pool.shutdown pool;
   check_int (Printf.sprintf "seed %d: submitted tasks all ran" seed) n
     (Atomic.get hits)
@@ -220,11 +72,7 @@ let test_shutdown_races () =
   done
 
 let suite =
-  [ quick "deque: 1k seeded interleavings match the two-ended model"
-      test_deque_model;
-    quick "deque: concurrent thieves — no loss, no dup, FIFO-monotonic"
-      test_deque_concurrent;
-    quick "pool: map_array exactly-once across domains and chunk sizes"
+  [ quick "pool: map_array exactly-once across domains and chunk sizes"
       test_pool_map;
     quick "pool: empty-deque park/shutdown races terminate cleanly"
       test_shutdown_races ]

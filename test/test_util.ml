@@ -283,23 +283,20 @@ let test_pool_exception_propagates () =
 let test_pool_usable_after_failed_wait () =
   let pool = Pool.create ~domains:2 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
-      Pool.submit pool (fun () -> raise (Boom 1));
-      (match Pool.wait pool with
-      | () -> Alcotest.fail "expected Boom"
+      (match Pool.map_on pool (fun () -> raise (Boom 1)) [ () ] with
+      | _ -> Alcotest.fail "expected Boom"
       | exception Boom 1 -> ());
-      (* the failure was cleared; the pool still runs tasks *)
+      (* the failure was cleared; the pool still runs chunks *)
       let hit = Atomic.make 0 in
-      for _ = 1 to 20 do
-        Pool.submit pool (fun () -> Atomic.incr hit)
-      done;
-      Pool.wait pool;
+      ignore
+        (Pool.map_on pool (fun () -> Atomic.incr hit) (List.init 20 ignore));
       check_int "tasks after failure" 20 (Atomic.get hit))
 
 let test_pool_submit_after_shutdown () =
   let pool = Pool.create ~domains:2 () in
   Pool.shutdown pool;
-  match Pool.submit pool (fun () -> ()) with
-  | () -> Alcotest.fail "expected Invalid_argument"
+  match Pool.map_on pool Fun.id [ () ] with
+  | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
 let test_pool_map_on_reuse () =
@@ -325,16 +322,16 @@ let test_pool_map_on_usable_after_exception () =
                (List.init 8 (fun i -> i)) with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom 3 -> ());
-      (* the failure was cleared by [wait]; the next map still works *)
+      (* the failure was cleared; the next map still works *)
       Alcotest.(check (list int)) "map after failure" [ 0; 2; 4 ]
         (Pool.map_on pool (fun i -> 2 * i) [ 0; 1; 2 ]))
 
 let test_pool_chunk_exception_ordering () =
-  (* Regression (pool.mli "Exception ordering under ~chunk"): when f
-     raises mid-chunk, the rest of that chunk is skipped and its result
-     slots never written — the caller must see the task's own exception
-     re-raised from [wait], never the internal assert on an unwritten
-     slot.  Other chunks still drain before the re-raise. *)
+  (* Regression (pool.mli's exception contract): when f raises
+     mid-chunk, the rest of that chunk is skipped and its result
+     slots never written — the caller must see the chunk's own
+     exception re-raised, never the internal assert on an unwritten
+     slot.  Other chunks still run before the re-raise. *)
   let n = 8 in
   let visited = Array.make n false in
   let f i =
@@ -342,7 +339,7 @@ let test_pool_chunk_exception_ordering () =
     if i = 1 then raise (Boom i);
     i
   in
-  (match Pool.map_array ~domains:1 ~chunk:4 f (Array.init n (fun i -> i)) with
+  (match Pool.map ~domains:1 ~chunk:4 f (List.init n Fun.id) with
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom 1 -> ()
   | exception Assert_failure _ ->
@@ -355,15 +352,13 @@ let test_pool_chunk_exception_ordering () =
   check_bool "later chunk still drained" true
     (visited.(4) && visited.(5) && visited.(6) && visited.(7))
 
-let test_pool_steal_exception_input_order () =
-  (* Exception injection under stealing: two raising elements land in
-     different chunks — with 4 domains and round-robin submission the
-     later one is typically run by another domain (often via a steal)
-     and raises first in wall-clock time, because the input-earlier
-     raiser spins before raising.  [wait] must still propagate the
-     input-order-first failure (lowest submission sequence number), not
-     the first one to fire, and the pool must stay joinable and usable
-     afterwards. *)
+let test_pool_multi_domain_exception_input_order () =
+  (* Two raising elements land in different chunks.  Chunks are taken
+     last-first, so the later one raises first in wall-clock time, and
+     the input-earlier raiser also spins before raising, typically on
+     another domain.  The map must still propagate the input-order-first
+     failure (lowest chunk number), not the first one to fire, and the
+     pool must stay joinable and usable afterwards. *)
   for round = 0 to 9 do
     let early = 5 and late = 29 in
     let f i =
@@ -380,17 +375,53 @@ let test_pool_steal_exception_input_order () =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
-        (match Pool.map_array_on pool ~chunk:2 f (Array.init 32 Fun.id) with
+        (match Pool.map_on pool ~chunk:2 f (List.init 32 Fun.id) with
         | _ -> Alcotest.fail "expected Boom"
         | exception Boom i ->
             check_int
               (Printf.sprintf "round %d: first raise in input order" round)
               early i);
-        (* the failure was cleared; workers survived the raising steal *)
+        (* the failure was cleared; workers survived the raise *)
         Alcotest.(check (list int))
-          "pool usable after stolen-task failure" [ 0; 2; 4 ]
+          "pool usable after a failure on another domain" [ 0; 2; 4 ]
           (Pool.map_on pool (fun i -> 2 * i) [ 0; 1; 2 ]))
   done
+
+let test_pool_not_on_calling_domain () =
+  let here = Domain.self () in
+  List.iter
+    (fun domains ->
+      let pool = Pool.create ~domains () in
+      Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+          let ran_on =
+            Pool.map_on pool (fun _ -> Domain.self ()) (List.init 40 Fun.id)
+          in
+          check_bool
+            (Printf.sprintf "%d-domain pool: every chunk on a worker" domains)
+            true
+            (List.for_all (fun d -> d <> here) ran_on)))
+    [ 1; 2; 3 ]
+
+let test_pool_one_worker_last_first () =
+  (* perfbench's "cross-domain minor words repeat" relies on this fixed
+     order: a worker's per-domain scratch grows the same way every run *)
+  let pool = Pool.create ~domains:1 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () ->
+      let seen = ref [] in
+      ignore
+        (Pool.map_on pool ~chunk:3
+           (fun i -> seen := i :: !seen)
+           (List.init 10 Fun.id));
+      Alcotest.(check (list int)) "chunks last-first, items in order"
+        [ 9; 6; 7; 8; 3; 4; 5; 0; 1; 2 ] (List.rev !seen))
+
+let test_pool_create_bound () =
+  (* 100000 is past the bound, so no domain is spawned *)
+  match Pool.create ~domains:100_000 () with
+  | pool ->
+      Pool.shutdown pool;
+      Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* hand-rolled JSON *)
@@ -607,8 +638,8 @@ let suite =
     quick "pool map_on reuses one pool" test_pool_map_on_reuse;
     quick "pool map_on usable after exception" test_pool_map_on_usable_after_exception;
     quick "pool chunk exception ordering" test_pool_chunk_exception_ordering;
-    quick "pool steal exception input order"
-      test_pool_steal_exception_input_order;
+    quick "pool multi-domain raise input order"
+      test_pool_multi_domain_exception_input_order;
     quick "json writer" test_json_writer;
     quick "json round trip" test_json_round_trip;
     quick "json number forms" test_json_number_forms;
@@ -623,4 +654,10 @@ let suite =
     quick "json escapes match the yardstick" test_json_escapes;
     quick "json request prefixes match the yardstick"
       test_json_request_prefixes;
-    quick "json ints spelled as string_of_int" test_json_ints ]
+    quick "json ints spelled as string_of_int" test_json_ints;
+    quick "pool runs no chunk on the calling domain"
+      test_pool_not_on_calling_domain;
+    quick "a one-worker pool runs chunks last-first"
+      test_pool_one_worker_last_first;
+    quick "pool create rejects more than max_domains workers"
+      test_pool_create_bound ]
