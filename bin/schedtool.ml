@@ -770,8 +770,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the scheduling daemon: accept length-prefixed JSON schedule \
-          requests on a Unix socket, answer from a content-addressed LRU \
-          result cache or by running the batch pipeline on a resident \
+          requests on a Unix socket, answer from a content-addressed \
+          result cache (SIEVE eviction) or by running the batch pipeline on a resident \
           domain pool.  One request per connection, serviced sequentially; \
           a warm response is byte-identical to the cold response that \
           populated it.  SIGINT drains (in-flight request finishes) and \

@@ -1,4 +1,4 @@
-(** Bounded LRU result cache addressed by the request bytes, compared
+(** Bounded SIEVE result cache addressed by the request bytes, compared
     in full on lookup.  See cache.mli for the contract. *)
 
 (* XXH64 with seed 0, after the xxHash specification
@@ -81,8 +81,9 @@ type entry = {
   addr : int;        (* its hash: the table key *)
   response : string;
   ebytes : int;
-  mutable prev : entry option;  (* toward MRU *)
-  mutable next : entry option;  (* toward LRU *)
+  mutable visited : bool;       (* hit since the hand last passed *)
+  mutable prev : entry option;  (* toward the head: newer *)
+  mutable next : entry option;  (* toward the tail: older *)
 }
 
 (* the XXH64 bits are already mixed: the address is its own hash *)
@@ -98,8 +99,9 @@ type t = {
   max_bytes : int;
   hash : string -> int64;
   table : entry Tbl.t;
-  mutable mru : entry option;
-  mutable lru : entry option;
+  mutable head : entry option;  (* newest *)
+  mutable tail : entry option;  (* oldest *)
+  mutable hand : entry option;  (* next eviction candidate; [None]: the tail *)
   mutable entries : int;
   mutable bytes : int;
   mutable hits : int;
@@ -112,11 +114,9 @@ type t = {
 
 let create ?(max_entries = 4096) ?(max_bytes = 256 * 1024 * 1024) ?(hash = hash)
     () =
-  { max_entries = max 1 max_entries;
-    max_bytes = max 1 max_bytes;
-    hash;
+  { max_entries = max 1 max_entries; max_bytes = max 1 max_bytes; hash;
     table = Tbl.create 64;
-    mru = None; lru = None;
+    head = None; tail = None; hand = None;
     entries = 0; bytes = 0;
     hits = 0; misses = 0; evictions = 0; rejects = 0;
     missed = ""; missed_addr = Int64.to_int (hash "") }
@@ -126,35 +126,23 @@ let max_bytes t = t.max_bytes
 
 let address t request = Int64.to_int (t.hash request)
 
-(* ---------------- intrusive recency list ---------------- *)
-
-let unlink t e =
-  (match e.prev with Some p -> p.next <- e.next | None -> t.mru <- e.next);
-  (match e.next with Some n -> n.prev <- e.prev | None -> t.lru <- e.prev);
-  e.prev <- None;
-  e.next <- None
-
-let push_front t e =
-  e.prev <- None;
-  e.next <- t.mru;
-  (match t.mru with Some m -> m.prev <- Some e | None -> t.lru <- Some e);
-  t.mru <- Some e
-
 (* ---------------- selfcheck ---------------- *)
 
 let selfcheck t =
   let ( let* ) = Result.bind in
-  (* walk MRU->LRU checking back links, table agreement and uniqueness *)
-  let rec walk n bytes seen prev = function
+  (* walk head->tail: back links, table agreement, uniqueness, the hand *)
+  let rec walk n bytes seen prev hand_seen = function
     | None ->
         let tail_ok =
-          match (prev, t.lru) with
+          match (prev, t.tail) with
           | None, None -> true
           | Some p, Some l -> p == l
           | _ -> false
         in
-        if tail_ok then Ok (n, bytes)
-        else Error "lru pointer does not match list tail"
+        if not tail_ok then Error "tail pointer does not match queue tail"
+        else if Option.is_some t.hand && not hand_seen then
+          Error "hand points at an entry not in the queue"
+        else Ok (n, bytes)
     | Some e ->
         let addr = e.addr in
         let* () =
@@ -163,27 +151,29 @@ let selfcheck t =
           else Ok ()
         in
         let* () =
-          if List.mem addr seen then Error "duplicate address in recency list"
+          if List.mem addr seen then Error "duplicate address in queue"
           else Ok ()
         in
         let* () =
           match (e.prev, prev) with
           | None, None -> Ok ()
           | Some a, Some b when a == b -> Ok ()
-          | _ -> Error "broken prev link in recency list"
+          | _ -> Error "broken prev link in queue"
         in
         let* () =
           match Tbl.find_opt t.table addr with
           | Some e' when e' == e -> Ok ()
-          | Some _ -> Error "recency list entry shadowed in table"
-          | None -> Error "recency list entry missing from table"
+          | Some _ -> Error "queue entry shadowed in table"
+          | None -> Error "queue entry missing from table"
         in
-        walk (n + 1) (bytes + e.ebytes) (addr :: seen) (Some e) e.next
+        walk (n + 1) (bytes + e.ebytes) (addr :: seen) (Some e)
+          (hand_seen || Option.fold ~none:false ~some:(( == ) e) t.hand)
+          e.next
   in
-  let* n, bytes = walk 0 0 [] None t.mru in
-  if n <> t.entries then Error "entry count does not match list length"
+  let* n, bytes = walk 0 0 [] None false t.head in
+  if n <> t.entries then Error "entry count does not match queue length"
   else if n <> Tbl.length t.table then
-    Error "table size does not match list length"
+    Error "table size does not match queue length"
   else if bytes <> t.bytes then Error "byte total does not match entries"
   else if t.entries > t.max_entries then Error "entry bound violated"
   else if t.bytes > t.max_bytes then Error "byte bound violated"
@@ -192,10 +182,8 @@ let selfcheck t =
 (* strict mode: re-run [selfcheck] after every mutation.  O(n) per
    operation, so opt-in (tests, debugging) — never the service path. *)
 let strict =
-  ref
-    (match Sys.getenv_opt "DAGSCHED_CACHE_STRICT" with
-    | Some s when s <> "" && s <> "0" -> true
-    | _ -> false)
+  ref (not (List.mem (Sys.getenv_opt "DAGSCHED_CACHE_STRICT")
+              [ None; Some ""; Some "0" ]))
 
 let set_strict_checks b = strict := b
 let strict_checks () = !strict
@@ -213,8 +201,7 @@ let find t request =
   let result =
     match Tbl.find t.table addr with
     | e when String.equal e.request request ->
-        unlink t e;
-        push_front t e;
+        e.visited <- true;
         t.hits <- t.hits + 1;
         Some e.response
     | _ | (exception Not_found) ->
@@ -232,15 +219,27 @@ let count_miss t =
   t.misses <- t.misses + 1;
   strict_check t
 
+(* removing the entry under the hand moves the hand to its newer
+   neighbour, where the sweep would have gone next *)
 let remove_entry t e =
   Tbl.remove t.table e.addr;
-  unlink t e;
+  (match t.hand with Some h when h == e -> t.hand <- e.prev | _ -> ());
+  (match e.prev with Some p -> p.next <- e.next | None -> t.head <- e.next);
+  (match e.next with Some n -> n.prev <- e.prev | None -> t.tail <- e.prev);
   t.entries <- t.entries - 1;
   t.bytes <- t.bytes - e.ebytes
 
-let evict_lru t =
-  match t.lru with
+(* the SIEVE hand: from where it stopped (at first the tail) toward the
+   head, wrapping to the tail, it clears each visited bit it passes and
+   evicts the first unvisited entry; a visited entry stays in place, and
+   so does the head, the entry being put *)
+let rec evict t =
+  match (match t.hand with None -> t.tail | hand -> hand) with
   | None -> ()
+  | Some e when e.visited || Option.is_none e.prev ->
+      e.visited <- false;
+      t.hand <- e.prev;
+      evict t
   | Some e ->
       remove_entry t e;
       t.evictions <- t.evictions + 1
@@ -256,18 +255,19 @@ let put t request response =
   if ebytes > t.max_bytes then t.rejects <- t.rejects + 1
   else begin
     (* replacement (same address) is not an eviction *)
-    (match Tbl.find_opt t.table addr with
-    | Some old -> remove_entry t old
-    | None -> ());
+    Option.iter (remove_entry t) (Tbl.find_opt t.table addr);
+    (* insert at the head, unvisited *)
     let e =
-      { request; addr; response; ebytes; prev = None; next = None }
+      { request; addr; response; ebytes; visited = false; prev = None;
+        next = t.head }
     in
+    (match t.head with Some h -> h.prev <- Some e | None -> t.tail <- Some e);
+    t.head <- Some e;
     Tbl.replace t.table addr e;
-    push_front t e;
     t.entries <- t.entries + 1;
     t.bytes <- t.bytes + ebytes;
     while t.entries > t.max_entries || t.bytes > t.max_bytes do
-      evict_lru t
+      evict t
     done
   end;
   strict_check t
@@ -286,8 +286,8 @@ let stats (t : t) =
     evictions = t.evictions; rejects = t.rejects }
 
 let items t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some e -> go ((e.request, e.response) :: acc) e.next
+  let rec go = function
+    | None -> []
+    | Some e -> (e.request, e.response) :: go e.next
   in
-  go [] t.mru
+  go t.head

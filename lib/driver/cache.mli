@@ -1,7 +1,7 @@
-(** Request-addressed result cache: a bounded LRU in front of the batch
-    pipeline, so a repeated request costs one hash and one compare
-    instead of JSON decoding, DAG construction, heuristic calculation
-    and list scheduling.
+(** Request-addressed result cache: a bounded cache with SIEVE eviction
+    in front of the batch pipeline, so a repeated request costs one
+    hash, one compare and one bit set instead of JSON decoding, DAG
+    construction, heuristic calculation and list scheduling.
 
     {b Key.}  An entry maps the raw bytes of a request frame to the raw
     bytes of its response.  A serve response is a pure function of the
@@ -15,12 +15,24 @@
     same-address entry whose request differs is a miss, and the {!put}
     that follows replaces it.
 
+    {b Eviction.}  SIEVE (Zhang et al., NSDI '24): entries sit in one
+    queue in insertion order, newest at the head, and each carries a
+    [visited] bit that a hit sets.  Entries never move.  To evict, a
+    hand moves from where it last stopped (at first the tail) toward
+    the head, wrapping to the tail after the head; it clears each
+    visited bit it passes and evicts the first unvisited entry.  When a
+    replacement or eviction removes the entry under the hand, the hand
+    moves to that entry's newer neighbour.  On skewed traffic this
+    keeps popular entries that LRU would push out behind one-off
+    requests.
+
     {b Bounds.}  The cache holds at most [max_entries] entries and
     [max_bytes] bytes (request + response + a fixed per-entry
-    overhead); inserting past either bound evicts least-recently-used
-    entries until both hold again.  An entry that alone exceeds
-    [max_bytes] is rejected outright (counted in [stats.rejects], no
-    eviction churn).
+    overhead); inserting past either bound moves the hand, which evicts
+    until both hold again.  The hand passes over the entry being
+    inserted, so a put never evicts its own entry.  An entry that alone
+    exceeds [max_bytes] is rejected outright (counted in
+    [stats.rejects], no eviction churn).
 
     {b Counters.}  Exact values live in {!stats} (always on — they are
     plain ints, the serve protocol's [stats] op reads them).  A hit is
@@ -52,19 +64,18 @@ val max_entries : t -> int
 val max_bytes : t -> int
 
 (** [find t request] hashes [request] once and compares it with the
-    stored request at that address.  A hit moves the entry to the
-    most-recently-used position, counts one hit and returns the stored
-    response.  A miss counts nothing and remembers [request] and its
+    stored request at that address.  A hit sets the entry's visited
+    bit, counts one hit and returns the stored response; nothing
+    moves.  A miss counts nothing and remembers [request] and its
     hash for the {!put} that may follow. *)
 val find : t -> string -> string option
 
 (** Count one miss: the caller's request missed and was cacheable. *)
 val count_miss : t -> unit
 
-(** [put t request response] inserts at most-recently-used position,
-    replacing any entry at the same address (replacement is not an
-    eviction), then evicts from the least-recently-used end until both
-    bounds hold.  Counts nothing toward hits/misses.  When [request] is
+(** [put t request response] removes any entry at the same address
+    (replacement is not an eviction), inserts the new one at the head,
+    unvisited, then evicts with the SIEVE hand until both bounds hold.  Counts nothing toward hits/misses.  When [request] is
     the very string the last missed {!find} was given (physically
     equal), its hash is reused: a miss hashes its request once. *)
 val put : t -> string -> string -> unit
@@ -82,14 +93,14 @@ type stats = {
 
 val stats : t -> stats
 
-(** [(request, response)] pairs in recency order, most recently used
-    first — the exact eviction order reversed.  For tests and
-    introspection. *)
+(** [(request, response)] pairs in queue order, newest first.  This is
+    insertion order, not the eviction order: that also depends on the
+    visited bits and the hand.  For tests and introspection. *)
 val items : t -> (string * string) list
 
-(** Structural invariants (list/table agreement, addresses, byte
-    accounting, bounds): [Error] names the first violation.  Test
-    hook. *)
+(** Structural invariants (queue/table agreement, addresses, byte
+    accounting, bounds, the hand on a queued entry or [None]): [Error]
+    names the first violation.  Test hook. *)
 val selfcheck : t -> (unit, string) result
 
 (** {1 Strict checks}

@@ -5,7 +5,9 @@ set -eu
 
 TOOL="$1"
 TMP=$(mktemp -d)
-trap 'rm -rf "$TMP"' EXIT
+# a failing check exits with a daemon still up: stop it, or it holds
+# the output pipe open and the run never ends
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 fail() { echo "CLI TEST FAILED: $1" >&2; exit 1; }
 
@@ -418,6 +420,37 @@ done
 kill -INT "$SRV"
 wait "$SRV" && rc=0 || rc=$?
 [ "$rc" -eq 130 ] || fail "bare serve SIGINT: exit $rc, want 130"
+
+# SIEVE eviction over the wire: with room for two entries, requests A,
+# A, B, C, A hit twice and evict once (the hit set A's visited bit, so
+# the hand passes A and evicts B); LRU would hit once and evict twice.
+# Each repeated response is byte-identical to its cold one.
+SOCK="$TMP/sieve.sock"
+"$TOOL" serve --socket "$SOCK" --cache-entries 2 2>/dev/null &
+SRV=$!
+for _ in $(seq 1 100); do
+  "$TOOL" client --socket "$SOCK" --ping >/dev/null 2>&1 && break
+  sleep 0.05
+done
+i=0
+for p in tiny tiny opt pair tiny; do
+  i=$((i + 1))
+  "$TOOL" client --socket "$SOCK" "$TMP/$p.s" > "$TMP/sieve-$i.json" \
+    || fail "sieve daemon: request $i ($p) failed"
+done
+cmp -s "$TMP/sieve-1.json" "$TMP/sieve-2.json" \
+  || fail "sieve daemon: warm A != cold A"
+cmp -s "$TMP/sieve-1.json" "$TMP/sieve-5.json" \
+  || fail "sieve daemon: A after eviction != cold A"
+"$TOOL" client --socket "$SOCK" --stats > "$TMP/sieve-stats.json" \
+  || fail "sieve daemon: stats failed"
+grep -q '"hits": 2,' "$TMP/sieve-stats.json" || fail "sieve daemon: want 2 hits"
+grep -q '"misses": 3,' "$TMP/sieve-stats.json" || fail "sieve daemon: want 3 misses"
+grep -q '"evictions": 1,' "$TMP/sieve-stats.json" \
+  || fail "sieve daemon: want 1 eviction"
+kill -INT "$SRV"
+wait "$SRV" && rc=0 || rc=$?
+[ "$rc" -eq 130 ] || fail "sieve serve SIGINT: exit $rc, want 130"
 
 # ------------------------------------------------------------------
 # explain: decision provenance.  Flag validation first — the whole

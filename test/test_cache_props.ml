@@ -1,12 +1,12 @@
 (** Randomized model check for the serve result cache
     (lib/driver/cache.ml).
 
-    The cache is driven op-by-op against a reference model — a plain
-    association list in recency order (most recently used first) with
-    the same bounds and the same counter rules — and after {e every}
-    operation the two must agree exactly: entry order (which fixes the
-    eviction order), requests, responses, entry and byte occupancy, and
-    all four monotone counters.  [Cache.selfcheck] (the
+    The cache is driven op-by-op against a reference model of SIEVE — a
+    plain list in insertion order (newest first) with a visited flag per
+    entry and the hand as an index into the list, the same bounds and
+    the same counter rules — and after {e every} operation the two must
+    agree exactly: queue order, requests, responses, entry and byte
+    occupancy, and all four monotone counters.  [Cache.selfcheck] (the
     intrusive-list/table invariant walk) also runs after every op, so a
     corrupted link or a table/list disagreement is caught at the op
     that introduced it, not at the end of the run.
@@ -14,7 +14,11 @@
     Tier-1 runs 1000 seeded interleavings; [dune build @slow] re-runs
     the suite with DAGSCHED_CACHE_PROPS_HEAVY=1, which multiplies the
     seed count and per-seed op count by 10.  Any failure names its
-    seed. *)
+    seed.
+
+    The LRU model the cache used to follow stays here as a yardstick:
+    replayed over seeded Zipf streams shaped like perfbench's
+    [serve_zipf], SIEVE must miss less than it. *)
 
 open Dagsched
 
@@ -28,13 +32,18 @@ type model_entry = {
   m_request : string;
   m_response : string;
   m_bytes : int;
+  mutable m_visited : bool;  (* SIEVE only *)
 }
 
 type model = {
   mx_entries : int;
   mx_bytes : int;
-  (* recency order, MRU first — the reverse of eviction order *)
+  (* SIEVE: insertion order, newest first; LRU: recency order, MRU
+     first *)
   mutable items : model_entry list;
+  (* SIEVE only: the index in [items] of the next eviction candidate;
+     [None] stands for the tail *)
+  mutable hand : int option;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -43,13 +52,77 @@ type model = {
 
 let model_create ~max_entries ~max_bytes =
   { mx_entries = max 1 max_entries; mx_bytes = max 1 max_bytes;
-    items = []; hits = 0; misses = 0; evictions = 0; rejects = 0 }
+    items = []; hand = None; hits = 0; misses = 0; evictions = 0;
+    rejects = 0 }
 
 let model_same request e = String.equal e.m_request request
 
+let model_bytes m =
+  List.fold_left (fun a e -> a + e.m_bytes) 0 m.items
+
+let model_entry request response =
+  { m_request = request; m_response = response;
+    m_bytes =
+      String.length request + String.length response + Cache.entry_overhead;
+    m_visited = false }
+
+(* ---- SIEVE ---- *)
+
 (* a miss is counted only when the caller says the request was a
-   cacheable one ([counted]) *)
+   cacheable one ([counted]); a hit sets the visited flag and moves
+   nothing *)
 let model_find m ~counted request =
+  match List.find_opt (model_same request) m.items with
+  | Some e ->
+      e.m_visited <- true;
+      m.hits <- m.hits + 1;
+      Some e.m_response
+  | None ->
+      if counted then m.misses <- m.misses + 1;
+      None
+
+(* drop index [i]; a hand on it moves to the newer neighbour (index
+   [i - 1], or past the head to the tail), a hand behind it shifts *)
+let model_remove m i =
+  m.items <- List.filteri (fun j _ -> j <> i) m.items;
+  m.hand <-
+    (match m.hand with
+    | Some h when h = i -> if i = 0 then None else Some (i - 1)
+    | Some h when h > i -> Some (h - 1)
+    | hand -> hand)
+
+(* the hand passes over the head, index 0: the entry being put *)
+let rec model_evict m =
+  let i =
+    match m.hand with Some h -> h | None -> List.length m.items - 1
+  in
+  let e = List.nth m.items i in
+  if e.m_visited || i = 0 then begin
+    e.m_visited <- false;
+    m.hand <- (if i = 0 then None else Some (i - 1));
+    model_evict m
+  end
+  else begin
+    model_remove m i;
+    m.evictions <- m.evictions + 1
+  end
+
+let model_put m request response =
+  let e = model_entry request response in
+  if e.m_bytes > m.mx_bytes then m.rejects <- m.rejects + 1
+  else begin
+    (* replacing an existing entry is not an eviction *)
+    Option.iter (model_remove m) (List.find_index (model_same request) m.items);
+    m.items <- e :: m.items;
+    m.hand <- Option.map succ m.hand;
+    while List.length m.items > m.mx_entries || model_bytes m > m.mx_bytes do
+      model_evict m
+    done
+  end
+
+(* ---- LRU, the yardstick ---- *)
+
+let lru_find m ~counted request =
   match List.find_opt (model_same request) m.items with
   | Some e ->
       m.items <- e :: List.filter (fun e' -> e' != e) m.items;
@@ -59,20 +132,13 @@ let model_find m ~counted request =
       if counted then m.misses <- m.misses + 1;
       None
 
-let model_bytes m =
-  List.fold_left (fun a e -> a + e.m_bytes) 0 m.items
-
-let model_put m request response =
-  let ebytes =
-    String.length request + String.length response + Cache.entry_overhead
-  in
-  if ebytes > m.mx_bytes then m.rejects <- m.rejects + 1
+let lru_put m request response =
+  let e = model_entry request response in
+  if e.m_bytes > m.mx_bytes then m.rejects <- m.rejects + 1
   else begin
     (* replacing an existing entry is not an eviction *)
     m.items <- List.filter (fun e -> not (model_same request e)) m.items;
-    m.items <-
-      { m_request = request; m_response = response; m_bytes = ebytes }
-      :: m.items;
+    m.items <- e :: m.items;
     while
       List.length m.items > m.mx_entries || model_bytes m > m.mx_bytes
     do
@@ -101,10 +167,10 @@ let check_agree ~seed ~op cache m =
   List.iteri
     (fun i ((request, response), e) ->
       if not (String.equal request e.m_request) then
-        fail "request mismatch at recency position %d: cache %S, model %S" i
+        fail "request mismatch at queue position %d: cache %S, model %S" i
           request e.m_request;
       if not (String.equal response e.m_response) then
-        fail "response mismatch at recency position %d" i)
+        fail "response mismatch at queue position %d" i)
     (List.combine items m.items);
   let s = Cache.stats cache in
   if s.Cache.entries <> List.length m.items then
@@ -201,22 +267,49 @@ let test_strict_selfcheck () =
 let responses cache =
   List.map (fun (_, r) -> r) (Cache.items cache)
 
+let keys cache = List.map fst (Cache.items cache)
+
+let hit cache request =
+  match Cache.find cache request with
+  | Some _ -> ()
+  | None -> Alcotest.failf "expected a hit on %S" request
+
 let test_eviction_order () =
   let cache = Cache.create ~max_entries:3 ~max_bytes:max_int ()
   and response = "p" in
   Cache.put cache "a" response;
   Cache.put cache "b" response;
   Cache.put cache "c" response;
-  (* touch "a": it becomes MRU, so the next eviction takes "b" *)
-  (match Cache.find cache "a" with
-  | Some _ -> ()
-  | None -> Alcotest.fail "expected a hit on \"a\"");
+  (* a hit on "a" sets its bit: the hand, starting at the tail, clears
+     it and moves on, so the eviction takes "b", and "a" keeps its
+     place in the queue *)
+  hit cache "a";
   Cache.put cache "d" response;
-  let keys = List.map fst (Cache.items cache) in
-  Alcotest.(check (list string)) "recency order after eviction"
-    [ "d"; "a"; "c" ] keys;
+  Alcotest.(check (list string)) "queue order after eviction"
+    [ "d"; "c"; "a" ] (keys cache);
   let s = Cache.stats cache in
   Alcotest.(check int) "one eviction" 1 s.Cache.evictions
+
+(* the hand clears a visited entry's bit as it passes, so the entry
+   outlives that pass, and only that one unless it is hit again *)
+let test_visited_survives_one_pass () =
+  let cache = Cache.create ~max_entries:3 ~max_bytes:max_int () in
+  List.iter (fun k -> Cache.put cache k "p") [ "a"; "b"; "c" ];
+  hit cache "a";
+  Cache.put cache "d" "p";
+  Alcotest.(check (list string)) "the hand passes a and evicts b"
+    [ "d"; "c"; "a" ] (keys cache);
+  (* the hand clears c and d, passes the new head e, wraps to the tail
+     and takes a, whose bit the first pass spent *)
+  hit cache "c";
+  hit cache "d";
+  Cache.put cache "e" "p";
+  Alcotest.(check (list string)) "a's bit is spent: the hand takes it"
+    [ "e"; "d"; "c" ] (keys cache);
+  Alcotest.(check int) "two evictions" 2 (Cache.stats cache).Cache.evictions;
+  match Cache.selfcheck cache with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "selfcheck: %s" msg
 
 let test_replacement_is_not_eviction () =
   let cache = Cache.create ~max_entries:4 ~max_bytes:max_int () in
@@ -419,13 +512,74 @@ let test_xxh64_vectors () =
   let w = Gc.minor_words () -. m0 in
   if w > 16.0 then Alcotest.failf "hash of 64 KiB allocated %.0f words" w
 
+(* ------------------------------------------------------------------ *)
+(* the gain over LRU, on counts *)
+
+(* [n] requests over [items] keys, key [i] drawn with weight 1/(i+1):
+   each key's exact share, rounded down, the remainder handed out by
+   largest fraction, the whole shuffled — the shape of perfbench's
+   [serve_zipf] stream *)
+let zipf_stream ~seed ~n ~items =
+  let weight i = 1.0 /. float_of_int (i + 1) in
+  let total = ref 0.0 in
+  for i = 0 to items - 1 do total := !total +. weight i done;
+  let exact =
+    Array.init items (fun i -> float_of_int n *. weight i /. !total)
+  in
+  let counts = Array.map int_of_float exact in
+  let remainder i = exact.(i) -. float_of_int counts.(i) in
+  let by_remainder = Array.init items Fun.id in
+  Array.stable_sort
+    (fun a b -> Float.compare (remainder b) (remainder a))
+    by_remainder;
+  for k = 0 to n - Array.fold_left ( + ) 0 counts - 1 do
+    counts.(by_remainder.(k)) <- counts.(by_remainder.(k)) + 1
+  done;
+  let stream =
+    Array.concat (List.init items (fun i -> Array.make counts.(i) i))
+  in
+  Prng.shuffle (Prng.create ((seed * 0x2545f491) + 0x21bf)) stream;
+  stream
+
+(* Twenty seeded Zipf(s=1) streams of 2,000 requests over 64 keys
+   through a 24-entry cache, as the serve daemon runs them (a miss is
+   counted, then put): SIEVE hits at least as often as the LRU yardstick
+   on every stream, and misses at least 10% less over all of them.  The
+   threshold is fixed (EXPERIMENTS.md); the cache is deterministic, so
+   these are exact counts, not timings. *)
+let test_sieve_beats_lru () =
+  let sieve_misses = ref 0 and lru_misses = ref 0 in
+  for seed = 0 to 19 do
+    let cache = Cache.create ~max_entries:24 ~max_bytes:max_int () in
+    let lru = model_create ~max_entries:24 ~max_bytes:max_int in
+    Array.iter
+      (fun key ->
+        let request = Printf.sprintf "program-%d" key in
+        if Cache.find cache request = None then begin
+          Cache.count_miss cache;
+          Cache.put cache request "r"
+        end;
+        if lru_find lru ~counted:true request = None then
+          lru_put lru request "r")
+      (zipf_stream ~seed ~n:2000 ~items:64);
+    let s = Cache.stats cache in
+    if s.Cache.hits < lru.hits then
+      Alcotest.failf "seed %d: SIEVE %d hits, LRU %d" seed s.Cache.hits
+        lru.hits;
+    sieve_misses := !sieve_misses + s.Cache.misses;
+    lru_misses := !lru_misses + lru.misses
+  done;
+  if 10 * !sieve_misses > 9 * !lru_misses then
+    Alcotest.failf "misses over 20 streams: SIEVE %d, LRU %d (want <= 90%%)"
+      !sieve_misses !lru_misses
+
 let suite =
   [ Alcotest.test_case "XXH64 test vectors" `Quick test_xxh64_vectors;
     Alcotest.test_case "model check (seeded interleavings)" `Quick
       test_model_check;
     Alcotest.test_case "strict checks: selfcheck after every mutation" `Quick
       test_strict_selfcheck;
-    Alcotest.test_case "eviction order follows recency" `Quick
+    Alcotest.test_case "eviction follows the SIEVE hand" `Quick
       test_eviction_order;
     Alcotest.test_case "replacement is not an eviction" `Quick
       test_replacement_is_not_eviction;
@@ -440,4 +594,8 @@ let suite =
     Alcotest.test_case "address collision is a miss, then a replacement"
       `Quick test_collision_refused;
     Alcotest.test_case "a miss hashes its request once" `Quick
-      test_miss_hashes_once ]
+      test_miss_hashes_once;
+    Alcotest.test_case "a visited entry survives one pass of the hand" `Quick
+      test_visited_survives_one_pass;
+    Alcotest.test_case "SIEVE misses at least 10% less than LRU on Zipf streams"
+      `Quick test_sieve_beats_lru ]

@@ -72,7 +72,7 @@ let test_shutdown_races () =
   done
 
 let suite =
-  [ quick "pool: map_array exactly-once across domains and chunk sizes"
+  [ quick "pool: map exactly-once across domains and chunk sizes"
       test_pool_map;
-    quick "pool: empty-deque park/shutdown races terminate cleanly"
+    quick "pool: park/shutdown races terminate cleanly"
       test_shutdown_races ]
