@@ -158,7 +158,9 @@ let fresh_cell keys =
     celiminated = Array.make n 0;
   }
 
-let find_cell ~signature ~keys =
+(* resolve the calling domain's accumulator once, then record with no
+   hashing or gating (see the mli) *)
+let cell ~signature ~keys =
   let tbl = Domain.DLS.get dls_key in
   match Hashtbl.find_opt tbl signature with
   | Some c -> c
@@ -167,7 +169,7 @@ let find_cell ~signature ~keys =
       Hashtbl.add tbl signature c;
       c
 
-let record_into c ~candidates ~survivor_counts ~forced ~tie_break ~overruled =
+let record c ~candidates ~survivor_counts ~forced ~tie_break ~overruled =
   c.cdecisions <- c.cdecisions + 1;
   if forced then c.cforced <- c.cforced + 1
   else begin
@@ -190,20 +192,6 @@ let record_into c ~candidates ~survivor_counts ~forced ~tie_break ~overruled =
     in
     walk 0 candidates survivor_counts
   end
-
-let observe ~signature ~keys ~candidates ~survivor_counts ~forced ~tie_break
-    ~overruled () =
-  if Atomic.get enabled_flag then
-    record_into
-      (find_cell ~signature ~keys)
-      ~candidates ~survivor_counts ~forced ~tie_break ~overruled
-
-(* hot-path handle: resolve the domain-local accumulator once, then
-   record with no hashing or gating (see the mli) *)
-let cell ~signature ~keys = find_cell ~signature ~keys
-
-let record c ~candidates ~survivor_counts ~forced ~tie_break ~overruled =
-  record_into c ~candidates ~survivor_counts ~forced ~tie_break ~overruled
 
 (* ------------------------------------------------------------------ *)
 (* snapshots *)

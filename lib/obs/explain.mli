@@ -19,14 +19,15 @@
       priority-weight overflow.
 
     Like every observability layer in this tree the registry is
-    atomics-gated off by default — a disabled {!observe} is one atomic
-    read, schedules and reports are byte-identical — and sharded into
-    per-domain cells on the hot path, merged by {!snapshot} once the
-    pool has quiesced.
+    atomics-gated off by default — a disabled registry costs the engine
+    one atomic read per block, schedules and reports are byte-identical —
+    and sharded into per-domain cells on the hot path, merged by
+    {!snapshot} once the pool has quiesced.
 
     This module is generic over the heuristic kit: heuristics are
     identified by their display strings, so [ds_obs] stays at the bottom
-    of the dependency tree.  [Ds_sched.Engine] is the producer. *)
+    of the dependency tree.  [Ds_sched.Engine] is the producer: it
+    records the shape of each decision its pick has already made. *)
 
 (** {1 Enablement} *)
 
@@ -50,7 +51,7 @@ type decision = {
   block : int;                  (** basic-block id *)
   strategy : string;            (** engine-config signature *)
   time : int;                   (** issue cycle within the block *)
-  candidates : int list;        (** ready set, ascending node ids *)
+  candidates : int list;        (** ready set, newest available first *)
   steps : step list;
   chosen : int;
   tie_break : bool;
@@ -92,31 +93,18 @@ type strategy_stat = {
 
 type stats = strategy_stat list
 
-(** Record one decision's shape into the calling domain's cell.  A no-op
-    unless {!enabled}.  [survivor_counts] is the surviving-candidate
-    count after each consulted rank (a prefix of the key order);
-    [candidates] is the ready-set size before any rank.  Forced
-    decisions pass [survivor_counts = []] and [forced:true]. *)
-val observe :
-  signature:string ->
-  keys:string list ->
-  candidates:int ->
-  survivor_counts:int list ->
-  forced:bool ->
-  tie_break:bool ->
-  overruled:bool ->
-  unit ->
-  unit
+(** {2 Recording}
 
-(** {2 Hot-path handle}
+    A scheduling loop resolves its strategy's accumulator once with
+    [cell] (the calling domain's, created on first use) and records each
+    decision's shape with [record], with no hashing and no gating: the
+    caller checks {!enabled} itself, once.  A cell must only be used on
+    the domain that created it.
 
-    {!observe} re-resolves the strategy's accumulator on every call
-    (a domain-local hash lookup on the signature string).  A scheduling
-    loop that records one decision per issued instruction can resolve
-    the accumulator once per block instead: [cell] returns the calling
-    domain's accumulator, and [record] updates it with no hashing and
-    no gating — the caller checks {!enabled} itself, once.  A cell must
-    only be used on the domain that created it. *)
+    [record] takes [candidates], the ready-set size before any rank, and
+    [survivor_counts], the surviving-candidate count after each consulted
+    rank (a prefix of the key order).  Forced decisions pass
+    [survivor_counts = []] and [forced:true]. *)
 
 type cell
 

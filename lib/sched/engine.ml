@@ -37,20 +37,14 @@ let signed_value k ~annot ~st i =
   let v = Evaluate.value k.heuristic ~annot ~st i in
   match k.sense with Heuristic.Maximize -> v | Heuristic.Minimize -> -v
 
-(* Final tie-break: original program order — the first remaining
-   instruction in a forward pass, the last in a backward pass. *)
-let order_tie direction candidates =
-  match (direction : Dyn_state.direction) with
-  | Dyn_state.Forward -> List.fold_left min max_int candidates
-  | Dyn_state.Backward -> List.fold_left max min_int candidates
-
-(* [order_tie] of two nodes. *)
+(* Final tie-break: original program order — the first of two nodes in a
+   forward pass, the last in a backward pass. *)
 let order_tie2 direction a b =
   match (direction : Dyn_state.direction) with
   | Dyn_state.Forward -> Int.min a b
   | Dyn_state.Backward -> Int.max a b
 
-(* [order_tie] over the first [m] (>= 1) entries of [cand]. *)
+(* [order_tie2] over the first [m] (>= 1) entries of [cand]. *)
 let order_tie_prefix direction cand m =
   let best = ref cand.(0) in
   for j = 1 to m - 1 do
@@ -60,8 +54,10 @@ let order_tie_prefix direction cand m =
 
 (* Winnowing over the first [m] (>= 2) entries of [cand]: narrow one
    heuristic at a time, compacting the nodes tied for the best value to
-   the front.  [vals] is scratch at least [m] long. *)
-let pick_winnowing direction keys ~annot ~st cand vals m =
+   the front.  Compaction keeps relative order, so after each key the
+   survivors are [cand.(0 .. kept-1)] in candidate order; [on_key k best
+   kept] sees them.  [vals] is scratch at least [m] long. *)
+let pick_winnowing ?on_key direction keys ~annot ~st cand vals m =
   let rec narrow m = function
     | [] -> order_tie_prefix direction cand m
     | k :: rest ->
@@ -78,6 +74,7 @@ let pick_winnowing direction keys ~annot ~st cand vals m =
             incr kept
           end
         done;
+        (match on_key with Some f -> f k !best !kept | None -> ());
         if !kept = 1 then cand.(0) else narrow !kept rest
   in
   narrow m keys
@@ -99,22 +96,6 @@ let priority keys weights ~annot ~st i =
   in
   sum 0 0 keys
 
-(* The full top-priority tie set, so the tracer can tell when the
-   program-order fallback fired. *)
-let priority_best keys ~annot ~st candidates =
-  let weights = weights keys in
-  let best = ref [] and best_p = ref min_int in
-  List.iter
-    (fun i ->
-      let p = priority keys weights ~annot ~st i in
-      if p > !best_p then begin
-        best := [ i ];
-        best_p := p
-      end
-      else if p = !best_p then best := i :: !best)
-    candidates;
-  !best
-
 (* The program-order winner of the top-priority set over the first [m]
    (>= 1) entries of [cand]. *)
 let pick_priority direction keys weights ~annot ~st cand m =
@@ -131,16 +112,30 @@ let pick_priority direction keys weights ~annot ~st cand m =
   done;
   !best
 
+(* The pick over the first [m] (>= 2) entries of [cand] by [keys]:
+   winnowed or weighted as the config says, program order last. *)
+let choose config keys weights ~annot ~st cand vals m =
+  match config.mode with
+  | Winnowing -> pick_winnowing config.direction keys ~annot ~st cand vals m
+  | Priority_fn -> pick_priority config.direction keys weights ~annot ~st cand m
+
+(* a config's priority weights, none for winnowing *)
+let config_weights config =
+  match config.mode with
+  | Winnowing -> [||]
+  | Priority_fn -> weights config.keys
+
 (* ------------------------------------------------------------------ *)
 (* the static priority: one precomputed rank per node *)
 
-(* A block's static ranking for the bare pick.  [prio.(i)] is node [i]'s
-   priority: for winnowing, the signed values of the config's longest
-   prefix of static keys packed rank-major into one int (each offset by
-   its block minimum and scaled by the value ranges of the packed keys
-   after it), then program order where it fits; for a priority function whose keys are all static, its
-   weighted sum.  [rest] are the keys that winnow the nodes tied for the
-   top priority, in rank order. *)
+(* A block's static ranking.  [prio.(i)] is node [i]'s priority: for
+   winnowing, the signed values of the config's longest prefix of static
+   keys packed rank-major into one int (each offset by its block minimum
+   and scaled by the value ranges of the packed keys after it), then
+   program order where it fits; for a priority function whose keys are
+   all static, its weighted sum.  [rest] are the keys that {!choose}
+   among the nodes tied for the top priority, in rank order.  With no
+   static prefix every priority is 0 and [rest] is every key. *)
 type static_rank = { prio : int array; rest : key list }
 
 let is_static k = Evaluate.is_static k.heuristic
@@ -184,37 +179,25 @@ let rec pack_keys ~annot ~st prio span last = function
 let forward_order = key ~sense:Heuristic.Minimize Heuristic.Original_order
 let backward_order = key ~sense:Heuristic.Maximize Heuristic.Original_order
 
-(* [None] when the leading key is dynamic (or its range alone does not
-   fit in an int): the pick then winnows the whole ready list.  [n] >= 1. *)
 let static_rank config weights ~annot ~st n =
-  match (config.mode, config.keys) with
-  | Winnowing, [] -> Some { prio = Array.make n 0; rest = [] }
-  | Winnowing, k :: _ when is_static k ->
+  match config.mode with
+  | Winnowing ->
       let prio = Array.make n 0 in
       let last =
         match config.direction with
         | Dyn_state.Forward -> forward_order
         | Dyn_state.Backward -> backward_order
       in
-      let rest = pack_keys ~annot ~st prio 1 last config.keys in
-      if rest == config.keys then None else Some { prio; rest }
-  | Winnowing, _ -> None
-  | Priority_fn, keys ->
-      if List.for_all is_static keys then
-        Some { prio = Array.init n (priority keys weights ~annot ~st); rest = [] }
-      else None
+      { prio; rest = pack_keys ~annot ~st prio 1 last config.keys }
+  | Priority_fn ->
+      if List.for_all is_static config.keys then
+        { prio = Array.init n (priority config.keys weights ~annot ~st); rest = [] }
+      else { prio = Array.make n 0; rest = config.keys }
 
 (* ------------------------------------------------------------------ *)
 (* decision tracing: which heuristic actually decided each issue *)
 
-(** One scheduling decision: the ready candidates at [time], the
-    winnowing trail (survivors after each applied heuristic, with the
-    winning value), the chosen node, and whether the program-order
-    tie-break made the final call.  A forced decision (single ready
-    candidate) has an empty trail.  Priority-fn configs report a
-    *restricted narrowing* trail — each rank keeps the best of the
-    previous rank's survivors — which matches the weighted sum except
-    when a low rank's magnitude overflows its weight. *)
+(* One scheduling decision (see engine.mli). *)
 type decision = {
   time : int;
   candidates : int list;
@@ -224,71 +207,42 @@ type decision = {
   tie_break : bool;
 }
 
-let winnow_trail direction keys ~annot ~st candidates =
-  let rec narrow acc candidates = function
-    | [] ->
-        (List.rev acc, order_tie direction candidates,
-         match candidates with [] | [ _ ] -> false | _ -> true)
-    | k :: rest ->
-        let best =
-          List.fold_left
-            (fun b i -> max b (signed_value k ~annot ~st i))
-            min_int candidates
-        in
-        let survivors =
-          List.filter (fun i -> signed_value k ~annot ~st i = best) candidates
-        in
-        let acc = (k.heuristic, best, survivors) :: acc in
-        (match survivors with
-        | [ only ] -> (List.rev acc, only, false)
-        | several -> narrow acc several rest)
-  in
-  narrow [] candidates keys
-
-(* Restricted narrowing for a priority function: the same lexicographic
-   walk, run alongside the real weighted-sum winner.  [overruled] marks
-   decisions where the weighted sum's winner is not among the narrowing
-   survivors — i.e. a lower rank's value magnitude overflowed the 10×
-   weight separation and beat the rank order. *)
-let priority_trail direction keys ~annot ~st candidates =
-  let best_set = priority_best keys ~annot ~st candidates in
-  let chosen = order_tie direction best_set in
-  let tie_break = match best_set with [] | [ _ ] -> false | _ -> true in
-  let rec narrow acc survivors = function
-    | [] -> (List.rev acc, survivors)
-    | k :: rest ->
-        let best =
-          List.fold_left
-            (fun b i -> max b (signed_value k ~annot ~st i))
-            min_int survivors
-        in
-        let survivors =
-          List.filter (fun i -> signed_value k ~annot ~st i = best) survivors
-        in
-        let acc = (k.heuristic, best, survivors) :: acc in
-        (match survivors with
-        | [ _ ] -> (List.rev acc, survivors)
-        | several -> narrow acc several rest)
-  in
-  let trail, final = narrow [] candidates keys in
-  let overruled = not (List.mem chosen final) in
-  (trail, chosen, tie_break, overruled)
-
-(* [traced_pick] returns (trail, chosen, tie_break, overruled); the
-   chosen node is always identical to what the untraced [pick] would
-   return on the same state. *)
-let traced_pick config ~annot ~st candidates =
-  match candidates with
-  | [ only ] -> ([], only, false, false)
-  | _ -> (
+(* The observer: the pick has already chosen [chosen] from the ready
+   candidates [cand] (list order, left as is); rebuild the decision's
+   shape as (trail, tie_break, overruled).  A copy of [cand] is winnowed
+   key by key, its survivors noted after each key; for a priority
+   function that is the restricted narrowing, [tie_break] means several
+   nodes share the top weighted sum, and [overruled] that the chosen
+   node is not among the narrowing's final survivors.  The observer's own
+   winner must be [chosen]: it never decides. *)
+let observe config weights ~annot ~st cand chosen =
+  let m = Array.length cand in
+  if m = 1 then ([], false, false)
+  else begin
+    let survivors = Array.copy cand and trail = ref [] and kept = ref m in
+    let on_key k best n =
+      trail := (k.heuristic, best, List.init n (Array.get survivors)) :: !trail;
+      kept := n
+    in
+    let narrowed =
+      pick_winnowing ~on_key config.direction config.keys ~annot ~st survivors
+        (Array.make m 0) m
+    in
+    let winner, tie_break =
       match config.mode with
-      | Winnowing ->
-          let trail, chosen, tie_break =
-            winnow_trail config.direction config.keys ~annot ~st candidates
-          in
-          (trail, chosen, tie_break, false)
+      | Winnowing -> (narrowed, !kept > 1)
       | Priority_fn ->
-          priority_trail config.direction config.keys ~annot ~st candidates)
+          let prio = priority config.keys weights ~annot ~st in
+          let winner =
+            pick_priority config.direction config.keys weights ~annot ~st cand m
+          in
+          let top = prio winner in
+          (winner, Array.fold_left (fun c i -> if prio i = top then c + 1 else c) 0 cand > 1)
+    in
+    assert (winner = chosen);
+    let overruled = not (Array.mem chosen (Array.sub survivors 0 !kept)) in
+    (List.rev !trail, tie_break, overruled)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* decisiveness registry hookup (Ds_obs.Explain) *)
@@ -333,14 +287,8 @@ let signature config =
       Hashtbl.add tbl config s;
       s
 
-let explain_observe config ~ncand ~trail ~forced ~tie_break ~overruled =
-  Ds_obs.Explain.observe ~signature:(signature config)
-    ~keys:(key_labels config) ~candidates:ncand
-    ~survivor_counts:(List.map (fun (_, _, s) -> List.length s) trail)
-    ~forced ~tie_break ~overruled ()
-
-(* Per-block handle: the scheduling loop resolves the strategy's
-   registry accumulator once and records per pick with no hashing. *)
+(* The strategy's registry accumulator, resolved once per block (or per
+   [pick]); [None] when the explain registry is off. *)
 let explain_cell config =
   if Ds_obs.Explain.enabled () then
     Some
@@ -348,89 +296,46 @@ let explain_cell config =
          ~keys:(key_labels config))
   else None
 
-let explain_record cell ~ncand ~trail ~forced ~tie_break ~overruled =
+let explain_record cell ~ncand ~trail ~tie_break ~overruled =
   Ds_obs.Explain.record cell ~candidates:ncand
     ~survivor_counts:(List.map (fun (_, _, s) -> List.length s) trail)
-    ~forced ~tie_break ~overruled
+    ~forced:(ncand = 1) ~tie_break ~overruled
 
-(* Choose the best candidate.  The singleton fast path skips the key
-   walk entirely — both modes trivially return the only candidate — and
-   is what the decisiveness stats count as a *forced* decision.  When
-   the explain registry is live the trail is computed so the decision's
-   shape can be recorded; otherwise this is one atomic read on top of
-   the bare winnowing/priority pick. *)
-let bare_pick config weights ~annot ~st cand vals m =
-  match config.mode with
-  | Winnowing ->
-      pick_winnowing config.direction config.keys ~annot ~st cand vals m
-  | Priority_fn ->
-      pick_priority config.direction config.keys weights ~annot ~st cand m
-
-(* a config's priority weights, none for winnowing *)
-let config_weights config =
-  match config.mode with
-  | Winnowing -> [||]
-  | Priority_fn -> weights config.keys
-
+(* A single candidate is returned without consulting any heuristic: the
+   decisiveness stats count it as *forced*. *)
 let pick config ~annot ~st candidates =
-  match candidates with
-  | [ only ] ->
-      if Ds_obs.Explain.enabled () then
-        explain_observe config ~ncand:1 ~trail:[] ~forced:true
-          ~tie_break:false ~overruled:false;
-      only
-  | _ ->
-      if not (Ds_obs.Explain.enabled ()) then begin
-        let cand = Array.of_list candidates in
-        let m = Array.length cand in
-        bare_pick config (config_weights config) ~annot ~st cand
-          (Array.make m 0) m
-      end
-      else begin
-        let trail, chosen, tie_break, overruled =
-          traced_pick config ~annot ~st candidates
-        in
-        explain_observe config ~ncand:(List.length candidates) ~trail
-          ~forced:false ~tie_break ~overruled;
-        chosen
-      end
+  let cand = Array.of_list candidates in
+  let m = Array.length cand and weights = config_weights config in
+  let chosen =
+    if m = 1 then cand.(0)
+    else choose config config.keys weights ~annot ~st (Array.copy cand) (Array.make m 0) m
+  in
+  (match explain_cell config with
+  | Some cell ->
+      let trail, tie_break, overruled = observe config weights ~annot ~st cand chosen in
+      explain_record cell ~ncand:m ~trail ~tie_break ~overruled
+  | None -> ());
+  chosen
 
-(* Choose among the [m] ready candidates [ready.(0 .. m-1)] (list
-   order).  The candidates become a list only for a recorder or the
-   decisiveness registry; otherwise the pick runs over the array. *)
-let pick_ready ?recorder config weights ~annot ~st expl ready vals m =
-  match (recorder, expl) with
-  | None, None ->
-      if m = 1 then ready.(0)
-      else bare_pick config weights ~annot ~st ready vals m
-  | None, Some cell ->
-      if m = 1 then begin
-        Ds_obs.Explain.record cell ~candidates:1 ~survivor_counts:[]
-          ~forced:true ~tie_break:false ~overruled:false;
-        ready.(0)
-      end
-      else begin
-        let trail, chosen, tie_break, overruled =
-          traced_pick config ~annot ~st (List.init m (Array.get ready))
-        in
-        explain_record cell ~ncand:m ~trail ~forced:false ~tie_break
-          ~overruled;
-        chosen
-      end
-  | Some record, _ ->
-      let candidates = List.init m (Array.get ready) in
-      let trail, chosen, tie_break, overruled =
-        traced_pick config ~annot ~st candidates
-      in
-      (* the recorder branch bypasses [pick], so feed the decisiveness
-         registry here (no double count) *)
-      (match expl with
-      | Some cell ->
-          explain_record cell ~ncand:m ~trail ~forced:(m = 1) ~tie_break
-            ~overruled
-      | None -> ());
-      record { time = st.Dyn_state.time; candidates; trail; chosen; tie_break };
-      chosen
+(* Explain and a recorder see the chosen node and the released nodes of
+   [avail.(0 .. n_avail-1)], newest push first by [stamp]: the list
+   order the narrative prints.  They never decide. *)
+let observe_ready ?recorder config weights ~annot ~st expl avail n_avail stamp chosen =
+  let cand = ref [] in
+  for j = 0 to n_avail - 1 do
+    let i = avail.(j) in
+    if st.Dyn_state.earliest_exec.(i) <= st.time then cand := i :: !cand
+  done;
+  let cand = Array.of_list !cand in
+  Array.sort (fun a b -> Int.compare stamp.(b) stamp.(a)) cand;
+  let trail, tie_break, overruled = observe config weights ~annot ~st cand chosen in
+  (match expl with
+  | Some cell -> explain_record cell ~ncand:(Array.length cand) ~trail ~tie_break ~overruled
+  | None -> ());
+  match recorder with
+  | Some record ->
+      record { time = st.time; candidates = Array.to_list cand; trail; chosen; tie_break }
+  | None -> ()
 
 (* The scheduling loop, optionally recording decisions. *)
 let run_impl ?seed ?recorder config ~annot dag =
@@ -439,15 +344,22 @@ let run_impl ?seed ?recorder config ~annot dag =
   else begin
     let st = Dyn_state.create dag config.direction in
     (match seed with Some f -> f st | None -> ());
-    (* The candidate list keeps one order that [explain] prints:
-       ascending at first, newly available nodes in front in
-       [fold_successors] order, removals keeping the rest in place.  It
-       lives in an array with the list's head last.  The priority pick
-       reads no order, so it fills a removal's gap with the last
-       entry. *)
-    let avail = Array.make n 0 and n_avail = ref 0 in
+    (* decisiveness accumulator resolved once per block; [None] when the
+       explain registry is off *)
+    let expl = explain_cell config in
+    let observing = Option.is_some recorder || Option.is_some expl in
+    (* The available nodes, in no order: [slot.(i)] is node [i]'s index
+       in [avail], and an issue moves the last entry into its gap.  For
+       an observer, [stamp.(i)] counts the pushes before [i]'s (every
+       pushed node is available or scheduled): the candidate list
+       [explain] prints is newest push first, so ascending ids for the
+       nodes available at block start. *)
+    let avail = Array.make n 0 and n_avail = ref 0 and slot = Array.make n 0 in
+    let stamp = if observing then Array.make n 0 else [||] in
     let push i =
+      if observing then stamp.(i) <- st.n_scheduled + !n_avail;
       avail.(!n_avail) <- i;
+      slot.(i) <- !n_avail;
       incr n_avail
     in
     for i = n - 1 downto 0 do
@@ -456,90 +368,48 @@ let run_impl ?seed ?recorder config ~annot dag =
     let on_successor () peer _ _ =
       if Dyn_state.available st peer then push peer
     in
-    let position i =
-      let j = ref (!n_avail - 1) in
-      while avail.(!j) <> i do
-        decr j
-      done;
-      !j
-    in
     (* trace bookkeeping is resolved once per block; the common
        (disabled) path costs one atomic read per run_impl call; only
        tracing reads the clock around each pick *)
     let trace_on = Ds_obs.Trace.enabled () in
-    (* decisiveness accumulator resolved once per block; [None] when the
-       explain registry is off, leaving the pick path untouched *)
-    let expl = explain_cell config in
-    (* the bare path ranks by one static priority per node when the
-       config leads with static keys; a recorder or the registry sees
-       the list-order candidates *)
     let weights = config_weights config in
-    let rank =
-      match (recorder, expl) with
-      | None, None -> static_rank config weights ~annot ~st n
-      | _ -> None
-    in
-    (* the ready candidates in list order, or the top-priority front;
-       winnowing scratch unless the priority decides alone *)
+    let { prio; rest } = static_rank config weights ~annot ~st n in
+    (* the top-priority front of the ready candidates; winnowing scratch
+       when keys are left to winnow it *)
     let ready = Array.make n 0 in
-    let ties_by_order =
-      match rank with Some { rest = []; _ } -> true | _ -> false
+    let vals =
+      match (config.mode, rest) with
+      | Winnowing, _ :: _ -> Array.make n 0
+      | _ -> [||]
     in
-    let vals = if ties_by_order then [||] else Array.make n 0 in
     let picks = ref 0 and pick_first = ref 0.0 and pick_total = ref 0.0 in
     (* the summed ready-list lengths and the cycles no candidate could
        issue: the heur_dynamic span's args *)
     let candidates = ref 0 and stall_cycles = ref 0 in
     let order = Array.make n 0 in
-    (* where the priority pick's winner sits in [avail] *)
-    let at = ref 0 in
     while not (Dyn_state.complete st) do
       let t0 = if trace_on then Ds_obs.Clock.now () else 0.0 in
-      (* the node to issue now, or -1 when none is released *)
-      let chosen =
-        match rank with
-        | Some { prio; rest } ->
-            (* one pass: skip the unreleased nodes, keep the released
-               ones tied for the top priority in [ready.(0 .. f-1)] and
-               their program-order winner at [avail.(!at)] *)
-            let m = ref 0 and f = ref 0 and best = ref min_int in
-            for j = 0 to !n_avail - 1 do
-              let i = avail.(j) in
-              if st.earliest_exec.(i) <= st.time then begin
-                incr m;
-                let p = prio.(i) in
-                if !f = 0 || p > !best then begin
-                  best := p;
-                  ready.(0) <- i;
-                  f := 1;
-                  at := j
-                end
-                else if p = !best then begin
-                  ready.(!f) <- i;
-                  incr f;
-                  if order_tie2 config.direction avail.(!at) i = i then at := j
-                end
-              end
-            done;
-            candidates := !candidates + !m;
-            if !m = 0 then -1
-            else if !f = 1 || ties_by_order then avail.(!at)
-            else pick_winnowing config.direction rest ~annot ~st ready vals !f
-        | None ->
-            let m = ref 0 in
-            for j = !n_avail - 1 downto 0 do
-              let i = avail.(j) in
-              if st.earliest_exec.(i) <= st.time then begin
-                ready.(!m) <- i;
-                incr m
-              end
-            done;
-            let m = !m in
-            candidates := !candidates + m;
-            if m = 0 then -1
-            else pick_ready ?recorder config weights ~annot ~st expl ready vals m
-      in
-      if chosen < 0 then begin
+      (* one pass: skip the unreleased nodes and keep the released ones
+         tied for the top priority in [ready.(0 .. f-1)] *)
+      let m = ref 0 and f = ref 0 and best = ref min_int in
+      for j = 0 to !n_avail - 1 do
+        let i = avail.(j) in
+        if st.earliest_exec.(i) <= st.time then begin
+          incr m;
+          let p = prio.(i) in
+          if !f = 0 || p > !best then begin
+            best := p;
+            ready.(0) <- i;
+            f := 1
+          end
+          else if p = !best then begin
+            ready.(!f) <- i;
+            incr f
+          end
+        end
+      done;
+      candidates := !candidates + !m;
+      if !m = 0 then begin
         (* no candidate can issue: advance to the nearest release time *)
         let next = ref max_int in
         for j = 0 to !n_avail - 1 do
@@ -550,24 +420,26 @@ let run_impl ?seed ?recorder config ~annot dag =
         st.time <- !next
       end
       else begin
+        let chosen =
+          if !f = 1 then ready.(0)
+          else choose config rest weights ~annot ~st ready vals !f
+        in
         if trace_on then begin
           if !picks = 0 then pick_first := t0;
           pick_total := !pick_total +. Ds_obs.Clock.since t0;
           incr picks
         end;
+        if observing then
+          observe_ready ?recorder config weights ~annot ~st expl avail !n_avail stamp chosen;
         (* a backward pass builds the schedule last-to-first *)
         (match config.direction with
         | Dyn_state.Forward -> order.(st.n_scheduled) <- chosen
         | Dyn_state.Backward -> order.(n - 1 - st.n_scheduled) <- chosen);
         Dyn_state.schedule st chosen ~at:st.time;
         st.time <- st.time + 1;
-        (match rank with
-        | Some _ ->
-            let j = if avail.(!at) = chosen then !at else position chosen in
-            avail.(j) <- avail.(!n_avail - 1)
-        | None ->
-            let j = position chosen in
-            Array.blit avail (j + 1) avail j (!n_avail - j - 1));
+        let j = slot.(chosen) and last = avail.(!n_avail - 1) in
+        avail.(j) <- last;
+        slot.(last) <- j;
         decr n_avail;
         (* arcs are coalesced, so a peer's counter reaches zero exactly
            when its last predecessor, [chosen], issues: it cannot

@@ -20,11 +20,13 @@ type config = {
 
 (** Choose the best candidate under the config (exposed for schedulers
     built on top of the engine, e.g. register-limited scheduling) from a
-    non-empty list.  A single-candidate list returns it without
-    consulting any heuristic.
+    non-empty list, by the same choice as {!run}'s winnowing or weighted
+    sum.  A single-candidate list returns it without consulting any
+    heuristic.
     When [Ds_obs.Explain] is enabled every call records the decision's
     shape (ranks consulted, eliminations, tie-breaks) into the
-    decisiveness registry; disabled, that is one atomic read. *)
+    decisiveness registry after the choice is made; disabled, that is
+    one atomic read. *)
 val pick : config -> annot:Annot.t -> st:Dyn_state.t -> int list -> int
 
 (** Stable identity of a config in the decisiveness registry: direction,
@@ -47,15 +49,20 @@ val key_labels : config -> string list
     prefix winnow that front as {!pick} would, and program order breaks
     the last tie.  The chosen node is always the one the whole-list
     winnowing or weighted sum picks.  When the leading key is dynamic,
-    or the explain registry is on, every pick winnows the whole ready
-    list.  The [heur_dynamic] span's [picks], [candidates] and
-    [stall_cycles] count the same on either path. *)
+    every pick winnows the whole ready list.
+
+    The explain registry and {!run_traced}'s recorder only observe: they
+    see the node already chosen and the same ready candidates, rebuild
+    the trail beside it, and never change a choice, so the
+    [heur_dynamic] span's [picks], [candidates] and [stall_cycles] are
+    the same with them on or off. *)
 val run :
   ?seed:(Dyn_state.t -> unit) -> config -> annot:Annot.t -> Ds_dag.Dag.t ->
   int array
 
-(** One scheduling decision: the ready candidates at [time], the
-    winnowing trail (heuristic applied, best signed value, survivors),
+(** One scheduling decision: the ready candidates at [time] (newest
+    available first), the winnowing trail (heuristic applied, best
+    signed value, survivors in candidate order),
     the chosen node, and whether the program-order tie-break made the
     final call.  A forced decision (single ready candidate) has an empty
     trail.  Priority-fn configs report a restricted-narrowing trail:

@@ -556,4 +556,19 @@ grep -q "program-order tie-breaks" "$TMP/be.err" \
   || fail "batch --explain: no summary line"
 grep -q '"explain": \[' "$TMP/be.json" || fail "batch json: no explain section"
 grep -q '"ranks": \[' "$TMP/be.json" || fail "batch json: no rank stats"
+
+# obs-on = obs-off counts: a pick chooses by one path whether or not the
+# decisiveness registry watches, so heur_dynamic's picks, candidates and
+# stall cycles, summed over the blocks, agree with and without --explain
+hd_sums() {
+  sed 's/}, {"name"/}\n{"name"/g' "$1" | grep '^{"name": "heur_dynamic"' \
+    | sed 's/.*"picks": \([0-9]*\).*"candidates": \([0-9]*\).*"stall_cycles": \([0-9]*\).*/\1 \2 \3/' \
+    | awk '{ p += $1; c += $2; s += $3 } END { print p, c, s }'
+}
+"$TOOL" batch -q --jobs 2 --explain --trace "$TMP/bxt.json" "$TMP/grep.s" \
+  > /dev/null 2>&1 || fail "batch --explain --trace failed"
+[ "$(hd_sums "$TMP/bp.json" | cut -d' ' -f1)" -eq 1739 ] \
+  || fail "batch trace: heur_dynamic picks do not sum to the instructions"
+[ "$(hd_sums "$TMP/bp.json")" = "$(hd_sums "$TMP/bxt.json")" ] \
+  || fail "batch trace: heur_dynamic counts differ under --explain"
 echo "CLI TESTS OK"

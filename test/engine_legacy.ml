@@ -1,14 +1,24 @@
-(** The list scheduler's bare pick before the static priority, kept as
-    the differential yardstick (see engine_legacy.mli). *)
+(** The list scheduler's bare pick before the static priority, and the
+    list-based decision trail, kept as the differential yardstick (see
+    engine_legacy.mli). *)
 
 open Dagsched
 
 type counts = { picks : int; candidates : int; stall_cycles : int }
 
+type traced = { decision : Engine.decision; overruled : bool }
+
 (* Signed value: larger is always better after applying the sense. *)
 let signed_value (k : Engine.key) ~annot ~st i =
   let v = Evaluate.value k.Engine.heuristic ~annot ~st i in
   match k.Engine.sense with Heuristic.Maximize -> v | Heuristic.Minimize -> -v
+
+(* Final tie-break: original program order — the first remaining
+   instruction in a forward pass, the last in a backward pass. *)
+let order_tie direction candidates =
+  match (direction : Dyn_state.direction) with
+  | Dyn_state.Forward -> List.fold_left min max_int candidates
+  | Dyn_state.Backward -> List.fold_left max min_int candidates
 
 (* [order_tie] of two nodes. *)
 let order_tie2 direction a b =
@@ -79,6 +89,93 @@ let pick_priority direction keys weights ~annot ~st cand m =
   done;
   !best
 
+(* The full top-priority tie set, so the tracer can tell when the
+   program-order fallback fired. *)
+let priority_best keys ~annot ~st candidates =
+  let weights = weights keys in
+  let best = ref [] and best_p = ref min_int in
+  List.iter
+    (fun i ->
+      let p = priority keys weights ~annot ~st i in
+      if p > !best_p then begin
+        best := [ i ];
+        best_p := p
+      end
+      else if p = !best_p then best := i :: !best)
+    candidates;
+  !best
+
+(* ------------------------------------------------------------------ *)
+(* decision tracing: which heuristic actually decided each issue *)
+
+let winnow_trail direction keys ~annot ~st candidates =
+  let rec narrow acc candidates = function
+    | [] ->
+        (List.rev acc, order_tie direction candidates,
+         match candidates with [] | [ _ ] -> false | _ -> true)
+    | k :: rest ->
+        let best =
+          List.fold_left
+            (fun b i -> max b (signed_value k ~annot ~st i))
+            min_int candidates
+        in
+        let survivors =
+          List.filter (fun i -> signed_value k ~annot ~st i = best) candidates
+        in
+        let acc = (k.Engine.heuristic, best, survivors) :: acc in
+        (match survivors with
+        | [ only ] -> (List.rev acc, only, false)
+        | several -> narrow acc several rest)
+  in
+  narrow [] candidates keys
+
+(* Restricted narrowing for a priority function: the same lexicographic
+   walk, run alongside the real weighted-sum winner.  [overruled] marks
+   decisions where the weighted sum's winner is not among the narrowing
+   survivors — i.e. a lower rank's value magnitude overflowed the 10×
+   weight separation and beat the rank order. *)
+let priority_trail direction keys ~annot ~st candidates =
+  let best_set = priority_best keys ~annot ~st candidates in
+  let chosen = order_tie direction best_set in
+  let tie_break = match best_set with [] | [ _ ] -> false | _ -> true in
+  let rec narrow acc survivors = function
+    | [] -> (List.rev acc, survivors)
+    | k :: rest ->
+        let best =
+          List.fold_left
+            (fun b i -> max b (signed_value k ~annot ~st i))
+            min_int survivors
+        in
+        let survivors =
+          List.filter (fun i -> signed_value k ~annot ~st i = best) survivors
+        in
+        let acc = (k.Engine.heuristic, best, survivors) :: acc in
+        (match survivors with
+        | [ _ ] -> (List.rev acc, survivors)
+        | several -> narrow acc several rest)
+  in
+  let trail, final = narrow [] candidates keys in
+  let overruled = not (List.mem chosen final) in
+  (trail, chosen, tie_break, overruled)
+
+(* [traced_pick] returns (trail, chosen, tie_break, overruled); the
+   chosen node is always identical to what the untraced [pick] would
+   return on the same state. *)
+let traced_pick (config : Engine.config) ~annot ~st candidates =
+  match candidates with
+  | [ only ] -> ([], only, false, false)
+  | _ -> (
+      match config.Engine.mode with
+      | Engine.Winnowing ->
+          let trail, chosen, tie_break =
+            winnow_trail config.Engine.direction config.Engine.keys ~annot ~st
+              candidates
+          in
+          (trail, chosen, tie_break, false)
+      | Engine.Priority_fn ->
+          priority_trail config.Engine.direction config.Engine.keys ~annot ~st
+            candidates)
+
 let bare_pick (config : Engine.config) weights ~annot ~st cand vals m =
   match config.Engine.mode with
   | Engine.Winnowing ->
@@ -88,7 +185,7 @@ let bare_pick (config : Engine.config) weights ~annot ~st cand vals m =
       pick_priority config.Engine.direction config.Engine.keys weights ~annot
         ~st cand m
 
-let run ?seed (config : Engine.config) ~annot dag =
+let run_impl ?seed ?recorder (config : Engine.config) ~annot dag =
   let n = Dag.length dag in
   if n = 0 then ([||], { picks = 0; candidates = 0; stall_cycles = 0 })
   else begin
@@ -135,8 +232,21 @@ let run ?seed (config : Engine.config) ~annot dag =
       end
       else begin
         let chosen =
-          if m = 1 then ready.(0)
-          else bare_pick config weights ~annot ~st ready vals m
+          match recorder with
+          | None ->
+              if m = 1 then ready.(0)
+              else bare_pick config weights ~annot ~st ready vals m
+          | Some record ->
+              let candidates = List.init m (Array.get ready) in
+              let trail, chosen, tie_break, overruled =
+                traced_pick config ~annot ~st candidates
+              in
+              record
+                { decision =
+                    { Engine.time = st.Dyn_state.time; candidates; trail; chosen;
+                      tie_break };
+                  overruled };
+              chosen
         in
         incr picks;
         (match config.Engine.direction with
@@ -155,3 +265,10 @@ let run ?seed (config : Engine.config) ~annot dag =
     done;
     (order, { picks = !picks; candidates = !candidates; stall_cycles = !stall_cycles })
   end
+
+let run ?seed config ~annot dag = run_impl ?seed config ~annot dag
+
+let run_traced ?seed config ~annot dag =
+  let decisions = ref [] in
+  let order, _ = run_impl ?seed ~recorder:(fun d -> decisions := d :: !decisions) config ~annot dag in
+  (order, List.rev !decisions)

@@ -1,8 +1,12 @@
 (** The list scheduler's bare pick as it was before the static priority:
     every pick gathers the released candidates into an array and winnows
     them key by key through [Evaluate.value] (or sums a priority function
-    over them).  Kept verbatim as the yardstick for the engine
-    differential tests.  Not for pipeline use. *)
+    over them).  With a recorder, every pick instead chooses by the
+    list-based trail ([traced_pick]: [List.filter] per key, or a priority
+    function's restricted narrowing beside its weighted sum) over the
+    candidates in list order, newest available first.  Kept verbatim as
+    the yardstick for the engine differential tests.  Not for pipeline
+    use. *)
 
 open Dagsched
 
@@ -17,3 +21,13 @@ type counts = {
 val run :
   ?seed:(Dyn_state.t -> unit) -> Engine.config -> annot:Annot.t -> Dag.t ->
   int array * counts
+
+(** One decision as the list-based trail saw it: [overruled] marks a
+    priority-fn decision whose weighted-sum winner is not among the
+    restricted narrowing's final survivors. *)
+type traced = { decision : Engine.decision; overruled : bool }
+
+(** {!run} with a recorder: every pick's decision, in issue order. *)
+val run_traced :
+  ?seed:(Dyn_state.t -> unit) -> Engine.config -> annot:Annot.t -> Dag.t ->
+  int array * traced list

@@ -7,7 +7,11 @@
       and a key list too wide to pack into one int, each in both
       directions, and a seeded cross-block chain: the orders and the
       summed [heur_dynamic] counts (picks, candidates, stall cycles)
-      equal the legacy pick's.
+      equal the legacy pick's; [run_traced]'s decisions (time,
+      candidates in list order, trail, chosen, tie-break) equal the
+      list-based trail's, and the decisiveness registry after [run] under
+      explain equals the one the trail feeds.  A hand-built priority-fn
+      block pins one overruled decision.
     - Static pass: for each of the 26 heuristics, singly and as each
       published key set, [compute_for] fills the columns of the walks
       their passes name with [compute]'s values, under both traversals,
@@ -83,21 +87,71 @@ let counts_to_string (c : Engine_legacy.counts) =
 
 let order_to_string o = String.concat " " (List.map string_of_int (Array.to_list o))
 
+(* The registry snapshot after [f], under a fresh, enabled registry. *)
+let explain_snapshot f =
+  Explain.reset ();
+  Explain.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Explain.disable ();
+      Explain.reset ())
+    (fun () ->
+      f ();
+      Explain.snapshot ())
+
+(* What the registry holds once the legacy trail's decisions are fed in. *)
+let legacy_snapshot config traced =
+  explain_snapshot (fun () ->
+      let cell =
+        Explain.cell ~signature:(Engine.signature config) ~keys:(Engine.key_labels config)
+      in
+      List.iter
+        (fun { Engine_legacy.decision = d; overruled } ->
+          let ncand = List.length d.Engine.candidates in
+          Explain.record cell ~candidates:ncand
+            ~survivor_counts:(List.map (fun (_, _, s) -> List.length s) d.Engine.trail)
+            ~forced:(ncand = 1) ~tie_break:d.Engine.tie_break ~overruled)
+        traced)
+
+let ints l = String.concat ", " (List.map string_of_int l)
+
+let decision_to_string (d : Engine.decision) =
+  Printf.sprintf "t=%d {%s} [%s] -> %d%s" d.Engine.time (ints d.Engine.candidates)
+    (String.concat "; "
+       (List.map
+          (fun (h, best, s) -> Printf.sprintf "%s %d {%s}" (Heuristic.to_string h) best (ints s))
+          d.Engine.trail))
+    d.Engine.chosen
+    (if d.Engine.tie_break then " (tie-break)" else "")
+
+let rec first_diff i got want =
+  match (got, want) with
+  | g :: gs, w :: ws ->
+      if g = w then first_diff (i + 1) gs ws
+      else
+        Printf.sprintf "decision %d: %s, legacy %s" i (decision_to_string g)
+          (decision_to_string w)
+  | _ -> Printf.sprintf "%d decisions, legacy %d" (i + List.length got) (i + List.length want)
+
 (* The engine as the pipeline runs it (compute_for's annotations) against
-   the legacy pick over the full static pass; [Error] names the first
-   config that differs. *)
-let differ ~opts block =
+   the legacy pick over the full static pass: the orders and counts of a
+   bare, a traced and a recorded run, the recorded decisions against the
+   list-based trail's, and the registry under explain against the one the
+   trail feeds.  [Error] names the first config that differs. *)
+let differ ?seed ?(configs = all_configs) ~opts block =
   let rec go = function
     | [] -> Ok ()
     | (name, config) :: rest ->
         let dag = Builder.build Builder.Table_forward opts block in
-        let legacy, want =
-          Engine_legacy.run config ~annot:(Static_pass.compute dag) dag
-        in
+        let full = Static_pass.compute dag in
+        let legacy, want = Engine_legacy.run ?seed config ~annot:full dag in
+        let _, trail = Engine_legacy.run_traced ?seed config ~annot:full dag in
         let annot = Static_pass.compute_for (heuristics config) dag in
-        let order = Engine.run config ~annot dag in
-        let traced, got = traced_counts (fun () -> Engine.run config ~annot dag) in
-        if order <> legacy || traced <> legacy then
+        let order = Engine.run ?seed config ~annot dag in
+        let traced, got = traced_counts (fun () -> Engine.run ?seed config ~annot dag) in
+        let recorded, decisions = Engine.run_traced ?seed config ~annot dag in
+        let want_decisions = List.map (fun t -> t.Engine_legacy.decision) trail in
+        if order <> legacy || traced <> legacy || recorded <> legacy then
           Error
             (Printf.sprintf "%s: order %s, legacy %s" name (order_to_string order)
                (order_to_string legacy))
@@ -105,9 +159,17 @@ let differ ~opts block =
           Error
             (Printf.sprintf "%s: counts %s, legacy %s" name (counts_to_string got)
                (counts_to_string want))
+        else if decisions <> want_decisions then
+          Error (name ^ ": " ^ first_diff 0 decisions want_decisions)
+        else if
+          not
+            (Explain.equal
+               (explain_snapshot (fun () -> ignore (Engine.run ?seed config ~annot dag)))
+               (legacy_snapshot config trail))
+        then Error (name ^ ": decisiveness registry differs from the trail's")
         else go rest
   in
-  go all_configs
+  go configs
 
 let models = [ Opts.default; { Opts.default with Opts.model = Latency.deep_fp } ]
 
@@ -170,6 +232,12 @@ let test_seeded_chain () =
           if legacy <> s.Schedule.order then
             Alcotest.failf "%s, block %d: order %s, legacy %s" name block.Block.id
               (order_to_string s.Schedule.order) (order_to_string legacy);
+          (match
+             differ ~seed:(Global.seed_of !residue) ~configs:[ (name, config) ] ~opts
+               block
+           with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "block %d: %s" block.Block.id e);
           if !residue.Global.pending <> [] && c.Engine_legacy.stall_cycles > 0 then
             stalled := true;
           want :=
@@ -183,6 +251,49 @@ let test_seeded_chain () =
           (counts_to_string !want);
       check_bool (name ^ ": a seeded block stalls") true !stalled)
     all_configs
+
+(* A priority function whose second rank overflows its 10x weight: node 0
+   has more children (rank 1), but node 1's divide chain has far more
+   delay to a leaf (rank 2), so the weighted sum issues node 1 first
+   while the restricted narrowing keeps only node 0. *)
+let overruled_asm = "
+  add %o1, 1, %o2
+  fdivd %f0, %f2, %f4
+  add %o2, 1, %o3
+  add %o2, 2, %o4
+  fdivd %f4, %f6, %f8
+"
+
+let test_overruled_pinned () =
+  let dag = dag_of_asm ~opts:figure1_opts overruled_asm in
+  let annot = Static_pass.compute dag in
+  let config =
+    { Engine.direction = Dyn_state.Forward; mode = Engine.Priority_fn;
+      keys = [ Engine.key Heuristic.Num_children; Engine.key Heuristic.Max_delay_to_leaf ] }
+  in
+  let st = Dyn_state.create dag Dyn_state.Forward in
+  let value h i = Evaluate.value h ~annot ~st i in
+  let weighted i =
+    (10 * value Heuristic.Num_children i) + value Heuristic.Max_delay_to_leaf i
+  in
+  check_bool "rank 1 prefers node 0" true
+    (value Heuristic.Num_children 0 > value Heuristic.Num_children 1);
+  check_bool "the weighted sum prefers node 1" true (weighted 1 > weighted 0);
+  let overruled stats =
+    List.fold_left (fun acc s -> acc + s.Explain.overruled) 0 stats
+  in
+  let chosen = ref (-1) in
+  let picked = explain_snapshot (fun () -> chosen := Engine.pick config ~annot ~st [ 0; 1 ]) in
+  check_int "pick: the weighted-sum winner" 1 !chosen;
+  check_int "pick: one overruled decision" 1 (overruled picked);
+  let order = ref [||] in
+  let ran = explain_snapshot (fun () -> order := Engine.run config ~annot dag) in
+  check_int "run: the weighted-sum winner issues first" 1 !order.(0);
+  check_int "run: one overruled decision" 1 (overruled ran);
+  (* the list-based trail agrees *)
+  match differ ~configs:[ ("overflow", config) ] ~opts:figure1_opts (block_of_asm overruled_asm) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
 (* static pass: the walks compute_for runs *)
@@ -281,4 +392,5 @@ let suite =
       prop_engine_matches_legacy;
     quick "static priority = legacy pick, 0/1-insn and wide blocks" test_edge_blocks;
     quick "static priority = legacy pick, seeded chain" test_seeded_chain;
+    quick "priority overflow counts one overruled decision" test_overruled_pinned;
     quick "compute_for fills the walks its keys name" test_compute_for_columns ]

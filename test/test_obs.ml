@@ -778,18 +778,32 @@ let sample_decisions =
       tie_break = false;
     } ]
 
+(* Recording is gated in the engine: with explain off, neither a run nor
+   a lone pick leaves a trace in the registry; on, both record. *)
 let test_explain_disabled_is_invisible () =
+  let dag = dag_of_asm "add %o1, 1, %o2\nadd %o3, 1, %o4\nadd %o2, %o4, %o5" in
+  let annot = Static_pass.compute dag in
+  let config = Published.engine_config Published.warren in
+  let engine () =
+    ignore (Engine.run config ~annot dag);
+    ignore (Engine.pick config ~annot ~st:(Dyn_state.create dag Dyn_state.Forward) [ 0; 1 ])
+  in
   explain_off ();
-  Explain.observe ~signature:"s" ~keys:[ "a" ] ~candidates:3
-    ~survivor_counts:[ 1 ] ~forced:false ~tie_break:false ~overruled:false ();
-  check_int "nothing recorded" 0 (List.length (Explain.snapshot ()))
+  engine ();
+  check_int "nothing recorded" 0 (List.length (Explain.snapshot ()));
+  with_explain (fun () ->
+      engine ();
+      match Explain.snapshot () with
+      | [ s ] -> check_int "run and pick recorded" 4 s.Explain.decisions
+      | s -> Alcotest.failf "expected one strategy, got %d" (List.length s))
 
 let test_explain_observe_aggregates () =
   with_explain (fun () ->
       let obs ?(forced = false) ?(tie = false) ?(over = false) cands counts =
-        Explain.observe ~signature:"f/test: A > B" ~keys:[ "A"; "B" ]
+        Explain.record
+          (Explain.cell ~signature:"f/test: A > B" ~keys:[ "A"; "B" ])
           ~candidates:cands ~survivor_counts:counts ~forced ~tie_break:tie
-          ~overruled:over ()
+          ~overruled:over
       in
       obs 4 [ 2; 1 ];                   (* B settles it *)
       obs 3 [ 3; 2 ] ~tie:true;         (* trail leaves two, order decides *)
@@ -877,12 +891,14 @@ let test_explain_decision_adversarial () =
 let test_explain_stats_roundtrip () =
   let s =
     with_explain (fun () ->
-        Explain.observe ~signature:"sig1" ~keys:[ "A"; "B" ] ~candidates:4
-          ~survivor_counts:[ 2; 1 ] ~forced:false ~tie_break:false
-          ~overruled:false ();
-        Explain.observe ~signature:"sig2" ~keys:[ "C" ] ~candidates:2
-          ~survivor_counts:[ 2 ] ~forced:false ~tie_break:true
-          ~overruled:false ();
+        Explain.record
+          (Explain.cell ~signature:"sig1" ~keys:[ "A"; "B" ])
+          ~candidates:4 ~survivor_counts:[ 2; 1 ] ~forced:false
+          ~tie_break:false ~overruled:false;
+        Explain.record
+          (Explain.cell ~signature:"sig2" ~keys:[ "C" ])
+          ~candidates:2 ~survivor_counts:[ 2 ] ~forced:false ~tie_break:true
+          ~overruled:false;
         let s = Explain.snapshot () in
         Explain.reset ();
         check_int "reset empties" 0 (List.length (Explain.snapshot ()));
@@ -895,9 +911,10 @@ let test_explain_stats_roundtrip () =
 
 let test_explain_never_consulted () =
   with_explain (fun () ->
-      Explain.observe ~signature:"s" ~keys:[ "A"; "B"; "C" ] ~candidates:3
-        ~survivor_counts:[ 1 ] ~forced:false ~tie_break:false
-        ~overruled:false ();
+      Explain.record
+        (Explain.cell ~signature:"s" ~keys:[ "A"; "B"; "C" ])
+        ~candidates:3 ~survivor_counts:[ 1 ] ~forced:false ~tie_break:false
+        ~overruled:false;
       match Explain.snapshot () with
       | [ s ] ->
           Alcotest.(check (list string))

@@ -28,6 +28,42 @@ let prop_closures_equal seed =
     (fun alg -> Closure.equivalent reference (dag_of seed alg))
     Builder.all
 
+(* The longest-path latency from every node to every node, [-1] where
+   there is no path: one forward sweep per source over the
+   forward-ordered arcs, O(n * arcs). *)
+let longest_paths dag =
+  let n = Dag.length dag in
+  Array.init n (fun s ->
+      let d = Array.make n (-1) in
+      d.(s) <- 0;
+      for i = s to n - 1 do
+        if d.(i) >= 0 then
+          Dag.iter_succ dag i (fun j lat _ -> d.(j) <- max d.(j) (d.(i) + lat))
+      done;
+      d)
+
+(* Timing closures (the paper's Figure 1): the builders that keep every
+   timing-relevant arc agree on the longest-path latency between every
+   pair of nodes, under every latency model, disambiguation strategy and
+   anchoring *)
+let prop_timing_closures_equal seed =
+  let block = random_block seed in
+  List.for_all
+    (fun opts ->
+      let reference = longest_paths (Builder.build Builder.N2_forward opts block) in
+      List.for_all
+        (fun alg -> longest_paths (Builder.build alg opts block) = reference)
+        [ Builder.N2_backward; Builder.Table_forward; Builder.Table_backward ])
+    (List.concat_map
+       (fun model ->
+         List.concat_map
+           (fun strategy ->
+             List.map
+               (fun anchor_branch -> { Opts.model; strategy; anchor_branch })
+               [ false; true ])
+           Disambiguate.all)
+       Latency.all_models)
+
 (* the avoidance builders produce transitively reduced DAGs *)
 let prop_reduced seed =
   Closure.is_transitively_reduced (dag_of seed Builder.Landskov)
@@ -300,4 +336,6 @@ let suite =
       prop_emit_preserves_semantics;
     qcheck ~count:100 "reservation valid" arb_block prop_reservation_valid;
     qcheck ~count:100 "delay slot safe" arb_block prop_delay_slot_safe;
-    qcheck "generation deterministic" arb_block prop_generation_deterministic ]
+    qcheck "generation deterministic" arb_block prop_generation_deterministic;
+    qcheck ~count:60 "timing closures equal across n2 and table builders" arb_block
+      prop_timing_closures_equal ]
