@@ -782,12 +782,12 @@ let superscalar_bench () =
         List.iteri
           (fun i width ->
             totals.(i) <-
-              totals.(i) + Superscalar.cycles ~width Latency.simple_risc insns)
+              totals.(i) + Pipeline.cycles ~width Latency.simple_risc insns)
           [ 1; 2; 4 ];
         rate_sum :=
           !rate_sum
-          +. Superscalar.dual_issue_rate
-               (Superscalar.run ~width:2 Latency.simple_risc insns))
+          +. Pipeline.dual_issue_rate
+               (Pipeline.run ~width:2 Latency.simple_risc insns))
       blocks;
     Table.add_row t
       [ name; string_of_int totals.(0); string_of_int totals.(1);

@@ -8,10 +8,10 @@
 
     - a SPARC-like ISA with parser/printer ({!Reg}, {!Opcode}, {!Insn},
       {!Parser});
-    - machine timing models, a pipeline simulator and reservation tables
-      ({!Latency}, {!Pipeline}, {!Reservation});
+    - machine timing models and an in-order pipeline simulator of any
+      issue width ({!Latency}, {!Pipeline});
     - basic-block formation ({!Block}, {!Cfg_builder});
-    - five DAG construction algorithms — compare-against-all
+    - six DAG construction algorithms — compare-against-all
       forward/backward, table-building forward/backward, and two
       transitive-arc-avoiding variants ({!Builder}, {!Dag});
     - the paper's 26 scheduling heuristics with their Table-1 taxonomy
@@ -67,8 +67,6 @@ module Dep = Ds_machine.Dep
 module Funit = Ds_machine.Funit
 module Latency = Ds_machine.Latency
 module Pipeline = Ds_machine.Pipeline
-module Superscalar = Ds_machine.Superscalar
-module Reservation = Ds_machine.Reservation
 
 (* basic blocks *)
 module Block = Ds_cfg.Block

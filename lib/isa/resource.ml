@@ -68,20 +68,12 @@ let to_string = function
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
-(** Hash table keyed by resources; the id-assigning variant below is the
-    "record of the last definition of a resource and the set of current
-    uses" table that gives table-building DAG construction its name. *)
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)
-
-(** Dense ids: registers, the condition codes, [%y], [Mem_all] and
-    [Ctrl] have fixed ids; symbolic memory expressions are interned on
-    first encounter, so the table grows when a new expression appears —
-    the variable-length table the paper observed on fpppp. *)
+(** Dense ids, the keys of the "record of the last definition of a
+    resource and the set of current uses" that gives table-building DAG
+    construction its name: registers, the condition codes, [%y],
+    [Mem_all] and [Ctrl] have fixed ids; symbolic memory expressions are
+    interned on first encounter, so the table grows when a new expression
+    appears — the variable-length table the paper observed on fpppp. *)
 module Ids = struct
   type resource = t
 

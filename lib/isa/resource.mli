@@ -27,11 +27,6 @@ val is_register : t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
-(** Hash tables keyed by resources — the "record of the last definition of
-    a resource and the set of current uses" of table-building DAG
-    construction. *)
-module Tbl : Hashtbl.S with type key = t
-
 (** Dense resource ids.  Registers, the condition codes, [%y], [Mem_all]
     and [Ctrl] have fixed ids below {!Ids.n_fixed}; symbolic memory
     expressions are interned (in an open-addressed table hashed on base

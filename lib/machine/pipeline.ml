@@ -1,11 +1,13 @@
-(** In-order single-issue pipeline simulator.
+(** In-order pipeline simulator.
 
     Scores an instruction ordering under a latency model by computing, for
     each instruction, its issue cycle given interlocks on data dependencies
-    and busy non-pipelined FP units.  This is the quality metric used to
-    compare scheduling algorithms: the paper compares construction/heuristic
-    *cost*; we additionally report the schedules' simulated cycle counts so
-    examples and ablations can show who wins.
+    and busy non-pipelined FP units, issuing up to [width] instructions a
+    cycle with at most one per function unit (single issue by default).
+    This is the quality metric used to compare scheduling algorithms: the
+    paper compares construction/heuristic *cost*; we additionally report
+    the schedules' simulated cycle counts so examples and ablations can
+    show who wins.
 
     The simulator is deliberately a hardware model, independent of the DAG:
     it tracks per-resource writer/reader issue times directly, so it can
@@ -68,6 +70,7 @@ type scratch = {
   mutable slot_issue : int array;
   mutable slot_next : int array;
   unit_free : int array;
+  unit_last : int array;               (* cycle the unit last issued in *)
   mutable issue_buf : int array;
   mutable identity : int array;        (* 0, 1, 2, ... *)
 }
@@ -97,6 +100,7 @@ let fresh_scratch () =
     slot_issue = [||];
     slot_next = [||];
     unit_free = Array.make Funit.count 0;
+    unit_last = Array.make Funit.count (-1);
     issue_buf = [||];
     identity = [||] }
 
@@ -211,15 +215,20 @@ let reset_state s sc =
   end;
   Array.fill s.writer 0 k (-1);
   Array.fill s.readers 0 k (-1);
-  Array.fill s.unit_free 0 Funit.count 0
+  Array.fill s.unit_free 0 Funit.count 0;
+  Array.fill s.unit_last 0 Funit.count (-1)
 
 (* Issue [order.(0 .. len-1)] (indices into the decoded block) writing
    each issue cycle into [issue].  Each instruction issues no earlier
-   than the slot after its predecessor, after every RAW producer's
-   result, after every current reader of a resource it redefines (WAR)
-   and its previous writer (WAW), and once its non-pipelined unit is
-   free. *)
-let run_into s sc order len issue =
+   than its predecessor's cycle while that cycle has one of its [width]
+   slots left, and the cycle after it otherwise; after every RAW
+   producer's result, after every current reader of a resource it
+   redefines (WAR) and its previous writer (WAW), and once its
+   non-pipelined unit is free.  A unit issues at most once a cycle, so
+   an instruction whose unit already issued in the current cycle takes
+   the next one.  At width 1 the first rule alone is "the slot after
+   the predecessor". *)
+let run_into s sc ~width order len issue =
   reset_state s sc;
   let n_readers = sc.use_start.(Array.length sc.insns) in
   if n_readers > Array.length s.slot_insn then begin
@@ -233,12 +242,15 @@ let run_into s sc order len issue =
   let writer_def_pos = s.writer_def_pos and readers = s.readers in
   let slot_insn = s.slot_insn and slot_issue = s.slot_issue in
   let slot_next = s.slot_next and unit_free = s.unit_free in
+  let unit_last = s.unit_last in
   let slots = ref 0 and stalls = ref 0 and completion = ref 0 in
-  let prev = ref (-1) in
+  (* the current issue cycle, its slots left, the first cycle open to
+     the next instruction *)
+  let cycle = ref (-1) and left = ref 0 and next = ref 0 in
   for p = 0 to len - 1 do
     let i = order.(p) in
     let child = insns.(i) in
-    let min_issue = !prev + 1 in
+    let min_issue = !next in
     let earliest = ref min_issue in
     let u0 = sc.use_start.(i) and u1 = sc.use_start.(i + 1) in
     let d0 = sc.def_start.(i) and d1 = sc.def_start.(i + 1) in
@@ -273,13 +285,20 @@ let run_into s sc order len issue =
       end
     done;
     (* structural hazard: non-pipelined FP unit still busy *)
-    let busy = sc.busy.(i) in
-    if busy > 0 then earliest := Int.max !earliest unit_free.(sc.unit.(i));
+    let busy = sc.busy.(i) and u = sc.unit.(i) in
+    if busy > 0 then earliest := Int.max !earliest unit_free.(u);
     let t = !earliest in
+    let t = if t = !cycle && unit_last.(u) = t then t + 1 else t in
+    if t > !cycle then begin
+      cycle := t;
+      left := width - 1
+    end
+    else decr left;
+    unit_last.(u) <- t;
+    next := if !left > 0 then t else t + 1;
     issue.(p) <- t;
-    prev := t;
     stalls := !stalls + (t - min_issue);
-    if busy > 0 then unit_free.(sc.unit.(i)) <- t + busy;
+    if busy > 0 then unit_free.(u) <- t + busy;
     (* record definitions, then uses *)
     for d = d0 to d1 - 1 do
       let id = sc.def_ids.(d) in
@@ -303,28 +322,49 @@ let run_into s sc order len issue =
 
 let simulate sc order =
   let len = Array.length order in
-  run_into (Domain.DLS.get scratch_key) sc order len (Array.make len 0)
+  run_into (Domain.DLS.get scratch_key) sc ~width:1 order len (Array.make len 0)
 
 (* the completion alone, issuing into a scratch array *)
-let completion_of s sc order len =
+let completion_of s sc ~width order len =
   if len > Array.length s.issue_buf then
     s.issue_buf <- Array.make (max len (2 * Array.length s.issue_buf)) 0;
-  (run_into s sc order len s.issue_buf).completion
+  (run_into s sc ~width order len s.issue_buf).completion
 
 let completion sc order =
-  completion_of (Domain.DLS.get scratch_key) sc order (Array.length order)
+  completion_of (Domain.DLS.get scratch_key) sc ~width:1 order
+    (Array.length order)
 
-let original_completion sc =
+let original_completion_at ~width sc =
   let s = Domain.DLS.get scratch_key in
   let n = Array.length sc.insns in
   if n > Array.length s.identity then
     s.identity <- Array.init (max n (2 * Array.length s.identity)) Fun.id;
-  completion_of s sc s.identity n
+  completion_of s sc ~width s.identity n
 
-(** [run model insns] simulates issuing [insns] in the given order. *)
-let run model insns =
-  simulate (decode model insns) (Array.init (Array.length insns) Fun.id)
+let original_completion sc = original_completion_at ~width:1 sc
 
-let cycles model insns = original_completion (decode model insns)
+(** [run ?width model insns] simulates issuing [insns] in the given
+    order. *)
+let run ?(width = 1) model insns =
+  assert (width >= 1);
+  let n = Array.length insns in
+  run_into (Domain.DLS.get scratch_key) (decode model insns) ~width
+    (Array.init n Fun.id) n (Array.make n 0)
+
+let cycles ?(width = 1) model insns =
+  assert (width >= 1);
+  original_completion_at ~width (decode model insns)
 
 let stalls model insns = (run model insns).stall_cycles
+
+(* In-order issue makes [issue_cycle] non-decreasing, so each cycle's
+   issues are one run of equal entries. *)
+let dual_issue_rate r =
+  let a = r.issue_cycle in
+  let cycles = ref 0 and multi = ref 0 in
+  Array.iteri
+    (fun i c ->
+      if i = 0 || c <> a.(i - 1) then incr cycles
+      else if i < 2 || c <> a.(i - 2) then incr multi)
+    a;
+  if !cycles = 0 then 0.0 else float_of_int !multi /. float_of_int !cycles

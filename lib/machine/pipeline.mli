@@ -1,7 +1,15 @@
-(** In-order single-issue pipeline simulator.
+(** In-order pipeline simulator.
 
     Scores an instruction ordering under a latency model: per-instruction
     issue cycles given data interlocks and busy non-pipelined FP units.
+    Up to [width] instructions issue per cycle, in order, at most one
+    per function unit: an instruction issues no earlier than its
+    predecessor's cycle while that cycle has a slot left and its unit
+    has not issued in it, and the cycle after otherwise.  At width 1
+    (the default, and the only width {!simulate} and the completions
+    use) that is "the slot after the predecessor".  The structural rule
+    is what makes the alternate-type heuristic pay on a superscalar
+    machine.
     Independent of the DAG — it tracks resources directly — so it also
     serves as ground truth that a schedule never consumes a value early.
     Resource state carries across the whole sequence, which lets
@@ -81,12 +89,19 @@ val completion : scan -> int array -> int
 (** [completion] of the original order [0 .. n-1]; allocates nothing. *)
 val original_completion : scan -> int
 
-(** [run model insns] simulates [insns] in array order: {!simulate} over
-    a fresh {!decode} in the identity order. *)
-val run : Latency.t -> Ds_isa.Insn.t array -> result
+(** [run ?width model insns] simulates [insns] in array order over a
+    fresh {!decode}, issuing up to [width] (default 1, at least 1)
+    instructions a cycle; at width 1 it is {!simulate} in the identity
+    order. *)
+val run : ?width:int -> Latency.t -> Ds_isa.Insn.t array -> result
 
 (** [completion] of {!run}. *)
-val cycles : Latency.t -> Ds_isa.Insn.t array -> int
+val cycles : ?width:int -> Latency.t -> Ds_isa.Insn.t array -> int
 
 (** [stall_cycles] of {!run}. *)
 val stalls : Latency.t -> Ds_isa.Insn.t array -> int
+
+(** Fraction of a result's issue cycles that issued more than one
+    instruction: how balanced the stream is across the function units
+    (the alternate-type heuristic's target).  0 for an empty result. *)
+val dual_issue_rate : result -> float

@@ -31,40 +31,53 @@ type residue = {
 let empty_residue = { pending = []; unit_busy = Array.make Funit.count 0 }
 
 (** Residual latencies at the exit of a scheduled block.  The next block's
-    first issue slot is the cycle after this block's last issue. *)
+    first issue slot is the cycle after this block's last issue.  Reads
+    the block's decode: the table builder's while it is this domain's
+    current one, as {!Schedule.score} does.  [pending] has one entry per
+    resource defined by an instruction still in flight at the exit: the
+    residual of its last such definition.  The most recently defined
+    come first, and an instruction's later definitions before its
+    earlier ones. *)
 let exit_residue (s : Schedule.t) =
-  let insns = Schedule.insns s in
-  let n = Array.length insns in
+  let order = s.Schedule.order in
+  let n = Array.length order in
   if n = 0 then empty_residue
   else begin
-    let model = Ds_dag.Dag.model s.Schedule.dag in
-    let result = Pipeline.run model insns in
-    let next_start = result.Pipeline.issue_cycle.(n - 1) + 1 in
-    let latest : (Resource.t * int) list ref = ref [] in
-    Array.iteri
-      (fun i insn ->
-        let avail =
-          result.Pipeline.issue_cycle.(i) + model.Latency.exec_time insn
-        in
-        let residual = avail - next_start in
-        if residual > 0 then
-          List.iter
-            (fun res ->
-              let rest = List.filter (fun (r, _) -> not (Resource.equal r res)) !latest in
-              latest := (res, residual) :: rest)
-            (Insn.defs insn))
-      insns;
+    let dag = s.Schedule.dag in
+    let sc =
+      Pipeline.decoded ~gen:(Ds_dag.Dag.decode_gen dag) (Ds_dag.Dag.model dag)
+        (Ds_dag.Dag.insns dag)
+    in
+    let issue = (Pipeline.simulate sc order).Pipeline.issue_cycle in
+    let next_start = issue.(n - 1) + 1 in
+    (* (id, residual) per definition, most recent first *)
+    let defined = ref [] in
     let unit_busy = Array.make Funit.count 0 in
-    Array.iteri
-      (fun i insn ->
-        let busy = model.Latency.fp_busy insn in
-        if busy > 0 then begin
-          let u = Funit.index (Funit.of_insn insn) in
-          let residual = result.Pipeline.issue_cycle.(i) + busy - next_start in
-          if residual > unit_busy.(u) then unit_busy.(u) <- residual
-        end)
-      insns;
-    { pending = !latest; unit_busy }
+    for p = 0 to n - 1 do
+      let i = order.(p) in
+      let residual = issue.(p) + sc.Pipeline.exec.(i) - next_start in
+      if residual > 0 then
+        for d = sc.Pipeline.def_start.(i) to sc.Pipeline.def_start.(i + 1) - 1 do
+          defined := (sc.Pipeline.def_ids.(d), residual) :: !defined
+        done;
+      let busy = sc.Pipeline.busy.(i) in
+      if busy > 0 then begin
+        let u = sc.Pipeline.unit.(i) in
+        unit_busy.(u) <- Int.max unit_busy.(u) (issue.(p) + busy - next_start)
+      end
+    done;
+    let seen = Array.make sc.Pipeline.n_res false in
+    let pending =
+      List.filter_map
+        (fun (id, residual) ->
+          if seen.(id) then None
+          else begin
+            seen.(id) <- true;
+            Some (sc.Pipeline.res.(id), residual)
+          end)
+        !defined
+    in
+    { pending; unit_busy }
   end
 
 let seed_of residue st =

@@ -13,15 +13,20 @@
     whose parents are all placed (priority = a static heuristic value,
     default max total delay to a leaf).  Each node is placed at the
     earliest cycle that (a) satisfies every placed parent's arc latency,
-    (b) finds its function-unit usage pattern free in the table, and
-    (c) finds the single shared issue slot free.  The resulting cycle
-    assignment is the schedule; unlike list scheduling, a long
+    (b) finds its function unit free for as long as it occupies it — one
+    cycle when the unit is pipelined, its whole busy time otherwise —
+    and (c) finds the single shared issue slot free.  The table is one
+    busy bitset per unit beside the issue-slot bitset.  The resulting
+    cycle assignment is the schedule; unlike list scheduling, a long
     non-pipelined operation reserves its unit for its whole duration, so
     structural hazards are decided exactly rather than by the busy-time
-    heuristic. *)
+    heuristic.  A node may fill a hole earlier than a node placed before
+    it, so placement is a table search, not an in-order replay on
+    {!Pipeline}. *)
 
 open Ds_machine
 open Ds_heur
+module Bitset = Ds_util.Bitset
 
 type t = {
   order : int array;        (* nodes in issue-cycle order *)
@@ -37,8 +42,8 @@ let run ?(priority = Heuristic.Max_delay_to_leaf) dag =
   in
   let st = Dyn_state.create dag Dyn_state.Forward in
   let value i = Evaluate.value priority ~annot ~st i in
-  let table = Reservation.create () in
-  let issue_slots = Ds_util.Bitset.create () in
+  let unit_busy = Array.init Funit.count (fun _ -> Bitset.create ()) in
+  let issue_slots = Bitset.create () in
   let placed = Array.make n false in
   let start_cycle = Array.make n 0 in
   let unplaced_parents = Array.init n (Ds_dag.Dag.n_parents dag) in
@@ -59,16 +64,21 @@ let run ?(priority = Heuristic.Max_delay_to_leaf) dag =
         (fun acc src latency _ -> max acc (start_cycle.(src) + latency))
         0
     in
-    let usage = Reservation.usage_of model insn in
-    (* earliest cycle where both the unit pattern and the issue slot fit *)
+    let busy = unit_busy.(Funit.index (Funit.of_insn insn)) in
+    let duration = Int.max 1 (model.Latency.fp_busy insn) in
+    (* earliest cycle where both the issue slot and the unit are free *)
+    let rec unit_free c k =
+      k >= duration || ((not (Bitset.mem busy (c + k))) && unit_free c (k + 1))
+    in
     let rec place c =
-      if Ds_util.Bitset.mem issue_slots c then place (c + 1)
-      else if not (Reservation.fits table usage ~at:c) then place (c + 1)
+      if Bitset.mem issue_slots c || not (unit_free c 0) then place (c + 1)
       else c
     in
     let at = place ready in
-    Reservation.mark table usage ~at;
-    Ds_util.Bitset.set issue_slots at;
+    for k = 0 to duration - 1 do
+      Bitset.set busy (at + k)
+    done;
+    Bitset.set issue_slots at;
     placed.(i) <- true;
     start_cycle.(i) <- at;
     makespan := max !makespan (at + model.Latency.exec_time insn);

@@ -16,6 +16,8 @@ open Ds_isa
 open Ds_machine
 open Ds_dag
 
+module Tbl = Hashtbl.Make (Resource)
+
 type arc = { src : int; dst : int; kind : Dep.kind; latency : int }
 
 type t = {
@@ -162,19 +164,19 @@ module Table = struct
 
   type table = {
     strategy : Disambiguate.t;
-    entries : entry Resource.Tbl.t;
+    entries : entry Tbl.t;
     mutable mem_entries : entry list;
   }
 
   let create strategy =
-    { strategy; entries = Resource.Tbl.create 64; mem_entries = [] }
+    { strategy; entries = Tbl.create 64; mem_entries = [] }
 
   let entry t res =
-    match Resource.Tbl.find_opt t.entries res with
+    match Tbl.find_opt t.entries res with
     | Some e -> e
     | None ->
         let e = { resource = res; def_ = None; uses = [] } in
-        Resource.Tbl.add t.entries res e;
+        Tbl.add t.entries res e;
         if Resource.is_memory res then t.mem_entries <- e :: t.mem_entries;
         e
 

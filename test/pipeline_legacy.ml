@@ -2,14 +2,16 @@
     yardstick.
 
     This is the [Pipeline.run] that shipped before the scan/simulate
-    split: per-resource state in a [Resource.Tbl], readers as lists, and
-    the list views [Insn.defs]/[Insn.uses_with_pos]/[Insn.uses] per
+    split: per-resource state in a [Hashtbl], readers as lists, and the
+    list views [Insn.defs]/[Insn.uses_with_pos]/[Insn.uses] per
     instruction.  It exists for the differential tests only, which
     require the flat simulator to reproduce its issue cycles, completion
     and stalls exactly.  Not for pipeline use. *)
 
 open Ds_isa
 open Ds_machine
+
+module Tbl = Hashtbl.Make (Resource)
 
 type result = Pipeline.result = {
   issue_cycle : int array;   (* per instruction, in schedule order *)
@@ -30,13 +32,13 @@ let fresh_state () = { writer = -1; writer_issue = 0; writer_def_pos = 0; reader
 let run (model : Latency.t) (insns : Insn.t array) =
   let n = Array.length insns in
   let issue_cycle = Array.make n 0 in
-  let states : resource_state Resource.Tbl.t = Resource.Tbl.create 64 in
+  let states : resource_state Tbl.t = Tbl.create 64 in
   let state r =
-    match Resource.Tbl.find_opt states r with
+    match Tbl.find_opt states r with
     | Some s -> s
     | None ->
         let s = fresh_state () in
-        Resource.Tbl.add states r s;
+        Tbl.add states r s;
         s
   in
   let unit_free = Array.make Funit.count 0 in

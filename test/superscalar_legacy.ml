@@ -1,4 +1,11 @@
-(** In-order superscalar pipeline simulator.
+(** The superscalar simulator that lived beside [Pipeline] before
+    [Pipeline.run] took an issue width, kept verbatim as a yardstick:
+    per-resource state in a [Hashtbl] keyed by resources, readers as
+    lists, a table of issues per cycle.  The differential tests require
+    [Pipeline.run ~width] to reproduce its issue cycles, completion and
+    dual-issue rate exactly.  Not for pipeline use.
+
+    In-order superscalar pipeline simulator.
 
     The paper motivates the instruction-class heuristics with superscalar
     issue: "reordering and instruction substitution can also be used to
@@ -14,6 +21,9 @@
     times. *)
 
 open Ds_isa
+open Ds_machine
+
+module Tbl = Hashtbl.Make (Resource)
 
 type result = {
   issue_cycle : int array;
@@ -34,13 +44,13 @@ let run ~width (model : Latency.t) (insns : Insn.t array) =
   assert (width >= 1);
   let n = Array.length insns in
   let issue_cycle = Array.make n 0 in
-  let states : resource_state Resource.Tbl.t = Resource.Tbl.create 64 in
+  let states : resource_state Tbl.t = Tbl.create 64 in
   let state r =
-    match Resource.Tbl.find_opt states r with
+    match Tbl.find_opt states r with
     | Some s -> s
     | None ->
         let s = fresh_state () in
-        Resource.Tbl.add states r s;
+        Tbl.add states r s;
         s
   in
   let unit_free = Array.make Funit.count 0 in

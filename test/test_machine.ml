@@ -1,6 +1,6 @@
 (** Machine model tests: latency models (including the paper's Figure-1
     latencies, register-pair deltas and asymmetric bypass), the pipeline
-    simulator and the reservation table. *)
+    simulator and the reservation table of {!Resv_sched}. *)
 
 open Dagsched
 open Helpers
@@ -126,41 +126,38 @@ let test_pipeline_completion () =
   check_int "completion includes latency" 20 r.Pipeline.completion
 
 (* ------------------------------------------------------------------ *)
-(* reservation table *)
+(* reservation table, through the scheduler that keeps it *)
+
+let resv_start model asm =
+  let opts = { Opts.default with Opts.model } in
+  (Resv_sched.run (dag_of_asm ~opts asm)).Resv_sched.start_cycle
 
 let test_reservation_basics () =
-  let t = Reservation.create () in
-  let usage = [ { Reservation.unit = Funit.Fpd; offset = 0; duration = 3 } ] in
-  let c0 = Reservation.insert t usage ~earliest:0 in
-  check_int "first at 0" 0 c0;
-  let c1 = Reservation.insert t usage ~earliest:0 in
-  check_int "second waits for the unit" 3 c1;
-  check_int "busy cycles" 6 (Reservation.busy_cycles t Funit.Fpd)
+  (* two independent divides: the non-pipelined unit holds the second
+     until the first's busy time has passed *)
+  let busy = Latency.deep_fp.Latency.fp_busy (insn "fdivd %f0, %f2, %f4") in
+  check_bool "divide occupies its unit" true (busy > 1);
+  Alcotest.(check (array int)) "second waits for the unit" [| 0; busy |]
+    (resv_start Latency.deep_fp "fdivd %f0, %f2, %f4\nfdivd %f6, %f8, %f10")
 
 let test_reservation_independent_units () =
-  let t = Reservation.create () in
-  let div = [ { Reservation.unit = Funit.Fpd; offset = 0; duration = 5 } ] in
-  let add = [ { Reservation.unit = Funit.Fpa; offset = 0; duration = 1 } ] in
-  let c0 = Reservation.insert t div ~earliest:0 in
-  let c1 = Reservation.insert t add ~earliest:0 in
-  check_int "divide at 0" 0 c0;
-  check_int "add unaffected" 0 c1
+  (* an add on another unit only waits for the shared issue slot *)
+  Alcotest.(check (array int)) "add unaffected by the divide" [| 0; 1 |]
+    (resv_start Latency.deep_fp "fdivd %f0, %f2, %f4\nfaddd %f6, %f8, %f10")
 
 let test_reservation_respects_earliest () =
-  let t = Reservation.create () in
-  let usage = [ { Reservation.unit = Funit.Iu; offset = 0; duration = 1 } ] in
-  let c = Reservation.insert t usage ~earliest:7 in
-  check_int "not before earliest" 7 c
+  (* a consumer is placed exactly at its producer's arc latency *)
+  let asm = "ld [%fp - 8], %o1\nadd %o1, 1, %o2" in
+  let dag = dag_of_asm asm in
+  let latency = Dag.fold_pred dag 1 (fun acc _ l _ -> Int.max acc l) 0 in
+  check_bool "load latency above one" true (latency > 1);
+  Alcotest.(check (array int)) "not before earliest" [| 0; latency |]
+    (resv_start Opts.default.Opts.model asm)
 
 let test_reservation_usage_of () =
-  let div = insn "fdivd %f0, %f2, %f4" in
-  let usage = Reservation.usage_of Latency.deep_fp div in
-  check_bool "non-pipelined occupies many cycles" true
-    (List.exists (fun u -> u.Reservation.duration > 1) usage);
-  let add = insn "add %o1, %o2, %o3" in
-  let usage = Reservation.usage_of Latency.deep_fp add in
-  check_bool "pipelined occupies one" true
-    (List.for_all (fun u -> u.Reservation.duration = 1) usage)
+  (* a pipelined unit is reserved for its issue cycle only *)
+  Alcotest.(check (array int)) "pipelined adds back to back" [| 0; 1 |]
+    (resv_start Latency.deep_fp "faddd %f0, %f2, %f4\nfaddd %f6, %f8, %f10")
 
 let test_funit_mapping () =
   check_bool "fdivd on FPD" true (Funit.of_insn (insn "fdivd %f0, %f2, %f4") = Funit.Fpd);

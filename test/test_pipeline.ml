@@ -4,7 +4,8 @@
     depends on the reader), for the original order,
     the engine's order and random permutations, on random blocks, the
     Table-3 corpus, 0/1-insn blocks, double-word memory operands and
-    concatenated block chains. *)
+    concatenated block chains; and [Pipeline.run ~width] against the
+    {!Superscalar_legacy} yardstick at widths 1-4. *)
 
 open Dagsched
 open Helpers
@@ -193,6 +194,31 @@ let test_domains () =
   let ds = List.init 2 (fun _ -> Domain.spawn worker) in
   check_bool "all domains agree" true (List.for_all Domain.join ds)
 
+(* [Pipeline.run ~width] against the superscalar yardstick: issue
+   cycles, completion and dual-issue rate at widths 1-4 under every
+   model, with one block in eight cut to 0 or 1 instructions; at width
+   1 the stalls are the scalar yardstick's. *)
+let prop_width seed =
+  let insns = (random_block seed).Block.insns in
+  let insns =
+    match seed mod 8 with 0 -> [||] | 1 -> Array.sub insns 0 1 | _ -> insns
+  in
+  List.for_all
+    (fun model ->
+      List.for_all
+        (fun width ->
+          let r = Pipeline.run ~width model insns in
+          let l = Superscalar_legacy.run ~width model insns in
+          (r.Pipeline.issue_cycle = l.Superscalar_legacy.issue_cycle
+           && r.Pipeline.completion = l.Superscalar_legacy.completion
+           && Pipeline.dual_issue_rate r = Superscalar_legacy.dual_issue_rate l)
+          || QCheck.Test.fail_reportf "%s width %d: %s / legacy completion %d"
+               model.Latency.name width (show r) l.Superscalar_legacy.completion)
+        [ 1; 2; 3; 4 ]
+      && (Pipeline.run ~width:1 model insns).Pipeline.stall_cycles
+         = (Pipeline_legacy.run model insns).Pipeline.stall_cycles)
+    models
+
 let test_schedule_score () =
   let b = random_block 2718 in
   let dag = Builder.build Builder.Table_forward Opts.default b in
@@ -210,4 +236,6 @@ let suite =
     quick "double-word memory operands" test_doubleword_second_word;
     quick "chains carry state across blocks" test_chains;
     quick "scans on several domains" test_domains;
-    quick "score = original_cycles + simulate" test_schedule_score ]
+    quick "score = original_cycles + simulate" test_schedule_score;
+    qcheck ~count:200 "differential: widths 1-4 x models vs superscalar"
+      arb_block prop_width ]

@@ -253,14 +253,14 @@ let prop_optimal_floor seed =
 (* wider issue never loses cycles *)
 let prop_superscalar_monotone seed =
   let block = random_block seed in
-  let c w = Superscalar.cycles ~width:w Latency.simple_risc block.Block.insns in
+  let c width = Pipeline.cycles ~width Latency.simple_risc block.Block.insns in
   c 2 <= c 1 && c 4 <= c 2
 
-(* width-1 superscalar equals the scalar pipeline *)
+(* width-1 issue equals the scalar pipeline yardstick *)
 let prop_superscalar_width1 seed =
   let block = random_block seed in
-  Superscalar.cycles ~width:1 Latency.simple_risc block.Block.insns
-  = Pipeline.cycles Latency.simple_risc block.Block.insns
+  Pipeline.run ~width:1 Latency.simple_risc block.Block.insns
+  = Pipeline_legacy.run Latency.simple_risc block.Block.insns
 
 (* emission preserves semantics: the emitted program (delay slot filled or
    NOP-padded) computes the same state as the scheduled block *)
