@@ -3,7 +3,8 @@
     One value per DAG node for every heuristic that can be computed before
     the scheduling pass (Table 1 columns `a`, `f`, `b`, `f+b`).  The
     column-`a` values live on the DAG itself (counters maintained by
-    [Dag.add_arc]); this record holds the pass-computed ones. *)
+    [Dag.add_arc]); this record holds the pass-computed ones.  A column
+    the pass did not compute is empty. *)
 
 type t = {
   exec_time : int array;             (* a: operation latency *)
@@ -21,23 +22,3 @@ type t = {
   liveness : int array;              (* a: born - killed, Warren-style *)
   critical_path_length : int;        (* max over nodes of est + exec *)
 }
-
-let create n =
-  {
-    exec_time = Array.make n 0;
-    max_path_to_leaf = Array.make n 0;
-    max_delay_to_leaf = Array.make n 0;
-    max_path_from_root = Array.make n 0;
-    max_delay_from_root = Array.make n 0;
-    est = Array.make n 0;
-    lst = Array.make n 0;
-    slack = Array.make n 0;
-    num_descendants = Array.make n 0;
-    sum_exec_of_descendants = Array.make n 0;
-    registers_born = Array.make n 0;
-    registers_killed = Array.make n 0;
-    liveness = Array.make n 0;
-    critical_path_length = 0;
-  }
-
-let with_critical_path t critical_path_length = { t with critical_path_length }

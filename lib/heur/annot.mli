@@ -1,11 +1,16 @@
 (** Static heuristic annotations: one value per DAG node for every
     heuristic computable before the scheduling pass (Table 1 columns `a`,
     `f`, `b`, `f+b`).  Column-`a` values live on the DAG itself; this
-    record holds the pass-computed ones.  {!create} allocates every
-    column; [Static_pass.compute] fills them all, while
-    [Static_pass.compute_for] fills only the walks and groups its
-    heuristics name and leaves the other columns zero (see
-    static_pass.mli). *)
+    record holds the pass-computed ones, built by [Static_pass].
+
+    A column is either one value per node or empty ([[||]]): empty when
+    the pass that built the record did not compute it.
+    [Static_pass.compute] allocates every column (the costly groups it
+    was told to skip hold zeros); [Static_pass.compute_for] allocates
+    [exec_time] and only the columns its heuristics read, and
+    [Static_pass.backward_only] [exec_time] and the backward walk's
+    three.  [Evaluate.value] on an empty column raises
+    [Invalid_argument] naming the heuristic (see static_pass.mli). *)
 
 type t = {
   exec_time : int array;               (* a *)
@@ -23,6 +28,3 @@ type t = {
   liveness : int array;                (* a: born - killed *)
   critical_path_length : int;          (* max over nodes of est + exec *)
 }
-
-val create : int -> t
-val with_critical_path : t -> int -> t

@@ -29,21 +29,59 @@ type t = {
   mutable n_scheduled : int;
 }
 
-let create dag direction =
+(* The arrays behind a state, reusable from block to block: each grows
+   to the largest block it has held, and {!create_in} fills the first
+   [n] entries of every one. *)
+type scratch = {
+  mutable scheduled_s : bool array;
+  mutable sched_time_s : int array;
+  mutable parents_s : int array;
+  mutable children_s : int array;
+  mutable earliest_s : int array;
+  unit_free_s : int array;
+}
+
+let scratch () =
+  { scheduled_s = [||];
+    sched_time_s = [||];
+    parents_s = [||];
+    children_s = [||];
+    earliest_s = [||];
+    unit_free_s = Array.make Funit.count 0 }
+
+let create_in s dag direction =
   let n = Ds_dag.Dag.length dag in
+  if Array.length s.sched_time_s < n then begin
+    let cap = Int.max n (2 * Array.length s.sched_time_s) in
+    s.scheduled_s <- Array.make cap false;
+    s.sched_time_s <- Array.make cap 0;
+    s.parents_s <- Array.make cap 0;
+    s.children_s <- Array.make cap 0;
+    s.earliest_s <- Array.make cap 0
+  end;
+  Array.fill s.scheduled_s 0 n false;
+  Array.fill s.sched_time_s 0 n 0;
+  for i = 0 to n - 1 do
+    s.parents_s.(i) <- Ds_dag.Dag.n_parents dag i;
+    s.children_s.(i) <- Ds_dag.Dag.n_children dag i
+  done;
+  Array.fill s.earliest_s 0 n 0;
+  Array.fill s.unit_free_s 0 Funit.count 0;
   {
     dag;
     direction;
     time = 0;
-    scheduled = Array.make n false;
-    sched_time = Array.make n 0;
-    unscheduled_parents = Array.init n (Ds_dag.Dag.n_parents dag);
-    unscheduled_children = Array.init n (Ds_dag.Dag.n_children dag);
-    earliest_exec = Array.make n 0;
+    scheduled = s.scheduled_s;
+    sched_time = s.sched_time_s;
+    unscheduled_parents = s.parents_s;
+    unscheduled_children = s.children_s;
+    earliest_exec = s.earliest_s;
     last = -1;
-    unit_free = Array.make Funit.count 0;
+    unit_free = s.unit_free_s;
     n_scheduled = 0;
   }
+
+let create dag direction = create_in (scratch ()) dag direction
 
 (** Seed the state with operation latencies inherited from the immediately
     preceding block (the paper's §2 "pseudo-nodes and arcs to represent
@@ -94,6 +132,22 @@ let fold_successors t i f acc =
   | Forward -> Ds_dag.Dag.fold_succ t.dag i f acc
   | Backward -> Ds_dag.Dag.fold_pred t.dag i f acc
 
+(* One arc leaving [t.last], which issued at [t.sched_time.(t.last)]:
+   the peer loses an unscheduled predecessor and cannot execute before
+   the arc's latency has passed.  Top-level folds, so an issue builds no
+   closure. *)
+let release_child t peer latency _ =
+  t.unscheduled_parents.(peer) <- t.unscheduled_parents.(peer) - 1;
+  t.earliest_exec.(peer) <-
+    Int.max t.earliest_exec.(peer) (t.sched_time.(t.last) + latency);
+  t
+
+let release_parent t peer latency _ =
+  t.unscheduled_children.(peer) <- t.unscheduled_children.(peer) - 1;
+  t.earliest_exec.(peer) <-
+    Int.max t.earliest_exec.(peer) (t.sched_time.(t.last) + latency);
+  t
+
 (** Record that [i] issues at cycle [at]: update the uncovering counters
     and propagate earliest execution times along the arcs the paper
     describes ("each child has its earliest execution time updated by
@@ -105,16 +159,10 @@ let schedule t i ~at =
   t.sched_time.(i) <- at;
   t.n_scheduled <- t.n_scheduled + 1;
   t.last <- i;
-  let unscheduled =
-    match t.direction with
-    | Forward -> t.unscheduled_parents
-    | Backward -> t.unscheduled_children
-  in
-  fold_successors t i
-    (fun () peer latency _ ->
-      unscheduled.(peer) <- unscheduled.(peer) - 1;
-      t.earliest_exec.(peer) <- Int.max t.earliest_exec.(peer) (at + latency))
-    ();
+  ignore
+    (match t.direction with
+    | Forward -> Ds_dag.Dag.fold_succ t.dag i release_child t
+    | Backward -> Ds_dag.Dag.fold_pred t.dag i release_parent t);
   let insn = Ds_dag.Dag.insn t.dag i in
   let model = Ds_dag.Dag.model t.dag in
   let busy = model.Latency.fp_busy insn in

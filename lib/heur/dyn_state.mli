@@ -20,7 +20,23 @@ type t = {
   mutable n_scheduled : int;
 }
 
+(** A fresh state: every array is the block's own, [n] entries long. *)
 val create : Ds_dag.Dag.t -> direction -> t
+
+(** Arrays a state can borrow instead of allocating its own, grown to
+    the largest block they have held.  The caller owns a scratch: one
+    state at a time may live in it, so a run that can nest (a callback
+    that schedules another block) needs its own. *)
+type scratch
+
+val scratch : unit -> scratch
+
+(** [create_in s dag direction] is {!create} over [s]'s arrays.  Their
+    first [n] entries are filled exactly as {!create} fills its own, so
+    the state reads as a fresh one; the arrays may be longer than [n],
+    and the entries past [n] mean nothing.  The state is valid until
+    the next [create_in] on [s]. *)
+val create_in : scratch -> Ds_dag.Dag.t -> direction -> t
 
 (** Seed with operation latencies inherited from the preceding block
     (§2's global information): [pending] maps a resource to the cycle,

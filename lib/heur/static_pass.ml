@@ -13,65 +13,80 @@ open Ds_machine
 
 type traversal = Reverse_walk | Level_lists
 
-(* Forward-pass annotations: parents are always visited before children
-   because arcs go from lower to higher index. *)
-let forward_pass dag (annot : Annot.t) =
-  let n = Ds_dag.Dag.length dag in
-  for j = 0 to n - 1 do
-    Ds_dag.Dag.iter_pred dag j (fun src latency _ ->
-        annot.max_path_from_root.(j) <-
-          Int.max annot.max_path_from_root.(j) (annot.max_path_from_root.(src) + 1);
-        annot.max_delay_from_root.(j) <-
-          Int.max annot.max_delay_from_root.(j)
-            (annot.max_delay_from_root.(src) + latency);
-        annot.est.(j) <- Int.max annot.est.(j) (annot.est.(src) + latency))
+(* Per-domain work arrays for the walks' delays when no column keeps
+   them: the critical path, LST and slack read them whatever the keys
+   read.  Each grows to the largest block seen; only [run] uses them,
+   between one walk and the next, with no callback in between. *)
+type scratch = { mutable fwd : int array; mutable bwd : int array }
+
+let scratch_key = Domain.DLS.new_key (fun () -> { fwd = [||]; bwd = [||] })
+
+let grow a n =
+  if Array.length a >= n then a else Array.make (Int.max n (2 * Array.length a)) 0
+
+(* Forward walk: parents are always visited before children because arcs
+   go from lower to higher index.  [path] (the max path from the root)
+   and [delay] (the max delay from the root, which is also the EST) are
+   filled when non-empty. *)
+let forward_pass dag ~path ~delay =
+  let path_step acc src _ _ = Int.max acc (path.(src) + 1) in
+  let delay_step acc src latency _ = Int.max acc (delay.(src) + latency) in
+  let with_path = Array.length path > 0 and with_delay = Array.length delay > 0 in
+  for j = 0 to Ds_dag.Dag.length dag - 1 do
+    if with_path then path.(j) <- Ds_dag.Dag.fold_pred dag j path_step 0;
+    if with_delay then delay.(j) <- Ds_dag.Dag.fold_pred dag j delay_step 0
   done
 
-(* Backward-pass annotations for one node, assuming all its children are
-   already final. *)
-let backward_visit dag (annot : Annot.t) i =
-  annot.max_delay_to_leaf.(i) <- annot.exec_time.(i);
-  Ds_dag.Dag.iter_succ dag i (fun dst latency _ ->
-      annot.max_path_to_leaf.(i) <-
-        Int.max annot.max_path_to_leaf.(i) (annot.max_path_to_leaf.(dst) + 1);
-      annot.max_delay_to_leaf.(i) <-
-        Int.max annot.max_delay_to_leaf.(i) (annot.max_delay_to_leaf.(dst) + latency))
-
-let backward_pass traversal dag annot =
+(* Backward walk: each node once all its children are final.  [path]
+   (the max path to a leaf) is filled when non-empty, [delay] (the max
+   delay to a leaf, at least the node's own execution time) always. *)
+let backward_pass traversal dag ~exec_time ~path ~delay =
+  let path_step acc dst _ _ = Int.max acc (path.(dst) + 1) in
+  let delay_step acc dst latency _ = Int.max acc (delay.(dst) + latency) in
+  let with_path = Array.length path > 0 in
+  let visit i =
+    if with_path then path.(i) <- Ds_dag.Dag.fold_succ dag i path_step 0;
+    delay.(i) <- Ds_dag.Dag.fold_succ dag i delay_step exec_time.(i)
+  in
   match traversal with
   | Reverse_walk ->
       for i = Ds_dag.Dag.length dag - 1 downto 0 do
-        backward_visit dag annot i
+        visit i
       done
-  | Level_lists -> Level.iter_backward (backward_visit dag annot) (Level.compute dag)
+  | Level_lists -> Level.iter_backward visit (Level.compute dag)
 
 (* Descendant measures: population counts over reachability bit maps, as
    the paper recommends ("the #descendants is then merely the population
    count on the reachability bit map minus one").  Reuses maps a builder
    left on the DAG, else computes them. *)
-let descendant_measures dag (annot : Annot.t) =
+let descendant_measures dag ~exec_time ~count ~sum =
+  let with_count = Array.length count > 0 and with_sum = Array.length sum > 0 in
   match Ds_dag.Dag.reach_matrix dag with
   | Some m ->
       (* fast path: population counts and row scans straight off the
          builder's contiguous bit matrix, no per-node set materialization *)
       for i = 0 to Ds_util.Bitset.Matrix.rows m - 1 do
-        annot.num_descendants.(i) <- Ds_util.Bitset.Matrix.row_cardinal m i - 1;
-        let sum = ref 0 in
-        Ds_util.Bitset.Matrix.iter_row
-          (fun d -> if d <> i then sum := !sum + annot.exec_time.(d))
-          m i;
-        annot.sum_exec_of_descendants.(i) <- !sum
+        if with_count then count.(i) <- Ds_util.Bitset.Matrix.row_cardinal m i - 1;
+        if with_sum then begin
+          let total = ref 0 in
+          Ds_util.Bitset.Matrix.iter_row
+            (fun d -> if d <> i then total := !total + exec_time.(d))
+            m i;
+          sum.(i) <- !total
+        end
       done
   | None ->
       let maps = Ds_dag.Closure.descendants dag in
       Array.iteri
         (fun i map ->
-          annot.num_descendants.(i) <- Ds_util.Bitset.cardinal map - 1;
-          let sum = ref 0 in
-          Ds_util.Bitset.iter
-            (fun d -> if d <> i then sum := !sum + annot.exec_time.(d))
-            map;
-          annot.sum_exec_of_descendants.(i) <- !sum)
+          if with_count then count.(i) <- Ds_util.Bitset.cardinal map - 1;
+          if with_sum then begin
+            let total = ref 0 in
+            Ds_util.Bitset.iter
+              (fun d -> if d <> i then total := !total + exec_time.(d))
+              map;
+            sum.(i) <- !total
+          end)
         maps
 
 (** Which optional (and costly) annotation groups to compute: descendant
@@ -111,48 +126,135 @@ let walks_of heuristics =
     { forward = false; backward = false }
     heuristics
 
-let run ~traversal ?live_out ~requirements ~walks dag =
+(* The annotation columns other than [exec_time] as bits of a mask:
+   the ones a pass allocates. *)
+let column_bit = function
+  | Heuristic.Max_path_from_root -> 0x1
+  | Heuristic.Max_delay_from_root -> 0x2
+  | Heuristic.Earliest_start_time -> 0x4
+  | Heuristic.Max_path_to_leaf -> 0x8
+  | Heuristic.Max_delay_to_leaf -> 0x10
+  | Heuristic.Latest_start_time -> 0x20
+  | Heuristic.Slack -> 0x40
+  | Heuristic.Num_descendants -> 0x80
+  | Heuristic.Sum_exec_of_descendants -> 0x100
+  | Heuristic.Registers_born -> 0x200
+  | Heuristic.Registers_killed -> 0x400
+  | Heuristic.Liveness -> 0x800
+  | _ -> 0
+
+let every_column = 0xfff
+
+let columns_of heuristics = List.fold_left (fun m h -> m lor column_bit h) 0 heuristics
+
+(* [h]'s column: [n] zeros when [columns] has it, else empty. *)
+let column columns n h = if columns land column_bit h <> 0 then Array.make n 0 else [||]
+
+(* The pass: [columns] are the columns allocated (the others are empty),
+   [walks] which walks run and [requirements] which costly groups are
+   computed into their allocated columns. *)
+let run ~traversal ?live_out ~requirements ~walks ~columns dag =
   let n = Ds_dag.Dag.length dag in
-  let annot = Annot.create n in
   let model = Ds_dag.Dag.model dag in
+  let exec_time = Array.make n 0 in
   for i = 0 to n - 1 do
-    annot.exec_time.(i) <- model.Latency.exec_time (Ds_dag.Dag.insn dag i)
+    exec_time.(i) <- model.Latency.exec_time (Ds_dag.Dag.insn dag i)
   done;
-  if walks.forward then forward_pass dag annot;
-  if walks.backward then backward_pass traversal dag annot;
+  let max_path_from_root = column columns n Heuristic.Max_path_from_root in
+  let max_delay_from_root = column columns n Heuristic.Max_delay_from_root in
+  let est = column columns n Heuristic.Earliest_start_time in
+  let max_path_to_leaf = column columns n Heuristic.Max_path_to_leaf in
+  let max_delay_to_leaf = column columns n Heuristic.Max_delay_to_leaf in
+  let lst = column columns n Heuristic.Latest_start_time in
+  let slack = column columns n Heuristic.Slack in
+  let work = Domain.DLS.get scratch_key in
+  (* the max delay from the root is the EST: one walk fills both *)
+  let from_root =
+    if not walks.forward then [||]
+    else if Array.length est > 0 then est
+    else if Array.length max_delay_from_root > 0 then max_delay_from_root
+    else if Array.length slack > 0 || not walks.backward then begin
+      work.fwd <- grow work.fwd n;
+      work.fwd
+    end
+    else [||]
+  in
+  if walks.forward then begin
+    forward_pass dag ~path:max_path_from_root ~delay:from_root;
+    if from_root != max_delay_from_root && Array.length max_delay_from_root > 0 then
+      Array.blit from_root 0 max_delay_from_root 0 n
+  end;
+  let to_leaf =
+    if not walks.backward then [||]
+    else if Array.length max_delay_to_leaf > 0 then max_delay_to_leaf
+    else begin
+      work.bwd <- grow work.bwd n;
+      work.bwd
+    end
+  in
+  if walks.backward then
+    backward_pass traversal dag ~exec_time ~path:max_path_to_leaf ~delay:to_leaf;
   (* the critical path ends at a virtual dummy leaf: the largest
      est + exec, which is also the largest max delay to a leaf *)
-  let critical_path =
-    if walks.backward then Array.fold_left Int.max 0 annot.max_delay_to_leaf
-    else if walks.forward then begin
-      let cp = ref 0 in
-      for i = 0 to n - 1 do
-        cp := Int.max !cp (annot.est.(i) + annot.exec_time.(i))
-      done;
-      !cp
-    end
-    else 0
-  in
-  (* LST seeds from the critical path: the latest start that still ends
-     every path through the node by then *)
+  let critical_path = ref 0 in
   if walks.backward then
     for i = 0 to n - 1 do
-      annot.lst.(i) <- critical_path - annot.max_delay_to_leaf.(i);
-      if walks.forward then annot.slack.(i) <- annot.lst.(i) - annot.est.(i)
+      critical_path := Int.max !critical_path to_leaf.(i)
+    done
+  else if walks.forward then
+    for i = 0 to n - 1 do
+      critical_path := Int.max !critical_path (from_root.(i) + exec_time.(i))
     done;
-  if requirements.descendants then descendant_measures dag annot;
-  if requirements.registers then begin
-    let regs =
-      match live_out with
-      | Some f ->
-          Liveness.compute ~live_out:f (Array.init n (Ds_dag.Dag.insn dag))
-      | None -> Liveness.compute (Array.init n (Ds_dag.Dag.insn dag))
-    in
-    Array.blit regs.Liveness.born 0 annot.registers_born 0 n;
-    Array.blit regs.Liveness.killed 0 annot.registers_killed 0 n;
-    Array.blit regs.Liveness.net 0 annot.liveness 0 n
+  let critical_path = !critical_path in
+  (* LST seeds from the critical path: the latest start that still ends
+     every path through the node by then *)
+  if walks.backward then begin
+    if Array.length lst > 0 then
+      for i = 0 to n - 1 do
+        lst.(i) <- critical_path - to_leaf.(i)
+      done;
+    if walks.forward && Array.length slack > 0 then
+      for i = 0 to n - 1 do
+        slack.(i) <- critical_path - to_leaf.(i) - from_root.(i)
+      done
   end;
-  Annot.with_critical_path annot critical_path
+  let num_descendants = column columns n Heuristic.Num_descendants in
+  let sum_exec_of_descendants = column columns n Heuristic.Sum_exec_of_descendants in
+  if requirements.descendants then
+    descendant_measures dag ~exec_time ~count:num_descendants
+      ~sum:sum_exec_of_descendants;
+  let registers_born, registers_killed, liveness =
+    if requirements.registers then begin
+      let insns = Ds_dag.Dag.insns dag in
+      let regs =
+        match live_out with
+        | Some f -> Liveness.compute ~live_out:f insns
+        | None -> Liveness.compute insns
+      in
+      let keep h a = if columns land column_bit h <> 0 then a else [||] in
+      ( keep Heuristic.Registers_born regs.Liveness.born,
+        keep Heuristic.Registers_killed regs.Liveness.killed,
+        keep Heuristic.Liveness regs.Liveness.net )
+    end
+    else
+      ( column columns n Heuristic.Registers_born,
+        column columns n Heuristic.Registers_killed,
+        column columns n Heuristic.Liveness )
+  in
+  { Annot.exec_time;
+    max_path_to_leaf;
+    max_delay_to_leaf;
+    max_path_from_root;
+    max_delay_from_root;
+    est;
+    lst;
+    slack;
+    num_descendants;
+    sum_exec_of_descendants;
+    registers_born;
+    registers_killed;
+    liveness;
+    critical_path_length = critical_path }
 
 (** Compute the static annotation set for a DAG: both walks.  [live_out]
     feeds the register-usage heuristics (default: every register escapes
@@ -161,18 +263,24 @@ let run ~traversal ?live_out ~requirements ~walks dag =
 let compute ?(traversal = Reverse_walk) ?live_out
     ?(requirements = all_requirements) dag =
   run ~traversal ?live_out ~requirements
-    ~walks:{ forward = true; backward = true } dag
+    ~walks:{ forward = true; backward = true }
+    ~columns:every_column dag
 
 (** [compute_for heuristics dag] computes only what the given heuristics
     need — what a scheduler's intermediate pass would actually run: the
-    walks their calculation passes name, and the costly groups they
-    read. *)
+    walks their calculation passes name, the costly groups they read,
+    and only the columns they read. *)
 let compute_for ?(traversal = Reverse_walk) ?live_out heuristics dag =
   run ~traversal ?live_out ~requirements:(requirements_of heuristics)
-    ~walks:(walks_of heuristics) dag
+    ~walks:(walks_of heuristics)
+    ~columns:(columns_of heuristics) dag
 
 (** Only the backward-pass annotations (used when timing the traversal
     strategies in isolation, §4). *)
 let backward_only ?(traversal = Reverse_walk) dag =
   run ~traversal ~requirements:{ descendants = false; registers = false }
-    ~walks:{ forward = false; backward = true } dag
+    ~walks:{ forward = false; backward = true }
+    ~columns:
+      (columns_of
+         Heuristic.[ Max_path_to_leaf; Max_delay_to_leaf; Latest_start_time ])
+    dag

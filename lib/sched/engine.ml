@@ -128,23 +128,12 @@ let config_weights config =
 (* ------------------------------------------------------------------ *)
 (* the static priority: one precomputed rank per node *)
 
-(* A block's static ranking.  [prio.(i)] is node [i]'s priority: for
-   winnowing, the signed values of the config's longest prefix of static
-   keys packed rank-major into one int (each offset by its block minimum
-   and scaled by the value ranges of the packed keys after it), then
-   program order where it fits; for a priority function whose keys are
-   all static, its weighted sum.  [rest] are the keys that {!choose}
-   among the nodes tied for the top priority, in rank order.  With no
-   static prefix every priority is 0 and [rest] is every key. *)
-type static_rank = { prio : int array; rest : key list }
-
 let is_static k = Evaluate.is_static k.heuristic
 
-(* Fold key [k] into [prio] when its value range fits beside the [span]
-   distinct priorities packed so far; returns the new span, or 0 when it
-   does not fit. *)
-let pack_key ~annot ~st prio span k =
-  let n = Array.length prio in
+(* Fold key [k] into [prio.(0 .. n-1)] when its value range fits beside
+   the [span] distinct priorities packed so far; returns the new span, or
+   0 when it does not fit. *)
+let pack_key ~annot ~st prio n span k =
   let lo = ref max_int and hi = ref min_int in
   for i = 0 to n - 1 do
     let v = signed_value k ~annot ~st i in
@@ -164,12 +153,12 @@ let pack_key ~annot ~st prio span k =
 
 (* Fold the leading static keys into [prio] while they fit; returns the
    keys left over.  When every key fits, [last] follows if it fits too. *)
-let rec pack_keys ~annot ~st prio span last = function
+let rec pack_keys ~annot ~st prio n span last = function
   | k :: rest as keys when is_static k ->
-      let span = pack_key ~annot ~st prio span k in
-      if span = 0 then keys else pack_keys ~annot ~st prio span last rest
+      let span = pack_key ~annot ~st prio n span k in
+      if span = 0 then keys else pack_keys ~annot ~st prio n span last rest
   | [] ->
-      ignore (pack_key ~annot ~st prio span last);
+      ignore (pack_key ~annot ~st prio n span last);
       []
   | keys -> keys
 
@@ -179,20 +168,35 @@ let rec pack_keys ~annot ~st prio span last = function
 let forward_order = key ~sense:Heuristic.Minimize Heuristic.Original_order
 let backward_order = key ~sense:Heuristic.Maximize Heuristic.Original_order
 
-let static_rank config weights ~annot ~st n =
+(* A block's static ranking, into [prio.(0 .. n-1)]: node [i]'s priority
+   is, for winnowing, the signed values of the config's longest prefix of
+   static keys packed rank-major into one int (each offset by its block
+   minimum and scaled by the value ranges of the packed keys after it),
+   then program order where it fits; for a priority function whose keys
+   are all static, its weighted sum.  Returns the keys that {!choose}
+   among the nodes tied for the top priority, in rank order.  With no
+   static prefix every priority is 0 and every key is returned. *)
+let static_rank config weights ~annot ~st prio n =
   match config.mode with
   | Winnowing ->
-      let prio = Array.make n 0 in
+      Array.fill prio 0 n 0;
       let last =
         match config.direction with
         | Dyn_state.Forward -> forward_order
         | Dyn_state.Backward -> backward_order
       in
-      { prio; rest = pack_keys ~annot ~st prio 1 last config.keys }
+      pack_keys ~annot ~st prio n 1 last config.keys
   | Priority_fn ->
-      if List.for_all is_static config.keys then
-        { prio = Array.init n (priority config.keys weights ~annot ~st); rest = [] }
-      else { prio = Array.make n 0; rest = config.keys }
+      if List.for_all is_static config.keys then begin
+        for i = 0 to n - 1 do
+          prio.(i) <- priority config.keys weights ~annot ~st i
+        done;
+        []
+      end
+      else begin
+        Array.fill prio 0 n 0;
+        config.keys
+      end
 
 (* ------------------------------------------------------------------ *)
 (* decision tracing: which heuristic actually decided each issue *)
@@ -337,132 +341,187 @@ let observe_ready ?recorder config weights ~annot ~st expl avail n_avail stamp c
       record { time = st.time; candidates = Array.to_list cand; trail; chosen; tie_break }
   | None -> ()
 
-(* The scheduling loop, optionally recording decisions. *)
+(* ------------------------------------------------------------------ *)
+(* per-domain work arrays *)
+
+(* A run's work arrays, each at least as long as the block: the
+   available list and each node's slot in it, the top-priority front,
+   the winnowing values and the static priorities, plus the dynamic
+   state's arrays.  Each domain keeps one, grown to the largest block it
+   has scheduled; [in_use] marks it taken by a run in progress. *)
+type scratch = {
+  mutable in_use : bool;
+  dyn : Dyn_state.scratch;
+  mutable avail : int array;
+  mutable slot : int array;
+  mutable ready : int array;
+  mutable vals : int array;
+  mutable prio : int array;
+}
+
+let fresh_scratch () =
+  { in_use = false;
+    dyn = Dyn_state.scratch ();
+    avail = [||];
+    slot = [||];
+    ready = [||];
+    vals = [||];
+    prio = [||] }
+
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+(* The calling domain's scratch, grown to [n] and marked in use; while a
+   run holds it (a seed, or a latency-model function the dynamic state
+   calls, that runs the engine again), fresh arrays instead. *)
+let acquire n =
+  let s = Domain.DLS.get scratch_key in
+  let s = if s.in_use then fresh_scratch () else s in
+  s.in_use <- true;
+  if Array.length s.avail < n then begin
+    let cap = Int.max n (2 * Array.length s.avail) in
+    s.avail <- Array.make cap 0;
+    s.slot <- Array.make cap 0;
+    s.ready <- Array.make cap 0;
+    s.vals <- Array.make cap 0;
+    s.prio <- Array.make cap 0
+  end;
+  s
+
+(* The scheduling loop over a block of [n] >= 1 nodes, in [s]'s arrays,
+   optionally recording decisions. *)
+let schedule_block ?seed ?recorder s config ~annot dag n =
+  let st = Dyn_state.create_in s.dyn dag config.direction in
+  (match seed with Some f -> f st | None -> ());
+  (* decisiveness accumulator resolved once per block; [None] when the
+     explain registry is off *)
+  let expl = explain_cell config in
+  let observing = Option.is_some recorder || Option.is_some expl in
+  (* The available nodes, in no order: [slot.(i)] is node [i]'s index
+     in [avail], and an issue moves the last entry into its gap.  For
+     an observer, [stamp.(i)] counts the pushes before [i]'s (every
+     pushed node is available or scheduled): the candidate list
+     [explain] prints is newest push first, so ascending ids for the
+     nodes available at block start. *)
+  let avail = s.avail and n_avail = ref 0 and slot = s.slot in
+  let stamp = if observing then Array.make n 0 else [||] in
+  let push i =
+    if observing then stamp.(i) <- st.n_scheduled + !n_avail;
+    avail.(!n_avail) <- i;
+    slot.(i) <- !n_avail;
+    incr n_avail
+  in
+  for i = n - 1 downto 0 do
+    if Dyn_state.available st i then push i
+  done;
+  let on_successor () peer _ _ =
+    if Dyn_state.available st peer then push peer
+  in
+  (* trace bookkeeping is resolved once per block; the common
+     (disabled) path costs one atomic read per run_impl call; only
+     tracing reads the clock around each pick *)
+  let trace_on = Ds_obs.Trace.enabled () in
+  let weights = config_weights config in
+  let prio = s.prio in
+  let rest = static_rank config weights ~annot ~st prio n in
+  (* the top-priority front of the ready candidates, and the winnowing
+     values when keys are left to winnow it *)
+  let ready = s.ready and vals = s.vals in
+  let picks = ref 0 and pick_first = ref 0.0 and pick_total = ref 0.0 in
+  (* the summed ready-list lengths and the cycles no candidate could
+     issue: the heur_dynamic span's args *)
+  let candidates = ref 0 and stall_cycles = ref 0 in
+  let order = Array.make n 0 in
+  while not (Dyn_state.complete st) do
+    let t0 = if trace_on then Ds_obs.Clock.now () else 0.0 in
+    (* one pass: skip the unreleased nodes and keep the released ones
+       tied for the top priority in [ready.(0 .. f-1)] *)
+    let m = ref 0 and f = ref 0 and best = ref min_int in
+    for j = 0 to !n_avail - 1 do
+      let i = avail.(j) in
+      if st.earliest_exec.(i) <= st.time then begin
+        incr m;
+        let p = prio.(i) in
+        if !f = 0 || p > !best then begin
+          best := p;
+          ready.(0) <- i;
+          f := 1
+        end
+        else if p = !best then begin
+          ready.(!f) <- i;
+          incr f
+        end
+      end
+    done;
+    candidates := !candidates + !m;
+    if !m = 0 then begin
+      (* no candidate can issue: advance to the nearest release time *)
+      let next = ref max_int in
+      for j = 0 to !n_avail - 1 do
+        next := Int.min !next st.earliest_exec.(avail.(j))
+      done;
+      assert (!next < max_int);
+      stall_cycles := !stall_cycles + (!next - st.time);
+      st.time <- !next
+    end
+    else begin
+      let chosen =
+        if !f = 1 then ready.(0)
+        else choose config rest weights ~annot ~st ready vals !f
+      in
+      if trace_on then begin
+        if !picks = 0 then pick_first := t0;
+        pick_total := !pick_total +. Ds_obs.Clock.since t0;
+        incr picks
+      end;
+      if observing then
+        observe_ready ?recorder config weights ~annot ~st expl avail !n_avail stamp chosen;
+      (* a backward pass builds the schedule last-to-first *)
+      (match config.direction with
+      | Dyn_state.Forward -> order.(st.n_scheduled) <- chosen
+      | Dyn_state.Backward -> order.(n - 1 - st.n_scheduled) <- chosen);
+      Dyn_state.schedule st chosen ~at:st.time;
+      st.time <- st.time + 1;
+      let j = slot.(chosen) and last = avail.(!n_avail - 1) in
+      avail.(j) <- last;
+      slot.(last) <- j;
+      decr n_avail;
+      (* arcs are coalesced, so a peer's counter reaches zero exactly
+         when its last predecessor, [chosen], issues: it cannot
+         already be in the list *)
+      Dyn_state.fold_successors st chosen on_successor ()
+    end
+  done;
+  (* one aggregate span per block: total dynamic-heuristic time spent
+     inside the enclosing "schedule" span (the picks themselves are
+     interleaved with issue bookkeeping, so a contiguous sub-span per
+     pick would be noise; args carry the pick count, the candidates
+     examined and the stall cycles) *)
+  if trace_on && !picks > 0 then
+    Ds_obs.Trace.record ~cat:"pipeline" ~name:"heur_dynamic"
+      ~args:
+        [ ("picks", Ds_obs.Json.Int !picks);
+          ("aggregate", Ds_obs.Json.Bool true);
+          ("candidates", Ds_obs.Json.Int !candidates);
+          ("stall_cycles", Ds_obs.Json.Int !stall_cycles) ]
+      ~start_s:!pick_first
+      ~stop_s:(!pick_first +. !pick_total)
+      ();
+  order
+
+(* The block's order; the scratch is released however the run ends. *)
 let run_impl ?seed ?recorder config ~annot dag =
   let n = Ds_dag.Dag.length dag in
   if n = 0 then [||]
   else begin
-    let st = Dyn_state.create dag config.direction in
-    (match seed with Some f -> f st | None -> ());
-    (* decisiveness accumulator resolved once per block; [None] when the
-       explain registry is off *)
-    let expl = explain_cell config in
-    let observing = Option.is_some recorder || Option.is_some expl in
-    (* The available nodes, in no order: [slot.(i)] is node [i]'s index
-       in [avail], and an issue moves the last entry into its gap.  For
-       an observer, [stamp.(i)] counts the pushes before [i]'s (every
-       pushed node is available or scheduled): the candidate list
-       [explain] prints is newest push first, so ascending ids for the
-       nodes available at block start. *)
-    let avail = Array.make n 0 and n_avail = ref 0 and slot = Array.make n 0 in
-    let stamp = if observing then Array.make n 0 else [||] in
-    let push i =
-      if observing then stamp.(i) <- st.n_scheduled + !n_avail;
-      avail.(!n_avail) <- i;
-      slot.(i) <- !n_avail;
-      incr n_avail
-    in
-    for i = n - 1 downto 0 do
-      if Dyn_state.available st i then push i
-    done;
-    let on_successor () peer _ _ =
-      if Dyn_state.available st peer then push peer
-    in
-    (* trace bookkeeping is resolved once per block; the common
-       (disabled) path costs one atomic read per run_impl call; only
-       tracing reads the clock around each pick *)
-    let trace_on = Ds_obs.Trace.enabled () in
-    let weights = config_weights config in
-    let { prio; rest } = static_rank config weights ~annot ~st n in
-    (* the top-priority front of the ready candidates; winnowing scratch
-       when keys are left to winnow it *)
-    let ready = Array.make n 0 in
-    let vals =
-      match (config.mode, rest) with
-      | Winnowing, _ :: _ -> Array.make n 0
-      | _ -> [||]
-    in
-    let picks = ref 0 and pick_first = ref 0.0 and pick_total = ref 0.0 in
-    (* the summed ready-list lengths and the cycles no candidate could
-       issue: the heur_dynamic span's args *)
-    let candidates = ref 0 and stall_cycles = ref 0 in
-    let order = Array.make n 0 in
-    while not (Dyn_state.complete st) do
-      let t0 = if trace_on then Ds_obs.Clock.now () else 0.0 in
-      (* one pass: skip the unreleased nodes and keep the released ones
-         tied for the top priority in [ready.(0 .. f-1)] *)
-      let m = ref 0 and f = ref 0 and best = ref min_int in
-      for j = 0 to !n_avail - 1 do
-        let i = avail.(j) in
-        if st.earliest_exec.(i) <= st.time then begin
-          incr m;
-          let p = prio.(i) in
-          if !f = 0 || p > !best then begin
-            best := p;
-            ready.(0) <- i;
-            f := 1
-          end
-          else if p = !best then begin
-            ready.(!f) <- i;
-            incr f
-          end
-        end
-      done;
-      candidates := !candidates + !m;
-      if !m = 0 then begin
-        (* no candidate can issue: advance to the nearest release time *)
-        let next = ref max_int in
-        for j = 0 to !n_avail - 1 do
-          next := Int.min !next st.earliest_exec.(avail.(j))
-        done;
-        assert (!next < max_int);
-        stall_cycles := !stall_cycles + (!next - st.time);
-        st.time <- !next
-      end
-      else begin
-        let chosen =
-          if !f = 1 then ready.(0)
-          else choose config rest weights ~annot ~st ready vals !f
-        in
-        if trace_on then begin
-          if !picks = 0 then pick_first := t0;
-          pick_total := !pick_total +. Ds_obs.Clock.since t0;
-          incr picks
-        end;
-        if observing then
-          observe_ready ?recorder config weights ~annot ~st expl avail !n_avail stamp chosen;
-        (* a backward pass builds the schedule last-to-first *)
-        (match config.direction with
-        | Dyn_state.Forward -> order.(st.n_scheduled) <- chosen
-        | Dyn_state.Backward -> order.(n - 1 - st.n_scheduled) <- chosen);
-        Dyn_state.schedule st chosen ~at:st.time;
-        st.time <- st.time + 1;
-        let j = slot.(chosen) and last = avail.(!n_avail - 1) in
-        avail.(j) <- last;
-        slot.(last) <- j;
-        decr n_avail;
-        (* arcs are coalesced, so a peer's counter reaches zero exactly
-           when its last predecessor, [chosen], issues: it cannot
-           already be in the list *)
-        Dyn_state.fold_successors st chosen on_successor ()
-      end
-    done;
-    (* one aggregate span per block: total dynamic-heuristic time spent
-       inside the enclosing "schedule" span (the picks themselves are
-       interleaved with issue bookkeeping, so a contiguous sub-span per
-       pick would be noise; args carry the pick count, the candidates
-       examined and the stall cycles) *)
-    if trace_on && !picks > 0 then
-      Ds_obs.Trace.record ~cat:"pipeline" ~name:"heur_dynamic"
-        ~args:
-          [ ("picks", Ds_obs.Json.Int !picks);
-            ("aggregate", Ds_obs.Json.Bool true);
-            ("candidates", Ds_obs.Json.Int !candidates);
-            ("stall_cycles", Ds_obs.Json.Int !stall_cycles) ]
-        ~start_s:!pick_first
-        ~stop_s:(!pick_first +. !pick_total)
-        ();
-    order
+    let s = acquire n in
+    match schedule_block ?seed ?recorder s config ~annot dag n with
+    | order ->
+        s.in_use <- false;
+        order
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        s.in_use <- false;
+        Printexc.raise_with_backtrace e bt
   end
 
 (** Run the scheduling pass.  Returns node ids in program order of the new

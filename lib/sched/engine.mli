@@ -55,7 +55,20 @@ val key_labels : config -> string list
     see the node already chosen and the same ready candidates, rebuild
     the trail beside it, and never change a choice, so the
     [heur_dynamic] span's [picks], [candidates] and [stall_cycles] are
-    the same with them on or off. *)
+    the same with them on or off.
+
+    Allocation: the result is the only array a run allocates for the
+    block.  Its work arrays (the available list and its slots, the
+    top-priority front, the winnowing values, the static priorities)
+    and the {!Ds_heur.Dyn_state} it schedules with live in a scratch
+    owned by the calling domain, grown to the largest block the domain
+    has scheduled and refilled for each block.  The scratch is marked in
+    use for the length of a run and released however the run ends, a
+    raise included.  A run nested on the same domain (a [seed], or a
+    latency-model function the state calls at each issue, that runs the
+    engine again) finds it in use and works in fresh arrays, so both runs
+    give the orders they give alone.  The state [seed] receives is the
+    run's own and is valid only until the run returns. *)
 val run :
   ?seed:(Dyn_state.t -> unit) -> config -> annot:Annot.t -> Ds_dag.Dag.t ->
   int array

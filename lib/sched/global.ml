@@ -105,10 +105,7 @@ let schedule_chain ?(inherit_latencies = true) ~config ~opts blocks =
         s)
       blocks
   in
-  let insns =
-    Array.concat (List.map (fun s -> Array.to_list (Schedule.insns s) |> Array.of_list) scheduled)
-  in
-  (scheduled, insns)
+  (scheduled, Array.concat (List.map Schedule.insns scheduled))
 
 (** Total machine cycles of the concatenated schedules (cross-block stalls
     included — the pipeline simulator carries resource state through). *)

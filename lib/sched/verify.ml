@@ -21,16 +21,17 @@ let check (s : Schedule.t) =
       Error Not_a_permutation
     else begin
       (* the first violated arc in [Dag.iter_arcs] order: ascending
-         sources, each source's arcs in [iter_succ] order *)
+         sources, each source's arcs in [iter_succ] order; one arc check
+         serves every source *)
       let bad = ref None in
-      let next = ref 0 in
-      while Option.is_none !bad && !next < n do
-        let src = !next in
-        let src_pos = position.(src) in
-        Ds_dag.Dag.iter_succ s.dag src (fun dst latency kind ->
-            if Option.is_none !bad && src_pos >= position.(dst) then
-              bad := Some { Ds_dag.Dag.src; dst; kind; latency });
-        incr next
+      let src = ref 0 in
+      let check_arc dst latency kind =
+        if Option.is_none !bad && position.(!src) >= position.(dst) then
+          bad := Some { Ds_dag.Dag.src = !src; dst; kind; latency }
+      in
+      while Option.is_none !bad && !src < n do
+        Ds_dag.Dag.iter_succ s.dag !src check_arc;
+        incr src
       done;
       match !bad with None -> Ok () | Some arc -> Error (Arc_violated arc)
     end

@@ -296,58 +296,52 @@ let test_overruled_pinned () =
   | Error e -> Alcotest.fail e
 
 (* ------------------------------------------------------------------ *)
-(* static pass: the walks compute_for runs *)
+(* static pass: the columns compute_for allocates *)
 
-type column = { label : string; get : Annot.t -> int array }
+(* An annotation column and the heuristic that reads it ([None]: exec
+   time, which every pass fills). *)
+type column = { label : string; reads : Heuristic.t option; get : Annot.t -> int array }
 
-let col label get = { label; get }
-
-let forward_columns =
-  [ col "max path from root" (fun a -> a.Annot.max_path_from_root);
-    col "max delay from root" (fun a -> a.Annot.max_delay_from_root);
-    col "EST" (fun a -> a.Annot.est) ]
-
-let backward_columns =
-  [ col "max path to leaf" (fun a -> a.Annot.max_path_to_leaf);
-    col "max delay to leaf" (fun a -> a.Annot.max_delay_to_leaf);
-    col "LST" (fun a -> a.Annot.lst) ]
-
-let slack_column = col "slack" (fun a -> a.Annot.slack)
-
-let descendant_columns =
-  [ col "#descendants" (fun a -> a.Annot.num_descendants);
-    col "sum exec of descendants" (fun a -> a.Annot.sum_exec_of_descendants) ]
-
-let register_columns =
-  [ col "registers born" (fun a -> a.Annot.registers_born);
-    col "registers killed" (fun a -> a.Annot.registers_killed);
-    col "liveness" (fun a -> a.Annot.liveness) ]
-
-(* The columns [compute_for hs] fills, from Table 1's passes: the forward
-   walk's, the backward walk's, slack when both run, and the costly
-   groups the heuristics read; every other column stays zero. *)
-let filled hs =
-  let pass p = List.exists (fun h -> Heuristic.calc_pass h = p) hs in
-  let fwd = pass Heuristic.F || pass Heuristic.FB in
-  let bwd = pass Heuristic.B || pass Heuristic.FB in
-  let req = Static_pass.requirements_of hs in
-  ( fwd || bwd,
-    (if fwd then forward_columns else [])
-    @ (if bwd then backward_columns else [])
-    @ (if fwd && bwd then [ slack_column ] else [])
-    @ (if req.Static_pass.descendants then descendant_columns else [])
-    @ if req.Static_pass.registers then register_columns else [] )
+let col ?reads label get = { label; reads; get }
 
 let all_columns =
-  [ col "exec time" (fun a -> a.Annot.exec_time) ]
-  @ forward_columns @ backward_columns @ [ slack_column ] @ descendant_columns
-  @ register_columns
+  [ col "exec time" (fun a -> a.Annot.exec_time);
+    col ~reads:Heuristic.Max_path_from_root "max path from root" (fun a ->
+        a.Annot.max_path_from_root);
+    col ~reads:Heuristic.Max_delay_from_root "max delay from root" (fun a ->
+        a.Annot.max_delay_from_root);
+    col ~reads:Heuristic.Earliest_start_time "EST" (fun a -> a.Annot.est);
+    col ~reads:Heuristic.Max_path_to_leaf "max path to leaf" (fun a ->
+        a.Annot.max_path_to_leaf);
+    col ~reads:Heuristic.Max_delay_to_leaf "max delay to leaf" (fun a ->
+        a.Annot.max_delay_to_leaf);
+    col ~reads:Heuristic.Latest_start_time "LST" (fun a -> a.Annot.lst);
+    col ~reads:Heuristic.Slack "slack" (fun a -> a.Annot.slack);
+    col ~reads:Heuristic.Num_descendants "#descendants" (fun a -> a.Annot.num_descendants);
+    col ~reads:Heuristic.Sum_exec_of_descendants "sum exec of descendants" (fun a ->
+        a.Annot.sum_exec_of_descendants);
+    col ~reads:Heuristic.Registers_born "registers born" (fun a -> a.Annot.registers_born);
+    col ~reads:Heuristic.Registers_killed "registers killed" (fun a ->
+        a.Annot.registers_killed);
+    col ~reads:Heuristic.Liveness "liveness" (fun a -> a.Annot.liveness) ]
+
+(* Whether [compute_for hs] runs a walk: some heuristic's Table-1 pass is
+   [F], [B] or [FB]. *)
+let runs_a_walk hs =
+  List.exists
+    (fun h ->
+      match Heuristic.calc_pass h with
+      | Heuristic.F | Heuristic.B | Heuristic.FB -> true
+      | Heuristic.A | Heuristic.V -> false)
+    hs
 
 let key_sets =
   List.map (fun h -> (Heuristic.to_string h, [ h ])) Heuristic.all_26
   @ List.map (fun s -> (s.Published.short, Published.heuristics_of s)) Published.all
   @ [ ("section 6", heuristics Batch.section6.Batch.engine) ]
 
+(* [compute_for hs] holds exec time and the columns [hs] read, each equal
+   to the full pass's; every other column is empty. *)
 let check_compute_for dag =
   List.iter
     (fun traversal ->
@@ -355,14 +349,13 @@ let check_compute_for dag =
       List.iter
         (fun (name, hs) ->
           let a = Static_pass.compute_for ~traversal hs dag in
-          let walks, cols = filled hs in
-          let zero = Array.make (Dag.length dag) 0 in
           List.iter
             (fun c ->
-              let want = if c.label = "exec time" || List.memq c cols then c.get full else zero in
+              let read = match c.reads with None -> true | Some h -> List.mem h hs in
+              let want = if read then c.get full else [||] in
               if c.get a <> want then
                 Alcotest.failf "%s: %s %s" name c.label
-                  (if want == zero then "not left zero" else "differs from compute"))
+                  (if read then "differs from compute" else "not left empty"))
             all_columns;
           (* every value the keys read matches the full pass *)
           let st = Dyn_state.create dag Dyn_state.Forward in
@@ -373,7 +366,7 @@ let check_compute_for dag =
                   Alcotest.failf "%s: %s of node %d" name (Heuristic.to_string h) i
               done)
             hs;
-          if walks then
+          if runs_a_walk hs then
             check_int (name ^ ": critical path") full.Annot.critical_path_length
               a.Annot.critical_path_length)
         key_sets)
@@ -387,10 +380,206 @@ let test_compute_for_columns () =
   check_compute_for (dag_of_asm "fdivd %f0, %f2, %f4");
   check_compute_for (Builder.build Builder.Table_forward Opts.default { Block.id = 0; insns = [||] })
 
+(* Reading a column the pass did not compute raises, naming the
+   heuristic, for every column heuristic; exec time is always there. *)
+let test_uncomputed_column_raises () =
+  let dag = Builder.build Builder.Table_forward Opts.default (random_block 3) in
+  let st = Dyn_state.create dag Dyn_state.Forward in
+  let exec_only = Static_pass.compute_for [ Heuristic.Execution_time ] dag in
+  check_int "exec time is filled" (Static_pass.compute dag).Annot.exec_time.(0)
+    (Evaluate.value Heuristic.Execution_time ~annot:exec_only ~st 0);
+  List.iter
+    (fun c ->
+      match c.reads with
+      | None -> ()
+      | Some h -> (
+          let label = Heuristic.to_string h in
+          match Evaluate.value h ~annot:exec_only ~st 0 with
+          | v -> Alcotest.failf "%s: read %d from an empty column" label v
+          | exception Invalid_argument msg ->
+              if not (contains msg label) then
+                Alcotest.failf "%s: the message %S does not name it" label msg))
+    all_columns
+
+(* ------------------------------------------------------------------ *)
+(* the engine's per-domain scratch *)
+
+let annotated config block =
+  let dag = Builder.build Builder.Table_forward Opts.default block in
+  (dag, Static_pass.compute_for (heuristics config) dag)
+
+let section6 = Batch.section6.Batch.engine
+
+let scratch_configs =
+  [ ("section 6", section6);
+    ("section 6 backward", { section6 with Engine.direction = Dyn_state.Backward });
+    ("schlansker", Published.engine_config Published.schlansker) ]
+
+(* The order of a run in a domain of its own, whose scratch no run has
+   touched. *)
+let fresh_run config ~annot dag =
+  Domain.join (Domain.spawn (fun () -> Engine.run config ~annot dag))
+
+(* A DAG under a model whose [fp_busy], which the dynamic state calls at
+   every issue, runs [hook] while [armed] is set. *)
+let hooked_dag armed hook block =
+  let base = Latency.simple_risc in
+  let model =
+    { base with
+      Latency.fp_busy = (fun insn -> if !armed then hook (); base.Latency.fp_busy insn) }
+  in
+  Builder.build Builder.Table_forward (Opts.with_model model Opts.default) block
+
+(* A run nested in a seed, or in a callback that fires at every issue,
+   and a run nested in a traced run: each order equals its un-nested
+   run. *)
+let test_nested_runs () =
+  List.iter
+    (fun (name, config) ->
+      let inner_dag, inner_annot = annotated config (random_block 11) in
+      let inner () = Engine.run config ~annot:inner_annot inner_dag in
+      let inner_want = inner () in
+      let check_inner what got =
+        if got <> inner_want then Alcotest.failf "%s: %s: nested order differs" name what
+      in
+      let armed = ref false and nested = ref 0 in
+      let dag =
+        hooked_dag armed
+          (fun () ->
+            incr nested;
+            check_inner "issue callback" (inner ()))
+          (random_block 12)
+      in
+      let annot = Static_pass.compute_for (heuristics config) dag in
+      let want = Engine.run config ~annot dag in
+      armed := true;
+      let got = Engine.run config ~annot dag in
+      armed := false;
+      check_int (name ^ ": one nested run per issue") (Dag.length dag) !nested;
+      if got <> want then Alcotest.failf "%s: order around nested runs differs" name;
+      let got = Engine.run ~seed:(fun _ -> check_inner "seed" (inner ())) config ~annot dag in
+      if got <> want then Alcotest.failf "%s: order around a nested seed differs" name;
+      let got, _ =
+        Engine.run_traced ~seed:(fun _ -> check_inner "traced seed" (inner ())) config ~annot dag
+      in
+      if got <> want then Alcotest.failf "%s: traced order around a nested seed differs" name)
+    scratch_configs
+
+(* A run that raises mid-block releases the scratch: the next runs are
+   correct and allocate no more than before the raise. *)
+let test_raise_releases_scratch () =
+  let armed = ref false in
+  let block = random_block 21 in
+  let dag = hooked_dag armed (fun () -> raise Exit) block in
+  let annot = Static_pass.compute_for (heuristics section6) dag in
+  let other, other_annot = annotated section6 (random_block 22) in
+  let want = Engine.run section6 ~annot dag in
+  let other_want = Engine.run section6 ~annot:other_annot other in
+  let words () =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Engine.run section6 ~annot dag));
+    Gc.minor_words () -. w0
+  in
+  let before = words () in
+  armed := true;
+  (match Engine.run section6 ~annot dag with
+  | _ -> Alcotest.fail "the issue callback did not raise"
+  | exception Exit -> ());
+  armed := false;
+  check_bool "the next run on another block" true
+    (Engine.run section6 ~annot:other_annot other = other_want);
+  check_bool "the next run on the same block" true (Engine.run section6 ~annot dag = want);
+  let after = words () in
+  if after > before then
+    Alcotest.failf "a run after the raise allocated %.0f words, %.0f before: scratch not released"
+      after before
+
+(* Blocks of falling, then rising size on one domain: every order equals
+   a run on fresh state, so no entry a larger block left behind is
+   read. *)
+let test_scratch_across_sizes () =
+  let fpppp = Profiles.generate Profiles.fpppp in
+  let sized n =
+    match List.find_opt (fun b -> Block.length b = n) fpppp with
+    | Some b -> b
+    | None -> Alcotest.failf "fpppp has no %d-insn block" n
+  in
+  let blocks =
+    [ sized 11_750; block_of_asm figure1_asm; { Block.id = 0; insns = [||] };
+      block_of_asm "fdivd %f0, %f2, %f4"; sized 1_150 ]
+  in
+  let runs =
+    List.concat_map
+      (fun (name, config) ->
+        List.map
+          (fun b ->
+            let dag, annot = annotated config b in
+            (Printf.sprintf "%s, %d insns" name (Block.length b), config, annot, dag))
+          blocks)
+      scratch_configs
+  in
+  let want = List.map (fun (_, config, annot, dag) -> fresh_run config ~annot dag) runs in
+  List.iter2
+    (fun (label, config, annot, dag) want ->
+      if Engine.run config ~annot dag <> want then
+        Alcotest.failf "%s: differs from a run on fresh state" label)
+    runs want;
+  (* the dynamic state reads as a fresh one too *)
+  let s = Dyn_state.scratch () in
+  let big, _ = annotated section6 (sized 1_150) in
+  let st = Dyn_state.create_in s big Dyn_state.Forward in
+  Dyn_state.schedule st 0 ~at:5;
+  List.iter
+    (fun b ->
+      let dag, _ = annotated section6 b in
+      let n = Dag.length dag in
+      let reused = Dyn_state.create_in s dag Dyn_state.Backward in
+      let fresh = Dyn_state.create dag Dyn_state.Backward in
+      let same label a b = check_bool label true (Array.sub a 0 n = b) in
+      same "scheduled" reused.Dyn_state.scheduled fresh.Dyn_state.scheduled;
+      same "sched_time" reused.Dyn_state.sched_time fresh.Dyn_state.sched_time;
+      same "unscheduled parents" reused.Dyn_state.unscheduled_parents
+        fresh.Dyn_state.unscheduled_parents;
+      same "unscheduled children" reused.Dyn_state.unscheduled_children
+        fresh.Dyn_state.unscheduled_children;
+      same "earliest exec" reused.Dyn_state.earliest_exec fresh.Dyn_state.earliest_exec;
+      check_bool "unit free" true (reused.Dyn_state.unit_free = fresh.Dyn_state.unit_free);
+      check_int "time" fresh.Dyn_state.time reused.Dyn_state.time;
+      check_int "last" fresh.Dyn_state.last reused.Dyn_state.last;
+      check_int "n_scheduled" fresh.Dyn_state.n_scheduled reused.Dyn_state.n_scheduled)
+    (List.tl blocks)
+
+(* Two domains scheduling at once, each through its own scratch, give
+   the orders one domain gives. *)
+let test_two_domains () =
+  let runs =
+    List.concat_map
+      (fun (_, config) ->
+        List.map
+          (fun seed ->
+            let dag, annot = annotated config (random_block seed) in
+            (config, annot, dag))
+          (List.init 12 (fun s -> 31 + s)))
+      scratch_configs
+  in
+  let all () = List.map (fun (config, annot, dag) -> Engine.run config ~annot dag) runs in
+  let want = all () in
+  let worker () = List.init 5 (fun _ -> all ()) in
+  let a = Domain.spawn worker and b = Domain.spawn worker in
+  List.iter
+    (fun got -> check_bool "same orders on both domains" true (got = want))
+    (Domain.join a @ Domain.join b)
+
 let suite =
   [ qcheck ~count:150 "static priority = legacy pick, random blocks" arb_block
       prop_engine_matches_legacy;
     quick "static priority = legacy pick, 0/1-insn and wide blocks" test_edge_blocks;
     quick "static priority = legacy pick, seeded chain" test_seeded_chain;
     quick "priority overflow counts one overruled decision" test_overruled_pinned;
-    quick "compute_for fills the walks its keys name" test_compute_for_columns ]
+    quick "compute_for fills the walks its keys name" test_compute_for_columns;
+    quick "an uncomputed column raises, naming the heuristic"
+      test_uncomputed_column_raises;
+    quick "scratch: nested runs equal un-nested ones" test_nested_runs;
+    quick "scratch: a raising run releases it" test_raise_releases_scratch;
+    quick "scratch: falling and rising block sizes" test_scratch_across_sizes;
+    quick "scratch: two domains at once" test_two_domains ]
