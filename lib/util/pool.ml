@@ -119,20 +119,28 @@ let traced run =
         ~stop_s:(Ds_obs.Clock.now ()) ();
       Ds_obs.Trace.with_span ~cat:"pool" "task_run" (fun () -> run c)
 
+(* The worker that finishes the last chunk builds the result list, so
+   the caller allocates O(1) words beside [arr] and [out].  A raising
+   chunk never counts as finished: the list is not built, and [run_job]
+   re-raises before [result] is read. *)
 let map_on pool ?(chunk = 1) f xs =
   let arr = Array.of_list xs in
   let n = Array.length arr and chunk = max 1 chunk in
+  let n_chunks = (n + chunk - 1) / chunk in
   let out = Array.make n None in
-  run_job pool ((n + chunk - 1) / chunk)
+  let finished = Atomic.make 0 and result = ref [] in
+  run_job pool n_chunks
     (traced (fun c ->
          for j = c * chunk to min n ((c + 1) * chunk) - 1 do
            out.(j) <- Some (f arr.(j))
-         done));
-  (* a raising chunk leaves slots unwritten, but [run_job] re-raised
-     its failure before any slot is read *)
-  Array.fold_right
-    (fun r acc -> match r with Some v -> v :: acc | None -> assert false)
-    out []
+         done;
+         if Atomic.fetch_and_add finished 1 = n_chunks - 1 then
+           result :=
+             Array.fold_right
+               (fun r acc ->
+                 match r with Some v -> v :: acc | None -> assert false)
+               out []));
+  !result
 
 let map ?domains ?chunk f = function
   | [] -> []

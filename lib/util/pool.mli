@@ -7,7 +7,8 @@
     worker has left the job.  The k-th take runs chunk [n_chunks - 1 - k],
     so a one-worker pool runs a map's chunks last-first, in the same
     order on every run.  Chunks run on the workers only, never on the
-    calling domain.
+    calling domain, and the worker that finishes a map's last chunk
+    builds its result list.
 
     Results come back in input order whichever domain computed what.
     When [f] raises, the rest of that chunk is skipped, every other
