@@ -13,17 +13,6 @@ open Ds_machine
 
 type traversal = Reverse_walk | Level_lists
 
-(* Per-domain work arrays for the walks' delays when no column keeps
-   them: the critical path, LST and slack read them whatever the keys
-   read.  Each grows to the largest block seen; only [run] uses them,
-   between one walk and the next, with no callback in between. *)
-type scratch = { mutable fwd : int array; mutable bwd : int array }
-
-let scratch_key = Domain.DLS.new_key (fun () -> { fwd = [||]; bwd = [||] })
-
-let grow a n =
-  if Array.length a >= n then a else Array.make (Int.max n (2 * Array.length a)) 0
-
 (* Forward walk: parents are always visited before children because arcs
    go from lower to higher index.  [path] (the max path from the root)
    and [delay] (the max delay from the root, which is also the EST) are
@@ -126,33 +115,12 @@ let walks_of heuristics =
     { forward = false; backward = false }
     heuristics
 
-(* The annotation columns other than [exec_time] as bits of a mask:
-   the ones a pass allocates. *)
-let column_bit = function
-  | Heuristic.Max_path_from_root -> 0x1
-  | Heuristic.Max_delay_from_root -> 0x2
-  | Heuristic.Earliest_start_time -> 0x4
-  | Heuristic.Max_path_to_leaf -> 0x8
-  | Heuristic.Max_delay_to_leaf -> 0x10
-  | Heuristic.Latest_start_time -> 0x20
-  | Heuristic.Slack -> 0x40
-  | Heuristic.Num_descendants -> 0x80
-  | Heuristic.Sum_exec_of_descendants -> 0x100
-  | Heuristic.Registers_born -> 0x200
-  | Heuristic.Registers_killed -> 0x400
-  | Heuristic.Liveness -> 0x800
-  | _ -> 0
+(* [h]'s column: [n] zeros when [columns] names [h], else empty. *)
+let column columns n h = if List.mem h columns then Array.make n 0 else [||]
 
-let every_column = 0xfff
-
-let columns_of heuristics = List.fold_left (fun m h -> m lor column_bit h) 0 heuristics
-
-(* [h]'s column: [n] zeros when [columns] has it, else empty. *)
-let column columns n h = if columns land column_bit h <> 0 then Array.make n 0 else [||]
-
-(* The pass: [columns] are the columns allocated (the others are empty),
-   [walks] which walks run and [requirements] which costly groups are
-   computed into their allocated columns. *)
+(* The pass: [columns] are the heuristics whose columns are allocated
+   (the others are empty), [walks] which walks run and [requirements]
+   which costly groups are computed into their allocated columns. *)
 let run ~traversal ?live_out ~requirements ~walks ~columns dag =
   let n = Ds_dag.Dag.length dag in
   let model = Ds_dag.Dag.model dag in
@@ -167,16 +135,12 @@ let run ~traversal ?live_out ~requirements ~walks ~columns dag =
   let max_delay_to_leaf = column columns n Heuristic.Max_delay_to_leaf in
   let lst = column columns n Heuristic.Latest_start_time in
   let slack = column columns n Heuristic.Slack in
-  let work = Domain.DLS.get scratch_key in
   (* the max delay from the root is the EST: one walk fills both *)
   let from_root =
     if not walks.forward then [||]
     else if Array.length est > 0 then est
     else if Array.length max_delay_from_root > 0 then max_delay_from_root
-    else if Array.length slack > 0 || not walks.backward then begin
-      work.fwd <- grow work.fwd n;
-      work.fwd
-    end
+    else if Array.length slack > 0 || not walks.backward then Array.make n 0
     else [||]
   in
   if walks.forward then begin
@@ -187,10 +151,7 @@ let run ~traversal ?live_out ~requirements ~walks ~columns dag =
   let to_leaf =
     if not walks.backward then [||]
     else if Array.length max_delay_to_leaf > 0 then max_delay_to_leaf
-    else begin
-      work.bwd <- grow work.bwd n;
-      work.bwd
-    end
+    else Array.make n 0
   in
   if walks.backward then
     backward_pass traversal dag ~exec_time ~path:max_path_to_leaf ~delay:to_leaf;
@@ -231,7 +192,7 @@ let run ~traversal ?live_out ~requirements ~walks ~columns dag =
         | Some f -> Liveness.compute ~live_out:f insns
         | None -> Liveness.compute insns
       in
-      let keep h a = if columns land column_bit h <> 0 then a else [||] in
+      let keep h a = if List.mem h columns then a else [||] in
       ( keep Heuristic.Registers_born regs.Liveness.born,
         keep Heuristic.Registers_killed regs.Liveness.killed,
         keep Heuristic.Liveness regs.Liveness.net )
@@ -264,7 +225,7 @@ let compute ?(traversal = Reverse_walk) ?live_out
     ?(requirements = all_requirements) dag =
   run ~traversal ?live_out ~requirements
     ~walks:{ forward = true; backward = true }
-    ~columns:every_column dag
+    ~columns:Heuristic.all_26 dag
 
 (** [compute_for heuristics dag] computes only what the given heuristics
     need — what a scheduler's intermediate pass would actually run: the
@@ -273,14 +234,12 @@ let compute ?(traversal = Reverse_walk) ?live_out
 let compute_for ?(traversal = Reverse_walk) ?live_out heuristics dag =
   run ~traversal ?live_out ~requirements:(requirements_of heuristics)
     ~walks:(walks_of heuristics)
-    ~columns:(columns_of heuristics) dag
+    ~columns:heuristics dag
 
 (** Only the backward-pass annotations (used when timing the traversal
     strategies in isolation, §4). *)
 let backward_only ?(traversal = Reverse_walk) dag =
   run ~traversal ~requirements:{ descendants = false; registers = false }
     ~walks:{ forward = false; backward = true }
-    ~columns:
-      (columns_of
-         Heuristic.[ Max_path_to_leaf; Max_delay_to_leaf; Latest_start_time ])
+    ~columns:Heuristic.[ Max_path_to_leaf; Max_delay_to_leaf; Latest_start_time ]
     dag

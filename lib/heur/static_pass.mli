@@ -31,9 +31,9 @@ val compute :
     - the forward walk runs when a heuristic's pass is [F] or [FB], the
       backward walk when one is [B] or [FB] (the descendant measures are
       Table-1 [B] too, so they also run it);
-    - the walks' delays go to per-domain scratch when no column asked
-      for keeps them, since the critical path, [lst] and [slack] are
-      derived from them;
+    - the walks' delays go to an array of their own when no column
+      asked for keeps them, since the critical path, [lst] and [slack]
+      are derived from them;
     - the descendant and register groups run as {!requirements_of}
       says.
 
