@@ -6,9 +6,8 @@
     attributes reservation structure pressure obs].  With no arguments,
     everything runs in order.  [obs] measures the overhead of the
     in-library observability layer: the batch pipeline over the Table-3
-    corpus with every recorder off, with trace, with all pillars, and
-    with the explain decision recorder, interleaved, and
-    writes BENCH_obs.json (target: under 5% overhead enabled).  The
+    corpus with every recorder off, with trace and with all pillars,
+    interleaved, and writes BENCH_obs.json (target: under 5% overhead enabled).  The
     throughput of the whole pipeline and of the serve daemon is measured
     by perfbench/, not here.
 
@@ -481,11 +480,11 @@ let schedulers () =
 
 (* ------------------------------------------------------------------ *)
 (* observability overhead: the batch pipeline with every recorder off,
-   trace, all pillars, and the explain decision recorder over the
-   Table-3 corpus, with a machine-readable BENCH_obs.json *)
+   trace and all pillars over the Table-3 corpus, with a
+   machine-readable BENCH_obs.json *)
 
 let obs_bench () =
-  heading "Observability overhead: off vs trace vs all pillars vs explain";
+  heading "Observability overhead: off vs trace vs all pillars";
   let corpus = Profiles.corpus Profiles.benchmarks in
   let blocks = List.concat_map snd corpus in
   Printf.printf
@@ -496,18 +495,16 @@ let obs_bench () =
   let log_path = Filename.temp_file "dagsched_bench_log" ".jsonl" in
   let all_off () =
     Trace.disable ();
-    Explain.disable ();
     Log.set_level None;
     Log.close_sink ();
     Log.disable_heartbeat ();
     Trace.reset ();
-    Explain.reset ();
     Log.reset ()
   in
   (* Each timed run resets the recorders first: a real traced run holds
      one run's spans, so letting them accumulate across the benchmark's
      repetitions would charge the later runs GC pressure no real run
-     pays.  The four configurations are interleaved within each
+     pays.  The three configurations are interleaved within each
      iteration — on a shared host the baseline itself drifts by more
      than the overhead being measured, and pairing cancels the drift. *)
   let timed_run ~mode =
@@ -524,8 +521,7 @@ let obs_bench () =
         (match Log.set_sink log_path with
         | Ok () -> ()
         | Error msg -> failwith ("bench log sink: " ^ msg));
-        Log.set_heartbeat ~interval_s:0.05 ()
-    | `Explain -> Explain.enable ());
+        Log.set_heartbeat ~interval_s:0.05 ());
     let t0 = Clock.now () in
     let r = Batch.run ~domains:1 Batch.section6 blocks in
     (Clock.since t0, r)
@@ -533,25 +529,20 @@ let obs_bench () =
   (* untimed warmup so no configuration pays first-run cache/GC costs *)
   ignore (timed_run ~mode:`Off);
   (* all-pillars runs last, so after the loop the recorders hold one
-     such run's spans (and the sink one run's heartbeats); the explain
-     registry is read right after its run *)
-  let modes = [| `Off; `Trace; `Explain; `All |] in
+     such run's spans (and the sink one run's heartbeats) *)
+  let modes = [| `Off; `Trace; `All |] in
   let totals = Array.make (Array.length modes) 0.0 in
   let results = Array.make (Array.length modes) [] in
-  let stats = ref [] in
   for _ = 1 to runs do
     Array.iteri
       (fun i mode ->
         let d, r = timed_run ~mode in
         totals.(i) <- totals.(i) +. d;
-        results.(i) <- r;
-        if mode = `Explain then stats := Explain.snapshot ())
+        results.(i) <- r)
       modes
   done;
   let mean i = totals.(i) /. float_of_int runs in
-  let off_s = mean 0 and on_s = mean 1 and explain_s = mean 2
-  and all_s = mean 3 in
-  let stats = !stats in
+  let off_s = mean 0 and on_s = mean 1 and all_s = mean 2 in
   let spans = Trace.snapshot () in
   let heartbeats =
     let evs, _ =
@@ -563,7 +554,7 @@ let obs_bench () =
   all_off ();
   (try Sys.remove log_path with Sys_error _ -> ());
   (* inline differential check: no recorder may change any scheduling
-     result, with every pillar on or the decision recorder on *)
+     result, with trace or every pillar on *)
   Array.iter
     (fun rs ->
       List.iter2
@@ -572,8 +563,7 @@ let obs_bench () =
         results.(0) rs)
     results;
   let pct x = 100.0 *. ((x /. Float.max 1e-9 off_s) -. 1.0) in
-  let overhead_pct = pct on_s and all_overhead_pct = pct all_s
-  and explain_overhead_pct = pct explain_s in
+  let overhead_pct = pct on_s and all_overhead_pct = pct all_s in
   let t = Table.create ~title:"" [ "config"; "ms/run"; "overhead %" ] in
   Table.add_row t [ "disabled"; Table.fmt_float (1000.0 *. off_s); "-" ];
   Table.add_row t
@@ -582,18 +572,9 @@ let obs_bench () =
   Table.add_row t
     [ "all pillars"; Table.fmt_float (1000.0 *. all_s);
       Table.fmt_float all_overhead_pct ];
-  Table.add_row t
-    [ "explain"; Table.fmt_float (1000.0 *. explain_s);
-      Table.fmt_float explain_overhead_pct ];
   Table.print t;
-  let decisions =
-    List.fold_left (fun a (s : Explain.strategy_stat) -> a + s.Explain.decisions)
-      0 stats
-  in
-  Printf.printf
-    "%d spans, %d log events recorded per all-pillars run; %d decisions\n\
-     across %d strategies recorded per explain run\n"
-    (List.length spans) heartbeats decisions (List.length stats);
+  Printf.printf "%d spans, %d log events recorded per all-pillars run\n"
+    (List.length spans) heartbeats;
   if overhead_pct > 5.0 then
     Printf.printf
       "(overhead above the 5%% target on this host — the run pays ~125k\n\
@@ -610,8 +591,6 @@ let obs_bench () =
         ("overhead_pct", Stats.Json.Float overhead_pct);
         ("all_pillars_s", Stats.Json.Float all_s);
         ("all_overhead_pct", Stats.Json.Float all_overhead_pct);
-        ("explain_s", Stats.Json.Float explain_s);
-        ("explain_overhead_pct", Stats.Json.Float explain_overhead_pct);
         ("heartbeats", Stats.Json.Int heartbeats);
         ("spans", Stats.Json.Int (List.length spans));
         ( "phases",
@@ -624,9 +603,7 @@ let obs_bench () =
                      ("total_us", Stats.Json.Float p.Trace.total_us);
                      ("max_us", Stats.Json.Float p.Trace.max_us);
                      ("minor_words", Stats.Json.Int p.Trace.minor_words) ])
-               (Trace.summary spans)) );
-        ("decisions", Stats.Json.Int decisions);
-        ("decisiveness", Explain.to_json stats) ]
+               (Trace.summary spans)) ) ]
   in
   let text = Stats.Json.to_string json in
   (match Stats.Json.of_string text with

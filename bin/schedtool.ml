@@ -134,8 +134,8 @@ let builder_arg =
 let opts_of model strategy = { Opts.default with Opts.model; strategy }
 
 (* ------------------------------------------------------------------ *)
-(* observability: --trace / --explain / --log / --log-level / --progress
-   on batch and serve *)
+(* observability: --trace / --log / --log-level / --progress on batch
+   and serve *)
 
 let trace_conv =
   let parse s =
@@ -157,19 +157,6 @@ let trace_arg =
               scanned, candidates examined, stall cycles) are its span's \
               args.  Report outputs are byte-identical with and without \
               tracing.")
-
-let explain_arg =
-  Arg.(
-    value & flag
-    & info [ "explain" ]
-        ~doc:"Record heuristic decisiveness while scheduling: per rank, \
-              how often each heuristic was consulted, how many candidates \
-              it eliminated and how often it settled the choice, plus \
-              forced decisions, program-order tie-breaks and \
-              priority-weight overrules.  Printed per strategy on stderr \
-              after the run and exported as an $(b,explain) field in the \
-              report JSON.  Schedules are unchanged; without this flag \
-              report bytes are untouched.")
 
 let log_path_conv =
   let parse s =
@@ -216,28 +203,21 @@ let progress_arg =
         ~doc:"Render live progress on stderr: blocks done/total, current \
               phase, resident-set size.")
 
-(* the obs flags, declared once; serve has no --explain *)
+(* the obs flags, declared once *)
 type obs = {
   trace : string option;
-  explain : bool;
   log : string option;
   log_level : Log.level option;
   progress : bool;
 }
 
-let obs_term ~explain =
-  let make trace explain log log_level progress =
-    { trace; explain; log; log_level; progress }
-  in
-  Term.(
-    const make $ trace_arg
-    $ (if explain then explain_arg else const false)
-    $ log_arg $ log_level_arg $ progress_arg)
+let obs_term =
+  let make trace log log_level progress = { trace; log; log_level; progress } in
+  Term.(const make $ trace_arg $ log_arg $ log_level_arg $ progress_arg)
 
 (* --progress echoes this process's heartbeats on stderr. *)
 let obs_enable o =
   if o.trace <> None then Trace.enable ();
-  if o.explain then Explain.enable ();
   if o.progress then Log.set_heartbeat ~echo:true ~interval_s:0.5 ();
   (match (o.log_level, o.log) with
   | None, None -> ()
@@ -256,52 +236,6 @@ let span_parse file f =
 
 let span_encode f = Trace.with_span ~cat:"cli" "json_encode" f
 
-(* Attach the decisiveness statistics to a report object when the
-   registry is live, with the same round-trip self-check discipline as
-   every other writer; the identity otherwise, so report bytes are
-   untouched when --explain is absent. *)
-let with_explain json =
-  if not (Explain.enabled ()) then json
-  else
-    match json with
-    | Json.Obj fields ->
-        let stats = Explain.snapshot () in
-        let ej = Explain.to_json stats in
-        (match Explain.of_json ej with
-        | Ok stats' when Explain.equal stats stats' -> ()
-        | _ ->
-            Printf.eprintf "internal error: explain JSON round trip mismatch\n";
-            exit 3);
-        Json.Obj (fields @ [ ("explain", ej) ])
-    | other -> other
-
-let explain_tables () =
-  List.iter
-    (fun (st : Explain.strategy_stat) ->
-      Printf.eprintf
-        "decisiveness: %s\n  %d decisions: %d forced, %d program-order \
-         tie-breaks, %d weight-overruled\n"
-        st.Explain.signature st.Explain.decisions st.Explain.forced
-        st.Explain.tie_breaks st.Explain.overruled;
-      let t =
-        Table.create ~title:"ranks"
-          [ "rank"; "heuristic"; "consulted"; "decided"; "eliminated" ]
-      in
-      List.iter
-        (fun (r : Explain.rank_stat) ->
-          Table.add_row t
-            [ string_of_int r.Explain.rank; r.Explain.heuristic;
-              string_of_int r.Explain.consulted;
-              string_of_int r.Explain.decided;
-              string_of_int r.Explain.eliminated ])
-        st.Explain.ranks;
-      prerr_string (Table.render t);
-      match Explain.never_consulted st with
-      | [] -> ()
-      | dead ->
-          Printf.eprintf "  never consulted: %s\n" (String.concat ", " dead))
-    (Explain.snapshot ())
-
 (* The run's process-wide GC totals, closing the phases table: the
    figures no single span can own (promotion, major allocation,
    collections, heap high-water). *)
@@ -316,9 +250,9 @@ let gc_totals () =
 
 (* After the run: write the Chrome trace (with the same round-trip
    self-check discipline as the report writers) and print the per-phase
-   and decisiveness summaries on stderr. *)
+   summary on stderr. *)
 let obs_finish o =
-  (match o.trace with
+  match o.trace with
   | None -> ()
   | Some path ->
       let spans = Trace.snapshot () in
@@ -352,8 +286,7 @@ let obs_finish o =
               Printf.sprintf "%.2f" (float_of_int p.Trace.minor_words /. 1e6) ])
         (Trace.summary spans);
       prerr_string (Table.render t);
-      prerr_string (gc_totals ()));
-  if o.explain then explain_tables ()
+      prerr_string (gc_totals ())
 
 (* ------------------------------------------------------------------ *)
 (* gen *)
@@ -594,16 +527,14 @@ let chain_cmd =
 (* ------------------------------------------------------------------ *)
 (* batch: the parallel batch-scheduling driver *)
 
-(* Encode the report (plus the explain section when that is on), check that it reads back to an equal report — exit 3 otherwise;
+(* Encode the report, check that it reads back to an equal report — exit 3 otherwise;
    [Batch.report_equal] is NaN-tolerant, since under structural [=] a
    valid report with a NaN field would fail its own check — and write
    it to [path] ('-' for stdout). *)
 let write_report report path =
   let text =
     span_encode (fun () ->
-        Stats.Json.to_string
-          (with_explain (Batch.report_to_json report))
-        ^ "\n")
+        Stats.Json.to_string (Batch.report_to_json report) ^ "\n")
   in
   (match Stats.Json.of_string text with
   | Ok json
@@ -688,7 +619,7 @@ let batch_cmd =
           independent of $(b,--jobs)).")
     Term.(
       const run $ builder_arg $ model_arg $ strategy_arg $ jobs $ json_path
-      $ quiet $ obs_term ~explain:true $ files)
+      $ quiet $ obs_term $ files)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the scheduling daemon, and its client *)
@@ -778,7 +709,7 @@ let serve_cmd =
           exits 130.")
     Term.(
       const run $ socket_arg $ jobs $ cache_entries $ cache_bytes
-      $ max_frame $ timeout $ backlog $ obs_term ~explain:false)
+      $ max_frame $ timeout $ backlog $ obs_term)
 
 let client_cmd =
   let run socket ping stats raw alg model strategy file =
@@ -931,6 +862,32 @@ let explain_cmd =
     in
     let opts = opts_of model strategy in
     let config = Published.engine_config spec in
+    (* a published strategy's decision records over the whole corpus *)
+    let corpus_decisions sp =
+      let config = Published.engine_config sp in
+      let sg = Engine.signature config in
+      List.concat_map
+        (fun b ->
+          let dag = Builder.build (Published.builder sp) opts b in
+          let annot = Static_pass.compute_for (Published.heuristics_of sp) dag in
+          let _, decisions = Engine.run_traced config ~annot dag in
+          List.map
+            (fun (d : Engine.decision) ->
+              { Explain.block = b.Block.id;
+                strategy = sg;
+                time = d.Engine.time;
+                candidates = d.Engine.candidates;
+                steps =
+                  List.map
+                    (fun (h, best, survivors) ->
+                      { Explain.heuristic = Heuristic.to_string h;
+                        best; survivors })
+                    d.Engine.trail;
+                chosen = d.Engine.chosen;
+                tie_break = d.Engine.tie_break })
+            decisions)
+        blocks
+    in
     let write_export what path text =
       if path = "-" then print_string text
       else
@@ -986,38 +943,13 @@ let explain_cmd =
              ~name:(Printf.sprintf "block%d" block.Block.id)
              ~highlight:critical dag));
     (* -- JSONL decision trace: the chosen scheduler, whole corpus ---- *)
+    let traced = corpus_decisions spec in
     (match jsonl_path with
     | None -> ()
     | Some path ->
-        let sg = Engine.signature config in
-        let ds =
-          List.concat_map
-            (fun b ->
-              let dag = Builder.build (Published.builder spec) opts b in
-              let annot =
-                Static_pass.compute_for (Published.heuristics_of spec) dag
-              in
-              let _, decisions = Engine.run_traced config ~annot dag in
-              List.map
-                (fun (d : Engine.decision) ->
-                  { Explain.block = b.Block.id;
-                    strategy = sg;
-                    time = d.Engine.time;
-                    candidates = d.Engine.candidates;
-                    steps =
-                      List.map
-                        (fun (h, best, survivors) ->
-                          { Explain.heuristic = Heuristic.to_string h;
-                            best; survivors })
-                        d.Engine.trail;
-                    chosen = d.Engine.chosen;
-                    tie_break = d.Engine.tie_break })
-                decisions)
-            blocks
-        in
-        let text = Explain.decisions_to_jsonl ds in
+        let text = Explain.decisions_to_jsonl traced in
         (match Explain.decisions_of_jsonl text with
-        | Ok ds' when ds' = ds -> ()
+        | Ok ds' when ds' = traced -> ()
         | _ ->
             Printf.eprintf
               "internal error: decision JSONL round trip mismatch\n";
@@ -1068,16 +1000,24 @@ let explain_cmd =
               "internal error: timeline JSON round trip mismatch\n";
             exit 3);
         write_export "timeline" path text);
-    (* -- decisiveness: every published strategy over the corpus ------ *)
-    Explain.enable ();
-    Explain.reset ();
-    List.iter
-      (fun sp ->
-        List.iter (fun b -> ignore (Published.run ~opts sp b)) blocks)
-      Published.all;
-    let stats = Explain.snapshot () in
-    Explain.disable ();
-    Explain.reset ();
+    (* -- decisiveness: every published strategy over the corpus, a
+       fold over its decisions; -A's are the ones --jsonl wrote ------- *)
+    let stats =
+      List.filter_map
+        (fun sp ->
+          let config = Published.engine_config sp in
+          let decisions =
+            if sp.Published.short = spec.Published.short then traced
+            else corpus_decisions sp
+          in
+          let st =
+            Explain.decisiveness ~signature:(Engine.signature config)
+              ~keys:(Engine.key_labels config) decisions
+          in
+          if st.Explain.decisions = 0 then None else Some st)
+        Published.all
+      |> List.sort (fun a b -> compare a.Explain.signature b.Explain.signature)
+    in
     if not quiet then
       List.iter
         (fun sp ->

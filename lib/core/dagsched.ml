@@ -44,7 +44,8 @@ module Pool = Ds_util.Pool
 
 (* observability: monotonic-leaning clock, span tracing (time,
    minor-heap words and counts per phase, Chrome trace-event export),
-   structured event log *)
+   structured event log, decision records and their decisiveness
+   fold *)
 module Json = Ds_obs.Json
 module Clock = Ds_obs.Clock
 module Trace = Ds_obs.Trace

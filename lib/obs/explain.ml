@@ -1,10 +1,5 @@
-(** Decision provenance: per-step decision traces and a corpus-level
-    decisiveness registry.  See explain.mli for the contract. *)
-
-let enabled_flag = Atomic.make false
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
-let enabled () = Atomic.get enabled_flag
+(** Decision provenance: per-step decision traces and the decisiveness
+    fold over them.  See explain.mli for the contract. *)
 
 (* ------------------------------------------------------------------ *)
 (* decision traces *)
@@ -76,26 +71,10 @@ let decisions_to_jsonl ds =
     (List.map (fun d -> Json.to_string (decision_to_json d) ^ "\n") ds)
 
 let decisions_of_jsonl text =
-  let lines = String.split_on_char '\n' text in
-  let rec go n acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if String.trim line = "" then go (n + 1) acc rest
-        else begin
-          match Json.of_string line with
-          | Error e -> Error (Printf.sprintf "line %d: %s" n e)
-          | Ok json -> (
-              match decision_of_json json with
-              | Error e ->
-                  Error
-                    (Printf.sprintf "line %d: %s" n (Json.error_to_string e))
-              | Ok d -> go (n + 1) (d :: acc) rest)
-        end
-  in
-  go 1 [] lines
+  Json.of_jsonl (fun ~path -> decision_of_json ~path) text
 
 (* ------------------------------------------------------------------ *)
-(* decisiveness registry *)
+(* decisiveness *)
 
 type rank_stat = {
   rank : int;
@@ -117,141 +96,63 @@ type strategy_stat = {
 
 type stats = strategy_stat list
 
-(* One cell per (domain, signature).  Signatures arrive dynamically, so
-   each domain owns a hashtable of cells; the tables themselves are
-   registered into a global list under the mutex so [snapshot]/[reset]
-   can reach them. *)
-type cell = {
-  ckeys : string array;
-  mutable cdecisions : int;
-  mutable cforced : int;
-  mutable cties : int;
-  mutable coverruled : int;
-  cconsulted : int array;
-  cdecided : int array;
-  celiminated : int array;
-}
-
-let registry_mutex = Mutex.create ()
-let all_tables : (string, cell) Hashtbl.t list ref = ref []
-
-let with_registry f =
-  Mutex.lock registry_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry_mutex) f
-
-let dls_key : (string, cell) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let tbl = Hashtbl.create 8 in
-      with_registry (fun () -> all_tables := tbl :: !all_tables);
-      tbl)
-
-let fresh_cell keys =
-  let n = Array.length keys in
-  {
-    ckeys = keys;
-    cdecisions = 0;
-    cforced = 0;
-    cties = 0;
-    coverruled = 0;
-    cconsulted = Array.make n 0;
-    cdecided = Array.make n 0;
-    celiminated = Array.make n 0;
-  }
-
-(* resolve the calling domain's accumulator once, then record with no
-   hashing or gating (see the mli) *)
-let cell ~signature ~keys =
-  let tbl = Domain.DLS.get dls_key in
-  match Hashtbl.find_opt tbl signature with
-  | Some c -> c
-  | None ->
-      let c = fresh_cell (Array.of_list keys) in
-      Hashtbl.add tbl signature c;
-      c
-
-let record c ~candidates ~survivor_counts ~forced ~tie_break ~overruled =
-  c.cdecisions <- c.cdecisions + 1;
-  if forced then c.cforced <- c.cforced + 1
-  else begin
-    if tie_break then c.cties <- c.cties + 1;
-    if overruled then c.coverruled <- c.coverruled + 1;
-    let n = Array.length c.ckeys in
-    let rec walk i prev = function
-      | [] ->
-          (* the last consulted rank settled it iff it narrowed to one
-             survivor and the result stood (no tie-break, no priority-
-             weight override of the lexicographic order) *)
-          if i > 0 && i <= n && prev = 1 && (not tie_break) && not overruled
-          then c.cdecided.(i - 1) <- c.cdecided.(i - 1) + 1
-      | cur :: rest ->
-          if i < n then begin
-            c.cconsulted.(i) <- c.cconsulted.(i) + 1;
-            c.celiminated.(i) <- c.celiminated.(i) + max 0 (prev - cur)
-          end;
-          walk (i + 1) cur rest
-    in
-    walk 0 candidates survivor_counts
-  end
-
-(* ------------------------------------------------------------------ *)
-(* snapshots *)
-
-let add_cell (dst : cell) (src : cell) =
-  dst.cdecisions <- dst.cdecisions + src.cdecisions;
-  dst.cforced <- dst.cforced + src.cforced;
-  dst.cties <- dst.cties + src.cties;
-  dst.coverruled <- dst.coverruled + src.coverruled;
-  let n = min (Array.length dst.ckeys) (Array.length src.ckeys) in
-  for i = 0 to n - 1 do
-    dst.cconsulted.(i) <- dst.cconsulted.(i) + src.cconsulted.(i);
-    dst.cdecided.(i) <- dst.cdecided.(i) + src.cdecided.(i);
-    dst.celiminated.(i) <- dst.celiminated.(i) + src.celiminated.(i)
-  done
-
-let stat_of_cell signature (c : cell) =
+(* Each decision counts once.  One candidate is a forced pick: no rank
+   was consulted.  Otherwise the steps walk the ranks in order, each
+   consulted rank eliminating the survivors it removed; the last one
+   settled the pick iff it narrowed to one survivor and the result stood
+   (no tie-break, no priority-weight overrule).  Steps past the key list
+   are ignored. *)
+let decisiveness ~signature ~keys decisions =
+  let n = List.length keys in
+  let consulted = Array.make n 0
+  and decided = Array.make n 0
+  and eliminated = Array.make n 0 in
+  let forced = ref 0 and tie_breaks = ref 0 and overruled = ref 0 in
+  let count (d : decision) =
+    match d.candidates with
+    | [ _ ] -> incr forced
+    | candidates ->
+        let over =
+          match List.rev d.steps with
+          | last :: _ -> not (List.mem d.chosen last.survivors)
+          | [] -> false
+        in
+        if d.tie_break then incr tie_breaks;
+        if over then incr overruled;
+        let rec walk i prev = function
+          | [] ->
+              if i > 0 && i <= n && prev = 1 && (not d.tie_break) && not over
+              then decided.(i - 1) <- decided.(i - 1) + 1
+          | (s : step) :: rest ->
+              let cur = List.length s.survivors in
+              if i < n then begin
+                consulted.(i) <- consulted.(i) + 1;
+                eliminated.(i) <- eliminated.(i) + max 0 (prev - cur)
+              end;
+              walk (i + 1) cur rest
+        in
+        walk 0 (List.length candidates) d.steps
+  in
+  List.iter count decisions;
   {
     signature;
-    keys = Array.to_list c.ckeys;
-    decisions = c.cdecisions;
-    forced = c.cforced;
-    tie_breaks = c.cties;
-    overruled = c.coverruled;
+    keys;
+    decisions = List.length decisions;
+    forced = !forced;
+    tie_breaks = !tie_breaks;
+    overruled = !overruled;
     ranks =
-      List.init (Array.length c.ckeys) (fun i ->
+      List.mapi
+        (fun i heuristic ->
           {
             rank = i + 1;
-            heuristic = c.ckeys.(i);
-            consulted = c.cconsulted.(i);
-            decided = c.cdecided.(i);
-            eliminated = c.celiminated.(i);
-          });
+            heuristic;
+            consulted = consulted.(i);
+            decided = decided.(i);
+            eliminated = eliminated.(i);
+          })
+        keys;
   }
-
-(* Empty cells (decisions = 0) are dropped, so a snapshot is independent
-   of which signatures merely registered. *)
-let snapshot () =
-  with_registry (fun () ->
-      let merged : (string, cell) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun tbl ->
-          Hashtbl.iter
-            (fun signature c ->
-              match Hashtbl.find_opt merged signature with
-              | Some dst -> add_cell dst c
-              | None ->
-                  let dst = fresh_cell (Array.copy c.ckeys) in
-                  add_cell dst c;
-                  Hashtbl.add merged signature dst)
-            tbl)
-        !all_tables;
-      Hashtbl.fold
-        (fun signature c acc ->
-          if c.cdecisions = 0 then acc else stat_of_cell signature c :: acc)
-        merged []
-      |> List.sort (fun a b -> compare a.signature b.signature))
-
-let reset () =
-  with_registry (fun () -> List.iter Hashtbl.reset !all_tables)
 
 let equal (a : stats) (b : stats) = a = b
 

@@ -10,30 +10,22 @@
       consulted, its best value, who survived) and the chosen node —
       serialized as JSONL with a total typed reader
       ({!decision_to_json} / {!decisions_of_jsonl});
-    - {e decisiveness statistics}: a process-wide registry aggregating,
-      per engine configuration ("strategy signature") and per heuristic
-      rank, how often the rank was consulted, how many candidates it
-      eliminated, and how often it alone settled the choice — plus how
-      often the program-order tie-break fired, how many decisions were
-      forced (a single ready candidate) and how many were overruled by
+    - {e decisiveness statistics}: a fold over one strategy's decision
+      records ({!decisiveness}) counting, per heuristic rank, how often
+      the rank was consulted, how many candidates it eliminated, and how
+      often it alone settled the choice — plus how often the
+      program-order tie-break fired, how many decisions were forced (a
+      single ready candidate) and how many were overruled by
       priority-weight overflow.
 
-    Like every observability layer in this tree the registry is
-    atomics-gated off by default — a disabled registry costs the engine
-    one atomic read per block, schedules and reports are byte-identical —
-    and sharded into per-domain cells on the hot path, merged by
-    {!snapshot} once the pool has quiesced.
+    Every statistic is a pure function of the decision records, so a
+    decision trace written as JSONL and read back folds to the same
+    statistics as the run that wrote it.
 
     This module is generic over the heuristic kit: heuristics are
     identified by their display strings, so [ds_obs] stays at the bottom
-    of the dependency tree.  [Ds_sched.Engine] is the producer: it
-    records the shape of each decision its pick has already made. *)
-
-(** {1 Enablement} *)
-
-val enable : unit -> unit
-val disable : unit -> unit
-val enabled : unit -> bool
+    of the dependency tree.  [Ds_sched.Engine.run_traced] produces the
+    records; [schedtool explain] converts them. *)
 
 (** {1 Decision traces}
 
@@ -67,9 +59,10 @@ val decision_of_json :
 (** One JSON object per line, in order. *)
 val decisions_to_jsonl : decision list -> string
 
-(** Strict line-by-line reader; the error carries the 1-based line
-    number.  Blank lines are skipped. *)
-val decisions_of_jsonl : string -> (decision list, string) result
+(** Strict line-by-line reader ({!Json.of_jsonl}): the error's path
+    starts with the 1-based physical line, ["line N"].  Blank lines are
+    skipped but counted. *)
+val decisions_of_jsonl : string -> (decision list, Json.error) result
 
 (** {1 Decisiveness statistics} *)
 
@@ -93,38 +86,24 @@ type strategy_stat = {
 
 type stats = strategy_stat list
 
-(** {2 Recording}
+(** [decisiveness ~signature ~keys decisions] counts one strategy's
+    decisions against its rank order [keys] (display names), whatever
+    their [strategy] field says:
 
-    A scheduling loop resolves its strategy's accumulator once with
-    [cell] (the calling domain's, created on first use) and records each
-    decision's shape with [record], with no hashing and no gating: the
-    caller checks {!enabled} itself, once.  A cell must only be used on
-    the domain that created it.
+    - a decision with exactly one candidate is {e forced}: no rank is
+      consulted;
+    - otherwise it is {e overruled} when [chosen] is not among the last
+      step's survivors (never, with no steps), and its steps walk the
+      ranks in order: each of the first [List.length keys] steps
+      consults its rank and eliminates the candidates it removed from
+      the previous count (the ready set's size before the first); the
+      last step, if it is among those, {e decided} the pick when it
+      left one survivor and the decision was neither a tie-break nor
+      overruled.
 
-    [record] takes [candidates], the ready-set size before any rank, and
-    [survivor_counts], the surviving-candidate count after each consulted
-    rank (a prefix of the key order).  Forced decisions pass
-    [survivor_counts = []] and [forced:true]. *)
-
-type cell
-
-val cell : signature:string -> keys:string list -> cell
-
-val record :
-  cell ->
-  candidates:int ->
-  survivor_counts:int list ->
-  forced:bool ->
-  tie_break:bool ->
-  overruled:bool ->
-  unit
-
-(** Merged view over every domain's cells, sorted by signature.
-    Exact once recording domains have quiesced (pool joined). *)
-val snapshot : unit -> stats
-
-(** Drop all recorded statistics (the enabled state is unchanged). *)
-val reset : unit -> unit
+    [ranks] has one entry per key, in rank order, consulted or not. *)
+val decisiveness :
+  signature:string -> keys:string list -> decision list -> strategy_stat
 
 val equal : stats -> stats -> bool
 

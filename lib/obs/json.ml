@@ -365,3 +365,20 @@ let decode_string ~path = function
   | v ->
       decode_error ~path
         (Printf.sprintf "expected a string, found %s" (type_name v))
+
+(* One value per line.  Lines are numbered as they stand in [text], the
+   blank ones included, so an error names the line an editor shows. *)
+let of_jsonl decode text =
+  let rec go n acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.trim line = "" -> go (n + 1) acc rest
+    | line :: rest -> (
+        let path = [ Printf.sprintf "line %d" n ] in
+        match of_string line with
+        | Error msg -> decode_error ~path msg
+        | Ok json -> (
+            match decode ~path json with
+            | Ok v -> go (n + 1) (v :: acc) rest
+            | Error _ as e -> e))
+  in
+  go 1 [] (String.split_on_char '\n' text)

@@ -71,3 +71,12 @@ val get_list :
 
 (** Decode one value (not a field) as a string. *)
 val decode_string : path:string list -> t -> (string, error) result
+
+(** [of_jsonl decode text] reads one value per line, in order, each
+    through [decode] rooted at path ["line N"].  Blank lines are
+    skipped but counted: [N] is the 1-based physical line.  Strict: the
+    first line that does not parse or decode is the error. *)
+val of_jsonl :
+  (path:string list -> t -> ('a, error) result) ->
+  string ->
+  ('a list, error) result

@@ -135,21 +135,7 @@ let jsonl_lines text =
   String.split_on_char '\n' text
   |> List.filter (fun l -> String.trim l <> "")
 
-let events_of_jsonl text =
-  let ( let* ) = Result.bind in
-  let rec go acc i = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        let path = [ Printf.sprintf "line %d" i ] in
-        let* json =
-          match Json.of_string line with
-          | Ok j -> Ok j
-          | Stdlib.Error msg -> Json.decode_error ~path msg
-        in
-        let* ev = event_of_json ~path json in
-        go (ev :: acc) (i + 1) rest
-  in
-  go [] 1 (jsonl_lines text)
+let events_of_jsonl text = Json.of_jsonl (fun ~path -> event_of_json ~path) text
 
 let events_of_jsonl_prefix text =
   let rec go acc = function

@@ -110,8 +110,9 @@ val event_to_json : event -> Json.t
 
 val event_of_json : ?path:string list -> Json.t -> (event, Json.error) result
 
-(** One event per non-empty line.  Strict: the first malformed line is
-    a typed error (path ["line N"], 1-based). *)
+(** One event per non-blank line, read by {!Json.of_jsonl}.  Strict:
+    the first malformed line is a typed error (path ["line N"], the
+    1-based physical line, blank lines counted). *)
 val events_of_jsonl : string -> (event list, Json.error) result
 
 (** Forensic reader: parse leading well-formed lines, stop at the first

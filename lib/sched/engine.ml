@@ -213,15 +213,14 @@ type decision = {
 
 (* The observer: the pick has already chosen [chosen] from the ready
    candidates [cand] (list order, left as is); rebuild the decision's
-   shape as (trail, tie_break, overruled).  A copy of [cand] is winnowed
-   key by key, its survivors noted after each key; for a priority
-   function that is the restricted narrowing, [tie_break] means several
-   nodes share the top weighted sum, and [overruled] that the chosen
-   node is not among the narrowing's final survivors.  The observer's own
-   winner must be [chosen]: it never decides. *)
+   shape as (trail, tie_break).  A copy of [cand] is winnowed key by
+   key, its survivors noted after each key; for a priority function that
+   is the restricted narrowing, and [tie_break] means several nodes
+   share the top weighted sum.  The observer's own winner must be
+   [chosen]: it never decides. *)
 let observe config weights ~annot ~st cand chosen =
   let m = Array.length cand in
-  if m = 1 then ([], false, false)
+  if m = 1 then ([], false)
   else begin
     let survivors = Array.copy cand and trail = ref [] and kept = ref m in
     let on_key k best n =
@@ -244,18 +243,17 @@ let observe config weights ~annot ~st cand chosen =
           (winner, Array.fold_left (fun c i -> if prio i = top then c + 1 else c) 0 cand > 1)
     in
     assert (winner = chosen);
-    let overruled = not (Array.mem chosen (Array.sub survivors 0 !kept)) in
-    (List.rev !trail, tie_break, overruled)
+    (List.rev !trail, tie_break)
   end
 
 (* ------------------------------------------------------------------ *)
-(* decisiveness registry hookup (Ds_obs.Explain) *)
+(* a config's identity in decision records *)
 
-(* A strategy's registry key is derived from the config itself — the
-   engine has no notion of a strategy name — and embeds the key order,
-   so colliding signatures always agree on ranks. *)
-(* Display names already carry their natural direction ("max path
-   length to a leaf"), so only a non-default sense is annotated. *)
+(* The signature is derived from the config itself — the engine has no
+   notion of a strategy name — and embeds the key order, so colliding
+   signatures always agree on ranks.  Display names already carry their
+   natural direction ("max path length to a leaf"), so only a
+   non-default sense is annotated. *)
 let key_label k =
   let base = Heuristic.to_string k.heuristic in
   if k.sense = Heuristic.default_sense k.heuristic then base
@@ -266,7 +264,7 @@ let key_label k =
 
 let key_labels config = List.map key_label config.keys
 
-let signature_of config =
+let signature config =
   (match config.direction with
   | Dyn_state.Forward -> "forward"
   | Dyn_state.Backward -> "backward")
@@ -277,54 +275,17 @@ let signature_of config =
   ^ ": "
   ^ String.concat " > " (key_labels config)
 
-(* Signature strings are built once per (domain, config) — the cache is
-   domain-local so no lock is taken on the pick path. *)
-let signature_cache : (config, string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let signature config =
-  let tbl = Domain.DLS.get signature_cache in
-  match Hashtbl.find_opt tbl config with
-  | Some s -> s
-  | None ->
-      let s = signature_of config in
-      Hashtbl.add tbl config s;
-      s
-
-(* The strategy's registry accumulator, resolved once per block (or per
-   [pick]); [None] when the explain registry is off. *)
-let explain_cell config =
-  if Ds_obs.Explain.enabled () then
-    Some
-      (Ds_obs.Explain.cell ~signature:(signature config)
-         ~keys:(key_labels config))
-  else None
-
-let explain_record cell ~ncand ~trail ~tie_break ~overruled =
-  Ds_obs.Explain.record cell ~candidates:ncand
-    ~survivor_counts:(List.map (fun (_, _, s) -> List.length s) trail)
-    ~forced:(ncand = 1) ~tie_break ~overruled
-
-(* A single candidate is returned without consulting any heuristic: the
-   decisiveness stats count it as *forced*. *)
+(* A single candidate is returned without consulting any heuristic. *)
 let pick config ~annot ~st candidates =
   let cand = Array.of_list candidates in
-  let m = Array.length cand and weights = config_weights config in
-  let chosen =
-    if m = 1 then cand.(0)
-    else choose config config.keys weights ~annot ~st (Array.copy cand) (Array.make m 0) m
-  in
-  (match explain_cell config with
-  | Some cell ->
-      let trail, tie_break, overruled = observe config weights ~annot ~st cand chosen in
-      explain_record cell ~ncand:m ~trail ~tie_break ~overruled
-  | None -> ());
-  chosen
+  let m = Array.length cand in
+  if m = 1 then cand.(0)
+  else choose config config.keys (config_weights config) ~annot ~st cand (Array.make m 0) m
 
-(* Explain and a recorder see the chosen node and the released nodes of
+(* A recorder sees the chosen node and the released nodes of
    [avail.(0 .. n_avail-1)], newest push first by [stamp]: the list
-   order the narrative prints.  They never decide. *)
-let observe_ready ?recorder config weights ~annot ~st expl avail n_avail stamp chosen =
+   order the narrative prints.  It never decides. *)
+let observe_ready record config weights ~annot ~st avail n_avail stamp chosen =
   let cand = ref [] in
   for j = 0 to n_avail - 1 do
     let i = avail.(j) in
@@ -332,14 +293,8 @@ let observe_ready ?recorder config weights ~annot ~st expl avail n_avail stamp c
   done;
   let cand = Array.of_list !cand in
   Array.sort (fun a b -> Int.compare stamp.(b) stamp.(a)) cand;
-  let trail, tie_break, overruled = observe config weights ~annot ~st cand chosen in
-  (match expl with
-  | Some cell -> explain_record cell ~ncand:(Array.length cand) ~trail ~tie_break ~overruled
-  | None -> ());
-  match recorder with
-  | Some record ->
-      record { time = st.time; candidates = Array.to_list cand; trail; chosen; tie_break }
-  | None -> ()
+  let trail, tie_break = observe config weights ~annot ~st cand chosen in
+  record { time = st.time; candidates = Array.to_list cand; trail; chosen; tie_break }
 
 (* ------------------------------------------------------------------ *)
 (* per-domain work arrays *)
@@ -392,10 +347,7 @@ let acquire n =
 let schedule_block ?seed ?recorder s config ~annot dag n =
   let st = Dyn_state.create_in s.dyn dag config.direction in
   (match seed with Some f -> f st | None -> ());
-  (* decisiveness accumulator resolved once per block; [None] when the
-     explain registry is off *)
-  let expl = explain_cell config in
-  let observing = Option.is_some recorder || Option.is_some expl in
+  let observing = Option.is_some recorder in
   (* The available nodes, in no order: [slot.(i)] is node [i]'s index
      in [avail], and an issue moves the last entry into its gap.  For
      an observer, [stamp.(i)] counts the pushes before [i]'s (every
@@ -473,8 +425,10 @@ let schedule_block ?seed ?recorder s config ~annot dag n =
         pick_total := !pick_total +. Ds_obs.Clock.since t0;
         incr picks
       end;
-      if observing then
-        observe_ready ?recorder config weights ~annot ~st expl avail !n_avail stamp chosen;
+      (match recorder with
+      | Some record ->
+          observe_ready record config weights ~annot ~st avail !n_avail stamp chosen
+      | None -> ());
       (* a backward pass builds the schedule last-to-first *)
       (match config.direction with
       | Dyn_state.Forward -> order.(st.n_scheduled) <- chosen

@@ -22,15 +22,13 @@ type config = {
     built on top of the engine, e.g. register-limited scheduling) from a
     non-empty list, by the same choice as {!run}'s winnowing or weighted
     sum.  A single-candidate list returns it without consulting any
-    heuristic.
-    When [Ds_obs.Explain] is enabled every call records the decision's
-    shape (ranks consulted, eliminations, tie-breaks) into the
-    decisiveness registry after the choice is made; disabled, that is
-    one atomic read. *)
+    heuristic.  It records nothing: a decision record comes only from
+    {!run_traced}. *)
 val pick : config -> annot:Annot.t -> st:Dyn_state.t -> int list -> int
 
-(** Stable identity of a config in the decisiveness registry: direction,
-    mode and the ranked key labels (see {!key_labels}). *)
+(** Stable identity of a config in decision records and decisiveness
+    statistics ([Ds_obs.Explain]): direction, mode and the ranked key
+    labels (see {!key_labels}). *)
 val signature : config -> string
 
 (** Rank-ordered display labels, e.g. ["max path length to a leaf"]. *)
@@ -51,11 +49,11 @@ val key_labels : config -> string list
     winnowing or weighted sum picks.  When the leading key is dynamic,
     every pick winnows the whole ready list.
 
-    The explain registry and {!run_traced}'s recorder only observe: they
-    see the node already chosen and the same ready candidates, rebuild
-    the trail beside it, and never change a choice, so the
-    [heur_dynamic] span's [picks], [candidates] and [stall_cycles] are
-    the same with them on or off.
+    {!run_traced}'s recorder only observes: it sees the node already
+    chosen and the same ready candidates, rebuilds the trail beside it,
+    and never changes a choice, so the order and the [heur_dynamic]
+    span's [picks], [candidates] and [stall_cycles] are the same traced
+    or not.  A bare run keeps no observer state at all.
 
     Allocation: the result is the only array a run allocates for the
     block.  Its work arrays (the available list and its slots, the

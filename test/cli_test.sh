@@ -158,6 +158,7 @@ for bad in "shard $TMP/grep.s" "batch --chunk 4 $TMP/grep.s" \
            "serve --socket $TMP/gone.sock --no-service-obs" \
            "serve --socket $TMP/gone.sock --access-log $TMP/a.jsonl" \
            "batch --metrics $TMP/grep.s" \
+           "batch --explain $TMP/grep.s" \
            "serve --socket $TMP/gone.sock --metrics"; do
   # shellcheck disable=SC2086
   "$TOOL" $bad 2>/dev/null && rc=0 || rc=$?
@@ -545,30 +546,7 @@ grep -q '"gap": {' "$TMP/exp.json" || fail "explain json: no gap report"
 grep -q '"gap_pct": 0.0' "$TMP/exp.json" || fail "explain json: nonzero gap"
 grep -q '"per_block": \[' "$TMP/exp.json" || fail "explain json: no per-block"
 
-# --explain on the drivers: stdout must stay byte-identical (provenance
-# never perturbs a schedule) and the decisiveness block must land in
-# both the stderr tables and the JSON report
-"$TOOL" batch --jobs 2 --explain --json "$TMP/be.json" "$TMP/grep.s" \
-  > "$TMP/be.out" 2> "$TMP/be.err" || fail "batch --explain failed"
-cmp -s "$TMP/b1.out" "$TMP/be.out" || fail "batch stdout changed under --explain"
-grep -q "decisiveness: " "$TMP/be.err" || fail "batch --explain: no stderr table"
-grep -q "program-order tie-breaks" "$TMP/be.err" \
-  || fail "batch --explain: no summary line"
-grep -q '"explain": \[' "$TMP/be.json" || fail "batch json: no explain section"
-grep -q '"ranks": \[' "$TMP/be.json" || fail "batch json: no rank stats"
-
-# obs-on = obs-off counts: a pick chooses by one path whether or not the
-# decisiveness registry watches, so heur_dynamic's picks, candidates and
-# stall cycles, summed over the blocks, agree with and without --explain
-hd_sums() {
-  sed 's/}, {"name"/}\n{"name"/g' "$1" | grep '^{"name": "heur_dynamic"' \
-    | sed 's/.*"picks": \([0-9]*\).*"candidates": \([0-9]*\).*"stall_cycles": \([0-9]*\).*/\1 \2 \3/' \
-    | awk '{ p += $1; c += $2; s += $3 } END { print p, c, s }'
-}
-"$TOOL" batch -q --jobs 2 --explain --trace "$TMP/bxt.json" "$TMP/grep.s" \
-  > /dev/null 2>&1 || fail "batch --explain --trace failed"
-[ "$(hd_sums "$TMP/bp.json" | cut -d' ' -f1)" -eq 1739 ] \
+# heur_dynamic's picks, summed over the blocks, are one per instruction
+[ "$(awk '{ p += $1 } END { print p }' "$TMP/bp.picks")" -eq 1739 ] \
   || fail "batch trace: heur_dynamic picks do not sum to the instructions"
-[ "$(hd_sums "$TMP/bp.json")" = "$(hd_sums "$TMP/bxt.json")" ] \
-  || fail "batch trace: heur_dynamic counts differ under --explain"
 echo "CLI TESTS OK"

@@ -95,3 +95,22 @@ let arb_block =
 
 let qcheck ?(count = 200) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+
+(** An engine decision as [schedtool explain] records it. *)
+let explain_decision config ~block (d : Engine.decision) =
+  { Explain.block;
+    strategy = Engine.signature config;
+    time = d.Engine.time;
+    candidates = d.Engine.candidates;
+    steps =
+      List.map
+        (fun (h, best, survivors) ->
+          { Explain.heuristic = Heuristic.to_string h; best; survivors })
+        d.Engine.trail;
+    chosen = d.Engine.chosen;
+    tie_break = d.Engine.tie_break }
+
+(** The decisiveness of [config]'s engine decisions. *)
+let decisiveness config decisions =
+  Explain.decisiveness ~signature:(Engine.signature config)
+    ~keys:(Engine.key_labels config) decisions

@@ -278,43 +278,60 @@ let test_json_unicode_escape_total () =
       "\"\\uzzzz\"";       (* non-hex digits *)
       "\"\\u00" ]          (* truncated escape *)
 
-(* The documents [schedtool batch --json --explain --trace] writes: the
-   report with its "explain" section, recorded over a few blocks with
-   the registry on, and the Chrome trace of one traced block, whose
-   spans carry "minor_words" args. *)
+(* Each published strategy's decisiveness over [blocks], as
+   [schedtool explain] folds it: one fold per strategy over its traced
+   decisions, strategies without decisions dropped, sorted by
+   signature. *)
+let corpus_stats blocks =
+  List.filter_map
+    (fun sp ->
+      let config = Published.engine_config sp in
+      let decisions =
+        List.concat_map
+          (fun b ->
+            let dag = Builder.build (Published.builder sp) Opts.default b in
+            let annot = Static_pass.compute_for (Published.heuristics_of sp) dag in
+            List.map (explain_decision config ~block:b.Block.id)
+              (snd (Engine.run_traced config ~annot dag)))
+          blocks
+      in
+      let st = decisiveness config decisions in
+      if st.Explain.decisions = 0 then None else Some st)
+    Published.all
+  |> List.sort (fun a b -> compare a.Explain.signature b.Explain.signature)
+
+(* The documents [schedtool batch --json --trace] and [schedtool explain
+   --json] write: the report, the decisiveness statistics of a few
+   blocks, and the Chrome trace of one traced block, whose spans carry
+   "minor_words" args. *)
 let sample_documents () =
   let blocks =
     List.init 3 (fun i -> { (random_block (700 + i)) with Block.id = i })
   in
   let off () =
     Trace.disable ();
-    Trace.reset ();
-    Explain.disable ();
-    Explain.reset ()
+    Trace.reset ()
   in
   off ();
   Fun.protect ~finally:off @@ fun () ->
-  Explain.enable ();
   let _, report = Batch.run_with_report ~domains:1 Batch.section6 blocks in
-  let stats = Explain.snapshot () in
+  let stats = corpus_stats blocks in
   check_bool "decisiveness recorded" true (stats <> []);
   Trace.enable ();
   ignore (Batch.run ~domains:1 Batch.section6 [ List.hd blocks ]);
   let spans = Trace.snapshot () in
   check_bool "minor words recorded" true
     (List.exists (fun (s : Trace.span) -> s.Trace.minor_words > 0) spans);
-  match Batch.report_to_json report with
-  | Stats.Json.Obj fields ->
-      ( Stats.Json.Obj (fields @ [ ("explain", Explain.to_json stats) ]),
-        Trace.to_json ~pid_names:[ (0, "schedtool") ] spans )
-  | _ -> Alcotest.fail "report is not a JSON object"
+  ( Batch.report_to_json report,
+    Stats.Json.Obj [ ("explain", Explain.to_json stats) ],
+    Trace.to_json ~pid_names:[ (0, "schedtool") ] spans )
 
 (* every prefix and every single-byte corruption of a valid report or
    trace document must flow out as Ok or Error — no exception may
-   escape the of_string + of_json pipeline, for the report, its explain
-   section or the trace *)
+   escape the of_string + of_json pipeline, for the report, the
+   decisiveness statistics or the trace *)
 let test_json_no_exception_escapes () =
-  let report, trace = sample_documents () in
+  let report, explain, trace = sample_documents () in
   let feed s =
     match Stats.Json.of_string s with
     | Error _ -> ()
@@ -343,7 +360,7 @@ let test_json_no_exception_escapes () =
               feed (Bytes.to_string b))
             corruptions)
         text)
-    [ report; trace ]
+    [ report; explain; trace ]
 
 (* ------------------------------------------------------------------ *)
 (* generation determinism across domains: two [random_block seed] calls
@@ -372,8 +389,9 @@ let test_profile_generation_cross_domain () =
     (Domain.join d)
 
 (* ------------------------------------------------------------------ *)
-(* explain differential: the decision recorder must never change a
-   schedule, a statistic or a report — only add its own registry *)
+(* explain differential: scheduling each block traced, as [schedtool
+   explain] does, gives the order the untraced batch pipeline gives, and
+   the decisiveness fold over those decisions is internally consistent *)
 
 let test_explain_differential () =
   let blocks =
@@ -381,52 +399,41 @@ let test_explain_differential () =
       (fun i seed -> { (random_block seed) with Block.id = i })
       [ 101; 211; 307; 401 ]
   in
-  let strip (r : Batch.report) =
-    { r with Batch.domains = 0; wall_s = 0.0; block_s_mean = 0.0;
-      block_s_max = 0.0 }
+  let config = Batch.section6 in
+  let off = Batch.run ~domains:test_domains config blocks in
+  let decisions =
+    List.concat
+      (List.map2
+         (fun (b : Block.t) (r : Batch.result) ->
+           let dag = Builder.build config.Batch.algorithm config.Batch.opts b in
+           let annot =
+             Static_pass.compute_for
+               (List.map (fun k -> k.Engine.heuristic) config.Batch.engine.Engine.keys)
+               dag
+           in
+           let order, decisions = Engine.run_traced config.Batch.engine ~annot dag in
+           if order <> r.Batch.order then
+             Alcotest.failf "tracing changed the order of block %d" r.Batch.block_id;
+           List.map (explain_decision config.Batch.engine ~block:b.Block.id) decisions)
+         blocks off)
   in
-  Explain.disable ();
-  Explain.reset ();
-  let off, off_rep =
-    Batch.run_with_report ~domains:test_domains Batch.section6 blocks
-  in
-  check_int "recorder stayed empty" 0 (List.length (Explain.snapshot ()));
-  let on, on_rep, stats =
-    Explain.enable ();
-    Fun.protect
-      ~finally:(fun () ->
-        Explain.disable ();
-        Explain.reset ())
-      (fun () ->
-        let on, rep =
-          Batch.run_with_report ~domains:test_domains Batch.section6 blocks
-        in
-        (on, rep, Explain.snapshot ()))
-  in
-  List.iter2
-    (fun a b ->
-      if Batch.strip_timing a <> Batch.strip_timing b then
-        Alcotest.failf "explain changed the result of block %d" a.Batch.block_id)
-    off on;
-  check_bool "identical report" true (strip off_rep = strip on_rep);
-  (* and the registry actually saw the corpus: every strategy consulted,
-     counts internally consistent *)
-  check_bool "stats recorded" true (stats <> []);
+  let s = decisiveness config.Batch.engine decisions in
   let insns =
     List.fold_left (fun a (b : Block.t) -> a + Block.length b) 0 blocks
   in
+  check_int "one decision per issued node" insns s.Explain.decisions;
+  check_bool "forced within decisions" true
+    (s.Explain.forced <= s.Explain.decisions);
   List.iter
-    (fun (s : Explain.strategy_stat) ->
-      check_bool "one decision per issued node" true
-        (s.Explain.decisions mod insns = 0);
-      check_bool "forced within decisions" true
-        (s.Explain.forced <= s.Explain.decisions);
-      List.iter
-        (fun (r : Explain.rank_stat) ->
-          check_bool "consulted within non-forced decisions" true
-            (r.Explain.consulted <= s.Explain.decisions - s.Explain.forced))
-        s.Explain.ranks)
-    stats
+    (fun (r : Explain.rank_stat) ->
+      check_bool "consulted within non-forced decisions" true
+        (r.Explain.consulted <= s.Explain.decisions - s.Explain.forced))
+    s.Explain.ranks;
+  (* the six strategies' statistics: one decision per node each *)
+  List.iter
+    (fun (st : Explain.strategy_stat) ->
+      check_int (st.Explain.signature ^ ": decisions") insns st.Explain.decisions)
+    (corpus_stats blocks)
 
 (* Whole-pipeline allocation guard: the section-6 stages of a batch
    block (table-forward build, static pass, engine, verify, and the

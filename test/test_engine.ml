@@ -9,9 +9,9 @@
       summed [heur_dynamic] counts (picks, candidates, stall cycles)
       equal the legacy pick's; [run_traced]'s decisions (time,
       candidates in list order, trail, chosen, tie-break) equal the
-      list-based trail's, and the decisiveness registry after [run] under
-      explain equals the one the trail feeds.  A hand-built priority-fn
-      block pins one overruled decision.
+      list-based trail's, and their decisiveness fold equals the
+      {!Explain_legacy} registry fed by the list-based trail.  A
+      hand-built priority-fn block pins one overruled decision.
     - Static pass: for each of the 26 heuristics, singly and as each
       published key set, [compute_for] fills the columns of the walks
       their passes name with [compute]'s values, under both traversals,
@@ -87,31 +87,28 @@ let counts_to_string (c : Engine_legacy.counts) =
 
 let order_to_string o = String.concat " " (List.map string_of_int (Array.to_list o))
 
-(* The registry snapshot after [f], under a fresh, enabled registry. *)
-let explain_snapshot f =
-  Explain.reset ();
-  Explain.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Explain.disable ();
-      Explain.reset ())
-    (fun () ->
-      f ();
-      Explain.snapshot ())
-
-(* What the registry holds once the legacy trail's decisions are fed in. *)
+(* What the registry held once the legacy trail's decisions were fed
+   in, overruled as the trail saw it. *)
 let legacy_snapshot config traced =
-  explain_snapshot (fun () ->
-      let cell =
-        Explain.cell ~signature:(Engine.signature config) ~keys:(Engine.key_labels config)
-      in
-      List.iter
-        (fun { Engine_legacy.decision = d; overruled } ->
-          let ncand = List.length d.Engine.candidates in
-          Explain.record cell ~candidates:ncand
-            ~survivor_counts:(List.map (fun (_, _, s) -> List.length s) d.Engine.trail)
-            ~forced:(ncand = 1) ~tie_break:d.Engine.tie_break ~overruled)
-        traced)
+  let reg = Explain_legacy.create () in
+  let cell =
+    Explain_legacy.cell reg ~signature:(Engine.signature config)
+      ~keys:(Engine.key_labels config)
+  in
+  List.iter
+    (fun { Engine_legacy.decision = d; overruled } ->
+      let ncand = List.length d.Engine.candidates in
+      Explain_legacy.record cell ~candidates:ncand
+        ~survivor_counts:(List.map (fun (_, _, s) -> List.length s) d.Engine.trail)
+        ~forced:(ncand = 1) ~tie_break:d.Engine.tie_break ~overruled)
+    traced;
+  Explain_legacy.snapshot reg
+
+(* The fold over a run's decisions, as a snapshot lists it: nothing for
+   a block without decisions. *)
+let fold_snapshot config decisions =
+  let st = decisiveness config (List.map (explain_decision config ~block:0) decisions) in
+  if st.Explain.decisions = 0 then [] else [ st ]
 
 let ints l = String.concat ", " (List.map string_of_int l)
 
@@ -136,8 +133,8 @@ let rec first_diff i got want =
 (* The engine as the pipeline runs it (compute_for's annotations) against
    the legacy pick over the full static pass: the orders and counts of a
    bare, a traced and a recorded run, the recorded decisions against the
-   list-based trail's, and the registry under explain against the one the
-   trail feeds.  [Error] names the first config that differs. *)
+   list-based trail's, and their decisiveness fold against the registry
+   the trail feeds.  [Error] names the first config that differs. *)
 let differ ?seed ?(configs = all_configs) ~opts block =
   let rec go = function
     | [] -> Ok ()
@@ -162,11 +159,8 @@ let differ ?seed ?(configs = all_configs) ~opts block =
         else if decisions <> want_decisions then
           Error (name ^ ": " ^ first_diff 0 decisions want_decisions)
         else if
-          not
-            (Explain.equal
-               (explain_snapshot (fun () -> ignore (Engine.run ?seed config ~annot dag)))
-               (legacy_snapshot config trail))
-        then Error (name ^ ": decisiveness registry differs from the trail's")
+          not (Explain.equal (fold_snapshot config decisions) (legacy_snapshot config trail))
+        then Error (name ^ ": decisiveness fold differs from the trail's registry")
         else go rest
   in
   go configs
@@ -279,17 +273,11 @@ let test_overruled_pinned () =
   check_bool "rank 1 prefers node 0" true
     (value Heuristic.Num_children 0 > value Heuristic.Num_children 1);
   check_bool "the weighted sum prefers node 1" true (weighted 1 > weighted 0);
-  let overruled stats =
-    List.fold_left (fun acc s -> acc + s.Explain.overruled) 0 stats
-  in
-  let chosen = ref (-1) in
-  let picked = explain_snapshot (fun () -> chosen := Engine.pick config ~annot ~st [ 0; 1 ]) in
-  check_int "pick: the weighted-sum winner" 1 !chosen;
-  check_int "pick: one overruled decision" 1 (overruled picked);
-  let order = ref [||] in
-  let ran = explain_snapshot (fun () -> order := Engine.run config ~annot dag) in
-  check_int "run: the weighted-sum winner issues first" 1 !order.(0);
-  check_int "run: one overruled decision" 1 (overruled ran);
+  check_int "pick: the weighted-sum winner" 1 (Engine.pick config ~annot ~st [ 0; 1 ]);
+  let order, decisions = Engine.run_traced config ~annot dag in
+  check_int "run: the weighted-sum winner issues first" 1 order.(0);
+  let st = decisiveness config (List.map (explain_decision config ~block:0) decisions) in
+  check_int "run: one overruled decision" 1 st.Explain.overruled;
   (* the list-based trail agrees *)
   match differ ~configs:[ ("overflow", config) ] ~opts:figure1_opts (block_of_asm overruled_asm) with
   | Ok () -> ()

@@ -745,16 +745,7 @@ let test_full_obs_differential () =
   check_bool "trace off" true (not (Trace.enabled ()))
 
 (* ------------------------------------------------------------------ *)
-(* explain: decision traces and the decisiveness registry *)
-
-let explain_off () =
-  Explain.disable ();
-  Explain.reset ()
-
-let with_explain f =
-  explain_off ();
-  Explain.enable ();
-  Fun.protect ~finally:explain_off f
+(* explain: decision traces and the decisiveness fold over them *)
 
 let sample_decisions =
   [ {
@@ -778,60 +769,70 @@ let sample_decisions =
       tie_break = false;
     } ]
 
-(* Recording is gated in the engine: with explain off, neither a run nor
-   a lone pick leaves a trace in the registry; on, both record. *)
-let test_explain_disabled_is_invisible () =
+(* A decision of strategy [signature] over [cands] candidates (ids
+   0 .. cands-1) whose trail keeps [counts] survivors rank by rank (a
+   prefix each time); it chooses the first survivor, or with [over] the
+   last candidate, outside the final survivors. *)
+let shaped ?(signature = "s") ?(tie = false) ?(over = false) cands counts =
+  {
+    Explain.block = 0;
+    strategy = signature;
+    time = 0;
+    candidates = List.init cands Fun.id;
+    steps =
+      List.map
+        (fun k ->
+          { Explain.heuristic = "h"; best = 0; survivors = List.init k Fun.id })
+        counts;
+    chosen = (if over then cands - 1 else 0);
+    tie_break = tie;
+  }
+
+(* The fold counts every decision a traced run records; a bare run makes
+   the same order and keeps nothing. *)
+let test_explain_fold_counts_traced () =
   let dag = dag_of_asm "add %o1, 1, %o2\nadd %o3, 1, %o4\nadd %o2, %o4, %o5" in
   let annot = Static_pass.compute dag in
   let config = Published.engine_config Published.warren in
-  let engine () =
-    ignore (Engine.run config ~annot dag);
-    ignore (Engine.pick config ~annot ~st:(Dyn_state.create dag Dyn_state.Forward) [ 0; 1 ])
-  in
-  explain_off ();
-  engine ();
-  check_int "nothing recorded" 0 (List.length (Explain.snapshot ()));
-  with_explain (fun () ->
-      engine ();
-      match Explain.snapshot () with
-      | [ s ] -> check_int "run and pick recorded" 4 s.Explain.decisions
-      | s -> Alcotest.failf "expected one strategy, got %d" (List.length s))
+  let order, decisions = Engine.run_traced config ~annot dag in
+  Alcotest.(check (array int)) "run = run_traced" (Engine.run config ~annot dag) order;
+  let s = decisiveness config (List.map (explain_decision config ~block:0) decisions) in
+  check_string "signature" (Engine.signature config) s.Explain.signature;
+  check_int "one decision per issue" 3 s.Explain.decisions;
+  (* two ready at the start; once one issues, each later pick is forced *)
+  check_int "forced" 2 s.Explain.forced;
+  let empty = decisiveness config [] in
+  check_int "no decisions" 0 empty.Explain.decisions;
+  check_int "every rank listed" (List.length config.Engine.keys)
+    (List.length empty.Explain.ranks)
 
 let test_explain_observe_aggregates () =
-  with_explain (fun () ->
-      let obs ?(forced = false) ?(tie = false) ?(over = false) cands counts =
-        Explain.record
-          (Explain.cell ~signature:"f/test: A > B" ~keys:[ "A"; "B" ])
-          ~candidates:cands ~survivor_counts:counts ~forced ~tie_break:tie
-          ~overruled:over
-      in
-      obs 4 [ 2; 1 ];                   (* B settles it *)
-      obs 3 [ 3; 2 ] ~tie:true;         (* trail leaves two, order decides *)
-      obs 2 [ 1 ];                      (* A settles it, B never reached *)
-      obs 1 [] ~forced:true;            (* single candidate *)
-      obs 5 [ 2; 1 ] ~over:true;        (* weights overruled the trail *)
-      match Explain.snapshot () with
-      | [ s ] ->
-          check_string "signature" "f/test: A > B" s.Explain.signature;
-          Alcotest.(check (list string)) "keys" [ "A"; "B" ] s.Explain.keys;
-          check_int "decisions" 5 s.Explain.decisions;
-          check_int "forced" 1 s.Explain.forced;
-          check_int "tie breaks" 1 s.Explain.tie_breaks;
-          check_int "overruled" 1 s.Explain.overruled;
-          (match s.Explain.ranks with
-          | [ a; b ] ->
-              check_int "rank a" 1 a.Explain.rank;
-              check_string "heuristic a" "A" a.Explain.heuristic;
-              check_int "A consulted" 4 a.Explain.consulted;
-              check_int "A decided" 1 a.Explain.decided;
-              check_int "A eliminated" 6 a.Explain.eliminated;
-              check_int "B consulted" 3 b.Explain.consulted;
-              check_int "B decided" 1 b.Explain.decided;
-              check_int "B eliminated" 3 b.Explain.eliminated
-          | _ -> Alcotest.fail "expected two ranks");
-          Alcotest.(check (list string))
-            "all consulted" [] (Explain.never_consulted s)
-      | s -> Alcotest.failf "expected one strategy, got %d" (List.length s))
+  let s =
+    Explain.decisiveness ~signature:"f/test: A > B" ~keys:[ "A"; "B" ]
+      [ shaped 4 [ 2; 1 ];              (* B settles it *)
+        shaped 3 [ 3; 2 ] ~tie:true;    (* trail leaves two, order decides *)
+        shaped 2 [ 1 ];                 (* A settles it, B never reached *)
+        shaped 1 [];                    (* single candidate *)
+        shaped 5 [ 2; 1 ] ~over:true ]  (* weights overruled the trail *)
+  in
+  check_string "signature" "f/test: A > B" s.Explain.signature;
+  Alcotest.(check (list string)) "keys" [ "A"; "B" ] s.Explain.keys;
+  check_int "decisions" 5 s.Explain.decisions;
+  check_int "forced" 1 s.Explain.forced;
+  check_int "tie breaks" 1 s.Explain.tie_breaks;
+  check_int "overruled" 1 s.Explain.overruled;
+  (match s.Explain.ranks with
+  | [ a; b ] ->
+      check_int "rank a" 1 a.Explain.rank;
+      check_string "heuristic a" "A" a.Explain.heuristic;
+      check_int "A consulted" 4 a.Explain.consulted;
+      check_int "A decided" 1 a.Explain.decided;
+      check_int "A eliminated" 6 a.Explain.eliminated;
+      check_int "B consulted" 3 b.Explain.consulted;
+      check_int "B decided" 1 b.Explain.decided;
+      check_int "B eliminated" 3 b.Explain.eliminated
+  | _ -> Alcotest.fail "expected two ranks");
+  Alcotest.(check (list string)) "all consulted" [] (Explain.never_consulted s)
 
 let test_explain_decision_roundtrip () =
   List.iter
@@ -843,11 +844,11 @@ let test_explain_decision_roundtrip () =
   let text = Explain.decisions_to_jsonl sample_decisions in
   (match Explain.decisions_of_jsonl text with
   | Ok ds -> check_bool "jsonl round trip" true (ds = sample_decisions)
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Json.error_to_string e));
   (* blank lines are skipped *)
   match Explain.decisions_of_jsonl ("\n" ^ text ^ "\n\n") with
   | Ok ds -> check_bool "blank lines skipped" true (ds = sample_decisions)
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail (Json.error_to_string e)
 
 let test_explain_decision_adversarial () =
   let fail_with json needle =
@@ -877,50 +878,132 @@ let test_explain_decision_adversarial () =
                   ("survivors", Json.String "nope") ] ]);
          ("chosen", Json.Int 0); ("tie_break", Json.Bool false) ])
     "survivors";
-  (* the JSONL reader reports 1-based line numbers *)
+  (* the JSONL reader reports 1-based line numbers, and the field *)
   (match Explain.decisions_of_jsonl "{\"block\":1}\n" with
   | Ok _ -> Alcotest.fail "should fail"
-  | Error e -> check_bool e true (contains e "line 1"));
+  | Error e ->
+      let msg = Json.error_to_string e in
+      check_bool msg true (contains msg "line 1" && contains msg "strategy"));
   let good = Explain.decisions_to_jsonl sample_decisions in
   match Explain.decisions_of_jsonl (good ^ "not json\n") with
   | Ok _ -> Alcotest.fail "should fail"
   | Error e ->
-      check_bool e true
-        (contains e (Printf.sprintf "line %d" (List.length sample_decisions + 1)))
+      let msg = Json.error_to_string e in
+      check_bool msg true
+        (contains msg (Printf.sprintf "line %d" (List.length sample_decisions + 1)))
+
+(* Both JSONL readers go through [Json.of_jsonl]: blank lines are
+   skipped but counted, so an error names the physical line. *)
+let test_jsonl_physical_lines () =
+  let line_of = function
+    | Ok _ -> Alcotest.fail "should fail"
+    | Error e -> e.Json.path
+  in
+  Alcotest.(check (list string))
+    "log" [ "line 3" ] (line_of (Log.events_of_jsonl "\n\nnot json\n"));
+  Alcotest.(check (list string))
+    "explain" [ "line 3" ]
+    (line_of (Explain.decisions_of_jsonl "\n\nnot json\n"));
+  let good = Explain.decisions_to_jsonl sample_decisions in
+  Alcotest.(check (list string))
+    "after leading blanks, a bad decision" [ "line 5"; "strategy" ]
+    (line_of (Explain.decisions_of_jsonl ("\n\n" ^ good ^ "{\"block\": 1}\n")));
+  match Json.of_jsonl (fun ~path:_ j -> Ok j) "\n \n1\n\n[2]\n" with
+  | Ok vs -> check_bool "values in order" true (vs = [ Json.Int 1; Json.List [ Json.Int 2 ] ])
+  | Error e -> Alcotest.fail (Json.error_to_string e)
 
 let test_explain_stats_roundtrip () =
   let s =
-    with_explain (fun () ->
-        Explain.record
-          (Explain.cell ~signature:"sig1" ~keys:[ "A"; "B" ])
-          ~candidates:4 ~survivor_counts:[ 2; 1 ] ~forced:false
-          ~tie_break:false ~overruled:false;
-        Explain.record
-          (Explain.cell ~signature:"sig2" ~keys:[ "C" ])
-          ~candidates:2 ~survivor_counts:[ 2 ] ~forced:false ~tie_break:true
-          ~overruled:false;
-        let s = Explain.snapshot () in
-        Explain.reset ();
-        check_int "reset empties" 0 (List.length (Explain.snapshot ()));
-        s)
+    [ Explain.decisiveness ~signature:"sig1" ~keys:[ "A"; "B" ]
+        [ shaped ~signature:"sig1" 4 [ 2; 1 ] ];
+      Explain.decisiveness ~signature:"sig2" ~keys:[ "C" ]
+        [ shaped ~signature:"sig2" 2 [ 2 ] ~tie:true ] ]
   in
-  check_int "two strategies" 2 (List.length s);
   match Explain.of_json (Explain.to_json s) with
   | Ok s' -> check_bool "stats round trip" true (Explain.equal s s')
   | Error e -> Alcotest.fail (Json.error_to_string e)
 
 let test_explain_never_consulted () =
-  with_explain (fun () ->
-      Explain.record
-        (Explain.cell ~signature:"s" ~keys:[ "A"; "B"; "C" ])
-        ~candidates:3 ~survivor_counts:[ 1 ] ~forced:false ~tie_break:false
-        ~overruled:false;
-      match Explain.snapshot () with
-      | [ s ] ->
-          Alcotest.(check (list string))
-            "later ranks never reached" [ "B"; "C" ]
-            (Explain.never_consulted s)
-      | _ -> Alcotest.fail "expected one strategy")
+  Alcotest.(check (list string))
+    "later ranks never reached" [ "B"; "C" ]
+    (Explain.never_consulted
+       (Explain.decisiveness ~signature:"s" ~keys:[ "A"; "B"; "C" ]
+          [ shaped 3 [ 1 ] ]))
+
+(* Random decision lists over several strategies: trails shorter than,
+   as long as and longer than the key list, forced picks, tie-breaks,
+   chosen nodes outside the last survivors, and the odd empty ready set
+   the engine never makes. *)
+let gen_strategies =
+  let open QCheck.Gen in
+  let* nsig = int_range 1 3 in
+  let* nkeys = list_repeat nsig (int_range 0 4) in
+  let strategies =
+    List.mapi
+      (fun i n -> (Printf.sprintf "s%d" i, List.init n (Printf.sprintf "k%d")))
+      nkeys
+  in
+  let decision =
+    let* signature, keys = oneofl strategies in
+    let* cands = int_range 0 6 in
+    let* nsteps = int_range 0 (List.length keys + 1) in
+    let rec counts prev k =
+      if k = 0 then return []
+      else
+        let* c = int_range (min 1 prev) prev in
+        let* rest = counts c (k - 1) in
+        return (c :: rest)
+    in
+    let* counts = counts cands nsteps in
+    let* tie = bool in
+    let* over = bool in
+    return (shaped ~signature ~tie ~over:(over && cands > 0) cands counts)
+  in
+  let* decisions = list_size (int_range 0 30) decision in
+  return (strategies, decisions)
+
+let arb_strategies =
+  QCheck.make
+    ~print:(fun (_, ds) -> Explain.decisions_to_jsonl ds)
+    gen_strategies
+
+(* what the registry held once every decision was recorded as the
+   engine recorded it *)
+let yardstick strategies decisions =
+  let reg = Explain_legacy.create () in
+  List.iter
+    (fun (d : Explain.decision) ->
+      let ncand = List.length d.Explain.candidates in
+      let overruled =
+        match List.rev d.Explain.steps with
+        | last :: _ -> not (List.mem d.Explain.chosen last.Explain.survivors)
+        | [] -> false
+      in
+      Explain_legacy.record
+        (Explain_legacy.cell reg ~signature:d.Explain.strategy
+           ~keys:(List.assoc d.Explain.strategy strategies))
+        ~candidates:ncand
+        ~survivor_counts:
+          (List.map (fun s -> List.length s.Explain.survivors) d.Explain.steps)
+        ~forced:(ncand = 1) ~tie_break:d.Explain.tie_break ~overruled)
+    decisions;
+  Explain_legacy.snapshot reg
+
+let fold strategies decisions =
+  List.filter_map
+    (fun (signature, keys) ->
+      let st =
+        Explain.decisiveness ~signature ~keys
+          (List.filter (fun d -> d.Explain.strategy = signature) decisions)
+      in
+      if st.Explain.decisions = 0 then None else Some st)
+    strategies
+  |> List.sort (fun a b -> compare a.Explain.signature b.Explain.signature)
+
+let test_explain_fold_yardstick =
+  qcheck ~count:500 "explain: fold = registry yardstick" arb_strategies
+    (fun (strategies, decisions) ->
+      Explain.equal (fold strategies decisions) (yardstick strategies decisions))
 
 let test_explain_stats_adversarial () =
   (match Explain.of_json (Json.String "nope") with
@@ -969,7 +1052,7 @@ let suite =
     quick "trace: transitive-free builders count pruned arcs"
       test_count_transitive_pruned;
     quick "differential: full obs stack" test_full_obs_differential;
-    quick "explain: disabled is invisible" test_explain_disabled_is_invisible;
+    quick "explain: fold counts traced picks" test_explain_fold_counts_traced;
     quick "explain: observe aggregates" test_explain_observe_aggregates;
     quick "explain: decision round trip" test_explain_decision_roundtrip;
     quick "explain: decision adversarial decode"
@@ -977,4 +1060,6 @@ let suite =
     quick "explain: stats round trip" test_explain_stats_roundtrip;
     quick "explain: never consulted" test_explain_never_consulted;
     quick "explain: stats adversarial decode" test_explain_stats_adversarial;
+    test_explain_fold_yardstick;
+    quick "json: JSONL lines are physical" test_jsonl_physical_lines;
     quick "trace: GC totals count direct major words" test_trace_gc_totals_major ]
