@@ -862,16 +862,40 @@ let explain_cmd =
     in
     let opts = opts_of model strategy in
     let config = Published.engine_config spec in
-    (* a published strategy's decision records over the whole corpus *)
-    let corpus_decisions sp =
+    (* A published strategy over the whole corpus, one block at a time:
+       its decision records and, when [timeline] asks, each block's
+       issue spans, read off the same DAG and order (after [Fixup.run]
+       when the strategy uses it), so no block is built twice. *)
+    let corpus_run ~timeline sp =
       let config = Published.engine_config sp in
       let sg = Engine.signature config in
-      List.concat_map
-        (fun b ->
-          let dag = Builder.build (Published.builder sp) opts b in
-          let annot = Static_pass.compute_for (Published.heuristics_of sp) dag in
-          let _, decisions = Engine.run_traced config ~annot dag in
-          List.map
+      let per_block b =
+        let dag = Builder.build (Published.builder sp) opts b in
+        let annot = Static_pass.compute_for (Published.heuristics_of sp) dag in
+        let order, decisions = Engine.run_traced config ~annot dag in
+        let spans =
+          if not timeline then []
+          else
+            let s = Schedule.make dag order in
+            let s = if sp.Published.postpass_fixup then Fixup.run s else s in
+            let sim = Schedule.simulate s in
+            let model = Dag.model dag in
+            Array.to_list
+              (Array.mapi
+                 (fun k node ->
+                   { Trace.name = insn_line dag node;
+                     cat = "issue";
+                     ts_us = float_of_int sim.Pipeline.issue_cycle.(k);
+                     dur_us =
+                       float_of_int
+                         (max 1 (model.Latency.exec_time (Dag.insn dag node)));
+                     minor_words = 0;
+                     pid = b.Block.id;
+                     tid = 0;
+                     args = [ ("node", Json.Int node) ] })
+                 s.Schedule.order)
+        in
+        ( List.map
             (fun (d : Engine.decision) ->
               { Explain.block = b.Block.id;
                 strategy = sg;
@@ -885,9 +909,19 @@ let explain_cmd =
                     d.Engine.trail;
                 chosen = d.Engine.chosen;
                 tie_break = d.Engine.tie_break })
-            decisions)
-        blocks
+            decisions,
+          spans )
+      in
+      let decisions, spans =
+        List.fold_left
+          (fun (decisions, spans) b ->
+            let d, s = per_block b in
+            (List.rev_append d decisions, List.rev_append s spans))
+          ([], []) blocks
+      in
+      (List.rev decisions, List.rev spans)
     in
+    let corpus_decisions sp = fst (corpus_run ~timeline:false sp) in
     let write_export what path text =
       if path = "-" then print_string text
       else
@@ -943,7 +977,9 @@ let explain_cmd =
              ~name:(Printf.sprintf "block%d" block.Block.id)
              ~highlight:critical dag));
     (* -- JSONL decision trace: the chosen scheduler, whole corpus ---- *)
-    let traced = corpus_decisions spec in
+    let traced, spans =
+      corpus_run ~timeline:(Option.is_some timeline_path) spec
+    in
     (match jsonl_path with
     | None -> ()
     | Some path ->
@@ -959,29 +995,6 @@ let explain_cmd =
     (match timeline_path with
     | None -> ()
     | Some path ->
-        let spans =
-          List.concat_map
-            (fun b ->
-              let s = Published.run ~opts spec b in
-              let sim = Schedule.simulate s in
-              let dag = s.Schedule.dag in
-              let model = Dag.model dag in
-              Array.to_list
-                (Array.mapi
-                   (fun k node ->
-                     { Trace.name = insn_line dag node;
-                       cat = "issue";
-                       ts_us = float_of_int sim.Pipeline.issue_cycle.(k);
-                       dur_us =
-                         float_of_int
-                           (max 1 (model.Latency.exec_time (Dag.insn dag node)));
-                       minor_words = 0;
-                       pid = b.Block.id;
-                       tid = 0;
-                       args = [ ("node", Json.Int node) ] })
-                   s.Schedule.order))
-            blocks
-        in
         let pid_names =
           List.map
             (fun b ->

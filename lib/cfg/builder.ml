@@ -14,7 +14,12 @@
 
     An optional [max_block_size] splits larger blocks, implementing the
     instruction-window mitigation the paper applies to fpppp
-    (fpppp-1000/2000/4000 in Tables 3-5). *)
+    (fpppp-1000/2000/4000 in Tables 3-5).
+
+    One walk over the parsed list finds the boundaries: a block is the
+    run of list cells from its first instruction, counted as the walk
+    passes them, and is copied straight into its array when it closes,
+    so an instruction costs its array slot and nothing else. *)
 
 open Ds_isa
 
@@ -25,41 +30,50 @@ type options = {
 
 let default_options = { calls_end_blocks = true; max_block_size = None }
 
+(* A placeholder for [Array.make]: a constant, so it is static data and
+   an array over [Max_young_wosize] (256 words) starts without the minor
+   collection [caml_make_vect] forces when its initial value is young. *)
+let filler =
+  { Insn.index = -1; op = Opcode.Nop; operands = []; annul = false; label = None }
+
+let rec fill insns run i len =
+  if i < len then
+    match run with
+    | insn :: rest ->
+        insns.(i) <- insn;
+        fill insns rest (i + 1) len
+    | [] -> assert false
+
+(* Block [id] from the [len] instructions at the head of [run]: its list
+   cells are copied straight into the array. *)
+let block_of run len id =
+  let insns = Array.make len filler in
+  fill insns run 0 len;
+  { Block.id; insns }
+
+(* [run] is the list from the current block's first instruction, [len]
+   of them taken so far, and [rest] the list from the next one; blocks
+   are consed newest first.  A labelled instruction closes the block
+   before it. *)
+let rec split ~calls ~limit run len id rest blocks =
+  match rest with
+  | [] -> if len > 0 then block_of run len id :: blocks else blocks
+  | insn :: tail when insn.Insn.label <> None && len > 0 ->
+      take ~calls ~limit rest 0 (id + 1) insn tail (block_of run len id :: blocks)
+  | insn :: tail -> take ~calls ~limit run len id insn tail blocks
+
+(* [insn] joins the block; the window, a branch, a SAVE/RESTORE or (when
+   [calls]) a call closes the block after it. *)
+and take ~calls ~limit run len id insn tail blocks =
+  let len = len + 1 in
+  if len >= limit || Insn.is_branch insn || Insn.alters_window insn
+     || (calls && Insn.is_call insn)
+  then split ~calls ~limit tail 0 (id + 1) tail (block_of run len id :: blocks)
+  else split ~calls ~limit run len id tail blocks
+
 let partition ?(options = default_options) insns =
-  let blocks = ref [] in
-  let current = ref [] in
-  let current_len = ref 0 in
-  let next_id = ref 0 in
-  let flush () =
-    if !current <> [] then begin
-      let arr = Array.of_list (List.rev !current) in
-      blocks := { Block.id = !next_id; insns = arr } :: !blocks;
-      incr next_id;
-      current := [];
-      current_len := 0
-    end
-  in
-  let add insn =
-    current := insn :: !current;
-    incr current_len;
-    match options.max_block_size with
-    | Some limit when !current_len >= limit -> flush ()
-    | Some _ | None -> ()
-  in
-  List.iter
-    (fun insn ->
-      (* a labeled instruction is a leader: close the previous block *)
-      if insn.Insn.label <> None then flush ();
-      add insn;
-      let ends =
-        Insn.is_branch insn
-        || Insn.alters_window insn
-        || (options.calls_end_blocks && Insn.is_call insn)
-      in
-      if ends then flush ())
-    insns;
-  flush ();
-  List.rev !blocks
+  let limit = Option.value options.max_block_size ~default:max_int in
+  List.rev (split ~calls:options.calls_end_blocks ~limit insns 0 0 insns [])
 
 (** Split oversized blocks at a window boundary, preserving all existing
     block boundaries; used for the fpppp-1000/2000/4000 variants. *)

@@ -16,72 +16,67 @@ open Ds_machine
 type direction = Forward | Backward
 
 type t = {
-  dag : Ds_dag.Dag.t;
-  direction : direction;
+  mutable dag : Ds_dag.Dag.t;
+  mutable direction : direction;
   mutable time : int;                 (* current scheduling cycle *)
-  scheduled : bool array;
-  sched_time : int array;
-  unscheduled_parents : int array;
-  unscheduled_children : int array;
-  earliest_exec : int array;
+  mutable scheduled : bool array;
+  mutable sched_time : int array;
+  mutable unscheduled_parents : int array;
+  mutable unscheduled_children : int array;
+  mutable earliest_exec : int array;
   mutable last : int;                 (* most recently scheduled node, -1 before the first *)
   unit_free : int array;              (* per Funit, next free cycle *)
   mutable n_scheduled : int;
 }
 
-(* The arrays behind a state, reusable from block to block: each grows
-   to the largest block it has held, and {!create_in} fills the first
-   [n] entries of every one. *)
-type scratch = {
-  mutable scheduled_s : bool array;
-  mutable sched_time_s : int array;
-  mutable parents_s : int array;
-  mutable children_s : int array;
-  mutable earliest_s : int array;
-  unit_free_s : int array;
-}
+(* A state reusable from block to block: {!create_in} resets it in
+   place, its arrays grown to the largest block it has held and their
+   first [n] entries filled. *)
+type scratch = t
+
+let no_dag = Ds_dag.Dag.create ~model:Latency.simple_risc [||]
 
 let scratch () =
-  { scheduled_s = [||];
-    sched_time_s = [||];
-    parents_s = [||];
-    children_s = [||];
-    earliest_s = [||];
-    unit_free_s = Array.make Funit.count 0 }
+  { dag = no_dag;
+    direction = Forward;
+    time = 0;
+    scheduled = [||];
+    sched_time = [||];
+    unscheduled_parents = [||];
+    unscheduled_children = [||];
+    earliest_exec = [||];
+    last = -1;
+    unit_free = Array.make Funit.count 0;
+    n_scheduled = 0 }
 
 let create_in s dag direction =
   let n = Ds_dag.Dag.length dag in
-  if Array.length s.sched_time_s < n then begin
-    let cap = Int.max n (2 * Array.length s.sched_time_s) in
-    s.scheduled_s <- Array.make cap false;
-    s.sched_time_s <- Array.make cap 0;
-    s.parents_s <- Array.make cap 0;
-    s.children_s <- Array.make cap 0;
-    s.earliest_s <- Array.make cap 0
+  if Array.length s.sched_time < n then begin
+    let cap = Int.max n (2 * Array.length s.sched_time) in
+    s.scheduled <- Array.make cap false;
+    s.sched_time <- Array.make cap 0;
+    s.unscheduled_parents <- Array.make cap 0;
+    s.unscheduled_children <- Array.make cap 0;
+    s.earliest_exec <- Array.make cap 0
   end;
-  Array.fill s.scheduled_s 0 n false;
-  Array.fill s.sched_time_s 0 n 0;
+  Array.fill s.scheduled 0 n false;
+  Array.fill s.sched_time 0 n 0;
   for i = 0 to n - 1 do
-    s.parents_s.(i) <- Ds_dag.Dag.n_parents dag i;
-    s.children_s.(i) <- Ds_dag.Dag.n_children dag i
+    s.unscheduled_parents.(i) <- Ds_dag.Dag.n_parents dag i;
+    s.unscheduled_children.(i) <- Ds_dag.Dag.n_children dag i
   done;
-  Array.fill s.earliest_s 0 n 0;
-  Array.fill s.unit_free_s 0 Funit.count 0;
-  {
-    dag;
-    direction;
-    time = 0;
-    scheduled = s.scheduled_s;
-    sched_time = s.sched_time_s;
-    unscheduled_parents = s.parents_s;
-    unscheduled_children = s.children_s;
-    earliest_exec = s.earliest_s;
-    last = -1;
-    unit_free = s.unit_free_s;
-    n_scheduled = 0;
-  }
+  Array.fill s.earliest_exec 0 n 0;
+  Array.fill s.unit_free 0 Funit.count 0;
+  s.dag <- dag;
+  s.direction <- direction;
+  s.time <- 0;
+  s.last <- -1;
+  s.n_scheduled <- 0;
+  s
 
 let create dag direction = create_in (scratch ()) dag direction
+
+let release s = s.dag <- no_dag
 
 (** Seed the state with operation latencies inherited from the immediately
     preceding block (the paper's §2 "pseudo-nodes and arcs to represent

@@ -7,14 +7,14 @@
 type direction = Forward | Backward
 
 type t = {
-  dag : Ds_dag.Dag.t;
-  direction : direction;
+  mutable dag : Ds_dag.Dag.t;
+  mutable direction : direction;
   mutable time : int;
-  scheduled : bool array;
-  sched_time : int array;
-  unscheduled_parents : int array;
-  unscheduled_children : int array;
-  earliest_exec : int array;
+  mutable scheduled : bool array;
+  mutable sched_time : int array;
+  mutable unscheduled_parents : int array;
+  mutable unscheduled_children : int array;
+  mutable earliest_exec : int array;
   mutable last : int;        (* most recently scheduled node; -1 before the first *)
   unit_free : int array;     (* per Funit, next free cycle *)
   mutable n_scheduled : int;
@@ -23,20 +23,28 @@ type t = {
 (** A fresh state: every array is the block's own, [n] entries long. *)
 val create : Ds_dag.Dag.t -> direction -> t
 
-(** Arrays a state can borrow instead of allocating its own, grown to
-    the largest block they have held.  The caller owns a scratch: one
-    state at a time may live in it, so a run that can nest (a callback
-    that schedules another block) needs its own. *)
-type scratch
+(** A state reused from block to block instead of allocated afresh:
+    {!create_in} resets it in place, and its arrays grow to the largest
+    block it has held.  The caller owns a scratch: one state at a time
+    may live in it, so a run that can nest (a callback that schedules
+    another block) needs its own. *)
+type scratch = t
 
+(** A scratch over no block. *)
 val scratch : unit -> scratch
 
-(** [create_in s dag direction] is {!create} over [s]'s arrays.  Their
-    first [n] entries are filled exactly as {!create} fills its own, so
-    the state reads as a fresh one; the arrays may be longer than [n],
-    and the entries past [n] mean nothing.  The state is valid until
-    the next [create_in] on [s]. *)
+(** [create_in s dag direction] resets [s] to {!create}'s state and
+    returns it: [s] itself, so no record is allocated.  The first [n]
+    entries of its arrays are filled exactly as {!create} fills its own,
+    so the state reads as a fresh one; the arrays may be longer than
+    [n], and the entries past [n] mean nothing.  The state is valid
+    until the next [create_in] on [s]. *)
 val create_in : scratch -> Ds_dag.Dag.t -> direction -> t
+
+(** [release s] drops [s]'s reference to the DAG of its last state, so
+    that a scratch kept between runs does not keep that DAG alive; the
+    state is no longer valid. *)
+val release : scratch -> unit
 
 (** Seed with operation latencies inherited from the preceding block
     (§2's global information): [pending] maps a resource to the cycle,

@@ -86,121 +86,156 @@ type requirements = { descendants : bool; registers : bool }
 
 let all_requirements = { descendants = true; registers = true }
 
-(** The requirements implied by a set of heuristics. *)
-let requirements_of heuristics =
-  List.fold_left
-    (fun acc (h : Heuristic.t) ->
-      match h with
-      | Heuristic.Num_descendants | Heuristic.Sum_exec_of_descendants ->
-          { acc with descendants = true }
-      (* [Birthing_instruction] reads the DAG's RAW arcs, not these *)
-      | Heuristic.Registers_born | Heuristic.Registers_killed
-      | Heuristic.Liveness ->
-          { acc with registers = true }
-      | _ -> acc)
-    { descendants = false; registers = false }
-    heuristics
+(* What one call of the pass computes, resolved once from its
+   heuristics: the walks Table 1's [F], [B] and [FB] name, the costly
+   groups, and one flag per column allocated (the others are empty).
+   The flags are bits of an int, so resolving allocates nothing. *)
+module Sel = struct
+  let forward = 0x1
+  let backward = 0x2
+  let descendants = 0x4
+  let registers = 0x8
+  let path_from_root = 0x10
+  let delay_from_root = 0x20
+  let est = 0x40
+  let path_to_leaf = 0x80
+  let delay_to_leaf = 0x100
+  let lst = 0x200
+  let slack = 0x400
+  let num_descendants = 0x800
+  let sum_exec = 0x1000
+  let born = 0x2000
+  let killed = 0x4000
+  let liveness = 0x8000
+  let every_column = 0xfff0
+end
 
-(* The walks a set of heuristics names (Table 1's [F], [B] and [FB]). *)
-type walks = { forward : bool; backward : bool }
+let has sel flag = sel land flag <> 0
 
-let walks_of heuristics =
-  List.fold_left
-    (fun acc h ->
-      match Heuristic.calc_pass h with
-      | Heuristic.F -> { acc with forward = true }
-      | Heuristic.B -> { acc with backward = true }
-      | Heuristic.FB -> { forward = true; backward = true }
-      | Heuristic.A | Heuristic.V -> acc)
-    { forward = false; backward = false }
-    heuristics
+(* [h]'s walks, group and column *)
+let flags (h : Heuristic.t) =
+  (match Heuristic.calc_pass h with
+  | Heuristic.F -> Sel.forward
+  | Heuristic.B -> Sel.backward
+  | Heuristic.FB -> Sel.forward lor Sel.backward
+  | Heuristic.A | Heuristic.V -> 0)
+  lor
+  match h with
+  | Heuristic.Max_path_from_root -> Sel.path_from_root
+  | Heuristic.Max_delay_from_root -> Sel.delay_from_root
+  | Heuristic.Earliest_start_time -> Sel.est
+  | Heuristic.Max_path_to_leaf -> Sel.path_to_leaf
+  | Heuristic.Max_delay_to_leaf -> Sel.delay_to_leaf
+  | Heuristic.Latest_start_time -> Sel.lst
+  | Heuristic.Slack -> Sel.slack
+  | Heuristic.Num_descendants -> Sel.descendants lor Sel.num_descendants
+  | Heuristic.Sum_exec_of_descendants -> Sel.descendants lor Sel.sum_exec
+  (* [Birthing_instruction] reads the DAG's RAW arcs, not these *)
+  | Heuristic.Registers_born -> Sel.registers lor Sel.born
+  | Heuristic.Registers_killed -> Sel.registers lor Sel.killed
+  | Heuristic.Liveness -> Sel.registers lor Sel.liveness
+  | Heuristic.Interlock_with_previous | Heuristic.Earliest_execution_time
+  | Heuristic.Interlock_with_child | Heuristic.Execution_time
+  | Heuristic.Alternate_type | Heuristic.Fp_unit_busy | Heuristic.Num_children
+  | Heuristic.Delays_to_children _ | Heuristic.Num_single_parent_children
+  | Heuristic.Sum_delays_to_single_parent_children
+  | Heuristic.Num_uncovered_children | Heuristic.Num_parents
+  | Heuristic.Delays_from_parents _ | Heuristic.Birthing_instruction
+  | Heuristic.Original_order -> 0
 
-(* [h]'s column: [n] zeros when [columns] names [h], else empty. *)
-let column columns n h = if List.mem h columns then Array.make n 0 else [||]
+(* The selection a set of heuristics names. *)
+let rec select_from sel = function
+  | [] -> sel
+  | h :: rest -> select_from (sel lor flags h) rest
 
-(* The pass: [columns] are the heuristics whose columns are allocated
-   (the others are empty), [walks] which walks run and [requirements]
-   which costly groups are computed into their allocated columns. *)
-let run ~traversal ?live_out ~requirements ~walks ~columns dag =
+let select heuristics = select_from 0 heuristics
+
+(* The column [flag] names: [n] zeros when [sel] has it, else empty;
+   [keep] is [a] when it has it. *)
+let column sel flag n = if has sel flag then Array.make n 0 else [||]
+let keep sel flag a = if has sel flag then a else [||]
+
+(* The pass: [sel] names the walks that run, the costly groups computed
+   into their allocated columns, and the columns allocated. *)
+let run ~traversal ?live_out sel dag =
   let n = Ds_dag.Dag.length dag in
   let model = Ds_dag.Dag.model dag in
   let exec_time = Array.make n 0 in
   for i = 0 to n - 1 do
     exec_time.(i) <- model.Latency.exec_time (Ds_dag.Dag.insn dag i)
   done;
-  let max_path_from_root = column columns n Heuristic.Max_path_from_root in
-  let max_delay_from_root = column columns n Heuristic.Max_delay_from_root in
-  let est = column columns n Heuristic.Earliest_start_time in
-  let max_path_to_leaf = column columns n Heuristic.Max_path_to_leaf in
-  let max_delay_to_leaf = column columns n Heuristic.Max_delay_to_leaf in
-  let lst = column columns n Heuristic.Latest_start_time in
-  let slack = column columns n Heuristic.Slack in
+  let max_path_from_root = column sel Sel.path_from_root n in
+  let max_delay_from_root = column sel Sel.delay_from_root n in
+  let est = column sel Sel.est n in
+  let max_path_to_leaf = column sel Sel.path_to_leaf n in
+  let max_delay_to_leaf = column sel Sel.delay_to_leaf n in
+  let lst = column sel Sel.lst n in
+  let slack = column sel Sel.slack n in
   (* the max delay from the root is the EST: one walk fills both *)
   let from_root =
-    if not walks.forward then [||]
+    if not (has sel Sel.forward) then [||]
     else if Array.length est > 0 then est
     else if Array.length max_delay_from_root > 0 then max_delay_from_root
-    else if Array.length slack > 0 || not walks.backward then Array.make n 0
+    else if Array.length slack > 0 || not (has sel Sel.backward) then Array.make n 0
     else [||]
   in
-  if walks.forward then begin
+  if has sel Sel.forward then begin
     forward_pass dag ~path:max_path_from_root ~delay:from_root;
     if from_root != max_delay_from_root && Array.length max_delay_from_root > 0 then
       Array.blit from_root 0 max_delay_from_root 0 n
   end;
   let to_leaf =
-    if not walks.backward then [||]
+    if not (has sel Sel.backward) then [||]
     else if Array.length max_delay_to_leaf > 0 then max_delay_to_leaf
     else Array.make n 0
   in
-  if walks.backward then
+  if has sel Sel.backward then
     backward_pass traversal dag ~exec_time ~path:max_path_to_leaf ~delay:to_leaf;
   (* the critical path ends at a virtual dummy leaf: the largest
      est + exec, which is also the largest max delay to a leaf *)
   let critical_path = ref 0 in
-  if walks.backward then
+  if has sel Sel.backward then
     for i = 0 to n - 1 do
       critical_path := Int.max !critical_path to_leaf.(i)
     done
-  else if walks.forward then
+  else if has sel Sel.forward then
     for i = 0 to n - 1 do
       critical_path := Int.max !critical_path (from_root.(i) + exec_time.(i))
     done;
   let critical_path = !critical_path in
   (* LST seeds from the critical path: the latest start that still ends
      every path through the node by then *)
-  if walks.backward then begin
+  if has sel Sel.backward then begin
     if Array.length lst > 0 then
       for i = 0 to n - 1 do
         lst.(i) <- critical_path - to_leaf.(i)
       done;
-    if walks.forward && Array.length slack > 0 then
+    if has sel Sel.forward && Array.length slack > 0 then
       for i = 0 to n - 1 do
         slack.(i) <- critical_path - to_leaf.(i) - from_root.(i)
       done
   end;
-  let num_descendants = column columns n Heuristic.Num_descendants in
-  let sum_exec_of_descendants = column columns n Heuristic.Sum_exec_of_descendants in
-  if requirements.descendants then
+  let num_descendants = column sel Sel.num_descendants n in
+  let sum_exec_of_descendants = column sel Sel.sum_exec n in
+  if has sel Sel.descendants then
     descendant_measures dag ~exec_time ~count:num_descendants
       ~sum:sum_exec_of_descendants;
   let registers_born, registers_killed, liveness =
-    if requirements.registers then begin
+    if has sel Sel.registers then begin
       let insns = Ds_dag.Dag.insns dag in
       let regs =
         match live_out with
         | Some f -> Liveness.compute ~live_out:f insns
         | None -> Liveness.compute insns
       in
-      let keep h a = if List.mem h columns then a else [||] in
-      ( keep Heuristic.Registers_born regs.Liveness.born,
-        keep Heuristic.Registers_killed regs.Liveness.killed,
-        keep Heuristic.Liveness regs.Liveness.net )
+      ( keep sel Sel.born regs.Liveness.born,
+        keep sel Sel.killed regs.Liveness.killed,
+        keep sel Sel.liveness regs.Liveness.net )
     end
     else
-      ( column columns n Heuristic.Registers_born,
-        column columns n Heuristic.Registers_killed,
-        column columns n Heuristic.Liveness )
+      ( column sel Sel.born n,
+        column sel Sel.killed n,
+        column sel Sel.liveness n )
   in
   { Annot.exec_time;
     max_path_to_leaf;
@@ -223,23 +258,22 @@ let run ~traversal ?live_out ~requirements ~walks ~columns dag =
     (default: compute everything). *)
 let compute ?(traversal = Reverse_walk) ?live_out
     ?(requirements = all_requirements) dag =
-  run ~traversal ?live_out ~requirements
-    ~walks:{ forward = true; backward = true }
-    ~columns:Heuristic.all_26 dag
+  let groups =
+    (if requirements.descendants then Sel.descendants else 0)
+    lor if requirements.registers then Sel.registers else 0
+  in
+  run ~traversal ?live_out Sel.(forward lor backward lor every_column lor groups) dag
 
 (** [compute_for heuristics dag] computes only what the given heuristics
     need — what a scheduler's intermediate pass would actually run: the
     walks their calculation passes name, the costly groups they read,
     and only the columns they read. *)
 let compute_for ?(traversal = Reverse_walk) ?live_out heuristics dag =
-  run ~traversal ?live_out ~requirements:(requirements_of heuristics)
-    ~walks:(walks_of heuristics)
-    ~columns:heuristics dag
+  run ~traversal ?live_out (select heuristics) dag
 
 (** Only the backward-pass annotations (used when timing the traversal
     strategies in isolation, §4). *)
 let backward_only ?(traversal = Reverse_walk) dag =
-  run ~traversal ~requirements:{ descendants = false; registers = false }
-    ~walks:{ forward = false; backward = true }
-    ~columns:Heuristic.[ Max_path_to_leaf; Max_delay_to_leaf; Latest_start_time ]
+  run ~traversal
+    (select Heuristic.[ Max_path_to_leaf; Max_delay_to_leaf; Latest_start_time ])
     dag

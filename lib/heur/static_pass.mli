@@ -11,9 +11,6 @@ type requirements = { descendants : bool; registers : bool }
 
 val all_requirements : requirements
 
-(** The requirements implied by a set of heuristics. *)
-val requirements_of : Heuristic.t list -> requirements
-
 (** Compute the static annotations: both walks, every column allocated.
     [live_out] feeds the register-usage heuristics (default: every
     register escapes); [requirements] trims the costly groups (default:
@@ -34,8 +31,9 @@ val compute :
     - the walks' delays go to an array of their own when no column
       asked for keeps them, since the critical path, [lst] and [slack]
       are derived from them;
-    - the descendant and register groups run as {!requirements_of}
-      says.
+    - the descendant group runs when [Num_descendants] or
+      [Sum_exec_of_descendants] is given, the register group when
+      [Registers_born], [Registers_killed] or [Liveness] is.
 
     [critical_path_length] is exact whenever a walk runs (the backward
     walk's largest [max_delay_to_leaf] equals the forward walk's largest

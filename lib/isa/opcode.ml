@@ -162,37 +162,42 @@ let to_string = function
   | Call -> "call" | Jmpl -> "jmpl" | Ret -> "ret"
   | Save -> "save" | Restore -> "restore" | Nop -> "nop"
 
-(* Name lookup without a lowercase copy: the opcodes are bucketed by
-   (name length, first letter), and a candidate's name is compared in
-   place against the text, ignoring ASCII case. *)
-let max_name =
-  List.fold_left (fun m op -> max m (String.length (to_string op))) 0 all
+(* Name lookup without a lowercase copy: an open-addressed table of
+   [slots] entries, keyed by a multiplicative hash of the lowercased
+   name and probed linearly, holds each opcode's dense index (-1 when
+   empty); the candidate's name is then compared in place against the
+   text, ignoring ASCII case.  The 82 names take 98 probes in all. *)
+let slots = 256
 
-let bucket len c = (len * 26) + Char.code c - Char.code 'a'
+let rec hash_sub s pos stop h =
+  if pos = stop then h land (slots - 1)
+  else hash_sub s (pos + 1) stop ((h * 31) + Char.code (Char.lowercase_ascii s.[pos]))
 
-let buckets =
-  let b = Array.make (bucket (max_name + 1) 'a') [||] in
+let by_index = Array.of_list all
+
+let table =
+  let t = Array.make slots (-1) in
+  let rec place k = if t.(k) < 0 then k else place ((k + 1) land (slots - 1)) in
   List.iter
     (fun op ->
       let name = to_string op in
-      let k = bucket (String.length name) name.[0] in
-      b.(k) <- Array.append b.(k) [| op |])
+      t.(place (hash_sub name 0 (String.length name) 0)) <- index op)
     all;
-  b
+  t
 
 let rec same_name s pos name j =
   j = String.length name
   || Char.lowercase_ascii s.[pos + j] = name.[j] && same_name s pos name (j + 1)
 
-let rec find_in cands s pos k =
-  if k = Array.length cands then raise Not_found
-  else if same_name s pos (to_string cands.(k)) 0 then cands.(k)
-  else find_in cands s pos (k + 1)
+let rec probe s pos len k =
+  let i = table.(k) in
+  if i < 0 then raise Not_found
+  else
+    let name = to_string by_index.(i) in
+    if String.length name = len && same_name s pos name 0 then by_index.(i)
+    else probe s pos len ((k + 1) land (slots - 1))
 
-let of_sub s pos len =
-  let c = if len > 0 then Char.lowercase_ascii s.[pos] else ' ' in
-  if len > max_name || c < 'a' || c > 'z' then raise Not_found;
-  find_in buckets.(bucket len c) s pos 0
+let of_sub s pos len = probe s pos len (hash_sub s pos (pos + len) 0)
 
 let of_string s =
   match of_sub s 0 (String.length s) with

@@ -57,27 +57,26 @@ let order_tie_prefix direction cand m =
    the front.  Compaction keeps relative order, so after each key the
    survivors are [cand.(0 .. kept-1)] in candidate order; [on_key k best
    kept] sees them.  [vals] is scratch at least [m] long. *)
-let pick_winnowing ?on_key direction keys ~annot ~st cand vals m =
-  let rec narrow m = function
-    | [] -> order_tie_prefix direction cand m
-    | k :: rest ->
-        let best = ref min_int in
-        for j = 0 to m - 1 do
-          let v = signed_value k ~annot ~st cand.(j) in
-          vals.(j) <- v;
-          if v > !best then best := v
-        done;
-        let kept = ref 0 in
-        for j = 0 to m - 1 do
-          if vals.(j) = !best then begin
-            cand.(!kept) <- cand.(j);
-            incr kept
-          end
-        done;
-        (match on_key with Some f -> f k !best !kept | None -> ());
-        if !kept = 1 then cand.(0) else narrow !kept rest
-  in
-  narrow m keys
+let rec pick_winnowing ?on_key direction keys ~annot ~st cand vals m =
+  match keys with
+  | [] -> order_tie_prefix direction cand m
+  | k :: rest ->
+      let best = ref min_int in
+      for j = 0 to m - 1 do
+        let v = signed_value k ~annot ~st cand.(j) in
+        vals.(j) <- v;
+        if v > !best then best := v
+      done;
+      let kept = ref 0 in
+      for j = 0 to m - 1 do
+        if vals.(j) = !best then begin
+          cand.(!kept) <- cand.(j);
+          incr kept
+        end
+      done;
+      (match on_key with Some f -> f k !best !kept | None -> ());
+      if !kept = 1 then cand.(0)
+      else pick_winnowing ?on_key direction rest ~annot ~st cand vals !kept
 
 (* Priority-function rank weights: of [n] keys, rank [r] (from 1) weighs
    10^(n - r), so earlier ranks dominate by an order of magnitude.
@@ -88,13 +87,14 @@ let weights keys =
   Array.init nkeys (fun r -> int_of_float (10.0 ** float_of_int (nkeys - r - 1)))
 
 (* Priority function: rank-weighted sum of signed values. *)
-let priority keys weights ~annot ~st i =
-  let rec sum acc r = function
-    | [] -> acc
-    | k :: rest ->
-        sum (acc + (weights.(r) * signed_value k ~annot ~st i)) (r + 1) rest
-  in
-  sum 0 0 keys
+let rec weighted_sum weights ~annot ~st i acc r = function
+  | [] -> acc
+  | k :: rest ->
+      weighted_sum weights ~annot ~st i
+        (acc + (weights.(r) * signed_value k ~annot ~st i))
+        (r + 1) rest
+
+let priority keys weights ~annot ~st i = weighted_sum weights ~annot ~st i 0 0 keys
 
 (* The program-order winner of the top-priority set over the first [m]
    (>= 1) entries of [cand]. *)
@@ -302,26 +302,33 @@ let observe_ready record config weights ~annot ~st avail n_avail stamp chosen =
 (* A run's work arrays, each at least as long as the block: the
    available list and each node's slot in it, the top-priority front,
    the winnowing values and the static priorities, plus the dynamic
-   state's arrays.  Each domain keeps one, grown to the largest block it
-   has scheduled; [in_use] marks it taken by a run in progress. *)
+   state, reset in place for each block.  Each domain keeps one, grown
+   to the largest block it has scheduled; [in_use] marks it taken by a
+   run in progress.  [n_avail] is the available list's length and
+   [stamp] an observed run's push stamps ([[||]] unobserved): fields
+   here, so that pushing a node takes no closure. *)
 type scratch = {
   mutable in_use : bool;
-  dyn : Dyn_state.scratch;
+  st : Dyn_state.t;
   mutable avail : int array;
   mutable slot : int array;
   mutable ready : int array;
   mutable vals : int array;
   mutable prio : int array;
+  mutable n_avail : int;
+  mutable stamp : int array;
 }
 
 let fresh_scratch () =
   { in_use = false;
-    dyn = Dyn_state.scratch ();
+    st = Dyn_state.scratch ();
     avail = [||];
     slot = [||];
     ready = [||];
     vals = [||];
-    prio = [||] }
+    prio = [||];
+    n_avail = 0;
+    stamp = [||] }
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
@@ -342,32 +349,35 @@ let acquire n =
   end;
   s
 
+(* The available nodes, in no order: [slot.(i)] is node [i]'s index in
+   [avail], and an issue moves the last entry into its gap.  For an
+   observer, [stamp.(i)] counts the pushes before [i]'s (every pushed
+   node is available or scheduled): the candidate list [explain] prints
+   is newest push first, so ascending ids for the nodes available at
+   block start. *)
+let push s i =
+  if Array.length s.stamp > 0 then s.stamp.(i) <- s.st.Dyn_state.n_scheduled + s.n_avail;
+  s.avail.(s.n_avail) <- i;
+  s.slot.(i) <- s.n_avail;
+  s.n_avail <- s.n_avail + 1
+
+(* an arc leaving the node just issued: its peer joins the list once
+   every predecessor has issued *)
+let on_successor s peer _ _ =
+  if Dyn_state.available s.st peer then push s peer;
+  s
+
 (* The scheduling loop over a block of [n] >= 1 nodes, in [s]'s arrays,
    optionally recording decisions. *)
 let schedule_block ?seed ?recorder s config ~annot dag n =
-  let st = Dyn_state.create_in s.dyn dag config.direction in
+  let st = Dyn_state.create_in s.st dag config.direction in
   (match seed with Some f -> f st | None -> ());
-  let observing = Option.is_some recorder in
-  (* The available nodes, in no order: [slot.(i)] is node [i]'s index
-     in [avail], and an issue moves the last entry into its gap.  For
-     an observer, [stamp.(i)] counts the pushes before [i]'s (every
-     pushed node is available or scheduled): the candidate list
-     [explain] prints is newest push first, so ascending ids for the
-     nodes available at block start. *)
-  let avail = s.avail and n_avail = ref 0 and slot = s.slot in
-  let stamp = if observing then Array.make n 0 else [||] in
-  let push i =
-    if observing then stamp.(i) <- st.n_scheduled + !n_avail;
-    avail.(!n_avail) <- i;
-    slot.(i) <- !n_avail;
-    incr n_avail
-  in
+  s.n_avail <- 0;
+  s.stamp <- (if Option.is_some recorder then Array.make n 0 else [||]);
+  let avail = s.avail and slot = s.slot in
   for i = n - 1 downto 0 do
-    if Dyn_state.available st i then push i
+    if Dyn_state.available st i then push s i
   done;
-  let on_successor () peer _ _ =
-    if Dyn_state.available st peer then push peer
-  in
   (* trace bookkeeping is resolved once per block; the common
      (disabled) path costs one atomic read per run_impl call; only
      tracing reads the clock around each pick *)
@@ -388,7 +398,7 @@ let schedule_block ?seed ?recorder s config ~annot dag n =
     (* one pass: skip the unreleased nodes and keep the released ones
        tied for the top priority in [ready.(0 .. f-1)] *)
     let m = ref 0 and f = ref 0 and best = ref min_int in
-    for j = 0 to !n_avail - 1 do
+    for j = 0 to s.n_avail - 1 do
       let i = avail.(j) in
       if st.earliest_exec.(i) <= st.time then begin
         incr m;
@@ -408,7 +418,7 @@ let schedule_block ?seed ?recorder s config ~annot dag n =
     if !m = 0 then begin
       (* no candidate can issue: advance to the nearest release time *)
       let next = ref max_int in
-      for j = 0 to !n_avail - 1 do
+      for j = 0 to s.n_avail - 1 do
         next := Int.min !next st.earliest_exec.(avail.(j))
       done;
       assert (!next < max_int);
@@ -427,7 +437,7 @@ let schedule_block ?seed ?recorder s config ~annot dag n =
       end;
       (match recorder with
       | Some record ->
-          observe_ready record config weights ~annot ~st avail !n_avail stamp chosen
+          observe_ready record config weights ~annot ~st avail s.n_avail s.stamp chosen
       | None -> ());
       (* a backward pass builds the schedule last-to-first *)
       (match config.direction with
@@ -435,14 +445,14 @@ let schedule_block ?seed ?recorder s config ~annot dag n =
       | Dyn_state.Backward -> order.(n - 1 - st.n_scheduled) <- chosen);
       Dyn_state.schedule st chosen ~at:st.time;
       st.time <- st.time + 1;
-      let j = slot.(chosen) and last = avail.(!n_avail - 1) in
+      let j = slot.(chosen) and last = avail.(s.n_avail - 1) in
       avail.(j) <- last;
       slot.(last) <- j;
-      decr n_avail;
+      s.n_avail <- s.n_avail - 1;
       (* arcs are coalesced, so a peer's counter reaches zero exactly
          when its last predecessor, [chosen], issues: it cannot
          already be in the list *)
-      Dyn_state.fold_successors st chosen on_successor ()
+      ignore (Dyn_state.fold_successors st chosen on_successor s)
     end
   done;
   (* one aggregate span per block: total dynamic-heuristic time spent
@@ -462,6 +472,13 @@ let schedule_block ?seed ?recorder s config ~annot dag n =
       ();
   order
 
+(* Hand the scratch back, keeping nothing of the block: its DAG can be
+   collected as soon as the caller drops it. *)
+let release s =
+  Dyn_state.release s.st;
+  s.stamp <- [||];
+  s.in_use <- false
+
 (* The block's order; the scratch is released however the run ends. *)
 let run_impl ?seed ?recorder config ~annot dag =
   let n = Ds_dag.Dag.length dag in
@@ -470,11 +487,11 @@ let run_impl ?seed ?recorder config ~annot dag =
     let s = acquire n in
     match schedule_block ?seed ?recorder s config ~annot dag n with
     | order ->
-        s.in_use <- false;
+        release s;
         order
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        s.in_use <- false;
+        release s;
         Printexc.raise_with_backtrace e bt
   end
 

@@ -56,13 +56,15 @@ val key_labels : config -> string list
     or not.  A bare run keeps no observer state at all.
 
     Allocation: the result is the only array a run allocates for the
-    block.  Its work arrays (the available list and its slots, the
-    top-priority front, the winnowing values, the static priorities)
-    and the {!Ds_heur.Dyn_state} it schedules with live in a scratch
+    block, and a bare winnowing run under static keys allocates nothing
+    else.  Its work arrays (the available list and its slots, the top-priority
+    front, the winnowing values, the static priorities) and the
+    {!Ds_heur.Dyn_state} record it schedules with live in a scratch
     owned by the calling domain, grown to the largest block the domain
     has scheduled and refilled for each block.  The scratch is marked in
     use for the length of a run and released however the run ends, a
-    raise included.  A run nested on the same domain (a [seed], or a
+    raise included; releasing it drops its reference to the block's
+    DAG.  A run nested on the same domain (a [seed], or a
     latency-model function the state calls at each issue, that runs the
     engine again) finds it in use and works in fresh arrays, so both runs
     give the orders they give alone.  The state [seed] receives is the

@@ -80,6 +80,66 @@ let test_summary () =
 let test_empty_program () =
   check_int "no blocks" 0 (List.length (partition ""))
 
+(* ------------------------------------------------------------------ *)
+(* run-copying partition against the list-based yardstick *)
+
+(* A random instruction list: ALU instructions broken by branches,
+   calls, SAVE/RESTORE and labels at a density drawn per list, from
+   none (a block past 256 instructions) to most; the first instruction
+   is labelled half the time. *)
+let random_insns rng =
+  let n =
+    match Prng.int rng 4 with
+    | 0 -> Prng.int rng 3
+    | 1 -> 257 + Prng.int rng 300
+    | _ -> Prng.int rng 60
+  in
+  let density = Prng.choose rng [| 0.0; 0.01; 0.2; 0.6 |] in
+  let enders = Opcode.[| Be; Ba; Call; Jmpl; Save; Restore |] in
+  List.init n (fun i ->
+      let op =
+        if Prng.bool rng density then Prng.choose rng enders else Opcode.Add
+      in
+      let label =
+        if (i = 0 && Prng.bool rng 0.5) || Prng.bool rng density then
+          Some (Printf.sprintf "L%d" i)
+        else None
+      in
+      Insn.make ~index:i ?label op [])
+
+let random_options rng =
+  { Cfg_builder.calls_end_blocks = Prng.bool rng 0.5;
+    max_block_size =
+      (match Prng.int rng 3 with
+      | 0 -> None
+      | 1 -> Some (Prng.range rng 0 8)
+      | _ -> Some (Prng.range rng 1 300)) }
+
+let same_partition ?options insns =
+  Cfg_builder.partition ?options insns = Partition_legacy.partition ?options insns
+
+let prop_partition_matches_legacy seed =
+  let rng = Prng.create seed in
+  let insns = random_insns rng in
+  same_partition insns && same_partition ~options:(random_options rng) insns
+
+(* the shapes the generator may miss, named *)
+let test_partition_edge_cases () =
+  let ld ?label i = Insn.make ~index:i ?label Opcode.Ld [] in
+  let long = List.init 300 (fun i -> ld i) in
+  List.iter
+    (fun (what, insns) ->
+      check_bool what true (same_partition insns);
+      check_bool (what ^ ", windowed") true
+        (same_partition
+           ~options:{ Cfg_builder.default_options with max_block_size = Some 7 }
+           insns))
+    [ ("empty", []);
+      ("label on the first", [ ld ~label:"a" 0; ld 1 ]);
+      ("labelled run", List.init 5 (fun i -> ld ~label:(string_of_int i) i));
+      ("past 256", long);
+      ("past 256 after a label", ld ~label:"a" 0 :: long) ]
+
 let suite =
   [ quick "branch ends block" test_branch_ends_block;
     quick "delay slot to next block" test_delay_slot_goes_to_next_block;
@@ -93,4 +153,7 @@ let suite =
     quick "terminator" test_terminator;
     quick "unique mem exprs" test_unique_mem_exprs;
     quick "summary" test_summary;
-    quick "empty program" test_empty_program ]
+    quick "empty program" test_empty_program;
+    quick "partition edge cases match the yardstick" test_partition_edge_cases;
+    qcheck ~count:500 "partition: random instruction lists match the yardstick"
+      QCheck.(map abs small_signed_int) prop_partition_matches_legacy ]

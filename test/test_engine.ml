@@ -537,6 +537,29 @@ let test_scratch_across_sizes () =
       check_int "n_scheduled" fresh.Dyn_state.n_scheduled reused.Dyn_state.n_scheduled)
     (List.tl blocks)
 
+(* Engine allocation guard: [Engine.run] under the section-6 config over
+   the Table-3 corpus, DAGs and annotations built beforehand, counted
+   with [Gc.minor_words] on this domain.  Measured: 0.91 words/insn,
+   most of it the order array the run returns (arrays past 256 words
+   are allocated in the major heap and not counted); 5.0 when each
+   block allocated its dynamic state's record, the push and successor
+   closures and a boxed list length.  The budget is the measured value
+   x 1.15, the benchmark's minor-words bound. *)
+let test_engine_allocation_budget () =
+  let budget = 1.05 in
+  let blocks = List.concat_map snd (Profiles.corpus Profiles.benchmarks) in
+  let runs = List.map (annotated section6) blocks in
+  let insns = List.fold_left (fun n b -> n + Block.length b) 0 blocks in
+  (* warm up the per-domain scratch so growth costs are not charged *)
+  List.iter (fun (dag, annot) -> ignore (Engine.run section6 ~annot dag)) runs;
+  let m0 = Gc.minor_words () in
+  List.iter
+    (fun (dag, annot) -> ignore (Sys.opaque_identity (Engine.run section6 ~annot dag)))
+    runs;
+  let per_insn = (Gc.minor_words () -. m0) /. float_of_int insns in
+  if per_insn > budget then
+    Alcotest.failf "Engine.run allocated %.2f words/insn (budget %.2f)" per_insn budget
+
 (* Two domains scheduling at once, each through its own scratch, give
    the orders one domain gives. *)
 let test_two_domains () =
@@ -570,4 +593,5 @@ let suite =
     quick "scratch: nested runs equal un-nested ones" test_nested_runs;
     quick "scratch: a raising run releases it" test_raise_releases_scratch;
     quick "scratch: falling and rising block sizes" test_scratch_across_sizes;
-    quick "scratch: two domains at once" test_two_domains ]
+    quick "scratch: two domains at once" test_two_domains;
+    Alcotest.test_case "engine allocation budget" `Slow test_engine_allocation_budget ]
