@@ -26,8 +26,9 @@ let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_' || c = '.' || c = '$'
 
-(* The characters [String.trim] strips. *)
-let is_space c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+(* The characters [String.trim] strips but the newline, which ends a
+   line: no range the parser trims holds one. *)
+let is_blank c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
 
 let sub s a b = String.sub s a (b - a)
 
@@ -35,19 +36,14 @@ let sub s a b = String.sub s a (b - a)
 let rec index_in s i stop c =
   if i >= stop then -1 else if s.[i] = c then i else index_in s (i + 1) stop c
 
-let rec skip_space s i stop =
-  if i < stop && is_space s.[i] then skip_space s (i + 1) stop else i
+let rec skip_blank s i stop =
+  if i < stop && is_blank s.[i] then skip_blank s (i + 1) stop else i
 
 let rec trim_end s start i =
-  if i > start && is_space s.[i - 1] then trim_end s start (i - 1) else i
+  if i > start && is_blank s.[i - 1] then trim_end s start (i - 1) else i
 
 let rec ident_end s i stop =
   if i < stop && is_ident_char s.[i] then ident_end s (i + 1) stop else i
-
-(* The blanks [is_space] names, the newline that ends a line aside. *)
-let is_blank c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
-
-let rec skip_blank s i n = if i < n && is_blank s.[i] then skip_blank s (i + 1) n else i
 
 (* A line's code ends at its newline or at a comment's [!] or [#]. *)
 let is_code_end c = c = '\n' || c = '!' || c = '#'
@@ -149,11 +145,11 @@ let mem_split s a b =
    character.  The offset is decoded first, so a bad offset is reported
    before a bad base. *)
 let mem_of_range s a b =
-  let a = skip_space s a b in
+  let a = skip_blank s a b in
   let b = trim_end s a b in
   let op = mem_split s a b in
   if op > a then begin
-    let offset = int_of_range s (skip_space s (op + 1) b) b in
+    let offset = int_of_range s (skip_blank s (op + 1) b) b in
     let base = base_of_range s a (trim_end s a op) in
     { Mem_expr.base; offset = (if s.[op] = '+' then offset else -offset) }
   end
