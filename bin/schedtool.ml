@@ -447,49 +447,6 @@ let compare_cmd =
     Term.(const run $ model_arg $ strategy_arg $ file_arg)
 
 (* ------------------------------------------------------------------ *)
-(* optimal *)
-
-let optimal_cmd =
-  let run model strategy budget file =
-    let blocks = load_blocks file in
-    let opts = opts_of model strategy in
-    let t =
-      Table.create ~title:""
-        [ "block"; "insns"; "optimal"; "exhaustive"; "nodes explored";
-          "best heuristic" ]
-    in
-    List.iter
-      (fun block ->
-        let dag = Builder.build Builder.Table_forward opts block in
-        let r = Optimal.run ~budget dag in
-        let best_heuristic =
-          List.fold_left
-            (fun acc spec ->
-              let s = Published.run_on_dag spec dag in
-              min acc (Optimal.evaluate dag s.Schedule.order))
-            max_int Published.all
-        in
-        Table.add_row t
-          [ string_of_int block.Block.id;
-            string_of_int (Block.length block);
-            string_of_int r.Optimal.cycles;
-            string_of_bool r.Optimal.optimal;
-            string_of_int r.Optimal.nodes_explored;
-            string_of_int best_heuristic ])
-      blocks;
-    Table.print t
-  in
-  let budget =
-    Arg.(
-      value & opt int 300_000
-      & info [ "b"; "budget" ] ~docv:"N" ~doc:"Search-node budget.")
-  in
-  Cmd.v
-    (Cmd.info "optimal"
-       ~doc:"Branch-and-bound optimal scheduling (small blocks).")
-    Term.(const run $ model_arg $ strategy_arg $ budget $ file_arg)
-
-(* ------------------------------------------------------------------ *)
 (* chain: cross-block scheduling with inherited latencies *)
 
 let chain_cmd =
@@ -1065,17 +1022,17 @@ let explain_cmd =
                   Printf.printf "  never consulted: %s\n"
                     (String.concat ", " dead)))
         Published.all;
-    (* -- optimality gap: oracle vs every strategy, same cost model --- *)
+    (* -- optimality gap: oracle vs every strategy, in pipeline cycles - *)
     let gap_json = ref Json.Null in
     if gap then begin
-      (* one oracle run per distinct (block, builder) — specs sharing a
-         builder share the search *)
-      let oracle_cache : (int * Builder.algorithm, Optimal.result option)
-          Hashtbl.t =
+      (* one oracle run per block: every builder's DAG allows the same
+         orders, and the oracle times them in pipeline cycles, so the
+         optimum does not depend on the builder *)
+      let oracle_cache : (int, Optimal.result option) Hashtbl.t =
         Hashtbl.create 64
       in
-      let oracle key dag =
-        match Hashtbl.find_opt oracle_cache key with
+      let oracle id dag =
+        match Hashtbl.find_opt oracle_cache id with
         | Some r -> r
         | None ->
             let r =
@@ -1084,27 +1041,29 @@ let explain_cmd =
                 let res = Optimal.run ~budget dag in
                 if res.Optimal.optimal then Some res else None
             in
-            Hashtbl.add oracle_cache key r;
+            Hashtbl.add oracle_cache id r;
             r
       in
+      (* per strategy: its (block, insns, heuristic, optimal) rows and
+         their heuristic and optimal totals *)
       let strategies =
         List.map
           (fun sp ->
             let per_block =
               List.filter_map
                 (fun b ->
-                  let alg = Published.builder sp in
-                  let dag = Builder.build alg opts b in
-                  match oracle (b.Block.id, alg) dag with
-                  | None -> None
-                  | Some res ->
-                      let s = Published.run_on_dag sp dag in
-                      let heur = Optimal.evaluate dag s.Schedule.order in
-                      Some (b.Block.id, Dag.length dag, heur,
-                            res.Optimal.cycles))
+                  let dag = Builder.build (Published.builder sp) opts b in
+                  Option.map
+                    (fun res ->
+                      ( b.Block.id, Dag.length dag,
+                        Schedule.cycles (Published.run_on_dag sp dag),
+                        res.Optimal.cycles ))
+                    (oracle b.Block.id dag))
                 blocks
             in
-            (sp, per_block))
+            let sum f = List.fold_left (fun a row -> a + f row) 0 per_block in
+            ( sp, per_block, sum (fun (_, _, h, _) -> h),
+              sum (fun (_, _, _, o) -> o) ))
           Published.all
       in
       let pct heur opt =
@@ -1119,14 +1078,8 @@ let explain_cmd =
               "gap %"; "optimal hits" ]
         in
         List.iter
-          (fun (sp, per_block) ->
+          (fun (sp, per_block, heur, opt) ->
             let feasible = List.length per_block in
-            let heur =
-              List.fold_left (fun a (_, _, h, _) -> a + h) 0 per_block
-            in
-            let opt =
-              List.fold_left (fun a (_, _, _, o) -> a + o) 0 per_block
-            in
             let hits =
               List.length
                 (List.filter (fun (_, _, h, o) -> h = o) per_block)
@@ -1148,15 +1101,7 @@ let explain_cmd =
             ( "strategies",
               Json.List
                 (List.map
-                   (fun (sp, per_block) ->
-                     let heur =
-                       List.fold_left (fun a (_, _, h, _) -> a + h) 0
-                         per_block
-                     in
-                     let opt =
-                       List.fold_left (fun a (_, _, _, o) -> a + o) 0
-                         per_block
-                     in
+                   (fun (sp, per_block, heur, opt) ->
                      Json.Obj
                        [ ("scheduler", Json.String sp.Published.short);
                          ( "signature",
@@ -1256,8 +1201,8 @@ let explain_cmd =
       value & flag
       & info [ "gap" ]
           ~doc:"Run the branch-and-bound oracle on every oracle-feasible \
-                block and report per-strategy optimality gaps in the same \
-                cost model.")
+                block and report per-strategy optimality gaps, every order \
+                timed by the pipeline simulator.")
   in
   let budget =
     Arg.(
@@ -1294,5 +1239,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ gen_cmd; stats_cmd; build_cmd; schedule_cmd; compare_cmd;
-            optimal_cmd; chain_cmd; batch_cmd; serve_cmd; client_cmd;
+            chain_cmd; batch_cmd; serve_cmd; client_cmd;
             dot_cmd; gantt_cmd; explain_cmd ]))

@@ -141,7 +141,7 @@ let create ~model insns =
 let length t = Array.length t.insns
 let insn t i = t.insns.(i)
 let insns t = t.insns
-let decode_gen t = t.decode_gen
+let decoded t = Pipeline.decoded ~gen:t.decode_gen t.model t.insns
 let set_decode_gen t g = t.decode_gen <- g
 let model t = t.model
 let n_arcs t = t.n_arcs

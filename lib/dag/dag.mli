@@ -39,10 +39,11 @@ val model : t -> Ds_machine.Latency.t
 (** The block's instructions, shared with the DAG (do not mutate). *)
 val insns : t -> Ds_isa.Insn.t array
 
-(** Generation of the {!Ds_machine.Pipeline.decode} the DAG was built
-    from, or [-1]: the table builders stamp their DAGs so scoring can
-    reuse the decode while it is still the domain's current one. *)
-val decode_gen : t -> int
+(** This domain's {!Ds_machine.Pipeline.decode} of the DAG's block: the
+    one a table builder made it from, which it stamps with
+    [set_decode_gen], while that is still the domain's current decode,
+    else a fresh decode.  So timing never rescans a constructed block. *)
+val decoded : t -> Ds_machine.Pipeline.scan
 
 val set_decode_gen : t -> int -> unit
 

@@ -24,7 +24,9 @@
     of the last definition of a resource and the set of current uses"
     (§2) as per-id arrays and pooled reader chains.  Readers stay a chain
     rather than a maximum because the WAR delay depends on the reading
-    instruction. *)
+    instruction.  The record is one machine state per domain, which
+    issues one instruction at a time: a replay logs nothing, and [issue]
+    logs what it overwrites so that [undo] can take issues back. *)
 
 open Ds_isa
 
@@ -35,8 +37,7 @@ type result = {
 }
 
 (* One block, read once (layout in pipeline.mli).  The domain's decode
-   reuses its arrays from block to block; [scan] copies the live
-   prefixes. *)
+   reuses its arrays from block to block. *)
 type scan = {
   mutable gen : int;
   mutable model : Latency.t;
@@ -52,6 +53,8 @@ type scan = {
   mutable unit : int array;      (* Funit index *)
 }
 
+(* The domain's scratch: its decode and its machine state, which
+   [issue] logs to [trail], one frame per instruction, for [undo]. *)
 type scratch = {
   ids : Resource.Ids.t;        (* persists across blocks, up to a bound *)
   buf : Insn.Scan.buf;
@@ -60,49 +63,51 @@ type scratch = {
   mutable stamp : int array;
   mutable local : int array;
   dec : scan;
-  (* simulate: per block-local id *)
-  mutable writer : int array;          (* insn index, or -1 *)
+  (* the machine state, issuing the decode [sc] *)
+  mutable sc : scan;
+  mutable width : int;
+  mutable writer : int array;          (* (insn lsl 8) lor def pos, or -1 *)
   mutable writer_issue : int array;
-  mutable writer_def_pos : int array;
   mutable readers : int array;         (* reader chain head slot, or -1 *)
-  (* reader slots, rewound per simulation *)
   mutable slot_insn : int array;
   mutable slot_issue : int array;
   mutable slot_next : int array;
+  mutable slots : int;                 (* reader slots in use *)
   unit_free : int array;
   unit_last : int array;               (* cycle the unit last issued in *)
-  mutable issue_buf : int array;
-  mutable identity : int array;        (* 0, 1, 2, ... *)
+  mutable cycle : int;                 (* the current issue cycle *)
+  mutable left : int;                  (* its slots left *)
+  mutable next : int;                  (* first cycle open to the next insn *)
+  mutable stalls : int;
+  mutable completion : int;
+  mutable trail : int array;
+  mutable top : int;
 }
+
+type state = scratch
 
 (* Decode generations are unique across the process, so a generation
    recorded on one domain never matches another domain's decode. *)
 let next_gen = Atomic.make 1
 
 let fresh_scratch () =
-  { ids = Resource.Ids.create ();
-    buf = Insn.Scan.create ();
-    epoch = 0;
-    stamp = Array.make 128 (-1);
-    local = Array.make 128 0;
-    dec =
-      { gen = 0; model = Latency.simple_risc; insns = [||]; n_res = 0;
-        res = Array.make 64 Resource.Ctrl;
-        def_start = Array.make 64 0; def_ids = Array.make 64 0;
-        use_start = Array.make 64 0; use_ids = Array.make 64 0;
-        exec = Array.make 64 0; busy = Array.make 64 0;
-        unit = Array.make 64 0 };
-    writer = [||];
-    writer_issue = [||];
-    writer_def_pos = [||];
-    readers = [||];
-    slot_insn = [||];
-    slot_issue = [||];
-    slot_next = [||];
+  let dec =
+    { gen = 0; model = Latency.simple_risc; insns = [||]; n_res = 0;
+      res = Array.make 64 Resource.Ctrl;
+      def_start = Array.make 64 0; def_ids = Array.make 64 0;
+      use_start = Array.make 64 0; use_ids = Array.make 64 0;
+      exec = Array.make 64 0; busy = Array.make 64 0;
+      unit = Array.make 64 0 }
+  in
+  { ids = Resource.Ids.create (); buf = Insn.Scan.create ();
+    epoch = 0; stamp = Array.make 128 (-1); local = Array.make 128 0;
+    dec; sc = dec; width = 1;
+    writer = [||]; writer_issue = [||]; readers = [||];
+    slot_insn = [||]; slot_issue = [||]; slot_next = [||]; slots = 0;
     unit_free = Array.make Funit.count 0;
     unit_last = Array.make Funit.count (-1);
-    issue_buf = [||];
-    identity = [||] }
+    cycle = -1; left = 0; next = 0; stalls = 0; completion = 0;
+    trail = [||]; top = 0 }
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
@@ -190,46 +195,15 @@ let decoded ~gen model insns =
   let d = (Domain.DLS.get scratch_key).dec in
   if d.gen = gen then d else decode model insns
 
-let scan model insns =
-  let d = decode model insns in
-  let n = Array.length insns in
-  { gen = -1; model; insns;
-    n_res = d.n_res;
-    res = Array.sub d.res 0 d.n_res;
-    def_start = Array.sub d.def_start 0 (n + 1);
-    def_ids = Array.sub d.def_ids 0 d.def_start.(n);
-    use_start = Array.sub d.use_start 0 (n + 1);
-    use_ids = Array.sub d.use_ids 0 d.use_start.(n);
-    exec = Array.sub d.exec 0 n;
-    busy = Array.sub d.busy 0 n;
-    unit = Array.sub d.unit 0 n }
-
-let reset_state s sc =
+(* Empty the state for issuing [sc] at [width]: nothing issued yet. *)
+let reset s sc ~width =
   let k = sc.n_res in
   if k > Array.length s.writer then begin
     let len = max k (2 * Array.length s.writer) in
     s.writer <- Array.make len (-1);
     s.writer_issue <- Array.make len 0;
-    s.writer_def_pos <- Array.make len 0;
     s.readers <- Array.make len (-1)
   end;
-  Array.fill s.writer 0 k (-1);
-  Array.fill s.readers 0 k (-1);
-  Array.fill s.unit_free 0 Funit.count 0;
-  Array.fill s.unit_last 0 Funit.count (-1)
-
-(* Issue [order.(0 .. len-1)] (indices into the decoded block) writing
-   each issue cycle into [issue].  Each instruction issues no earlier
-   than its predecessor's cycle while that cycle has one of its [width]
-   slots left, and the cycle after it otherwise; after every RAW
-   producer's result, after every current reader of a resource it
-   redefines (WAR) and its previous writer (WAW), and once its
-   non-pipelined unit is free.  A unit issues at most once a cycle, so
-   an instruction whose unit already issued in the current cycle takes
-   the next one.  At width 1 the first rule alone is "the slot after
-   the predecessor". *)
-let run_into s sc ~width order len issue =
-  reset_state s sc;
   let n_readers = sc.use_start.(Array.length sc.insns) in
   if n_readers > Array.length s.slot_insn then begin
     let len = max n_readers (2 * Array.length s.slot_insn) in
@@ -237,119 +211,205 @@ let run_into s sc ~width order len issue =
     s.slot_issue <- Array.make len 0;
     s.slot_next <- Array.make len 0
   end;
+  Array.fill s.writer 0 k (-1);
+  Array.fill s.readers 0 k (-1);
+  Array.fill s.unit_free 0 Funit.count 0;
+  Array.fill s.unit_last 0 Funit.count (-1);
+  s.sc <- sc;
+  s.width <- width;
+  s.slots <- 0;
+  s.cycle <- -1;
+  s.left <- 0;
+  s.next <- 0;
+  s.stalls <- 0;
+  s.completion <- 0;
+  s.top <- 0
+
+(* Issue decoded instruction [i] next and return its cycle.  It issues
+   no earlier than its predecessor's cycle while that cycle has one of
+   its [width] slots left, and the cycle after it otherwise; after every
+   RAW producer's result, after every current reader of a resource it
+   redefines (WAR) and its previous writer (WAW), and once its
+   non-pipelined unit is free.  A unit issues at most once a cycle, so
+   an instruction whose unit already issued in the current cycle takes
+   the next one.  At width 1 the first rule alone is "the slot after
+   the predecessor".  Logs nothing and allocates nothing. *)
+let step s i =
+  let sc = s.sc in
   let model = sc.model and insns = sc.insns in
   let writer = s.writer and writer_issue = s.writer_issue in
-  let writer_def_pos = s.writer_def_pos and readers = s.readers in
+  let readers = s.readers in
   let slot_insn = s.slot_insn and slot_issue = s.slot_issue in
-  let slot_next = s.slot_next and unit_free = s.unit_free in
-  let unit_last = s.unit_last in
-  let slots = ref 0 and stalls = ref 0 and completion = ref 0 in
-  (* the current issue cycle, its slots left, the first cycle open to
-     the next instruction *)
-  let cycle = ref (-1) and left = ref 0 and next = ref 0 in
-  for p = 0 to len - 1 do
-    let i = order.(p) in
-    let child = insns.(i) in
-    let min_issue = !next in
-    let earliest = ref min_issue in
-    let u0 = sc.use_start.(i) and u1 = sc.use_start.(i + 1) in
-    let d0 = sc.def_start.(i) and d1 = sc.def_start.(i + 1) in
-    (* RAW: every used resource must have been produced *)
-    for u = u0 to u1 - 1 do
-      let id = sc.use_ids.(u) in
-      let w = writer.(id) in
-      if w >= 0 then begin
-        let lat =
-          model.Latency.raw ~parent:insns.(w) ~def_pos:writer_def_pos.(id)
-            ~res:sc.res.(id) ~child ~use_pos:(u - u0)
-        in
-        earliest := Int.max !earliest (writer_issue.(id) + lat)
-      end
-    done;
-    (* WAR and WAW on every defined resource *)
-    for d = d0 to d1 - 1 do
-      let id = sc.def_ids.(d) in
-      let res = sc.res.(id) in
-      let r = ref readers.(id) in
-      while !r >= 0 do
-        let lat =
-          model.Latency.war ~parent:insns.(slot_insn.(!r)) ~res ~child
-        in
-        earliest := Int.max !earliest (slot_issue.(!r) + lat);
-        r := slot_next.(!r)
-      done;
-      let w = writer.(id) in
-      if w >= 0 then begin
-        let lat = model.Latency.waw ~parent:insns.(w) ~res ~child in
-        earliest := Int.max !earliest (writer_issue.(id) + lat)
-      end
-    done;
-    (* structural hazard: non-pipelined FP unit still busy *)
-    let busy = sc.busy.(i) and u = sc.unit.(i) in
-    if busy > 0 then earliest := Int.max !earliest unit_free.(u);
-    let t = !earliest in
-    let t = if t = !cycle && unit_last.(u) = t then t + 1 else t in
-    if t > !cycle then begin
-      cycle := t;
-      left := width - 1
+  let slot_next = s.slot_next in
+  let child = insns.(i) in
+  let min_issue = s.next in
+  let earliest = ref min_issue in
+  let u0 = sc.use_start.(i) and u1 = sc.use_start.(i + 1) in
+  let d0 = sc.def_start.(i) and d1 = sc.def_start.(i + 1) in
+  (* RAW: every used resource must have been produced *)
+  for u = u0 to u1 - 1 do
+    let id = sc.use_ids.(u) in
+    let w = writer.(id) in
+    if w >= 0 then begin
+      let lat =
+        model.Latency.raw ~parent:insns.(w lsr 8) ~def_pos:(w land 0xff)
+          ~res:sc.res.(id) ~child ~use_pos:(u - u0)
+      in
+      earliest := Int.max !earliest (writer_issue.(id) + lat)
     end
-    else decr left;
-    unit_last.(u) <- t;
-    next := if !left > 0 then t else t + 1;
-    issue.(p) <- t;
-    stalls := !stalls + (t - min_issue);
-    if busy > 0 then unit_free.(u) <- t + busy;
-    (* record definitions, then uses *)
-    for d = d0 to d1 - 1 do
-      let id = sc.def_ids.(d) in
-      writer.(id) <- i;
-      writer_issue.(id) <- t;
-      writer_def_pos.(id) <- d - d0;
-      readers.(id) <- -1
-    done;
-    for u = u0 to u1 - 1 do
-      let id = sc.use_ids.(u) in
-      let slot = !slots in
-      incr slots;
-      slot_insn.(slot) <- i;
-      slot_issue.(slot) <- t;
-      slot_next.(slot) <- readers.(id);
-      readers.(id) <- slot
-    done;
-    completion := Int.max !completion (t + sc.exec.(i))
   done;
-  { issue_cycle = issue; completion = !completion; stall_cycles = !stalls }
+  (* WAR and WAW on every defined resource *)
+  for d = d0 to d1 - 1 do
+    let id = sc.def_ids.(d) in
+    let res = sc.res.(id) in
+    let r = ref readers.(id) in
+    while !r >= 0 do
+      let lat = model.Latency.war ~parent:insns.(slot_insn.(!r)) ~res ~child in
+      earliest := Int.max !earliest (slot_issue.(!r) + lat);
+      r := slot_next.(!r)
+    done;
+    let w = writer.(id) in
+    if w >= 0 then begin
+      let lat = model.Latency.waw ~parent:insns.(w lsr 8) ~res ~child in
+      earliest := Int.max !earliest (writer_issue.(id) + lat)
+    end
+  done;
+  (* structural hazard: non-pipelined FP unit still busy *)
+  let busy = sc.busy.(i) and u = sc.unit.(i) in
+  if busy > 0 then earliest := Int.max !earliest s.unit_free.(u);
+  let t = !earliest in
+  let t = if t = s.cycle && s.unit_last.(u) = t then t + 1 else t in
+  if t > s.cycle then begin
+    s.cycle <- t;
+    s.left <- s.width - 1
+  end
+  else s.left <- s.left - 1;
+  s.unit_last.(u) <- t;
+  s.next <- (if s.left > 0 then t else t + 1);
+  s.stalls <- s.stalls + (t - min_issue);
+  if busy > 0 then s.unit_free.(u) <- t + busy;
+  (* record definitions, then uses *)
+  for d = d0 to d1 - 1 do
+    let id = sc.def_ids.(d) in
+    writer.(id) <- (i lsl 8) lor (d - d0);
+    writer_issue.(id) <- t;
+    readers.(id) <- -1
+  done;
+  for u = u0 to u1 - 1 do
+    let id = sc.use_ids.(u) in
+    let slot = s.slots in
+    s.slots <- slot + 1;
+    slot_insn.(slot) <- i;
+    slot_issue.(slot) <- t;
+    slot_next.(slot) <- readers.(id);
+    readers.(id) <- slot
+  done;
+  s.completion <- Int.max s.completion (t + sc.exec.(i));
+  t
 
-let simulate sc order =
-  let len = Array.length order in
-  run_into (Domain.DLS.get scratch_key) sc ~width:1 order len (Array.make len 0)
+(* A trail frame holds what [step] overwrites, saved before it runs:
+   the cycle, slots left, next, stalls and completion; the unit's last
+   issue and free cycles; per definition the writer and its issue cycle
+   and the reader chain head; last the instruction, from which [pop]
+   reads the frame's length.  Uses need no entry: a use's slot keeps
+   the chain head it replaced in [slot_next]. *)
+let frame_scalars = 7
 
-(* the completion alone, issuing into a scratch array *)
-let completion_of s sc ~width order len =
-  if len > Array.length s.issue_buf then
-    s.issue_buf <- Array.make (max len (2 * Array.length s.issue_buf)) 0;
-  (run_into s sc ~width order len s.issue_buf).completion
+let push s i =
+  let sc = s.sc and tr = s.trail and k = s.top in
+  let d0 = sc.def_start.(i) and d1 = sc.def_start.(i + 1) and u = sc.unit.(i) in
+  tr.(k) <- s.cycle;
+  tr.(k + 1) <- s.left;
+  tr.(k + 2) <- s.next;
+  tr.(k + 3) <- s.stalls;
+  tr.(k + 4) <- s.completion;
+  tr.(k + 5) <- s.unit_last.(u);
+  tr.(k + 6) <- s.unit_free.(u);
+  for d = d0 to d1 - 1 do
+    let id = sc.def_ids.(d) and at = k + frame_scalars + (3 * (d - d0)) in
+    tr.(at) <- s.writer.(id);
+    tr.(at + 1) <- s.writer_issue.(id);
+    tr.(at + 2) <- s.readers.(id)
+  done;
+  let k = k + frame_scalars + (3 * (d1 - d0)) in
+  tr.(k) <- i;
+  s.top <- k + 1
 
-let completion sc order =
-  completion_of (Domain.DLS.get scratch_key) sc ~width:1 order
-    (Array.length order)
+(* Undo the last frame's instruction: its uses, last first, then the
+   saved values (all taken before any was overwritten, so their order
+   does not matter). *)
+let pop s =
+  let sc = s.sc and tr = s.trail in
+  let i = tr.(s.top - 1) in
+  let d0 = sc.def_start.(i) and d1 = sc.def_start.(i + 1) and u = sc.unit.(i) in
+  for v = sc.use_start.(i + 1) - 1 downto sc.use_start.(i) do
+    s.slots <- s.slots - 1;
+    s.readers.(sc.use_ids.(v)) <- s.slot_next.(s.slots)
+  done;
+  let k = s.top - 1 - (3 * (d1 - d0)) - frame_scalars in
+  for d = d0 to d1 - 1 do
+    let id = sc.def_ids.(d) and at = k + frame_scalars + (3 * (d - d0)) in
+    s.writer.(id) <- tr.(at);
+    s.writer_issue.(id) <- tr.(at + 1);
+    s.readers.(id) <- tr.(at + 2)
+  done;
+  s.cycle <- tr.(k);
+  s.left <- tr.(k + 1);
+  s.next <- tr.(k + 2);
+  s.stalls <- tr.(k + 3);
+  s.completion <- tr.(k + 4);
+  s.unit_last.(u) <- tr.(k + 5);
+  s.unit_free.(u) <- tr.(k + 6);
+  s.top <- k
 
+let start sc =
+  let s = Domain.DLS.get scratch_key in
+  reset s sc ~width:1;
+  let n = Array.length sc.insns in
+  (* room for a frame per instruction *)
+  let len = (n * (frame_scalars + 1)) + (3 * sc.def_start.(n)) in
+  if len > Array.length s.trail then
+    s.trail <- Array.make (max len (2 * Array.length s.trail)) 0;
+  s
+
+let issue s i = push s i; step s i
+
+let mark s = s.top
+
+let undo s m =
+  while s.top > m do
+    pop s
+  done
+
+let completed s = s.completion
+let next_issue s = s.next
+
+(* A full replay of [order] (indices into the decoded block). *)
+let replay ~width sc order =
+  let s = Domain.DLS.get scratch_key in
+  reset s sc ~width;
+  let issue = Array.make (Array.length order) 0 in
+  for p = 0 to Array.length order - 1 do
+    issue.(p) <- step s order.(p)
+  done;
+  { issue_cycle = issue; completion = s.completion; stall_cycles = s.stalls }
+
+let simulate sc order = replay ~width:1 sc order
+
+(* the original order's completion: a replay that keeps no issue cycles *)
 let original_completion_at ~width sc =
   let s = Domain.DLS.get scratch_key in
-  let n = Array.length sc.insns in
-  if n > Array.length s.identity then
-    s.identity <- Array.init (max n (2 * Array.length s.identity)) Fun.id;
-  completion_of s sc ~width s.identity n
+  reset s sc ~width;
+  for i = 0 to Array.length sc.insns - 1 do
+    ignore (step s i)
+  done;
+  s.completion
 
 let original_completion sc = original_completion_at ~width:1 sc
 
-(** [run ?width model insns] simulates issuing [insns] in the given
-    order. *)
 let run ?(width = 1) model insns =
   assert (width >= 1);
-  let n = Array.length insns in
-  run_into (Domain.DLS.get scratch_key) (decode model insns) ~width
-    (Array.init n Fun.id) n (Array.make n 0)
+  replay ~width (decode model insns) (Array.init (Array.length insns) Fun.id)
 
 let cycles ?(width = 1) model insns =
   assert (width >= 1);

@@ -30,9 +30,12 @@
     The decode is the only routine that reads a block's resources: the
     table DAG builders construct from it, and [Schedule.score] simulates
     over it while it is still this domain's current decode.  A decode
-    stays valid until the next {!decode} on the same domain; {!scan}
-    returns an immutable copy that any domain may simulate any number
-    of times. *)
+    stays valid until the next {!decode} on the same domain.
+
+    Every timing runs in one machine state per domain that issues one
+    decoded instruction at a time: {!simulate} replays a whole order,
+    and {!issue} and {!undo} let the fixup and the optimal search extend
+    an order and take it back, paying only for what they issue. *)
 
 type result = {
   issue_cycle : int array;   (* per instruction, in sequence order *)
@@ -50,7 +53,7 @@ type result = {
     prefixes: [def_start]/[use_start] up to [n], the id arrays up to
     [def_start.(n)]/[use_start.(n)], [exec]/[busy]/[unit] below [n]. *)
 type scan = private {
-  mutable gen : int;               (* see {!decode}; -1 for a {!scan} *)
+  mutable gen : int;               (* see {!decode} *)
   mutable model : Latency.t;
   mutable insns : Ds_isa.Insn.t array;
   mutable n_res : int;
@@ -76,18 +79,35 @@ val decode : Latency.t -> Ds_isa.Insn.t array -> scan
     [insns]), and otherwise [decode model insns]. *)
 val decoded : gen:int -> Latency.t -> Ds_isa.Insn.t array -> scan
 
-(** An immutable copy of [decode model insns], sized to the block. *)
-val scan : Latency.t -> Ds_isa.Insn.t array -> scan
-
 (** [simulate sc order] issues the decoded instructions [order.(0)],
     [order.(1)], ... in that sequence; [issue_cycle] follows [order]. *)
 val simulate : scan -> int array -> result
 
-(** [completion] of {!simulate}, without allocating the issue array. *)
-val completion : scan -> int array -> int
-
 (** [completion] of the original order [0 .. n-1]; allocates nothing. *)
 val original_completion : scan -> int
+
+(** This domain's machine state, issuing one decode at width 1: emptied
+    by {!start}, overwritten by any other timing call on the domain, and
+    valid while its decode is current. *)
+type state
+
+(** Empty this domain's state for issuing a decode. *)
+val start : scan -> state
+
+(** [issue st i] issues decoded instruction [i], not issued yet, next
+    and returns its cycle, logging what it overwrites; allocates
+    nothing. *)
+val issue : state -> int -> int
+
+(** [undo st m] takes back, last first, each instruction issued since
+    [m = mark st], at the cost of issuing it. *)
+val mark : state -> int
+val undo : state -> int -> unit
+
+(** The completion of what is issued so far, and the first cycle open to
+    the next issue. *)
+val completed : state -> int
+val next_issue : state -> int
 
 (** [run ?width model insns] simulates [insns] in array order over a
     fresh {!decode}, issuing up to [width] (default 1, at least 1)

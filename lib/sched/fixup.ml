@@ -4,8 +4,11 @@
     fill more operation delay slots than are filled by the heuristic
     scheduling pass" (§5).  This greedy pass simulates the schedule, finds
     issue-slot bubbles, and tries to hoist a later instruction into each
-    bubble when no dependence arc crosses the move.  It repeats until a
-    full sweep yields no improvement. *)
+    bubble when no dependence arc crosses the move, keeping the first
+    move that shortens the schedule.  It repeats until a full sweep
+    yields no improvement. *)
+
+open Ds_machine
 
 (* Can node [mover] be placed immediately before position [target_pos]
    given it currently sits at [from_pos]?  Legal iff no arc connects any
@@ -24,50 +27,54 @@ let hoist order ~from_pos ~target_pos =
   Array.blit order target_pos order (target_pos + 1) (from_pos - target_pos);
   order.(target_pos) <- v
 
-(* Undo [hoist]: move the node at [target_pos] back to [from_pos]. *)
-let unhoist order ~from_pos ~target_pos =
-  let v = order.(target_pos) in
-  Array.blit order (target_pos + 1) order target_pos (from_pos - target_pos);
-  order.(from_pos) <- v
-
 (** One sweep: returns true when a profitable move was applied.  The
-    block is scanned once; every trial order is scored against that
-    scan. *)
+    prefix is issued in the machine state; at each bubble a trial issues
+    a mover and the rest, until its completion (which only grows)
+    reaches the full replay's, and undoes back to the bubble. *)
 let sweep (s : Schedule.t) =
-  let n = Array.length s.order in
-  let scan = Schedule.scan s in
-  let result = Ds_machine.Pipeline.simulate scan s.order in
-  let baseline = result.Ds_machine.Pipeline.completion in
+  let order = s.order in
+  let n = Array.length order in
+  let sc = Ds_dag.Dag.decoded s.dag in
+  let result = Pipeline.simulate sc order in
+  let baseline = result.Pipeline.completion in
+  let issue = result.Pipeline.issue_cycle in
   let position = Array.make n 0 in
-  Array.iteri (fun pos node -> position.(node) <- pos) s.order;
-  let improved = ref false in
-  (* find the first bubble: instruction that issued later than slot-next *)
-  let rec find_bubble pos =
-    if pos >= n || !improved then ()
-    else begin
-      let expected =
-        if pos = 0 then 0 else result.Ds_machine.Pipeline.issue_cycle.(pos - 1) + 1
-      in
-      if result.Ds_machine.Pipeline.issue_cycle.(pos) > expected then begin
-        (* try to hoist a later instruction into this slot *)
-        let rec try_from from_pos =
-          if from_pos >= n || !improved then ()
-          else begin
-            if can_hoist s position ~from_pos ~target_pos:pos then begin
-              hoist s.order ~from_pos ~target_pos:pos;
-              if Ds_machine.Pipeline.completion scan s.order < baseline then
-                improved := true
-              else unhoist s.order ~from_pos ~target_pos:pos
-            end;
-            if not !improved then try_from (from_pos + 1)
-          end
-        in
-        try_from (pos + 1)
-      end;
-      find_bubble (pos + 1)
-    end
+  Array.iteri (fun pos node -> position.(node) <- pos) order;
+  let st = Pipeline.start sc in
+  (* [order.(from_pos)] issued at [target_pos], then the rest in order *)
+  let beats_baseline ~from_pos ~target_pos =
+    ignore (Pipeline.issue st order.(from_pos));
+    let p = ref target_pos in
+    while !p < n && Pipeline.completed st < baseline do
+      if !p <> from_pos then ignore (Pipeline.issue st order.(!p));
+      incr p
+    done;
+    Pipeline.completed st < baseline
   in
-  find_bubble 0;
+  let improved = ref false in
+  let pos = ref 0 in
+  while (not !improved) && !pos < n do
+    let target_pos = !pos in
+    (* a bubble: the instruction issued later than the slot after its
+       predecessor's *)
+    let expected = if target_pos = 0 then 0 else issue.(target_pos - 1) + 1 in
+    if issue.(target_pos) > expected then begin
+      let m = Pipeline.mark st in
+      let from_pos = ref (target_pos + 1) in
+      while (not !improved) && !from_pos < n do
+        if can_hoist s position ~from_pos:!from_pos ~target_pos
+           && beats_baseline ~from_pos:!from_pos ~target_pos
+        then begin
+          hoist order ~from_pos:!from_pos ~target_pos;
+          improved := true
+        end;
+        Pipeline.undo st m;
+        incr from_pos
+      done
+    end;
+    ignore (Pipeline.issue st order.(target_pos));
+    incr pos
+  done;
   !improved
 
 (** Iterate sweeps to a fixed point (bounded by the block length). *)

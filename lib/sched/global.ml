@@ -44,10 +44,7 @@ let exit_residue (s : Schedule.t) =
   if n = 0 then empty_residue
   else begin
     let dag = s.Schedule.dag in
-    let sc =
-      Pipeline.decoded ~gen:(Ds_dag.Dag.decode_gen dag) (Ds_dag.Dag.model dag)
-        (Ds_dag.Dag.insns dag)
-    in
+    let sc = Ds_dag.Dag.decoded dag in
     let issue = (Pipeline.simulate sc order).Pipeline.issue_cycle in
     let next_start = issue.(n - 1) + 1 in
     (* (id, residual) per definition, most recent first *)

@@ -150,20 +150,15 @@ let engine_config spec =
 
 let heuristics_of spec = List.map (fun k -> k.Engine.heuristic) spec.keys
 
-(** Build the spec's DAG for a block and run its scheduling pass (plus
-    fixup when the algorithm uses one).  The intermediate pass computes
-    only the annotations the spec's heuristics need. *)
-let run ?(opts = Ds_dag.Opts.default) spec block =
-  let dag = Ds_dag.Builder.build (builder spec) opts block in
-  let annot = Static_pass.compute_for (heuristics_of spec) dag in
-  let order = Engine.run (engine_config spec) ~annot dag in
-  let schedule = Schedule.make dag order in
-  if spec.postpass_fixup then Fixup.run schedule else schedule
-
-(** Run only the scheduling pass on an existing DAG (used when comparing
-    schedulers on a fixed DAG). *)
+(** Run the spec's scheduling pass on a DAG (plus fixup when the
+    algorithm uses one).  The intermediate pass computes only the
+    annotations the spec's heuristics need. *)
 let run_on_dag spec dag =
   let annot = Static_pass.compute_for (heuristics_of spec) dag in
   let order = Engine.run (engine_config spec) ~annot dag in
   let schedule = Schedule.make dag order in
   if spec.postpass_fixup then Fixup.run schedule else schedule
+
+(** The same on the spec's own DAG of a block. *)
+let run ?(opts = Ds_dag.Opts.default) spec block =
+  run_on_dag spec (Ds_dag.Builder.build (builder spec) opts block)

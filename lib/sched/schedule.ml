@@ -18,35 +18,22 @@ let length t = Array.length t.order
 (** Instructions in scheduled order. *)
 let insns t = Array.map (Ds_dag.Dag.insn t.dag) t.order
 
-(** The DAG's block read once, for scoring any order of it. *)
-let scan t =
-  let dag = t.dag in
-  Pipeline.scan (Ds_dag.Dag.model dag) (Ds_dag.Dag.insns dag)
-
-(* The decode the DAG was built from while it is still this domain's
-   current one, else a fresh decode into the same scratch: scoring never
-   rescans a constructed block and never allocates a scan. *)
-let decoded t =
-  let dag = t.dag in
-  Pipeline.decoded ~gen:(Ds_dag.Dag.decode_gen dag) (Ds_dag.Dag.model dag)
-    (Ds_dag.Dag.insns dag)
-
 (** Simulated execution under the DAG's latency model. *)
-let simulate t = Pipeline.simulate (decoded t) t.order
+let simulate t = Pipeline.simulate (Ds_dag.Dag.decoded t.dag) t.order
 
 let cycles t = (simulate t).Pipeline.completion
 
 let stalls t = (simulate t).Pipeline.stall_cycles
 
 (** Cycles of the original (unscheduled) order, for before/after reports. *)
-let original_cycles t = Pipeline.original_completion (decoded t)
+let original_cycles t = Pipeline.original_completion (Ds_dag.Dag.decoded t.dag)
 
 type score = { original_cycles : int; scheduled : Pipeline.result }
 
 (** The original order's cycles and the schedule's simulation, both over
     one decode of the block. *)
 let score t =
-  let sc = decoded t in
+  let sc = Ds_dag.Dag.decoded t.dag in
   { original_cycles = Pipeline.original_completion sc;
     scheduled = Pipeline.simulate sc t.order }
 

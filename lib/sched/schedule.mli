@@ -25,11 +25,6 @@ val stalls : t -> int
 (** Cycles of the original order, for before/after reports. *)
 val original_cycles : t -> int
 
-(** The block read once for the pipeline simulator, as an immutable
-    {!Ds_machine.Pipeline.scan}; any order of the DAG's nodes can be
-    scored against it. *)
-val scan : t -> Ds_machine.Pipeline.scan
-
 type score = {
   original_cycles : int;             (* the original order's completion *)
   scheduled : Ds_machine.Pipeline.result;  (* this schedule's simulation *)
@@ -37,8 +32,8 @@ type score = {
 
 (** {!original_cycles} and {!simulate} from one decode of the block:
     the decode a table builder made of the DAG's block when it is still
-    this domain's current {!Ds_machine.Pipeline.decode} (the DAG's
-    {!Ds_dag.Dag.decode_gen}), else a fresh decode into the same
+    this domain's current {!Ds_machine.Pipeline.decode}
+    ({!Ds_dag.Dag.decoded}), else a fresh decode into the same
     scratch.  Allocates only the schedule's issue array and the result
     records.  {!simulate}, {!cycles}, {!stalls} and {!original_cycles}
     read the block the same way. *)

@@ -54,9 +54,8 @@ printf 'ld [%%fp - 8], %%o1\nadd %%o1, 1, %%o2\n' > "$TMP/tiny.s"
 "$TOOL" dot "$TMP/tiny.s" | grep -q "digraph dag" || fail "dot: no digraph"
 "$TOOL" dot "$TMP/tiny.s" | grep -q "RAW 2" || fail "dot: no arc label"
 
-# optimal on a tiny block is exhaustive
+# a tiny block for the optimality gap (explain --gap, below)
 printf 'ld [%%fp - 8], %%o1\nadd %%o1, 1, %%o2\nadd %%o3, 1, %%o4\n' > "$TMP/opt.s"
-"$TOOL" optimal "$TMP/opt.s" | grep -q "true" || fail "optimal: not exhaustive"
 
 # gantt renders a completion line
 "$TOOL" gantt "$TMP/tiny.s" | grep -q "completion:" || fail "gantt: no completion"
@@ -159,7 +158,8 @@ for bad in "shard $TMP/grep.s" "batch --chunk 4 $TMP/grep.s" \
            "serve --socket $TMP/gone.sock --access-log $TMP/a.jsonl" \
            "batch --metrics $TMP/grep.s" \
            "batch --explain $TMP/grep.s" \
-           "serve --socket $TMP/gone.sock --metrics"; do
+           "serve --socket $TMP/gone.sock --metrics" \
+           "optimal $TMP/grep.s"; do
   # shellcheck disable=SC2086
   "$TOOL" $bad 2>/dev/null && rc=0 || rc=$?
   [ "$rc" -eq 124 ] || fail "$bad: exit $rc, want 124"
@@ -202,7 +202,7 @@ cmp -s "$TMP/tab.out" "$TMP/space.out" \
 
 # a missing input file is bad input (exit 2) on every subcommand that
 # reads one, with the path in the message and no uncaught exception
-for sub in stats build schedule compare optimal chain batch explain dot gantt \
+for sub in stats build schedule compare chain batch explain dot gantt \
            "client --socket $TMP/no-daemon.sock"; do
   # shellcheck disable=SC2086
   "$TOOL" $sub "$TMP/missing.s" > /dev/null 2> "$TMP/err" && rc=0 || rc=$?
@@ -545,6 +545,12 @@ grep -q '"explain": \[' "$TMP/exp.json" || fail "explain json: no stats"
 grep -q '"gap": {' "$TMP/exp.json" || fail "explain json: no gap report"
 grep -q '"gap_pct": 0.0' "$TMP/exp.json" || fail "explain json: nonzero gap"
 grep -q '"per_block": \[' "$TMP/exp.json" || fail "explain json: no per-block"
+# the oracle's search on the tiny block is exhaustive for all six: none
+# skipped
+[ "$(grep -o '"feasible": 1,' "$TMP/exp.json" | wc -l)" -eq 6 ] \
+  || fail "explain json: tiny block not exhaustive for every strategy"
+[ "$(grep -o '"skipped": 0,' "$TMP/exp.json" | wc -l)" -eq 6 ] \
+  || fail "explain json: tiny block skipped"
 
 # heur_dynamic's picks, summed over the blocks, are one per instruction
 [ "$(awk '{ p += $1 } END { print p }' "$TMP/bp.picks")" -eq 1739 ] \

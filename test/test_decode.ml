@@ -126,9 +126,10 @@ let engine_schedule dag =
   in
   Schedule.make dag (Engine.run config ~annot dag)
 
-(* the score of [sched] from an immutable scan of its block *)
+(* the score of [sched] from a fresh decode of its block *)
 let fresh_score (sched : Schedule.t) =
-  let sc = Schedule.scan sched in
+  let dag = sched.Schedule.dag in
+  let sc = Pipeline.decode (Dag.model dag) (Dag.insns dag) in
   ( Pipeline.original_completion sc,
     Pipeline.simulate sc sched.Schedule.order )
 

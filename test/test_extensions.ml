@@ -13,7 +13,10 @@ let test_optimal_trivial () =
   let r = Optimal.run dag in
   check_bool "optimal" true r.Optimal.optimal;
   check_int "chain cannot be beaten" 2 r.Optimal.cycles;
-  check_bool "valid" true (Verify.is_valid r.Optimal.schedule)
+  check_bool "valid" true (Verify.is_valid r.Optimal.schedule);
+  let empty = Optimal.run (dag_of_asm "") in
+  check_bool "empty block exhaustive" true empty.Optimal.optimal;
+  check_int "empty block" 0 empty.Optimal.cycles
 
 let test_optimal_fills_delay_slots () =
   (* ld / use / independent: the optimum hides the load latency *)
@@ -26,7 +29,7 @@ let test_optimal_fills_delay_slots () =
 
 let test_optimal_beats_or_matches_heuristics () =
   (* on small blocks the optimum is a floor for every published algorithm
-     (measured in the same DAG cost model) *)
+     (in the pipeline's cycles, the search's own cost model) *)
   for seed = 1 to 12 do
     let rng = Prng.create (1000 + seed) in
     let block = Gen.block rng ~params:Gen.fp_loops ~id:seed ~size:10 () in
@@ -43,7 +46,7 @@ let test_optimal_beats_or_matches_heuristics () =
         check_bool
           (Printf.sprintf "optimal <= %s (seed %d)" spec.Published.name seed)
           true
-          (r.Optimal.cycles <= Optimal.evaluate dag s.Schedule.order))
+          (r.Optimal.cycles <= Schedule.cycles s))
       Published.all
   done
 
@@ -67,9 +70,42 @@ let test_optimal_budget () =
   check_bool "valid under budget" true (Verify.is_valid r.Optimal.schedule);
   check_bool "explored bounded" true (r.Optimal.nodes_explored <= 501 + Dag.length dag)
 
+(* A block on which the greedy EET/max-delay order and all six published
+   orders take 7 cycles or more.  Issuing the first subtract first hides
+   its latency and the first add's, 6 cycles, so the search must beat
+   every incumbent. *)
+let test_optimal_beats_incumbents () =
+  let dag =
+    dag_of_asm
+      ~opts:{ Opts.default with Opts.strategy = Disambiguate.Symbolic }
+      "faddd %f14, %f24, %f4\n\
+       fsubd %f12, %f20, %f6\n\
+       fsubd %f20, %f6, %f0\n\
+       faddd %f4, %f6, %f8\n\
+       faddd %f10, %f4, %f4\n\
+       sll %o5, %l0, %l0"
+  in
+  let greedy =
+    { Engine.direction = Dyn_state.Forward; mode = Engine.Winnowing;
+      keys =
+        [ Engine.key Heuristic.Earliest_execution_time;
+          Engine.key Heuristic.Max_delay_to_leaf ] }
+  in
+  let r = Optimal.run dag in
+  check_bool "optimal" true r.Optimal.optimal;
+  check_int "cycles" 6 r.Optimal.cycles;
+  List.iter
+    (fun (name, s) ->
+      check_bool ("beats " ^ name) true (Schedule.cycles s > r.Optimal.cycles))
+    (("greedy seed", Schedule.make dag (Engine.schedule greedy dag))
+    :: List.map
+         (fun spec -> (spec.Published.name, Published.run_on_dag spec dag))
+         Published.all);
+  check_int "subtract first" 1 r.Optimal.schedule.Schedule.order.(0)
+
 let test_evaluate_matches_chain () =
   let dag = dag_of_asm "ld [%fp - 8], %o1\nadd %o1, 1, %o2" in
-  check_int "evaluate serial chain" 3 (Optimal.evaluate dag [| 0; 1 |])
+  check_int "evaluate serial chain" 3 (Arc_timing.evaluate dag [| 0; 1 |])
 
 (* ------------------------------------------------------------------ *)
 (* inherited cross-block latencies *)
@@ -407,4 +443,5 @@ let suite =
     quick "reservation structural hazard" test_resv_models_structural_hazard;
     quick "reservation priority" test_resv_priority_matters;
     qcheck ~count:100 "exit residue = list version" arb_block
-      prop_exit_residue_matches_lists ]
+      prop_exit_residue_matches_lists;
+    quick "optimal beats every incumbent" test_optimal_beats_incumbents ]

@@ -8,6 +8,7 @@ let () =
       ("isa", Test_isa.suite);
       ("machine", Test_machine.suite);
       ("pipeline", Test_pipeline.suite);
+      ("timing", Test_timing.suite);
       ("cfg", Test_cfg.suite);
       ("dag", Test_dag.suite);
       ("dag-arena", Test_dag_arena.suite);

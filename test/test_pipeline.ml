@@ -46,10 +46,10 @@ let engine_order model block =
   let annot = Static_pass.compute_for heuristics dag in
   Engine.run config.Batch.engine ~annot dag
 
-(* One order scored both ways, the flat way over [sc] (a scan of
-   [insns]); [None] when they agree. *)
+(* One order scored both ways, the flat way over [sc] (this domain's
+   current decode of [insns]); [None] when they agree. *)
 let differs ?sc model insns order =
-  let sc = match sc with Some sc -> sc | None -> Pipeline.scan model insns in
+  let sc = match sc with Some sc -> sc | None -> Pipeline.decode model insns in
   let flat = Pipeline.simulate sc order in
   let legacy = Pipeline_legacy.run model (Array.map (fun i -> insns.(i)) order) in
   if same_result flat legacy then None
@@ -72,24 +72,25 @@ let reader_war =
 let models = Latency.all_models @ [ reader_war ]
 
 (* Identity, engine and [perms] random orders of one block, every
-   model; each order is scored over one shared scan. *)
+   model; each order is scored over one shared decode, made after the
+   engine's build. *)
 let block_agrees ?(perms = 3) ?(models = models) rng (block : Block.t) =
   let insns = block.Block.insns in
   let n = Array.length insns in
   List.for_all
     (fun model ->
-      let sc = Pipeline.scan model insns in
       let orders =
         Array.init n Fun.id :: engine_order model block
         :: List.init perms (fun _ -> shuffle rng n)
       in
+      let sc = Pipeline.decode model insns in
       List.for_all
         (fun order ->
           match differs ~sc model insns order with
           | None -> true
           | Some d -> QCheck.Test.fail_report d)
         orders
-      && Pipeline.completion sc (Array.init n Fun.id)
+      && Pipeline.original_completion sc
          = (Pipeline_legacy.run model insns).Pipeline.completion)
     models
 
