@@ -827,11 +827,7 @@ let attributes () =
   in
   let bucket_of b =
     let dag = Builder.build Builder.Table_forward opts b in
-    let annot =
-      Static_pass.compute
-        ~requirements:{ Static_pass.descendants = false; registers = false }
-        dag
-    in
+    let annot = Static_pass.compute_for [ Heuristic.Max_delay_to_leaf ] dag in
     let cp = max 1 annot.Annot.critical_path_length in
     let par = float_of_int (Block.length b) /. float_of_int cp in
     if par < 0.25 then 0 else if par < 0.5 then 1 else 2

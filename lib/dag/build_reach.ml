@@ -12,47 +12,29 @@
     add_arc(from_a, to_b);
     v}
 
-    Nodes are visited in reverse program order and candidates in ascending
-    order, so a candidate's descendant map is already complete when merged;
-    the produced DAG is transitively reduced.  The maps live in one
-    contiguous bit matrix (one row per node) and the merge is a row-OR
-    with zero per-arc allocation; they are retained on the DAG — the paper
-    notes [#descendants] then falls out as a population count. *)
+    The paper pairs the maps with backward table construction, and so
+    does this builder: the candidate arcs are those of the block's
+    table-backward DAG, and {!Closure.reduce}'s reach pass tries them,
+    nodes in reverse program order and candidates in ascending order, so
+    a candidate's descendant map is already complete when merged.  The
+    kept arcs, with the table arc's kind and latency, form a
+    transitively reduced DAG with the same closure.  The maps live in one
+    contiguous bit matrix (one row per node) and are retained on the DAG
+    — the paper notes [#descendants] then falls out as a population
+    count. *)
 
 let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
-  let insns = block.Ds_cfg.Block.insns in
-  let dag = Dag.create ~model:opts.model insns in
-  let sums = Pairdep.summarize_block opts.strategy insns in
-  let n = Array.length insns in
-  let reach = Ds_util.Bitset.Matrix.create ~rows:n ~cols:n in
-  for i = 0 to n - 1 do
-    Ds_util.Bitset.Matrix.set reach i i
-  done;
-  (* dependencies whose direct arc the reachability test suppressed *)
-  let pruned = ref 0 in
-  for a = n - 2 downto 0 do
-    for b = a + 1 to n - 1 do
-      let pk =
-        Pairdep.strongest_packed sums ~model:opts.model
-          ~strategy:opts.strategy insns a b
-      in
-      if pk >= 0 then begin
-        if Ds_util.Bitset.Matrix.mem reach a b then incr pruned
-        else begin
-          Ds_util.Bitset.Matrix.union_rows reach ~into:a ~from:b;
-          ignore
-            (Dag.add_arc dag ~src:a ~dst:b ~kind:(Pairdep.kind_of_packed pk)
-               ~latency:(Pairdep.latency_of_packed pk))
-        end
-      end
-    done
-  done;
-  Ds_obs.Trace.count "transitive_arcs_pruned" !pruned;
+  let table = Build_table_bwd.build { opts with Opts.anchor_branch = false } block in
+  let dag, reach = Closure.reduce table in
+  (* the table builder's decode is still this domain's current one *)
+  Dag.set_decode_gen dag (Dag.decoded table).Ds_machine.Pipeline.gen;
+  (* table arcs whose direct arc the reachability test suppressed *)
+  Ds_obs.Trace.count "transitive_arcs_pruned" (Dag.n_arcs table - Dag.n_arcs dag);
   if opts.anchor_branch then begin
     Dag.anchor_terminator dag;
     (* anchoring adds leaf->branch arcs after the fact; refresh the maps so
        ancestors of the anchored leaves also see the branch *)
-    for i = n - 1 downto 0 do
+    for i = Dag.length dag - 1 downto 0 do
       Dag.iter_succ dag i (fun dst _ _ ->
           Ds_util.Bitset.Matrix.union_rows reach ~into:i ~from:dst)
     done

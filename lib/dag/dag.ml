@@ -67,7 +67,7 @@ let kind_code = function Dep.Raw -> 0 | Dep.War -> 1 | Dep.Waw -> 2 | Dep.Ctl ->
 let code_kind = [| Dep.Raw; Dep.War; Dep.Waw; Dep.Ctl |]
 
 (* Dependence-strength order for equal-latency kind ties (the order
-   [Pairdep.rank] uses): RAW > WAW > WAR > CTL. *)
+   [Pairdep.strongest_packed] ranks by): RAW > WAW > WAR > CTL. *)
 let kind_rank = function Dep.Raw -> 3 | Dep.Waw -> 2 | Dep.War -> 1 | Dep.Ctl -> 0
 let code_rank = [| 3; 1; 2; 0 |]  (* rank by kind code *)
 
@@ -426,20 +426,6 @@ let anchor_terminator t =
 
 let set_reach_matrix t m = t.reach <- Some m
 let reach_matrix t = t.reach
-
-let set_reach t maps =
-  let n = length t in
-  if Array.length maps <> n then
-    invalid_arg "Dag.set_reach: one map per node expected";
-  let m = Ds_util.Bitset.Matrix.create ~rows:n ~cols:n in
-  Array.iteri (fun i b -> Ds_util.Bitset.Matrix.blit_bitset_row m b i) maps;
-  t.reach <- Some m
-
-let reach t =
-  match t.reach with
-  | None -> None
-  | Some m ->
-      Some (Array.init (length t) (fun i -> Ds_util.Bitset.Matrix.row_bitset m i))
 
 let iter_arcs f t =
   for src = 0 to length t - 1 do

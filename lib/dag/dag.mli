@@ -107,12 +107,6 @@ val anchor_terminator : t -> unit
 val set_reach_matrix : t -> Ds_util.Bitset.Matrix.m -> unit
 val reach_matrix : t -> Ds_util.Bitset.Matrix.m option
 
-(** Compatibility views of the reach rows as growable bit sets.
-    [set_reach] copies the maps into a fresh matrix; [reach]
-    materializes fresh rows on every call. *)
-val set_reach : t -> Ds_util.Bitset.t array -> unit
-val reach : t -> Ds_util.Bitset.t array option
-
 (** Every arc as a record: [iter_arcs] visits nodes in ascending order
     and each node's outgoing arcs in {!iter_succ} order; [arcs] lists
     them in the reverse of that visit order. *)

@@ -1,107 +1,20 @@
-(** Pairwise dependence analysis.
+(** Pairwise dependence analysis — the test at the heart of the
+    compare-against-all (n²) construction.
 
-    Enumerates the data dependencies between two instructions — the test at
-    the heart of the compare-against-all (n²) construction, and the arc
-    latency computation shared by all builders.
-
-    The n² builders call this O(n²) times per block, so the per-instruction
-    resource extraction is done once into a [summary] and the pair test
-    works over the cached lists. *)
+    The n² builders call it O(n²) times per block, so the
+    per-instruction resource extraction is done once per block into
+    flat per-domain arrays and the pair test works over them, allocating
+    nothing. *)
 
 open Ds_isa
 open Ds_machine
 
-type conflict = {
-  kind : Dep.kind;
-  res : Resource.t;      (* the parent-side resource *)
-  def_pos : int;         (* position among the parent's defs (RAW/WAW) *)
-  use_pos : int;         (* position among the child's uses (RAW) *)
-  latency : int;
-}
-
-(** Canonicalized defs/uses of one instruction under a disambiguation
-    strategy. *)
-type summary = {
-  defs : (Resource.t * int) list;  (* resource, definition position *)
-  uses : (Resource.t * int) list;  (* resource, source-operand position *)
-}
-
-let summarize strategy insn =
-  {
-    defs =
-      List.mapi
-        (fun pos r -> (Disambiguate.canonical strategy r, pos))
-        (Insn.defs insn);
-    uses =
-      List.map
-        (fun (r, pos) -> (Disambiguate.canonical strategy r, pos))
-        (Insn.uses_with_pos insn);
-  }
-
-(** All dependencies making [child] depend on [parent] (parent earlier in
-    program order), given their summaries. *)
-let conflicts_of ~model ~strategy ~parent ~parent_sum ~child ~child_sum =
-  let alias = Disambiguate.may_alias strategy in
-  let acc = ref [] in
-  (* RAW: parent def vs child use *)
-  List.iter
-    (fun (dr, def_pos) ->
-      List.iter
-        (fun (ur, use_pos) ->
-          if alias dr ur then
-            let latency =
-              model.Latency.raw ~parent ~def_pos ~res:dr ~child ~use_pos
-            in
-            acc := { kind = Dep.Raw; res = dr; def_pos; use_pos; latency } :: !acc)
-        child_sum.uses)
-    parent_sum.defs;
-  (* WAW: parent def vs child def *)
-  List.iter
-    (fun (dr, def_pos) ->
-      List.iter
-        (fun (cr, _) ->
-          if alias dr cr then
-            let latency = model.Latency.waw ~parent ~res:dr ~child in
-            acc := { kind = Dep.Waw; res = dr; def_pos; use_pos = 0; latency } :: !acc)
-        child_sum.defs)
-    parent_sum.defs;
-  (* WAR: parent use vs child def *)
-  List.iter
-    (fun (ur, _) ->
-      List.iter
-        (fun (cr, _) ->
-          if alias ur cr then
-            let latency = model.Latency.war ~parent ~res:ur ~child in
-            acc := { kind = Dep.War; res = ur; def_pos = 0; use_pos = 0; latency } :: !acc)
-        child_sum.defs)
-    parent_sum.uses;
-  !acc
-
-let rank c =
-  ( c.latency,
-    match c.kind with Dep.Raw -> 3 | Dep.Waw -> 2 | Dep.War -> 1 | Dep.Ctl -> 0 )
-
-(** The single most constraining dependency between the pair, if any:
-    largest latency wins, RAW preferred on ties (it is the one heuristics
-    reason about). *)
-let strongest_of ~model ~strategy ~parent ~parent_sum ~child ~child_sum =
-  List.fold_left
-    (fun best c ->
-      match best with
-      | None -> Some c
-      | Some b -> if rank c > rank b then Some c else best)
-    None
-    (conflicts_of ~model ~strategy ~parent ~parent_sum ~child ~child_sum)
-
-(* ------------------------------------------------------------------ *)
-(* Flat block summaries: the closure- and allocation-free pair path the
-   O(n²) builders run.  One per-domain scratch holds every instruction's
+(* Block summaries.  One per-domain scratch holds every instruction's
    canonicalized defs/uses packed into two resource arrays with offset
-   tables (definition/use positions are the packed-order indices, the
-   same sequential positions the list API reports), plus the mutable
-   best-conflict cell used by [strongest_packed].  At most one live
-   block summary per domain: [summarize_block] invalidates the previous
-   one. *)
+   tables (a definition's or use's position is its index within its
+   instruction's range), plus the mutable best-conflict cell used by
+   [strongest_packed].  At most one live block summary per domain:
+   [summarize_block] invalidates the previous one. *)
 
 type block_sum = {
   mutable def_res : Resource.t array;
@@ -157,12 +70,11 @@ let summarize_block strategy insns =
   st
 
 (* Strongest conflicts are packed as [(latency lsl 2) lor rank] with the
-   tie rank of [rank] above (Raw 3 > Waw 2 > War 1), or [-1] for
+   dependence-strength tie rank (Raw 3 > Waw 2 > War 1), or [-1] for
    independence — so "largest latency wins, RAW preferred on ties" is a
-   single integer max and the pair test allocates nothing.  Equal-rank
-   winners can differ from the list fold in which *resource* carried the
-   conflict, but kind and latency — all the builders consume — are
-   uniquely determined by the rank. *)
+   single integer max and the pair test allocates nothing.  Which
+   resource carried the winning conflict is not kept: kind and latency
+   are all the builders consume. *)
 
 let strongest_packed st ~model ~strategy insns i j =
   let parent = insns.(i) and child = insns.(j) in
@@ -217,18 +129,3 @@ let kind_of_packed pk =
   | _ -> Dep.Ctl
 
 let latency_of_packed pk = pk lsr 2
-
-(* Convenience wrappers that summarize on the fly. *)
-
-let conflicts ~model ~strategy ~parent ~child =
-  conflicts_of ~model ~strategy ~parent
-    ~parent_sum:(summarize strategy parent) ~child
-    ~child_sum:(summarize strategy child)
-
-let strongest ~model ~strategy ~parent ~child =
-  strongest_of ~model ~strategy ~parent
-    ~parent_sum:(summarize strategy parent) ~child
-    ~child_sum:(summarize strategy child)
-
-let depends ~strategy ~parent ~child =
-  conflicts ~model:Latency.unit_latency ~strategy ~parent ~child <> []

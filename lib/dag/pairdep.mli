@@ -1,72 +1,26 @@
 (** Pairwise dependence analysis — the test at the heart of the
-    compare-against-all (n²) construction, and the arc latency computation
-    shared by all builders.  Per-instruction resource extraction is cached
-    in a {!summary} so the n² builders' quadratic cost is the pair test
-    itself. *)
+    compare-against-all (n²) construction.  Per-instruction resource
+    extraction is done once per block into flat per-domain arrays, so the
+    n² builders' quadratic cost is the pair test itself, which allocates
+    nothing.  At most one live block summary per domain —
+    [summarize_block] invalidates the previous one. *)
 
 open Ds_isa
 open Ds_machine
-
-type conflict = {
-  kind : Dep.kind;
-  res : Resource.t;      (* the parent-side resource *)
-  def_pos : int;         (* position among the parent's defs (RAW/WAW) *)
-  use_pos : int;         (* position among the child's uses (RAW) *)
-  latency : int;
-}
-
-(** Canonicalized defs/uses of one instruction under a strategy. *)
-type summary = {
-  defs : (Resource.t * int) list;
-  uses : (Resource.t * int) list;
-}
-
-val summarize : Disambiguate.t -> Insn.t -> summary
-
-(** All dependencies making [child] depend on [parent] (parent earlier in
-    program order), given cached summaries. *)
-val conflicts_of :
-  model:Latency.t -> strategy:Disambiguate.t -> parent:Insn.t ->
-  parent_sum:summary -> child:Insn.t -> child_sum:summary -> conflict list
-
-(** The single most constraining dependency between the pair, if any:
-    largest latency wins, RAW preferred on ties. *)
-val strongest_of :
-  model:Latency.t -> strategy:Disambiguate.t -> parent:Insn.t ->
-  parent_sum:summary -> child:Insn.t -> child_sum:summary -> conflict option
-
-(** {1 Flat block summaries}
-
-    The closure- and allocation-free pair path the O(n²) builders run:
-    canonicalized defs/uses of a whole block packed into per-domain
-    arrays, and the strongest conflict of a pair returned as a packed
-    int.  At most one live block summary per domain —
-    [summarize_block] invalidates the previous one. *)
 
 type block_sum
 
 val summarize_block : Disambiguate.t -> Insn.t array -> block_sum
 
 (** [strongest_packed sum ~model ~strategy insns i j] is the strongest
-    dependency of pair [(i, j)] packed as [(latency lsl 2) lor rank]
-    (rank: Raw 3 > Waw 2 > War 1), or [-1] if independent — largest
-    latency wins, RAW preferred on ties, as {!strongest_of}.  [insns]
-    must be the array given to {!summarize_block}. *)
+    dependency making [j] depend on [i] ([i] earlier in program order),
+    packed as [(latency lsl 2) lor rank] (rank: Raw 3 > Waw 2 > War 1),
+    or [-1] if the pair is independent: the largest latency wins, RAW
+    preferred on ties.  [insns] must be the array given to
+    {!summarize_block}. *)
 val strongest_packed :
   block_sum -> model:Latency.t -> strategy:Disambiguate.t ->
   Insn.t array -> int -> int -> int
 
 val kind_of_packed : int -> Dep.kind
 val latency_of_packed : int -> int
-
-(** Conveniences that summarize on the fly. *)
-val conflicts :
-  model:Latency.t -> strategy:Disambiguate.t -> parent:Insn.t ->
-  child:Insn.t -> conflict list
-
-val strongest :
-  model:Latency.t -> strategy:Disambiguate.t -> parent:Insn.t ->
-  child:Insn.t -> conflict option
-
-(** Any dependency at all under the strategy. *)
-val depends : strategy:Disambiguate.t -> parent:Insn.t -> child:Insn.t -> bool

@@ -46,45 +46,25 @@ let backward_pass traversal dag ~exec_time ~path ~delay =
 
 (* Descendant measures: population counts over reachability bit maps, as
    the paper recommends ("the #descendants is then merely the population
-   count on the reachability bit map minus one").  Reuses maps a builder
-   left on the DAG, else computes them. *)
+   count on the reachability bit map minus one").  Reads the maps a
+   builder left on the DAG, else runs the reach pass. *)
 let descendant_measures dag ~exec_time ~count ~sum =
   let with_count = Array.length count > 0 and with_sum = Array.length sum > 0 in
-  match Ds_dag.Dag.reach_matrix dag with
-  | Some m ->
-      (* fast path: population counts and row scans straight off the
-         builder's contiguous bit matrix, no per-node set materialization *)
-      for i = 0 to Ds_util.Bitset.Matrix.rows m - 1 do
-        if with_count then count.(i) <- Ds_util.Bitset.Matrix.row_cardinal m i - 1;
-        if with_sum then begin
-          let total = ref 0 in
-          Ds_util.Bitset.Matrix.iter_row
-            (fun d -> if d <> i then total := !total + exec_time.(d))
-            m i;
-          sum.(i) <- !total
-        end
-      done
-  | None ->
-      let maps = Ds_dag.Closure.descendants dag in
-      Array.iteri
-        (fun i map ->
-          if with_count then count.(i) <- Ds_util.Bitset.cardinal map - 1;
-          if with_sum then begin
-            let total = ref 0 in
-            Ds_util.Bitset.iter
-              (fun d -> if d <> i then total := !total + exec_time.(d))
-              map;
-            sum.(i) <- !total
-          end)
-        maps
-
-(** Which optional (and costly) annotation groups to compute: descendant
-    measures (population counts over reachability maps, O(n²) bits) and
-    register-usage measures are only needed by algorithms that rank with
-    them. *)
-type requirements = { descendants : bool; registers : bool }
-
-let all_requirements = { descendants = true; registers = true }
+  let m =
+    match Ds_dag.Dag.reach_matrix dag with
+    | Some m -> m
+    | None -> Ds_dag.Closure.descendants dag
+  in
+  for i = 0 to Ds_util.Bitset.Matrix.rows m - 1 do
+    if with_count then count.(i) <- Ds_util.Bitset.Matrix.row_cardinal m i - 1;
+    if with_sum then begin
+      let total = ref 0 in
+      Ds_util.Bitset.Matrix.iter_row
+        (fun d -> if d <> i then total := !total + exec_time.(d))
+        m i;
+      sum.(i) <- !total
+    end
+  done
 
 (* What one call of the pass computes, resolved once from its
    heuristics: the walks Table 1's [F], [B] and [FB] name, the costly
@@ -252,17 +232,13 @@ let run ~traversal ?live_out sel dag =
     liveness;
     critical_path_length = critical_path }
 
-(** Compute the static annotation set for a DAG: both walks.  [live_out]
-    feeds the register-usage heuristics (default: every register escapes
-    the block); [requirements] trims the costly annotation groups
-    (default: compute everything). *)
-let compute ?(traversal = Reverse_walk) ?live_out
-    ?(requirements = all_requirements) dag =
-  let groups =
-    (if requirements.descendants then Sel.descendants else 0)
-    lor if requirements.registers then Sel.registers else 0
-  in
-  run ~traversal ?live_out Sel.(forward lor backward lor every_column lor groups) dag
+(** Compute the static annotation set for a DAG: both walks and every
+    column.  [live_out] feeds the register-usage heuristics (default:
+    every register escapes the block). *)
+let compute ?(traversal = Reverse_walk) ?live_out dag =
+  run ~traversal ?live_out
+    Sel.(forward lor backward lor every_column lor descendants lor registers)
+    dag
 
 (** [compute_for heuristics dag] computes only what the given heuristics
     need — what a scheduler's intermediate pass would actually run: the

@@ -6,18 +6,12 @@
 
 type traversal = Reverse_walk | Level_lists
 
-(** Which optional (costly) annotation groups to compute. *)
-type requirements = { descendants : bool; registers : bool }
-
-val all_requirements : requirements
-
-(** Compute the static annotations: both walks, every column allocated.
+(** Compute the static annotations: both walks, every column.
     [live_out] feeds the register-usage heuristics (default: every
-    register escapes); [requirements] trims the costly groups (default:
-    everything), whose columns then hold zeros. *)
+    register escapes). *)
 val compute :
   ?traversal:traversal -> ?live_out:(Ds_isa.Reg.t -> bool) ->
-  ?requirements:requirements -> Ds_dag.Dag.t -> Annot.t
+  Ds_dag.Dag.t -> Annot.t
 
 (** Compute only what the given heuristics need — what a scheduler's
     intermediate pass actually runs.  It allocates [exec_time], which the

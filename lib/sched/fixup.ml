@@ -10,17 +10,19 @@
 
 open Ds_machine
 
-(* Can node [mover] be placed immediately before position [target_pos]
-   given it currently sits at [from_pos]?  Legal iff no arc connects any
-   instruction in positions [target_pos, from_pos) to [mover]. *)
-let can_hoist (s : Schedule.t) position ~from_pos ~target_pos =
-  let mover = s.order.(from_pos) in
-  not
-    (Ds_dag.Dag.fold_pred s.dag mover
-       (fun blocked src _ _ ->
-         let p = position.(src) in
-         blocked || (p >= target_pos && p < from_pos))
-       false)
+(* [earliest.(p)]: the first position [order.(p)] may be hoisted to —
+   one past its last predecessor's position, or 0 when it has none.  A
+   hoist from [p] to [target_pos] is legal (no arc connects a node in
+   positions [target_pos, p) to the mover) iff [earliest.(p) <= target_pos],
+   since in a valid order every predecessor sits before [p].  Positions
+   are visited in ascending order, so each node's last write is its
+   latest predecessor's. *)
+let earliest_positions dag order =
+  let by_node = Array.make (Array.length order) 0 in
+  Array.iteri
+    (fun p node -> Ds_dag.Dag.iter_succ dag node (fun d _ _ -> by_node.(d) <- p + 1))
+    order;
+  Array.map (fun node -> by_node.(node)) order
 
 let hoist order ~from_pos ~target_pos =
   let v = order.(from_pos) in
@@ -38,8 +40,7 @@ let sweep (s : Schedule.t) =
   let result = Pipeline.simulate sc order in
   let baseline = result.Pipeline.completion in
   let issue = result.Pipeline.issue_cycle in
-  let position = Array.make n 0 in
-  Array.iteri (fun pos node -> position.(node) <- pos) order;
+  let earliest = earliest_positions s.dag order in
   let st = Pipeline.start sc in
   (* [order.(from_pos)] issued at [target_pos], then the rest in order *)
   let beats_baseline ~from_pos ~target_pos =
@@ -62,7 +63,7 @@ let sweep (s : Schedule.t) =
       let m = Pipeline.mark st in
       let from_pos = ref (target_pos + 1) in
       while (not !improved) && !from_pos < n do
-        if can_hoist s position ~from_pos:!from_pos ~target_pos
+        if earliest.(!from_pos) <= target_pos
            && beats_baseline ~from_pos:!from_pos ~target_pos
         then begin
           hoist order ~from_pos:!from_pos ~target_pos;

@@ -1,27 +1,19 @@
-(** Growable bit sets.
+(** Bit sets: a growable set of non-negative ints (the reservation
+    scheduler's busy cycles, which grow as the schedule does) and the
+    fixed-shape bit matrix that holds the paper's reachability bit maps
+    (one row per DAG node, "each node's map is initialized to indicate
+    that a node can reach itself").
 
-    Used for reachability bit maps in DAG construction (one bit per node,
-    "each node's map is initialized to indicate that a node can reach
-    itself") and for variable-length resource tables whose length grows as
-    new symbolic memory address expressions are encountered — the structure
-    the paper identifies as the cost driver for backward construction on
-    fpppp.
-
-    Indices are non-negative: [set]/[clear]/[mem] all raise
-    [Invalid_argument] on a negative index.  (A negative index would
-    otherwise evaluate [1 lsl (i mod bits_per_word)] with a negative shift
-    count, which is undefined and used to corrupt word 0 silently.) *)
+    Indices are non-negative: [set]/[mem] raise [Invalid_argument] on a
+    negative index.  (A negative index would otherwise evaluate
+    [1 lsl (i mod bits_per_word)] with a negative shift count, which is
+    undefined and used to corrupt word 0 silently.) *)
 
 type t = { mutable words : int array }
 
 let bits_per_word = Sys.int_size
 
 let create () = { words = Array.make 1 0 }
-
-(** [make n] is an empty set with capacity pre-sized for elements < [n]. *)
-let make n = { words = Array.make (max 1 ((n / bits_per_word) + 1)) 0 }
-
-let copy t = { words = Array.copy t.words }
 
 let capacity t = Array.length t.words * bits_per_word
 
@@ -41,72 +33,14 @@ let set t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl b)
 
-let clear t i =
-  if i < 0 then negative "clear";
-  if i < capacity t then begin
-    let w = i / bits_per_word and b = i mod bits_per_word in
-    t.words.(w) <- t.words.(w) land lnot (1 lsl b)
-  end
-
 let mem t i =
   if i < 0 then negative "mem";
   i < capacity t
   && t.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
-(** [union_into ~into src] performs [into := into OR src] — the reachability
-    merge step of the paper's arc-insertion algorithm. *)
-let union_into ~into src =
-  ensure into ((capacity src) - 1);
-  Array.iteri
-    (fun i w -> if w <> 0 then into.words.(i) <- into.words.(i) lor w)
-    src.words
-
 let popcount_word w =
   let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
   go w 0
-
-(** Number of set bits — the paper computes [#descendants] as the population
-    count of the reachability map minus one. *)
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.words
-
-let iter f t =
-  Array.iteri
-    (fun wi w ->
-      if w <> 0 then
-        for b = 0 to bits_per_word - 1 do
-          if w land (1 lsl b) <> 0 then f ((wi * bits_per_word) + b)
-        done)
-    t.words
-
-let fold f t acc =
-  let acc = ref acc in
-  iter (fun i -> acc := f i !acc) t;
-  !acc
-
-let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
-
-let equal a b =
-  let la = Array.length a.words and lb = Array.length b.words in
-  let n = max la lb in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let wa = if i < la then a.words.(i) else 0 in
-    let wb = if i < lb then b.words.(i) else 0 in
-    if wa <> wb then ok := false
-  done;
-  !ok
-
-(** [subset a b] is true when every element of [a] is in [b]. *)
-let subset a b =
-  let la = Array.length a.words and lb = Array.length b.words in
-  let ok = ref true in
-  for i = 0 to la - 1 do
-    let wb = if i < lb then b.words.(i) else 0 in
-    if a.words.(i) land lnot wb <> 0 then ok := false
-  done;
-  !ok
-
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 (** Fixed-shape two-dimensional bit matrix stored as one contiguous int
     array, [words_per_row] words per row.  This is the arena form of the
@@ -211,18 +145,16 @@ module Matrix = struct
     done;
     !ok
 
-  (** Materialize row [i] as a growable {!t} (word layouts coincide, so
-      this is a blit). *)
-  let row_bitset m i =
-    check_row "row_bitset" m i;
-    if m.words_per_row = 0 then { words = Array.make 1 0 }
-    else { words = Array.sub m.data (i * m.words_per_row) m.words_per_row }
-
-  (** Overwrite row [i] with the contents of a growable set (elements at
-      or past [cols] are rejected as out of range). *)
-  let blit_bitset_row m src i =
-    check_row "blit_bitset_row" m i;
-    let base = i * m.words_per_row in
-    Array.fill m.data base m.words_per_row 0;
-    iter (fun j -> set m i j) src
+  (** [row_subset a i b j]: every element of row [i] of [a] is in row
+      [j] of [b] (shape-independent). *)
+  let row_subset a i b j =
+    check_row "row_subset" a i;
+    check_row "row_subset" b j;
+    let wa = a.words_per_row and wb = b.words_per_row in
+    let ok = ref true in
+    for k = 0 to wa - 1 do
+      let y = if k < wb then b.data.((j * wb) + k) else 0 in
+      if a.data.((i * wa) + k) land lnot y <> 0 then ok := false
+    done;
+    !ok
 end

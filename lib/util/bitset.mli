@@ -1,59 +1,25 @@
-(** Growable bit sets.
-
-    Used for reachability bit maps in DAG construction (one bit per node)
-    and for variable-length resource tables whose length grows as new
-    symbolic memory address expressions are encountered — the structure
-    the paper identifies as the cost driver for backward construction on
-    fpppp. *)
+(** Bit sets: a growable set of non-negative ints (the reservation
+    scheduler's busy cycles) and the fixed-shape bit matrix that holds
+    the paper's reachability bit maps. *)
 
 type t
 
-(** All index arguments must be non-negative: [set], [clear] and [mem]
-    raise [Invalid_argument] on a negative index. *)
+(** All index arguments must be non-negative: [set] and [mem] raise
+    [Invalid_argument] on a negative index. *)
 
 (** Empty set with minimal capacity. *)
 val create : unit -> t
 
-(** [make n] is an empty set pre-sized for elements < [n]. *)
-val make : int -> t
-
-val copy : t -> t
-
-(** Current capacity in bits (grows on demand). *)
-val capacity : t -> int
-
+(** [set] grows the set on demand; [mem] past its capacity is [false]. *)
 val set : t -> int -> unit
-val clear : t -> int -> unit
 val mem : t -> int -> bool
-
-(** [union_into ~into src] performs [into := into OR src] — the
-    reachability merge step of the paper's arc-insertion algorithm. *)
-val union_into : into:t -> t -> unit
-
-(** Number of set bits — the paper computes [#descendants] as the
-    population count of the reachability map minus one. *)
-val cardinal : t -> int
-
-val iter : (int -> unit) -> t -> unit
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-
-(** Elements in ascending order. *)
-val elements : t -> int list
-
-(** Equality as sets (capacity-independent). *)
-val equal : t -> t -> bool
-
-(** [subset a b] is true when every element of [a] is in [b]. *)
-val subset : t -> t -> bool
-
-val is_empty : t -> bool
 
 (** Fixed-shape two-dimensional bit matrix in one contiguous int array —
     the arena form of the paper's reachability bit maps (one row per DAG
     node; the §2 merge is a row-over-row OR with zero per-arc
     allocation).  Rows do not grow: [set] on a column at or past [cols]
-    raises; [clear] is a no-op there and [mem] reports [false] (the
-    growable-set capacity conventions).  Negative indices raise
+    raises; [clear] is a no-op there and [mem] reports [false], as
+    [mem] does past a growable set's capacity.  Negative indices raise
     [Invalid_argument], like the growable sets. *)
 module Matrix : sig
   type m
@@ -79,9 +45,7 @@ module Matrix : sig
       sets (shape-independent). *)
   val row_equal : m -> int -> m -> int -> bool
 
-  (** Materialize row [i] as a growable set. *)
-  val row_bitset : m -> int -> t
-
-  (** Overwrite row [i] with the contents of a growable set. *)
-  val blit_bitset_row : m -> t -> int -> unit
+  (** [row_subset a i b j]: every element of row [i] of [a] is in row
+      [j] of [b] (shape-independent). *)
+  val row_subset : m -> int -> m -> int -> bool
 end

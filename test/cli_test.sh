@@ -48,6 +48,13 @@ grep -q "delay slots:" "$TMP/emit" || fail "emit: no slot accounting"
 grep -q "schedulers" "$TMP/cmp" || fail "compare: no scheduler table"
 grep -q "builders" "$TMP/cmp" || fail "compare: no builder table"
 grep -q "Gibbons & Muchnick" "$TMP/cmp" || fail "compare: missing algorithm"
+# the two transitive-free builders are the reduction of one closure:
+# equal arc counts, no transitive arc
+red_landskov=$(awk '$1 == "landskov" { print $2, $3 }' "$TMP/cmp")
+red_reach=$(awk '$1 == "reach-backward" { print $2, $3 }' "$TMP/cmp")
+[ -n "$red_landskov" ] && [ "$red_landskov" = "$red_reach" ] \
+  || fail "compare: landskov ($red_landskov) and reach-backward ($red_reach) differ"
+[ "${red_reach#* }" = "0" ] || fail "compare: reach-backward has transitive arcs"
 
 # dot export is well-formed
 printf 'ld [%%fp - 8], %%o1\nadd %%o1, 1, %%o2\n' > "$TMP/tiny.s"

@@ -47,6 +47,42 @@ let adjacency dag =
 
 let has_arc dag ~src ~dst = arc dag ~src ~dst <> None
 
+(* Reachability by depth-first search over [Dag.iter_succ]:
+   [reaches.(i).(j)] when a path, possibly empty, leads from [i] to [j].
+   The yardstick {!Closure}'s reach pass is checked against. *)
+let dfs_reach dag =
+  let n = Dag.length dag in
+  Array.init n (fun i ->
+      let seen = Array.make n false in
+      let rec visit j =
+        if not seen.(j) then begin
+          seen.(j) <- true;
+          Dag.iter_succ dag j (fun d _ _ -> visit d)
+        end
+      in
+      visit i;
+      seen)
+
+(* Arcs whose destination another child of the source reaches, by
+   {!dfs_reach}. *)
+let dfs_transitive_arcs dag =
+  let reaches = dfs_reach dag in
+  List.filter
+    (fun (a : Dag.arc) ->
+      Dag.fold_succ dag a.src
+        (fun t mid _ _ -> t || (mid <> a.dst && reaches.(mid).(a.dst)))
+        false)
+    (Dag.arcs dag)
+
+(* Descendant rows equal to {!dfs_reach}, row by row. *)
+let rows_match_dfs rows dag =
+  Bitset.Matrix.rows rows = Dag.length dag
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i row ->
+            Array.for_all Fun.id (Array.mapi (fun j r -> Bitset.Matrix.mem rows i j = r) row))
+          (dfs_reach dag))
+
 let arc_latency dag ~src ~dst =
   match arc dag ~src ~dst with
   | Some a -> a.Dag.latency
@@ -83,6 +119,18 @@ let random_block seed =
   in
   let size = 1 + Prng.int rng 40 in
   Gen.block rng ~params ~id:(seed land 0xffff) ~size ()
+
+(** Every latency model × disambiguation strategy × anchoring. *)
+let all_opts =
+  List.concat_map
+    (fun model ->
+      List.concat_map
+        (fun strategy ->
+          List.map
+            (fun anchor_branch -> { Opts.model; strategy; anchor_branch })
+            [ false; true ])
+        Disambiguate.all)
+    Latency.all_models
 
 (** QCheck arbitrary over random blocks, shrinkable via the seed. *)
 let arb_block =

@@ -103,13 +103,18 @@ let chain_asm =
 
 let test_n2_keeps_transitive () =
   let dag = build Builder.N2_forward chain_asm in
-  check_bool "transitive arcs present" true (Closure.count_transitive_arcs dag > 0)
+  check_bool "transitive arcs present" true (dfs_transitive_arcs dag <> []);
+  check_int "the reach pass counts them"
+    (List.length (dfs_transitive_arcs dag))
+    (Closure.count_transitive_arcs dag)
 
 let test_reducers_are_reduced () =
   List.iter
     (fun alg ->
       let dag = build alg chain_asm in
-      check_int (Builder.to_string alg) 0 (Closure.count_transitive_arcs dag))
+      check_int (Builder.to_string alg) 0 (List.length (dfs_transitive_arcs dag));
+      check_int (Builder.to_string alg ^ ", reach pass") 0
+        (Closure.count_transitive_arcs dag))
     [ Builder.Landskov; Builder.Reach_backward ]
 
 let test_n2_has_most_arcs () =
@@ -232,18 +237,31 @@ let test_forward_ordered () =
 
 let test_descendants () =
   let dag = build Builder.Table_forward chain_asm in
-  let maps = Closure.descendants dag in
-  check_int "node 0 reaches all 4" 4 (Bitset.cardinal maps.(0));
-  check_int "last reaches itself" 1 (Bitset.cardinal maps.(3))
+  let rows = Closure.descendants dag in
+  check_int "node 0 reaches all 4" 4 (Bitset.Matrix.row_cardinal rows 0);
+  check_int "last reaches itself" 1 (Bitset.Matrix.row_cardinal rows 3)
 
+(* descendant rows are the dual of ancestor sets found by depth-first
+   search up the pred chains *)
 let test_ancestors_dual () =
-  let dag = build Builder.Table_forward chain_asm in
+  let dag = build Builder.N2_forward (chain_asm ^ "\nadd %o5, 1, %o6") in
   let desc = Closure.descendants dag in
-  let anc = Closure.ancestors dag in
   let n = Dag.length dag in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      check_bool "duality" (Bitset.mem desc.(i) j) (Bitset.mem anc.(j) i)
+  let ancestors j =
+    let seen = Array.make n false in
+    let rec visit i =
+      if not seen.(i) then begin
+        seen.(i) <- true;
+        Dag.iter_pred dag i (fun src _ _ -> visit src)
+      end
+    in
+    visit j;
+    seen
+  in
+  for j = 0 to n - 1 do
+    let anc = ancestors j in
+    for i = 0 to n - 1 do
+      check_bool "duality" anc.(i) (Bitset.Matrix.mem desc i j)
     done
   done
 
@@ -256,13 +274,74 @@ let test_refines () =
 let test_reach_maps_match_closure () =
   let b = random_block 4242 in
   let dag = Builder.build Builder.Reach_backward Opts.default b in
-  match Dag.reach dag with
+  match Dag.reach_matrix dag with
   | None -> Alcotest.fail "reach maps expected"
-  | Some maps ->
-      let naive = Closure.descendants dag in
-      Array.iteri
-        (fun i m -> check_bool "map = closure" true (Bitset.equal m naive.(i)))
-        maps
+  | Some rows -> check_bool "maps = closure" true (rows_match_dfs rows dag)
+
+(* ------------------------------------------------------------------ *)
+(* reach-backward against its compare-against-all yardstick *)
+
+(* every node's succ walk, in walk order: what [build -v] prints *)
+let succ_walks dag =
+  List.init (Dag.length dag) (fun i ->
+      Dag.fold_succ dag i (fun acc d l k -> (d, l, k) :: acc) [])
+
+(* same fingerprint, succ walks and reach rows as the yardstick *)
+let reach_matches_legacy opts block =
+  let dag = Builder.build Builder.Reach_backward opts block in
+  let legacy = Reach_legacy.build opts block in
+  Dag.fingerprint dag = Dag.fingerprint legacy
+  && succ_walks dag = succ_walks legacy
+  &&
+  match (Dag.reach_matrix dag, Dag.reach_matrix legacy) with
+  | Some a, Some b ->
+      Bitset.Matrix.rows a = Bitset.Matrix.rows b
+      && List.for_all
+           (fun i -> Bitset.Matrix.row_equal a i b i)
+           (List.init (Bitset.Matrix.rows a) Fun.id)
+  | _ -> false
+
+let prop_reach_matches_legacy seed =
+  List.for_all (fun opts -> reach_matches_legacy opts (random_block seed)) all_opts
+
+(* 0/1-insn blocks, and blocks past the 64-arc mark *)
+let test_reach_edge_blocks () =
+  let blocks =
+    [ { Block.id = 0; insns = [||] };
+      block_of_asm "add %o1, 1, %o2";
+      block_of_asm "ld [%fp - 8], %o1\nadd %o1, 1, %o2\ncmp %o2, 0\nbe out";
+      Gen.block (Prng.create 5) ~params:Gen.fp_straightline ~id:0 ~size:160 ();
+      Gen.block (Prng.create 6) ~params:Gen.int_code ~id:0 ~size:300 () ]
+  in
+  List.iteri
+    (fun k block ->
+      List.iter
+        (fun opts ->
+          check_bool (Printf.sprintf "block %d" k) true
+            (reach_matches_legacy opts block))
+        all_opts)
+    blocks
+
+(* Every block of at most 400 insns of the Table-3 corpus, under every
+   model, strategy and anchoring; runs only under [dune build @slow]
+   (DAGSCHED_REACH_HEAVY=1). *)
+let test_reach_corpus () =
+  if Sys.getenv_opt "DAGSCHED_REACH_HEAVY" <> None then
+    List.iter
+      (fun (name, blocks) ->
+        List.iter
+          (fun (b : Block.t) ->
+            if Array.length b.Block.insns <= 400 then
+              List.iter
+                (fun opts ->
+                  if not (reach_matches_legacy opts b) then
+                    Alcotest.failf "%s block %d, %s/%s, anchor %b" name
+                      b.Block.id opts.Opts.model.Latency.name
+                      (Disambiguate.to_string opts.Opts.strategy)
+                      opts.Opts.anchor_branch)
+                all_opts)
+          blocks)
+      (Profiles.corpus Profiles.all)
 
 
 (* ------------------------------------------------------------------ *)
@@ -270,51 +349,43 @@ let test_reach_maps_match_closure () =
 
 let insn_of s = List.hd (parse s)
 
+(* the packed strongest dependency of [child] on [parent] *)
+let strongest ~model ~strategy parent child =
+  let insns = [| insn_of parent; insn_of child |] in
+  let sum = Pairdep.summarize_block strategy insns in
+  Pairdep.strongest_packed sum ~model ~strategy insns 0 1
+
 let test_pairdep_conflict_kinds () =
   let model = Latency.simple_risc and strategy = Disambiguate.Base_offset in
-  (* RAW + WAW on the same pair: both conflicts enumerated *)
-  let parent = insn_of "add %o1, %o2, %o3" in
-  let child = insn_of "add %o3, 1, %o3" in
-  let cs = Pairdep.conflicts ~model ~strategy ~parent ~child in
-  check_bool "has RAW" true
-    (List.exists (fun c -> c.Pairdep.kind = Dep.Raw) cs);
-  check_bool "has WAW" true
-    (List.exists (fun c -> c.Pairdep.kind = Dep.Waw) cs);
-  (* WAR only *)
-  let parent = insn_of "add %o1, %o2, %o3" in
-  let child = insn_of "mov 1, %o1" in
-  let cs = Pairdep.conflicts ~model ~strategy ~parent ~child in
-  check_bool "WAR only" true
-    (List.for_all (fun c -> c.Pairdep.kind = Dep.War) cs && cs <> [])
+  let pk = strongest ~model ~strategy "add %o1, %o2, %o3" "mov 1, %o1" in
+  check_bool "a conflict" true (pk >= 0);
+  check_bool "WAR only" true (Pairdep.kind_of_packed pk = Dep.War)
 
 let test_pairdep_strongest_prefers_raw () =
   let model = Latency.unit_latency and strategy = Disambiguate.Base_offset in
-  let parent = insn_of "add %o1, %o2, %o3" in
-  let child = insn_of "add %o3, 1, %o3" in
-  match Pairdep.strongest ~model ~strategy ~parent ~child with
-  | Some c -> check_bool "RAW wins latency ties" true (c.Pairdep.kind = Dep.Raw)
-  | None -> Alcotest.fail "expected a conflict"
+  let pk = strongest ~model ~strategy "add %o1, %o2, %o3" "add %o3, 1, %o3" in
+  check_bool "a conflict" true (pk >= 0);
+  check_bool "RAW wins latency ties" true (Pairdep.kind_of_packed pk = Dep.Raw)
 
 let test_pairdep_depends () =
-  let strategy = Disambiguate.Base_offset in
+  let model = Latency.unit_latency and strategy = Disambiguate.Base_offset in
   check_bool "dependent" true
-    (Pairdep.depends ~strategy ~parent:(insn_of "mov 1, %o1")
-       ~child:(insn_of "add %o1, 1, %o2"));
-  check_bool "independent" false
-    (Pairdep.depends ~strategy ~parent:(insn_of "mov 1, %o1")
-       ~child:(insn_of "add %o3, 1, %o4"))
+    (strongest ~model ~strategy "mov 1, %o1" "add %o1, 1, %o2" >= 0);
+  check_int "independent" (-1)
+    (strongest ~model ~strategy "mov 1, %o1" "add %o3, 1, %o4")
 
+(* the summarized pair test draws the arc the table builder draws
+   straight from the block's decode *)
 let test_pairdep_summary_matches_direct () =
   let model = Latency.deep_fp and strategy = Disambiguate.Storage_classes in
-  let a = insn_of "stdf %f4, [%fp - 8]" in
-  let b = insn_of "lddf [%fp - 8], %f6" in
-  let direct = Pairdep.conflicts ~model ~strategy ~parent:a ~child:b in
-  let cached =
-    Pairdep.conflicts_of ~model ~strategy ~parent:a
-      ~parent_sum:(Pairdep.summarize strategy a) ~child:b
-      ~child_sum:(Pairdep.summarize strategy b)
+  let a = "stdf %f4, [%fp - 8]" and b = "lddf [%fp - 8], %f6" in
+  let pk = strongest ~model ~strategy a b in
+  let dag =
+    build ~opts:{ Opts.default with Opts.model; strategy } Builder.Table_forward
+      (a ^ "\n" ^ b)
   in
-  check_int "same conflict count" (List.length direct) (List.length cached)
+  check_bool "kind" true (Pairdep.kind_of_packed pk = arc_kind dag ~src:0 ~dst:1);
+  check_int "latency" (arc_latency dag ~src:0 ~dst:1) (Pairdep.latency_of_packed pk)
 
 let suite =
   [ quick "RAW arc" test_raw_arc;
@@ -345,6 +416,10 @@ let suite =
     quick "ancestors dual" test_ancestors_dual;
     quick "refines" test_refines;
     quick "reach maps match closure" test_reach_maps_match_closure;
+    qcheck ~count:60 "reach-backward matches its yardstick" arb_block
+      prop_reach_matches_legacy;
+    quick "reach-backward yardstick: edge blocks" test_reach_edge_blocks;
+    quick "reach-backward yardstick: Table-3 corpus" test_reach_corpus;
     quick "pairdep conflict kinds" test_pairdep_conflict_kinds;
     quick "pairdep strongest prefers RAW" test_pairdep_strongest_prefers_raw;
     quick "pairdep depends" test_pairdep_depends;

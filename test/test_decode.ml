@@ -174,7 +174,7 @@ let test_stale_decode () =
         (Schedule.cycles a);
       check_int "original cycles after another build" (fst expected)
         (Schedule.original_cycles a))
-    [ Builder.Table_forward; Builder.Table_backward ]
+    [ Builder.Table_forward; Builder.Table_backward; Builder.Reach_backward ]
 
 let test_score_on_another_domain () =
   List.iter

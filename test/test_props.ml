@@ -54,19 +54,19 @@ let prop_timing_closures_equal seed =
       List.for_all
         (fun alg -> longest_paths (Builder.build alg opts block) = reference)
         [ Builder.N2_backward; Builder.Table_forward; Builder.Table_backward ])
-    (List.concat_map
-       (fun model ->
-         List.concat_map
-           (fun strategy ->
-             List.map
-               (fun anchor_branch -> { Opts.model; strategy; anchor_branch })
-               [ false; true ])
-           Disambiguate.all)
-       Latency.all_models)
+    all_opts
 
-(* the avoidance builders produce transitively reduced DAGs *)
+(* the avoidance builders produce transitively reduced DAGs, and every
+   builder's transitive arcs are the ones a depth-first search finds *)
 let prop_reduced seed =
-  Closure.is_transitively_reduced (dag_of seed Builder.Landskov)
+  let same_as_dfs dag =
+    let key (a : Dag.arc) = (a.src, a.dst, a.kind, a.latency) in
+    List.sort compare (List.map key (Closure.transitive_arcs dag))
+    = List.sort compare (List.map key (dfs_transitive_arcs dag))
+  in
+  List.for_all (fun alg -> same_as_dfs (dag_of seed alg)) Builder.all
+  && dfs_transitive_arcs (dag_of seed Builder.Landskov) = []
+  && dfs_transitive_arcs (dag_of seed Builder.Reach_backward) = []
   && Closure.is_transitively_reduced (dag_of seed Builder.Reach_backward)
 
 (* arc-count ordering: n2 >= table >= reduced *)
@@ -90,14 +90,18 @@ let prop_table_arcs_subset seed =
         (Dag.arcs dag))
     [ Builder.Table_forward; Builder.Table_backward ]
 
-(* reach maps = naive closure *)
+(* reach maps = closure by depth-first search, for the maps
+   reach-backward keeps and for the reach pass over every builder's DAG *)
 let prop_reach_maps seed =
   let dag = dag_of seed Builder.Reach_backward in
-  match Dag.reach dag with
+  (match Dag.reach_matrix dag with
   | None -> false
-  | Some maps ->
-      let naive = Closure.descendants dag in
-      Array.for_all2 Bitset.equal maps naive
+  | Some rows -> rows_match_dfs rows dag)
+  && List.for_all
+       (fun alg ->
+         let dag = dag_of seed alg in
+         rows_match_dfs (Closure.descendants dag) dag)
+       Builder.all
 
 (* EST <= LST (slack >= 0), and some zero-slack node exists *)
 let prop_slack seed =

@@ -51,16 +51,19 @@ let test_prng_shuffle_permutes () =
 
 let test_bitset_basics () =
   let b = Bitset.create () in
-  check_bool "empty" true (Bitset.is_empty b);
+  check_bool "empty" false (Bitset.mem b 3);
   Bitset.set b 3;
   Bitset.set b 100;
   check_bool "mem 3" true (Bitset.mem b 3);
   check_bool "mem 100" true (Bitset.mem b 100);
   check_bool "not mem 4" false (Bitset.mem b 4);
-  check_int "cardinal" 2 (Bitset.cardinal b);
-  Bitset.clear b 3;
-  check_bool "cleared" false (Bitset.mem b 3);
-  check_int "cardinal after clear" 1 (Bitset.cardinal b)
+  let m = Bitset.Matrix.create ~rows:1 ~cols:101 in
+  Bitset.Matrix.set m 0 3;
+  Bitset.Matrix.set m 0 100;
+  check_int "cardinal" 2 (Bitset.Matrix.row_cardinal m 0);
+  Bitset.Matrix.clear m 0 3;
+  check_bool "cleared" false (Bitset.Matrix.mem m 0 3);
+  check_int "cardinal after clear" 1 (Bitset.Matrix.row_cardinal m 0)
 
 let test_bitset_growth () =
   let b = Bitset.create () in
@@ -68,39 +71,47 @@ let test_bitset_growth () =
   check_bool "grew" true (Bitset.mem b 10_000);
   check_bool "low bits still clear" false (Bitset.mem b 0)
 
+(* the reachability merge: row OR row, across words *)
 let test_bitset_union () =
-  let a = Bitset.create () and b = Bitset.create () in
-  Bitset.set a 1;
-  Bitset.set b 2;
-  Bitset.set b 300;
-  Bitset.union_into ~into:a b;
-  check_bool "1" true (Bitset.mem a 1);
-  check_bool "2" true (Bitset.mem a 2);
-  check_bool "300" true (Bitset.mem a 300);
-  check_bool "b unchanged" false (Bitset.mem b 1)
+  let m = Bitset.Matrix.create ~rows:2 ~cols:301 in
+  Bitset.Matrix.set m 0 1;
+  Bitset.Matrix.set m 1 2;
+  Bitset.Matrix.set m 1 300;
+  Bitset.Matrix.union_rows m ~into:0 ~from:1;
+  check_bool "1" true (Bitset.Matrix.mem m 0 1);
+  check_bool "2" true (Bitset.Matrix.mem m 0 2);
+  check_bool "300" true (Bitset.Matrix.mem m 0 300);
+  check_bool "from unchanged" false (Bitset.Matrix.mem m 1 1)
 
 let test_bitset_subset_equal () =
-  let a = Bitset.create () and b = Bitset.create () in
-  Bitset.set a 5;
-  Bitset.set b 5;
-  Bitset.set b 7;
-  check_bool "subset" true (Bitset.subset a b);
-  check_bool "not superset" false (Bitset.subset b a);
-  check_bool "not equal" false (Bitset.equal a b);
-  Bitset.set a 7;
-  check_bool "equal now" true (Bitset.equal a b);
-  (* equality across different capacities *)
-  let c = Bitset.create () in
-  Bitset.set c 5;
-  Bitset.set c 7;
-  Bitset.set c 5000;
-  Bitset.clear c 5000;
-  check_bool "equal across capacities" true (Bitset.equal a c)
+  let m = Bitset.Matrix.create ~rows:2 ~cols:10 in
+  Bitset.Matrix.set m 0 5;
+  Bitset.Matrix.set m 1 5;
+  Bitset.Matrix.set m 1 7;
+  check_bool "subset" true (Bitset.Matrix.row_subset m 0 m 1);
+  check_bool "not superset" false (Bitset.Matrix.row_subset m 1 m 0);
+  check_bool "not equal" false (Bitset.Matrix.row_equal m 0 m 1);
+  Bitset.Matrix.set m 0 7;
+  check_bool "equal now" true (Bitset.Matrix.row_equal m 0 m 1);
+  (* equality and inclusion across different row widths *)
+  let wide = Bitset.Matrix.create ~rows:1 ~cols:5001 in
+  Bitset.Matrix.set wide 0 5;
+  Bitset.Matrix.set wide 0 7;
+  Bitset.Matrix.set wide 0 5000;
+  Bitset.Matrix.clear wide 0 5000;
+  check_bool "equal across widths" true (Bitset.Matrix.row_equal m 0 wide 0);
+  check_bool "subset across widths" true (Bitset.Matrix.row_subset wide 0 m 0);
+  Bitset.Matrix.set wide 0 5000;
+  check_bool "wider element not in narrow row" false
+    (Bitset.Matrix.row_subset wide 0 m 0);
+  check_bool "narrow row in wider" true (Bitset.Matrix.row_subset m 0 wide 0)
 
 let test_bitset_elements () =
-  let b = Bitset.create () in
-  List.iter (Bitset.set b) [ 9; 1; 64; 63 ];
-  Alcotest.(check (list int)) "sorted elements" [ 1; 9; 63; 64 ] (Bitset.elements b)
+  let m = Bitset.Matrix.create ~rows:1 ~cols:65 in
+  List.iter (Bitset.Matrix.set m 0) [ 9; 1; 64; 63 ];
+  let acc = ref [] in
+  Bitset.Matrix.iter_row (fun j -> acc := j :: !acc) m 0;
+  Alcotest.(check (list int)) "sorted elements" [ 1; 9; 63; 64 ] (List.rev !acc)
 
 (* A negative index used to hit [1 lsl (i mod word_size)] with a negative
    shift count and silently corrupt word 0; now every entry point raises. *)
@@ -113,9 +124,9 @@ let test_bitset_negative_raises () =
         check_bool (name ^ " names the operation") true (contains msg name)
   in
   raises "set" (fun () -> Bitset.set b (-1));
-  raises "clear" (fun () -> Bitset.clear b (-1));
   raises "mem" (fun () -> ignore (Bitset.mem b (-1)));
-  check_bool "word 0 untouched" true (Bitset.is_empty b);
+  check_bool "word 0 untouched" true
+    (List.for_all (fun i -> not (Bitset.mem b i)) (List.init 63 Fun.id));
   let m = Bitset.Matrix.create ~rows:2 ~cols:70 in
   raises "set" (fun () -> Bitset.Matrix.set m 0 (-1));
   raises "set" (fun () -> Bitset.Matrix.set m (-1) 0);
@@ -132,24 +143,26 @@ let test_bitset_word_boundaries () =
       let b = Bitset.create () in
       Bitset.set b i;
       check_bool "set is member" true (Bitset.mem b i);
-      check_int "only that bit" 1 (Bitset.cardinal b);
       check_bool "neighbor clear" false (Bitset.mem b (i + 1));
       if i > 0 then check_bool "lower neighbor clear" false (Bitset.mem b (i - 1));
-      Bitset.clear b i;
-      check_bool "cleared" false (Bitset.mem b i);
-      check_bool "empty again" true (Bitset.is_empty b))
+      let m = Bitset.Matrix.create ~rows:1 ~cols:129 in
+      Bitset.Matrix.set m 0 i;
+      check_int "only that bit" 1 (Bitset.Matrix.row_cardinal m 0);
+      Bitset.Matrix.clear m 0 i;
+      check_bool "cleared" false (Bitset.Matrix.mem m 0 i);
+      check_int "empty again" 0 (Bitset.Matrix.row_cardinal m 0))
     edges;
-  (* clear/mem past the current capacity are total, not errors *)
-  let b = Bitset.make 4 in
-  Bitset.clear b 9999;
-  check_bool "mem past capacity" false (Bitset.mem b 9999)
+  (* mem past the current capacity is total, not an error *)
+  check_bool "mem past capacity" false (Bitset.mem (Bitset.create ()) 9999)
 
-(* Random set/clear/mem sequence against a Hashtbl model, with indices
-   concentrated on word boundaries and the growth edge. *)
+(* Random set/mem (growable set) and set/clear/mem (matrix row) sequences
+   against a Hashtbl model, with indices concentrated on word boundaries
+   and the growth edge. *)
 let test_bitset_model_check () =
   let rng = Prng.create 2024 in
   let b = Bitset.create () in
-  let model = Hashtbl.create 64 in
+  let m = Bitset.Matrix.create ~rows:1 ~cols:400 in
+  let set_model = Hashtbl.create 64 and row_model = Hashtbl.create 64 in
   for _ = 1 to 4000 do
     let i =
       match Prng.int rng 4 with
@@ -159,10 +172,17 @@ let test_bitset_model_check () =
       | _ -> Prng.int rng 400               (* anywhere, forcing growth *)
     in
     (match Prng.int rng 3 with
-    | 0 -> Bitset.set b i; Hashtbl.replace model i ()
-    | 1 -> Bitset.clear b i; Hashtbl.remove model i
-    | _ -> check_bool "model agrees" (Hashtbl.mem model i) (Bitset.mem b i));
-    check_int "cardinal agrees" (Hashtbl.length model) (Bitset.cardinal b)
+    | 0 ->
+        Bitset.set b i;
+        Hashtbl.replace set_model i ();
+        Bitset.Matrix.set m 0 i;
+        Hashtbl.replace row_model i ()
+    | 1 -> Bitset.Matrix.clear m 0 i; Hashtbl.remove row_model i
+    | _ ->
+        check_bool "set agrees" (Hashtbl.mem set_model i) (Bitset.mem b i);
+        check_bool "row agrees" (Hashtbl.mem row_model i) (Bitset.Matrix.mem m 0 i));
+    check_int "cardinal agrees" (Hashtbl.length row_model)
+      (Bitset.Matrix.row_cardinal m 0)
   done
 
 let test_matrix_edges () =
@@ -196,11 +216,9 @@ let test_matrix_edges () =
   Bitset.Matrix.clear_row m 0;
   check_int "cleared row" 0 (Bitset.Matrix.row_cardinal m 0);
   check_int "neighbor row intact" 3 (Bitset.Matrix.row_cardinal m 1);
-  (* round trip through the growable set *)
-  let row = Bitset.Matrix.row_bitset m 1 in
-  Alcotest.(check (list int)) "row elements" [ 0; 62; 63 ] (Bitset.elements row);
-  Bitset.Matrix.blit_bitset_row m row 2;
-  check_bool "row_equal after blit" true (Bitset.Matrix.row_equal m 1 m 2);
+  (* a row ORed into an empty one equals it *)
+  Bitset.Matrix.union_rows m ~into:2 ~from:1;
+  check_bool "row_equal after union" true (Bitset.Matrix.row_equal m 1 m 2);
   (* degenerate shapes *)
   let z = Bitset.Matrix.create ~rows:0 ~cols:0 in
   check_int "zero rows" 0 (Bitset.Matrix.rows z);
