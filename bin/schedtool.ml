@@ -359,7 +359,7 @@ let schedule_cmd =
           assert (Verify.is_valid s);
           let score = Schedule.score s in
           before := !before + score.Schedule.original_cycles;
-          after := !after + score.Schedule.scheduled.Pipeline.completion;
+          after := !after + score.Schedule.cycles;
           s)
         blocks
     in

@@ -6,7 +6,11 @@
     from the most recent instruction backward, and once a dependency on
     node [i] is found, [i] and all of [i]'s ancestors are excluded — they
     are already transitively ordered before the new node.  The result is a
-    transitively reduced DAG.
+    transitively reduced DAG.  Under [anchor_branch] the terminating
+    branch's candidates include the anchoring: a candidate with no
+    children yet is a leaf, which the branch follows by a CTL arc, and
+    it prunes its ancestors like any dependency — so anchoring keeps the
+    DAG reduced.
 
     The ancestor sets live in one bit matrix (row [i] = ancestors of
     node [i]); an extra scratch row holds the per-node covered set, so
@@ -31,6 +35,7 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
      (potential) direct arc the pruning suppressed — the quantity the
      paper's conclusion 3 is about *)
   let pruned = ref 0 in
+  let anchor = opts.anchor_branch && Dag.has_terminator dag in
   for j = 1 to n - 1 do
     Ds_util.Bitset.Matrix.clear_row anc covered;
     for i = j - 1 downto 0 do
@@ -40,10 +45,14 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
           Pairdep.strongest_packed sums ~model:opts.model
             ~strategy:opts.strategy insns i j
         in
-        if pk >= 0 then begin
-          ignore
-            (Dag.add_arc dag ~src:i ~dst:j ~kind:(Pairdep.kind_of_packed pk)
-               ~latency:(Pairdep.latency_of_packed pk));
+        let leaf = pk < 0 && anchor && j = n - 1 && Dag.n_children dag i = 0 in
+        if pk >= 0 || leaf then begin
+          if leaf then
+            ignore (Dag.add_arc dag ~src:i ~dst:j ~kind:Ds_machine.Dep.Ctl ~latency:1)
+          else
+            ignore
+              (Dag.add_arc dag ~src:i ~dst:j ~kind:(Pairdep.kind_of_packed pk)
+                 ~latency:(Pairdep.latency_of_packed pk));
           Ds_util.Bitset.Matrix.set anc covered i;
           Ds_util.Bitset.Matrix.union_rows anc ~into:covered ~from:i;
           Ds_util.Bitset.Matrix.set anc j i;
@@ -53,5 +62,4 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
     done
   done;
   Ds_obs.Trace.count "transitive_arcs_pruned" !pruned;
-  if opts.anchor_branch then Dag.anchor_terminator dag;
   dag

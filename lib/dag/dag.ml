@@ -45,13 +45,17 @@
     - reachability maps, when a builder maintains them, are one
       contiguous {!Ds_util.Bitset.Matrix} (row per node).
 
-    Every pass walks arcs the same way: {!iter_succ}/{!iter_pred} (and
-    their folds) follow a node's chain head-first and hand over
-    [(peer, latency, kind)] straight from the packed int, so reading
-    adjacency allocates no arc records and a coalesce that upgrades an
-    arc in place is seen from both ends at once.  Boxed {!arc} records
-    exist only for the whole-graph [arcs]/[iter_arcs]/[find_arc]
-    queries. *)
+    Every pass walks arcs the same way: a cursor over arc ids.
+    [succ_first]/[pred_first] give a node's chain head, [succ_next]/
+    [pred_next] the next arc on the chain (-1 past the end), and
+    [arc_src]/[arc_dst]/[arc_latency]/[arc_kind] read an arc's fields
+    straight from its packed int.  A hot loop (verification, the static
+    walks, the dynamic heuristics) is a [while] over ids, so it builds
+    no closure and no arc record, and a coalesce that upgrades an arc in
+    place is seen from both ends at once.  {!iter_succ}/{!iter_pred} and
+    their folds make the same walk with a callback, for callers off the
+    hot path.  Boxed {!arc} records exist only for the whole-graph
+    [arcs]/[iter_arcs]/[find_arc] queries and for [arc]. *)
 
 open Ds_isa
 open Ds_machine
@@ -253,6 +257,21 @@ let find_arc t ~src ~dst =
 let has_arc t ~src ~dst =
   in_range t src && in_range t dst && find_id t ~src ~dst >= 0
 
+(* The arc cursor: a node's first arc id on a chain, the next one, -1
+   past the end, and an arc's fields read from its packed int. *)
+let succ_first = succ_head
+let succ_next t id = t.arc_nsucc.(id)
+let pred_first = pred_head
+let pred_next t id = t.arc_npred.(id)
+let arc_src t id = pk_src t.arc_pk.(id)
+let arc_dst t id = pk_dst t.arc_pk.(id)
+let arc_latency t id = pk_latency t.arc_pk.(id)
+let arc_kind t id = pk_kind t.arc_pk.(id)
+let arc t id = arc_of_pk t.arc_pk.(id)
+
+let arc_id t ~src ~dst =
+  if in_range t src && in_range t dst then find_id t ~src ~dst else -1
+
 (* Chain walks, head-first: most recently added arc first. *)
 let iter_succ t i f =
   let id = ref (succ_head t i) in
@@ -412,13 +431,16 @@ let forest_size t =
     !count
   end
 
+let has_terminator t =
+  let n = length t in
+  n > 1 && (Insn.is_branch t.insns.(n - 1) || Insn.is_call t.insns.(n - 1))
+
 (** Add control arcs from every true leaf to a block-terminating branch so
     the branch schedules last (§2's dummy-leaf convention, realized with
     the branch itself as the sink). *)
 let anchor_terminator t =
   let n = length t in
-  if n > 1 && (Insn.is_branch t.insns.(n - 1) || Insn.is_call t.insns.(n - 1))
-  then
+  if has_terminator t then
     for i = 0 to n - 2 do
       if n_children t i = 0 then
         ignore (add_arc t ~src:i ~dst:(n - 1) ~kind:Dep.Ctl ~latency:1)

@@ -14,10 +14,16 @@
 
     Internally the graph is flat int arrays: packed arcs, intrusive
     succ/pred chains, packed per-node counters, and an optional
-    contiguous reachability bit matrix.  Passes read adjacency through
-    {!iter_succ}/{!iter_pred} and their folds, which walk the chains and
-    allocate nothing per arc; structural identity is exposed as an
-    insertion-order-independent {!fingerprint}. *)
+    contiguous reachability bit matrix.  Structural identity is exposed
+    as an insertion-order-independent {!fingerprint}.
+
+    Every pass walks arcs the same way: a cursor over arc ids.  A loop
+    starts at {!succ_first}/{!pred_first}, steps with
+    {!succ_next}/{!pred_next} until [-1], and reads each arc with
+    {!arc_src}/{!arc_dst}/{!arc_latency}/{!arc_kind}, so it allocates
+    nothing, not even a closure.  {!iter_succ}/{!iter_pred} and their
+    folds are the same walks with a callback, for callers off the hot
+    path. *)
 
 type arc = {
   src : int;
@@ -46,6 +52,32 @@ val insns : t -> Ds_isa.Insn.t array
 val decoded : t -> Ds_machine.Pipeline.scan
 
 val set_decode_gen : t -> int -> unit
+
+(** {1 Arc cursor}
+
+    Arcs are identified by ids in [\[0, n_arcs)].  [succ_first t i] is
+    the id of [i]'s most recently added outgoing arc and [succ_next t a]
+    the next one on [a]'s source chain; [pred_first]/[pred_next] walk
+    incoming arcs the same way.  Both return [-1] past the end.  The
+    chain order is {!iter_succ}'s/{!iter_pred}'s, and a coalesce upgrade
+    changes an arc's fields, never its id. *)
+
+val succ_first : t -> int -> int
+val succ_next : t -> int -> int
+val pred_first : t -> int -> int
+val pred_next : t -> int -> int
+val arc_src : t -> int -> int
+val arc_dst : t -> int -> int
+val arc_latency : t -> int -> int
+val arc_kind : t -> int -> Ds_machine.Dep.kind
+
+(** The arc with id [a] as a record (allocates). *)
+val arc : t -> int -> arc
+
+(** The id of the arc [src -> dst], or [-1] when there is none or an
+    index is out of range.  Like {!find_arc}, it never builds the
+    out-of-order index. *)
+val arc_id : t -> src:int -> dst:int -> int
 
 (** [iter_succ t i f] calls [f dst latency kind] for every outgoing arc
     of [i], most recently added first; [iter_pred t i f] calls
@@ -97,8 +129,14 @@ val leaves : t -> int list
 (** Number of weakly connected components. *)
 val forest_size : t -> int
 
+(** The block has more than one instruction and ends in a branch or a
+    call: the terminator {!anchor_terminator} anchors. *)
+val has_terminator : t -> bool
+
 (** Add control arcs from every true leaf to a block-terminating branch so
-    the branch schedules last (§2's dummy-leaf convention). *)
+    the branch schedules last (§2's dummy-leaf convention).  The
+    transitively reduced builders anchor while they build instead, so
+    that their result stays reduced. *)
 val anchor_terminator : t -> unit
 
 (** Descendant bit maps as one contiguous matrix (row per node), when a

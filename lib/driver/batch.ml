@@ -67,64 +67,82 @@ let hb_tick () =
     let d = 1 + Atomic.fetch_and_add hb_done 1 in
     Ds_obs.Log.heartbeat ~phase:"block" ~done_:d ~total:(Atomic.get hb_total) ()
 
-let run_block config block =
+(* A pipeline span carrying the block id (and, on dag_build, the
+   builder).  Only the traced path calls it: untraced, [run_block] calls
+   each phase directly, so it builds neither span args nor a phase
+   closure. *)
+let span config id name f =
+  let args =
+    ("block", Ds_obs.Json.Int id)
+    :: (if String.equal name "dag_build" then
+          [ ( "builder",
+              Ds_obs.Json.String (Ds_dag.Builder.to_string config.algorithm) )
+          ]
+        else [])
+  in
+  Ds_obs.Trace.with_span ~cat:"pipeline" ~args name f
+
+let build_dag config block =
+  let dag = Ds_dag.Builder.build config.algorithm config.opts block in
+  Ds_obs.Trace.count "arcs" (Ds_dag.Dag.n_arcs dag);
+  dag
+
+let verify id sched =
+  match Verify.check sched with
+  | Ok () -> ()
+  | Error v -> raise (Invalid_schedule (id, Verify.violation_to_string v))
+
+(* One block, phase by phase (heur_dynamic is recorded inside
+   Engine.run as an aggregate).  Traced, each phase runs in a span that
+   charges it its time and minor words; untraced, the block allocates
+   only its result: the DAG, the annotation columns, the order, the
+   score, the fingerprint and the record.  [time_s] runs from the build
+   through verification.  [heuristics] is [heuristics_of config],
+   resolved once per map. *)
+let run_block config heuristics block =
   let id = block.Ds_cfg.Block.id in
-  (* one span per phase (heur_dynamic is recorded inside Engine.run as
-     an aggregate); each span charges its phase's time and minor words.
-     The args are built only when tracing is on, so the untraced path
-     allocates nothing here but the phase closures. *)
-  let span ?(builder = false) name f =
-    if not (Ds_obs.Trace.enabled ()) then f ()
-    else
-      let args =
-        ("block", Ds_obs.Json.Int id)
-        :: (if builder then
-              [ ( "builder",
-                  Ds_obs.Json.String (Ds_dag.Builder.to_string config.algorithm)
-                ) ]
-            else [])
-      in
-      Ds_obs.Trace.with_span ~cat:"pipeline" ~args name f
+  let traced = Ds_obs.Trace.enabled () in
+  let t0 = Ds_obs.Clock.now_ns () in
+  let dag =
+    if traced then span config id "dag_build" (fun () -> build_dag config block)
+    else build_dag config block
   in
-  let time_s, (dag, sched) =
-    Ds_util.Stats.time_runs ~runs:1 (fun () ->
-        let dag =
-          span ~builder:true "dag_build" (fun () ->
-              let dag =
-                Ds_dag.Builder.build config.algorithm config.opts block
-              in
-              Ds_obs.Trace.count "arcs" (Ds_dag.Dag.n_arcs dag);
-              dag)
-        in
-        let annot =
-          span "heur_static" (fun () ->
-              Ds_heur.Static_pass.compute_for (heuristics_of config) dag)
-        in
-        let sched =
-          span "schedule" (fun () ->
-              Schedule.make dag (Engine.run config.engine ~annot dag))
-        in
-        if config.verify then
-          span "verify" (fun () ->
-              match Verify.check sched with
-              | Ok () -> ()
-              | Error v ->
-                  raise (Invalid_schedule (id, Verify.violation_to_string v)));
-        (dag, sched))
+  let annot =
+    if traced then
+      span config id "heur_static" (fun () ->
+          Ds_heur.Static_pass.compute_for heuristics dag)
+    else Ds_heur.Static_pass.compute_for heuristics dag
   in
+  let order =
+    if traced then
+      span config id "schedule" (fun () -> Engine.run config.engine ~annot dag)
+    else Engine.run config.engine ~annot dag
+  in
+  let sched = Schedule.make dag order in
+  if config.verify then begin
+    if traced then span config id "verify" (fun () -> verify id sched)
+    else verify id sched
+  end;
+  let time_s = float_of_int (Ds_obs.Clock.now_ns () - t0) *. 1e-9 in
   hb_tick ();
   (* the builder's decode of the block scores the original and the
      scheduled order *)
-  let score = span "score" (fun () -> Schedule.score sched) in
-  let fingerprint = span "fingerprint" (fun () -> Ds_dag.Dag.fingerprint dag) in
+  let score =
+    if traced then span config id "score" (fun () -> Schedule.score sched)
+    else Schedule.score sched
+  in
+  let fingerprint =
+    if traced then span config id "fingerprint" (fun () -> Ds_dag.Dag.fingerprint dag)
+    else Ds_dag.Dag.fingerprint dag
+  in
   { block_id = id;
     insns = Ds_cfg.Block.length block;
     dag_arcs = Ds_dag.Dag.n_arcs dag;
     fingerprint;
-    order = sched.Schedule.order;
+    order;
     original_cycles = score.Schedule.original_cycles;
-    cycles = score.Schedule.scheduled.Ds_machine.Pipeline.completion;
-    stalls = score.Schedule.scheduled.Ds_machine.Pipeline.stall_cycles;
+    cycles = score.Schedule.cycles;
+    stalls = score.Schedule.stalls;
     time_s }
 
 let resolve_domains = function
@@ -147,18 +165,18 @@ let run_on ~pool config blocks =
   log_start config blocks;
   hb_start (List.length blocks);
   Ds_util.Pool.map_on pool ~chunk:Ds_util.Pool.default_chunk
-    (run_block config) blocks
+    (run_block config (heuristics_of config)) blocks
 
 let run_here config blocks =
   log_start config blocks;
   hb_start (List.length blocks);
-  List.map (run_block config) blocks
+  List.map (run_block config (heuristics_of config)) blocks
 
 let run ?domains ?(chunk = Ds_util.Pool.default_chunk) config blocks =
   let domains = resolve_domains domains in
   log_start config blocks;
   hb_start (List.length blocks);
-  Ds_util.Pool.map ~domains ~chunk (run_block config) blocks
+  Ds_util.Pool.map ~domains ~chunk (run_block config (heuristics_of config)) blocks
 
 type report = {
   domains : int;

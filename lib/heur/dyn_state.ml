@@ -127,6 +127,27 @@ let fold_successors t i f acc =
   | Forward -> Ds_dag.Dag.fold_succ t.dag i f acc
   | Backward -> Ds_dag.Dag.fold_pred t.dag i f acc
 
+(* The same arcs as a cursor over arc ids. *)
+let out_first t i =
+  match t.direction with
+  | Forward -> Ds_dag.Dag.succ_first t.dag i
+  | Backward -> Ds_dag.Dag.pred_first t.dag i
+
+let out_next t a =
+  match t.direction with
+  | Forward -> Ds_dag.Dag.succ_next t.dag a
+  | Backward -> Ds_dag.Dag.pred_next t.dag a
+
+let out_peer t a =
+  match t.direction with
+  | Forward -> Ds_dag.Dag.arc_dst t.dag a
+  | Backward -> Ds_dag.Dag.arc_src t.dag a
+
+let out_arc t i ~peer =
+  match t.direction with
+  | Forward -> Ds_dag.Dag.arc_id t.dag ~src:i ~dst:peer
+  | Backward -> Ds_dag.Dag.arc_id t.dag ~src:peer ~dst:i
+
 (* One arc leaving [t.last], which issued at [t.sched_time.(t.last)]:
    the peer loses an unscheduled predecessor and cannot execute before
    the arc's latency has passed.  Top-level folds, so an issue builds no

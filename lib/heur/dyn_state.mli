@@ -73,5 +73,21 @@ val schedule : t -> int -> at:int -> unit
 val fold_successors :
   t -> int -> ('a -> int -> int -> Ds_machine.Dep.kind -> 'a) -> 'a -> 'a
 
+(** The same arcs through the DAG's cursor (see {!Ds_dag.Dag}), for
+    loops that build no closure: [out_first t i] is the id of [i]'s
+    first arc in the scheduling direction, [out_next t a] the next one
+    ([-1] past the end) and [out_peer t a] the arc's peer.  Read its
+    latency and kind with {!Ds_dag.Dag.arc_latency} and
+    {!Ds_dag.Dag.arc_kind}. *)
+val out_first : t -> int -> int
+
+val out_next : t -> int -> int
+val out_peer : t -> int -> int
+
+(** [out_arc t i ~peer] is the id of the arc leaving [i] for [peer] in
+    the scheduling direction, or [-1]: arcs between a pair are
+    coalesced, so there is at most one. *)
+val out_arc : t -> int -> peer:int -> int
+
 (** Unscheduled predecessors of a peer node. *)
 val unscheduled_preds_of_peer : t -> int -> int

@@ -13,12 +13,9 @@ let interlock_with_previous (st : Dyn_state.t) i =
   let last = st.last in
   if last < 0 then 0
   else
-    let interlocks =
-      Dyn_state.fold_successors st last
-        (fun found peer latency _ -> found || (peer = i && latency > 1))
-        false
-    in
-    if interlocks then 1 else 0
+    (* the one coalesced arc from [last] to the candidate, if any *)
+    let a = Dyn_state.out_arc st last ~peer:i in
+    if a >= 0 && Ds_dag.Dag.arc_latency st.dag a > 1 then 1 else 0
 
 let earliest_execution_time (st : Dyn_state.t) i = st.earliest_exec.(i)
 
@@ -42,31 +39,37 @@ let alternate_type (st : Dyn_state.t) i =
   then 1
   else 0
 
-(* Children (scheduling-direction successors) of [i] whose only remaining
+(* What the single-parent heuristics sum over the children
+   (scheduling-direction successors) of [i] whose only remaining
    unscheduled predecessor is [i] itself. *)
-let fold_single_parent_children (st : Dyn_state.t) i f acc =
-  Dyn_state.fold_successors st i
-    (fun acc peer latency _ ->
-      if Dyn_state.unscheduled_preds_of_peer st peer = 1 then f acc peer latency
-      else acc)
-    acc
+type measure = Count | Delay_sum | Uncovered
 
-let num_single_parent_children st i =
-  fold_single_parent_children st i (fun acc _ _ -> acc + 1) 0
+let single_parent_children (st : Dyn_state.t) i measure =
+  let acc = ref 0 and a = ref (Dyn_state.out_first st i) in
+  while !a >= 0 do
+    let peer = Dyn_state.out_peer st !a in
+    if Dyn_state.unscheduled_preds_of_peer st peer = 1 then begin
+      let latency = Ds_dag.Dag.arc_latency st.dag !a in
+      match measure with
+      | Count -> incr acc
+      | Delay_sum -> acc := !acc + latency
+      | Uncovered ->
+          if latency <= 1 && st.earliest_exec.(peer) <= st.time + 1 then incr acc
+    end;
+    a := Dyn_state.out_next st !a
+  done;
+  !acc
+
+let num_single_parent_children st i = single_parent_children st i Count
 
 let sum_delays_to_single_parent_children st i =
-  fold_single_parent_children st i (fun acc _ latency -> acc + latency) 0
+  single_parent_children st i Delay_sum
 
 (** Exactly how many nodes join the candidate list if [i] issues now: the
     single-parent condition "extended to also require that the delay to
     the child be equal to one", plus the child's earliest execution time
     not pushing it past the next cycle. *)
-let num_uncovered_children (st : Dyn_state.t) i =
-  fold_single_parent_children st i
-    (fun acc peer latency ->
-      if latency <= 1 && st.earliest_exec.(peer) <= st.time + 1 then acc + 1
-      else acc)
-    0
+let num_uncovered_children st i = single_parent_children st i Uncovered
 
 (** Tiemann's birthing adjustment: in a backward pass, 1 when the candidate
     is a RAW parent of the most recently scheduled node — choosing it next
@@ -75,9 +78,5 @@ let birthing_instruction (st : Dyn_state.t) i =
   let last = st.last in
   if last < 0 then 0
   else
-    let is_raw_parent =
-      Dyn_state.fold_successors st last
-        (fun found peer _ kind -> found || (peer = i && kind = Dep.Raw))
-        false
-    in
-    if is_raw_parent then 1 else 0
+    let a = Dyn_state.out_arc st last ~peer:i in
+    if a >= 0 && Ds_dag.Dag.arc_kind st.dag a = Dep.Raw then 1 else 0

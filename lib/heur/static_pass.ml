@@ -16,33 +16,50 @@ type traversal = Reverse_walk | Level_lists
 (* Forward walk: parents are always visited before children because arcs
    go from lower to higher index.  [path] (the max path from the root)
    and [delay] (the max delay from the root, which is also the EST) are
-   filled when non-empty. *)
+   filled when non-empty.  Arcs are read through the DAG's cursor, so
+   the walk allocates nothing. *)
 let forward_pass dag ~path ~delay =
-  let path_step acc src _ _ = Int.max acc (path.(src) + 1) in
-  let delay_step acc src latency _ = Int.max acc (delay.(src) + latency) in
   let with_path = Array.length path > 0 and with_delay = Array.length delay > 0 in
   for j = 0 to Ds_dag.Dag.length dag - 1 do
-    if with_path then path.(j) <- Ds_dag.Dag.fold_pred dag j path_step 0;
-    if with_delay then delay.(j) <- Ds_dag.Dag.fold_pred dag j delay_step 0
+    let p = ref 0 and d = ref 0 in
+    let a = ref (Ds_dag.Dag.pred_first dag j) in
+    while !a >= 0 do
+      let src = Ds_dag.Dag.arc_src dag !a in
+      if with_path then p := Int.max !p (path.(src) + 1);
+      if with_delay then d := Int.max !d (delay.(src) + Ds_dag.Dag.arc_latency dag !a);
+      a := Ds_dag.Dag.pred_next dag !a
+    done;
+    if with_path then path.(j) <- !p;
+    if with_delay then delay.(j) <- !d
   done
 
-(* Backward walk: each node once all its children are final.  [path]
-   (the max path to a leaf) is filled when non-empty, [delay] (the max
-   delay to a leaf, at least the node's own execution time) always. *)
-let backward_pass traversal dag ~exec_time ~path ~delay =
-  let path_step acc dst _ _ = Int.max acc (path.(dst) + 1) in
-  let delay_step acc dst latency _ = Int.max acc (delay.(dst) + latency) in
+(* One node of the backward walk, once all its children are final:
+   [path] (the max path to a leaf) is filled when non-empty, [delay]
+   (the max delay to a leaf, at least the node's own execution time)
+   always. *)
+let backward_visit dag ~exec_time ~path ~delay i =
   let with_path = Array.length path > 0 in
-  let visit i =
-    if with_path then path.(i) <- Ds_dag.Dag.fold_succ dag i path_step 0;
-    delay.(i) <- Ds_dag.Dag.fold_succ dag i delay_step exec_time.(i)
-  in
+  let p = ref 0 and d = ref exec_time.(i) in
+  let a = ref (Ds_dag.Dag.succ_first dag i) in
+  while !a >= 0 do
+    let dst = Ds_dag.Dag.arc_dst dag !a in
+    if with_path then p := Int.max !p (path.(dst) + 1);
+    d := Int.max !d (delay.(dst) + Ds_dag.Dag.arc_latency dag !a);
+    a := Ds_dag.Dag.succ_next dag !a
+  done;
+  if with_path then path.(i) <- !p;
+  delay.(i) <- !d
+
+let backward_pass traversal dag ~exec_time ~path ~delay =
   match traversal with
   | Reverse_walk ->
       for i = Ds_dag.Dag.length dag - 1 downto 0 do
-        visit i
+        backward_visit dag ~exec_time ~path ~delay i
       done
-  | Level_lists -> Level.iter_backward visit (Level.compute dag)
+  | Level_lists ->
+      Level.iter_backward
+        (backward_visit dag ~exec_time ~path ~delay)
+        (Level.compute dag)
 
 (* Descendant measures: population counts over reachability bit maps, as
    the paper recommends ("the #descendants is then merely the population

@@ -382,6 +382,7 @@ let undo s m =
   done
 
 let completed s = s.completion
+let stalled s = s.stalls
 let next_issue s = s.next
 
 (* A full replay of [order] (indices into the decoded block). *)
@@ -396,7 +397,16 @@ let replay ~width sc order =
 
 let simulate sc order = replay ~width:1 sc order
 
-(* the original order's completion: a replay that keeps no issue cycles *)
+(* A replay that keeps no issue cycles: the state holds the outcome. *)
+let play sc order =
+  let s = Domain.DLS.get scratch_key in
+  reset s sc ~width:1;
+  for p = 0 to Array.length order - 1 do
+    ignore (step s order.(p))
+  done;
+  s
+
+(* the original order's completion, likewise *)
 let original_completion_at ~width sc =
   let s = Domain.DLS.get scratch_key in
   reset s sc ~width;

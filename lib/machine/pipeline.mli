@@ -104,9 +104,15 @@ val issue : state -> int -> int
 val mark : state -> int
 val undo : state -> int -> unit
 
-(** The completion of what is issued so far, and the first cycle open to
-    the next issue. *)
+(** [play sc order] is {!simulate} keeping no issue cycles: it issues
+    [order] over this domain's emptied state and returns it, to be read
+    with {!completed} and {!stalled}.  Allocates nothing. *)
+val play : scan -> int array -> state
+
+(** The completion of what is issued so far, its stall cycles, and the
+    first cycle open to the next issue. *)
 val completed : state -> int
+val stalled : state -> int
 val next_issue : state -> int
 
 (** [run ?width model insns] simulates [insns] in array order over a

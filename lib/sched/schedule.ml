@@ -21,21 +21,22 @@ let insns t = Array.map (Ds_dag.Dag.insn t.dag) t.order
 (** Simulated execution under the DAG's latency model. *)
 let simulate t = Pipeline.simulate (Ds_dag.Dag.decoded t.dag) t.order
 
-let cycles t = (simulate t).Pipeline.completion
+let cycles t = Pipeline.completed (Pipeline.play (Ds_dag.Dag.decoded t.dag) t.order)
 
-let stalls t = (simulate t).Pipeline.stall_cycles
+let stalls t = Pipeline.stalled (Pipeline.play (Ds_dag.Dag.decoded t.dag) t.order)
 
 (** Cycles of the original (unscheduled) order, for before/after reports. *)
 let original_cycles t = Pipeline.original_completion (Ds_dag.Dag.decoded t.dag)
 
-type score = { original_cycles : int; scheduled : Pipeline.result }
+type score = { original_cycles : int; cycles : int; stalls : int }
 
-(** The original order's cycles and the schedule's simulation, both over
-    one decode of the block. *)
+(** The original order's cycles and the schedule's, both over one decode
+    of the block. *)
 let score t =
   let sc = Ds_dag.Dag.decoded t.dag in
-  { original_cycles = Pipeline.original_completion sc;
-    scheduled = Pipeline.simulate sc t.order }
+  let original_cycles = Pipeline.original_completion sc in
+  let st = Pipeline.play sc t.order in
+  { original_cycles; cycles = Pipeline.completed st; stalls = Pipeline.stalled st }
 
 let to_string t =
   insns t |> Array.to_list |> List.map Insn.to_string |> String.concat "\n"

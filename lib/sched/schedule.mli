@@ -26,17 +26,19 @@ val stalls : t -> int
 val original_cycles : t -> int
 
 type score = {
-  original_cycles : int;             (* the original order's completion *)
-  scheduled : Ds_machine.Pipeline.result;  (* this schedule's simulation *)
+  original_cycles : int;  (* the original order's completion *)
+  cycles : int;           (* this schedule's completion, as {!cycles} *)
+  stalls : int;           (* this schedule's stall cycles, as {!stalls} *)
 }
 
-(** {!original_cycles} and {!simulate} from one decode of the block:
-    the decode a table builder made of the DAG's block when it is still
-    this domain's current {!Ds_machine.Pipeline.decode}
-    ({!Ds_dag.Dag.decoded}), else a fresh decode into the same
-    scratch.  Allocates only the schedule's issue array and the result
-    records.  {!simulate}, {!cycles}, {!stalls} and {!original_cycles}
-    read the block the same way. *)
+(** {!original_cycles}, {!cycles} and {!stalls} from one decode of the
+    block: the decode a table builder made of the DAG's block when it is
+    still this domain's current {!Ds_machine.Pipeline.decode}
+    ({!Ds_dag.Dag.decoded}), else a fresh decode into the same scratch.
+    The schedule is replayed once, keeping no issue cycles
+    ({!Ds_machine.Pipeline.play}), so this allocates only the record.
+    {!simulate}, {!cycles}, {!stalls} and {!original_cycles} read the
+    block the same way; only {!simulate} keeps the issue cycles. *)
 val score : t -> score
 
 val to_string : t -> string

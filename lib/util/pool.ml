@@ -9,7 +9,9 @@ type job = { run : int -> unit; n_chunks : int; taken : int Atomic.t }
 type t = {
   mutex : Mutex.t;           (* everything below but [workers] *)
   posted : Condition.t;      (* a job was posted, or stopping *)
-  left : Condition.t;        (* the last worker left the job *)
+  left : Condition.t;        (* the last worker left the job, or a
+                                worker started *)
+  mutable started : int;     (* workers running *)
   mutable job : job;
   mutable epoch : int;       (* jobs posted so far *)
   mutable busy : int;        (* workers still in the job *)
@@ -63,6 +65,19 @@ let rec worker pool seen =
     worker pool epoch
   end
 
+(* A new worker counts itself in before it waits for the first job. *)
+let start pool =
+  Mutex.lock pool.mutex;
+  pool.started <- pool.started + 1;
+  Condition.signal pool.left;
+  Mutex.unlock pool.mutex;
+  worker pool 0
+
+(* The workers are spawned, then waited for, so every domain's start-up
+   (OCaml allocates its domain-local state there) is over when [create]
+   returns: a caller that counts minor words from there on sees only
+   the maps it runs.  Waiting on the condition rather than spinning
+   leaves the CPU to the workers on a one-CPU host. *)
 let create ?domains () =
   let n = match domains with Some d -> max 1 d | None -> recommended () in
   if n > max_domains then
@@ -70,10 +85,15 @@ let create ?domains () =
       (Printf.sprintf "Pool.create: %d domains, at most %d" n max_domains);
   let pool =
     { mutex = Mutex.create (); posted = Condition.create ();
-      left = Condition.create (); job = no_job; epoch = 0; busy = 0;
-      failure = None; stop = false; workers = [||] }
+      left = Condition.create (); started = 0; job = no_job; epoch = 0;
+      busy = 0; failure = None; stop = false; workers = [||] }
   in
-  pool.workers <- Array.init n (fun _ -> Domain.spawn (fun () -> worker pool 0));
+  pool.workers <- Array.init n (fun _ -> Domain.spawn (fun () -> start pool));
+  Mutex.lock pool.mutex;
+  while pool.started < n do
+    Condition.wait pool.left pool.mutex
+  done;
+  Mutex.unlock pool.mutex;
   pool
 
 let shutdown pool =

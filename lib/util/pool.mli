@@ -41,7 +41,8 @@ val recommended : unit -> int
 val default_chunk : int
 
 (** [create ?domains ()] spawns the workers ([domains] defaults to
-    {!recommended}; values < 1 are clamped to 1).  Raises
+    {!recommended}; values < 1 are clamped to 1) and returns once every
+    one of them is running, its domain's start-up done.  Raises
     [Invalid_argument], before spawning any, for more than
     {!max_domains}.  Call {!shutdown} when done. *)
 val create : ?domains:int -> unit -> t

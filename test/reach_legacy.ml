@@ -1,9 +1,13 @@
 (* Backward construction with reachability bit maps as it stood when
     it ran its own compare-against-all loop: one {!Ds_dag.Pairdep} test
     per ordered pair, in reverse program order, with an arc kept only
-    when the pair is not already reachable.  Kept verbatim as the
-    yardstick for the differential tests of {!Ds_dag.Build_reach}.  Not
-    for pipeline use.
+    when the pair is not already reachable.  Kept as the yardstick for
+    the differential tests of {!Ds_dag.Build_reach}, verbatim but for
+    anchoring, which it does as the builder now does: under
+    [anchor_branch], a node that depends on nothing later (a leaf) takes
+    a CTL arc to the terminating branch as its last candidate, through
+    the same reachability test, where it used to be anchored after the
+    loop with the maps refreshed.  Not for pipeline use.
 
     The original module comment follows. *)
 
@@ -41,32 +45,30 @@ let build (opts : Opts.t) (block : Ds_cfg.Block.t) =
   done;
   (* dependencies whose direct arc the reachability test suppressed *)
   let pruned = ref 0 in
+  let anchor = opts.anchor_branch && Dag.has_terminator dag in
   for a = n - 2 downto 0 do
+    let has_dep = ref false in
     for b = a + 1 to n - 1 do
       let pk =
         Pairdep.strongest_packed sums ~model:opts.model
           ~strategy:opts.strategy insns a b
       in
-      if pk >= 0 then begin
+      if pk >= 0 then has_dep := true;
+      let leaf = anchor && b = n - 1 && not !has_dep in
+      if pk >= 0 || leaf then begin
         if Ds_util.Bitset.Matrix.mem reach a b then incr pruned
         else begin
           Ds_util.Bitset.Matrix.union_rows reach ~into:a ~from:b;
-          ignore
-            (Dag.add_arc dag ~src:a ~dst:b ~kind:(Pairdep.kind_of_packed pk)
-               ~latency:(Pairdep.latency_of_packed pk))
+          if leaf then
+            ignore (Dag.add_arc dag ~src:a ~dst:b ~kind:Ds_machine.Dep.Ctl ~latency:1)
+          else
+            ignore
+              (Dag.add_arc dag ~src:a ~dst:b ~kind:(Pairdep.kind_of_packed pk)
+                 ~latency:(Pairdep.latency_of_packed pk))
         end
       end
     done
   done;
   Ds_obs.Trace.count "transitive_arcs_pruned" !pruned;
-  if opts.anchor_branch then begin
-    Dag.anchor_terminator dag;
-    (* anchoring adds leaf->branch arcs after the fact; refresh the maps so
-       ancestors of the anchored leaves also see the branch *)
-    for i = n - 1 downto 0 do
-      Dag.iter_succ dag i (fun dst _ _ ->
-          Ds_util.Bitset.Matrix.union_rows reach ~into:i ~from:dst)
-    done
-  end;
   Dag.set_reach_matrix dag reach;
   dag

@@ -117,6 +117,24 @@ let test_reducers_are_reduced () =
         (Closure.count_transitive_arcs dag))
     [ Builder.Landskov; Builder.Reach_backward ]
 
+(* Anchoring keeps the reducers reduced: the leaf [mov] takes the CTL
+   arc to the branch, through which the compare already reaches it, so
+   the direct RAW arc on the condition codes is transitive.  Both
+   builders keep [0 -> 1 -> 2] only. *)
+let test_reducers_reduced_when_anchored () =
+  let asm = "cmp %o1, 0\nmov 5, %o1\nbe L1" in
+  List.iter
+    (fun alg ->
+      let dag = build alg asm in
+      let name = Builder.to_string alg in
+      check_int (name ^ ": arcs") 2 (Dag.n_arcs dag);
+      check_bool (name ^ ": 0 -> 1") true (Dag.has_arc dag ~src:0 ~dst:1);
+      check_bool (name ^ ": 1 -> 2") true (Dag.has_arc dag ~src:1 ~dst:2);
+      check_int (name ^ ": transitive arcs") 0 (List.length (dfs_transitive_arcs dag)))
+    [ Builder.Landskov; Builder.Reach_backward ];
+  (* the table builders keep the RAW arc beside the anchor *)
+  check_int "table-backward arcs" 3 (Dag.n_arcs (build Builder.Table_backward asm))
+
 let test_n2_has_most_arcs () =
   let b = random_block 12345 in
   let n2 = Builder.build Builder.N2_forward Opts.default b in
@@ -400,6 +418,7 @@ let suite =
     quick "figure 1 EST error" test_figure1_est_error;
     quick "n2 keeps transitive arcs" test_n2_keeps_transitive;
     quick "reducers are reduced" test_reducers_are_reduced;
+    quick "reducers are reduced under anchoring" test_reducers_reduced_when_anchored;
     quick "n2 has most arcs" test_n2_has_most_arcs;
     quick "serialize-all" test_serialize_all;
     quick "base-offset disambiguates" test_base_offset_disambiguates;

@@ -135,12 +135,8 @@ let fresh_score (sched : Schedule.t) =
 
 let same_score name (s : Schedule.score) (original, (r : Pipeline.result)) =
   check_int (name ^ ": original cycles") original s.Schedule.original_cycles;
-  check_int (name ^ ": completion") r.Pipeline.completion
-    s.Schedule.scheduled.Pipeline.completion;
-  check_int (name ^ ": stalls") r.Pipeline.stall_cycles
-    s.Schedule.scheduled.Pipeline.stall_cycles;
-  check_bool (name ^ ": issue cycles") true
-    (r.Pipeline.issue_cycle = s.Schedule.scheduled.Pipeline.issue_cycle)
+  check_int (name ^ ": completion") r.Pipeline.completion s.Schedule.cycles;
+  check_int (name ^ ": stalls") r.Pipeline.stall_cycles s.Schedule.stalls
 
 (* A long-latency chain, and a wider block of independent loads the
    chain's order would misread: scoring A over B's decode is wrong. *)
@@ -188,9 +184,10 @@ let test_score_on_another_domain () =
       same_score "here" (Schedule.score sched) (fresh_score sched))
     [ chain_block; edge_block; large_block ]
 
-(* Scoring a freshly built table-forward DAG reads the builder's decode:
-   it allocates the schedule's issue array and the result records, not
-   a scan (whose copy alone is about five words per instruction). *)
+(* Scoring a freshly built table-forward DAG reads the builder's decode
+   and replays the schedule keeping no issue cycles: it allocates the
+   score record only, not a scan (whose copy alone is about five words
+   per instruction) nor an issue array (one word per instruction). *)
 let test_score_allocates_no_scan () =
   let block = large_block in
   let n = Block.length block in
@@ -204,9 +201,9 @@ let test_score_allocates_no_scan () =
   let s = Schedule.score sched in
   let words = Gc.minor_words () -. w0 in
   same_score "fresh DAG" s (fresh_score sched);
-  if words > float_of_int (n + 16) then
-    Alcotest.failf "Schedule.score allocated %.0f words for %d insns (bound %d)"
-      words n (n + 16)
+  if words > 8.0 then
+    Alcotest.failf "Schedule.score allocated %.0f words for %d insns (bound 8)"
+      words n
 
 (* ------------------------------------------------------------------ *)
 (* wide uselists *)

@@ -439,17 +439,20 @@ let test_explain_differential () =
    block (table-forward build, static pass, engine, verify, and the
    one-scan score of the original and the scheduled order) over the
    Table-3 corpus, counted with [Gc.minor_words] on the calling domain —
-   a pool would charge its worker domains instead.  Measured: 2.35M
-   minor words once the static pass allocates only the columns its keys
-   read and the engine and its dynamic state work in per-domain scratch;
-   4.63M when every block allocated all 13 annotation columns and a
-   dozen engine arrays, and 36.63M when the simulator kept a
-   [Resource.Tbl] with reader lists and the ready list was filtered as
-   an [int list].  The budget is the measured value x 1.15, the
-   benchmark's minor-words bound.  The count is deterministic: fixed
-   corpus, fixed pipeline, one domain. *)
+   a pool would charge its worker domains instead.  Measured: 1.25M
+   minor words once verification keeps positions in per-domain scratch,
+   scoring replays the schedule without an issue array and the static
+   walks read arcs through the DAG's cursor; 1.80M before that, and
+   2.35M once the static pass allocated only the columns its keys read
+   and the engine worked in per-domain scratch; 4.63M when every block
+   allocated all 13 annotation columns and a dozen engine arrays, and
+   36.63M when the simulator kept a [Resource.Tbl] with reader lists
+   and the ready list was filtered as an [int list].  The budget
+   is the measured value x 1.15, the benchmark's minor-words bound.
+   The count is deterministic: fixed corpus, fixed pipeline, one
+   domain. *)
 let test_pipeline_allocation_budget () =
-  let budget_words = 2_699_000.0 in
+  let budget_words = 1_442_000.0 in
   let config = Batch.section6 in
   let heuristics =
     List.map (fun k -> k.Engine.heuristic) config.Batch.engine.Engine.keys
@@ -481,14 +484,17 @@ let test_pipeline_allocation_budget () =
    process-wide ([Gc.quick_stat] after [Gc.minor], which samples every
    domain) because the pool runs the blocks on its worker domain; both
    sides run once untimed first so per-domain scratch growth is not
-   charged.  Measured over the Table-3 corpus (8,889 blocks): 144.2
-   words/block when every span built its args and nested a GC bracket
-   even with tracing off, and 88.2 with args built only when tracing.
-   The bound, 139 words/block, sits below the former wrappers, so
-   putting per-block obs allocation back on the untraced path fails
-   it. *)
+   charged.  Measured over the Table-3 corpus (8,889 blocks): 17.0
+   words/block — the result record, its boxed [time_s] and the pool's
+   option and list cell — once each phase is called directly unless
+   tracing is on and the block is timed with two integer clock reads;
+   80.0 with a closure per phase, a [Stats.time_runs] tuple and the
+   heuristics list rebuilt per block; 144.2 when every span built its
+   args and nested a GC bracket even with tracing off.  The bound is
+   the measured value x 1.15, so any per-block wrapper put back on the
+   untraced path fails it. *)
 let test_untraced_overhead () =
-  let bound_words_per_block = 139.0 in
+  let bound_words_per_block = 19.7 in
   let config = Batch.section6 in
   let heuristics =
     List.map (fun k -> k.Engine.heuristic) config.Batch.engine.Engine.keys

@@ -545,20 +545,38 @@ let test_scratch_across_sizes () =
    block allocated its dynamic state's record, the push and successor
    closures and a boxed list length.  The budget is the measured value
    x 1.15, the benchmark's minor-words bound. *)
-let test_engine_allocation_budget () =
-  let budget = 1.05 in
+let engine_words_per_insn config =
   let blocks = List.concat_map snd (Profiles.corpus Profiles.benchmarks) in
-  let runs = List.map (annotated section6) blocks in
+  let runs = List.map (annotated config) blocks in
   let insns = List.fold_left (fun n b -> n + Block.length b) 0 blocks in
   (* warm up the per-domain scratch so growth costs are not charged *)
-  List.iter (fun (dag, annot) -> ignore (Engine.run section6 ~annot dag)) runs;
+  List.iter (fun (dag, annot) -> ignore (Engine.run config ~annot dag)) runs;
   let m0 = Gc.minor_words () in
   List.iter
-    (fun (dag, annot) -> ignore (Sys.opaque_identity (Engine.run section6 ~annot dag)))
+    (fun (dag, annot) -> ignore (Sys.opaque_identity (Engine.run config ~annot dag)))
     runs;
-  let per_insn = (Gc.minor_words () -. m0) /. float_of_int insns in
+  (Gc.minor_words () -. m0) /. float_of_int insns
+
+let check_engine_budget name config budget =
+  let per_insn = engine_words_per_insn config in
   if per_insn > budget then
-    Alcotest.failf "Engine.run allocated %.2f words/insn (budget %.2f)" per_insn budget
+    Alcotest.failf "%s: Engine.run allocated %.2f words/insn (budget %.2f)" name
+      per_insn budget
+
+let test_engine_allocation_budget () =
+  check_engine_budget "section 6" section6 1.05
+
+(* The same guard under the two published strategies that key on
+   dynamic arc heuristics: Tiemann's birthing instruction (a backward
+   pass) and Gibbons–Muchnick's interlock with previous (forward).
+   Measured: 2.04 and 0.91 words/insn once those heuristics read the
+   one coalesced arc between the last issued node and the candidate;
+   20.3 and 14.2 when each evaluation built a fold closure.  The
+   budgets are the measured values x 1.15. *)
+let test_dynamic_allocation_budget () =
+  check_engine_budget "tiemann" (Published.engine_config Published.tiemann) 2.35;
+  check_engine_budget "gibbons-muchnick"
+    (Published.engine_config Published.gibbons_muchnick) 1.05
 
 (* Two domains scheduling at once, each through its own scratch, give
    the orders one domain gives. *)
@@ -594,4 +612,6 @@ let suite =
     quick "scratch: a raising run releases it" test_raise_releases_scratch;
     quick "scratch: falling and rising block sizes" test_scratch_across_sizes;
     quick "scratch: two domains at once" test_two_domains;
-    Alcotest.test_case "engine allocation budget" `Slow test_engine_allocation_budget ]
+    Alcotest.test_case "engine allocation budget" `Slow test_engine_allocation_budget;
+    Alcotest.test_case "dynamic heuristics allocation budget" `Slow
+      test_dynamic_allocation_budget ]

@@ -119,6 +119,52 @@ let test_verify_reports_first_arc () =
       ([| 4; 3; 2; 1; 0 |], "arc 0 -> 2 (RAW, 1 cycles) violated");
       ([| 1; 0; 2; 3; 4 |], "arc 0 -> 1 (RAW, 1 cycles) violated") ]
 
+(* [Verify.check] against its closure-walking yardstick over random
+   blocks (every builder, so chains of every insertion order) and many
+   orders of each: the engine's and the program order, both reversed,
+   every adjacent swap and random swaps of the engine's, and
+   non-permutations (short, long, a duplicated node, ids -1 and n).
+   The results must be equal, violated arc included. *)
+let prop_verify_matches_legacy seed =
+  let block = random_block seed in
+  let alg = List.nth Builder.all (seed mod List.length Builder.all) in
+  let dag = Builder.build alg Opts.default block in
+  let n = Dag.length dag in
+  let rng = Prng.create (seed + 1) in
+  let engine = Engine.schedule Batch.section6.Batch.engine dag in
+  let identity = Array.init n Fun.id in
+  let rev a = Array.of_list (List.rev (Array.to_list a)) in
+  let swapped a i j =
+    let a = Array.copy a in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t;
+    a
+  in
+  let set a i v =
+    let a = Array.copy a in
+    a.(i) <- v;
+    a
+  in
+  let some k f = if n = 0 then [] else List.init k (fun _ -> f ()) in
+  let orders =
+    [ engine; identity; rev engine; rev identity; Array.append engine [| 0 |] ]
+    @ List.init (max 0 (n - 1)) (fun i -> swapped engine i (i + 1))
+    @ some 8 (fun () -> swapped engine (Prng.int rng n) (Prng.int rng n))
+    @ some 1 (fun () -> Array.sub engine 0 (n - 1))
+    @ some 4 (fun () -> set engine (Prng.int rng n) (engine.(Prng.int rng n)))
+    @ some 2 (fun () -> set engine (Prng.int rng n) (-1))
+    @ some 2 (fun () -> set engine (Prng.int rng n) n)
+  in
+  List.for_all
+    (fun order ->
+      let s = Schedule.make dag order in
+      Verify.check s = Verify_legacy.check s
+      || QCheck.Test.fail_reportf "%s, order [%s]: differs from the yardstick"
+           (Builder.to_string alg)
+           (String.concat "; " (Array.to_list (Array.map string_of_int order))))
+    orders
+
 let test_verify_rejects_non_permutation () =
   let dag = dag_of_asm "mov 1, %o1\nadd %o1, 1, %o2" in
   check_bool "duplicate" false (Verify.is_valid (Schedule.make dag [| 0; 0 |]));
@@ -388,4 +434,5 @@ let suite =
     quick "run tie-break program order" test_run_tie_break_program_order;
     quick "traced matches untraced" test_traced_matches_untraced;
     quick "signature pins" test_signature_pins;
-    quick "verify reports the first violated arc" test_verify_reports_first_arc ]
+    quick "verify reports the first violated arc" test_verify_reports_first_arc;
+    qcheck ~count:300 "verify = yardstick" arb_block prop_verify_matches_legacy ]

@@ -310,6 +310,25 @@ let test_pool_usable_after_failed_wait () =
         (Pool.map_on pool (fun () -> Atomic.incr hit) (List.init 20 ignore));
       check_int "tasks after failure" 20 (Atomic.get hit))
 
+(* [Pool.create] returns once its workers run, so a new domain's
+   start-up allocation lands before the caller's first reading and the
+   process-wide count of a map on a fresh pool repeats exactly.  Without
+   the wait, 179 of 200 repetitions differed on one CPU. *)
+let test_pool_create_waits_for_workers () =
+  let words () =
+    let pool = Pool.create ~domains:1 () in
+    Gc.minor ();
+    let w0 = (Gc.quick_stat ()).Gc.minor_words in
+    ignore (Sys.opaque_identity (Pool.map_on pool succ [ 1; 2; 3 ]));
+    Pool.shutdown pool;
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.minor_words -. w0
+  in
+  let first = words () in
+  for _ = 1 to 50 do
+    Alcotest.(check (float 0.0)) "minor words of a fresh pool's map" first (words ())
+  done
+
 let test_pool_submit_after_shutdown () =
   let pool = Pool.create ~domains:2 () in
   Pool.shutdown pool;
@@ -653,6 +672,8 @@ let suite =
     quick "pool exception propagates" test_pool_exception_propagates;
     quick "pool usable after failed wait" test_pool_usable_after_failed_wait;
     quick "pool submit after shutdown" test_pool_submit_after_shutdown;
+    quick "pool create returns with its workers running"
+      test_pool_create_waits_for_workers;
     quick "pool map_on reuses one pool" test_pool_map_on_reuse;
     quick "pool map_on usable after exception" test_pool_map_on_usable_after_exception;
     quick "pool chunk exception ordering" test_pool_chunk_exception_ordering;
