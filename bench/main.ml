@@ -6,8 +6,7 @@
     attributes reservation structure pressure obs].  With no arguments,
     everything runs in order.  [obs] measures the overhead of the
     in-library observability layer: the batch pipeline over the Table-3
-    corpus with every recorder off, with trace and with all pillars,
-    interleaved, and writes BENCH_obs.json (target: under 5% overhead enabled).  The
+    corpus with tracing off and on, interleaved, and writes BENCH_obs.json (target: under 5% overhead enabled).  The
     throughput of the whole pipeline and of the serve daemon is measured
     by perfbench/, not here.
 
@@ -479,12 +478,11 @@ let schedulers () =
   Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* observability overhead: the batch pipeline with every recorder off,
-   trace and all pillars over the Table-3 corpus, with a
-   machine-readable BENCH_obs.json *)
+(* observability overhead: the batch pipeline with tracing off and on
+   over the Table-3 corpus, with a machine-readable BENCH_obs.json *)
 
 let obs_bench () =
-  heading "Observability overhead: off vs trace vs all pillars";
+  heading "Observability overhead: off vs trace";
   let corpus = Profiles.corpus Profiles.benchmarks in
   let blocks = List.concat_map snd corpus in
   Printf.printf
@@ -492,89 +490,54 @@ let obs_bench () =
     \ single domain, mean of %d runs; target: enabled overhead under 5%%;\n\
     \ results differentially checked against the unrecorded run)\n"
     (List.length corpus) (List.length blocks) runs;
-  let log_path = Filename.temp_file "dagsched_bench_log" ".jsonl" in
-  let all_off () =
+  let trace_off () =
     Trace.disable ();
-    Log.set_level None;
-    Log.close_sink ();
-    Log.disable_heartbeat ();
-    Trace.reset ();
-    Log.reset ()
+    Trace.reset ()
   in
-  (* Each timed run resets the recorders first: a real traced run holds
+  (* Each timed run resets the recorder first: a real traced run holds
      one run's spans, so letting them accumulate across the benchmark's
      repetitions would charge the later runs GC pressure no real run
-     pays.  The three configurations are interleaved within each
+     pays.  The two configurations are interleaved within each
      iteration — on a shared host the baseline itself drifts by more
      than the overhead being measured, and pairing cancels the drift. *)
-  let timed_run ~mode =
-    all_off ();
-    (match mode with
-    | `Off -> ()
-    | `Trace -> Trace.enable ()
-    | `All ->
-        (* everything a [--trace --log --progress] run pays: spans with
-           their minor words and counts, and rate-limited heartbeats
-           streamed through a real file sink *)
-        Trace.enable ();
-        Log.set_level (Some Log.Info);
-        (match Log.set_sink log_path with
-        | Ok () -> ()
-        | Error msg -> failwith ("bench log sink: " ^ msg));
-        Log.set_heartbeat ~interval_s:0.05 ());
+  let timed_run ~traced =
+    trace_off ();
+    if traced then Trace.enable ();
     let t0 = Clock.now () in
     let r = Batch.run ~domains:1 Batch.section6 blocks in
     (Clock.since t0, r)
   in
   (* untimed warmup so no configuration pays first-run cache/GC costs *)
-  ignore (timed_run ~mode:`Off);
-  (* all-pillars runs last, so after the loop the recorders hold one
-     such run's spans (and the sink one run's heartbeats) *)
-  let modes = [| `Off; `Trace; `All |] in
-  let totals = Array.make (Array.length modes) 0.0 in
-  let results = Array.make (Array.length modes) [] in
+  ignore (timed_run ~traced:false);
+  (* the traced run goes last, so after the loop the recorder holds one
+     such run's spans *)
+  let off_total = ref 0.0 and on_total = ref 0.0 in
+  let off_results = ref [] and on_results = ref [] in
   for _ = 1 to runs do
-    Array.iteri
-      (fun i mode ->
-        let d, r = timed_run ~mode in
-        totals.(i) <- totals.(i) +. d;
-        results.(i) <- r)
-      modes
+    let d, r = timed_run ~traced:false in
+    off_total := !off_total +. d;
+    off_results := r;
+    let d, r = timed_run ~traced:true in
+    on_total := !on_total +. d;
+    on_results := r
   done;
-  let mean i = totals.(i) /. float_of_int runs in
-  let off_s = mean 0 and on_s = mean 1 and all_s = mean 2 in
+  let off_s = !off_total /. float_of_int runs
+  and on_s = !on_total /. float_of_int runs in
   let spans = Trace.snapshot () in
-  let heartbeats =
-    let evs, _ =
-      Log.events_of_jsonl_prefix
-        (In_channel.with_open_bin log_path In_channel.input_all)
-    in
-    List.length evs
-  in
-  all_off ();
-  (try Sys.remove log_path with Sys_error _ -> ());
-  (* inline differential check: no recorder may change any scheduling
-     result, with trace or every pillar on *)
-  Array.iter
-    (fun rs ->
-      List.iter2
-        (fun (a : Batch.result) (b : Batch.result) ->
-          assert (Batch.strip_timing a = Batch.strip_timing b))
-        results.(0) rs)
-    results;
-  let pct x = 100.0 *. ((x /. Float.max 1e-9 off_s) -. 1.0) in
-  let overhead_pct = pct on_s and all_overhead_pct = pct all_s in
+  trace_off ();
+  (* inline differential check: tracing may change no scheduling result *)
+  List.iter2
+    (fun (a : Batch.result) (b : Batch.result) ->
+      assert (Batch.strip_timing a = Batch.strip_timing b))
+    !off_results !on_results;
+  let overhead_pct = 100.0 *. ((on_s /. Float.max 1e-9 off_s) -. 1.0) in
   let t = Table.create ~title:"" [ "config"; "ms/run"; "overhead %" ] in
   Table.add_row t [ "disabled"; Table.fmt_float (1000.0 *. off_s); "-" ];
   Table.add_row t
     [ "trace"; Table.fmt_float (1000.0 *. on_s);
       Table.fmt_float overhead_pct ];
-  Table.add_row t
-    [ "all pillars"; Table.fmt_float (1000.0 *. all_s);
-      Table.fmt_float all_overhead_pct ];
   Table.print t;
-  Printf.printf "%d spans, %d log events recorded per all-pillars run\n"
-    (List.length spans) heartbeats;
+  Printf.printf "%d spans recorded per traced run\n" (List.length spans);
   if overhead_pct > 5.0 then
     Printf.printf
       "(overhead above the 5%% target on this host — the run pays ~125k\n\
@@ -589,9 +552,6 @@ let obs_bench () =
         ("disabled_s", Stats.Json.Float off_s);
         ("enabled_s", Stats.Json.Float on_s);
         ("overhead_pct", Stats.Json.Float overhead_pct);
-        ("all_pillars_s", Stats.Json.Float all_s);
-        ("all_overhead_pct", Stats.Json.Float all_overhead_pct);
-        ("heartbeats", Stats.Json.Int heartbeats);
         ("spans", Stats.Json.Int (List.length spans));
         ( "phases",
           Stats.Json.List

@@ -134,8 +134,17 @@ let builder_arg =
 let opts_of model strategy = { Opts.default with Opts.model; strategy }
 
 (* ------------------------------------------------------------------ *)
-(* observability: --trace / --log / --log-level / --progress on batch
-   and serve *)
+(* output files, and observability: --trace on batch and serve *)
+
+(* The one writer of every output file: '-' is stdout, and an
+   unwritable path prints "<what> error: <msg>" and exits 125 *)
+let write_output what path text =
+  if path = "-" then print_string text
+  else
+    try Out_channel.with_open_text path (fun oc -> output_string oc text)
+    with Sys_error msg ->
+      Printf.eprintf "%s error: %s\n" what msg;
+      exit 125
 
 let trace_conv =
   let parse s =
@@ -155,81 +164,11 @@ let trace_arg =
               per phase, then the run's GC totals).  The counts that \
               explain a phase's cost (arcs, table probes, alias entries \
               scanned, candidates examined, stall cycles) are its span's \
-              args.  Report outputs are byte-identical with and without \
-              tracing.")
+              args; a $(b,serve) daemon adds one $(i,request) span per \
+              request.  Report outputs are byte-identical with and \
+              without tracing.")
 
-let log_path_conv =
-  let parse s =
-    if s = "" then Error (`Msg "log path must not be empty") else Ok s
-  in
-  Arg.conv (parse, Format.pp_print_string)
-
-let log_arg =
-  Arg.(
-    value
-    & opt (some log_path_conv) None
-    & info [ "log" ] ~docv:"FILE"
-        ~doc:"Write structured JSONL events (one object per line) to \
-              $(docv), truncating it first: heartbeats and diagnostics; \
-              at $(b,--log-level debug) a $(b,serve) daemon adds one \
-              $(i,request) event per request.  The file is written \
-              through on every event (O_APPEND, no buffering), so it \
-              survives crashes and kills.")
-
-let log_level_conv =
-  let parse s =
-    match Log.level_of_string s with
-    | Some l -> Ok l
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown log level %S (available: debug, info, warn, error)" s))
-  in
-  Arg.conv (parse, fun fmt l -> Format.pp_print_string fmt (Log.level_to_string l))
-
-let log_level_arg =
-  Arg.(
-    value
-    & opt (some log_level_conv) None
-    & info [ "log-level" ] ~docv:"LEVEL"
-        ~doc:"Minimum event level to record: debug, info, warn or error \
-              (default info when $(b,--log) is given).")
-
-let progress_arg =
-  Arg.(
-    value & flag
-    & info [ "progress" ]
-        ~doc:"Render live progress on stderr: blocks done/total, current \
-              phase, resident-set size.")
-
-(* the obs flags, declared once *)
-type obs = {
-  trace : string option;
-  log : string option;
-  log_level : Log.level option;
-  progress : bool;
-}
-
-let obs_term =
-  let make trace log log_level progress = { trace; log; log_level; progress } in
-  Term.(const make $ trace_arg $ log_arg $ log_level_arg $ progress_arg)
-
-(* --progress echoes this process's heartbeats on stderr. *)
-let obs_enable o =
-  if o.trace <> None then Trace.enable ();
-  if o.progress then Log.set_heartbeat ~echo:true ~interval_s:0.5 ();
-  (match (o.log_level, o.log) with
-  | None, None -> ()
-  | lvl, _ -> Log.set_level (Some (Option.value lvl ~default:Log.Info)));
-  match o.log with
-  | None -> ()
-  | Some path -> (
-      match Log.set_sink path with
-      | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf "log error: %s\n" msg;
-          exit 125)
+let trace_start trace = if Option.is_some trace then Trace.enable ()
 
 let span_parse file f =
   Trace.with_span ~cat:"cli" ~args:[ ("file", Json.String file) ] "parse" f
@@ -251,8 +190,7 @@ let gc_totals () =
 (* After the run: write the Chrome trace (with the same round-trip
    self-check discipline as the report writers) and print the per-phase
    summary on stderr. *)
-let obs_finish o =
-  match o.trace with
+let trace_finish = function
   | None -> ()
   | Some path ->
       let spans = Trace.snapshot () in
@@ -269,10 +207,7 @@ let obs_finish o =
       | Error msg ->
           Printf.eprintf "internal error: trace JSON does not parse: %s\n" msg;
           exit 3);
-      (try Out_channel.with_open_text path (fun oc -> output_string oc text)
-       with Sys_error msg ->
-         Printf.eprintf "trace error: %s\n" msg;
-         exit 125);
+      write_output "trace" path text;
       let t =
         Table.create ~title:"phases"
           [ "phase"; "spans"; "total ms"; "max ms"; "minor Mw" ]
@@ -504,12 +439,11 @@ let write_report report path =
   | Error msg ->
       Printf.eprintf "internal error: report JSON does not parse: %s\n" msg;
       exit 3);
-  if path = "-" then print_string text
-  else Out_channel.with_open_text path (fun oc -> output_string oc text)
+  write_output "json" path text
 
 let batch_cmd =
-  let run alg model strategy jobs json_path quiet obs files =
-    obs_enable obs;
+  let run alg model strategy jobs json_path quiet trace files =
+    trace_start trace;
     let blocks =
       List.concat_map
         (fun file -> span_parse file (fun () -> load_blocks file))
@@ -532,13 +466,11 @@ let batch_cmd =
             r.Batch.original_cycles r.Batch.cycles)
         results;
     Option.iter (write_report report) json_path;
-    Log.heartbeat ~force:true ~phase:"done" ~done_:report.Batch.blocks
-      ~total:report.Batch.blocks ();
     Printf.eprintf
       "batch: %d blocks, %d domains, %d -> %d cycles, %.1f ms wall\n"
       report.Batch.blocks report.Batch.domains report.Batch.original_cycles
       report.Batch.scheduled_cycles (1000.0 *. report.Batch.wall_s);
-    obs_finish obs
+    trace_finish trace
   in
   let jobs =
     Arg.(
@@ -576,7 +508,7 @@ let batch_cmd =
           independent of $(b,--jobs)).")
     Term.(
       const run $ builder_arg $ model_arg $ strategy_arg $ jobs $ json_path
-      $ quiet $ obs_term $ files)
+      $ quiet $ trace_arg $ files)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the scheduling daemon, and its client *)
@@ -595,8 +527,8 @@ let socket_arg =
 
 let serve_cmd =
   let run socket jobs cache_entries cache_bytes max_frame timeout backlog
-      obs =
-    obs_enable obs;
+      trace =
+    trace_start trace;
     let d = Serve.default_options in
     let options =
       { Serve.domains = (if jobs <= 0 then 1 else jobs);
@@ -607,7 +539,7 @@ let serve_cmd =
         backlog = (if backlog <= 0 then d.Serve.backlog else backlog) }
     in
     let code = Serve.run ~options ~socket () in
-    obs_finish obs;
+    trace_finish trace;
     exit code
   in
   let jobs =
@@ -666,7 +598,7 @@ let serve_cmd =
           exits 130.")
     Term.(
       const run $ socket_arg $ jobs $ cache_entries $ cache_bytes
-      $ max_frame $ timeout $ backlog $ obs_term)
+      $ max_frame $ timeout $ backlog $ trace_arg)
 
 let client_cmd =
   let run socket ping stats raw alg model strategy file =
@@ -879,14 +811,6 @@ let explain_cmd =
       (List.rev decisions, List.rev spans)
     in
     let corpus_decisions sp = fst (corpus_run ~timeline:false sp) in
-    let write_export what path text =
-      if path = "-" then print_string text
-      else
-        try Out_channel.with_open_text path (fun oc -> output_string oc text)
-        with Sys_error msg ->
-          Printf.eprintf "%s error: %s\n" what msg;
-          exit 125
-    in
     (* -- narrative: one block, the chosen scheduler, every decision -- *)
     (* the full static pass (not compute_for) so the DOT export below
        can highlight the slack-0 critical path *)
@@ -929,7 +853,7 @@ let explain_cmd =
             (fun i -> annot.Annot.slack.(i) = 0)
             (List.init (Dag.length dag) Fun.id)
         in
-        write_export "dot" path
+        write_output "dot" path
           (Dot.render
              ~name:(Printf.sprintf "block%d" block.Block.id)
              ~highlight:critical dag));
@@ -947,7 +871,7 @@ let explain_cmd =
             Printf.eprintf
               "internal error: decision JSONL round trip mismatch\n";
             exit 3);
-        write_export "jsonl" path text);
+        write_output "jsonl" path text);
     (* -- timeline export: issue cycles as Chrome trace events -------- *)
     (match timeline_path with
     | None -> ()
@@ -969,7 +893,7 @@ let explain_cmd =
             Printf.eprintf
               "internal error: timeline JSON round trip mismatch\n";
             exit 3);
-        write_export "timeline" path text);
+        write_output "timeline" path text);
     (* -- decisiveness: every published strategy over the corpus, a
        fold over its decisions; -A's are the ones --jsonl wrote ------- *)
     let stats =
@@ -1147,7 +1071,7 @@ let explain_cmd =
         | _ ->
             Printf.eprintf "internal error: explain JSON round trip mismatch\n";
             exit 3);
-        write_export "json" path text
+        write_output "json" path text
   in
   let spec =
     Arg.(

@@ -44,12 +44,10 @@ module Pool = Ds_util.Pool
 
 (* observability: monotonic-leaning clock, span tracing (time,
    minor-heap words and counts per phase, Chrome trace-event export),
-   structured event log, decision records and their decisiveness
-   fold *)
+   decision records and their decisiveness fold *)
 module Json = Ds_obs.Json
 module Clock = Ds_obs.Clock
 module Trace = Ds_obs.Trace
-module Log = Ds_obs.Log
 module Frame = Ds_obs.Frame
 module Explain = Ds_obs.Explain
 

@@ -51,22 +51,6 @@ exception Invalid_schedule of int * string
 let heuristics_of config =
   List.map (fun k -> k.Engine.heuristic) config.engine.Engine.keys
 
-(* live progress: when heartbeats are armed (--progress) each finished
-   block ticks a process-wide counter that Log.heartbeat rate-limits
-   into the log stream *)
-let hb_done = Atomic.make 0
-let hb_total = Atomic.make 0
-
-let hb_start n =
-  if Ds_obs.Log.heartbeat_enabled () then (
-    Atomic.set hb_done 0;
-    Atomic.set hb_total n)
-
-let hb_tick () =
-  if Ds_obs.Log.heartbeat_enabled () then
-    let d = 1 + Atomic.fetch_and_add hb_done 1 in
-    Ds_obs.Log.heartbeat ~phase:"block" ~done_:d ~total:(Atomic.get hb_total) ()
-
 (* A pipeline span carrying the block id (and, on dag_build, the
    builder).  Only the traced path calls it: untraced, [run_block] calls
    each phase directly, so it builds neither span args nor a phase
@@ -124,7 +108,6 @@ let run_block config heuristics block =
     else verify id sched
   end;
   let time_s = float_of_int (Ds_obs.Clock.now_ns () - t0) *. 1e-9 in
-  hb_tick ();
   (* the builder's decode of the block scores the original and the
      scheduled order *)
   let score =
@@ -149,33 +132,19 @@ let resolve_domains = function
   | Some d -> max 1 d
   | None -> Ds_util.Pool.recommended ()
 
-let log_start config blocks =
-  Ds_obs.Log.log Ds_obs.Log.Debug ~scope:"batch"
-    ~fields:
-      [ ("blocks", Ds_obs.Json.Int (List.length blocks));
-        ( "builder",
-          Ds_obs.Json.String (Ds_dag.Builder.to_string config.algorithm) ) ]
-    "starting batch"
-
 (* ~64-block chunks (Pool.default_chunk) cut dispatch bookkeeping —
    counter takes, queue_wait spans — by the chunk factor while leaving
    enough chunks for the workers to share; results and reports are
    chunk-size-invariant (differential-tested) *)
 let run_on ~pool config blocks =
-  log_start config blocks;
-  hb_start (List.length blocks);
   Ds_util.Pool.map_on pool ~chunk:Ds_util.Pool.default_chunk
     (run_block config (heuristics_of config)) blocks
 
 let run_here config blocks =
-  log_start config blocks;
-  hb_start (List.length blocks);
   List.map (run_block config (heuristics_of config)) blocks
 
 let run ?domains ?(chunk = Ds_util.Pool.default_chunk) config blocks =
   let domains = resolve_domains domains in
-  log_start config blocks;
-  hb_start (List.length blocks);
   Ds_util.Pool.map ~domains ~chunk (run_block config (heuristics_of config)) blocks
 
 type report = {

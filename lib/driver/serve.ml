@@ -121,7 +121,7 @@ let error_kind_to_string = function
   | Internal -> "internal"
 
 (* error responses carry the request id for correlation with the
-   request log line and trace spans; ok responses never do — a schedule
+   request's trace span; ok responses never do — a schedule
    response is the cache payload and must stay byte-identical across
    requests (and daemon restarts) *)
 let error_response ?id kind message =
@@ -285,7 +285,7 @@ let schedule_cold t ~text ~builder ~strategy ~model =
       in
       Ok (Json.to_string json)
 
-(* per-request metadata for the request log line: op name, cache
+(* per-request metadata for the request span: op name, cache
    disposition and outcome (["ok"] or the error kind) *)
 type disposition = { d_op : string; d_cache : string; d_outcome : string }
 
@@ -313,25 +313,19 @@ let handle_request t ~id payload json =
           Cache.put t.cache payload response;
           (response, ok_disp ~op:"schedule" ~cache:"miss" ()))
 
-let log_serve ?(fields = []) level msg =
-  Ds_obs.Log.log level ~scope:"serve" ~fields msg
-
-(* the one per-request record: a Debug "request" event, written
-   through the event log's untorn sink *)
-let log_request ~t0 ~id ~op ~cache ~bytes_in ~bytes_out ~outcome =
-  if Ds_obs.Log.enabled Ds_obs.Log.Debug then
-    log_serve Ds_obs.Log.Debug
-      ~fields:
+(* the one per-request record: a "request" trace span from [t0] to
+   now, recorded while tracing is on *)
+let record_request ~t0 ~id disp ~bytes_in ~bytes_out =
+  if Ds_obs.Trace.enabled () then
+    Ds_obs.Trace.record ~cat:"serve" ~name:"request"
+      ~args:
         [ ("id", Json.String id);
-          ("op", Json.String op);
-          ("cache", Json.String cache);
+          ("op", Json.String disp.d_op);
+          ("cache", Json.String disp.d_cache);
           ("bytes_in", Json.Int bytes_in);
           ("bytes_out", Json.Int bytes_out);
-          ( "dur_us",
-            Json.Int
-              (int_of_float (Float.round (Ds_obs.Clock.since t0 *. 1e6))) );
-          ("outcome", Json.String outcome) ]
-      "request"
+          ("outcome", Json.String disp.d_outcome) ]
+      ~start_s:t0 ~stop_s:(Ds_obs.Clock.now ()) ()
 
 let handle_payload t ~id payload =
   let t0 = Ds_obs.Clock.now () in
@@ -352,10 +346,8 @@ let handle_payload t ~id payload =
         { d_op = "-"; d_cache = "-"; d_outcome = "internal" } )
   in
   t.served <- t.served + 1;
-  log_request ~t0 ~id ~op:disp.d_op ~cache:disp.d_cache
-    ~bytes_in:(String.length payload)
-    ~bytes_out:(String.length response)
-    ~outcome:disp.d_outcome;
+  record_request ~t0 ~id disp ~bytes_in:(String.length payload)
+    ~bytes_out:(String.length response);
   response
 
 let handle_text t payload = handle_payload t ~id:(next_id t) payload
@@ -386,43 +378,26 @@ let default_options =
 let handle_connection t ~max_frame fd =
   (* the id is minted per connection so frame-level damage (which never
      reaches request handling) still correlates its error response and
-     its request log line *)
+     its request span *)
   let id = next_id t in
   let t0 = Ds_obs.Clock.now () in
   let respond text =
-    try Frame.write fd text
-    with Unix.Unix_error _ ->
-      (* peer vanished between request and response; nothing to do *)
-      log_serve Ds_obs.Log.Warn
-        ~fields:[ ("id", Json.String id) ]
-        "client gone before response"
+    (* a peer that vanished between request and response needs nothing *)
+    try Frame.write fd text with Unix.Unix_error _ -> ()
   in
   let frame_error kind message =
     let response = error_response ~id kind message in
     respond response;
-    log_request ~t0 ~id ~op:"-" ~cache:"-" ~bytes_in:0
-      ~bytes_out:(String.length response)
-      ~outcome:(error_kind_to_string kind)
+    record_request ~t0 ~id
+      { d_op = "-"; d_cache = "-"; d_outcome = error_kind_to_string kind }
+      ~bytes_in:0 ~bytes_out:(String.length response)
   in
   let reader = Frame.reader fd in
   match Frame.read ~max_bytes:max_frame reader with
-  | Ok payload ->
-      let args =
-        if Ds_obs.Trace.enabled () then
-          [ ("bytes", Json.Int (String.length payload));
-            ("id", Json.String id) ]
-        else []
-      in
-      let response =
-        Ds_obs.Trace.with_span ~cat:"serve" ~args "request" (fun () ->
-            handle_payload t ~id payload)
-      in
-      respond response
+  | Ok payload -> respond (handle_payload t ~id payload)
   | Error Frame.Closed ->
-      (* disconnect before/inside the request frame: log, move on *)
-      log_serve Ds_obs.Log.Warn
-        ~fields:[ ("id", Json.String id) ]
-        "client disconnected mid-request"
+      (* disconnect before/inside the request frame: no one to answer *)
+      ()
   | Error Frame.Timeout -> frame_error Malformed_frame "request read timed out"
   | Error (Frame.Oversized n) ->
       frame_error Oversized
@@ -472,19 +447,11 @@ let run ?(options = default_options) ~socket () =
     destroy state
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  log_serve Ds_obs.Log.Info
-    ~fields:
-      [ ("socket", Json.String socket);
-        ("domains", Json.Int options.domains) ]
-    "listening";
-  Ds_obs.Log.heartbeat ~force:true ~phase:"listening" ~done_:0 ~total:0 ();
   while not (Atomic.get draining) do
+    (* the timeout bounds how long a drain waits for an idle listener *)
     match Unix.select [ lfd ] [] [] 0.25 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ ->
-        (* idle tick: liveness heartbeat (rate-limited) *)
-        Ds_obs.Log.heartbeat ~phase:"idle" ~done_:state.served
-          ~total:state.served ()
+    | [], _, _ -> ()
     | _ :: _, _, _ -> (
         match Unix.accept lfd with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -500,15 +467,8 @@ let run ?(options = default_options) ~socket () =
                    Unix.setsockopt_float fd Unix.SO_RCVTIMEO
                      options.read_timeout_s
                  with Unix.Unix_error _ | Invalid_argument _ -> ());
-                handle_connection state ~max_frame:options.max_frame fd);
-            Ds_obs.Log.heartbeat ~phase:"serve" ~done_:state.served
-              ~total:state.served ())
+                handle_connection state ~max_frame:options.max_frame fd))
   done;
-  log_serve Ds_obs.Log.Info
-    ~fields:[ ("served", Json.Int state.served) ]
-    "drained";
-  Ds_obs.Log.heartbeat ~force:true ~phase:"drained" ~done_:state.served
-    ~total:state.served ();
   130
 
 (* ------------------------------------------------------------------ *)

@@ -91,7 +91,7 @@ val error_kind_to_string : error_kind -> string
 (** [{"status": "error", "error": {"kind": ..., "message": ..., "id":
     ...}}] as text, framed and sent as-is.  [?id] is the request id —
     every error the daemon emits carries one, for correlation with the
-    Debug [request] log line and trace spans.  Ok responses never carry an id: a
+    request's trace span.  Ok responses never carry an id: a
     schedule response is the cache payload and must stay byte-identical
     across requests and daemon restarts. *)
 val error_response : ?id:string -> error_kind -> string -> string
@@ -123,7 +123,7 @@ val served : t -> int
 
 (** [handle_text t payload] is the full request->response path minus
     the wire: cache lookup on the payload bytes; on a miss, JSON decode,
-    pipeline, encode and cache fill; then the request log line.  A hit
+    pipeline, encode and cache fill; then the request span.  A hit
     counts one cache hit.  A miss counts one cache miss only when the
     payload decodes to a schedule request (whether it then schedules,
     fails to parse its block or fails inside the pipeline); [ping],
@@ -131,11 +131,11 @@ val served : t -> int
     fresh request id.  Never raises.  This is what the daemon runs per
     frame and what the differential tests call in-process.
 
-    {b The request record.}  While {!Ds_obs.Log} is enabled at
-    [Debug], every request leaves one event (scope ["serve"], message
-    ["request"]) with fields [id], [op], [cache] (["hit"], ["miss"] or
-    ["-"]), [bytes_in], [bytes_out], [dur_us] and [outcome] (["ok"] or
-    the error kind); schema in docs/FORMAT.md ("Event log JSONL"). *)
+    {b The request record.}  While {!Ds_obs.Trace} is enabled, every
+    request leaves one span (category ["serve"], name ["request"]) over
+    its handling, with args [id], [op], [cache] (["hit"], ["miss"] or
+    ["-"]), [bytes_in], [bytes_out] and [outcome] (["ok"] or the error
+    kind); schema in docs/FORMAT.md ("trace"). *)
 val handle_text : t -> string -> string
 
 (** [handle_connection t ~max_frame fd] is one connection's exchange,
@@ -143,9 +143,9 @@ val handle_text : t -> string -> string
     [max_frame] payload bytes), answer it through {!handle_text}'s path
     and write one response frame.  Frame damage (malformed, oversized
     or timed-out header) answers a typed error and leaves its own
-    request line ([op] and [cache] ["-"], [bytes_in] 0); a peer that
-    disconnects mid-frame gets a Warn line and no answer.  The caller
-    owns and closes [fd]. *)
+    request span ([op] and [cache] ["-"], [bytes_in] 0, from the
+    connection's start); a peer that disconnects mid-frame gets no
+    answer and leaves no span.  The caller owns and closes [fd]. *)
 val handle_connection : t -> max_frame:int -> Unix.file_descr -> unit
 
 (** {1 The daemon} *)

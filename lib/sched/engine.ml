@@ -80,8 +80,8 @@ let rec pick_winnowing ?on_key direction keys ~annot ~st cand vals m =
 
 (* Priority-function rank weights: of [n] keys, rank [r] (from 1) weighs
    10^(n - r), so earlier ranks dominate by an order of magnitude.
-   They are computed once per block (per call of [pick]), not per
-   candidate. *)
+   A run takes them from its scratch, computed once per key list
+   ({!scratch_weights}); [pick] computes them per call. *)
 let weights keys =
   let nkeys = List.length keys in
   Array.init nkeys (fun r -> int_of_float (10.0 ** float_of_int (nkeys - r - 1)))
@@ -306,7 +306,8 @@ let observe_ready record config weights ~annot ~st avail n_avail stamp chosen =
    to the largest block it has scheduled; [in_use] marks it taken by a
    run in progress.  [n_avail] is the available list's length and
    [stamp] an observed run's push stamps ([[||]] unobserved): fields
-   here, so that pushing a node takes no closure. *)
+   here, so that pushing a node takes no closure.  [weights] are the
+   priority-function weights of the key list [weights_of]. *)
 type scratch = {
   mutable in_use : bool;
   st : Dyn_state.t;
@@ -317,6 +318,8 @@ type scratch = {
   mutable prio : int array;
   mutable n_avail : int;
   mutable stamp : int array;
+  mutable weights_of : key list;
+  mutable weights : int array;
 }
 
 let fresh_scratch () =
@@ -328,7 +331,9 @@ let fresh_scratch () =
     vals = [||];
     prio = [||];
     n_avail = 0;
-    stamp = [||] }
+    stamp = [||];
+    weights_of = [];
+    weights = [||] }
 
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
@@ -348,6 +353,19 @@ let acquire n =
     s.prio <- Array.make cap 0
   end;
   s
+
+(* A config's priority weights, none for winnowing: recomputed only
+   when its key list is not (physically) the one [s] last weighed, so a
+   batch of blocks under one config computes them once per domain. *)
+let scratch_weights s config =
+  match config.mode with
+  | Winnowing -> [||]
+  | Priority_fn ->
+      if s.weights_of != config.keys then begin
+        s.weights <- weights config.keys;
+        s.weights_of <- config.keys
+      end;
+      s.weights
 
 (* The available nodes, in no order: [slot.(i)] is node [i]'s index in
    [avail], and an issue moves the last entry into its gap.  For an
@@ -382,7 +400,7 @@ let schedule_block ?seed ?recorder s config ~annot dag n =
      (disabled) path costs one atomic read per run_impl call; only
      tracing reads the clock around each pick *)
   let trace_on = Ds_obs.Trace.enabled () in
-  let weights = config_weights config in
+  let weights = scratch_weights s config in
   let prio = s.prio in
   let rest = static_rank config weights ~annot ~st prio n in
   (* the top-priority front of the ready candidates, and the winnowing

@@ -41,13 +41,13 @@ for exp in $experiments; do
   fi
 done
 
-# the obs experiment must leave its report behind, all-pillars columns
+# the obs experiment must leave its report behind, the trace overhead
 # included
 if [ ! -s BENCH_obs.json ]; then
   echo "FAIL: BENCH_obs.json missing or empty"
   fail=1
-elif ! grep -q '"all_overhead_pct"' BENCH_obs.json; then
-  echo "FAIL: BENCH_obs.json lacks all_overhead_pct"
+elif ! grep -q '"overhead_pct"' BENCH_obs.json; then
+  echo "FAIL: BENCH_obs.json lacks overhead_pct"
   fail=1
 fi
 

@@ -166,7 +166,12 @@ for bad in "shard $TMP/grep.s" "batch --chunk 4 $TMP/grep.s" \
            "batch --metrics $TMP/grep.s" \
            "batch --explain $TMP/grep.s" \
            "serve --socket $TMP/gone.sock --metrics" \
-           "optimal $TMP/grep.s"; do
+           "optimal $TMP/grep.s" \
+           "batch --log $TMP/l.jsonl $TMP/grep.s" \
+           "batch --log-level debug $TMP/grep.s" \
+           "batch --progress $TMP/grep.s" \
+           "serve --socket $TMP/gone.sock --log $TMP/l.jsonl" \
+           "serve --socket $TMP/gone.sock --progress"; do
   # shellcheck disable=SC2086
   "$TOOL" $bad 2>/dev/null && rc=0 || rc=$?
   [ "$rc" -eq 124 ] || fail "$bad: exit $rc, want 124"
@@ -235,6 +240,8 @@ grep -q '^gc: ' "$TMP/bt.err" || fail "batch --trace: no GC totals line"
 grep -q '^queue_wait ' "$TMP/bt.err" || fail "batch --trace: no queue_wait phase row"
 grep -q '^fingerprint ' "$TMP/bt.err" || fail "batch --trace: no fingerprint phase row"
 grep -q '^score ' "$TMP/bt.err" || fail "batch --trace: no score phase row"
+grep -q '^dag_build .* [0-9]\.[0-9][0-9] *$' "$TMP/bt.err" \
+  || fail "batch --trace: no dag_build minor-words row"
 grep -q '"minor_words": ' "$TMP/bt.json" || fail "batch trace: no minor_words args"
 grep -q '"alias_entries_scanned": ' "$TMP/bt.json" \
   || fail "batch trace: no alias_entries_scanned args"
@@ -256,30 +263,12 @@ cmp -s "$TMP/bp.picks" "$TMP/bp.insns" || fail "batch trace: heur_dynamic picks 
 "$TOOL" batch --trace "" "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
 [ "$rc" -eq 124 ] || fail "batch --trace '': exit $rc, want 124"
 
-# obs-smoke: the full obs stack (--trace --log --log-level --progress)
-# at once — still not one report byte may change, and every artifact
-# must carry its signature content
-"$TOOL" batch --jobs 2 --trace "$TMP/bo.trace.json" \
-  --log "$TMP/bo.log.jsonl" --log-level debug --progress \
-  --json "$TMP/bo.json" "$TMP/grep.s" > "$TMP/bo.out" 2> "$TMP/bo.err" \
-  || fail "batch with full obs stack failed"
-cmp -s "$TMP/b1.out" "$TMP/bo.out" || fail "batch stdout changed under full obs"
-grep -q '"scope": "heartbeat"' "$TMP/bo.log.jsonl" \
-  || fail "batch log: no heartbeat events"
-grep -q '"level": "debug"' "$TMP/bo.log.jsonl" \
-  || fail "batch log: --log-level debug not honoured"
-grep -q 'progress: ' "$TMP/bo.err" || fail "batch --progress: no progress lines"
-grep -q '^dag_build .* [0-9]\.[0-9][0-9] *$' "$TMP/bo.err" \
-  || fail "batch --trace: no dag_build minor-words row"
-
-# flag validation: bad --log-level and an empty --log are CLI errors
-# (124); an unopenable --log path is an I/O error (125), like --json
-"$TOOL" batch --log-level silly "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
-[ "$rc" -eq 124 ] || fail "batch --log-level silly: exit $rc, want 124"
-"$TOOL" batch --log "" "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
-[ "$rc" -eq 124 ] || fail "batch --log '': exit $rc, want 124"
-"$TOOL" batch --log /nonexistent-dir/x.jsonl "$TMP/grep.s" 2>/dev/null && rc=0 || rc=$?
-[ "$rc" -eq 125 ] || fail "batch --log unwritable: exit $rc, want 125"
+# an unwritable --json path is an I/O error (125), reported by name
+"$TOOL" batch -q --json /nonexistent-dir/x.json "$TMP/grep.s" 2> "$TMP/jw.err" \
+  && rc=0 || rc=$?
+[ "$rc" -eq 125 ] || fail "batch --json unwritable: exit $rc, want 125"
+grep -q '^json error: ' "$TMP/jw.err" || fail "batch --json unwritable: no json error"
+! grep -q 'uncaught' "$TMP/jw.err" || fail "batch --json unwritable: uncaught exception"
 
 # a domain count past the pool's bound is a CLI error (124), before
 # any domain is spawned
@@ -365,12 +354,10 @@ wait "$SRV" && rc=0 || rc=$?
 [ ! -e "$SOCK" ] || fail "serve: socket not unlinked on drain"
 
 # ------------------------------------------------------------------
-# serve monitoring: a fully instrumented daemon.  Its one per-request
-# record is the Debug `request` event in the --log file.
+# serve monitoring: a traced daemon.  Its one per-request record is the
+# trace's `request` span.
 SOCK="$TMP/mon.sock"
-LOG="$TMP/mon.jsonl"
-"$TOOL" serve --socket "$SOCK" --trace "$TMP/mon-trace.json" \
-  --log "$LOG" --log-level debug 2> "$TMP/mon.err" &
+"$TOOL" serve --socket "$SOCK" --trace "$TMP/mon-trace.json" 2> "$TMP/mon.err" &
 SRV=$!
 for _ in $(seq 1 100); do
   "$TOOL" client --socket "$SOCK" --ping >/dev/null 2>&1 && break
@@ -390,19 +377,19 @@ kill -INT "$SRV"
 wait "$SRV" && rc=0 || rc=$?
 [ "$rc" -eq 130 ] || fail "monitored serve SIGINT: exit $rc, want 130"
 grep -q '"traceEvents"' "$TMP/mon-trace.json" || fail "monitored serve: no trace"
-grep '"msg": "request"' "$LOG" > "$TMP/requests.jsonl" \
-  || fail "request log: no request lines"
-grep -q '"op": "ping"' "$TMP/requests.jsonl" || fail "request log: no ping line"
-grep -q '"op": "schedule"' "$TMP/requests.jsonl" || fail "request log: no schedule line"
-grep -q '"cache": "miss"' "$TMP/requests.jsonl" || fail "request log: no miss"
-grep -q '"cache": "hit"' "$TMP/requests.jsonl" || fail "request log: no hit"
-grep -q '"outcome": "ok"' "$TMP/requests.jsonl" || fail "request log: no ok outcome"
-grep -q '"dur_us": [0-9]' "$TMP/requests.jsonl" || fail "request log: no durations"
-grep -q '"bytes_in": [1-9]' "$TMP/requests.jsonl" || fail "request log: no bytes in"
-grep -q '"bytes_out": [1-9]' "$TMP/requests.jsonl" || fail "request log: no bytes out"
+# one request span per line: its event, up to the end of its args
+grep -o '{"name": "request", "cat": "serve"[^{]*{[^}]*}' "$TMP/mon-trace.json" \
+  > "$TMP/requests.jsonl" || fail "request spans: none"
+grep -q '"op": "ping"' "$TMP/requests.jsonl" || fail "request spans: no ping"
+grep -q '"op": "schedule"' "$TMP/requests.jsonl" || fail "request spans: no schedule"
+grep -q '"cache": "miss"' "$TMP/requests.jsonl" || fail "request spans: no miss"
+grep -q '"cache": "hit"' "$TMP/requests.jsonl" || fail "request spans: no hit"
+grep -q '"outcome": "ok"' "$TMP/requests.jsonl" || fail "request spans: no ok outcome"
+grep -q '"bytes_in": [1-9]' "$TMP/requests.jsonl" || fail "request spans: no bytes in"
+grep -q '"bytes_out": [1-9]' "$TMP/requests.jsonl" || fail "request spans: no bytes out"
 n_ids=$(grep -o '"id": "[^"]*"' "$TMP/requests.jsonl" | sort -u | wc -l)
 n_lines=$(wc -l < "$TMP/requests.jsonl")
-[ "$n_ids" -eq "$n_lines" ] || fail "request log: ids not unique per request"
+[ "$n_ids" -eq "$n_lines" ] || fail "request spans: ids not unique per request"
 
 # instrumentation off: a bare daemon answers the same requests with the
 # same bytes (obs-on == obs-off over the wire)

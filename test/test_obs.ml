@@ -1,9 +1,8 @@
 (** Observability tests: the monotonic-leaning clock, the span recorder
     and its Chrome trace-event round trip, the counts that ride on spans
     as args, the spans' minor-words charge, adversarial decoding of
-    malformed trace JSON, pool instrumentation, the event log read back
-    from its sink, and the differential guarantee that enabling
-    observability changes no scheduling result.
+    malformed trace JSON, pool instrumentation, and the differential
+    guarantee that enabling observability changes no scheduling result.
 
     Every test leaves the recorders disabled and empty: the rest of the
     suite (golden output tests in particular) relies on observability
@@ -454,236 +453,6 @@ let test_batch_records_pipeline_phases () =
     (summed_counts (Trace.snapshot ()) = one)
 
 (* ------------------------------------------------------------------ *)
-(* log: the third pillar *)
-
-let log_off () =
-  Log.set_level None;
-  Log.close_sink ();
-  Log.disable_heartbeat ();
-  Log.reset ()
-
-(* Run [f logged] with logging armed at [level] into a fresh sink file;
-   [logged ()] reads the file back — the sink is the log.  The silent
-   default is restored and the file removed even on failure. *)
-let with_log ?(level = Log.Debug) f =
-  log_off ();
-  let path = Filename.temp_file "dagsched_test_log" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      log_off ();
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Log.set_level (Some level);
-      (match Log.set_sink path with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "set_sink: %s" msg);
-      f (fun () ->
-          match
-            Log.events_of_jsonl
-              (In_channel.with_open_bin path In_channel.input_all)
-          with
-          | Ok evs -> evs
-          | Error e ->
-              Alcotest.failf "log read back: %s" (Stats.Json.error_to_string e)))
-
-let test_log_disabled_is_invisible () =
-  with_log @@ fun logged ->
-  Log.set_level None;
-  Log.log Log.Error ~scope:"test" "should vanish";
-  check_int "nothing recorded" 0 (List.length (logged ()))
-
-let test_log_level_gating () =
-  with_log ~level:Log.Warn @@ fun logged ->
-  Log.log Log.Debug ~scope:"test" "too quiet";
-  Log.log Log.Info ~scope:"test" "still too quiet";
-  Log.log Log.Warn ~scope:"test" "recorded";
-  Log.log Log.Error ~scope:"test" "also recorded";
-  let msgs = List.map (fun e -> e.Log.msg) (logged ()) in
-  Alcotest.(check (list string))
-    "threshold filters" [ "recorded"; "also recorded" ] msgs;
-  check_bool "enabled agrees" true (Log.enabled Log.Error);
-  check_bool "enabled agrees below" false (Log.enabled Log.Info)
-
-let test_log_event_json_roundtrip () =
-  with_log @@ fun logged ->
-  Log.log
-    ~fields:[ ("phase", Json.String "block"); ("done", Json.Int 5) ]
-    Log.Warn ~scope:"batch" "block slow";
-  let ev = match logged () with [ e ] -> e | _ -> Alcotest.fail "one" in
-  check_bool "fields through the sink" true
-    (ev.Log.fields = [ ("phase", Json.String "block"); ("done", Json.Int 5) ]);
-  let text = Stats.Json.to_string (Log.event_to_json ev) in
-  (match Stats.Json.of_string text with
-  | Error msg -> Alcotest.failf "does not parse back: %s" msg
-  | Ok json -> (
-      match Log.event_of_json json with
-      | Ok ev' -> check_bool "round trips exactly" true (ev = ev')
-      | Error e -> Alcotest.failf "decode: %s" (Stats.Json.error_to_string e)));
-  (* pid/tid/fields are defaulted so hand-written events read *)
-  match
-    Stats.Json.of_string
-      "{\"ts\": 1.5, \"level\": \"info\", \"scope\": \"s\", \"msg\": \"m\"}"
-  with
-  | Error msg -> Alcotest.failf "minimal event: %s" msg
-  | Ok j -> (
-      match Log.event_of_json j with
-      | Ok e ->
-          check_int "pid defaults" 0 e.Log.pid;
-          check_int "tid defaults" 0 e.Log.tid;
-          check_bool "fields default" true (e.Log.fields = [])
-      | Error e ->
-          Alcotest.failf "minimal rejected: %s" (Stats.Json.error_to_string e))
-
-let test_log_jsonl_readers () =
-  with_log @@ fun logged ->
-  Log.log Log.Info ~scope:"a" "one";
-  Log.log Log.Info ~scope:"b" "two";
-  let text =
-    String.concat ""
-      (List.map
-         (fun e -> Stats.Json.to_string (Log.event_to_json e) ^ "\n")
-         (logged ()))
-  in
-  (match Log.events_of_jsonl text with
-  | Ok evs -> check_int "strict reads both" 2 (List.length evs)
-  | Error e -> Alcotest.failf "strict: %s" (Stats.Json.error_to_string e));
-  (* strict reader: first bad line is a typed error naming the line *)
-  (match Log.events_of_jsonl (text ^ "{\"half\": \n") with
-  | Ok _ -> Alcotest.fail "torn line accepted"
-  | Error e ->
-      check_bool "line located" true
-        (contains (Stats.Json.error_to_string e) "line 3"));
-  (* forensic reader: leading events survive, leftover returned *)
-  let evs, leftover = Log.events_of_jsonl_prefix (text ^ "{\"torn") in
-  check_int "prefix reads both" 2 (List.length evs);
-  check_bool "leftover returned" true (leftover = Some "{\"torn");
-  let evs, leftover = Log.events_of_jsonl_prefix text in
-  check_int "clean input: all events" 2 (List.length evs);
-  check_bool "clean input: no leftover" true (leftover = None)
-
-let test_log_sink_write_through () =
-  let path = Filename.temp_file "dagsched_test_log" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      log_off ();
-      try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      with_log (fun _ ->
-          (match Log.set_sink path with
-          | Ok () -> ()
-          | Error msg -> Alcotest.failf "set_sink: %s" msg);
-          Log.log Log.Info ~scope:"test" "first";
-          Log.log Log.Info ~scope:"test" "second";
-          (* no close, no flush: both lines must already be on disk,
-             whole *)
-          let ondisk = In_channel.with_open_bin path In_channel.input_all in
-          check_bool "ends with a newline" true
-            (String.ends_with ~suffix:"\n" ondisk);
-          match Log.events_of_jsonl ondisk with
-          | Ok evs ->
-              Alcotest.(check (list string))
-                "two whole lines before close" [ "first"; "second" ]
-                (List.map (fun e -> e.Log.msg) evs)
-          | Error e -> Alcotest.failf "read: %s" (Stats.Json.error_to_string e));
-      (* a new sink on the same path starts the file afresh *)
-      with_log (fun _ ->
-          (match Log.set_sink path with
-          | Ok () -> ()
-          | Error msg -> Alcotest.failf "reopened sink: %s" msg);
-          Log.log Log.Info ~scope:"test" "third";
-          Log.close_sink ();
-          match Log.events_of_jsonl
-                  (In_channel.with_open_bin path In_channel.input_all)
-          with
-          | Ok evs ->
-              Alcotest.(check (list string))
-                "reopening truncates" [ "third" ]
-                (List.map (fun e -> e.Log.msg) evs)
-          | Error e -> Alcotest.failf "read: %s" (Stats.Json.error_to_string e));
-      (* unopenable path is a typed error, not an exception *)
-      match Log.set_sink "/nonexistent-dir/x.jsonl" with
-      | Ok () -> Alcotest.fail "bogus path accepted"
-      | Error msg -> check_bool "path in error" true (contains msg "/nonexistent-dir"))
-
-let test_log_heartbeat () =
-  with_log @@ fun logged ->
-  (* not armed: no-op even when logging is on *)
-  Log.heartbeat ~phase:"block" ~done_:1 ~total:10 ();
-  check_int "disarmed is silent" 0 (List.length (logged ()));
-  Log.set_heartbeat ~interval_s:3600.0 ();
-  check_bool "armed" true (Log.heartbeat_enabled ());
-  Log.heartbeat ~phase:"block" ~done_:1 ~total:10 ();
-  Log.heartbeat ~phase:"block" ~done_:2 ~total:10 ();
-  (* huge interval: the second beat is rate-limited away *)
-  check_int "rate limited" 1 (List.length (logged ()));
-  Log.heartbeat ~force:true ~phase:"done" ~done_:10 ~total:10 ();
-  (match logged () with
-  | [ _; e ] ->
-      check_string "scope" "heartbeat" e.Log.scope;
-      check_bool "phase field" true
-        (List.assoc_opt "phase" e.Log.fields = Some (Json.String "done"));
-      check_bool "done field" true
-        (List.assoc_opt "done" e.Log.fields = Some (Json.Int 10));
-      (match List.assoc_opt "rss_kb" e.Log.fields with
-      | Some (Json.Int rss) -> check_bool "rss non-negative" true (rss >= 0)
-      | _ -> Alcotest.fail "no rss_kb field")
-  | l -> Alcotest.failf "expected 2 events, got %d" (List.length l));
-  check_bool "rss_kb readable" true (Log.rss_kb () >= 0)
-
-(* the sink as a line writer: exact bytes, replacement, close *)
-let test_log_sink_module () =
-  let path_a = Filename.temp_file "dagsched_test_sink" ".log" in
-  let path_b = Filename.temp_file "dagsched_test_sink" ".log" in
-  let read path = In_channel.with_open_bin path In_channel.input_all in
-  let msgs path =
-    match Log.events_of_jsonl (read path) with
-    | Ok evs -> List.map (fun e -> e.Log.msg) evs
-    | Error e -> Alcotest.failf "read: %s" (Stats.Json.error_to_string e)
-  in
-  let open_sink path =
-    match Log.set_sink path with
-    | Ok () -> ()
-    | Error msg -> Alcotest.failf "set_sink: %s" msg
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      log_off ();
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path_a; path_b ])
-    (fun () ->
-      log_off ();
-      Log.set_level (Some Log.Debug);
-      open_sink path_a;
-      Log.log ~fields:[ ("k", Json.Int 1) ] Log.Info ~scope:"test" "alpha";
-      Log.log Log.Warn ~scope:"test" "beta";
-      (* on disk before close: each event is its JSON and one newline *)
-      let ondisk = read path_a in
-      (match Log.events_of_jsonl ondisk with
-      | Ok evs ->
-          check_string "one line per event, no buffering"
-            (String.concat ""
-               (List.map
-                  (fun e -> Stats.Json.to_string (Log.event_to_json e) ^ "\n")
-                  evs))
-            ondisk;
-          Alcotest.(check (list string))
-            "both events" [ "alpha"; "beta" ]
-            (List.map (fun e -> e.Log.msg) evs)
-      | Error e -> Alcotest.failf "read: %s" (Stats.Json.error_to_string e));
-      (* a new sink replaces the old one: later events land only there *)
-      open_sink path_b;
-      Log.log Log.Info ~scope:"test" "gamma";
-      check_string "replaced sink untouched" ondisk (read path_a);
-      Alcotest.(check (list string)) "new sink" [ "gamma" ] (msgs path_b);
-      (* detached: events are dropped, and closing twice is a no-op *)
-      Log.close_sink ();
-      Log.log Log.Info ~scope:"test" "delta";
-      Log.close_sink ();
-      Alcotest.(check (list string))
-        "nothing after close" [ "gamma" ] (msgs path_b))
-
-(* ------------------------------------------------------------------ *)
 (* counts on dag_build *)
 
 (* the counts on the dag_build span of one traced build of [block] *)
@@ -718,31 +487,6 @@ let test_count_coalesced_arcs () =
   check_int "one arc" 1 (Dag.n_arcs dag);
   check_bool "coalesced" true (int_arg "arcs_coalesced" s >= 1);
   check_bool "probes counted" true (int_arg "table_probes" s > 0)
-
-(* ------------------------------------------------------------------ *)
-(* differential: the full obs stack changes no result *)
-
-let test_full_obs_differential () =
-  obs_off ();
-  log_off ();
-  let blocks = Profiles.generate Profiles.grep in
-  let off_results = Batch.run ~domains:2 Batch.section6 blocks in
-  let on_results, beats =
-    with_obs (fun () ->
-        with_log (fun logged ->
-            Log.set_heartbeat ~interval_s:0.0 ();
-            let r = Batch.run ~domains:2 Batch.section6 blocks in
-            (r, List.length (logged ()))))
-  in
-  check_bool "heartbeats logged" true (beats > 0);
-  List.iter2
-    (fun (a : Batch.result) (b : Batch.result) ->
-      check_bool "identical up to timing" true
-        (Batch.strip_timing a = Batch.strip_timing b))
-    off_results on_results;
-  (* and everything is silent again *)
-  check_bool "log level off" true (Log.level () = None);
-  check_bool "trace off" true (not (Trace.enabled ()))
 
 (* ------------------------------------------------------------------ *)
 (* explain: decision traces and the decisiveness fold over them *)
@@ -892,15 +636,13 @@ let test_explain_decision_adversarial () =
       check_bool msg true
         (contains msg (Printf.sprintf "line %d" (List.length sample_decisions + 1)))
 
-(* Both JSONL readers go through [Json.of_jsonl]: blank lines are
+(* Explain's JSONL reader goes through [Json.of_jsonl]: blank lines are
    skipped but counted, so an error names the physical line. *)
 let test_jsonl_physical_lines () =
   let line_of = function
     | Ok _ -> Alcotest.fail "should fail"
     | Error e -> e.Json.path
   in
-  Alcotest.(check (list string))
-    "log" [ "line 3" ] (line_of (Log.events_of_jsonl "\n\nnot json\n"));
   Alcotest.(check (list string))
     "explain" [ "line 3" ]
     (line_of (Explain.decisions_of_jsonl "\n\nnot json\n"));
@@ -1040,18 +782,10 @@ let suite =
     quick "pool: queue_wait/task_run instrumented" test_pool_instrumented;
     quick "batch: differential off vs on" test_batch_differential;
     quick "batch: pipeline phases recorded" test_batch_records_pipeline_phases;
-    quick "log: disabled is invisible" test_log_disabled_is_invisible;
-    quick "log: level gating" test_log_level_gating;
-    quick "log: event JSON round trip" test_log_event_json_roundtrip;
-    quick "log: JSONL readers" test_log_jsonl_readers;
-    quick "log: sink write-through" test_log_sink_write_through;
-    quick "log: heartbeat" test_log_heartbeat;
-    quick "log: sink module" test_log_sink_module;
     quick "trace: dag_build counts coalesced arcs" test_count_coalesced_arcs;
     quick "trace: span charges minor words" test_trace_span_minor_words;
     quick "trace: transitive-free builders count pruned arcs"
       test_count_transitive_pruned;
-    quick "differential: full obs stack" test_full_obs_differential;
     quick "explain: fold counts traced picks" test_explain_fold_counts_traced;
     quick "explain: observe aggregates" test_explain_observe_aggregates;
     quick "explain: decision round trip" test_explain_decision_roundtrip;

@@ -11,8 +11,8 @@
       malformed headers, garbage JSON, unparseable assembly and
       mid-request disconnects, interleaved with healthy requests — the
       daemon must answer typed errors where the protocol allows one and
-      keep serving, and each typed answer leaves exactly one Debug
-      [request] event with that outcome in the [--log] file; the
+      keep serving, and each typed answer leaves exactly one
+      [request] span with that outcome in the [--trace] file; the
       [DAGSCHED_SERVE_FAIL] crash knob must surface as typed
       [internal] errors, never as a daemon death;
     - {e drain}: SIGINT under load lets the in-flight request finish,
@@ -261,55 +261,56 @@ let expect_typed_error d bytes kind =
   | None ->
       Alcotest.failf "no response frame for the %s case" kind
 
-(* a daemon logging at Debug into a file of its own: [f] runs against
-   it, and the outcomes of its request events come back once it has
-   drained, sorted *)
-let with_logged_daemon ?(args = [||]) f =
-  let log = Filename.temp_file "dagsched_serve_log" ".jsonl" in
-  Fun.protect ~finally:(fun () -> try Sys.remove log with Sys_error _ -> ())
+(* a daemon tracing into a file of its own: [f] runs against it, and
+   the outcomes of its request spans come back once it has drained and
+   written the trace, sorted *)
+let with_traced_daemon ?(args = [||]) f =
+  let trace = Filename.temp_file "dagsched_serve_trace" ".json" in
+  Fun.protect ~finally:(fun () -> try Sys.remove trace with Sys_error _ -> ())
   @@ fun () ->
-  with_daemon
-    ~args:(Array.append args [| "--log"; log; "--log-level"; "debug" |])
-    f;
-  match
-    Log.events_of_jsonl (In_channel.with_open_bin log In_channel.input_all)
-  with
-  | Error e -> Alcotest.failf "daemon log: %s" (Json.error_to_string e)
-  | Ok events ->
-      List.filter_map
-        (fun (e : Log.event) ->
-          if e.Log.scope = "serve" && e.Log.msg = "request" then
-            match List.assoc_opt "outcome" e.Log.fields with
-            | Some (Json.String o) -> Some o
-            | _ -> Alcotest.fail "request event without an outcome"
-          else None)
-        events
-      |> List.sort compare
+  with_daemon ~args:(Array.append args [| "--trace"; trace |]) f;
+  let spans =
+    match Json.of_string (In_channel.with_open_bin trace In_channel.input_all) with
+    | Error msg -> Alcotest.failf "daemon trace: %s" msg
+    | Ok json -> (
+        match Trace.events_of_json json with
+        | Ok spans -> spans
+        | Error e -> Alcotest.failf "daemon trace: %s" (Json.error_to_string e))
+  in
+  List.filter_map
+    (fun (s : Trace.span) ->
+      if s.Trace.name = "request" then
+        match List.assoc_opt "outcome" s.Trace.args with
+        | Some (Json.String o) -> Some o
+        | _ -> Alcotest.fail "request span without an outcome"
+      else None)
+    spans
+  |> List.sort compare
 
 (* every outcome but "ok" (pings and healthy requests), sorted *)
 let check_errors what expected outcomes =
   Alcotest.(check (list string)) what expected
     (List.filter (fun o -> o <> "ok") outcomes);
-  check_bool (what ^ ": ok requests logged") true (List.mem "ok" outcomes)
+  check_bool (what ^ ": ok requests recorded") true (List.mem "ok" outcomes)
 
 let test_fault_injection () =
-  with_logged_daemon (fun d ->
+  with_traced_daemon (fun d ->
       let healthy = schedule_payload "nop\n" in
       let baseline = request d healthy in
       (* malformed header bytes *)
       expect_typed_error d "garbage header\n" "malformed-frame";
       check_string "alive after malformed header" baseline
         (request d healthy))
-  |> check_errors "one request event per typed answer" [ "malformed-frame" ];
+  |> check_errors "one request span per typed answer" [ "malformed-frame" ];
   (* oversized cap and timeout behavior need their own daemon options *)
-  with_logged_daemon ~args:[| "--max-frame"; "1024"; "--timeout"; "0.3" |]
+  with_traced_daemon ~args:[| "--max-frame"; "1024"; "--timeout"; "0.3" |]
     (fun d ->
       let healthy = schedule_payload "nop\n" in
       let baseline = request d healthy in
       expect_typed_error d (Frame.encode (String.make 4096 'x')) "oversized";
       check_string "alive after oversized" baseline (request d healthy);
       (* truncated frame + disconnect: no response possible; the daemon
-         must log-and-continue *)
+         must move on *)
       ignore (raw_exchange d ~read_back:false "100\npartial");
       check_string "alive after truncated frame" baseline (request d healthy);
       (* connect-and-say-nothing (no shutdown, so no EOF): the daemon's
@@ -338,8 +339,8 @@ let test_fault_injection () =
         (Frame.encode (schedule_payload "definitely not assembly !!!"))
         "block-parse";
       check_string "alive after the gauntlet" baseline (request d healthy))
-  (* the torn frame got no answer, so it leaves no request event *)
-  |> check_errors "one request event per typed answer"
+  (* the torn frame got no answer, so it leaves no request span *)
+  |> check_errors "one request span per typed answer"
        [ "bad-request"; "block-parse"; "malformed-frame"; "oversized"; "parse" ]
 
 let test_crash_knob () =

@@ -23,8 +23,8 @@
       injected pipeline crash ([DAGSCHED_SERVE_FAIL]) each answer their
       typed error and leave the daemon state serving correctly
       afterwards;
-    - the one per-request record, the Debug [request] log event: one
-      per request, damaged frames included.
+    - the one per-request record, the trace's [request] span: one per
+      request, damaged frames included.
 
     The over-the-wire daemon (real process, SIGINT drain, concurrent
     clients) lives in the slow suite, [test/test_serve.ml]. *)
@@ -760,7 +760,7 @@ let test_fail_injection () =
       Alcotest.(check int) "failed requests never cached" 1 s.Cache.entries)
 
 (* ------------------------------------------------------------------ *)
-(* the retired metrics op, request ids, the request log line *)
+(* the retired metrics op, request ids, the request span *)
 
 let test_retired_metrics_op () =
   with_serve (fun serve ->
@@ -814,44 +814,43 @@ let test_error_responses_carry_ids () =
       Alcotest.(check bool) "ok response id-free" false
         (contains ~needle:"\"id\"" ok))
 
-(* Run [f] with the event log at Debug into a temporary sink; [f] gets a
-   reader of the serve request events written so far. *)
-let with_request_log f =
-  let path = Filename.temp_file "dagsched_test_requests" ".jsonl" in
+let request_field name (s : Trace.span) =
+  match List.assoc_opt name s.Trace.args with
+  | Some (Json.String v) -> v
+  | Some v -> Json.to_string v
+  | None -> Alcotest.failf "request span without %S" name
+
+(* the sequence half of a request span's nonce-seq id *)
+let request_seq s =
+  let id = request_field "id" s in
+  match Option.bind (List.nth_opt (String.split_on_char '-' id) 1) int_of_string_opt with
+  | Some n -> n
+  | None -> Alcotest.failf "id %S is not nonce-seq" id
+
+(* Run [f] with tracing on; [f] gets a reader of the request spans
+   recorded so far, in request order (by id: two short requests can
+   start within one clock tick). *)
+let with_request_spans f =
+  Trace.disable ();
+  Trace.reset ();
+  Trace.enable ();
   Fun.protect
     ~finally:(fun () ->
-      Log.set_level None;
-      Log.close_sink ();
-      try Sys.remove path with Sys_error _ -> ())
+      Trace.disable ();
+      Trace.reset ())
   @@ fun () ->
-  Log.set_level (Some Log.Debug);
-  (match Log.set_sink path with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "log sink: %s" msg);
   f (fun () ->
-      match
-        Log.events_of_jsonl (In_channel.with_open_bin path In_channel.input_all)
-      with
-      | Ok evs ->
-          List.filter
-            (fun (e : Log.event) ->
-              e.Log.scope = "serve" && e.Log.msg = "request")
-            evs
-      | Error e -> Alcotest.failf "log read back: %s" (Json.error_to_string e))
+      List.filter (fun (s : Trace.span) -> s.Trace.name = "request") (Trace.snapshot ())
+      |> List.map (fun s -> (request_seq s, s))
+      |> List.sort compare |> List.map snd)
 
-let request_field name (e : Log.event) =
-  match List.assoc_opt name e.Log.fields with
-  | Some (Json.String s) -> s
-  | Some v -> Json.to_string v
-  | None -> Alcotest.failf "request line without %S" name
-
-let request_int name (e : Log.event) =
-  match List.assoc_opt name e.Log.fields with
+let request_int name (s : Trace.span) =
+  match List.assoc_opt name s.Trace.args with
   | Some (Json.Int n) -> n
-  | _ -> Alcotest.failf "request line without an int %S" name
+  | _ -> Alcotest.failf "request span without an int %S" name
 
-let test_debug_log () =
-  with_request_log @@ fun logged ->
+let test_request_spans () =
+  with_request_spans @@ fun recorded ->
   with_serve (fun t ->
       let payload = schedule_payload "nop\n" in
       let requests =
@@ -860,9 +859,9 @@ let test_debug_log () =
       let exchanges =
         List.map (fun p -> (p, Serve.handle_text t p)) requests
       in
-      let lines = logged () in
-      Alcotest.(check int) "one line per request" 4 (List.length lines);
-      (match lines with
+      let spans = recorded () in
+      Alcotest.(check int) "one span per request" 4 (List.length spans);
+      (match spans with
       | [ miss; hit; ping; bad ] ->
           Alcotest.(check string) "miss op" "schedule"
             (request_field "op" miss);
@@ -877,7 +876,7 @@ let test_debug_log () =
             (request_field "outcome" bad)
       | _ -> Alcotest.fail "unreachable");
       (* ids are distinct and shaped like the error-response ids *)
-      let ids = List.map (request_field "id") lines in
+      let ids = List.map (request_field "id") spans in
       Alcotest.(check int) "ids distinct" 4
         (List.length (List.sort_uniq compare ids));
       List.iter2
@@ -887,13 +886,16 @@ let test_debug_log () =
           Alcotest.(check int) "bytes_out is the response's length"
             (String.length response) (request_int "bytes_out" e);
           Alcotest.(check bool) "duration non-negative" true
-            (request_int "dur_us" e >= 0))
-        exchanges lines)
+            (e.Trace.dur_us >= 0.0);
+          Alcotest.(check (list string)) "exactly the request fields"
+            [ "id"; "op"; "cache"; "bytes_in"; "bytes_out"; "outcome" ]
+            (List.map fst e.Trace.args))
+        exchanges spans)
 
-(* the frame-error path leaves the same record: one request line per
+(* the frame-error path leaves the same record: one request span per
    typed answer, none for a peer that vanished mid-frame *)
-let test_debug_log_frames () =
-  with_request_log @@ fun logged ->
+let test_request_spans_frames () =
+  with_request_spans @@ fun recorded ->
   with_serve (fun t ->
       let exchange bytes =
         with_pair (fun client server ->
@@ -914,7 +916,7 @@ let test_debug_log_frames () =
             (match Json.of_string response with
             | Ok json -> check_error_kind json kind
             | Error msg -> Alcotest.failf "response does not parse: %s" msg);
-            match List.rev (logged ()) with
+            match List.rev (recorded ()) with
             | e :: _ ->
                 Alcotest.(check string) (name ^ " outcome") name
                   (request_field "outcome" e);
@@ -924,23 +926,23 @@ let test_debug_log_frames () =
                   (request_int "bytes_in" e);
                 Alcotest.(check int) (name ^ " bytes_out")
                   (String.length response) (request_int "bytes_out" e)
-            | [] -> Alcotest.failf "no request line for the %s case" name)
+            | [] -> Alcotest.failf "no request span for the %s case" name)
       in
       typed "garbage header\n" Serve.Malformed_frame;
-      Alcotest.(check int) "one line" 1 (List.length (logged ()));
+      Alcotest.(check int) "one span" 1 (List.length (recorded ()));
       typed (Frame.encode (String.make 4096 'x')) Serve.Oversized;
-      Alcotest.(check int) "two lines" 2 (List.length (logged ()));
+      Alcotest.(check int) "two spans" 2 (List.length (recorded ()));
       Alcotest.(check bool) "a torn frame gets no answer" true
         (exchange "100\npartial" = None);
-      Alcotest.(check int) "and no request line" 2 (List.length (logged ()));
+      Alcotest.(check int) "and no request span" 2 (List.length (recorded ()));
       (match exchange (Frame.encode {|{"op": "ping"}|}) with
       | Some _ -> ()
       | None -> Alcotest.fail "no answer to a ping");
-      match List.rev (logged ()) with
+      match List.rev (recorded ()) with
       | ping :: _ :: _ :: [] ->
           Alcotest.(check string) "ping through the connection" "ping"
             (request_field "op" ping)
-      | l -> Alcotest.failf "expected 3 request lines, got %d" (List.length l))
+      | l -> Alcotest.failf "expected 3 request spans, got %d" (List.length l))
 
 let suite =
   [ Alcotest.test_case "frame round trips" `Quick test_frame_roundtrip;
@@ -968,10 +970,10 @@ let suite =
       test_retired_metrics_op;
     Alcotest.test_case "error responses carry request ids" `Quick
       test_error_responses_carry_ids;
-    Alcotest.test_case "debug log: one request line per request" `Quick
-      test_debug_log;
-    Alcotest.test_case "debug log: one line per damaged frame" `Quick
-      test_debug_log_frames;
+    Alcotest.test_case "request span: one per request" `Quick
+      test_request_spans;
+    Alcotest.test_case "request span: one per damaged frame" `Quick
+      test_request_spans_frames;
     Alcotest.test_case "frame back-to-back past the staging buffer" `Quick
       test_frame_back_to_back;
     Alcotest.test_case "frame header split across reads" `Quick
